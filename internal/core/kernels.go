@@ -30,55 +30,12 @@ func (f *Flops) Add(other Flops) {
 func (f Flops) Total() int64 { return f.B1 + f.B2 + f.B3 }
 
 // Workspace holds per-worker scratch so the kernels allocate nothing on the
-// hot path. Each (simulated) processor owns one. The rowPos/colPos buffers
-// back the gather/scatter maps of UpdateBlock's fused update path; the
-// drivers pre-size them from the block matrix via NewWorkspace so the zero
-// allocation guarantee holds from the first task on.
+// hot path: the GEMM packing buffers (with the packed U panel an Update task
+// shares across its block updates) and the worker's flop tally. Each
+// (simulated) processor owns one; the zero value is ready to use.
 type Workspace struct {
-	rowPos []int
-	colPos []int
-	Fl     Flops
-}
-
-// NewWorkspace returns a workspace pre-sized for the largest block of bm: the
-// scatter maps fit every L-block row set and every target-block column set
-// without growing mid-run. A zero Workspace{} also works (buffers grow on
-// first use); the drivers use NewWorkspace to keep the hot path allocation
-// free.
-func NewWorkspace(bm *supernode.BlockMatrix) *Workspace {
-	maxR, maxC := 0, 0
-	note := func(b *supernode.Block) {
-		maxR = max(maxR, len(b.Rows))
-		maxC = max(maxC, len(b.Cols))
-	}
-	for _, d := range bm.Diag {
-		note(d)
-	}
-	for _, col := range bm.LCol {
-		for _, b := range col {
-			note(b)
-		}
-	}
-	for _, row := range bm.URow {
-		for _, b := range row {
-			note(b)
-		}
-	}
-	return &Workspace{rowPos: make([]int, maxR), colPos: make([]int, maxC)}
-}
-
-func (ws *Workspace) rowScratch(n int) []int {
-	if cap(ws.rowPos) < n {
-		ws.rowPos = make([]int, n)
-	}
-	return ws.rowPos[:n]
-}
-
-func (ws *Workspace) colScratch(n int) []int {
-	if cap(ws.colPos) < n {
-		ws.colPos = make([]int, n)
-	}
-	return ws.colPos[:n]
+	packs xblas.Packs
+	Fl    Flops
 }
 
 // FactorPanel performs task Factor(k) of Fig. 7 sequentially on the whole
@@ -209,7 +166,7 @@ func SwapRowsInBlockColumn(bm *supernode.BlockMatrix, j, m, t int, ws *Workspace
 	if r1 == nil || r2 == nil {
 		return
 	}
-	if &bm1.Cols[0] == &bm2.Cols[0] || equalCols(bm1.Cols, bm2.Cols) {
+	if len(bm1.Cols) == len(bm2.Cols) && &bm1.Cols[0] == &bm2.Cols[0] { // one shared column list
 		for i := range r1 {
 			r1[i], r2[i] = r2[i], r1[i]
 		}
@@ -234,71 +191,46 @@ func SwapRowsInBlockColumn(bm *supernode.BlockMatrix, j, m, t int, ws *Workspace
 	}
 }
 
-func equalCols(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ScaleU computes U_kj = L_kk^{-1} U_kj (Fig. 8 line 05) with a BLAS-3
 // triangular solve against the unit-lower part of the diagonal block.
 func ScaleU(bm *supernode.BlockMatrix, k, j int, ws *Workspace) {
-	ub := bm.BlockAt(k, j)
-	if ub == nil {
-		return
+	if ui := bm.UIndex(k, j); ui >= 0 {
+		scaleU(bm, k, bm.URow[k][ui], ws)
 	}
+}
+
+func scaleU(bm *supernode.BlockMatrix, k int, ub *supernode.Block, ws *Workspace) {
 	s := bm.P.Size(k)
 	nc := len(ub.Cols)
 	xblas.TrsmLowerUnitLeft(s, nc, bm.Diag[k].Data, s, ub.Data, nc)
 	ws.Fl.B3 += int64(nc) * int64(s) * int64(s-1)
 }
 
-// UpdateBlock performs A_ij -= L_ik * U_kj for one target block (Fig. 8
-// lines 10-17): a dense multiply of the packed L rows by the packed U
-// columns, scattered into the target's packing. When the packings align the
-// product lands directly in the target without scratch.
-func UpdateBlock(bm *supernode.BlockMatrix, lb, ub *supernode.Block, ws *Workspace) {
-	i, j := lb.I, ub.J
-	target := bm.BlockAt(i, j)
-	if target == nil {
-		// Amalgamation padding can pair an L block with a U block whose
-		// product rectangle holds no static entries; every contribution
-		// is then an exact zero (padding slots never acquire nonzero
-		// values) and the whole update can be skipped.
+// UpdateBlock performs A_ij -= L_ik * U_kj (Fig. 8 lines 10-17) for the
+// li-th L block and the ui-th U block of panel k: a dense multiply of the
+// packed L rows by the packed U columns, landing in the target's packing
+// through the maps of the partition's static update plan — a table lookup
+// and one kernel call, no search.
+func UpdateBlock(bm *supernode.BlockMatrix, k, ui, li int, ws *Workspace) {
+	ws.packs.NewB()
+	updateBlock(bm, bm.P.UpdatePlan(), k, ui, li, ws)
+}
+
+// updateBlock is UpdateBlock for callers that run several block updates
+// against one U_kj: they call ws.packs.NewB once and the packed U panel is
+// shared by every update that needs it.
+func updateBlock(bm *supernode.BlockMatrix, plan *supernode.UpdatePlan, k, ui, li int, ws *Workspace) {
+	u := plan.Pair(k, ui, li)
+	if u.Target < 0 {
+		// No block (i, j) in the static structure: every contribution is an
+		// exact zero (padding slots never acquire nonzero values).
 		return
 	}
-	m := len(lb.Rows)
-	kk := len(lb.Cols)
-	n := len(ub.Cols)
-	if m == 0 || n == 0 {
-		return
-	}
+	lb, ub, target := bm.LCol[k][li], bm.URow[k][ui], bm.Block(u.Target)
+	m, kk, n := len(lb.Rows), len(lb.Cols), len(ub.Cols)
 	ws.Fl.B3 += 2 * int64(m) * int64(n) * int64(kk)
-	if equalCols(lb.Rows, target.Rows) && equalCols(ub.Cols, target.Cols) {
-		xblas.Gemm(m, n, kk, lb.Data, kk, ub.Data, n, target.Data, len(target.Cols))
-		return
-	}
-	// Fused gather/scatter path: map the product's rows/columns onto the
-	// target's packing and let the kernel compute directly into the mapped
-	// positions — no scratch zero-fill, no second subtract pass.
-	// Rows/columns absent from the target's packing can only receive zero
-	// contributions (see above); the -1 map entries make the kernel skip
-	// them.
-	rowPos := ws.rowScratch(m)
-	for r, gr := range lb.Rows {
-		rowPos[r] = target.RowPos(int(gr))
-	}
-	colPos := ws.colScratch(n)
-	for q, c := range ub.Cols {
-		colPos[q] = target.ColPos(int(c))
-	}
-	xblas.GemmScatter(m, n, kk, lb.Data, kk, ub.Data, n, target.Data, len(target.Cols), rowPos, colPos)
+	xblas.GemmUpdate(m, n, kk, lb.Data, kk, ub.Data, n, target.Data, len(target.Cols),
+		xblas.Dest{Rows: u.Rows, Cols: u.Cols, Col0: u.Col0}, &ws.packs)
 }
 
 // UpdatePanelPair runs the whole Update(k, j) task of Fig. 8 (pivot
@@ -306,12 +238,14 @@ func UpdateBlock(bm *supernode.BlockMatrix, lb, ub *supernode.Block, ws *Workspa
 // It is the unit of work of the 1D codes.
 func UpdatePanelPair(bm *supernode.BlockMatrix, k, j int, piv []int32, ws *Workspace) {
 	ApplyPivots(bm, k, j, piv, ws)
-	ScaleU(bm, k, j, ws)
-	ub := bm.BlockAt(k, j)
-	if ub == nil {
+	ui := bm.UIndex(k, j)
+	if ui < 0 {
 		return
 	}
-	for _, lb := range bm.LCol[k] {
-		UpdateBlock(bm, lb, ub, ws)
+	scaleU(bm, k, bm.URow[k][ui], ws)
+	plan := bm.P.UpdatePlan()
+	ws.packs.NewB()
+	for li := range bm.LCol[k] {
+		updateBlock(bm, plan, k, ui, li, ws)
 	}
 }

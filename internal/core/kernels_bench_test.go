@@ -1,24 +1,26 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"testing"
 
+	"sstar/internal/bench"
+	"sstar/internal/core"
 	"sstar/internal/sparse"
 	"sstar/internal/supernode"
 )
 
 // densePanel builds the leading s-wide panel of a dense 2s-order matrix: an
 // s-by-s diagonal block with one s-by-s L block below — the supernode panel
-// shape FactorPanel sees in the factorization proper.
-func densePanel(s int) (*supernode.BlockMatrix, *Workspace, []int32, []float64, []float64) {
+// shape core.FactorPanel sees in the factorization proper.
+func densePanel(s int) (*supernode.BlockMatrix, *core.Workspace, []int32, []float64, []float64) {
 	a := sparse.Dense(2*s, int64(2000+s))
-	sym := Analyze(a, AnalyzeOptions{
+	sym := core.Analyze(a, core.AnalyzeOptions{
 		SkipOrdering: true,
 		Supernode:    supernode.Options{MaxBlock: s},
 	})
 	bm := supernode.NewBlockMatrix(sym.Partition, sym.PermutedMatrix(a))
-	ws := NewWorkspace(bm)
+	ws := new(core.Workspace)
 	piv := make([]int32, 2*s)
 	diag0 := append([]float64(nil), bm.Diag[0].Data...)
 	lcol0 := append([]float64(nil), bm.LCol[0][0].Data...)
@@ -30,7 +32,7 @@ func BenchmarkFactorPanel(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d", 2*s, s), func(b *testing.B) {
 			bm, ws, piv, diag0, lcol0 := densePanel(s)
 			before := ws.Fl.Total()
-			if err := FactorPanel(bm, 0, piv, 1, ws); err != nil {
+			if err := core.FactorPanel(bm, 0, piv, 1, ws); err != nil {
 				b.Fatal(err)
 			}
 			flops := ws.Fl.Total() - before
@@ -38,7 +40,7 @@ func BenchmarkFactorPanel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(bm.Diag[0].Data, diag0)
 				copy(bm.LCol[0][0].Data, lcol0)
-				if err := FactorPanel(bm, 0, piv, 1, ws); err != nil {
+				if err := core.FactorPanel(bm, 0, piv, 1, ws); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -56,21 +58,20 @@ func BenchmarkUpdateBlockAligned(b *testing.B) {
 			// Dense 3s-order matrix with s-wide panels: diagonal block 2
 			// receives the update L(2,0) * U(0,2).
 			a := sparse.Dense(3*s, int64(3000+s))
-			sym := Analyze(a, AnalyzeOptions{
+			sym := core.Analyze(a, core.AnalyzeOptions{
 				SkipOrdering: true,
 				Supernode:    supernode.Options{MaxBlock: s},
 			})
 			bm := supernode.NewBlockMatrix(sym.Partition, sym.PermutedMatrix(a))
-			ws := NewWorkspace(bm)
-			lb := bm.BlockAt(2, 0)
-			ub := bm.BlockAt(0, 2)
-			if lb == nil || ub == nil {
+			ws := new(core.Workspace)
+			if len(bm.LCol[0]) != 2 || len(bm.URow[0]) != 2 {
 				b.Fatal("dense partition did not produce the expected blocks")
 			}
+			lb, ub := bm.LCol[0][1], bm.URow[0][1]
 			flops := int64(2) * int64(len(lb.Rows)) * int64(len(ub.Cols)) * int64(len(lb.Cols))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				UpdateBlock(bm, lb, ub, ws)
+				core.UpdateBlock(bm, 0, 1, 1, ws)
 			}
 			b.ReportMetric(float64(flops)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 		})
@@ -81,34 +82,65 @@ func BenchmarkUpdateBlockAligned(b *testing.B) {
 // largest misaligned block update a real sparse partition produces.
 func BenchmarkUpdateBlockScatter(b *testing.B) {
 	a := sparse.Grid3D(12, 12, 12, sparse.GenOptions{Convection: 0.3, Seed: 9})
-	sym := Analyze(a, AnalyzeOptions{
+	sym := core.Analyze(a, core.AnalyzeOptions{
 		Supernode: supernode.Options{MaxBlock: 25, Amalgamate: 4},
 	})
 	bm := supernode.NewBlockMatrix(sym.Partition, sym.PermutedMatrix(a))
-	ws := NewWorkspace(bm)
-	var lb, ub *supernode.Block
+	ws := new(core.Workspace)
+	plan := sym.Partition.UpdatePlan()
+	bk, bui, bli := -1, 0, 0
 	best := int64(0)
 	for k := 0; k < sym.Partition.NB; k++ {
-		for _, ubc := range bm.URow[k] {
-			for _, lbc := range bm.LCol[k] {
-				t := bm.BlockAt(lbc.I, ubc.J)
-				if t == nil || equalCols(lbc.Rows, t.Rows) && equalCols(ubc.Cols, t.Cols) {
+		for ui, ub := range bm.URow[k] {
+			for li, lb := range bm.LCol[k] {
+				if u := plan.Pair(k, ui, li); u.Target < 0 || u.Aligned {
 					continue
 				}
-				vol := int64(len(lbc.Rows)) * int64(len(ubc.Cols)) * int64(len(lbc.Cols))
+				vol := int64(len(lb.Rows)) * int64(len(ub.Cols)) * int64(len(lb.Cols))
 				if vol > best {
-					best, lb, ub = vol, lbc, ubc
+					best, bk, bui, bli = vol, k, ui, li
 				}
 			}
 		}
 	}
-	if lb == nil {
+	if bk < 0 {
 		b.Skip("partition produced no misaligned update")
 	}
 	flops := 2 * best
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		UpdateBlock(bm, lb, ub, ws)
+		core.UpdateBlock(bm, bk, bui, bli, ws)
 	}
 	b.ReportMetric(float64(flops)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+}
+
+// BenchmarkRefactorize measures the numeric-only refactorization — clear the
+// slab, scatter A through the assembly map, run the executor over the static
+// update plan — on the benchmark's small-supernode (lnsp3937) and
+// big-supernode (ex11) representatives, at the sizes the benchmark runs them.
+// allocs/op is the steady-state guard: it must stay O(1).
+func BenchmarkRefactorize(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		scale float64
+	}{{"lnsp3937", 1}, {"ex11", 0.8}} {
+		b.Run(c.name, func(b *testing.B) {
+			a := bench.ByName(c.name).Gen(c.scale)
+			f, err := core.FactorizeSeq(a, core.Analyze(a, core.AnalyzeOptions{}))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := f.Refactorize(a, 1, nil); err != nil { // allocates the second slab
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := f.Refactorize(a, 1, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(f.Fl.Total())*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+		})
+	}
 }

@@ -92,8 +92,7 @@ func panelBytes(p *supernode.Partition, k int) int {
 // broadcasts are the only communication, exactly as in the paper's 1D codes.
 func Factorize1D(a *sparse.CSR, sym *Symbolic, model machine.Model, s *sched.Schedule, opts ...RunOption) (*ParResult, error) {
 	cfg := applyRunOptions(opts)
-	work := sym.PermutedMatrix(a)
-	bm := supernode.NewBlockMatrix(sym.Partition, work)
+	bm, asm := assemble(a, sym)
 	p := sym.Partition
 	g := taskgraph.Build(p)
 	piv := make([]int32, sym.N)
@@ -117,13 +116,10 @@ func Factorize1D(a *sparse.CSR, sym *Symbolic, model machine.Model, s *sched.Sch
 		sortInts(dests[k])
 	}
 
-	workspaces := make([]*Workspace, s.P)
-	for i := range workspaces {
-		workspaces[i] = NewWorkspace(bm)
-	}
+	workspaces := make([]Workspace, s.P)
 
 	pt, err := runMachine(mach, func(proc *machine.Proc) {
-		ws := workspaces[proc.ID()]
+		ws := &workspaces[proc.ID()]
 		var prev Flops
 		received := make([]bool, p.NB)
 		for _, id := range s.Order[proc.ID()] {
@@ -167,7 +163,7 @@ func Factorize1D(a *sparse.CSR, sym *Symbolic, model machine.Model, s *sched.Sch
 		busy[i] = mach.Proc(i).BusySeconds()
 	}
 	res := &ParResult{
-		Fact:         &Factorization{Sym: sym, BM: bm, Piv: piv, Fl: fl},
+		Fact:         &Factorization{Sym: sym, BM: bm, Piv: piv, Fl: fl, asm: asm},
 		ParallelTime: pt,
 		SentBytes:    bytes,
 		SentMessages: msgs,

@@ -97,8 +97,7 @@ func Factorize2D(a *sparse.CSR, sym *Symbolic, model machine.Model, pr, pc int, 
 		return nil, err
 	}
 	cfg := applyRunOptions(opts)
-	work := sym.PermutedMatrix(a)
-	bm := supernode.NewBlockMatrix(sym.Partition, work)
+	bm, asm := assemble(a, sym)
 	p := sym.Partition
 	nproc := pr * pc
 	mach := machine.New(nproc, model)
@@ -107,15 +106,12 @@ func Factorize2D(a *sparse.CSR, sym *Symbolic, model machine.Model, pr, pc int, 
 	}
 	barrier := mach.NewBarrier()
 	piv := make([]int32, sym.N)
-	workspaces := make([]*Workspace, nproc)
-	for i := range workspaces {
-		workspaces[i] = NewWorkspace(bm)
-	}
+	workspaces := make([]Workspace, nproc)
 	pt, err := runMachine(mach, func(proc *machine.Proc) {
 		x := &proc2d{
 			proc: proc, bm: bm, p: p, pr: pr, pc: pc,
 			r: proc.ID() / pc, c: proc.ID() % pc,
-			piv: piv, tol: sym.pivotTol(), ws: workspaces[proc.ID()],
+			piv: piv, tol: sym.pivotTol(), ws: &workspaces[proc.ID()],
 		}
 		nb := p.NB
 		span := func(label string, start float64) { proc.TraceSpan(label, start) }
@@ -185,7 +181,7 @@ func Factorize2D(a *sparse.CSR, sym *Symbolic, model machine.Model, pr, pc int, 
 		busy[i] = mach.Proc(i).BusySeconds()
 	}
 	res := &ParResult{
-		Fact:         &Factorization{Sym: sym, BM: bm, Piv: piv, Fl: fl},
+		Fact:         &Factorization{Sym: sym, BM: bm, Piv: piv, Fl: fl, asm: asm},
 		ParallelTime: pt,
 		SentBytes:    bytes,
 		SentMessages: msgs,
@@ -517,15 +513,17 @@ func commonSlots(bm *supernode.BlockMatrix, j, m, t int) []slotPair {
 // column multicast).
 func (x *proc2d) update2D(k, j int) {
 	bm := x.bm
-	ub := bm.BlockAt(k, j)
-	if ub == nil {
+	ui := bm.UIndex(k, j)
+	if ui < 0 {
 		return
 	}
-	for _, lb := range bm.LCol[k] {
+	plan := x.p.UpdatePlan()
+	x.ws.packs.NewB()
+	for li, lb := range bm.LCol[k] {
 		if x.rowOfBlock(lb.I) != x.r {
 			continue
 		}
-		UpdateBlock(bm, lb, ub, x.ws)
+		updateBlock(bm, plan, k, ui, li, x.ws)
 	}
 	x.charge()
 	x.proc.ChargeTask()
@@ -533,16 +531,25 @@ func (x *proc2d) update2D(k, j int) {
 
 // loadBalance2D computes the Fig. 18 load-balance factor of the 2D mapping:
 // the update work of target block (i, j) belongs to processor
-// (i mod pr, j mod pc).
+// (i mod pr, j mod pc). Every sum runs in index order (panel, then U block,
+// then L block ascending), so the result is a pure function of its arguments
+// down to the last bit.
 func loadBalance2D(p *supernode.Partition, pr, pc int, model machine.Model) float64 {
 	per := make([]float64, pr*pc)
 	total := 0.0
+	type rowGroup struct{ block, rows int }
+	var groups []rowGroup
 	for k := 0; k < p.NB; k++ {
 		s := p.Size(k)
-		// Group L rows by block.
-		counts := map[int]int{}
+		// Group L rows by block; LRows is sorted, so the groups come out in
+		// ascending block order.
+		groups = groups[:0]
 		for _, r := range p.LRows[k] {
-			counts[p.BlockOf[r]]++
+			if b := p.BlockOf[r]; len(groups) > 0 && groups[len(groups)-1].block == b {
+				groups[len(groups)-1].rows++
+			} else {
+				groups = append(groups, rowGroup{block: b, rows: 1})
+			}
 		}
 		for _, jb := range p.UBlocks[k] {
 			j := int(jb)
@@ -552,9 +559,9 @@ func loadBalance2D(p *supernode.Partition, pr, pc int, model machine.Model) floa
 					nc++
 				}
 			}
-			for ib, rows := range counts {
-				w := model.ComputeSeconds(0, 0, 2*int64(rows)*int64(nc)*int64(s), 0)
-				per[(ib%pr)*pc+j%pc] += w
+			for _, g := range groups {
+				w := model.ComputeSeconds(0, 0, 2*int64(g.rows)*int64(nc)*int64(s), 0)
+				per[(g.block%pr)*pc+j%pc] += w
 				total += w
 			}
 		}

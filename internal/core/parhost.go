@@ -39,7 +39,7 @@ import (
 // the (bit-identical) column data.
 //
 // workers <= 1 falls back to the sequential driver. Each worker owns a
-// pre-sized Workspace, so the steady state allocates nothing.
+// Workspace, so the kernels allocate nothing once its buffers have grown.
 func FactorizeHost(a *sparse.CSR, sym *Symbolic, workers int) (*Factorization, error) {
 	return FactorizeHostObs(a, sym, workers, nil)
 }
@@ -52,24 +52,15 @@ func FactorizeHost(a *sparse.CSR, sym *Symbolic, workers int) (*Factorization, e
 // read, nothing allocates, and the factors are bit-identical either way
 // (instrumentation never touches numeric state).
 func FactorizeHostObs(a *sparse.CSR, sym *Symbolic, workers int, sink obs.Sink) (*Factorization, error) {
-	var t0 time.Time
-	if sink != nil {
-		t0 = time.Now()
+	f := &Factorization{Sym: sym}
+	if err := f.Refactorize(a, workers, sink); err != nil {
+		return nil, err
 	}
-	fact, err := factorizeHostObs(a, sym, workers, sink)
-	if sink != nil && err == nil {
-		sink.Phase(obs.PhaseFactor, time.Since(t0).Nanoseconds())
-	}
-	return fact, err
+	return f, nil
 }
 
-func factorizeHostObs(a *sparse.CSR, sym *Symbolic, workers int, sink obs.Sink) (*Factorization, error) {
-	if workers <= 1 {
-		return factorizeSeqObs(a, sym, sink)
-	}
-	work := sym.PermutedMatrix(a)
-	bm := supernode.NewBlockMatrix(sym.Partition, work)
-	piv := make([]int32, sym.N)
+// runHost is the task-DAG executor over assembled storage (workers > 1).
+func runHost(bm *supernode.BlockMatrix, piv []int32, sym *Symbolic, workers int, sink obs.Sink) (Flops, error) {
 	g := taskgraph.Build(sym.Partition)
 	if workers > len(g.Tasks) {
 		workers = len(g.Tasks)
@@ -100,27 +91,22 @@ func factorizeHostObs(a *sparse.CSR, sym *Symbolic, workers int, sink obs.Sink) 
 	}
 
 	tol := sym.pivotTol()
-	spaces := make([]*Workspace, workers)
+	spaces := make([]Workspace, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		ws := NewWorkspace(bm)
-		spaces[w] = ws
+	for w := range spaces {
 		wg.Add(1)
 		go func(worker int32) {
 			defer wg.Done()
-			run.work(bm, piv, tol, ws, worker)
+			run.work(bm, piv, tol, &spaces[worker], worker)
 		}(int32(w))
 	}
 	wg.Wait()
-	if run.err != nil {
-		return nil, run.err
-	}
 	// Merge the per-worker flop tallies (integer sums: order-independent).
 	var fl Flops
-	for _, ws := range spaces {
-		fl.Add(ws.Fl)
+	for w := range spaces {
+		fl.Add(spaces[w].Fl)
 	}
-	return &Factorization{Sym: sym, BM: bm, Piv: piv, Fl: fl}, nil
+	return fl, run.err
 }
 
 // hostRun is the shared state of one parallel factorization: the dependence

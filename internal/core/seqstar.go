@@ -165,31 +165,111 @@ type Factorization struct {
 	BM  *supernode.BlockMatrix
 	Piv []int32
 	Fl  Flops
+
+	// State of the numeric-only Refactorize. asm is the assembly map of the
+	// factorized pattern (slab offset of every stored entry of A, in A's CSR
+	// order, both permutations folded in), recorded by the first scatter.
+	// spare/sparePiv are the value slab and pivot vector the next Refactorize
+	// factors into: they ping-pong with BM's slab and Piv and stay swapped in
+	// only on success, so a failed refactorization leaves the live factors
+	// untouched. The second slab is allocated on the first Refactorize of
+	// existing factors, not before.
+	asm      []int
+	spare    []float64
+	sparePiv []int32
+	ws       Workspace
 }
 
 // FactorizeSeq runs the sequential S* numeric factorization (Fig. 6): for
 // each block column, Factor(k) then Update(k, j) for every nonzero U_kj.
 func FactorizeSeq(a *sparse.CSR, sym *Symbolic) (*Factorization, error) {
-	return factorizeSeqObs(a, sym, nil)
+	return FactorizeHostObs(a, sym, 1, nil)
 }
 
-// factorizeSeqObs is FactorizeSeq with optional task tracing: when sink is
-// non-nil every Factor/Update task is timed and reported (worker 0). The
-// instrumentation only changes when clocks are read, never the numeric
-// work, so traced and untraced factors are bit-identical.
-func factorizeSeqObs(a *sparse.CSR, sym *Symbolic, sink obs.Sink) (*Factorization, error) {
-	work := sym.PermutedMatrix(a)
-	bm := supernode.NewBlockMatrix(sym.Partition, work)
-	ws := NewWorkspace(bm)
-	piv := make([]int32, sym.N)
+// assemble returns fresh block storage holding a (permuted by the analysis)
+// and the assembly map that put it there.
+func assemble(a *sparse.CSR, sym *Symbolic) (*supernode.BlockMatrix, []int) {
+	asm := sym.Partition.AssemblyMap(a, sym.RowPerm, sym.ColPerm)
+	bm := supernode.NewEmptyBlockMatrix(sym.Partition)
+	bm.Assemble(asm, a.Val)
+	return bm, asm
+}
+
+// Refactorize replaces the factors with those of a, a matrix with exactly the
+// nonzero pattern this Factorization was computed from (callers check; the
+// static structure is only valid for that pattern). It touches values only:
+// the block skeleton, the update plan and the assembly map are reused, the
+// slab is cleared and refilled in place, and the steady state allocates
+// nothing on the sequential path. workers > 1 runs the task-DAG executor; the
+// factors are bit-identical to a fresh factorization either way. On error
+// (a singular matrix) the previous factors stay live and intact. sink follows
+// FactorizeHostObs.
+func (f *Factorization) Refactorize(a *sparse.CSR, workers int, sink obs.Sink) error {
+	var t0 time.Time
+	if sink != nil {
+		t0 = time.Now()
+	}
+	err := f.refactorize(a, workers, sink)
+	if sink != nil && err == nil {
+		sink.Phase(obs.PhaseFactor, time.Since(t0).Nanoseconds())
+	}
+	return err
+}
+
+func (f *Factorization) refactorize(a *sparse.CSR, workers int, sink obs.Sink) error {
+	sym := f.Sym
+	fresh := f.BM == nil
+	if fresh {
+		f.BM, f.asm = assemble(a, sym)
+		f.Piv = make([]int32, sym.N)
+	} else {
+		if f.asm == nil { // loaded from a stream: no scatter has run yet
+			f.asm = sym.Partition.AssemblyMap(a, sym.RowPerm, sym.ColPerm)
+		} else if len(f.asm) != a.Nnz() {
+			return fmt.Errorf("core: refactorize: matrix has %d stored entries, the factorized pattern has %d", a.Nnz(), len(f.asm))
+		}
+		if f.spare == nil {
+			f.spare = make([]float64, len(f.BM.Values()))
+			f.sparePiv = make([]int32, sym.N)
+		}
+		f.spare = f.BM.SwapValues(f.spare)
+		f.Piv, f.sparePiv = f.sparePiv, f.Piv
+		f.BM.Assemble(f.asm, a.Val)
+	}
+	var fl Flops
+	var err error
+	if workers > 1 {
+		fl, err = runHost(f.BM, f.Piv, sym, workers, sink)
+	} else {
+		f.ws.Fl = Flops{}
+		err = runSeq(f.BM, f.Piv, sym, &f.ws, sink)
+		fl = f.ws.Fl
+	}
+	if err != nil {
+		if !fresh { // back to the previous factors
+			f.spare = f.BM.SwapValues(f.spare)
+			f.Piv, f.sparePiv = f.sparePiv, f.Piv
+		}
+		return err
+	}
+	f.Fl = fl
+	return nil
+}
+
+// runSeq is the sequential executor over assembled storage. When sink is
+// non-nil every Factor/Update task is timed and reported (worker 0); the
+// instrumentation only changes when clocks are read, never the numeric work,
+// so traced and untraced factors are bit-identical.
+func runSeq(bm *supernode.BlockMatrix, piv []int32, sym *Symbolic, ws *Workspace, sink obs.Sink) error {
 	p := sym.Partition
+	tol := sym.pivotTol()
 	for k := 0; k < p.NB; k++ {
 		var t0 time.Time
 		if sink != nil {
 			t0 = time.Now()
 		}
-		if err := FactorPanel(bm, k, piv, sym.pivotTol(), ws); err != nil {
-			return nil, err
+		if err := FactorPanel(bm, k, piv, tol, ws); err != nil {
+			return err
 		}
 		if sink != nil {
 			sink.Task(obs.TaskEvent{Kind: obs.KindFactor, K: int32(k), J: int32(k),
@@ -206,7 +286,7 @@ func factorizeSeqObs(a *sparse.CSR, sym *Symbolic, sink obs.Sink) (*Factorizatio
 			}
 		}
 	}
-	return &Factorization{Sym: sym, BM: bm, Piv: piv, Fl: ws.Fl}, nil
+	return nil
 }
 
 // Solve solves A x = b for the original (unpermuted) system.

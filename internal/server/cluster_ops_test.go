@@ -279,6 +279,73 @@ func TestReplicateAnalysisWarmsCache(t *testing.T) {
 	}
 }
 
+// TestSingularRefactorizeIsAtomic: a refactorize with numerically singular
+// values is refused with CodeSingular and changes nothing — the handle solves
+// bitwise as before, its values-epoch is not bumped (a replica holding the
+// old epoch is still current) and no replication push is made.
+func TestSingularRefactorizeIsAtomic(t *testing.T) {
+	var events []StoredEvent
+	s := New(Config{Workers: 2, Cluster: captureHooks{stored: func(ev StoredEvent) { events = append(events, ev) }}})
+	defer s.Close()
+	a := sstar.GenGrid2D(9, 8, false, sstar.GenOptions{Seed: 75, Convection: 0.3})
+	fr := s.process(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
+	if fr.Err != "" {
+		t.Fatal(fr.Err)
+	}
+	b := make([]float64, a.N)
+	for k := range b {
+		b[k] = math.Sin(float64(k) + 1)
+	}
+	before := s.process(&Request{Op: OpSolve, Handle: fr.Handle, B: b})
+	if before.Err != "" {
+		t.Fatal(before.Err)
+	}
+	epochOf := func() uint64 {
+		for _, e := range s.Manifest() {
+			if e.Handle == fr.Handle {
+				return e.ValEpoch
+			}
+		}
+		t.Fatal("handle missing from the manifest")
+		return 0
+	}
+	epoch, pushes := epochOf(), len(events)
+
+	// All-zero values on the stored pattern: the first pivot search fails.
+	for _, req := range []*Request{
+		{Op: OpRefactorize, Handle: fr.Handle, Values: make([]float64, len(a.Val))},
+		{Op: OpRefactorize, Handle: fr.Handle, Matrix: &sstar.Matrix{N: a.N, M: a.M, RowPtr: a.RowPtr, ColInd: a.ColInd, Val: make([]float64, len(a.Val))}},
+	} {
+		r := s.process(req)
+		if r.Err == "" || r.Code != CodeSingular {
+			t.Fatalf("singular refactorize: err %q code %d, want CodeSingular", r.Err, r.Code)
+		}
+		if got := epochOf(); got != epoch {
+			t.Fatalf("values-epoch went %d -> %d on a failed refactorize", epoch, got)
+		}
+		if len(events) != pushes {
+			t.Fatalf("failed refactorize made %d replication pushes", len(events)-pushes)
+		}
+		after := s.process(&Request{Op: OpSolve, Handle: fr.Handle, B: b})
+		if after.Err != "" {
+			t.Fatal(after.Err)
+		}
+		for i := range before.X {
+			if math.Float64bits(after.X[i]) != math.Float64bits(before.X[i]) {
+				t.Fatalf("X[%d] changed after a failed refactorize", i)
+			}
+		}
+	}
+
+	// A good refactorize still goes through: epoch +1, one push.
+	if r := s.process(&Request{Op: OpRefactorize, Handle: fr.Handle, Values: a.Val}); r.Err != "" {
+		t.Fatal(r.Err)
+	}
+	if got := epochOf(); got != epoch+1 || len(events) != pushes+1 {
+		t.Fatalf("good refactorize: epoch %d -> %d, %d pushes; want +1 and 1", epoch, got, len(events)-pushes)
+	}
+}
+
 // captureHooks is a minimal ClusterHooks that records Stored events.
 type captureHooks struct {
 	stored func(StoredEvent)

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"sort"
 )
 
 // GenOptions controls the synthetic matrix generators. The generators are
@@ -369,7 +370,7 @@ func PerturbPattern(a *CSR, add, del int, seed int64) *CSR {
 // a new device couples nodes that already interact through a neighbor — and
 // unlike the uniform PerturbPattern it adds entries the factorization's fill
 // largely anticipates, so incremental re-analysis sees a small propagation
-// cone. Diagonal entries are never touched.
+// cone. Diagonal entries are never touched. Deterministic in seed.
 func PerturbLocal(a *CSR, add, del int, seed int64) *CSR {
 	rng := rand.New(rand.NewSource(seed))
 	n := a.N
@@ -401,7 +402,9 @@ func PerturbLocal(a *CSR, add, del int, seed int64) *CSR {
 			break
 		}
 	}
-	// Adjacency snapshot for path-2 sampling (deletions above excluded).
+	// Adjacency snapshot for path-2 sampling (deletions above excluded),
+	// sorted: map order must not decide which neighbor a draw picks, or the
+	// output would not be a function of the seed.
 	adj := make([][]int, n)
 	for i := 0; i < n; i++ {
 		for j := range rows[i] {
@@ -409,6 +412,7 @@ func PerturbLocal(a *CSR, add, del int, seed int64) *CSR {
 				adj[i] = append(adj[i], j)
 			}
 		}
+		sort.Ints(adj[i])
 	}
 	for k := 0; k < add; k++ {
 		for try := 0; try < 64; try++ {

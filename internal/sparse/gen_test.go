@@ -236,3 +236,33 @@ func TestReadersNeverPanic(t *testing.T) {
 		}()
 	}
 }
+
+// TestPerturbSameSeedSamePattern: the perturbation generators are functions
+// of (matrix, counts, seed). PerturbLocal used to sample neighbors out of Go
+// maps, so one seed gave a different pattern on every call.
+func TestPerturbSameSeedSamePattern(t *testing.T) {
+	a := Grid2D(14, 13, false, GenOptions{Seed: 3})
+	for name, gen := range map[string]func(seed int64) *CSR{
+		"PerturbLocal":   func(seed int64) *CSR { return PerturbLocal(a, 40, 20, seed) },
+		"PerturbPattern": func(seed int64) *CSR { return PerturbPattern(a, 40, 20, seed) },
+	} {
+		want := gen(11)
+		if want.Nnz() == a.Nnz() && PatternOf(want).EqualCSR(a) {
+			t.Fatalf("%s left the pattern unchanged", name)
+		}
+		for rep := 0; rep < 5; rep++ {
+			got := gen(11)
+			if !PatternOf(want).EqualCSR(got) {
+				t.Fatalf("%s: repetition %d of seed 11 produced a different pattern", name, rep)
+			}
+			for q := range want.Val {
+				if got.Val[q] != want.Val[q] {
+					t.Fatalf("%s: repetition %d of seed 11 produced different values", name, rep)
+				}
+			}
+		}
+		if PatternOf(want).EqualCSR(gen(12)) {
+			t.Errorf("%s: seeds 11 and 12 produced the same pattern", name)
+		}
+	}
+}

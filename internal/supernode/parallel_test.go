@@ -8,12 +8,14 @@ import (
 	"sstar/internal/symbolic"
 )
 
-// samePartition compares everything but Times (timings legitimately differ
-// run to run).
+// samePartition compares the structure and the blocking choice: everything
+// but Times (timings legitimately differ run to run) and the lazily derived
+// skeleton/plan caches (functions of the structure).
 func samePartition(a, b *Partition) bool {
-	ac, bc := *a, *b
-	ac.Times, bc.Times = Times{}, Times{}
-	return reflect.DeepEqual(ac, bc)
+	return a.N == b.N && a.NB == b.NB && a.Choice == b.Choice &&
+		reflect.DeepEqual(a.Start, b.Start) && reflect.DeepEqual(a.BlockOf, b.BlockOf) &&
+		reflect.DeepEqual(a.UCols, b.UCols) && reflect.DeepEqual(a.LRows, b.LRows) &&
+		reflect.DeepEqual(a.UBlocks, b.UBlocks) && reflect.DeepEqual(a.LBlocks, b.LBlocks)
 }
 
 // TestPartitionWorkerCountIndependent pins the determinism contract of the

@@ -7,6 +7,7 @@
 package supernode
 
 import (
+	"sync"
 	"time"
 
 	"sstar/internal/symbolic"
@@ -75,6 +76,15 @@ type Partition struct {
 	// Purely observational: two partitions are structurally equal iff every
 	// other field is equal, regardless of Times.
 	Times Times
+
+	// Derived, value-free structures every numeric factorization over this
+	// partition shares: built lazily, once, and read-only afterwards (see
+	// blockmatrix.go and plan.go). Unexported, so gob and structural
+	// comparisons of partitions ignore them.
+	skelOnce sync.Once
+	skel     *skeleton
+	planOnce sync.Once
+	plan     *UpdatePlan
 }
 
 // Times splits the partition build into its stages, in nanoseconds: strict
@@ -446,18 +456,23 @@ func mergeSorted(a, b []int32) []int32 {
 	return out
 }
 
+// sortDedup returns the sorted distinct values of xs (which it reorders) in
+// a right-sized slice: the lists it builds live as long as the partition, and
+// the input — one entry per (column, index) pair of a panel, grown by append
+// — is several times larger than the union it reduces to.
 func sortDedup(xs []int32) []int32 {
 	if len(xs) == 0 {
 		return nil
 	}
 	sortInt32(xs)
-	out := xs[:1]
+	n := 1
 	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
+		if x != xs[n-1] {
+			xs[n] = x
+			n++
 		}
 	}
-	return out
+	return append(make([]int32, 0, n), xs[:n]...)
 }
 
 func sortInt32(x []int32) {

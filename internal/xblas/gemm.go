@@ -1,8 +1,9 @@
 // Packed, register-tiled GEMM engine.
 //
-// All BLAS-3 routines (Gemm, GemmAdd, GemmScatter, TrsmLowerUnitLeft) run on
-// one micro-architecture: operand panels are packed into contiguous tiles and
-// an unrolled mr-by-nr accumulator micro-kernel sweeps them, BLIS-style.
+// All BLAS-3 routines (Gemm, GemmAdd, GemmUpdate/GemmScatter,
+// TrsmLowerUnitLeft) run on one micro-architecture: operand panels are packed
+// into contiguous tiles and an unrolled mr-by-nr accumulator micro-kernel
+// sweeps them, BLIS-style.
 //
 //   - A panels are packed into strips of mr rows: strip element (l, i) sits at
 //     offset l*mr+i, so each k-step of the micro-kernel reads mr contiguous
@@ -55,25 +56,9 @@ const (
 	smallGemmFlops = 2 * 4 * 4 * 4
 )
 
-// packBuf holds the pooled packing buffers of one in-flight GEMM call.
-type packBuf struct {
-	a, b       []float64
-	rsrc, rdst []int
-	csrc, cdst []int
-}
-
-var packPool = sync.Pool{New: func() any { return new(packBuf) }}
-
 func grow(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growInt(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
 	}
 	return buf[:n]
 }
@@ -106,7 +91,7 @@ func gemmEngine(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 		smallGemm(m, n, k, a, lda, b, ldb, c, ldc, sign)
 		return
 	}
-	pb := packPool.Get().(*packBuf)
+	pb := packsPool.Get().(*Packs)
 	ts := tileCfg.Load()
 	mcBlock, ncBlock := ts.mc, ts.nc
 	for jc := 0; jc < n; jc += ncBlock {
@@ -135,7 +120,7 @@ func gemmEngine(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 			}
 		}
 	}
-	packPool.Put(pb)
+	packsPool.Put(pb)
 }
 
 // smallGemm is the direct path for tiny products: an FMA triple loop with the
@@ -232,127 +217,216 @@ func kernel4x8go(kc int, a, b, c []float64, ldc int, sign float64) {
 	}
 }
 
-// GemmScatter computes the fused gather/scatter update
+// Dest says where the rows and columns of a product land in C. The zero
+// Dest is the plain update C[i, j] -= (A*B)[i, j].
+type Dest struct {
+	// Rows[i] is the row of C that product row i lands on; -1 marks a product
+	// row with no slot in C. nil means row i lands on row i.
+	Rows []int32
+	// Cols[j] is the column of C that product column j lands on, -1 for none.
+	// nil means the columns land on the contiguous run Col0, Col0+1, ...
+	Cols []int32
+	Col0 int
+}
+
+// Packs holds the packing buffers of a caller that issues many GemmUpdate
+// calls, so the hot path neither allocates nor touches a pool. It also lets
+// one packed B panel serve several products: after NewB the first GemmUpdate
+// that needs B packed packs it, and later calls reuse it until the next NewB.
+// The caller owns that contract — every call between two NewB must pass the
+// same, unchanged B. The zero value is ready to use; a Packs must not be
+// shared between goroutines.
+type Packs struct {
+	a, b    []float64
+	bPacked bool
+	rows    []int32 // GemmScatter's converted maps
+	cols    []int32
+}
+
+// NewB declares that the next GemmUpdate brings a new B operand.
+func (pk *Packs) NewB() { pk.bPacked = false }
+
+// packsPool backs the calls that bring no Packs of their own (Gemm, GemmAdd,
+// the blocked TRSMs, GemmScatter, GemmUpdate with a nil pk).
+var packsPool = sync.Pool{New: func() any { return new(Packs) }}
+
+// GemmUpdate computes the mapped update
+//
+//	C[d.Rows[i], d.Cols[j]] -= (A*B)[i, j]
+//
+// for row-major A (m-by-k, stride lda) and B (k-by-n, stride ldb), writing
+// directly into the mapped positions of C (stride ldc); see Dest for the map
+// conventions. Product rows/columns without a slot contribute nothing (they
+// are structural zeros in the S* update). This is the one engine behind every
+// block update of the factorization: the maps come precomputed and compacted
+// from the static update plan, operand panels are packed without gathering,
+// the micro-kernel accumulates each tile in registers over the full k extent
+// and the write-back folds it into C with a single rounding per element —
+// bit-matching the naive mapped triple loop. With contiguous destination
+// columns the write-back is a direct store, and with the zero Dest full tiles
+// go straight from the micro-kernel into C.
+//
+// pk may be nil (buffers then come from a pool and B is packed for this call
+// only). Stats: the zero Dest counts as a Gemm call, anything else as a
+// scatter call of the shape that actually lands in C.
+func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, d Dest, pk *Packs) {
+	if m == 0 || n == 0 || k == 0 {
+		return
+	}
+	if kstats.Load() != nil {
+		if d.Rows == nil && d.Cols == nil {
+			noteGemm(m, n, k)
+		} else if mv, nv := countSlots(d.Rows, m), countSlots(d.Cols, n); mv > 0 && nv > 0 {
+			noteScatter(mv, nv, k)
+		}
+	}
+	if 2*m*n*k <= smallGemmFlops {
+		smallUpdate(m, n, k, a, lda, b, ldb, c, ldc, d)
+		return
+	}
+	pooled := pk == nil
+	if pooled {
+		pk = packsPool.Get().(*Packs)
+		pk.bPacked = false
+	}
+	if !pk.bPacked {
+		pk.b = grow(pk.b, roundUp(n, nr)*k)
+		packB(pk.b, b, ldb, 0, k, n)
+		pk.bPacked = true
+	}
+	mcBlock := tileCfg.Load().mc
+	for ic := 0; ic < m; ic += mcBlock {
+		mcb := min(mcBlock, m-ic)
+		pk.a = grow(pk.a, roundUp(mcb, mr)*k)
+		packA(pk.a, a, lda, ic, k, mcb)
+		for jr := 0; jr < n; jr += nr {
+			bs := pk.b[jr*k:]
+			nj := min(nr, n-jr)
+			for ir := 0; ir < mcb; ir += mr {
+				as := pk.a[ir*k:]
+				mi := min(mr, mcb-ir)
+				if d.Cols == nil && mi == mr && nj == nr {
+					// Full tile onto a contiguous rectangle of C: the
+					// micro-kernel folds it in directly.
+					if t := tileRow(d.Rows, ic+ir); t >= 0 {
+						kernel4x8(k, as, bs, c[t*ldc+d.Col0+jr:], ldc, -1)
+						continue
+					}
+				}
+				var tmp [mr * nr]float64
+				kernel4x8(k, as, bs, tmp[:], nr, 1)
+				for ii := 0; ii < mi; ii++ {
+					ri := ic + ir + ii
+					if d.Rows != nil {
+						if ri = int(d.Rows[ri]); ri < 0 {
+							continue
+						}
+					}
+					trow := tmp[ii*nr : ii*nr+nj]
+					if d.Cols == nil {
+						crow := c[ri*ldc+d.Col0+jr:]
+						crow = crow[:len(trow)]
+						for jj, v := range trow {
+							crow[jj] -= v
+						}
+						continue
+					}
+					crow := c[ri*ldc:]
+					for jj, t := range d.Cols[jr : jr+nj] {
+						if t >= 0 {
+							crow[t] -= trow[jj]
+						}
+					}
+				}
+			}
+		}
+	}
+	if pooled {
+		packsPool.Put(pk)
+	}
+}
+
+// tileRow returns the row of C on which product row r lands when product rows
+// r .. r+mr-1 land on mr consecutive rows of C, and -1 otherwise.
+func tileRow(rows []int32, r int) int {
+	if rows == nil {
+		return r
+	}
+	t := rows[r]
+	if t < 0 || rows[r+1] != t+1 || rows[r+2] != t+2 || rows[r+3] != t+3 {
+		return -1
+	}
+	return int(t)
+}
+
+// smallUpdate is the direct path for tiny products: the mapped FMA triple
+// loop itself, with the same per-element accumulation order and
+// single-rounding fold as the packed path.
+func smallUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, d Dest) {
+	for i := 0; i < m; i++ {
+		ri := i
+		if d.Rows != nil {
+			if ri = int(d.Rows[i]); ri < 0 {
+				continue
+			}
+		}
+		arow := a[i*lda : i*lda+k]
+		crow := c[ri*ldc:]
+		for j := 0; j < n; j++ {
+			cj := d.Col0 + j
+			if d.Cols != nil {
+				if cj = int(d.Cols[j]); cj < 0 {
+					continue
+				}
+			}
+			acc := 0.0
+			for l, av := range arow {
+				acc = math.FMA(av, b[l*ldb+j], acc)
+			}
+			crow[cj] -= acc
+		}
+	}
+}
+
+// countSlots returns how many of the n product rows (or columns) of a map
+// have a slot in C.
+func countSlots(m []int32, n int) int {
+	if m == nil {
+		return n
+	}
+	v := 0
+	for _, t := range m[:n] {
+		if t >= 0 {
+			v++
+		}
+	}
+	return v
+}
+
+// GemmScatter is GemmUpdate with the maps given as int slices: it computes
 //
 //	C[dstRow[i], dstCol[j]] -= (A*B)[i, j]
 //
-// for row-major A (m-by-k, stride lda) and B (k-by-n, stride ldb), writing
-// directly into the mapped positions of C (stride ldc). Entries of dstRow /
-// dstCol equal to -1 mark product rows/columns with no slot in C; their
-// contributions are skipped entirely (they are structural zeros in the S*
-// update). This replaces the compute-into-scratch + subtract-pass sequence:
-// rows and columns are gathered during packing, the micro-kernel accumulates
-// the tile in registers, and the write-back scatters with a single rounding
-// per element, bit-matching the naive gather/scatter triple loop.
+// with entries of dstRow / dstCol equal to -1 marking product rows/columns
+// that have no slot in C. A thin wrapper — the maps are converted into pooled
+// scratch and the shared engine does the rest.
 func GemmScatter(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, dstRow, dstCol []int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
-	pb := packPool.Get().(*packBuf)
-	// Compact away rows/columns without a target slot.
-	pb.rsrc, pb.rdst = growInt(pb.rsrc, m), growInt(pb.rdst, m)
-	mv := 0
-	for i, t := range dstRow[:m] {
-		if t >= 0 {
-			pb.rsrc[mv], pb.rdst[mv] = i, t
-			mv++
-		}
-	}
-	pb.csrc, pb.cdst = growInt(pb.csrc, n), growInt(pb.cdst, n)
-	nv := 0
-	for j, t := range dstCol[:n] {
-		if t >= 0 {
-			pb.csrc[nv], pb.cdst[nv] = j, t
-			nv++
-		}
-	}
-	if mv == 0 || nv == 0 {
-		packPool.Put(pb)
-		return
-	}
-	rsrc, rdst := pb.rsrc[:mv], pb.rdst[:mv]
-	csrc, cdst := pb.csrc[:nv], pb.cdst[:nv]
-	noteScatter(mv, nv, k)
-	if 2*mv*nv*k <= smallGemmFlops {
-		for ii, sr := range rsrc {
-			arow := a[sr*lda : sr*lda+k]
-			crow := c[rdst[ii]*ldc:]
-			for jj, sc := range csrc {
-				acc := 0.0
-				for l, av := range arow {
-					acc = math.FMA(av, b[l*ldb+sc], acc)
-				}
-				crow[cdst[jj]] -= acc
-			}
-		}
-		packPool.Put(pb)
-		return
-	}
-	mvPad, nvPad := roundUp(mv, mr), roundUp(nv, nr)
-	pb.a = grow(pb.a, mvPad*k)
-	packAGather(pb.a, a, lda, rsrc, k)
-	pb.b = grow(pb.b, nvPad*k)
-	packBGather(pb.b, b, ldb, csrc, k)
-	for jr := 0; jr < nv; jr += nr {
-		bs := pb.b[jr*k:]
-		nj := min(nr, nv-jr)
-		for ir := 0; ir < mv; ir += mr {
-			mi := min(mr, mv-ir)
-			var tmp [mr * nr]float64
-			kernel4x8(k, pb.a[ir*k:], bs, tmp[:], nr, 1)
-			for ii := 0; ii < mi; ii++ {
-				crow := c[rdst[ir+ii]*ldc:]
-				trow := tmp[ii*nr:]
-				for jj := 0; jj < nj; jj++ {
-					crow[cdst[jr+jj]] -= trow[jj]
-				}
-			}
-		}
-	}
-	packPool.Put(pb)
+	pk := packsPool.Get().(*Packs)
+	pk.bPacked = false
+	pk.rows, pk.cols = toInt32(pk.rows, dstRow[:m]), toInt32(pk.cols, dstCol[:n])
+	GemmUpdate(m, n, k, a, lda, b, ldb, c, ldc, Dest{Rows: pk.rows, Cols: pk.cols}, pk)
+	packsPool.Put(pk)
 }
 
-// packAGather packs the gathered rows src of A into mr strips (zero padding
-// past the last row).
-func packAGather(dst, a []float64, lda int, src []int, k int) {
-	rows := len(src)
-	rowsPad := roundUp(rows, mr)
-	for ir := 0; ir < rowsPad; ir += mr {
-		strip := dst[ir*k : (ir+mr)*k]
-		for ii := 0; ii < mr; ii++ {
-			if ir+ii >= rows {
-				for l := 0; l < k; l++ {
-					strip[l*mr+ii] = 0
-				}
-				continue
-			}
-			arow := a[src[ir+ii]*lda : src[ir+ii]*lda+k]
-			for l, v := range arow {
-				strip[l*mr+ii] = v
-			}
-		}
+func toInt32(dst []int32, src []int) []int32 {
+	dst = dst[:0]
+	for _, v := range src {
+		dst = append(dst, int32(v))
 	}
-}
-
-// packBGather packs the gathered columns src of B into nr strips (zero
-// padding past the last column).
-func packBGather(dst, b []float64, ldb int, src []int, k int) {
-	cols := len(src)
-	colsPad := roundUp(cols, nr)
-	for jr := 0; jr < colsPad; jr += nr {
-		strip := dst[jr*k : (jr+nr)*k]
-		w := min(nr, cols-jr)
-		for l := 0; l < k; l++ {
-			brow := b[l*ldb:]
-			drow := strip[l*nr : l*nr+nr]
-			for jj := 0; jj < w; jj++ {
-				drow[jj] = brow[src[jr+jj]]
-			}
-			for jj := w; jj < nr; jj++ {
-				drow[jj] = 0
-			}
-		}
-	}
+	return dst
 }
 
 // trsmBlock is the diagonal-block edge of the blocked triangular solve.

@@ -146,6 +146,70 @@ func TestGemmScatterBitMatchesReference(t *testing.T) {
 	}
 }
 
+// TestGemmUpdateBitMatchesReference drives the planned-update engine through
+// every Dest form the static update plan produces — no row map, row maps with
+// consecutive runs (the direct tile store) and with dropped rows, contiguous
+// destination columns at an offset, full column maps — and through the
+// pack-once contract: several A operands against one B between two NewB
+// calls, sharing one Packs, must each bit-match the naive mapped loop.
+func TestGemmUpdateBitMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	var pk Packs
+	for trial := 0; trial < 300; trial++ {
+		m, n, k := randDims(rng)
+		if trial%10 == 0 {
+			m += 100 // more rows than one A cache block
+		}
+		lda, ldb := k+rng.Intn(5), n+rng.Intn(5)
+		b := randMat(rng, k, ldb)
+		pk.NewB()
+		for rep := 0; rep < 3; rep++ { // same B, fresh A and destination each time
+			tm, tn := m+rng.Intn(4), n+rng.Intn(4)
+			ldc := tn + rng.Intn(5)
+			var d Dest
+			dstRow, dstCol := make([]int, m), make([]int, n)
+			for i := range dstRow {
+				dstRow[i] = i
+			}
+			form := rng.Intn(4)
+			switch form {
+			case 1: // runs of consecutive rows with a gap, no drops
+				gap := rng.Intn(m + 1)
+				for i := gap; i < m; i++ {
+					dstRow[i] = i + tm - m
+				}
+			case 2: // arbitrary injective map with drops
+				dstRow = scatterMap(rng, m, tm)
+			}
+			if form != 0 { // form 0 leaves Rows nil: row i lands on row i
+				d.Rows = toInt32(nil, dstRow)
+			}
+			if rng.Intn(2) == 0 {
+				d.Col0 = rng.Intn(tn - n + 1)
+				for j := range dstCol {
+					dstCol[j] = d.Col0 + j
+				}
+			} else {
+				dstCol = scatterMap(rng, n, tn)
+				d.Cols = toInt32(nil, dstCol)
+			}
+			a := randMat(rng, m, lda)
+			c := randMat(rng, tm, ldc)
+			want := append([]float64(nil), c...)
+			refGemmScatter(m, n, k, a, lda, b, ldb, want, ldc, dstRow, dstCol)
+			usePk := &pk
+			if trial%4 == 3 {
+				usePk = nil // pooled buffers, B packed per call
+			}
+			GemmUpdate(m, n, k, a, lda, b, ldb, c, ldc, d, usePk)
+			if !bitEqual(c, want) {
+				t.Fatalf("trial %d rep %d: GemmUpdate m=%d n=%d k=%d rows=%v cols=%v col0=%d: not bit-identical to reference (max diff %g)",
+					trial, rep, m, n, k, d.Rows != nil, d.Cols != nil, d.Col0, maxDiff(c, want))
+			}
+		}
+	}
+}
+
 // scatterMap draws an injective map of src positions onto t target slots with
 // about a quarter of the positions unmapped (-1).
 func scatterMap(rng *rand.Rand, src, t int) []int {

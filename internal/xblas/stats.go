@@ -65,7 +65,8 @@ func noteGemm(m, n, k int) {
 	}
 }
 
-// noteScatter charges one GemmScatter call of compacted shape m x n x k.
+// noteScatter charges one mapped update (GemmUpdate with a non-zero Dest,
+// GemmScatter) of the shape m x n x k that actually lands in C.
 func noteScatter(m, n, k int) {
 	if s := kstats.Load(); s != nil {
 		s.scatterCalls.Add(1)

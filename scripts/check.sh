@@ -49,6 +49,13 @@ go test -run='^$' -fuzz='^FuzzMembershipDecode$' -fuzztime=5s ./internal/server
 # obs primitives.
 go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/xblas
 
+# Numeric-only Refactorize guards: the steady state allocates O(1) objects
+# whatever the matrix size (it used to allocate several per block), and the
+# refactorize benchmark runs end to end on both supernode regimes (3
+# iterations: a smoke, not a measurement).
+go test -run 'TestRefactorizeSteadyStateAllocs' -count=1 .
+go test -run '^$' -bench Refactorize -benchtime 3x ./internal/core
+
 # Multi-tenant smoke: two zipf-skewed tenants through the coalescing server
 # with a weight-1 factorize storm. The bench itself hard-fails unless the
 # server attributes every tenant's traffic to its per-tenant counters; the

@@ -17,3 +17,8 @@ go test ./...
 # parallel analyze stages (subtree workers, candidate sweep, block builds)
 # whose byte-identity contract the race detector must see exercised.
 go test -race ./internal/cluster ./internal/symbolic ./internal/supernode
+
+# The block skeleton and the static update plan are built lazily, once per
+# analysis, by whichever factorization reaches them first: many goroutines
+# starting FactorizeWith on one never-used Analysis must race cleanly.
+go test -race -count=10 -run 'TestConcurrentFactorizeWithSharedAnalysis' .

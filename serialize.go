@@ -6,6 +6,7 @@ import (
 
 	"sstar/internal/core"
 	"sstar/internal/sparse"
+	"sstar/internal/supernode"
 	"sstar/internal/wire"
 )
 
@@ -16,7 +17,7 @@ import (
 // truncated or bit-flipped stream.
 const (
 	serialMagic   = "sstar-lu"
-	serialVersion = 2 // v2: wire-framed with checksums + pattern fingerprint trailer
+	serialVersion = 3 // v3: factors are the value slab alone; the block structure is rebuilt from the partition
 
 	analysisMagic   = "sstar-an"
 	analysisVersion = 1
@@ -49,7 +50,7 @@ func (f *Factorization) Save(w io.Writer) error {
 		v    any
 	}{
 		{"symbolic", f.sym},
-		{"factors", f.fact.BM},
+		{"factors", f.fact.BM.Values()},
 		{"pivots", f.fact.Piv},
 		{"flop counts", f.fact.Fl},
 		{"trailer", serialTrailer{PatHash: f.patHash, PatNnz: f.patNnz}},
@@ -80,13 +81,14 @@ func Load(r io.Reader) (*Factorization, error) {
 	}
 	fact := &core.Factorization{}
 	var sym core.Symbolic
+	var vals []float64
 	var tr serialTrailer
 	sections := []struct {
 		name string
 		v    any
 	}{
 		{"symbolic", &sym},
-		{"factors", &fact.BM},
+		{"factors", &vals},
 		{"pivots", &fact.Piv},
 		{"flop counts", &fact.Fl},
 		{"trailer", &tr},
@@ -96,10 +98,15 @@ func Load(r io.Reader) (*Factorization, error) {
 			return nil, fmt.Errorf("sstar: load %s: %w", s.name, err)
 		}
 	}
-	if sym.N <= 0 || sym.Partition == nil || sym.Static == nil || fact.BM == nil {
+	if sym.N <= 0 || sym.Partition == nil || sym.Static == nil || sym.Partition.N != sym.N ||
+		len(sym.RowPerm) != sym.N || len(sym.ColPerm) != sym.N || len(fact.Piv) != sym.N {
 		return nil, fmt.Errorf("sstar: factorization stream is incomplete")
 	}
-	fact.Sym = &sym
+	bm, err := supernode.LoadBlockMatrix(sym.Partition, vals)
+	if err != nil {
+		return nil, fmt.Errorf("sstar: load factors: %w", err)
+	}
+	fact.Sym, fact.BM = &sym, bm
 	return &Factorization{sym: &sym, fact: fact, patHash: tr.PatHash, patNnz: tr.PatNnz}, nil
 }
 

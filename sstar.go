@@ -238,9 +238,15 @@ func Factorize(a *Matrix, o Options) (*Factorization, error) {
 
 // Refactorize reuses the symbolic analysis to factorize a matrix with the
 // same nonzero pattern but new values — the cheap path for time-stepping
-// applications that repeatedly solve evolving systems. A matrix whose
-// pattern differs from the originally factorized one is rejected with an
-// error (the static structure only bounds fill for the analyzed pattern).
+// applications that repeatedly solve evolving systems. It is numeric-only and
+// in place: the block structure, the update plan and the map from A's entries
+// to factor storage are reused, so a refactorization clears and refills the
+// factor storage and allocates O(1) objects (the first call allocates the
+// second of two value buffers it alternates between). It is atomic: on error
+// — a pattern mismatch, a numerically singular matrix — the previous factors
+// stay live and Solve keeps answering from them. A matrix whose pattern
+// differs from the originally factorized one is rejected (the static
+// structure only bounds fill for the analyzed pattern).
 func (f *Factorization) Refactorize(a *Matrix) error {
 	if a == nil {
 		return fmt.Errorf("sstar: refactorize: nil matrix")
@@ -251,12 +257,7 @@ func (f *Factorization) Refactorize(a *Matrix) error {
 	if a.Nnz() != f.patNnz || patternHash(a) != f.patHash {
 		return fmt.Errorf("sstar: refactorize pattern mismatch: matrix has %d nonzeros in a different structure than the factorized pattern (%d nonzeros)", a.Nnz(), f.patNnz)
 	}
-	fact, err := core.FactorizeHostObs(a, f.sym, f.hostWorkers, sinkFor(f.observer))
-	if err != nil {
-		return err
-	}
-	f.fact = fact
-	return nil
+	return f.fact.Refactorize(a, f.hostWorkers, sinkFor(f.observer))
 }
 
 // Solve solves A x = b using the computed factors.
