@@ -31,110 +31,126 @@ func (f Flops) Total() int64 { return f.B1 + f.B2 + f.B3 }
 
 // Workspace holds per-worker scratch so the kernels allocate nothing on the
 // hot path: the GEMM packing buffers (with the packed U panel an Update task
-// shares across its block updates) and the worker's flop tally. Each
-// (simulated) processor owns one; the zero value is ready to use.
+// shares across its block updates), the packed L panel of an executor that
+// runs every Update(k, ·) after Factor(k) on one worker, and the worker's flop
+// tally. Each (simulated) processor owns one; the zero value is ready to use.
 type Workspace struct {
 	packs xblas.Packs
 	Fl    Flops
+
+	// The packed L panel. After newPanel(bm, k), lpack[li] keeps the li-th L
+	// block of panel k packed from its first block update on, so the panel is
+	// packed once per Factor(k) instead of once per (L block, U block) pair.
+	// lbuf backs every lpack[li].Buf; it is sized once, for the partition's
+	// largest panel. lpack is empty while no panel is declared.
+	lpack []xblas.PackedA
+	lbuf  []float64
 }
 
-// FactorPanel performs task Factor(k) of Fig. 7 sequentially on the whole
-// block column k: for each column of the panel it searches the pivot among
-// every storage row of the column (diagonal block rows plus all L blocks),
-// swaps the two panel rows, scales the subcolumn and rank-1-updates the rest
-// of the panel (the BLAS-1/BLAS-2 part of the algorithm). piv[m] receives the
-// global storage row chosen as pivot for column m.
+// newPanel declares that every block update to come, until the next newPanel
+// or dropPanel, is one of panel k and reads its L blocks as Factor(k) left
+// them.
+func (ws *Workspace) newPanel(bm *supernode.BlockMatrix, k int) {
+	if ws.lbuf == nil {
+		maxLen, maxBlocks := 0, 0
+		for j, col := range bm.LCol {
+			n := 0
+			for _, lb := range col {
+				n += xblas.PackedALen(len(lb.Rows), bm.P.Size(j))
+			}
+			maxLen, maxBlocks = max(maxLen, n), max(maxBlocks, len(col))
+		}
+		ws.lbuf = make([]float64, maxLen)
+		ws.lpack = make([]xblas.PackedA, 0, maxBlocks)
+	}
+	ws.lpack = ws.lpack[:0]
+	off, s := 0, bm.P.Size(k)
+	for _, lb := range bm.LCol[k] {
+		n := xblas.PackedALen(len(lb.Rows), s)
+		ws.lpack = append(ws.lpack, xblas.PackedA{Buf: ws.lbuf[off : off+n]})
+		off += n
+	}
+}
+
+// dropPanel ends the declaration: block updates pack their L block per call.
+func (ws *Workspace) dropPanel() { ws.lpack = ws.lpack[:0] }
+
+// panelBlock is the column-block width of FactorPanel: one cache line of a
+// panel row, and the k extent of its trailing updates.
+const panelBlock = 8
+
+// FactorPanel performs task Factor(k) of Fig. 7 on the whole block column k,
+// which the slab holds as one row-major R-by-s matrix (diagonal block, then
+// the L rows): a right-looking blocked dense LU with partial pivoting. Within
+// a block of panelBlock columns it eliminates column by column — pivot search
+// over every storage row of the column, whole-row interchange, scaling, and
+// the rank-1 update restricted to the block's columns, with the search of the
+// next column fused into that update. The columns right of the block then
+// take all of the block's updates at once through xblas.MulSub: first the
+// block's own rows in ascending order, then everything below. Each element
+// still receives c -= l*u for ascending l, product and difference each
+// rounded, with no multiplier skipped — the operation sequence of eliminating
+// one column at a time over the full panel width, so the factors and pivots
+// are that loop's bit for bit. piv[m] receives the global storage row chosen
+// as pivot for column m.
 //
 // tol in (0,1] selects threshold pivoting: the diagonal candidate wins when
 // its magnitude reaches tol times the column maximum; tol = 1 is classical
-// partial pivoting.
+// partial pivoting. Ties go to the first maximum in panel row order. A column
+// whose pivot is zero, NaN or infinite fails with an error wrapping
+// ErrSingular.
 func FactorPanel(bm *supernode.BlockMatrix, k int, piv []int32, tol float64, ws *Workspace) error {
 	p := bm.P
-	d := bm.Diag[k]
-	s := p.Size(k)
-	lblocks := bm.LCol[k]
-	start := p.Start[k]
-	for mc := 0; mc < s; mc++ {
-		m := start + mc
-		// Pivot search down column m.
-		diagVal := math.Abs(d.Data[mc*s+mc])
-		bestVal := diagVal
-		bestRow := m
-		for r := mc + 1; r < s; r++ {
-			if v := math.Abs(d.Data[r*s+mc]); v > bestVal {
-				bestVal, bestRow = v, start+r
+	start, s := p.Start[k], p.Size(k)
+	lrows := p.LRows[k]
+	pan := bm.Panel(k)
+	nr := s + len(lrows) // panel rows
+	// The first block takes the odd columns, so every trailing update is a
+	// whole number of kernel tiles wide.
+	for b0, b1 := 0, (s-1)%panelBlock+1; b0 < s; b0, b1 = b1, b1+panelBlock {
+		// Pivot search down column b0; later columns of the block are
+		// searched while the column before them is eliminated.
+		best, bestRow := math.Abs(pan[b0*s+b0]), b0
+		for r := b0 + 1; r < nr; r++ {
+			if v := math.Abs(pan[r*s+b0]); v > best {
+				best, bestRow = v, r
 			}
 		}
-		for _, lb := range lblocks {
-			nc := len(lb.Cols)
-			for r := range lb.Rows {
-				if v := math.Abs(lb.Data[r*nc+mc]); v > bestVal {
-					bestVal, bestRow = v, int(lb.Rows[r])
+		for mc := b0; mc < b1; mc++ {
+			m := start + mc
+			if !(best > 0) || math.IsInf(best, 0) {
+				if best == 0 {
+					return fmt.Errorf("%w: zero pivot at column %d", ErrSingular, m)
 				}
+				return fmt.Errorf("%w: non-finite pivot at column %d", ErrSingular, m)
 			}
-		}
-		if bestVal == 0 {
-			return fmt.Errorf("%w: zero pivot at column %d", ErrSingular, m)
-		}
-		if diagVal >= tol*bestVal {
-			bestRow = m // threshold pivoting: keep the diagonal
-		}
-		piv[m] = int32(bestRow)
-		if bestRow != m {
-			swapPanelRows(bm, k, m, bestRow, ws)
-		}
-		// Scale the subcolumn and update the remaining panel columns.
-		pivVal := d.Data[mc*s+mc]
-		urow := d.Data[mc*s+mc+1 : mc*s+s] // pivot row, panel columns right of m
-		for r := mc + 1; r < s; r++ {
-			row := d.Data[r*s : r*s+s]
-			row[mc] /= pivVal
-			xblas.Axpy(-row[mc], urow, row[mc+1:s])
-		}
-		ws.Fl.B1 += int64(s - mc - 1)
-		ws.Fl.B2 += 2 * int64(s-mc-1) * int64(s-mc-1)
-		for _, lb := range lblocks {
-			nc := len(lb.Cols)
-			for r := range lb.Rows {
-				row := lb.Data[r*nc : r*nc+nc]
-				row[mc] /= pivVal
-				xblas.Axpy(-row[mc], urow, row[mc+1:nc])
+			if math.Abs(pan[mc*s+mc]) >= tol*best {
+				bestRow = mc // threshold pivoting: keep the diagonal
 			}
-			ws.Fl.B1 += int64(len(lb.Rows))
-			ws.Fl.B2 += 2 * int64(len(lb.Rows)) * int64(s-mc-1)
+			piv[m] = int32(start + bestRow)
+			if bestRow >= s {
+				piv[m] = lrows[bestRow-s]
+			}
+			if bestRow != mc {
+				ra, rb := pan[mc*s:mc*s+s], pan[bestRow*s:bestRow*s+s]
+				for i, v := range ra {
+					ra[i], rb[i] = rb[i], v
+				}
+				ws.Fl.Sw += int64(s)
+			}
+			best, bestRow = xblas.ElimStep(pan[mc*s+mc:], s, nr-mc-1, b1-mc-1)
+			bestRow += mc
+			ws.Fl.B1 += int64(nr - mc - 1)
+			ws.Fl.B2 += 2 * int64(nr-mc-1) * int64(s-mc-1)
+		}
+		if b1 < s {
+			for r := b0 + 1; r < b1; r++ {
+				xblas.MulSub(1, s-b1, r-b0, pan[r*s+b0:], s, pan[b0*s+b1:], s, pan[r*s+b1:], s)
+			}
+			xblas.MulSub(nr-b1, s-b1, b1-b0, pan[b1*s+b0:], s, pan[b0*s+b1:], s, pan[b1*s+b1:], s)
 		}
 	}
 	return nil
-}
-
-// swapPanelRows exchanges the full panel-k rows of global rows m and t
-// (both must have storage in block column k; t may sit in the diagonal block
-// or in any L block).
-func swapPanelRows(bm *supernode.BlockMatrix, k, m, t int, ws *Workspace) {
-	a := panelRow(bm, k, m)
-	b := panelRow(bm, k, t)
-	for i := range a {
-		a[i], b[i] = b[i], a[i]
-	}
-	ws.Fl.Sw += int64(len(a))
-}
-
-// panelRow returns the storage slice of global row r within block column k.
-func panelRow(bm *supernode.BlockMatrix, k, r int) []float64 {
-	p := bm.P
-	rb := p.BlockOf[r]
-	if rb == k {
-		return bm.Diag[k].RowSlice(r)
-	}
-	blk := bm.BlockAt(rb, k)
-	if blk == nil {
-		panic(fmt.Sprintf("core: row %d has no storage in block column %d", r, k))
-	}
-	rs := blk.RowSlice(r)
-	if rs == nil {
-		panic(fmt.Sprintf("core: row %d missing from block (%d,%d)", r, blk.I, blk.J))
-	}
-	return rs
 }
 
 // ApplyPivots applies the panel-k pivot sequence to block column j > k (the
@@ -229,8 +245,12 @@ func updateBlock(bm *supernode.BlockMatrix, plan *supernode.UpdatePlan, k, ui, l
 	lb, ub, target := bm.LCol[k][li], bm.URow[k][ui], bm.Block(u.Target)
 	m, kk, n := len(lb.Rows), len(lb.Cols), len(ub.Cols)
 	ws.Fl.B3 += 2 * int64(m) * int64(n) * int64(kk)
+	var pa *xblas.PackedA
+	if li < len(ws.lpack) {
+		pa = &ws.lpack[li]
+	}
 	xblas.GemmUpdate(m, n, kk, lb.Data, kk, ub.Data, n, target.Data, len(target.Cols),
-		xblas.Dest{Rows: u.Rows, Cols: u.Cols, Col0: u.Col0}, &ws.packs)
+		xblas.Dest{Rows: u.Rows, Cols: u.Cols, Col0: u.Col0}, &ws.packs, pa)
 }
 
 // UpdatePanelPair runs the whole Update(k, j) task of Fig. 8 (pivot

@@ -10,36 +10,39 @@ import (
 	"sstar/internal/supernode"
 )
 
-// densePanel builds the leading s-wide panel of a dense 2s-order matrix: an
-// s-by-s diagonal block with one s-by-s L block below — the supernode panel
-// shape core.FactorPanel sees in the factorization proper.
-func densePanel(s int) (*supernode.BlockMatrix, *core.Workspace, []int32, []float64, []float64) {
-	a := sparse.Dense(2*s, int64(2000+s))
+// densePanel builds the leading s-wide panel of a dense matrix of order r: an
+// s-by-s diagonal block with r-s rows of L blocks below — the contiguous
+// r-by-s panel core.FactorPanel sees in the factorization proper. It returns
+// the storage, a workspace, a pivot vector and a copy of the panel's values.
+func densePanel(tb testing.TB, r, s int) (*supernode.BlockMatrix, *core.Workspace, []int32, []float64) {
+	a := sparse.Dense(r, int64(2000+s))
 	sym := core.Analyze(a, core.AnalyzeOptions{
 		SkipOrdering: true,
 		Supernode:    supernode.Options{MaxBlock: s},
 	})
 	bm := supernode.NewBlockMatrix(sym.Partition, sym.PermutedMatrix(a))
-	ws := new(core.Workspace)
-	piv := make([]int32, 2*s)
-	diag0 := append([]float64(nil), bm.Diag[0].Data...)
-	lcol0 := append([]float64(nil), bm.LCol[0][0].Data...)
-	return bm, ws, piv, diag0, lcol0
+	if got := len(bm.Panel(0)); got != r*s {
+		tb.Fatalf("dense partition gave a leading panel of %d values, want %dx%d", got, r, s)
+	}
+	return bm, new(core.Workspace), make([]int32, r), append([]float64(nil), bm.Panel(0)...)
 }
 
+// BenchmarkFactorPanel runs Factor(k) on square-ish panels (2s-by-s) and on
+// the tall shapes the benchmark matrices actually produce: 326x56 is ex11's
+// flop-weighted mean panel, 74x33 and 74x1 are lnsp3937's (most of its
+// panels are one column wide).
 func BenchmarkFactorPanel(b *testing.B) {
-	for _, s := range []int{8, 16, 25, 32, 64, 128} {
-		b.Run(fmt.Sprintf("%dx%d", 2*s, s), func(b *testing.B) {
-			bm, ws, piv, diag0, lcol0 := densePanel(s)
-			before := ws.Fl.Total()
+	for _, d := range [][2]int{{16, 8}, {32, 16}, {50, 25}, {64, 32}, {128, 64}, {256, 128}, {326, 56}, {74, 33}, {74, 1}} {
+		r, s := d[0], d[1]
+		b.Run(fmt.Sprintf("%dx%d", r, s), func(b *testing.B) {
+			bm, ws, piv, panel0 := densePanel(b, r, s)
 			if err := core.FactorPanel(bm, 0, piv, 1, ws); err != nil {
 				b.Fatal(err)
 			}
-			flops := ws.Fl.Total() - before
+			flops := ws.Fl.Total()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				copy(bm.Diag[0].Data, diag0)
-				copy(bm.LCol[0][0].Data, lcol0)
+				copy(bm.Panel(0), panel0)
 				if err := core.FactorPanel(bm, 0, piv, 1, ws); err != nil {
 					b.Fatal(err)
 				}

@@ -266,12 +266,19 @@ func (x *proc2d) factor2D(k int) {
 					bestSub = c.sub
 				}
 			}
+			// FactorPanel's test: its search opens with the diagonal
+			// candidate, so a NaN there fails the column, while the maxima
+			// above pass over every NaN.
+			diagVal := math.Abs(d.Data[mc*s+mc])
+			if math.IsNaN(diagVal) || math.IsInf(best.val, 0) {
+				panic(singularErr{fmt.Errorf("%w: non-finite pivot at column %d", ErrSingular, m)})
+			}
 			if best.row < 0 || best.val == 0 {
 				panic(singularErr{fmt.Errorf("%w: zero pivot at column %d", ErrSingular, m)})
 			}
-			if math.Abs(d.Data[mc*s+mc]) >= x.tol*best.val {
+			if diagVal >= x.tol*best.val {
 				// Threshold pivoting: keep the diagonal row.
-				best = pivCand{val: math.Abs(d.Data[mc*s+mc]), row: m}
+				best = pivCand{val: diagVal, row: m}
 				bestSub = nil
 			}
 			t := best.row
@@ -362,14 +369,44 @@ func (x *proc2d) ownsRow(t, k int) bool {
 	return x.rowOfBlock(bt) == x.r && x.colOfBlock(k) == x.c && x.bm.BlockAt(bt, k) != nil
 }
 
+// axpyNeg is one row of the elimination step, ys -= alpha*xs, as FactorPanel
+// defines it: product rounded before the subtraction (explicitly, so that no
+// architecture fuses them), no zero multiplier skipped.
 func axpyNeg(alpha float64, xs, ys []float64) {
-	if alpha == 0 || len(xs) == 0 {
-		return
-	}
-	_ = ys[len(xs)-1]
+	ys = ys[:len(xs)]
 	for i, v := range xs {
-		ys[i] -= alpha * v
+		ys[i] -= float64(alpha * v)
 	}
+}
+
+// swapPanelRows exchanges the full panel-k rows of global rows m and t
+// (both must have storage in block column k; t may sit in the diagonal block
+// or in any L block).
+func swapPanelRows(bm *supernode.BlockMatrix, k, m, t int, ws *Workspace) {
+	a := panelRow(bm, k, m)
+	b := panelRow(bm, k, t)
+	for i := range a {
+		a[i], b[i] = b[i], a[i]
+	}
+	ws.Fl.Sw += int64(len(a))
+}
+
+// panelRow returns the storage slice of global row r within block column k.
+func panelRow(bm *supernode.BlockMatrix, k, r int) []float64 {
+	p := bm.P
+	rb := p.BlockOf[r]
+	if rb == k {
+		return bm.Diag[k].RowSlice(r)
+	}
+	blk := bm.BlockAt(rb, k)
+	if blk == nil {
+		panic(fmt.Sprintf("core: row %d has no storage in block column %d", r, k))
+	}
+	rs := blk.RowSlice(r)
+	if rs == nil {
+		panic(fmt.Sprintf("core: row %d missing from block (%d,%d)", r, blk.I, blk.J))
+	}
+	return rs
 }
 
 // scaleSwap is task ScaleSwap(k) of Fig. 14: obtain the pivot sequence (via

@@ -260,9 +260,13 @@ func (f *Factorization) refactorize(a *sparse.CSR, workers int, sink obs.Sink) e
 // non-nil every Factor/Update task is timed and reported (worker 0); the
 // instrumentation only changes when clocks are read, never the numeric work,
 // so traced and untraced factors are bit-identical.
+//
+// Every Update(k, ·) runs right after Factor(k) on the one workspace, so the
+// L blocks of panel k are packed once for all of them (Workspace.newPanel).
 func runSeq(bm *supernode.BlockMatrix, piv []int32, sym *Symbolic, ws *Workspace, sink obs.Sink) error {
 	p := sym.Partition
 	tol := sym.pivotTol()
+	defer ws.dropPanel()
 	for k := 0; k < p.NB; k++ {
 		var t0 time.Time
 		if sink != nil {
@@ -275,6 +279,7 @@ func runSeq(bm *supernode.BlockMatrix, piv []int32, sym *Symbolic, ws *Workspace
 			sink.Task(obs.TaskEvent{Kind: obs.KindFactor, K: int32(k), J: int32(k),
 				StartNs: t0.UnixNano(), DurNs: time.Since(t0).Nanoseconds()})
 		}
+		ws.newPanel(bm, k)
 		for _, jb := range p.UBlocks[k] {
 			if sink != nil {
 				t0 = time.Now()

@@ -357,6 +357,16 @@ func (p *Partition) validate() error {
 // BlockMatrix, which is what serialization stores.
 func (bm *BlockMatrix) Values() []float64 { return bm.slab }
 
+// Panel returns the values of panel k — the diagonal block followed by the L
+// blocks of column k, which the slab keeps contiguous — as one row-major
+// matrix of Size(k) columns. Its row r is global row Start[k]+r inside the
+// diagonal block and LRows[k][r-Size(k)] below it.
+func (bm *BlockMatrix) Panel(k int) []float64 {
+	sk := bm.sk
+	f := sk.first[k]
+	return bm.slab[sk.off[f]:sk.off[f+1+sk.nL[k]]]
+}
+
 // Block returns the block with skeleton id id.
 func (bm *BlockMatrix) Block(id int) *Block { return &bm.blocks[id] }
 

@@ -70,33 +70,57 @@ func BenchmarkGemmRect(b *testing.B) {
 	}
 }
 
+// BenchmarkTrsm solves square systems at the usual block sizes and the shapes
+// ScaleU actually produces: a triangle as wide as a supernode (4, 16 and 56
+// columns — under one diagonal block, exactly one, several) against U blocks
+// of 8, 64 and 256 columns.
 func BenchmarkTrsm(b *testing.B) {
+	shapes := [][2]int{}
 	for _, n := range gemmBenchSizes {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+		shapes = append(shapes, [2]int{n, n})
+	}
+	for _, k := range []int{4, 16, 56} {
+		for _, n := range []int{8, 64, 256} {
+			shapes = append(shapes, [2]int{k, n})
+		}
+	}
+	for _, d := range shapes {
+		k, n := d[0], d[1]
+		b.Run(fmt.Sprintf("%dx%d", k, n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(4))
-			l := randMat(rng, n, n)
-			for i := 0; i < n; i++ {
-				l[i*n+i] = 1
+			l := randMat(rng, k, k)
+			for i := 0; i < k; i++ {
+				l[i*k+i] = 1
 			}
-			x := randMat(rng, n, n)
+			x := randMat(rng, k, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				TrsmLowerUnitLeft(n, n, l, n, x, n)
+				TrsmLowerUnitLeft(k, n, l, k, x, n)
 			}
-			b.ReportMetric(gflops(int64(n)*int64(n)*int64(n-1), b), "GFLOP/s")
+			b.ReportMetric(gflops(int64(n)*int64(k)*int64(k-1), b), "GFLOP/s")
 		})
 	}
 }
 
-func BenchmarkGemv25(b *testing.B) {
-	n := 25
-	rng := rand.New(rand.NewSource(1))
-	a := randMat(rng, n, n)
-	x := randMat(rng, n, 1)
-	y := randMat(rng, n, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Gemv(n, n, 1, a, n, x, 1, y)
+// BenchmarkMulSub runs the unfused kernel at the shapes its users give it: the
+// trailing update of a panel block (tall, k = 8, operands inside one panel),
+// the rectangle under a TRSM diagonal block, and a single row.
+func BenchmarkMulSub(b *testing.B) {
+	for _, dims := range [][3]int{{318, 48, 8}, {66, 24, 8}, {4, 64, 12}, {1, 64, 7}} {
+		m, n, k := dims[0], dims[1], dims[2]
+		b.Run(fmt.Sprintf("%dx%dx%d", m, n, k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			ld := n + k
+			p := randMat(rng, m+k, ld) // A = p[k:, :k], B = p[:k, k:], C = p[k:, k:]
+			for i := range p {
+				p[i] *= 1e-3 // keeps C bounded over many iterations
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulSub(m, n, k, p[k*ld:], ld, p[k:], ld, p[k*ld+k:], ld)
+			}
+			b.ReportMetric(gflops(2*int64(m)*int64(n)*int64(k), b), "GFLOP/s")
+		})
 	}
 }
 

@@ -1,9 +1,12 @@
 // Packed, register-tiled GEMM engine.
 //
-// All BLAS-3 routines (Gemm, GemmAdd, GemmUpdate/GemmScatter,
-// TrsmLowerUnitLeft) run on one micro-architecture: operand panels are packed
-// into contiguous tiles and an unrolled mr-by-nr accumulator micro-kernel
-// sweeps them, BLIS-style.
+// The products (Gemm, GemmAdd, GemmUpdate/GemmScatter, and through Gemm the
+// coupling between the diagonal blocks of the two TRSMs) run on one
+// micro-architecture: operand panels are packed into contiguous tiles and an
+// unrolled mr-by-nr accumulator micro-kernel sweeps them, BLIS-style. It is
+// not the only kernel of the package: the diagonal blocks of the TRSMs and
+// the panel factorization are defined as sequences of separately rounded
+// multiply-subtracts and run on the unfused, unpacked kernels of mulsub.go.
 //
 //   - A panels are packed into strips of mr rows: strip element (l, i) sits at
 //     offset l*mr+i, so each k-step of the micro-kernel reads mr contiguous
@@ -234,8 +237,8 @@ type Dest struct {
 // one packed B panel serve several products: after NewB the first GemmUpdate
 // that needs B packed packs it, and later calls reuse it until the next NewB.
 // The caller owns that contract — every call between two NewB must pass the
-// same, unchanged B. The zero value is ready to use; a Packs must not be
-// shared between goroutines.
+// same, unchanged B. (PackedA is the same arrangement for the A side.) The
+// zero value is ready to use; a Packs must not be shared between goroutines.
 type Packs struct {
 	a, b    []float64
 	bPacked bool
@@ -245,6 +248,22 @@ type Packs struct {
 
 // NewB declares that the next GemmUpdate brings a new B operand.
 func (pk *Packs) NewB() { pk.bPacked = false }
+
+// PackedA keeps one A operand packed across GemmUpdate calls, for a caller
+// that multiplies the same A by several B — an L block against every U block
+// of its panel. The first GemmUpdate that needs A packed packs all of it into
+// Buf, which must hold PackedALen(m, k) values; later calls read Buf and never
+// look at A. The caller owns the contract: every call given one PackedA passes
+// the same, unchanged A; a new A takes a new PackedA (the zero value with its
+// Buf set). Packing moves values and rounds nothing, so results do not depend
+// on who packed what, when.
+type PackedA struct {
+	Buf    []float64
+	packed bool
+}
+
+// PackedALen returns the length of the packed image of an m-by-k A operand.
+func PackedALen(m, k int) int { return roundUp(m, mr) * k }
 
 // packsPool backs the calls that bring no Packs of their own (Gemm, GemmAdd,
 // the blocked TRSMs, GemmScatter, GemmUpdate with a nil pk).
@@ -267,9 +286,10 @@ var packsPool = sync.Pool{New: func() any { return new(Packs) }}
 // go straight from the micro-kernel into C.
 //
 // pk may be nil (buffers then come from a pool and B is packed for this call
-// only). Stats: the zero Dest counts as a Gemm call, anything else as a
-// scatter call of the shape that actually lands in C.
-func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, d Dest, pk *Packs) {
+// only); pa may be nil (A is then packed for this call only). Stats: the zero
+// Dest counts as a Gemm call, anything else as a scatter call of the shape
+// that actually lands in C.
+func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, d Dest, pk *Packs, pa *PackedA) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
@@ -294,16 +314,26 @@ func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 		packB(pk.b, b, ldb, 0, k, n)
 		pk.bPacked = true
 	}
+	if pa != nil && !pa.packed {
+		packA(pa.Buf[:PackedALen(m, k)], a, lda, 0, k, m)
+		pa.packed = true
+	}
 	mcBlock := tileCfg.Load().mc
 	for ic := 0; ic < m; ic += mcBlock {
 		mcb := min(mcBlock, m-ic)
-		pk.a = grow(pk.a, roundUp(mcb, mr)*k)
-		packA(pk.a, a, lda, ic, k, mcb)
+		var ap []float64 // packed rows ic.. of A; strips of mr rows, so row ir starts at ir*k
+		if pa != nil {
+			ap = pa.Buf[ic*k:]
+		} else {
+			pk.a = grow(pk.a, roundUp(mcb, mr)*k)
+			packA(pk.a, a, lda, ic, k, mcb)
+			ap = pk.a
+		}
 		for jr := 0; jr < n; jr += nr {
 			bs := pk.b[jr*k:]
 			nj := min(nr, n-jr)
 			for ir := 0; ir < mcb; ir += mr {
-				as := pk.a[ir*k:]
+				as := ap[ir*k:]
 				mi := min(mr, mcb-ir)
 				if d.Cols == nil && mi == mr && nj == nr {
 					// Full tile onto a contiguous rectangle of C: the
@@ -417,7 +447,7 @@ func GemmScatter(m, n, k int, a []float64, lda int, b []float64, ldb int, c []fl
 	pk := packsPool.Get().(*Packs)
 	pk.bPacked = false
 	pk.rows, pk.cols = toInt32(pk.rows, dstRow[:m]), toInt32(pk.cols, dstCol[:n])
-	GemmUpdate(m, n, k, a, lda, b, ldb, c, ldc, Dest{Rows: pk.rows, Cols: pk.cols}, pk)
+	GemmUpdate(m, n, k, a, lda, b, ldb, c, ldc, Dest{Rows: pk.rows, Cols: pk.cols}, pk, nil)
 	packsPool.Put(pk)
 }
 
@@ -435,26 +465,29 @@ const trsmBlock = 16
 // TrsmLowerUnitLeft solves L * X = B in place for a unit lower-triangular
 // k-by-k L (row-major, stride ldl); B is k-by-n (row-major, stride ldb) and
 // is overwritten with X. This is the "U_kj = L_kk^{-1} U_kj" operation of
-// task Update (Fig. 8 line 05). The solve is blocked: small triangular
-// eliminations on trsmBlock-row diagonal blocks, with the trailing rows
-// updated by the packed GEMM engine — true BLAS-3. Flops: n*k*(k-1).
+// task Update (Fig. 8 line 05). The solve is blocked: forward eliminations on
+// trsmBlock-row diagonal blocks, with the trailing rows updated by the packed
+// GEMM engine — true BLAS-3. Inside a diagonal block every element takes its
+// updates one at a time in ascending p, unfused (the unblocked loop's
+// sequence, which MulSub reproduces on register tiles): four rows at a time
+// take the block's rows above them as one rectangle, then the 4-by-4 triangle
+// row by row. trsmBlock and the fused GEMM coupling between blocks define the
+// result's bits; the tiling inside a block does not. Flops: n*k*(k-1).
 func TrsmLowerUnitLeft(k, n int, l []float64, ldl int, b []float64, ldb int) {
 	if k == 0 || n == 0 {
 		return
 	}
 	noteTrsm(k, n, int64(n)*int64(k)*int64(k-1))
+	if k == 1 {
+		return // a 1-by-1 unit triangle: X = B
+	}
 	for ib := 0; ib < k; ib += trsmBlock {
 		tb := min(trsmBlock, k-ib)
-		// Triangular solve of the diagonal block rows.
-		for i := ib + 1; i < ib+tb; i++ {
-			brow := b[i*ldb : i*ldb+n]
-			lrow := l[i*ldl:]
-			for p := ib; p < i; p++ {
-				lip := lrow[p]
-				prow := b[p*ldb : p*ldb+n]
-				for j, v := range prow {
-					brow[j] -= lip * v
-				}
+		for i0 := ib; i0 < ib+tb; i0 += mr {
+			mi := min(mr, ib+tb-i0)
+			MulSub(mi, n, i0-ib, l[i0*ldl+ib:], ldl, b[ib*ldb:], ldb, b[i0*ldb:], ldb)
+			for i := i0 + 1; i < i0+mi; i++ {
+				MulSub(1, n, i-i0, l[i*ldl+i0:], ldl, b[i0*ldb:], ldb, b[i*ldb:], ldb)
 			}
 		}
 		// Trailing-panel update B[ib+tb:] -= L[ib+tb:, ib:ib+tb] * B[ib:ib+tb].
@@ -469,8 +502,8 @@ func TrsmLowerUnitLeft(k, n int, l []float64, ldl int, b []float64, ldb int) {
 // ldb) and is overwritten with X — the multi-RHS counterpart of TrsvUpper
 // for the blocked SolveMany backward sweep. Blocked like TrsmLowerUnitLeft:
 // the coupling of each diagonal block to the already-solved trailing rows
-// goes through the packed GEMM engine, only the trsmBlock-row backward
-// substitutions run as vector ops. Flops: n*k*k.
+// goes through the packed GEMM engine, and the trsmBlock-row backward
+// substitutions run row by row through MulSub. Flops: n*k*k.
 func TrsmUpperLeft(k, n int, u []float64, ldu int, b []float64, ldb int) {
 	if k == 0 || n == 0 {
 		return
@@ -482,18 +515,14 @@ func TrsmUpperLeft(k, n int, u []float64, ldu int, b []float64, ldb int) {
 		if rem := k - ib - tb; rem > 0 {
 			Gemm(tb, n, rem, u[ib*ldu+ib+tb:], ldu, b[(ib+tb)*ldb:], ldb, b[ib*ldb:], ldb)
 		}
-		// Backward substitution within the diagonal block.
+		// Backward substitution within the diagonal block: row i takes the
+		// solved rows below it in ascending p, unfused, then its division.
 		for i := ib + tb - 1; i >= ib; i-- {
-			brow := b[i*ldb : i*ldb+n]
-			urow := u[i*ldu:]
-			for p := i + 1; p < ib+tb; p++ {
-				uip := urow[p]
-				prow := b[p*ldb : p*ldb+n]
-				for j, v := range prow {
-					brow[j] -= uip * v
-				}
+			if i+1 < ib+tb {
+				MulSub(1, n, ib+tb-1-i, u[i*ldu+i+1:], ldu, b[(i+1)*ldb:], ldb, b[i*ldb:], ldb)
 			}
-			d := urow[i]
+			d := u[i*ldu+i]
+			brow := b[i*ldb : i*ldb+n]
 			for j := range brow {
 				brow[j] /= d
 			}

@@ -13,3 +13,12 @@ func KernelName() string { return "portable-fma" }
 func kernel4x8(kc int, a, b, c []float64, ldc int, sign float64) {
 	kernel4x8go(kc, a, b, c, ldc, sign)
 }
+
+// mulSub runs the portable kernel, whose explicitly rounded products give
+// the amd64 vector kernels' bits on every architecture.
+func mulSub(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	mulSubGo(m, n, k, a, lda, b, ldb, c, ldc)
+}
+
+// elimStep runs the portable kernel.
+func elimStep(rows []float64, s, n, w int) (float64, int) { return elimStepGo(rows, s, n, w) }

@@ -17,7 +17,13 @@ import (
 // Gemm, GemmAdd and GemmScatter must bit-match the reference EXACTLY, on
 // every path (small direct, packed interior tiles, padded edge tiles, asm and
 // portable micro-kernels alike). TrsmLowerUnitLeft reassociates the solve
-// into blocked BLAS-3 form, so it gets a 1e-12 relative tolerance instead.
+// into blocked BLAS-3 form, so against the unblocked solve it gets a 1e-12
+// relative tolerance instead.
+//
+// MulSub and ElimStep are defined per element as a sequence of separately
+// rounded operations, so they — and the diagonal blocks of the two TRSMs,
+// which run on MulSub — are pinned bitwise too: to naive loops, and to the
+// blocked TRSMs with scalar diagonal solves.
 
 // refGemmSign computes C += sign*A*B the naive way, with the engine's
 // rounding contract (FMA accumulation in ascending l, one fold per element).
@@ -60,6 +66,223 @@ func refTrsmLowerUnitLeft(k, n int, l []float64, ldl int, b []float64, ldb int) 
 			lip := l[i*ldl+p]
 			for j := 0; j < n; j++ {
 				b[i*ldb+j] -= lip * b[p*ldb+j]
+			}
+		}
+	}
+}
+
+// refTrsmBlocked is the blocked solve the TRSMs implement, with the diagonal
+// blocks as scalar loops: trsmBlock rows at a time, every element taking its
+// updates in ascending p, unfused, and the blocks coupled through Gemm. The
+// tiled diagonal solves must reproduce it bit for bit.
+func refTrsmBlocked(upper bool, k, n int, t []float64, ldt int, b []float64, ldb int) {
+	sub := func(i, p int) {
+		for j := 0; j < n; j++ {
+			b[i*ldb+j] -= float64(t[i*ldt+p] * b[p*ldb+j])
+		}
+	}
+	if !upper {
+		for ib := 0; ib < k; ib += trsmBlock {
+			tb := min(trsmBlock, k-ib)
+			for i := ib + 1; i < ib+tb; i++ {
+				for p := ib; p < i; p++ {
+					sub(i, p)
+				}
+			}
+			if rem := k - ib - tb; rem > 0 {
+				Gemm(rem, n, tb, t[(ib+tb)*ldt+ib:], ldt, b[ib*ldb:], ldb, b[(ib+tb)*ldb:], ldb)
+			}
+		}
+		return
+	}
+	for ib := (k - 1) / trsmBlock * trsmBlock; ib >= 0; ib -= trsmBlock {
+		tb := min(trsmBlock, k-ib)
+		if rem := k - ib - tb; rem > 0 {
+			Gemm(tb, n, rem, t[ib*ldt+ib+tb:], ldt, b[(ib+tb)*ldb:], ldb, b[ib*ldb:], ldb)
+		}
+		for i := ib + tb - 1; i >= ib; i-- {
+			for p := i + 1; p < ib+tb; p++ {
+				sub(i, p)
+			}
+			for j := 0; j < n; j++ {
+				b[i*ldb+j] /= t[i*ldt+i]
+			}
+		}
+	}
+}
+
+// TestTrsmBitMatchesBlockedReference: both TRSMs against refTrsmBlocked for
+// every k up to past four diagonal blocks and every n up to five tiles.
+func TestTrsmBitMatchesBlockedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for k := 1; k <= 70; k++ {
+		for n := 1; n <= 40; n++ {
+			ldt, ldb := k+rng.Intn(3), n+rng.Intn(3)
+			tri := randMat(rng, k, ldt)
+			for i := 0; i < k; i++ {
+				tri[i*ldt+i] = 1 + rng.Float64() // the upper solve divides by it
+			}
+			for _, upper := range []bool{false, true} {
+				b := randMat(rng, k, ldb)
+				want := append([]float64(nil), b...)
+				refTrsmBlocked(upper, k, n, tri, ldt, want, ldb)
+				if upper {
+					TrsmUpperLeft(k, n, tri, ldt, b, ldb)
+				} else {
+					TrsmLowerUnitLeft(k, n, tri, ldt, b, ldb)
+				}
+				if !bitEqual(b, want) {
+					t.Fatalf("upper=%v k=%d n=%d ldt=%d ldb=%d: not bit-identical to the scalar-diagonal blocked solve (max diff %g)",
+						upper, k, n, ldt, ldb, maxDiff(b, want))
+				}
+			}
+		}
+	}
+}
+
+// refMulSub is the definition of MulSub as a naive triple loop: per element,
+// ascending l, product and difference each rounded.
+func refMulSub(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			for l := 0; l < k; l++ {
+				c[i*ldc+j] -= float64(a[i*lda+l] * b[l*ldb+j])
+			}
+		}
+	}
+}
+
+// spiceMat is randMat with the values rounding bugs hide behind mixed in:
+// signed zeros (a zero multiplier must not be skipped: -0 - (-0) is +0),
+// subnormals and values whose products and differences round.
+func spiceMat(rng *rand.Rand, m, n int) []float64 {
+	a := randMat(rng, m, n)
+	for i := range a {
+		switch rng.Intn(8) {
+		case 0:
+			a[i] = 0
+		case 1:
+			a[i] = math.Copysign(0, -1)
+		case 2:
+			a[i] *= 5e-324 * float64(1+rng.Intn(1<<20))
+		case 3:
+			a[i] *= 1e-160
+		}
+	}
+	return a
+}
+
+// TestMulSubBitMatchesReference pins the dispatched MulSub (vector strips on
+// amd64) and its portable twin to the naive unfused loop on every shape up to
+// past two tiles in each direction, with strides wider than the rows.
+func TestMulSubBitMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for m := 0; m <= 9; m++ {
+		for n := 0; n <= 19; n++ {
+			for k := 0; k <= 17; k++ {
+				lda, ldb, ldc := k+rng.Intn(4), n+rng.Intn(4), n+rng.Intn(4)
+				a, b, c := spiceMat(rng, m, lda), spiceMat(rng, k, ldb), spiceMat(rng, m, ldc)
+				want := append([]float64(nil), c...)
+				refMulSub(m, n, k, a, lda, b, ldb, want, ldc)
+				twin := append([]float64(nil), c...)
+				mulSubGo(m, n, k, a, lda, b, ldb, twin, ldc)
+				MulSub(m, n, k, a, lda, b, ldb, c, ldc)
+				if !bitEqual(c, want) || !bitEqual(twin, want) {
+					t.Fatalf("MulSub m=%d n=%d k=%d lda=%d ldb=%d ldc=%d on %s: dispatched equal=%v, portable equal=%v",
+						m, n, k, lda, ldb, ldc, runtime.GOARCH, bitEqual(c, want), bitEqual(twin, want))
+				}
+			}
+		}
+	}
+}
+
+// refElimStep is ElimStep as FactorPanel's column-at-a-time loop does it:
+// divide, update the w columns, then a separate sweep for the next pivot.
+func refElimStep(rows []float64, s, n, w int) (best float64, bestRow int) {
+	for r := 1; r <= n; r++ {
+		rows[r*s] /= rows[0]
+		for j := 1; j <= w; j++ {
+			rows[r*s+j] -= float64(rows[r*s] * rows[j])
+		}
+	}
+	if w == 0 || n == 0 {
+		return 0, 0
+	}
+	best, bestRow = math.Abs(rows[s+1]), 1
+	for r := 2; r <= n; r++ {
+		if v := math.Abs(rows[r*s+1]); v > best {
+			best, bestRow = v, r
+		}
+	}
+	return best, bestRow
+}
+
+// TestElimStepBitMatchesReference pins the dispatched ElimStep and its
+// portable twin to the naive step for every width and row count, with exact
+// ties in the searched column (first maximum wins), signed zeros, subnormals
+// and NaNs (passed over below row 1, the answer in row 1).
+func TestElimStepBitMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	// Equal up to which NaN: the sign and payload of a propagated NaN are the
+	// one thing the vector and scalar instructions need not agree on.
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+	}
+	sameAll := func(x, y []float64) bool {
+		for i := range x {
+			if !same(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for w := 0; w <= 7; w++ {
+		for n := 0; n <= 21; n++ {
+			for trial := 0; trial < 12; trial++ {
+				s := w + 1 + rng.Intn(4)
+				rows := spiceMat(rng, n+1, s)
+				rows[0] = 0.5 + rng.Float64() // the pivot
+				if trial%3 == 1 && w > 0 {    // ties: a few rows repeat one candidate
+					for r := 1; r <= n; r += 1 + rng.Intn(3) {
+						rows[r*s], rows[r*s+1] = 0, 7
+					}
+				}
+				if trial%4 == 2 && w > 0 && n > 0 {
+					rows[(1+rng.Intn(n))*s+1] = math.NaN()
+				}
+				want := append([]float64(nil), rows...)
+				wb, wr := refElimStep(want, s, n, w)
+				if w > 0 && n > 0 { // the portable kernel's domain
+					twin := append([]float64(nil), rows...)
+					if tb, tr := elimStepGo(twin, s, n, w); !sameAll(twin, want) || !same(tb, wb) || tr != wr {
+						t.Fatalf("elimStepGo w=%d n=%d s=%d trial %d: got (%v, %d), want (%v, %d); rows equal %v",
+							w, n, s, trial, tb, tr, wb, wr, sameAll(twin, want))
+					}
+				}
+				if gb, gr := ElimStep(rows, s, n, w); !sameAll(rows, want) || !same(gb, wb) || gr != wr {
+					t.Fatalf("ElimStep w=%d n=%d s=%d trial %d on %s: got (%v, %d), want (%v, %d); rows equal %v",
+						w, n, s, trial, runtime.GOARCH, gb, gr, wb, wr, sameAll(rows, want))
+				}
+			}
+		}
+	}
+}
+
+// TestMulSubSignedZero is the zero-multiplier decision in one line: a zero
+// multiplier is applied like any other, so -0 - (-0*u) gives +0 where a
+// skipping loop would leave -0.
+func TestMulSubSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for n := 1; n <= 9; n++ {
+		b := make([]float64, n)
+		c := make([]float64, n)
+		for j := range b {
+			b[j], c[j] = 3, negZero
+		}
+		MulSub(1, n, 1, []float64{negZero}, 1, b, n, c, n)
+		for j, v := range c {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("n=%d: c[%d] = %x after a -0 multiplier, want +0", n, j, math.Float64bits(v))
 			}
 		}
 	}
@@ -201,7 +424,7 @@ func TestGemmUpdateBitMatchesReference(t *testing.T) {
 			if trial%4 == 3 {
 				usePk = nil // pooled buffers, B packed per call
 			}
-			GemmUpdate(m, n, k, a, lda, b, ldb, c, ldc, d, usePk)
+			GemmUpdate(m, n, k, a, lda, b, ldb, c, ldc, d, usePk, nil)
 			if !bitEqual(c, want) {
 				t.Fatalf("trial %d rep %d: GemmUpdate m=%d n=%d k=%d rows=%v cols=%v col0=%d: not bit-identical to reference (max diff %g)",
 					trial, rep, m, n, k, d.Rows != nil, d.Cols != nil, d.Col0, maxDiff(c, want))

@@ -1,35 +1,26 @@
-// Package xblas implements the dense linear-algebra kernels (a BLAS subset)
-// that S* runs its supernode-block updates on. The Cray T3D/T3E libraries the
-// paper links against are replaced by these stdlib-only routines; the BLAS-3
-// kernels run on the packed register-tiled engine of gemm.go, and every
-// routine reports its floating-point operation count so the machine model can
-// charge BLAS-2 versus BLAS-3 work at different rates (the distinction the
-// paper's analysis in Section 6.1 hinges on).
+// Package xblas implements the dense linear-algebra kernels that S* runs its
+// supernode blocks on, in place of the Cray T3D/T3E libraries the paper links
+// against; stdlib only. The routines are the ones the factorization and the
+// solves call, nothing else:
+//
+//   - Gemm, GemmAdd, GemmUpdate (with GemmScatter): the block updates, on the
+//     packed register-tiled FMA engine of gemm.go;
+//   - TrsmLowerUnitLeft, TrsmUpperLeft: blocked triangular solves, coupled
+//     through that engine;
+//   - MulSub, ElimStep (mulsub.go): the unfused kernels under the panel
+//     factorization and the TRSM diagonal blocks;
+//   - Dot, TrsvLowerUnit, TrsvUpper: the vector kernels of the single-RHS
+//     solves.
+//
+// Every routine documents its floating-point operation count, which the
+// callers tally by BLAS level so the machine model can charge panel work and
+// block updates at different rates (the distinction the paper's analysis in
+// Section 6.1 hinges on).
 //
 // Matrices are dense, column-major is NOT used: all matrices here are
 // row-major with an explicit leading dimension (stride), matching Go slice
 // idiom: element (i,j) of an m-by-n matrix a with stride lda is a[i*lda+j].
 package xblas
-
-import "math"
-
-// Axpy computes y += alpha*x (BLAS-1). Flops: 2*len(x).
-func Axpy(alpha float64, x, y []float64) {
-	if alpha == 0 || len(x) == 0 {
-		return
-	}
-	_ = y[len(x)-1]
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Scal computes x *= alpha (BLAS-1). Flops: len(x).
-func Scal(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
 
 // Dot returns x · y (BLAS-1). Flops: 2*len(x).
 func Dot(x, y []float64) float64 {
@@ -39,46 +30,6 @@ func Dot(x, y []float64) float64 {
 		s += v * y[i]
 	}
 	return s
-}
-
-// Iamax returns the index of the entry of x with the largest absolute value,
-// or -1 for an empty x (BLAS-1).
-func Iamax(x []float64) int {
-	best, arg := -1.0, -1
-	for i, v := range x {
-		if a := math.Abs(v); a > best {
-			best, arg = a, i
-		}
-	}
-	return arg
-}
-
-// Gemv computes y = alpha*A*x + beta*y for an m-by-n row-major A with stride
-// lda (BLAS-2). Flops: 2*m*n.
-func Gemv(m, n int, alpha float64, a []float64, lda int, x []float64, beta float64, y []float64) {
-	for i := 0; i < m; i++ {
-		row := a[i*lda : i*lda+n]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = alpha*s + beta*y[i]
-	}
-}
-
-// Ger computes A += alpha * x * y^T for an m-by-n row-major A (BLAS-2).
-// Flops: 2*m*n.
-func Ger(m, n int, alpha float64, x, y []float64, a []float64, lda int) {
-	for i := 0; i < m; i++ {
-		xi := alpha * x[i]
-		if xi == 0 {
-			continue
-		}
-		row := a[i*lda : i*lda+n]
-		for j, v := range y[:n] {
-			row[j] += xi * v
-		}
-	}
 }
 
 // TrsvLowerUnit solves L*x = b in place for unit lower-triangular L (n-by-n,

@@ -40,83 +40,9 @@ func maxDiff(x, y []float64) float64 {
 	return d
 }
 
-func TestAxpy(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{4, 5, 6}
-	Axpy(2, x, y)
-	want := []float64{6, 9, 12}
-	if maxDiff(y, want) > eps {
-		t.Fatalf("Axpy = %v, want %v", y, want)
-	}
-}
-
-func TestAxpyZeroAlpha(t *testing.T) {
-	y := []float64{1, 2}
-	Axpy(0, []float64{9, 9}, y)
-	if y[0] != 1 || y[1] != 2 {
-		t.Fatal("Axpy with alpha=0 modified y")
-	}
-}
-
-func TestScalDot(t *testing.T) {
-	x := []float64{1, -2, 3}
-	Scal(-2, x)
-	if x[0] != -2 || x[1] != 4 || x[2] != -6 {
-		t.Fatalf("Scal result %v", x)
-	}
+func TestDot(t *testing.T) {
 	if got := Dot([]float64{1, 2}, []float64{3, 4}); got != 11 {
 		t.Fatalf("Dot = %v, want 11", got)
-	}
-}
-
-func TestIamax(t *testing.T) {
-	if got := Iamax([]float64{1, -5, 3}); got != 1 {
-		t.Fatalf("Iamax = %d, want 1", got)
-	}
-	if got := Iamax(nil); got != -1 {
-		t.Fatalf("Iamax(nil) = %d, want -1", got)
-	}
-	// Ties resolve to the first occurrence.
-	if got := Iamax([]float64{2, -2}); got != 0 {
-		t.Fatalf("Iamax tie = %d, want 0", got)
-	}
-}
-
-func TestGemvAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m, n := 7, 5
-	a := randMat(rng, m, n)
-	x := randMat(rng, n, 1)
-	y := randMat(rng, m, 1)
-	want := make([]float64, m)
-	for i := 0; i < m; i++ {
-		s := 0.0
-		for j := 0; j < n; j++ {
-			s += a[i*n+j] * x[j]
-		}
-		want[i] = 1.5*s + 0.5*y[i]
-	}
-	Gemv(m, n, 1.5, a, n, x, 0.5, y)
-	if maxDiff(y, want) > eps {
-		t.Fatalf("Gemv mismatch: %v", maxDiff(y, want))
-	}
-}
-
-func TestGerAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m, n := 6, 4
-	a := randMat(rng, m, n)
-	want := append([]float64(nil), a...)
-	x := randMat(rng, m, 1)
-	y := randMat(rng, n, 1)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			want[i*n+j] += -0.7 * x[i] * y[j]
-		}
-	}
-	Ger(m, n, -0.7, x, y, a, n)
-	if maxDiff(a, want) > eps {
-		t.Fatal("Ger mismatch")
 	}
 }
 

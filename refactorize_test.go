@@ -55,7 +55,7 @@ func sameBits(x, y []float64) bool {
 // previous factors live — Solve answers bitwise as before — whether it is
 // the first refactorization of the handle (the second value buffer is
 // allocated by it) or a later one, sequential or task-parallel; and the
-// handle keeps working afterwards.
+// handle keeps working afterwards. A non-finite value fails the same way.
 func TestRefactorizeFailureIsAtomic(t *testing.T) {
 	a := GenGrid3D(7, 6, 5, GenOptions{Seed: 41, Convection: 0.4})
 	b := rhs(a.N, 42)
@@ -66,8 +66,12 @@ func TestRefactorizeFailureIsAtomic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bad := singularLike(a, f)
-		for round := 0; round < 3; round++ {
+		// Two ways to fail: an all-zero column, and one NaN value — which used
+		// to come back as NaN factors with a nil error.
+		nan := a.Clone()
+		nan.Val[len(nan.Val)/2] = math.NaN()
+		bads := []*Matrix{singularLike(a, f), nan, singularLike(a, f)}
+		for round, bad := range bads {
 			before, _ := f.Solve(b)
 			if err := f.Refactorize(bad); !errors.Is(err, ErrSingular) {
 				t.Fatalf("workers=%d round %d: singular refactorize returned %v, want ErrSingular", workers, round, err)
@@ -95,26 +99,33 @@ func TestRefactorizeFailureIsAtomic(t *testing.T) {
 // TestRefactorizeRepeatedMatchesFresh: many refactorizations of one handle,
 // cycling through value sets, each bit-identical to a fresh FactorizeWith on
 // the same Analysis — nothing of one set's factors survives into the next.
+// The grid has supernodes wide enough that the sequential executor keeps each
+// panel's L blocks packed across its updates: a packed panel left over from
+// the previous values would show here.
 func TestRefactorizeRepeatedMatchesFresh(t *testing.T) {
-	a := GenCircuit(400, 3, GenOptions{Seed: 43})
-	an, err := Analyze(a, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := an.FactorizeWith(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 9; round++ {
-		v := valueSet(a, round%4)
-		if err := f.Refactorize(v); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		fresh, err := an.FactorizeWith(v)
+	for _, a := range []*Matrix{
+		GenCircuit(400, 3, GenOptions{Seed: 43}),
+		GenGrid3D(9, 8, 7, GenOptions{Seed: 44, Convection: 0.3}),
+	} {
+		an, err := Analyze(a, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		factsBitIdentical(t, "Refactorize vs fresh FactorizeWith", fresh, f)
+		f, err := an.FactorizeWith(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 9; round++ {
+			v := valueSet(a, round%4)
+			if err := f.Refactorize(v); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			fresh, err := an.FactorizeWith(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			factsBitIdentical(t, "Refactorize vs fresh FactorizeWith", fresh, f)
+		}
 	}
 }
 

@@ -15,7 +15,17 @@ fi
 
 go vet ./...
 go build ./...
+
+# The unfused kernels (xblas.MulSub, xblas.ElimStep) have vector assembly on
+# amd64 and an explicitly rounded pure-Go twin everywhere else. Vetting and
+# building for arm64 (offline, nothing is run) keeps the twin, its dispatch
+# and the assembly declarations from rotting apart.
+GOARCH=arm64 go vet ./internal/xblas ./internal/core
+GOARCH=arm64 go build ./...
+
 go test ./...
+# (./internal/xblas below carries the MulSub / ElimStep / TRSM bitwise
+# property tests; ./internal/core the blocked-panel ones.)
 go test -race . ./internal/machine ./internal/core ./internal/xblas ./internal/server ./internal/obs ./client ./internal/chaos ./internal/cluster ./internal/symbolic ./internal/supernode
 
 # Chaos suite: the full client -> fault proxy -> server stack with a
