@@ -17,10 +17,7 @@
 //	h.Free(ctx)
 //	c.Close()
 //
-// The XCtx spellings (FactorizeCtx, SolveCtx, ...) from the era when the
-// plain names lacked a context remain as deprecated aliases of the canonical
-// methods; see deprecated.go. Client.Metrics reports the client's own
-// request/error/dial counters.
+// Client.Metrics reports the client's own request/error/dial counters.
 //
 // Multi-tenant servers attribute work to tenants for fair-share scheduling
 // (see DESIGN.md, "Coalescing & QoS"). Dial with WithTenant to stamp every

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -179,7 +180,7 @@ func (c *Client) roundTripAt(ctx context.Context, req *server.Request, preferred
 		target = c.addr
 	}
 	c.met.errors.Add(1)
-	if ctx.Err() != nil {
+	if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
 		c.met.canceled.Add(1)
 	}
 	return resp, target, err
@@ -231,27 +232,35 @@ func (c *Client) attempt(ctx context.Context, req *server.Request, addr string) 
 			conn.SetDeadline(time.Unix(1, 0))
 		})
 	}
-	// ctxErr prefers the context's error over the transport error it caused.
-	ctxErr := func(op string, err error) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("client: %s: %w", op, cerr)
-		}
-		return fmt.Errorf("client: %s: %w", op, err)
-	}
-	if err := wire.WriteGob(conn, server.FrameRequest, req); err != nil {
+	// fail ends the attempt on a transport error, preferring the context's
+	// error over the transport error it caused. The socket deadline and the
+	// context's own timer are armed for the same instant, so when the poller
+	// wins the race the transport reports a timeout while ctx.Err() is still
+	// nil: a timeout on a context whose deadline is not in the future is the
+	// context's deadline all the same. Only a failure the context did not
+	// cause can mean a stale pooled connection.
+	fail := func(op string, err error) (*server.Response, error, bool) {
 		if stop != nil {
 			stop()
 		}
 		conn.Close()
-		return nil, ctxErr("send", err), reused && ctx.Err() == nil
+		cerr := ctx.Err()
+		if cerr == nil && errors.Is(err, os.ErrDeadlineExceeded) {
+			if d, ok := ctx.Deadline(); ok && !d.After(time.Now()) {
+				cerr = context.DeadlineExceeded
+			}
+		}
+		if cerr != nil {
+			return nil, fmt.Errorf("client: %s: %w", op, cerr), false
+		}
+		return nil, fmt.Errorf("client: %s: %w", op, err), reused
+	}
+	if err := wire.WriteGob(conn, server.FrameRequest, req); err != nil {
+		return fail("send", err)
 	}
 	resp := new(server.Response)
 	if err := wire.ReadGob(conn, server.FrameResponse, c.maxFrame, resp); err != nil {
-		if stop != nil {
-			stop()
-		}
-		conn.Close()
-		return nil, ctxErr("receive", err), reused && ctx.Err() == nil
+		return fail("receive", err)
 	}
 	if stop != nil {
 		if !stop() {

@@ -65,7 +65,7 @@ func TestCtxDeadlineCutsStalledRequest(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	err = c.PingCtx(ctx)
+	err = c.Ping(ctx)
 	elapsed := time.Since(t0)
 	if err == nil {
 		t.Fatal("ping against a silent server succeeded")
@@ -79,6 +79,39 @@ func TestCtxDeadlineCutsStalledRequest(t *testing.T) {
 	m := c.Metrics()
 	if m.Canceled != 1 {
 		t.Fatalf("Canceled = %d, want 1 (metrics %+v)", m.Canceled, m)
+	}
+}
+
+// lateCtx has a deadline but a Done channel that never closes and an Err that
+// stays nil: the view a round trip has of its context when the socket's
+// deadline fires before the context's own timer.
+type lateCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c lateCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+func (c lateCtx) Done() <-chan struct{}       { return make(chan struct{}) }
+
+// TestCtxDeadlineFiresOnSocketFirst: the socket deadline and the context's
+// timer are armed for the same instant; when the socket wins, the i/o timeout
+// is still the context's deadline — not a transport failure to retry or
+// redial past it.
+func TestCtxDeadlineFiresOnSocketFirst(t *testing.T) {
+	addr := startSilentServer(t)
+	c, err := client.Dial("tcp", addr, client.WithRetry(client.RetryPolicy{MaxRetries: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx := lateCtx{Context: context.Background(), deadline: time.Now().Add(30 * time.Millisecond)}
+	err = c.Ping(ctx)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error %v, want context.DeadlineExceeded", err)
+	}
+	if m := c.Metrics(); m.Canceled != 1 || m.Retries != 0 || m.Redials != 0 {
+		t.Fatalf("Canceled/Retries/Redials = %d/%d/%d, want 1/0/0", m.Canceled, m.Retries, m.Redials)
 	}
 }
 
@@ -97,7 +130,7 @@ func TestCtxCancelMidFlight(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	if err := c.PingCtx(ctx); !errors.Is(err, context.Canceled) {
+	if err := c.Ping(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}
 }
@@ -112,13 +145,13 @@ func TestCtxAlreadyCanceled(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := c.PingCtx(ctx); !errors.Is(err, context.Canceled) {
+	if err := c.Ping(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}
 }
 
-// TestCtxRoundTripsAndClientMetrics: the Ctx variants work end to end
-// against a real server, a generous deadline never interferes, and the
+// TestCtxRoundTripsAndClientMetrics: the context-first methods work end to
+// end against a real server, a generous deadline never interferes, and the
 // client's own counters add up.
 func TestCtxRoundTripsAndClientMetrics(t *testing.T) {
 	addr := startServer(t, server.Config{Workers: 2})
@@ -132,7 +165,7 @@ func TestCtxRoundTripsAndClientMetrics(t *testing.T) {
 	defer cancel()
 
 	a := sstar.GenGrid2D(7, 7, false, sstar.GenOptions{Seed: 21})
-	h, st, err := c.FactorizeCtx(ctx, a, sstar.DefaultOptions())
+	h, st, err := c.Factorize(ctx, a, sstar.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +174,7 @@ func TestCtxRoundTripsAndClientMetrics(t *testing.T) {
 	}
 	b := make([]float64, a.N)
 	b[0] = 1
-	x, _, err := h.SolveCtx(ctx, b)
+	x, _, err := h.Solve(ctx, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +185,18 @@ func TestCtxRoundTripsAndClientMetrics(t *testing.T) {
 	for i := range vals {
 		vals[i] *= 3
 	}
-	if _, err := h.RefactorizeCtx(ctx, vals); err != nil {
+	if _, err := h.Refactorize(ctx, vals); err != nil {
 		t.Fatal(err)
 	}
 	a2 := a.Clone()
 	copy(a2.Val, vals)
-	if _, err := h.RefactorizeMatrixCtx(ctx, a2); err != nil {
+	if _, err := h.RefactorizeMatrix(ctx, a2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StatsCtx(ctx); err != nil {
+	if _, err := c.Stats(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.FreeCtx(ctx); err != nil {
+	if err := h.Free(ctx); err != nil {
 		t.Fatal(err)
 	}
 

@@ -235,7 +235,7 @@ func TestContextCancelStopsRetrying(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now()
-	if err := c.PingCtx(ctx); err == nil {
+	if err := c.Ping(ctx); err == nil {
 		t.Fatal("canceled call succeeded")
 	}
 	if el := time.Since(t0); el > time.Second {

@@ -6,14 +6,12 @@
 //	sstar-bench -experiment all                 # everything (several minutes)
 //	sstar-bench -experiment table6 -scale 0.5   # one artifact, smaller inputs
 //	sstar-bench -experiment ablations -matrix goodwin
-//	sstar-bench -experiment kernels             # kernel GFLOP/s -> BENCH_kernels.json
-//	sstar-bench -experiment blocking            # fixed vs adaptive blocking sweep -> blocking section of BENCH_kernels.json
-//	sstar-bench -experiment hostpar             # wall-clock parallel factorization speedup -> BENCH_hostpar.json
-//	sstar-bench -experiment hostpar -procs 1,2,4,8,16   # custom worker sweep
 //	sstar-bench -trace out.json -matrix goodwin -procs 8  # Chrome trace of one run
 //
-// Experiments: kernels blocking hostpar table1 table2 table3 table4 table5
-// table6 table7 fig16 fig17 fig18 ablations all.
+// Experiments: table1 table2 table3 fig16 table4 table5 table6 fig17 fig18
+// table7 blas3 theorem2 solvecost scaling caveats prepcost ablations all.
+// Host kernel and service performance are measured by the repository's
+// benchmark instead (go run ./benchmark; see benchmark/README.md).
 package main
 
 import (
@@ -36,7 +34,6 @@ func main() {
 		amalg      = flag.Int("r", 4, "amalgamation factor (paper: 4-6)")
 		procsFlag  = flag.String("procs", "", "comma-separated processor counts (default: per-experiment paper values)")
 		matrix     = flag.String("matrix", "goodwin", "matrix for the ablation sweeps and -trace runs")
-		out        = flag.String("out", "", "output path for the kernels/hostpar reports (default BENCH_<experiment>.json)")
 		trace      = flag.String("trace", "", "trace one host-parallel factorization of -matrix and write Chrome trace JSON to this file, then exit")
 	)
 	flag.Parse()
@@ -77,59 +74,7 @@ func main() {
 		name string
 		run  func() (*bench.Table, error)
 	}
-	outPath := func(def string) string {
-		if *out != "" {
-			return *out
-		}
-		return def
-	}
-
 	jobs := []job{
-		{"kernels", func() (*bench.Table, error) {
-			rep, err := bench.Kernels(cfg)
-			if err != nil {
-				return nil, err
-			}
-			path := outPath("BENCH_kernels.json")
-			if err := rep.WriteJSON(path); err != nil {
-				return nil, err
-			}
-			fmt.Printf("wrote %s\n", path)
-			return rep.Table(), nil
-		}},
-		{"blocking", func() (*bench.Table, error) {
-			results, err := bench.Blocking(cfg)
-			if err != nil {
-				return nil, err
-			}
-			// Refresh the blocking section of the tracked kernels artifact
-			// in place when it exists; the kernels experiment regenerates
-			// the whole file including this section.
-			path := outPath("BENCH_kernels.json")
-			if rep, rerr := bench.ReadKernelReport(path); rerr == nil {
-				rep.Blocking = results
-				rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-				if err := rep.WriteJSON(path); err != nil {
-					return nil, err
-				}
-				fmt.Printf("updated blocking section of %s\n", path)
-			} else {
-				fmt.Printf("note: %s not found or unreadable; run -experiment kernels to create it (sweep results printed only)\n", path)
-			}
-			return bench.BlockingTable(results, cfg), nil
-		}},
-		{"hostpar", func() (*bench.Table, error) {
-			rep, err := bench.Hostpar(cfg, parseProcs(bench.HostparWorkerCounts()))
-			if err != nil {
-				return nil, err
-			}
-			path := outPath("BENCH_hostpar.json")
-			if err := rep.WriteJSON(path); err != nil {
-				return nil, err
-			}
-			fmt.Printf("wrote %s\n", path)
-			return rep.Table(), nil
-		}},
 		{"table1", func() (*bench.Table, error) { return bench.Table1(cfg) }},
 		{"table2", func() (*bench.Table, error) { return bench.Table2(cfg) }},
 		{"table3", func() (*bench.Table, error) { return bench.Table3(cfg, parseProcs([]int{2, 4, 8, 16, 32, 64})) }},

@@ -1,7 +1,9 @@
 // Command sstar-load drives concurrent mixed traffic (factorize /
 // values-only refactorize / solve) against a sparse-solve server and writes
-// a JSON benchmark report with throughput, latency percentiles and the
-// server's analysis-cache hit rate.
+// a JSON report with throughput, latency percentiles and the server's
+// analysis-cache hit rate. It is a load generator to point at a live
+// sstar-serve, sstar-router or sstar-chaos, not a benchmark: the numbers a
+// change is judged by come from go run ./benchmark (benchmark/README.md).
 //
 // Usage:
 //
@@ -11,15 +13,8 @@
 //	sstar-load -clients 16 -duration 10s -nx 30  # heavier run
 //	sstar-load -patterns 4 -mix 1,3,6            # 4 structures; 10% fact / 30% refac / 60% solve
 //	sstar-load -addr ... -retries 4 -timeout 2s  # through sstar-chaos: retry + per-request deadline
-//	sstar-load -cluster 1,3                      # in-process cluster scaling bench (1 then 3 shards)
-//	sstar-load -churn                            # availability bench: kill/rejoin rounds, failover + repair latency
-//	sstar-load -tenants 3 -clients 8             # multi-tenant zipfian bench: coalescing + per-tenant QoS tails
 //
-// The report lands in -out (default BENCH_service.json). -cluster runs a
-// solve-heavy workload against an in-process router+shard fleet per listed
-// shard count and merges a "cluster" section into the report, leaving the
-// other sections untouched; -tenants and -cold merge their own sections the
-// same way.
+// The report is written to -out (default: standard output).
 package main
 
 import (
@@ -39,7 +34,6 @@ import (
 
 	"sstar"
 	"sstar/client"
-	"sstar/internal/cluster"
 	"sstar/internal/server"
 )
 
@@ -97,34 +91,9 @@ func main() {
 		cacheSz  = flag.Int("cache", 64, "in-process server analysis cache entries")
 		retries  = flag.Int("retries", 0, "client retry attempts per request (0 disables; sheds and idempotent transport failures only)")
 		timeout  = flag.Duration("timeout", 0, "per-request deadline (0 = none; set this when the path can stall, e.g. behind sstar-chaos)")
-		clusterN = flag.String("cluster", "", "comma-separated shard counts for the in-process cluster scaling bench (e.g. 1,3); merges a cluster section into -out and exits")
-		churn    = flag.Bool("churn", false, "run the availability churn bench: kill the owner of a live structure mid-workload, measure failover-to-first-successful-solve and repair-to-R-copies; rejoin it, measure rejoin-to-converged; merges an availability section into -out and exits")
-		rounds   = flag.Int("rounds", 3, "kill/rejoin rounds in -churn mode")
-		cold     = flag.Bool("cold", false, "run the cold-analysis bench: zipfian near-miss structure churn against an in-process server plus a sequential/parallel/incremental analyze comparison; merges a cold_analysis section into -out and exits")
-		tenants  = flag.Int("tenants", 0, "run the multi-tenant bench with this many zipf-skewed solve tenants against an in-process server (coalescing off/on, then a weight-1 factorize storm); merges a multi_tenant section into -out and exits")
-		zipfS    = flag.Float64("zipf", 1.3, "zipf skew across tenants in -tenants mode (> 1; hotter head as it grows)")
-		coalesce = flag.Int("coalesce-width", 32, "max coalesced solve batch width in -tenants mode")
-		window   = flag.Duration("coalesce-window", 0, "batch window a dequeued solve waits for ride-alongs in -tenants mode (0 = opportunistic only; a small window forms real batches even when arrivals serialize, e.g. on one core)")
-		out      = flag.String("out", "BENCH_service.json", "report output path")
+		out      = flag.String("out", "", "report output path (default: standard output)")
 	)
 	flag.Parse()
-
-	if *clusterN != "" {
-		runClusterBench(*clusterN, *clients, *duration, *patterns, *nx, *out)
-		return
-	}
-	if *churn {
-		runChurnBench(*rounds, *patterns, *nx, *out)
-		return
-	}
-	if *cold {
-		runColdBench(*clients, *duration, *nx, *cacheSz, *workers, *factorW, *seed, *out)
-		return
-	}
-	if *tenants > 0 {
-		runTenantBench(*tenants, *clients, *duration, *nx, *coalesce, *window, *workers, *zipfS, *seed, *out)
-		return
-	}
 
 	weights := parseMix(*mix)
 
@@ -319,202 +288,16 @@ func main() {
 		log.Fatalf("sstar-load: %v", err)
 	}
 	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		log.Fatalf("sstar-load: %v", err)
+	if *out == "" {
+		_, err = os.Stdout.Write(data)
+	} else {
+		err = os.WriteFile(*out, data, 0o644)
 	}
-	log.Printf("sstar-load: %d requests in %.2fs = %.0f req/s, p50 %.2fms p99 %.2fms, cache hit rate %.0f%%, core split %d workers x %d factor-workers, %d errors -> %s",
-		rep.Requests, rep.ElapsedS, rep.ThroughputRPS, rep.Latency.P50ms, rep.Latency.P99ms, 100*rep.Cache.HitRate, st.Workers, st.FactorWorkers, rep.Errors, *out)
-}
-
-// clusterRun is one shard-count measurement of the scaling bench.
-type clusterRun struct {
-	Shards       int     `json:"shards"`
-	Requests     int64   `json:"requests"`
-	Errors       int64   `json:"errors"`
-	ElapsedS     float64 `json:"elapsed_s"`
-	RPS          float64 `json:"rps"`
-	Failovers    int64   `json:"failovers"`
-	Scatters     int64   `json:"scatters"`
-	Replications int64   `json:"replications"`
-}
-
-// runClusterBench measures aggregate solve throughput through an in-process
-// router as the shard count grows, and merges the result into the report at
-// outPath as a "cluster" section (other sections are preserved).
-func runClusterBench(counts string, clients int, duration time.Duration, patterns, nx int, outPath string) {
-	var runs []clusterRun
-	for _, part := range strings.Split(counts, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			log.Fatalf("sstar-load: bad -cluster count %q", part)
-		}
-		runs = append(runs, benchFleet(n, clients, duration, patterns, nx))
-	}
-
-	section := map[string]any{
-		"config": map[string]any{
-			"clients":  clients,
-			"duration": duration.String(),
-			"patterns": patterns,
-			"nx":       nx,
-		},
-		"runs": runs,
-		"note": "in-process fleet: all shards share this machine's cores, so the scaling shown is placement/replication overhead, not added hardware; on one-core containers the curve is flat by construction",
-	}
-	// Merge, don't overwrite: the cluster section rides alongside whatever
-	// single-node report is already in the file.
-	doc := map[string]any{}
-	if data, err := os.ReadFile(outPath); err == nil {
-		json.Unmarshal(data, &doc)
-	}
-	doc["cluster"] = section
-	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		log.Fatalf("sstar-load: %v", err)
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		log.Fatalf("sstar-load: %v", err)
-	}
-	for _, r := range runs {
-		log.Printf("sstar-load: cluster %d shard(s): %d requests in %.2fs = %.0f req/s (%d errors, %d failovers, %d scatters)",
-			r.Shards, r.Requests, r.ElapsedS, r.RPS, r.Errors, r.Failovers, r.Scatters)
-	}
-	log.Printf("sstar-load: cluster section merged into %s", outPath)
-}
-
-// benchFleet runs a solve-heavy workload against an in-process fleet of n
-// shards behind a router and reports aggregate throughput.
-func benchFleet(n, clients int, duration time.Duration, patterns, nx int) clusterRun {
-	// Listeners first so every shard knows the full advertised peer set.
-	listeners := make([]net.Listener, n)
-	peers := make([]string, n)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatalf("sstar-load: %v", err)
-		}
-		listeners[i] = l
-		peers[i] = l.Addr().String()
-	}
-	shards := make([]*cluster.Shard, n)
-	servers := make([]*server.Server, n)
-	for i := range listeners {
-		var hooks server.ClusterHooks
-		if n > 1 {
-			sh, err := cluster.NewShard(cluster.ShardConfig{Self: peers[i], Peers: peers})
-			if err != nil {
-				log.Fatalf("sstar-load: %v", err)
-			}
-			shards[i] = sh
-			hooks = sh
-		}
-		s := server.New(server.Config{Workers: 4, Cluster: hooks})
-		if shards[i] != nil {
-			shards[i].Bind(s)
-		}
-		servers[i] = s
-		go s.Serve(listeners[i])
-	}
-	r, err := cluster.NewRouter(cluster.RouterConfig{Shards: peers})
-	if err != nil {
-		log.Fatalf("sstar-load: %v", err)
-	}
-	rl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatalf("sstar-load: %v", err)
-	}
-	go r.Serve(rl)
-	defer func() {
-		r.Close()
-		for i := range servers {
-			servers[i].Close()
-			if shards[i] != nil {
-				shards[i].Close()
-			}
-		}
-	}()
-
-	bases := make([]*sstar.Matrix, patterns)
-	for p := range bases {
-		bases[p] = sstar.GenGrid2D(nx+p, nx, p%2 == 1, sstar.GenOptions{Seed: int64(p + 1), Convection: 0.2})
-	}
-
-	var requests, errs int64
-	var mu sync.Mutex
-	deadline := time.Now().Add(duration)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for ci := 0; ci < clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(ci + 1)))
-			c, err := client.Dial("tcp", rl.Addr().String(), client.WithRetry(client.DefaultRetryPolicy()))
-			if err != nil {
-				mu.Lock()
-				errs++
-				mu.Unlock()
-				return
-			}
-			defer c.Close()
-			a := bases[ci%len(bases)]
-			h, _, err := c.Factorize(context.Background(), a, sstar.DefaultOptions())
-			if err != nil {
-				mu.Lock()
-				errs++
-				mu.Unlock()
-				return
-			}
-			defer h.Free(context.Background())
-			var nreq, nerr int64
-			b := make([]float64, a.N)
-			wide := make([]float64, a.N*8)
-			for time.Now().Before(deadline) {
-				var err error
-				if rng.Intn(8) == 0 {
-					for i := range wide {
-						wide[i] = 2*rng.Float64() - 1
-					}
-					_, _, err = h.SolveMany(context.Background(), wide, 8)
-				} else {
-					for i := range b {
-						b[i] = 2*rng.Float64() - 1
-					}
-					_, _, err = h.Solve(context.Background(), b)
-				}
-				nreq++
-				if err != nil {
-					nerr++
-				}
-			}
-			mu.Lock()
-			requests += nreq
-			errs += nerr
-			mu.Unlock()
-		}(ci)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rst := r.Stats()
-	var replications int64
-	for i := range servers {
-		replications += servers[i].Stats().Replications
-	}
-	run := clusterRun{
-		Shards:       n,
-		Requests:     requests,
-		Errors:       errs,
-		ElapsedS:     elapsed.Seconds(),
-		Failovers:    rst.Failovers,
-		Scatters:     rst.Scatters,
-		Replications: replications,
-	}
-	if elapsed > 0 {
-		run.RPS = float64(requests) / elapsed.Seconds()
-	}
-	return run
+	log.Printf("sstar-load: %d requests in %.2fs = %.0f req/s, p50 %.2fms p99 %.2fms, cache hit rate %.0f%%, core split %d workers x %d factor-workers, %d errors",
+		rep.Requests, rep.ElapsedS, rep.ThroughputRPS, rep.Latency.P50ms, rep.Latency.P99ms, 100*rep.Cache.HitRate, st.Workers, st.FactorWorkers, rep.Errors)
 }
 
 func parseMix(s string) [3]int {
@@ -592,249 +375,4 @@ func buildReport(samples []opSample, nerr int, elapsed time.Duration, st server.
 	rep.Cache.HitRate = st.HitRate()
 	rep.Server = st
 	return rep
-}
-
-// churnRound is one kill/rejoin availability measurement.
-type churnRound struct {
-	// FailoverMs: victim owner killed -> first successful solve of a
-	// structure it owned (client retry falls back to the router, which fails
-	// over to the replica). This is the user-visible outage.
-	FailoverMs float64 `json:"failover_ms"`
-	// RepairMs: kill -> survivors' manifests match ring placement again
-	// (replica promoted to owner, every key back at min(R, live) copies).
-	RepairMs float64 `json:"repair_ms"`
-	// RejoinConvergedMs: fresh member booted with -cluster-join on the dead
-	// member's address -> full fleet agrees on membership and placement is
-	// repaired (keys moved onto the rejoined member, strays dropped).
-	RejoinConvergedMs float64 `json:"rejoin_converged_ms"`
-}
-
-// churnBenchNode is one mutable fleet member of the availability bench.
-type churnBenchNode struct {
-	addr string
-	srv  *server.Server
-	sh   *cluster.Shard
-}
-
-// runChurnBench boots a 3-shard self-healing fleet behind a router, spreads
-// structures over it, then repeatedly kills the owner of a live structure
-// mid-workload and rejoins a fresh member on its address, recording the
-// availability timeline of each round into an "availability" section.
-func runChurnBench(rounds, patterns, nx int, outPath string) {
-	const (
-		shards    = 3
-		heartbeat = 50 * time.Millisecond
-		repair    = 200 * time.Millisecond
-	)
-	boot := func(addr string, peers []string, join string) *churnBenchNode {
-		l, err := net.Listen("tcp", addr)
-		if err != nil {
-			log.Fatalf("sstar-load: %v", err)
-		}
-		sh, err := cluster.NewShard(cluster.ShardConfig{
-			Self:              l.Addr().String(),
-			Peers:             peers,
-			Join:              join,
-			HeartbeatInterval: heartbeat,
-			RepairInterval:    repair,
-		})
-		if err != nil {
-			log.Fatalf("sstar-load: %v", err)
-		}
-		s := server.New(server.Config{Workers: 2, Cluster: sh})
-		sh.Bind(s)
-		go s.Serve(l)
-		return &churnBenchNode{addr: l.Addr().String(), srv: s, sh: sh}
-	}
-
-	listeners := make([]net.Listener, shards)
-	peers := make([]string, shards)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatalf("sstar-load: %v", err)
-		}
-		listeners[i] = l
-		peers[i] = l.Addr().String()
-	}
-	nodes := make(map[string]*churnBenchNode, shards)
-	for i := range listeners {
-		sh, err := cluster.NewShard(cluster.ShardConfig{
-			Self:              peers[i],
-			Peers:             peers,
-			HeartbeatInterval: heartbeat,
-			RepairInterval:    repair,
-		})
-		if err != nil {
-			log.Fatalf("sstar-load: %v", err)
-		}
-		s := server.New(server.Config{Workers: 2, Cluster: sh})
-		sh.Bind(s)
-		go s.Serve(listeners[i])
-		nodes[peers[i]] = &churnBenchNode{addr: peers[i], srv: s, sh: sh}
-	}
-	r, err := cluster.NewRouter(cluster.RouterConfig{Shards: peers})
-	if err != nil {
-		log.Fatalf("sstar-load: %v", err)
-	}
-	rl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatalf("sstar-load: %v", err)
-	}
-	go r.Serve(rl)
-	defer func() {
-		r.Close()
-		for _, n := range nodes {
-			n.srv.Close()
-			n.sh.Close()
-		}
-	}()
-
-	liveShards := func() []*cluster.Shard {
-		out := make([]*cluster.Shard, 0, len(nodes))
-		for _, n := range nodes {
-			out = append(out, n.sh)
-		}
-		return out
-	}
-	anyLive := func() *churnBenchNode {
-		for _, n := range nodes {
-			return n
-		}
-		log.Fatal("sstar-load: no live members")
-		return nil
-	}
-	waitUntil := func(what string, cond func() bool) time.Duration {
-		start := time.Now()
-		deadline := start.Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return time.Since(start)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		log.Fatalf("sstar-load: timed out waiting for %s", what)
-		return 0
-	}
-	converged := func(want int) bool {
-		shs := liveShards()
-		for _, sh := range shs {
-			if len(sh.Members()) != want {
-				return false
-			}
-		}
-		return len(cluster.PlacementViolations(shs)) == 0
-	}
-
-	c, err := client.Dial("tcp", rl.Addr().String(), client.WithRetry(client.DefaultRetryPolicy()))
-	if err != nil {
-		log.Fatalf("sstar-load: %v", err)
-	}
-	defer c.Close()
-	if patterns < 2 {
-		patterns = 2
-	}
-	handles := make([]*client.Handle, patterns)
-	rhs := make([][]float64, patterns)
-	for p := range handles {
-		a := sstar.GenGrid2D(nx+p, nx, p%2 == 1, sstar.GenOptions{Seed: int64(p + 1), Convection: 0.2})
-		h, _, err := c.Factorize(context.Background(), a, sstar.DefaultOptions())
-		if err != nil {
-			log.Fatalf("sstar-load: factorize %d: %v", p, err)
-		}
-		handles[p] = h
-		rhs[p] = make([]float64, a.N)
-		for i := range rhs[p] {
-			rhs[p][i] = 1 + float64(i%7)
-		}
-	}
-	waitUntil("initial replication", func() bool { return converged(shards) })
-
-	solveRetrying := func(p int) time.Duration {
-		start := time.Now()
-		deadline := start.Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			if _, _, err := handles[p].Solve(context.Background(), rhs[p]); err == nil {
-				return time.Since(start)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		log.Fatalf("sstar-load: solve %d never recovered", p)
-		return 0
-	}
-
-	var results []churnRound
-	for round := 0; round < rounds; round++ {
-		// A light background workload so the kill lands mid-traffic.
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					solveRetrying(1 % patterns)
-				}
-			}
-		}()
-
-		victim := anyLive().sh.Owner(handles[0].Key())
-		n := nodes[victim]
-		if n == nil {
-			log.Fatalf("sstar-load: owner %s of the hot structure is not live", victim)
-		}
-		delete(nodes, victim)
-		n.srv.Close()
-		n.sh.Close()
-		failover := solveRetrying(0)
-		repairD := waitUntil("post-kill repair", func() bool { return converged(shards - 1) })
-
-		rejoinStart := time.Now()
-		nodes[victim] = boot(victim, nil, anyLive().addr)
-		waitUntil("rejoin convergence", func() bool { return converged(shards) })
-		rejoinD := time.Since(rejoinStart)
-
-		close(stop)
-		wg.Wait()
-		// repairD was measured from when the wait began (after the failover
-		// solve), so the kill-relative figure adds the failover window.
-		rr := churnRound{
-			FailoverMs:        float64(failover.Microseconds()) / 1e3,
-			RepairMs:          float64((failover + repairD).Microseconds()) / 1e3,
-			RejoinConvergedMs: float64(rejoinD.Microseconds()) / 1e3,
-		}
-		results = append(results, rr)
-		log.Printf("sstar-load: churn round %d: failover %.1fms, repair %.1fms, rejoin-converged %.1fms",
-			round, rr.FailoverMs, rr.RepairMs, rr.RejoinConvergedMs)
-	}
-
-	section := map[string]any{
-		"config": map[string]any{
-			"shards":    shards,
-			"rounds":    rounds,
-			"patterns":  patterns,
-			"nx":        nx,
-			"heartbeat": heartbeat.String(),
-			"repair":    repair.String(),
-		},
-		"rounds_data": results,
-		"note":        "in-process fleet; failover_ms is kill -> first successful solve of a structure the victim owned, repair_ms is kill -> survivors' manifests match placement (replica promoted, R restored), rejoin_converged_ms is join -> full-fleet agreement with empty manifest diff",
-	}
-	doc := map[string]any{}
-	if data, err := os.ReadFile(outPath); err == nil {
-		json.Unmarshal(data, &doc)
-	}
-	doc["availability"] = section
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		log.Fatalf("sstar-load: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		log.Fatalf("sstar-load: %v", err)
-	}
-	log.Printf("sstar-load: availability section merged into %s", outPath)
 }

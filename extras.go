@@ -71,27 +71,21 @@ type SolveStats struct {
 }
 
 // SolveDistributed solves A x = b on the virtual machine with the factors
-// distributed across the processors of the preceding FactorizeParallel run:
-// 1D mappings run the fan-in solver over the factorization's own column-block
-// owners, 2D mappings the block-cyclic 2D solver on the same grid. It
-// demonstrates the paper's remark that the triangular solves cost far less
-// than the factorization. On a Factorization produced by the sequential
-// Factorize it models a single-processor solve.
+// distributed as the preceding Options.Procs > 0 run left them: over the
+// factorization's own column-block owners under the 1D mappings,
+// block-cyclically on the same grid under the 2D ones. It demonstrates the
+// paper's remark that the triangular solves cost far less than the
+// factorization. On a Factorization produced by a host Factorize it models a
+// single-processor solve.
 func (f *Factorization) SolveDistributed(b []float64) ([]float64, *SolveStats, error) {
 	if len(b) != f.sym.N {
 		return nil, nil, fmt.Errorf("sstar: rhs length %d, want %d", len(b), f.sym.N)
 	}
-	var res *core.SolveResult
-	var err error
-	switch {
-	case f.parGrid[0] > 0:
-		res, err = core.SolvePar2D(f.fact, f.parGrid[0], f.parGrid[1], f.parModel, b)
-	case f.parOwner != nil:
-		res, err = core.SolvePar1D(f.fact, f.parOwner, f.parProcs, f.parModel, b)
-	default:
-		owner := make([]int, f.sym.Partition.NB)
-		res, err = core.SolvePar1D(f.fact, owner, 1, machine.T3E(), b)
+	nproc, at, model := f.parProcs, f.parAt, f.parModel
+	if at == nil {
+		nproc, at, model = 1, func(_, _ int) int { return 0 }, machine.T3E()
 	}
+	res, err := core.SolvePar(f.fact, nproc, at, model, b)
 	if err != nil {
 		return nil, nil, err
 	}

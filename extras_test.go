@@ -123,7 +123,7 @@ func TestSolveDistributed(t *testing.T) {
 	a := GenGrid2D(12, 12, false, GenOptions{Seed: 72, WeakDiagFraction: 0.1})
 	b := rhs(a.N, 73)
 	for _, mapping := range []Mapping{Map1DCA, Map1DRAPID, Map2D} {
-		f, _, err := FactorizeParallel(a, ParOptions{Options: DefaultOptions(), Procs: 4, Mapping: mapping})
+		f, err := Factorize(a, Options{Procs: 4, Mapping: mapping})
 		if err != nil {
 			t.Fatal(err)
 		}

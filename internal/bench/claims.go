@@ -178,7 +178,8 @@ func SolveCost(cfg Config, nproc int) (*Table, error) {
 		for i := range b {
 			b[i] = 1
 		}
-		sr, err := core.SolvePar1D(res.Fact, s.Owner, nproc, effModel(model, p.sym), b)
+		at := func(_, j int) int { return s.Owner[j] }
+		sr, err := core.SolvePar(res.Fact, nproc, at, effModel(model, p.sym), b)
 		if err != nil {
 			return nil, err
 		}

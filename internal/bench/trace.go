@@ -57,12 +57,17 @@ func TraceRun(cfg Config, matrixName string, workers int, path string) (*TraceSu
 	if err := f.Close(); err != nil {
 		return nil, err
 	}
+	// One Factor(k) per panel plus one Update(k, j) per U block.
+	tasks := sym.Partition.NB
+	for _, ub := range sym.Partition.UBlocks {
+		tasks += len(ub)
+	}
 	return &TraceSummary{
 		Matrix:  matrixName,
 		Order:   a.N,
 		Nnz:     a.Nnz(),
 		Workers: workers,
-		Tasks:   hostparTaskCount(sym.Partition.NB, sym),
+		Tasks:   tasks,
 		Seconds: sec,
 		Spans:   tr.Len(),
 		Dropped: tr.Dropped(),

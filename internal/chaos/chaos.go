@@ -9,14 +9,11 @@
 // connections differently, but each connection sees the same fault sequence
 // for the same sequence of reads and writes.)
 //
-// Two deployment shapes share the same fault engine:
-//
-//   - WrapListener wraps a net.Listener in-process, injecting faults into
-//     every accepted connection — the cheap harness for package tests;
-//   - Proxy is a standalone TCP relay (cmd/sstar-chaos) that sits between a
-//     real client and a real server, injecting faults into the client side of
-//     the relay while leaving the upstream dial intact, so a server restart
-//     behind the proxy is survivable: new connections re-dial upstream.
+// Proxy is a TCP relay (standalone as cmd/sstar-chaos, in-process in the e2e
+// tests) that sits between a real client and a real server, injecting faults
+// into the client side of the relay while leaving the upstream dial intact,
+// so a server restart behind the proxy is survivable: new connections re-dial
+// upstream.
 //
 // The wire package's CRC-32 framing is the detection counterpart: a corrupted
 // byte becomes a checksum error, a truncated frame an io.ErrUnexpectedEOF —
@@ -78,8 +75,8 @@ type Conn struct {
 }
 
 // WrapConn wraps conn with faults drawn from cfg. streamID differentiates
-// the PRNG streams of connections sharing one Config (WrapListener and Proxy
-// use an accept counter).
+// the PRNG streams of connections sharing one Config (Proxy uses an accept
+// counter).
 func WrapConn(conn net.Conn, cfg Config, streamID int64) *Conn {
 	// Distinct deterministic streams per connection and direction.
 	base := cfg.Seed + 1000003*streamID
@@ -176,30 +173,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 		return written, nil
 	}
 	return c.Conn.Write(p)
-}
-
-// Listener wraps a net.Listener so every accepted connection carries fault
-// injection. Create with WrapListener.
-type Listener struct {
-	net.Listener
-	cfg Config
-	seq atomic.Int64
-}
-
-// WrapListener returns l with every accepted connection wrapped in a fault-
-// injecting Conn. Connection PRNG streams are derived from cfg.Seed and the
-// accept order.
-func WrapListener(l net.Listener, cfg Config) *Listener {
-	return &Listener{Listener: l, cfg: cfg}
-}
-
-// Accept accepts from the underlying listener and wraps the connection.
-func (l *Listener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return WrapConn(conn, l.cfg, l.seq.Add(1)), nil
 }
 
 // Proxy is a fault-injecting TCP relay: it accepts client connections,

@@ -212,7 +212,3 @@ func errNB(p *supernode.Partition) error {
 	}
 	return nil
 }
-
-// scheduleGraph exposes the task graph used by the schedulers (test and
-// tooling helper).
-func scheduleGraph(sym *Symbolic) *taskgraph.Graph { return taskgraph.Build(sym.Partition) }

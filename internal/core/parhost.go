@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -243,7 +242,3 @@ func (h *taskHeap) swap(i, j int) {
 	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
 	h.prio[i], h.prio[j] = h.prio[j], h.prio[i]
 }
-
-// DefaultHostWorkers is the worker count FactorizeHost callers should use
-// when they want "all the cores": the scheduler's view of the CPU count.
-func DefaultHostWorkers() int { return runtime.NumCPU() }

@@ -1,17 +1,16 @@
 package core
 
 import (
-	"sort"
-
 	"sstar/internal/machine"
-	"sstar/internal/supernode"
 	"sstar/internal/xblas"
 )
 
 // Tag kinds of the distributed triangular solver.
 const (
-	tagFwdContrib uint8 = iota + 32
+	tagFwdY uint8 = iota + 48
+	tagFwdContrib
 	tagFwdSwap
+	tagBwdX
 	tagBwdContrib
 )
 
@@ -23,15 +22,22 @@ type SolveResult struct {
 	SentMessages int64
 }
 
-// SolvePar1D solves A x = b on the virtual machine with the factors
-// distributed by block column: owner[j] names the processor holding block
-// column j (use the owner map of the schedule that produced the
-// factorization). The forward sweep interleaves the panel pivot exchanges
-// with fan-in contribution messages exactly as the sequential solve does, so
-// the result matches the sequential Solve; the backward sweep is a pure
-// fan-in. The returned parallel time demonstrates the paper's remark that the
-// triangular solvers are much cheaper than the factorization.
-func SolvePar1D(f *Factorization, owner []int, nproc int, model machine.Model, b []float64) (*SolveResult, error) {
+// SolvePar solves A x = b on the virtual machine with the factors distributed
+// by the ownership rule at: block (i, j) lives at processor at(i, j), solution
+// segment k at the owner of diagonal block k. The 1D column-block codes leave
+// the factors at at(i, j) = owner[j] (the owner map of the schedule that
+// produced the factorization), the 2D codes at (i mod pr)*pc + j mod pc.
+//
+// Forward sweep per panel k: the pivot interchanges exchange scalars between
+// the diagonal owners involved, interleaved with the eliminations exactly as
+// the sequential solve does; the diagonal owner solves against L_kk and
+// multicasts the segment to the other holders of column k's L blocks (none
+// under a column rule); each holder of an L block (i, k) computes its
+// contribution and ships it to the diagonal owner of panel i. The backward
+// sweep mirrors this through the U blocks. The returned parallel time
+// demonstrates the paper's remark that the triangular solvers are much
+// cheaper than the factorization.
+func SolvePar(f *Factorization, nproc int, at func(i, j int) int, model machine.Model, b []float64) (*SolveResult, error) {
 	sym := f.Sym
 	p := sym.Partition
 	bm := f.BM
@@ -43,109 +49,143 @@ func SolvePar1D(f *Factorization, owner []int, nproc int, model machine.Model, b
 	for i := 0; i < n; i++ {
 		y[sym.RowPerm[i]] = b[i]
 	}
+	// Static per-column structure: the holders of column k's L and U blocks
+	// (the multicast targets of segment k) and uRows[k], the row blocks i of
+	// its U blocks in ascending order — the transpose of p.UBlocks, built
+	// once so that no processor scans BlockAt(i, k) over every i < k.
+	lHolders := make([][]int, p.NB)
+	uHolders := make([][]int, p.NB)
+	uRows := make([][]int, p.NB)
+	for k := 0; k < p.NB; k++ {
+		for _, ib := range p.LBlocks[k] {
+			lHolders[k] = appendUniqueInt(lHolders[k], at(int(ib), k))
+		}
+		for _, jb := range p.UBlocks[k] {
+			j := int(jb)
+			uRows[j] = append(uRows[j], k)
+			uHolders[j] = appendUniqueInt(uHolders[j], at(k, j))
+		}
+	}
 
-	// Static event structure: for each panel k, the L target blocks (fan-out
-	// of forward contributions) and U source columns (fan-in of backward
-	// contributions) at block granularity.
 	pt, err := runMachine(mach, func(proc *machine.Proc) {
 		me := proc.ID()
 		// ---- Forward sweep: L y' = P b, panel by panel. ----
 		for k := 0; k < p.NB; k++ {
 			start, end := p.Start[k], p.Start[k+1]
 			s := end - start
-			// 1. Pivot exchanges of panel k (they precede the panel solve).
+			dk := at(k, k)
+			// Pivot exchanges of panel k between the diagonal owners involved
+			// (they precede the panel solve).
 			for m := start; m < end; m++ {
 				t := int(f.Piv[m])
 				if t == m {
 					continue
 				}
 				bt := p.BlockOf[t]
-				ownK, ownT := owner[k] == me, owner[bt] == me
+				dt := at(bt, bt)
 				switch {
-				case ownK && ownT:
+				case me == dk && me == dt:
 					y[m], y[t] = y[t], y[m]
-				case ownK:
-					proc.Send(owner[bt], machine.Tag{Kind: tagFwdSwap, K: k, Aux: m}, 8, y[m])
-					y[m] = proc.Recv(machine.Tag{Src: owner[bt], Kind: tagFwdSwap, K: k, Aux: m}).(float64)
-				case ownT:
-					proc.Send(owner[k], machine.Tag{Kind: tagFwdSwap, K: k, Aux: m}, 8, y[t])
-					y[t] = proc.Recv(machine.Tag{Src: owner[k], Kind: tagFwdSwap, K: k, Aux: m}).(float64)
+				case me == dk:
+					proc.Send(dt, machine.Tag{Kind: tagFwdSwap, K: k, Aux: m}, 8, y[m])
+					y[m] = proc.Recv(machine.Tag{Src: dt, Kind: tagFwdSwap, K: k, Aux: m}).(float64)
+				case me == dt:
+					proc.Send(dk, machine.Tag{Kind: tagFwdSwap, K: k, Aux: m}, 8, y[t])
+					y[t] = proc.Recv(machine.Tag{Src: dk, Kind: tagFwdSwap, K: k, Aux: m}).(float64)
 				}
 			}
-			if owner[k] == me {
-				// 2. Solve the panel against the unit-lower diagonal part.
+			// Diagonal solve against the unit-lower part, then the multicast
+			// of the segment (Multicast skips the sender itself).
+			if me == dk {
 				d := bm.Diag[k]
 				xblas.TrsvLowerUnit(s, d.Data, s, y[start:end])
 				proc.ChargeFlops(0, int64(s)*int64(s-1), 0, 0)
-				// 3. Eliminate: per L block, compute the contribution and
-				// deliver it (locally or by message).
-				for _, lb := range bm.LCol[k] {
-					nc := len(lb.Cols)
-					vals := make([]float64, len(lb.Rows))
-					for r := range lb.Rows {
-						vals[r] = xblas.Dot(lb.Data[r*nc:(r+1)*nc], y[start:end])
-					}
-					proc.ChargeFlops(0, 2*int64(len(lb.Rows))*int64(s), 0, 0)
-					if owner[lb.I] == me {
-						for r, gr := range lb.Rows {
-							y[gr] -= vals[r]
-						}
-					} else {
-						proc.Send(owner[lb.I], machine.Tag{Kind: tagFwdContrib, K: k, Aux: lb.I},
-							8*len(vals), vals)
-					}
+				proc.Multicast(lHolders[k], machine.Tag{Kind: tagFwdY, K: k}, 8*s, nil)
+			}
+			// L-block holders: compute each contribution and deliver it
+			// (locally or by message) to the target panel's diagonal owner.
+			received := me == dk
+			for _, lb := range bm.LCol[k] {
+				if at(lb.I, k) != me {
+					continue
 				}
-			} else {
-				// 3'. Apply the contributions of panel k that target my
-				// panels.
-				for _, myBlk := range myLTargets(p, owner, me, k) {
-					lb := bm.BlockAt(myBlk, k)
-					vals := proc.Recv(machine.Tag{Src: owner[k], Kind: tagFwdContrib, K: k, Aux: myBlk}).([]float64)
+				if !received {
+					proc.Recv(machine.Tag{Src: dk, Kind: tagFwdY, K: k})
+					received = true
+				}
+				nc := len(lb.Cols)
+				vals := make([]float64, len(lb.Rows))
+				for r := range lb.Rows {
+					vals[r] = xblas.Dot(lb.Data[r*nc:(r+1)*nc], y[start:end])
+				}
+				proc.ChargeFlops(0, 2*int64(len(lb.Rows))*int64(s), 0, 0)
+				if dst := at(lb.I, lb.I); dst == me {
 					for r, gr := range lb.Rows {
 						y[gr] -= vals[r]
 					}
-					proc.ChargeFlops(int64(len(vals)), 0, 0, 0)
+				} else {
+					proc.Send(dst, machine.Tag{Kind: tagFwdContrib, K: k, Aux: lb.I}, 8*len(vals), vals)
 				}
+			}
+			// Diagonal owners of later panels: absorb the contributions of
+			// panel k that target them (event order = panel order).
+			for _, ib := range p.LBlocks[k] {
+				i := int(ib)
+				if at(i, i) != me {
+					continue
+				}
+				src := at(i, k)
+				if src == me {
+					continue // applied locally above
+				}
+				lb := bm.BlockAt(i, k)
+				vals := proc.Recv(machine.Tag{Src: src, Kind: tagFwdContrib, K: k, Aux: i}).([]float64)
+				for r, gr := range lb.Rows {
+					y[gr] -= vals[r]
+				}
+				proc.ChargeFlops(int64(len(vals)), 0, 0, 0)
 			}
 		}
 		// ---- Backward sweep: U x = y', panels in reverse. ----
 		for k := p.NB - 1; k >= 0; k-- {
 			start, end := p.Start[k], p.Start[k+1]
 			s := end - start
-			if owner[k] != me {
-				// Send my column blocks' contributions to row k when I own
-				// a later panel j with U_kj nonzero — handled from the
-				// owner[j] side below, nothing to do here.
-				continue
-			}
-			// Collect contributions from later panels (local ones were
-			// applied when those panels were processed — see below), then
-			// remote fan-in sorted by source for determinism.
-			var srcs []int
-			for _, j := range contributorsOfRow(p, k) {
-				if owner[j] != me {
-					srcs = append(srcs, j)
+			dk := at(k, k)
+			if me == dk {
+				// Absorb contributions from later panels, fixed source order
+				// for determinism.
+				for _, jb := range p.UBlocks[k] {
+					j := int(jb)
+					src := at(k, j)
+					if src == me {
+						continue // applied locally below, when panel j ran
+					}
+					vals := proc.Recv(machine.Tag{Src: src, Kind: tagBwdContrib, K: j, Aux: k}).([]float64)
+					for i := 0; i < s; i++ {
+						y[start+i] -= vals[i]
+					}
+					proc.ChargeFlops(int64(s), 0, 0, 0)
 				}
+				// Solve against the upper-triangular diagonal part.
+				d := bm.Diag[k]
+				xblas.TrsvUpper(s, d.Data, s, y[start:end])
+				proc.ChargeFlops(0, int64(s)*int64(s), 0, 0)
+				proc.Multicast(uHolders[k], machine.Tag{Kind: tagBwdX, K: k}, 8*s, nil)
 			}
-			sort.Ints(srcs)
-			for _, j := range srcs {
-				vals := proc.Recv(machine.Tag{Src: owner[j], Kind: tagBwdContrib, K: j, Aux: k}).([]float64)
-				for i := 0; i < s; i++ {
-					y[start+i] -= vals[i]
-				}
-				proc.ChargeFlops(int64(s), 0, 0, 0)
-			}
-			// Solve against the upper-triangular diagonal part.
-			d := bm.Diag[k]
-			xblas.TrsvUpper(s, d.Data, s, y[start:end])
-			proc.ChargeFlops(0, int64(s)*int64(s), 0, 0)
-			// Produce contributions of my panel to earlier row panels: the
-			// U blocks (i, k) live in MY block column k.
-			for i := k - 1; i >= 0; i-- {
-				ub := bm.BlockAt(i, k)
-				if ub == nil {
+			// U-block holders of block column k: compute the contributions to
+			// the earlier row panels i < k, last first, and deliver them to
+			// those panels' diagonal owners.
+			received := me == dk
+			for ri := len(uRows[k]) - 1; ri >= 0; ri-- {
+				i := uRows[k][ri]
+				if at(i, k) != me {
 					continue
 				}
+				if !received {
+					proc.Recv(machine.Tag{Src: dk, Kind: tagBwdX, K: k})
+					received = true
+				}
+				ub := bm.BlockAt(i, k)
 				si := p.Size(i)
 				nc := len(ub.Cols)
 				vals := make([]float64, si)
@@ -158,12 +198,12 @@ func SolvePar1D(f *Factorization, owner []int, nproc int, model machine.Model, b
 					vals[r] = sum
 				}
 				proc.ChargeFlops(0, 2*int64(si)*int64(nc), 0, 0)
-				if owner[i] == me {
+				if dst := at(i, i); dst == me {
 					for r := 0; r < si; r++ {
 						y[p.Start[i]+r] -= vals[r]
 					}
 				} else {
-					proc.Send(owner[i], machine.Tag{Kind: tagBwdContrib, K: k, Aux: i}, 8*si, vals)
+					proc.Send(dst, machine.Tag{Kind: tagBwdContrib, K: k, Aux: i}, 8*si, vals)
 				}
 			}
 		}
@@ -183,25 +223,11 @@ func SolvePar1D(f *Factorization, owner []int, nproc int, model machine.Model, b
 	return &SolveResult{X: x, ParallelTime: pt, SentBytes: bytes, SentMessages: msgs}, nil
 }
 
-// myLTargets lists the row blocks i of the L blocks in column k whose panels
-// the given processor owns, in ascending order (the deterministic receive
-// order of the forward sweep).
-func myLTargets(p *supernode.Partition, owner []int, me, k int) []int {
-	var out []int
-	for _, ib := range p.LBlocks[k] {
-		if owner[ib] == me {
-			out = append(out, int(ib))
+func appendUniqueInt(xs []int, v int) []int {
+	for _, x := range xs {
+		if x == v {
+			return xs
 		}
 	}
-	return out
-}
-
-// contributorsOfRow lists the panels j > k with U_kj nonzero (the backward
-// fan-in sources of panel k).
-func contributorsOfRow(p *supernode.Partition, k int) []int {
-	out := make([]int, len(p.UBlocks[k]))
-	for i, jb := range p.UBlocks[k] {
-		out[i] = int(jb)
-	}
-	return out
+	return append(xs, v)
 }

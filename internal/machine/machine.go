@@ -261,18 +261,6 @@ func (m *Machine) Run(body func(p *Proc)) float64 {
 	return max
 }
 
-// MaxClock returns the current maximum clock across processors (valid after
-// Run returns).
-func (m *Machine) MaxClock() float64 {
-	max := 0.0
-	for _, p := range m.procs {
-		if p.clock > max {
-			max = p.clock
-		}
-	}
-	return max
-}
-
 // BufferHighWater returns the largest number of bytes of undelivered messages
 // buffered at any single processor during the run — the empirical counterpart
 // of the paper's Cbuffer/Rbuffer analysis (Theorem 2).

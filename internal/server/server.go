@@ -884,11 +884,6 @@ func (s *Server) ExportHandle(id uint64) (ev StoredEvent, ok bool) {
 // removing a stray whose copies are confirmed on the responsible shards.
 func (s *Server) DropHandle(id uint64) bool { return s.reg.drop(id) }
 
-// InstallAnalysis inserts an analysis into the structure-keyed cache — the
-// receiving end of analysis replication, exposed for the cluster layer and
-// for warm-start tooling.
-func (s *Server) InstallAnalysis(an *sstar.Analysis) { s.cache.add(an.Key(), an) }
-
 // Stats snapshots the server counters.
 func (s *Server) Stats() ServerStats {
 	hit, miss, entries := s.cache.counters()

@@ -34,8 +34,7 @@ import (
 )
 
 // Cost-model constants. The efficiency curve is calibrated against the
-// tracked kernel benchmark (BENCH_kernels.json): the packed GEMM engine
-// reaches roughly half its asymptotic rate around k ≈ 12 and ~90% by k ≈ 96.
+// measured GEMM rate by inner dimension: the packed GEMM engine reaches roughly half its asymptotic rate around k ≈ 12 and ~90% by k ≈ 96.
 // These are deliberately plain constants, not measured at runtime: the
 // chooser must be a pure function of the structure so a cached analysis is
 // reproducible across processes.
@@ -48,8 +47,9 @@ const (
 
 	// widthHalf is the panel width at which the dense kernels reach half
 	// their asymptotic rate: eff(s) = s / (s + widthHalf). Least-squares
-	// fit of the measured gemm GFLOP/s curve of BENCH_kernels.json
-	// (6.1 at k=8 through 30.4 at k=128) gives h ≈ 38.
+	// fit of a measured gemm GFLOP/s curve (6.1 at k=8 through 30.4 at
+	// k=128) gives h ≈ 38; the curve to re-fit against is the benchmark's
+	// xblas.gemm_gflops_{16,32,64,128} (go run ./benchmark, traced run).
 	widthHalf = 38.0
 
 	// panelOverhead is the fixed per-panel cost in flop-equivalents: task

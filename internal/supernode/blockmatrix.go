@@ -23,9 +23,6 @@ type Block struct {
 	Data []float64
 }
 
-// NumRows returns the packed row count.
-func (b *Block) NumRows() int { return len(b.Rows) }
-
 // NumCols returns the packed column count.
 func (b *Block) NumCols() int { return len(b.Cols) }
 

@@ -8,9 +8,9 @@ import (
 
 // Kernel micro-benchmarks at representative supernode block sizes (the
 // paper's BSIZE=25 panels, amalgamated panels up to ~128). b.ReportMetric
-// publishes GFLOP/s so `go test -bench` output doubles as a perf tracker;
-// cmd/sstar-bench -experiment kernels records the same quantities in
-// BENCH_kernels.json.
+// publishes GFLOP/s so `go test -bench` output doubles as a perf tracker
+// while working on a kernel; the tracked numbers are the benchmark's
+// xblas.*_gflops_* metrics (go run ./benchmark, traced run).
 
 var gemmBenchSizes = []int{8, 16, 25, 32, 64, 128}
 

@@ -169,11 +169,12 @@ type Factorization struct {
 	patHash uint64
 	patNnz  int
 
-	// Distribution of a parallel run, kept for SolveDistributed.
-	parOwner []int
+	// Distribution of a parallel run, kept for SolveDistributed: block
+	// (i, j) of the factors lives at processor parAt(i, j) of parProcs.
+	// nil for host factorizations.
+	parAt    func(i, j int) int
 	parProcs int
 	parModel machine.Model
-	parGrid  [2]int // pr x pc when the run used the 2D codes
 
 	// runStats holds the modeled execution statistics when the
 	// factorization came from the virtual-machine path (Options.Procs > 0);
@@ -345,21 +346,6 @@ const (
 	Map2DSync Mapping = "2d-sync"
 )
 
-// ParOptions configures a parallel factorization on the virtual machine.
-//
-// Deprecated: the split is folded into Options — set Options.Procs,
-// Options.Machine, Options.Mapping and Options.TraceParallel directly and
-// call Factorize.
-type ParOptions struct {
-	Options
-	Procs   int
-	Machine MachineName
-	Mapping Mapping
-	// Trace records per-processor task spans on the virtual timelines
-	// (Gantt-style observability; modeled times are unaffected).
-	Trace bool
-}
-
 // RunStats reports the modeled execution of a parallel factorization.
 type RunStats struct {
 	// ParallelTime is the modeled (virtual) wall-clock of the run in
@@ -389,28 +375,6 @@ func model(name MachineName) (machine.Model, error) {
 	}
 }
 
-// FactorizeParallel analyzes and factorizes a on the virtual distributed
-// machine, returning the factors (usable with Solve) plus run statistics.
-//
-// Deprecated: there is one factorize entrypoint — set Options.Procs (plus
-// Machine/Mapping/TraceParallel) and call Factorize; the modeled statistics
-// are available from Factorization.RunStats.
-func FactorizeParallel(a *Matrix, o ParOptions) (*Factorization, *RunStats, error) {
-	opts := o.Options
-	opts.Procs = o.Procs
-	if opts.Procs <= 0 {
-		opts.Procs = 1
-	}
-	opts.Machine = o.Machine
-	opts.Mapping = o.Mapping
-	opts.TraceParallel = o.Trace
-	f, err := Factorize(a, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f.RunStats(), nil
-}
-
 // factorizeVirtual is the Options.Procs > 0 arm of Factorize: the full
 // virtual-machine run, with the modeled statistics attached to the returned
 // Factorization.
@@ -430,26 +394,29 @@ func factorizeVirtual(a *Matrix, o Options) (*Factorization, error) {
 	if o.TraceParallel {
 		runOpts = append(runOpts, core.WithTracing())
 	}
+	// The factor codes leave block (i, j) at processor at(i, j) of nproc:
+	// the 1D codes at the schedule's owner of block column j, the 2D codes
+	// block-cyclically on the pr x pc grid (which may use fewer than
+	// o.Procs processors).
 	var res *core.ParResult
-	var owner []int
-	var grid [2]int
+	var at func(i, j int) int
+	nproc := o.Procs
 	switch o.Mapping {
 	case Map1DCA:
 		s := core.ScheduleCA(sym, o.Procs)
-		owner = s.Owner
+		owner := s.Owner // the closure outlives the schedule
+		at = func(_, j int) int { return owner[j] }
 		res, err = core.Factorize1D(a, sym, m, s, runOpts...)
 	case Map1DRAPID:
 		s := core.ScheduleRAPID(sym, o.Procs, m)
-		owner = s.Owner
+		owner := s.Owner
+		at = func(_, j int) int { return owner[j] }
 		res, err = core.Factorize1D(a, sym, m, s, runOpts...)
-	case Map2D, "":
+	case Map2D, Map2DSync, "":
 		pr, pc := core.GridShape(o.Procs)
-		grid = [2]int{pr, pc}
-		res, err = core.Factorize2D(a, sym, m, pr, pc, true, runOpts...)
-	case Map2DSync:
-		pr, pc := core.GridShape(o.Procs)
-		grid = [2]int{pr, pc}
-		res, err = core.Factorize2D(a, sym, m, pr, pc, false, runOpts...)
+		at = func(i, j int) int { return i%pr*pc + j%pc }
+		nproc = pr * pc
+		res, err = core.Factorize2D(a, sym, m, pr, pc, o.Mapping != Map2DSync, runOpts...)
 	default:
 		return nil, fmt.Errorf("sstar: unknown mapping %q", o.Mapping)
 	}
@@ -480,7 +447,7 @@ func factorizeVirtual(a *Matrix, o Options) (*Factorization, error) {
 	return &Factorization{
 		sym: sym, fact: res.Fact,
 		patHash: patternHash(a), patNnz: a.Nnz(),
-		parOwner: owner, parProcs: o.Procs, parModel: m, parGrid: grid,
+		parAt: at, parProcs: nproc, parModel: m,
 		runStats: stats,
 	}, nil
 }

@@ -105,20 +105,16 @@ func TestSolveLengthCheck(t *testing.T) {
 	}
 }
 
-func TestFactorizeParallelAllMappings(t *testing.T) {
+func TestFactorizeVirtualAllMappings(t *testing.T) {
 	a := GenGrid2D(12, 12, false, GenOptions{Seed: 6, Convection: 0.4})
 	b := rhs(a.N, 7)
 	var ref []float64
 	for _, mapping := range []Mapping{Map1DCA, Map1DRAPID, Map2D, Map2DSync} {
-		f, stats, err := FactorizeParallel(a, ParOptions{
-			Options: DefaultOptions(),
-			Procs:   4,
-			Machine: T3E,
-			Mapping: mapping,
-		})
+		f, err := Factorize(a, Options{Procs: 4, Machine: T3E, Mapping: mapping})
 		if err != nil {
 			t.Fatalf("%s: %v", mapping, err)
 		}
+		stats := f.RunStats()
 		x, err := f.Solve(b)
 		if err != nil {
 			t.Fatal(err)
@@ -142,8 +138,8 @@ func TestFactorizeParallelAllMappings(t *testing.T) {
 }
 
 // TestFactorizeVirtualFold: the folded surface — Options.Procs routes
-// Factorize through the virtual machine, RunStats surfaces the modeled
-// statistics, and the deprecated FactorizeParallel wrapper agrees with it.
+// Factorize through the virtual machine and RunStats surfaces the modeled
+// statistics.
 func TestFactorizeVirtualFold(t *testing.T) {
 	a := GenGrid2D(12, 12, false, GenOptions{Seed: 6, Convection: 0.4})
 	b := rhs(a.N, 7)
@@ -172,35 +168,18 @@ func TestFactorizeVirtualFold(t *testing.T) {
 	if fh.RunStats() != nil {
 		t.Fatal("host-path factorization has virtual RunStats")
 	}
-	// The deprecated wrapper is a thin alias for the folded options.
-	fw, ws, err := FactorizeParallel(a, ParOptions{Options: DefaultOptions(), Procs: 4, Machine: T3E, Mapping: Map2D})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws == nil || ws.ParallelTime != stats.ParallelTime || ws.SentBytes != stats.SentBytes {
-		t.Fatalf("wrapper stats diverge: %+v vs %+v", ws, stats)
-	}
-	xw, err := fw.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if x[i] != xw[i] {
-			t.Fatalf("wrapper solution differs at %d", i)
-		}
-	}
 }
 
-func TestFactorizeParallelValidation(t *testing.T) {
+func TestFactorizeVirtualValidation(t *testing.T) {
 	a := GenDense(20, 8)
-	if _, _, err := FactorizeParallel(a, ParOptions{Procs: 2, Machine: "vax"}); err == nil {
+	if _, err := Factorize(a, Options{Procs: 2, Machine: "vax"}); err == nil {
 		t.Fatal("expected unknown machine error")
 	}
-	if _, _, err := FactorizeParallel(a, ParOptions{Procs: 2, Mapping: "3d"}); err == nil {
+	if _, err := Factorize(a, Options{Procs: 2, Mapping: "3d"}); err == nil {
 		t.Fatal("expected unknown mapping error")
 	}
-	// Defaults: procs<=0 -> 1, empty machine/mapping -> T3E 2D.
-	if _, stats, err := FactorizeParallel(a, ParOptions{}); err != nil || stats.ParallelTime <= 0 {
+	// Defaults: empty machine/mapping -> T3E 2D.
+	if f, err := Factorize(a, Options{Procs: 1}); err != nil || f.RunStats().ParallelTime <= 0 {
 		t.Fatalf("defaulted run failed: %v", err)
 	}
 }
@@ -243,7 +222,7 @@ func TestValidateRejectsDegenerateInputs(t *testing.T) {
 		t.Fatal("expected empty-matrix rejection")
 	}
 	// Parallel path validates too.
-	if _, _, err := FactorizeParallel(coo.ToCSR(), ParOptions{Procs: 2}); err == nil {
+	if _, err := Factorize(coo.ToCSR(), Options{Procs: 2}); err == nil {
 		t.Fatal("expected parallel-path rejection")
 	}
 }
