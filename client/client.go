@@ -39,14 +39,10 @@ package client
 
 import (
 	"context"
-	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"sstar"
 	"sstar/internal/server"
-	"sstar/internal/wire"
 )
 
 // RequestStats is the server's per-request cost split (queue wait,
@@ -61,13 +57,13 @@ type ServerStats = server.ServerStats
 type Option func(*Client)
 
 // WithMaxIdle caps the pooled idle connections (default 4).
-func WithMaxIdle(n int) Option { return func(c *Client) { c.maxIdle = n } }
+func WithMaxIdle(n int) Option { return func(c *Client) { c.pool.MaxIdle = n } }
 
-// WithDialTimeout bounds each dial (default 5s).
-func WithDialTimeout(d time.Duration) Option { return func(c *Client) { c.dialTimeout = d } }
+// WithDialTimeout bounds each dial, handshake included (default 5s).
+func WithDialTimeout(d time.Duration) Option { return func(c *Client) { c.pool.DialTimeout = d } }
 
 // WithMaxFrame caps an incoming response frame (default wire.DefaultMaxPayload).
-func WithMaxFrame(n int) Option { return func(c *Client) { c.maxFrame = n } }
+func WithMaxFrame(n int) Option { return func(c *Client) { c.pool.MaxFrame = n } }
 
 // WithRetry makes the client retry failed round trips under p — see
 // RetryPolicy for exactly what is safe to retry and why. Without this option
@@ -87,27 +83,17 @@ func WithTenant(tenant string) Option { return func(c *Client) { c.tenant = tena
 // the client follows the redirect transparently, dialing and pooling the new
 // address alongside the primary (see Metrics.Redirects).
 type Client struct {
-	network, addr string
-	maxIdle       int
-	maxFrame      int
-	dialTimeout   time.Duration
-	retry         RetryPolicy
-	tenant        string
+	addr   string
+	retry  RetryPolicy
+	tenant string
 
-	// shared is the pool and counter state every tenant-derived view of this
-	// client (ForTenant) has in common; the view copies the config fields
-	// above and aliases this.
-	*shared
-}
-
-// shared is the state common to a Client and all its ForTenant views: the
-// per-address connection pool and the client metrics.
-type shared struct {
-	mu     sync.Mutex
-	idle   map[string][]net.Conn // per target address
-	closed bool
-
-	met clientMetrics
+	// pool and met are shared by every tenant-derived view of this client
+	// (ForTenant): the view copies the fields above and aliases these. The
+	// pool owns the wire conversation — dialing, handshake, deadlines, the
+	// stale-connection redial; the client adds retry, redirect and metrics
+	// policy on top.
+	pool *server.Pool
+	met  *clientMetrics
 }
 
 // Dial returns a client for the service at addr ("tcp", "host:port" or
@@ -115,22 +101,13 @@ type shared struct {
 // handshaked eagerly so a wrong address or incompatible server fails here,
 // not on the first request.
 func Dial(network, addr string, opts ...Option) (*Client, error) {
-	c := &Client{
-		network:     network,
-		addr:        addr,
-		maxIdle:     4,
-		maxFrame:    wire.DefaultMaxPayload,
-		dialTimeout: 5 * time.Second,
-		shared:      &shared{idle: make(map[string][]net.Conn)},
-	}
+	c := &Client{addr: addr, pool: &server.Pool{Network: network}, met: new(clientMetrics)}
 	for _, o := range opts {
 		o(c)
 	}
-	conn, err := c.dial(addr)
-	if err != nil {
+	if err := c.pool.Connect(context.TODO(), addr); err != nil {
 		return nil, err
 	}
-	c.put(addr, conn)
 	return c, nil
 }
 
@@ -145,91 +122,23 @@ func (c *Client) ForTenant(tenant string) *Client {
 	return &view
 }
 
-// dial opens and handshakes a fresh connection to addr (the primary, or a
-// shard a cluster redirect pointed at).
-func (c *Client) dial(addr string) (net.Conn, error) {
-	c.met.dials.Add(1)
-	conn, err := net.DialTimeout(c.network, addr, c.dialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial %s %s: %w", c.network, addr, err)
-	}
-	if err := wire.WriteGob(conn, server.FrameHello, server.Hello{Magic: server.ProtoMagic, Version: server.ProtoVersion}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	var hello server.Hello
-	if err := wire.ReadGob(conn, server.FrameHello, 1<<16, &hello); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("client: handshake: %w", err)
-	}
-	if hello.Magic != server.ProtoMagic || hello.Version != server.ProtoVersion {
-		conn.Close()
-		return nil, fmt.Errorf("client: server speaks %q v%d, want %q v%d", hello.Magic, hello.Version, server.ProtoMagic, server.ProtoVersion)
-	}
-	return conn, nil
-}
-
-// get pops an idle connection to addr or dials a new one. reused reports
-// which: a pooled connection may have died since it was pooled (a server
-// restart, an idle timeout on a middlebox), so failures on it are eligible
-// for one transparent redial (see doRoundTrip).
-func (c *Client) get(addr string) (conn net.Conn, reused bool, err error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, false, fmt.Errorf("client: closed")
-	}
-	if conns := c.idle[addr]; len(conns) > 0 {
-		conn := conns[len(conns)-1]
-		c.idle[addr] = conns[:len(conns)-1]
-		c.mu.Unlock()
-		c.met.reused.Add(1)
-		return conn, true, nil
-	}
-	c.mu.Unlock()
-	conn, err = c.dial(addr)
-	return conn, false, err
-}
-
-// put returns a healthy connection to addr's pool (or closes it beyond
-// maxIdle per address).
-func (c *Client) put(addr string, conn net.Conn) {
-	c.mu.Lock()
-	if !c.closed && len(c.idle[addr]) < c.maxIdle {
-		c.idle[addr] = append(c.idle[addr], conn)
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	conn.Close()
-}
-
 // Close releases every pooled connection, including those of ForTenant views
 // (the pool is shared). In-flight requests on checked-out connections
 // finish; their connections are then closed on return.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	idle := c.idle
-	c.idle = nil
-	c.mu.Unlock()
-	for _, conns := range idle {
-		for _, conn := range conns {
-			conn.Close()
-		}
-	}
+	c.pool.Close()
 	return nil
 }
 
 // Ping checks liveness end to end.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.roundTrip(ctx, &server.Request{Op: server.OpPing})
+	_, err := c.roundTrip(ctx, &server.Request{Op: server.OpPing}, "")
 	return err
 }
 
 // Stats fetches a snapshot of the server's counters.
 func (c *Client) Stats(ctx context.Context) (ServerStats, error) {
-	resp, err := c.roundTrip(ctx, &server.Request{Op: server.OpStats})
+	resp, err := c.roundTrip(ctx, &server.Request{Op: server.OpStats}, "")
 	if err != nil {
 		return ServerStats{}, err
 	}
@@ -246,7 +155,7 @@ func (c *Client) Stats(ctx context.Context) (ServerStats, error) {
 // server runs its own instrumentation).
 func (c *Client) Factorize(ctx context.Context, a *sstar.Matrix, o sstar.Options) (*Handle, RequestStats, error) {
 	o.Observer = nil
-	resp, err := c.roundTrip(ctx, &server.Request{Op: server.OpFactorize, Matrix: a, Opts: o})
+	resp, err := c.roundTrip(ctx, &server.Request{Op: server.OpFactorize, Matrix: a, Opts: o}, "")
 	if err != nil {
 		return nil, RequestStats{}, err
 	}
@@ -302,7 +211,7 @@ func (h *Handle) Key() uint64 { return h.key }
 // batched solve — bitwise identical to solving alone; stats.BatchWidth
 // reports the width the request rode in.
 func (h *Handle) Solve(ctx context.Context, b []float64) ([]float64, RequestStats, error) {
-	resp, _, err := h.c.roundTripAt(ctx, &server.Request{Op: server.OpSolve, Handle: h.id, Key: h.key, B: b}, h.addr)
+	resp, err := h.c.roundTrip(ctx, &server.Request{Op: server.OpSolve, Handle: h.id, Key: h.key, B: b}, h.addr)
 	if err != nil {
 		return nil, RequestStats{}, err
 	}
@@ -314,7 +223,7 @@ func (h *Handle) Solve(ctx context.Context, b []float64) ([]float64, RequestStat
 // solutions come back in the same layout. Against a cluster router, wide
 // panels are scattered across the shards holding replicas of the factors.
 func (h *Handle) SolveMany(ctx context.Context, b []float64, nrhs int) ([]float64, RequestStats, error) {
-	resp, _, err := h.c.roundTripAt(ctx, &server.Request{Op: server.OpSolveMany, Handle: h.id, Key: h.key, B: b, NRHS: nrhs}, h.addr)
+	resp, err := h.c.roundTrip(ctx, &server.Request{Op: server.OpSolveMany, Handle: h.id, Key: h.key, B: b, NRHS: nrhs}, h.addr)
 	if err != nil {
 		return nil, RequestStats{}, err
 	}
@@ -326,7 +235,7 @@ func (h *Handle) SolveMany(ctx context.Context, b []float64, nrhs int) ([]float6
 // analysis is re-run. values must list the new entries in the same CSR order
 // as the originally submitted matrix (length Nnz).
 func (h *Handle) Refactorize(ctx context.Context, values []float64) (RequestStats, error) {
-	resp, _, err := h.c.roundTripAt(ctx, &server.Request{Op: server.OpRefactorize, Handle: h.id, Key: h.key, Values: values}, h.addr)
+	resp, err := h.c.roundTrip(ctx, &server.Request{Op: server.OpRefactorize, Handle: h.id, Key: h.key, Values: values}, h.addr)
 	if err != nil {
 		return RequestStats{}, err
 	}
@@ -337,7 +246,7 @@ func (h *Handle) Refactorize(ctx context.Context, values []float64) (RequestStat
 // hold a CSR anyway; the server rejects a pattern differing from the
 // handle's.
 func (h *Handle) RefactorizeMatrix(ctx context.Context, a *sstar.Matrix) (RequestStats, error) {
-	resp, _, err := h.c.roundTripAt(ctx, &server.Request{Op: server.OpRefactorize, Handle: h.id, Key: h.key, Matrix: a}, h.addr)
+	resp, err := h.c.roundTrip(ctx, &server.Request{Op: server.OpRefactorize, Handle: h.id, Key: h.key, Matrix: a}, h.addr)
 	if err != nil {
 		return RequestStats{}, err
 	}
@@ -346,6 +255,6 @@ func (h *Handle) RefactorizeMatrix(ctx context.Context, a *sstar.Matrix) (Reques
 
 // Free releases the server-side factorization.
 func (h *Handle) Free(ctx context.Context) error {
-	_, _, err := h.c.roundTripAt(ctx, &server.Request{Op: server.OpFree, Handle: h.id, Key: h.key}, h.addr)
+	_, err := h.c.roundTrip(ctx, &server.Request{Op: server.OpFree, Handle: h.id, Key: h.key}, h.addr)
 	return err
 }

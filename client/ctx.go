@@ -4,25 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"sstar"
 	"sstar/internal/server"
-	"sstar/internal/wire"
 )
 
-// clientMetrics is the client's own counter block (see Metrics).
+// clientMetrics is the client's own counter block (see Metrics); the
+// connection counters live in the pool.
 type clientMetrics struct {
 	requests  atomic.Int64
 	errors    atomic.Int64
 	canceled  atomic.Int64
-	dials     atomic.Int64
-	reused    atomic.Int64
 	retries   atomic.Int64
-	redials   atomic.Int64
 	sheds     atomic.Int64
 	redirects atomic.Int64
 }
@@ -55,14 +51,15 @@ type Metrics struct {
 // Metrics returns a snapshot of the client's counters. Safe to call
 // concurrently with requests.
 func (c *Client) Metrics() Metrics {
+	dials, reused, redials := c.pool.Stats()
 	return Metrics{
 		Requests:  c.met.requests.Load(),
 		Errors:    c.met.errors.Load(),
 		Canceled:  c.met.canceled.Load(),
-		Dials:     c.met.dials.Load(),
-		Reused:    c.met.reused.Load(),
+		Dials:     dials,
+		Reused:    reused,
 		Retries:   c.met.retries.Load(),
-		Redials:   c.met.redials.Load(),
+		Redials:   redials,
 		Sheds:     c.met.sheds.Load(),
 		Redirects: c.met.redirects.Load(),
 	}
@@ -100,13 +97,7 @@ func (e *RedirectLoopError) Error() string {
 // Is matches the sstar.ErrRedirectLoop sentinel.
 func (e *RedirectLoopError) Is(target error) bool { return target == sstar.ErrRedirectLoop }
 
-// roundTrip runs one logical call against the primary address.
-func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Response, error) {
-	resp, _, err := c.roundTripAt(ctx, req, "")
-	return resp, err
-}
-
-// roundTripAt runs one logical call: attempt at the preferred address (the
+// roundTrip runs one logical call: attempt at the preferred address (the
 // primary when empty), then — under the configured RetryPolicy — retry with
 // jittered backoff for exactly the failures that are safe to repeat (see
 // RetryPolicy). The context's deadline and cancellation propagate into every
@@ -119,8 +110,8 @@ func (c *Client) roundTrip(ctx context.Context, req *server.Request) (*server.Re
 // re-aiming is always safe — it is a retry-with-new-target, not a failure.
 // Each policy retry restarts from the primary, so a call preferring a shard
 // that has since died falls back to the router (or a redirect) instead of
-// hammering the corpse. answeredAt is the address that finally answered.
-func (c *Client) roundTripAt(ctx context.Context, req *server.Request, preferred string) (resp *server.Response, answeredAt string, err error) {
+// hammering the corpse.
+func (c *Client) roundTrip(ctx context.Context, req *server.Request, preferred string) (resp *server.Response, err error) {
 	if c.tenant != "" {
 		req.Tenant = c.tenant
 	}
@@ -131,7 +122,7 @@ func (c *Client) roundTripAt(ctx context.Context, req *server.Request, preferred
 		target = c.addr
 	}
 	for attempt := 0; ; attempt++ {
-		resp, err = c.doRoundTrip(ctx, req, target)
+		resp, err = c.exchange(ctx, req, target)
 		var hops []string
 		budget := maxRedirectFollows
 		var epoch uint64
@@ -158,10 +149,10 @@ func (c *Client) roundTripAt(ctx context.Context, req *server.Request, preferred
 			c.met.redirects.Add(1)
 			hops = append(hops, target)
 			target = resp.Addr
-			resp, err = c.doRoundTrip(ctx, req, target)
+			resp, err = c.exchange(ctx, req, target)
 		}
 		if err == nil {
-			return resp, target, nil
+			return resp, nil
 		}
 		if errors.Is(err, sstar.ErrOverloaded) {
 			c.met.sheds.Add(1)
@@ -183,97 +174,16 @@ func (c *Client) roundTripAt(ctx context.Context, req *server.Request, preferred
 	if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
 		c.met.canceled.Add(1)
 	}
-	return resp, target, err
-}
-
-// doRoundTrip performs one attempt against addr: send the request, read the
-// response. A transport failure on a *pooled* connection — the classic
-// stale-connection trap after a server restart — is healed transparently for
-// idempotent operations: the dead connection is dropped and the attempt
-// repeated once on a fresh dial. Non-idempotent operations (factorize, free)
-// surface the error instead, because the stale connection's failure mode is
-// ambiguous about whether the server executed the request.
-func (c *Client) doRoundTrip(ctx context.Context, req *server.Request, addr string) (*server.Response, error) {
-	resp, err, failedPooled := c.attempt(ctx, req, addr)
-	if failedPooled && req.Op.Idempotent() && ctx.Err() == nil {
-		c.met.redials.Add(1)
-		resp, err, _ = c.attempt(ctx, req, addr)
-	}
 	return resp, err
 }
 
-// attempt is one wire exchange. failedPooled reports a transport failure on
-// a connection that came from the idle pool (never set for in-band server
-// errors, context failures, or failures on freshly dialed connections).
-func (c *Client) attempt(ctx context.Context, req *server.Request, addr string) (_ *server.Response, err error, failedPooled bool) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("client: %w", err), false
-	}
-	conn, reused, err := c.get(addr)
+// exchange is one attempt against addr. The pool heals a stale pooled
+// connection for idempotent ops on its own (see server.Pool.Exchange); an
+// in-band server failure comes back as the response's typed *RemoteError.
+func (c *Client) exchange(ctx context.Context, req *server.Request, addr string) (*server.Response, error) {
+	resp, _, err := c.pool.Exchange(ctx, addr, req)
 	if err != nil {
-		return nil, err, false
+		return nil, err
 	}
-	// Deadline header: the server sheds the request instead of running it
-	// when its queue wait alone would exhaust the remaining budget.
-	if d, ok := ctx.Deadline(); ok {
-		req.TimeoutNs = max(time.Until(d).Nanoseconds(), 1)
-	} else {
-		req.TimeoutNs = 0
-	}
-	// Deadline propagation: the context deadline bounds both frames, and an
-	// asynchronous cancel moves the deadline into the past so a blocked
-	// Read/Write returns immediately with a timeout.
-	var stop func() bool
-	if ctx.Done() != nil {
-		if d, ok := ctx.Deadline(); ok {
-			conn.SetDeadline(d)
-		}
-		stop = context.AfterFunc(ctx, func() {
-			conn.SetDeadline(time.Unix(1, 0))
-		})
-	}
-	// fail ends the attempt on a transport error, preferring the context's
-	// error over the transport error it caused. The socket deadline and the
-	// context's own timer are armed for the same instant, so when the poller
-	// wins the race the transport reports a timeout while ctx.Err() is still
-	// nil: a timeout on a context whose deadline is not in the future is the
-	// context's deadline all the same. Only a failure the context did not
-	// cause can mean a stale pooled connection.
-	fail := func(op string, err error) (*server.Response, error, bool) {
-		if stop != nil {
-			stop()
-		}
-		conn.Close()
-		cerr := ctx.Err()
-		if cerr == nil && errors.Is(err, os.ErrDeadlineExceeded) {
-			if d, ok := ctx.Deadline(); ok && !d.After(time.Now()) {
-				cerr = context.DeadlineExceeded
-			}
-		}
-		if cerr != nil {
-			return nil, fmt.Errorf("client: %s: %w", op, cerr), false
-		}
-		return nil, fmt.Errorf("client: %s: %w", op, err), reused
-	}
-	if err := wire.WriteGob(conn, server.FrameRequest, req); err != nil {
-		return fail("send", err)
-	}
-	resp := new(server.Response)
-	if err := wire.ReadGob(conn, server.FrameResponse, c.maxFrame, resp); err != nil {
-		return fail("receive", err)
-	}
-	if stop != nil {
-		if !stop() {
-			// The cancel fired after the response landed: the result is
-			// valid, but the AfterFunc may be poisoning the deadline
-			// concurrently, so the connection cannot be trusted to the pool.
-			conn.Close()
-		} else {
-			conn.SetDeadline(time.Time{})
-			c.put(addr, conn)
-		}
-	} else {
-		c.put(addr, conn)
-	}
-	return resp, resp.Error(), false
+	return resp, resp.Error()
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sstar"
 	"sstar/internal/server"
@@ -143,5 +144,42 @@ func TestRedirectWithoutAddressIsTerminal(t *testing.T) {
 	}
 	if got := c.Metrics().Redirects; got != 0 {
 		t.Errorf("Metrics().Redirects = %d, want 0 (nothing was followed)", got)
+	}
+}
+
+// TestRedirectToSilentPeerHonoursDeadline: the dial a redirect triggers
+// mid-call is under the call's deadline like everything else — a redirect
+// target that accepts and never answers Hello ends the call with the
+// context's error, on time.
+func TestRedirectToSilentPeerHonoursDeadline(t *testing.T) {
+	silent := newSilentPeer(t)
+	a := newStubServer(t, func(conn, req int, r *server.Request) (*server.Response, bool) {
+		if r.Op == server.OpFactorize {
+			return &server.Response{Handle: 42, N: 3, Nnz: 5, Key: 0xbeef}, false
+		}
+		return &server.Response{Err: sstar.ErrNotOwner.Error(), Code: server.CodeNotOwner, Addr: silent, Key: 0xbeef}, false
+	})
+	c, err := Dial("tcp", a.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := sstar.GenGrid2D(2, 2, false, sstar.GenOptions{Seed: 4})
+	h, _, err := c.Factorize(context.Background(), m, sstar.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	t0 := time.Now()
+	_, _, err = h.Solve(ctx, []float64{1, 2, 3})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if el := time.Since(t0); el > 2*time.Second {
+		t.Fatalf("solve took %v to honour a 200ms deadline", el)
+	}
+	if m := c.Metrics(); m.Redirects != 1 || m.Canceled != 1 {
+		t.Errorf("metrics %+v, want 1 redirect followed and 1 canceled call", m)
 	}
 }

@@ -97,7 +97,7 @@ func retryable(op server.Op, err error) bool {
 	if errors.As(err, &re) {
 		// In-band server answer: the request reached the server and was
 		// answered. Only a shed (never executed) is worth repeating.
-		// Redirect codes were already followed inline by roundTripAt; one
+		// Redirect codes were already followed inline by roundTrip; one
 		// surviving to this point carried no usable target, and repeating
 		// it at the same address would only be refused again.
 		return re.Code == server.CodeOverloaded

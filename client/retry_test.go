@@ -70,6 +70,44 @@ func newStubServer(t *testing.T, handler func(conn, req int, r *server.Request) 
 
 func (s *stubServer) addr() string { return s.l.Addr().String() }
 
+// newSilentPeer accepts connections and never writes a byte: a peer wedged
+// before its Hello, which only a deadline on the handshake gets past.
+func newSilentPeer(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() { close(done); l.Close() })
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() { <-done; c.Close() }()
+		}
+	}()
+	return l.Addr().String()
+}
+
+// TestDialTimeoutBoundsHandshake: the dial timeout covers the Hello exchange,
+// not just the TCP connect — a peer that accepts and then says nothing fails
+// Dial promptly instead of hanging it.
+func TestDialTimeoutBoundsHandshake(t *testing.T) {
+	addr := newSilentPeer(t)
+	t0 := time.Now()
+	c, err := Dial("tcp", addr, WithDialTimeout(200*time.Millisecond))
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial to a peer that never answers Hello succeeded")
+	}
+	if el := time.Since(t0); el > time.Second {
+		t.Fatalf("Dial took %v to give up on a silent peer, want about the 200ms dial timeout", el)
+	}
+}
+
 func shedResponse() *server.Response {
 	return &server.Response{Err: "stub: overloaded", Code: server.CodeOverloaded}
 }

@@ -28,7 +28,7 @@ type testFleet struct {
 	raddr   string
 }
 
-func startFleet(t *testing.T, n int) *testFleet {
+func startFleet(t *testing.T, n int, opts ...func(*ShardConfig)) *testFleet {
 	t.Helper()
 	f := &testFleet{}
 	ls := make([]net.Listener, n)
@@ -41,7 +41,11 @@ func startFleet(t *testing.T, n int) *testFleet {
 		f.peers = append(f.peers, l.Addr().String())
 	}
 	for i := range ls {
-		sh, err := NewShard(ShardConfig{Self: f.peers[i], Peers: f.peers})
+		cfg := ShardConfig{Self: f.peers[i], Peers: f.peers}
+		for _, o := range opts {
+			o(&cfg)
+		}
+		sh, err := NewShard(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,5 +395,76 @@ func TestRouterAggregateStats(t *testing.T) {
 	}
 	if st.Shards != 2 {
 		t.Errorf("aggregate Shards after one death = %d, want 2", st.Shards)
+	}
+}
+
+// TestLivePushCarriesValuesEpoch: the replication push a refactorize triggers
+// carries the factors' values-epoch like a repair push does, so the replica
+// tracks the owner without the anti-entropy sweep having to re-push every
+// refactorized handle — and the receiver's stale-push guard works on the
+// live path: a delayed older push cannot roll the replica back.
+func TestLivePushCarriesValuesEpoch(t *testing.T) {
+	// Both shards hold every key; no periodic sweep, so whatever the replica
+	// ends up with came from live pushes alone.
+	fleet := startFleet(t, 2, func(c *ShardConfig) { c.RepairInterval = -1 })
+	sys := buildSystem(t, 6)
+	owner := fleet.ownerIndex(sstar.StructureKey(sys.a, sstar.DefaultOptions()))
+	succ := 1 - owner
+
+	c, err := client.Dial("tcp", fleet.peers[owner])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	h, _, err := c.Factorize(ctx, sys.a, sstar.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := append([]float64(nil), sys.a.Val...)
+	for i := 0; i < 3; i++ {
+		for k := range vals {
+			vals[k] *= 1.5
+		}
+		if _, err := h.Refactorize(ctx, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drained := func() bool { return fleet.servers[owner].Stats().ReplicationPending == 0 }
+	waitFor(t, "replication queue to drain", drained)
+
+	epochOn := func(i int) uint64 {
+		for _, e := range fleet.servers[i].Manifest() {
+			if e.Handle == h.ID() {
+				return e.ValEpoch
+			}
+		}
+		return 0
+	}
+	if o, r := epochOn(owner), epochOn(succ); o != 4 || r != 4 {
+		t.Fatalf("values-epoch owner %d, replica %d after factorize + 3 refactorizes; want 4 and 4", o, r)
+	}
+	if v := PlacementViolations(fleet.shards); len(v) != 0 {
+		t.Fatalf("placement violations with the queue drained: %v", v)
+	}
+	// A sweep now finds nothing to repair.
+	fleet.shards[owner].sweep(true)
+	if n := fleet.servers[owner].Stats().RepairPushes; n != 0 {
+		t.Errorf("sweep re-pushed %d handles the live pushes had already brought up to date", n)
+	}
+
+	// A push older than what the replica holds is acknowledged and ignored.
+	ev, ok := fleet.servers[owner].ExportHandle(h.ID())
+	if !ok {
+		t.Fatal("owner cannot export its own handle")
+	}
+	ev.ValEpoch = 2
+	fleet.shards[owner].Stored(ev)
+	waitFor(t, "stale push to be answered", drained)
+	if n := fleet.servers[succ].Stats().StaleReplicas; n != 1 {
+		t.Errorf("replica refused %d stale pushes, want 1", n)
+	}
+	if r := epochOn(succ); r != 4 {
+		t.Errorf("replica values-epoch %d after a stale push, want 4 (rolled back)", r)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -435,7 +436,7 @@ func (sh *Shard) heartbeat() {
 		if joinNeeded {
 			req.Join = true
 		}
-		resp, _, err := sh.peers.call(addr, req)
+		resp, _, err := sh.peers.Exchange(context.Background(), addr, req)
 		if err != nil || resp.Err != "" {
 			continue // no ack: phi keeps growing
 		}

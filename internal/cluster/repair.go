@@ -1,10 +1,10 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"sstar"
 	"sstar/internal/server"
 )
 
@@ -84,7 +84,7 @@ func (sh *Shard) sweep(allowDrop bool) {
 		if m == sh.cfg.Self {
 			continue
 		}
-		resp, _, err := sh.peers.call(m, &server.Request{Op: server.OpManifest})
+		resp, _, err := sh.peers.Exchange(context.Background(), m, &server.Request{Op: server.OpManifest})
 		if err != nil || resp.Err != "" {
 			peerMan[m] = nil
 			continue
@@ -193,14 +193,7 @@ func (sh *Shard) pushCopy(s *server.Server, id uint64, addr string) {
 		return
 	}
 	sh.repairPushes.Add(1)
-	sh.enqueue(replJob{addr: addr, req: &server.Request{
-		Op:       server.OpReplicate,
-		Handle:   ev.Handle,
-		Key:      ev.Key,
-		Matrix:   &sstar.Matrix{N: ev.N, M: ev.N, RowPtr: ev.RowPtr, ColInd: ev.ColInd},
-		Blob:     ev.Blob,
-		ValEpoch: ev.ValEpoch,
-	}})
+	sh.enqueue(replJob{addr: addr, req: ev.ReplicateRequest()})
 }
 
 // PlacementViolations diffs a fleet's manifests against the ring placement

@@ -1,15 +1,16 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sstar"
 	"sstar/internal/obs"
 	"sstar/internal/server"
-	"sstar/internal/wire"
 )
 
 // RouterConfig configures a Router.
@@ -41,17 +42,11 @@ type RouterConfig struct {
 type Router struct {
 	cfg   RouterConfig
 	ring  *Ring
-	peers *peers
+	ep    *server.Endpoint // client side: answers every request with handle
+	peers *server.Pool     // shard links
 
 	placeMu sync.Mutex
 	place   map[uint64]uint64 // handle -> structure key, learned from factorize responses
-
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	closed    bool
-	stop      chan struct{}
-	connWg    sync.WaitGroup
 
 	requests  atomic.Int64
 	errors    atomic.Int64
@@ -87,15 +82,22 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	// Matches the shards' boot epoch, so a static fleet never looks newer
 	// than the router's seed view.
 	ring.SetEpoch(1)
-	return &Router{
-		cfg:       cfg,
-		ring:      ring,
-		peers:     newPeers(cfg.Network, cfg.MaxFrame),
-		place:     make(map[uint64]uint64),
-		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
-		stop:      make(chan struct{}),
-	}, nil
+	r := &Router{
+		cfg:   cfg,
+		ring:  ring,
+		peers: newPeers(cfg.Network, cfg.MaxFrame),
+		place: make(map[uint64]uint64),
+	}
+	r.ep = server.NewEndpoint(cfg.MaxFrame, r.handle, cfg.Logf)
+	return r, nil
+}
+
+// newPeers is the pool cluster processes reach each other through (the
+// router its shards, a shard its ring peers). Cluster traffic runs outside
+// any client's context, so the pool's own timeouts are what bound it: a dead
+// peer fails a dial within seconds, a wedged one cannot hold a call forever.
+func newPeers(network string, maxFrame int) *server.Pool {
+	return &server.Pool{Network: network, MaxFrame: maxFrame, DialTimeout: 5 * time.Second, CallTimeout: 60 * time.Second}
 }
 
 func (r *Router) logf(format string, args ...any) {
@@ -106,96 +108,13 @@ func (r *Router) logf(format string, args ...any) {
 
 // Serve accepts client connections on l until the listener fails or the
 // router is closed. Blocks; run one goroutine per listener.
-func (r *Router) Serve(l net.Listener) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		l.Close()
-		return fmt.Errorf("cluster: router closed")
-	}
-	r.listeners[l] = struct{}{}
-	r.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			select {
-			case <-r.stop:
-				return nil
-			default:
-				return err
-			}
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.connWg.Add(1)
-		go r.handleConn(conn)
-	}
-}
+func (r *Router) Serve(l net.Listener) error { return r.ep.Serve(l) }
 
 // Close stops accepting, closes every connection, and releases shard links.
 func (r *Router) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	close(r.stop)
-	for l := range r.listeners {
-		l.Close()
-	}
-	for c := range r.conns {
-		c.Close()
-	}
-	r.mu.Unlock()
-	r.connWg.Wait()
-	r.peers.close()
+	r.ep.Close()
+	r.peers.Close()
 	return nil
-}
-
-// handleConn speaks the client protocol on one downstream connection.
-func (r *Router) handleConn(conn net.Conn) {
-	defer r.connWg.Done()
-	defer func() {
-		conn.Close()
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-	}()
-	var hello server.Hello
-	if err := wire.ReadGob(conn, server.FrameHello, 1<<16, &hello); err != nil {
-		return
-	}
-	if hello.Magic != server.ProtoMagic || hello.Version != server.ProtoVersion {
-		wire.WriteGob(conn, server.FrameResponse, &server.Response{Err: fmt.Sprintf("cluster: unsupported protocol %q v%d", hello.Magic, hello.Version)})
-		return
-	}
-	if err := wire.WriteGob(conn, server.FrameHello, server.Hello{Magic: server.ProtoMagic, Version: server.ProtoVersion}); err != nil {
-		return
-	}
-	maxFrame := r.peers.maxFrame
-	for {
-		req := new(server.Request)
-		if err := wire.ReadGob(conn, server.FrameRequest, maxFrame, req); err != nil {
-			return
-		}
-		resp := r.handle(req)
-		if resp == nil {
-			// Defensive: handle never returns nil anymore (ambiguous
-			// failures are answered in-band with CodeAmbiguous), but a nil
-			// response must still not be gobbed onto the wire.
-			return
-		}
-		if err := wire.WriteGob(conn, server.FrameResponse, resp); err != nil {
-			return
-		}
-	}
 }
 
 // keyOf returns the structure key recorded for handle (0 if unknown — e.g.
@@ -243,7 +162,7 @@ func (r *Router) handle(req *server.Request) *server.Response {
 		} else {
 			resp = r.forward(req, key)
 		}
-		if req.Op == server.OpFree && resp != nil && resp.Err == "" {
+		if req.Op == server.OpFree && resp.Err == "" {
 			r.placeMu.Lock()
 			delete(r.place, req.Handle)
 			r.placeMu.Unlock()
@@ -253,7 +172,7 @@ func (r *Router) handle(req *server.Request) *server.Response {
 		// router is the wrong audience.
 		return &server.Response{Err: fmt.Sprintf("cluster: router does not accept %s", req.Op)}
 	}
-	if resp != nil && resp.Err != "" {
+	if resp.Err != "" {
 		r.errors.Add(1)
 	}
 	return resp
@@ -263,16 +182,6 @@ func (r *Router) handle(req *server.Request) *server.Response {
 // misconfigured fleet (two shards pointing at each other) degrades to a
 // typed error instead of a loop.
 const maxRedirectHops = 4
-
-// handleOp reports whether op addresses an existing handle — the ops whose
-// completion on a non-first candidate counts as a failover.
-func handleOp(op server.Op) bool {
-	switch op {
-	case server.OpSolve, server.OpSolveMany, server.OpRefactorize, server.OpFree:
-		return true
-	}
-	return false
-}
 
 // candidatesFor resolves the shards to try for a structure key: the key's
 // replica set in placement order, or — key unknown (a handle that predates
@@ -319,7 +228,7 @@ func (r *Router) forwardOnce(req *server.Request, candidates []string) (*server.
 	var lastErr error
 	for i, addr := range candidates {
 		for hop := 0; hop < maxRedirectHops; hop++ {
-			resp, delivered, err := r.peers.call(addr, req)
+			resp, delivered, err := r.peers.Exchange(context.Background(), addr, req)
 			if err != nil {
 				if delivered && !req.Op.Idempotent() {
 					r.ambiguous.Add(1)
@@ -349,7 +258,9 @@ func (r *Router) forwardOnce(req *server.Request, candidates []string) (*server.
 				// The replica may still hold what this shard lost.
 				last = resp
 			default:
-				if i > 0 && handleOp(req.Op) && resp.Err == "" {
+				// A handle op completed by a non-first candidate is a failover
+				// (a factorize landing there allocates a new handle: not one).
+				if i > 0 && req.Op != server.OpFactorize && resp.Err == "" {
 					r.failovers.Add(1)
 				}
 				return resp, nil
@@ -372,7 +283,7 @@ func (r *Router) refreshRing(hint string) bool {
 		targets = append([]string{hint}, targets...)
 	}
 	for _, m := range targets {
-		resp, _, err := r.peers.call(m, &server.Request{Op: server.OpMembership})
+		resp, _, err := r.peers.Exchange(context.Background(), m, &server.Request{Op: server.OpMembership})
 		if err != nil || resp.Err != "" || len(resp.Members) == 0 {
 			continue // unreachable, or a standalone server: try the next
 		}
@@ -408,7 +319,7 @@ func (r *Router) scatterSolveMany(req *server.Request, candidates []string) *ser
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, _, err := r.peers.call(candidates[i], sub[i])
+			resp, _, err := r.peers.Exchange(context.Background(), candidates[i], sub[i])
 			resps[i], errs[i] = resp, err
 		}(i)
 	}
@@ -437,7 +348,7 @@ func (r *Router) aggregateStats() server.ServerStats {
 	var agg server.ServerStats
 	reachable := 0
 	for _, addr := range r.ring.Members() {
-		resp, _, err := r.peers.call(addr, &server.Request{Op: server.OpStats})
+		resp, _, err := r.peers.Exchange(context.Background(), addr, &server.Request{Op: server.OpStats})
 		if err != nil || resp.Err != "" {
 			continue
 		}

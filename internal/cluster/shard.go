@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -106,7 +107,7 @@ type replJob struct {
 type Shard struct {
 	cfg   ShardConfig
 	ring  *Ring
-	peers *peers
+	peers *server.Pool
 	srv   atomic.Pointer[server.Server]
 	mem   *membership
 	det   *detector
@@ -245,7 +246,7 @@ func (sh *Shard) Close() {
 	<-sh.healthDone
 	<-sh.repairDone
 	<-sh.done
-	sh.peers.close()
+	sh.peers.Close()
 }
 
 // Leave announces a coordinated departure: every reachable member receives a
@@ -260,7 +261,7 @@ func (sh *Shard) Leave() {
 			continue
 		}
 		req := &server.Request{Op: server.OpMembership, Addr: sh.cfg.Self, Leave: true}
-		if resp, _, err := sh.peers.call(m, req); err != nil {
+		if resp, _, err := sh.peers.Exchange(context.Background(), m, req); err != nil {
 			sh.logf("cluster: %s: leave notice to %s failed: %v", sh.cfg.Self, m, err)
 		} else if resp.Err != "" {
 			sh.logf("cluster: %s: leave notice to %s refused: %s", sh.cfg.Self, m, resp.Err)
@@ -377,20 +378,11 @@ func (sh *Shard) Analyzed(key uint64, an *sstar.Analysis) {
 }
 
 // Stored implements server.ClusterHooks: replicate the factors to the
-// successor. The pattern rides along so the replica supports the
-// values-only refactorize fast path after a promotion.
+// successor.
 func (sh *Shard) Stored(ev server.StoredEvent) {
-	succ := sh.successor(ev.Key)
-	if succ == "" {
-		return
+	if succ := sh.successor(ev.Key); succ != "" {
+		sh.enqueue(replJob{addr: succ, req: ev.ReplicateRequest()})
 	}
-	sh.enqueue(replJob{addr: succ, req: &server.Request{
-		Op:     server.OpReplicate,
-		Handle: ev.Handle,
-		Key:    ev.Key,
-		Matrix: &sstar.Matrix{N: ev.N, M: ev.N, RowPtr: ev.RowPtr, ColInd: ev.ColInd},
-		Blob:   ev.Blob,
-	}})
 }
 
 // Freed implements server.ClusterHooks: forward the free so the replica is
@@ -479,7 +471,7 @@ func (sh *Shard) push(j replJob, attempts int) {
 			}
 		}
 		var resp *server.Response
-		resp, _, err = sh.peers.call(j.addr, j.req)
+		resp, _, err = sh.peers.Exchange(context.Background(), j.addr, j.req)
 		if err == nil && resp.Err != "" {
 			// OpFree forwarded for a replica the successor never installed
 			// (or already dropped) answers BadHandle — the desired end

@@ -103,15 +103,6 @@ func newMetrics(s *Server) *metrics {
 	reg.GaugeFunc("sstar_server_factor_workers",
 		"Factor-phase goroutines per request (the core-split knob).",
 		func() float64 { return float64(s.cfg.FactorWorkers) })
-	reg.GaugeFunc("sstar_blocking_max_block",
-		"Widest supernode panel of the most recent factorize's analysis.",
-		func() float64 { return float64(s.lastMaxBlock.Load()) })
-	reg.GaugeFunc("sstar_blocking_amalgamate",
-		"Amalgamation factor of the most recent factorize's analysis.",
-		func() float64 { return float64(s.lastAmalgamate.Load()) })
-	reg.GaugeFunc("sstar_blocking_adaptive",
-		"1 when the most recent factorize used structure-adaptive blocking.",
-		func() float64 { return float64(s.lastAdaptive.Load()) })
 	reg.GaugeFunc("sstar_xblas_tile_mc",
 		"Cache-block rows (mc) of the packed GEMM engine.",
 		func() float64 { mc, _ := xblas.TileShape(); return float64(mc) })

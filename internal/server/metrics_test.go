@@ -51,9 +51,6 @@ func TestAdminMetricsGoldenFormat(t *testing.T) {
 		"sstar_server_cache_misses_total 1\n",
 		"sstar_server_handles 1\n",
 		"sstar_server_workers 2\n",
-		// DefaultOptions selects structure-adaptive blocking, so the
-		// factorize above must report it.
-		"sstar_blocking_adaptive 1\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing sample %q in:\n%s", want, body)
@@ -73,9 +70,6 @@ func TestAdminMetricsGoldenFormat(t *testing.T) {
 		"sstar_server_analyze_seconds":    "histogram",
 		"sstar_server_cache_hits_total":   "counter",
 		"sstar_server_cache_misses_total": "counter",
-		"sstar_blocking_max_block":        "gauge",
-		"sstar_blocking_amalgamate":       "gauge",
-		"sstar_blocking_adaptive":         "gauge",
 		"sstar_xblas_tile_mc":             "gauge",
 		"sstar_xblas_tile_nc":             "gauge",
 	} {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"sstar"
-	"sstar/internal/wire"
 )
 
 // Config tunes a Server. The zero value picks sensible defaults.
@@ -139,6 +138,22 @@ type StoredEvent struct {
 	ValEpoch uint64
 }
 
+// ReplicateRequest is the OpReplicate push installing ev on a peer: the one
+// place the event's fields are mapped onto the wire, so the live push and the
+// repair push cannot disagree about what rides along. The pattern travels in
+// Matrix so the replica supports the values-only refactorize fast path after
+// a promotion.
+func (ev StoredEvent) ReplicateRequest() *Request {
+	return &Request{
+		Op:       OpReplicate,
+		Handle:   ev.Handle,
+		Key:      ev.Key,
+		Matrix:   &sstar.Matrix{N: ev.N, M: ev.N, RowPtr: ev.RowPtr, ColInd: ev.ColInd},
+		Blob:     ev.Blob,
+		ValEpoch: ev.ValEpoch,
+	}
+}
+
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
 		c.Workers = 4
@@ -151,9 +166,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries < 1 {
 		c.CacheEntries = 64
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = wire.DefaultMaxPayload
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
@@ -191,18 +203,16 @@ type Server struct {
 	reg   *registry
 	sched *qosched      // per-tenant weighted fair queues (replaced the single jobs channel)
 	slots chan struct{} // admission capacity: one token per queued request, QueueDepth total
-	stop  chan struct{} // closed first: gates submissions, accept loops, sweeper
+	stop  chan struct{} // closed first: gates submissions and the sweeper
 	quit  chan struct{} // closed after drain: workers exit
 
 	subWg    sync.WaitGroup // submissions past the admission gate
 	workerWg sync.WaitGroup // worker pool + sweeper
-	connWg   sync.WaitGroup // connection handlers
+	ep       *Endpoint      // listeners and connections; answers every request with submit
 	met      *metrics
 
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	closed    bool
+	mu     sync.Mutex
+	closed bool // gates submissions (with subWg.Add under the same lock)
 
 	requests          atomic.Int64
 	errors            atomic.Int64
@@ -216,28 +226,21 @@ type Server struct {
 	staleReplicas     atomic.Int64 // replication pushes refused as older than the installed values-epoch
 	coalescedSolves   atomic.Int64 // solves that rode in a width >= 2 batch
 	solveBatches      atomic.Int64 // batched solve calls of width >= 2
-
-	// Blocking choice of the most recent factorize (cache hit or miss),
-	// exported as gauges so a blocking regression is visible on /metrics.
-	lastMaxBlock   atomic.Int64
-	lastAmalgamate atomic.Int64
-	lastAdaptive   atomic.Int64 // 1 when the last analysis used adaptive blocking
 }
 
 // New returns a running server (workers started, no listeners yet).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		cache:     newAnalysisCache(cfg.CacheEntries),
-		reg:       newRegistry(cfg.MemBudget, cfg.HandleTTL),
-		sched:     newQosched(cfg.TenantWeights),
-		slots:     make(chan struct{}, cfg.QueueDepth),
-		stop:      make(chan struct{}),
-		quit:      make(chan struct{}),
-		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
+		cfg:   cfg,
+		cache: newAnalysisCache(cfg.CacheEntries),
+		reg:   newRegistry(cfg.MemBudget, cfg.HandleTTL),
+		sched: newQosched(cfg.TenantWeights),
+		slots: make(chan struct{}, cfg.QueueDepth),
+		stop:  make(chan struct{}),
+		quit:  make(chan struct{}),
 	}
+	s.ep = NewEndpoint(cfg.MaxFrame, s.submit, cfg.Logf)
 	s.met = newMetrics(s)
 	for i := 0; i < cfg.Workers; i++ {
 		s.workerWg.Add(1)
@@ -279,37 +282,7 @@ func (s *Server) sweeper() {
 // Serve accepts connections on l until the listener fails or the server is
 // closed. It blocks; run it in a goroutine per listener (the server speaks
 // the same protocol on every listener, TCP and Unix alike).
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		l.Close()
-		return fmt.Errorf("server: closed")
-	}
-	s.listeners[l] = struct{}{}
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			select {
-			case <-s.stop:
-				return nil
-			default:
-				return err
-			}
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.connWg.Add(1)
-		go s.handleConn(conn)
-	}
-}
+func (s *Server) Serve(l net.Listener) error { return s.ep.Serve(l) }
 
 // Close shuts the server down gracefully: stop accepting, refuse new
 // requests in-band, drain requests already admitted (bounded by
@@ -322,10 +295,8 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	for l := range s.listeners {
-		l.Close()
-	}
 	s.mu.Unlock()
+	s.ep.Stop()
 	close(s.stop)
 
 	// Drain: every submission past the admission gate gets its response
@@ -346,51 +317,8 @@ func (s *Server) Close() error {
 	// still queued (nothing new can arrive past the stop gate) and exit.
 	s.sched.stop()
 	s.workerWg.Wait()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.connWg.Wait()
+	s.ep.Close()
 	return nil
-}
-
-// handleConn speaks the protocol on one connection: Hello exchange, then a
-// request/response loop. Protocol errors (bad magic, corrupt frames) drop
-// the connection; request-level errors are answered in-band and the
-// connection lives on — the server never dies on bad input.
-func (s *Server) handleConn(conn net.Conn) {
-	defer s.connWg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	var hello Hello
-	if err := wire.ReadGob(conn, FrameHello, 1<<16, &hello); err != nil {
-		s.logf("server: %s: hello: %v", conn.RemoteAddr(), err)
-		return
-	}
-	if hello.Magic != ProtoMagic || hello.Version != ProtoVersion {
-		s.logf("server: %s: bad hello %+v", conn.RemoteAddr(), hello)
-		wire.WriteGob(conn, FrameResponse, &Response{Err: fmt.Sprintf("server: unsupported protocol %q v%d", hello.Magic, hello.Version)})
-		return
-	}
-	if err := wire.WriteGob(conn, FrameHello, Hello{Magic: ProtoMagic, Version: ProtoVersion}); err != nil {
-		return
-	}
-	for {
-		req := new(Request)
-		if err := wire.ReadGob(conn, FrameRequest, s.cfg.MaxFrame, req); err != nil {
-			// io.EOF here is the clean "client hung up" path.
-			return
-		}
-		resp := s.submit(req)
-		if err := wire.WriteGob(conn, FrameResponse, resp); err != nil {
-			return
-		}
-	}
 }
 
 // errResponse classifies err against the root-package sentinels and carries
@@ -625,14 +553,6 @@ func (s *Server) doFactorize(req *Request) *Response {
 	if computed && hk != nil {
 		hk.Analyzed(key, an)
 	}
-	bc := an.Blocking()
-	s.lastMaxBlock.Store(int64(bc.MaxBlock))
-	s.lastAmalgamate.Store(int64(bc.Amalgamate))
-	if bc.Adaptive {
-		s.lastAdaptive.Store(1)
-	} else {
-		s.lastAdaptive.Store(0)
-	}
 	t1 := time.Now()
 	f, err := an.FactorizeWith(a)
 	if err != nil {
@@ -651,24 +571,18 @@ func (s *Server) doFactorize(req *Request) *Response {
 	resp := &Response{Handle: id, N: a.N, Nnz: len(h.colInd), Key: key, Stats: stats}
 	if hk != nil {
 		resp.Addr, resp.Replica = hk.Placement(key)
-		if blob, err := serializeFactors(f); err == nil {
-			hk.Stored(StoredEvent{Handle: id, Key: key, N: a.N, RowPtr: h.rowPtr, ColInd: h.colInd, Blob: blob, ValEpoch: 1})
-		} else {
-			s.logf("server: serialize for replication: %v", err)
-		}
+		s.replicate(hk, id)
 	}
 	return resp
 }
 
-// serializeFactors renders f in the sstar Save format — the replication
-// payload. Save/Load round-trips factors bit-exactly, which is what makes a
-// failover solve on the replica bit-identical to one on the owner.
-func serializeFactors(f *sstar.Factorization) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		return nil, err
+// replicate hands the handle's current factors to the cluster hooks — after
+// every factorize and refactorize, in the same StoredEvent a repair push
+// carries.
+func (s *Server) replicate(hk ClusterHooks, id uint64) {
+	if ev, ok := s.ExportHandle(id); ok {
+		hk.Stored(ev)
 	}
-	return buf.Bytes(), nil
 }
 
 func (s *Server) doRefactorize(req *Request) *Response {
@@ -688,33 +602,18 @@ func (s *Server) doRefactorize(req *Request) *Response {
 	var stats RequestStats
 	stats.FactorWorkers = s.cfg.FactorWorkers
 	t0 := time.Now()
-	hk := s.cfg.Cluster
-	var blob []byte
-	var blobErr error
-	var valEpoch uint64
 	h.mu.Lock()
 	err = h.f.Refactorize(m)
 	if err == nil {
 		h.valEpoch++
-		valEpoch = h.valEpoch
-		if hk != nil {
-			// Serialize under the handle lock: a concurrent refactorize must
-			// not swap the factors mid-Save, or the replica would hold a
-			// torn mixture of two factorizations.
-			blob, blobErr = serializeFactors(h.f)
-		}
 	}
 	h.mu.Unlock()
 	stats.FactorNs = time.Since(t0).Nanoseconds()
 	if err != nil {
 		return errResponse(err)
 	}
-	if hk != nil {
-		if blobErr == nil {
-			hk.Stored(StoredEvent{Handle: req.Handle, Key: h.key, N: h.n, RowPtr: h.rowPtr, ColInd: h.colInd, Blob: blob, ValEpoch: valEpoch})
-		} else {
-			s.logf("server: serialize for replication: %v", blobErr)
-		}
+	if hk := s.cfg.Cluster; hk != nil {
+		s.replicate(hk, req.Handle)
 	}
 	return &Response{Handle: req.Handle, N: h.n, Nnz: len(h.colInd), Key: h.key, Stats: stats}
 }
@@ -852,11 +751,13 @@ func (s *Server) SetHandleRole(id uint64, replica bool) bool {
 	return s.reg.setRole(id, replica)
 }
 
-// ExportHandle re-serializes a live handle's factors as a replicable
+// ExportHandle serializes a live handle's factors as a replicable
 // StoredEvent (bit-exact: Save/Load round-trips the pivot sequence and
-// values). The repair sweep uses it to push missing or stale copies; ok is
-// false when the id is not live. The snapshot is taken under the handle's
-// read lock, so a concurrent refactorize can never yield a torn blob.
+// values, which is what makes a failover solve on the replica bit-identical
+// to one on the owner). Live replication and the repair sweep both push what
+// it returns; ok is false when the id is not live. Factors and values-epoch
+// are read together under the handle's read lock, so a concurrent
+// refactorize can never yield a torn blob or a blob under the wrong epoch.
 func (s *Server) ExportHandle(id uint64) (ev StoredEvent, ok bool) {
 	h, err := s.reg.get(id)
 	if err != nil {
@@ -864,9 +765,9 @@ func (s *Server) ExportHandle(id uint64) (ev StoredEvent, ok bool) {
 	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	blob, err := serializeFactors(h.f)
-	if err != nil {
-		s.logf("server: serialize for repair: %v", err)
+	var buf bytes.Buffer
+	if err := h.f.Save(&buf); err != nil {
+		s.logf("server: serialize handle %d for replication: %v", id, err)
 		return StoredEvent{}, false
 	}
 	return StoredEvent{
@@ -875,7 +776,7 @@ func (s *Server) ExportHandle(id uint64) (ev StoredEvent, ok bool) {
 		N:        h.n,
 		RowPtr:   h.rowPtr,
 		ColInd:   h.colInd,
-		Blob:     blob,
+		Blob:     buf.Bytes(),
 		ValEpoch: h.valEpoch,
 	}, true
 }

@@ -70,3 +70,10 @@ go test -run '^$' -bench Refactorize -benchtime 3x ./internal/core
 # Options.Procs / core.SolvePar stay gone (history files and this script
 # excepted). Spelled as an if because set -e ignores a command behind "!".
 if git grep -nE 'BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!scripts/check.sh'; then exit 1; fi
+
+# Seam guard: the service conversation — Hello handshake, frame types, gob
+# codec on a socket — is spoken by internal/server (transport.go) alone;
+# client and cluster go through its Endpoint and Pool. A second copy must not
+# grow back. (benchmark/ times the codec; serialize.go uses the frame codec
+# for the Save/Load file format, which is not the service protocol.)
+if git grep -nE 'wire\.(WriteGob|ReadGob)|FrameHello|ProtoMagic' -- '*.go' ':!*_test.go' ':!internal/server/' ':!benchmark/' ':!serialize.go'; then exit 1; fi
