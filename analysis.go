@@ -102,24 +102,34 @@ func (an *Analysis) Blocks() int { return an.sym.Partition.NB }
 func (an *Analysis) Blocking() BlockingChoice { return blockingOf(an.sym) }
 
 // patternHash returns a 64-bit FNV-1a hash of the nonzero structure of a:
-// the order, the row pointers and the column indices. Values are excluded —
-// two matrices with the same pattern hash identically.
+// the order, the row pointers and the column indices, each as 8
+// little-endian bytes (hash/fnv's New64a over that stream, without the
+// interface calls). Values are excluded — two matrices with the same pattern
+// hash identically.
 func patternHash(a *Matrix) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(x int) {
-		binary.LittleEndian.PutUint64(b[:], uint64(x))
-		h.Write(b[:])
-	}
-	put(a.N)
-	put(a.M)
+	h := fnvWord(fnvWord(fnvOffset64, a.N), a.M)
 	for _, p := range a.RowPtr {
-		put(p)
+		h = fnvWord(h, p)
 	}
 	for _, j := range a.ColInd {
-		put(j)
+		h = fnvWord(h, j)
 	}
-	return h.Sum64()
+	return h
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord folds the 8 little-endian bytes of x into the FNV-1a state h.
+func fnvWord(h uint64, x int) uint64 {
+	u := uint64(x)
+	for range 8 {
+		h = (h ^ u&0xff) * fnvPrime64
+		u >>= 8
+	}
+	return h
 }
 
 // StructureKey returns a 64-bit key identifying the (nonzero pattern,

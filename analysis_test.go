@@ -1,7 +1,12 @@
 package sstar
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
 	"testing"
+
+	"sstar/internal/bench"
 )
 
 func TestAnalyzeFactorizeWith(t *testing.T) {
@@ -180,5 +185,52 @@ func TestStructureKey(t *testing.T) {
 	}
 	if an.Options() != o {
 		t.Fatal("Analysis.Options lost the options")
+	}
+}
+
+// TestPatternHashMatchesFNV pins patternHash to hash/fnv's New64a over the
+// little-endian bytes of N, M, RowPtr and ColInd, on random patterns of every
+// small size (including empty and negative entries, which a hash must take
+// as they come).
+func TestPatternHashMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		a := &Matrix{N: rng.Intn(50), M: rng.Intn(50) - 5}
+		a.RowPtr = make([]int, rng.Intn(20))
+		a.ColInd = make([]int, rng.Intn(60))
+		for i := range a.RowPtr {
+			a.RowPtr[i] = int(rng.Int63()) - 1<<62
+		}
+		for i := range a.ColInd {
+			a.ColInd[i] = rng.Intn(1000)
+		}
+		h := fnv.New64a()
+		for _, x := range append(append([]int{a.N, a.M}, a.RowPtr...), a.ColInd...) {
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(x)))
+		}
+		if got, want := patternHash(a), h.Sum64(); got != want {
+			t.Fatalf("trial %d: patternHash = %#x, hash/fnv gives %#x", trial, got, want)
+		}
+	}
+}
+
+// TestStructureKeyGolden pins StructureKey's values: it is the analysis
+// cache key, so a change to it silently empties every cache keyed by it.
+func TestStructureKeyGolden(t *testing.T) {
+	for _, c := range []struct {
+		a    *Matrix
+		o    Options
+		want uint64
+	}{
+		{GenGrid2D(10, 10, false, GenOptions{Seed: 21}), DefaultOptions(), 0x3e7b12cd12892480},
+		{bench.ByName("sherman5").Gen(1), DefaultOptions(), 0x313c6e8e34997bb5},
+		{bench.ByName("lnsp3937").Gen(0.5), PaperOptions(), 0xd2f4489b2212e63c},
+	} {
+		if got := StructureKey(c.a, c.o); got != c.want {
+			t.Errorf("StructureKey(N=%d) = %#x, want %#x", c.a.N, got, c.want)
+		}
+	}
+	if got := patternHash(&Matrix{}); got != 0x88201fb960ff6465 {
+		t.Errorf("patternHash(empty) = %#x, want 0x88201fb960ff6465", got)
 	}
 }

@@ -1,15 +1,17 @@
 // One-shot cache-block autotuning for the packed GEMM engine.
 //
-// The micro-tile shape (4x8) is fixed by the vector micro-kernel, but the
-// cache blocking — how many A rows and B columns are packed per panel — is a
-// machine property: the right shape depends on cache sizes, SMT siblings and
-// memory bandwidth, not on the matrix. Autotune measures the GEMM and TRSM
-// kernels once, at supernode-update shapes, over a small candidate set and
-// publishes the winner for the process lifetime.
+// The tiles (4-row A strips against 8-column B strips, alone, in pairs or
+// three together) are fixed by the kernels, but the cache blocking — how
+// many A rows and B columns are packed per panel — is a machine property:
+// the right shape depends on cache sizes, SMT siblings and memory bandwidth,
+// not on the matrix. Autotune measures the GEMM and TRSM kernels once, at
+// supernode-update shapes, over a small candidate set and publishes the
+// winner for the process lifetime. mc stays a multiple of 4; a multiple of 8
+// keeps every strip of a full block paired in the AVX-512 tile.
 //
 // Correctness is unconditional: every element of C accumulates over the full
-// k extent inside one micro-kernel call whatever the cache blocking, so all
-// candidates produce bitwise-identical results (pinned by
+// k extent inside one tile whatever the cache blocking, so all candidates
+// produce bitwise-identical results (pinned by
 // TestTileShapeBitIdentical). Autotuning therefore never interacts with the
 // repo's determinism guarantees — it only moves wall-clock.
 package xblas
@@ -23,7 +25,7 @@ import (
 
 // tileShape is the published cache-block configuration of the engine.
 type tileShape struct {
-	mc int // A-panel rows per cache block (multiple of mr)
+	mc int // A-panel rows per cache block (multiple of mr; of 2*mr to pair every strip)
 	nc int // B-panel columns per cache block (multiple of nr)
 }
 
@@ -43,7 +45,10 @@ func TileShape() (mc, nc int) {
 
 // SetTileShape installs a cache-block shape directly, bypassing the
 // autotuner — for tests and benchmarks that sweep shapes. mc must be a
-// positive multiple of 4 and nc a positive multiple of 8.
+// positive multiple of 4 and nc a positive multiple of 8. A multiple of 8
+// for mc keeps every strip of a full block paired in the 8-row AVX-512 tile;
+// other multiples of 4 end each block in a 12- or 4-row tile, with the same
+// bits.
 func SetTileShape(mc, nc int) error {
 	if mc <= 0 || mc%mr != 0 {
 		return fmt.Errorf("xblas: tile mc %d must be a positive multiple of %d", mc, mr)

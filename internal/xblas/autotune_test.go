@@ -6,10 +6,13 @@ import (
 )
 
 // TestTileShapeBitIdentical pins the safety argument of the autotuner: the
-// cache-block shape only regroups packing and micro-kernel calls, never the
+// cache-block shape only regroups packing and tile calls, never the
 // per-element accumulation order, so every candidate shape must produce
-// bitwise-identical GEMM output. Shapes that don't divide the problem evenly
-// (edge tiles) are the interesting cases, so the problem sizes are ragged.
+// bitwise-identical GEMM output — at every kernel level the host runs, and
+// across levels. Shapes that don't divide the problem evenly (edge tiles) are
+// the interesting cases, so the problem sizes are ragged; mc = 4 and 20 give
+// blocks of one and five strips, so a block ends in a lone strip or a 12-row
+// tile.
 func TestTileShapeBitIdentical(t *testing.T) {
 	origMC, origNC := TileShape()
 	defer func() {
@@ -17,6 +20,7 @@ func TestTileShapeBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
+	shapes := append([]tileShape{{mc: 4, nc: 8}, {mc: 20, nc: 24}}, tileCandidates...)
 
 	rng := rand.New(rand.NewSource(7))
 	dims := []struct{ m, n, k int }{
@@ -35,26 +39,28 @@ func TestTileShapeBitIdentical(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		var ref []float64
-		for _, cand := range tileCandidates {
-			if err := SetTileShape(cand.mc, cand.nc); err != nil {
-				t.Fatal(err)
-			}
-			c := make([]float64, d.m*d.n)
-			for i := range c {
-				c[i] = 1.5 // non-zero so the subtract path is exercised
-			}
-			Gemm(d.m, d.n, d.k, a, d.k, b, d.n, c, d.n)
-			if ref == nil {
-				ref = c
-				continue
-			}
-			for i := range c {
-				if c[i] != ref[i] {
-					t.Fatalf("m=%d n=%d k=%d tile (%d,%d): c[%d] = %v, want %v (bitwise)",
-						d.m, d.n, d.k, cand.mc, cand.nc, i, c[i], ref[i])
+		forEachLevel(t, func(t *testing.T) {
+			for _, cand := range shapes {
+				if err := SetTileShape(cand.mc, cand.nc); err != nil {
+					t.Fatal(err)
+				}
+				c := make([]float64, d.m*d.n)
+				for i := range c {
+					c[i] = 1.5 // non-zero so the subtract path is exercised
+				}
+				Gemm(d.m, d.n, d.k, a, d.k, b, d.n, c, d.n)
+				if ref == nil {
+					ref = c
+					continue
+				}
+				for i := range c {
+					if c[i] != ref[i] {
+						t.Fatalf("m=%d n=%d k=%d tile (%d,%d): c[%d] = %v, want %v (bitwise)",
+							d.m, d.n, d.k, cand.mc, cand.nc, i, c[i], ref[i])
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

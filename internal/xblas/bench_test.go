@@ -14,11 +14,17 @@ import (
 
 var gemmBenchSizes = []int{8, 16, 25, 32, 64, 128}
 
+// BenchmarkGemm runs the square sizes at every kernel level the host runs,
+// best level first.
 func BenchmarkGemm(b *testing.B) {
-	for _, n := range gemmBenchSizes {
-		b.Run(fmt.Sprintf("%dx%dx%d", n, n, n), func(b *testing.B) {
-			benchGemmN(b, n)
-		})
+	defer func(l int) { level = l }(level)
+	for l := hostLevel; l >= levelPortable; l-- {
+		level = l
+		for _, n := range gemmBenchSizes {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", levelNames[l], n, n, n), func(b *testing.B) {
+				benchGemmN(b, n)
+			})
+		}
 	}
 }
 

@@ -13,18 +13,29 @@
 //     values.
 //   - B panels are packed into strips of nr columns: strip element (l, j) sits
 //     at offset l*nr+j.
-//   - The micro-kernel keeps the full mr-by-nr product tile in registers,
-//     accumulating over the whole k extent with fused multiply-adds, and folds
-//     the tile into C with a single rounding per element: C += sign*acc.
+//   - A tile of one, two or three A strips by one B strip stays in registers,
+//     accumulating over the whole k extent with fused multiply-adds, and is
+//     folded into C with a single rounding per element: C += sign*acc, at
+//     the positions the caller's row and column maps name.
 //
-// On amd64 with AVX2+FMA (detected at startup via CPUID) the micro-kernel is
-// hand-written vector assembly; everywhere else a math.FMA-based pure-Go
-// kernel runs. Both accumulate in the same order with correctly-rounded fused
-// multiply-adds, so the results are bitwise identical across platforms — the
-// property the repo's determinism guarantees rest on. For the same reason
-// every element's accumulation order equals the naive triple loop's (ascending
-// l, one final fold into C), so the packed kernels bit-match an FMA-based
-// naive reference exactly.
+// Three kernel levels exist, the best the CPU runs picked once at startup
+// (CPUID/XGETBV on amd64):
+//
+//   - amd64-avx512: 4-, 8- and 12-row zmm tiles (pairs of strips, the last
+//     three or the only one together) that fold straight into C — masked
+//     loads and stores for contiguous columns, per-row offsets for a row
+//     map, gathers and scatters for a column map;
+//   - amd64-avx2-fma: a 4x8 ymm kernel per strip, folding into C directly
+//     when the strip covers four consecutive rows and eight contiguous
+//     columns and through a scratch tile and Go write-back otherwise;
+//   - portable-fma: the same strips on a math.FMA kernel.
+//
+// All accumulate in the same order with correctly-rounded fused multiply-adds
+// and fold with one rounding, so the results are bitwise identical across
+// levels and platforms — the property the repo's determinism guarantees rest
+// on. For the same reason every element's accumulation order equals the naive
+// triple loop's (ascending l, one final fold into C), so the packed kernels
+// bit-match an FMA-based naive reference exactly.
 //
 // The k extent is deliberately NOT split into cache blocks: S*'s supernode
 // panels keep k at or below the block size (≤ ~128), the packed panels stay
@@ -37,17 +48,17 @@ import (
 	"sync"
 )
 
-// Tile constants of the engine. The micro-tile shape mr×nr is fixed by the
-// amd64 micro-kernel (8 vector accumulators of 4 lanes), so changing it
-// means updating gemm_amd64.s and kernel4x8go together. The cache blocks
-// (rows of A, columns of B per packed panel) are runtime state published by
+// Tile constants of the engine. The strip widths mr and nr are the packed
+// layout every kernel level reads (gemm_amd64.s and kernel4x8go alike), so
+// changing them means changing all of them. The cache blocks (rows of A,
+// columns of B per packed panel) are runtime state published by
 // autotune.go: every element of C is still accumulated over the full k
-// extent inside a single micro-kernel call and folded with one rounding, so
-// the cache-block shape never changes results — retiling is a pure
-// wall-clock knob (see Autotune).
+// extent inside a single tile and folded with one rounding, so the
+// cache-block shape never changes results — retiling is a pure wall-clock
+// knob (see Autotune).
 const (
-	mr = 4 // micro-tile rows (A-panel strip width)
-	nr = 8 // micro-tile columns (B-panel strip width)
+	mr = 4 // A-panel strip width (rows)
+	nr = 8 // B-panel strip width (columns)
 
 	defaultMCBlock = 96  // A-panel rows per cache block (multiple of mr)
 	defaultNCBlock = 256 // B-panel columns per cache block (multiple of nr)
@@ -59,9 +70,26 @@ const (
 	smallGemmFlops = 2 * 4 * 4 * 4
 )
 
-func grow(buf []float64, n int) []float64 {
+// Kernel levels, lowest first; every level gives the same bits.
+const (
+	levelPortable = iota
+	levelAVX2
+	levelAVX512
+)
+
+var levelNames = [...]string{"portable-fma", "amd64-avx2-fma", "amd64-avx512"}
+
+// level is the kernel level in use: hostLevel, the best this CPU runs. Only
+// tests lower it, to hold every level to the same bits on one host.
+var level = hostLevel
+
+// KernelName identifies the kernel level dispatched at startup, for
+// benchmark reports.
+func KernelName() string { return levelNames[level] }
+
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -107,20 +135,9 @@ func gemmEngine(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 			mcbPad := roundUp(mcb, mr)
 			pb.a = grow(pb.a, mcbPad*k)
 			packA(pb.a, a, lda, ic, k, mcb)
-			for jr := 0; jr < ncb; jr += nr {
-				bs := pb.b[jr*k:]
-				fullN := jr+nr <= ncb
-				for ir := 0; ir < mcb; ir += mr {
-					as := pb.a[ir*k:]
-					if fullN && ir+mr <= mcb {
-						kernel4x8(k, as, bs, c[(ic+ir)*ldc+jc+jr:], ldc, sign)
-					} else {
-						var tmp [mr * nr]float64
-						kernel4x8(k, as, bs, tmp[:], nr, 1)
-						addTile(c, ldc, ic+ir, jc+jr, min(mr, mcb-ir), min(nr, ncb-jr), &tmp, sign)
-					}
-				}
-			}
+			offs, maxOff := rowOffsets(pb.offs, nil, ic, mcb, ldc)
+			pb.offs = offs
+			sweep(ncb, k, pb.a, pb.b, c, ldc, offs, maxOff, jc, nil, sign)
 		}
 	}
 	packsPool.Put(pb)
@@ -184,13 +201,140 @@ func packB(dst, b []float64, ldb, jc, k, cols int) {
 	}
 }
 
-// addTile folds the valid mi-by-nj region of a micro-tile into C.
-func addTile(c []float64, ldc, i0, j0, mi, nj int, tmp *[mr * nr]float64, sign float64) {
-	for ii := 0; ii < mi; ii++ {
-		crow := c[(i0+ii)*ldc+j0:]
-		trow := tmp[ii*nr:]
-		for jj := 0; jj < nj; jj++ {
-			crow[jj] = math.FMA(sign, trow[jj], crow[jj])
+// rowOffsets fills offs with the offset in C of product rows ic..ic+n-1 —
+// row r lands on row rows[r], or on row r when rows is nil; -1 is no slot —
+// padded with -1 to whole strips of mr rows. It also returns the largest
+// offset, -1 when no row has a slot.
+func rowOffsets(offs []int, rows []int32, ic, n, ldc int) ([]int, int) {
+	offs = grow(offs, roundUp(n, mr))
+	maxOff := -1
+	if rows == nil {
+		for i := range offs[:n] {
+			offs[i] = (ic + i) * ldc
+		}
+		maxOff = offs[n-1]
+	} else {
+		for i, t := range rows[ic : ic+n] {
+			o := -1
+			if t >= 0 {
+				o = int(t) * ldc
+				maxOff = max(maxOff, o)
+			}
+			offs[i] = o
+		}
+	}
+	for i := n; i < len(offs); i++ {
+		offs[i] = -1
+	}
+	return offs, maxOff
+}
+
+// tileCols says where the columns of one B strip land in C: lane j, if set
+// in mask, lands on column base+j, or on column cols[j] when cols is not nil.
+// reach is one past the farthest column a lane lands on.
+type tileCols struct {
+	base, reach int
+	cols        []int32
+	mask        uint64
+}
+
+// stripCols describes a strip of mapped columns (-1: no slot). A map that
+// is one run with holes, cols[j] = base+j wherever it is set, is written
+// like contiguous columns under the mask.
+func stripCols(cols []int32) tileCols {
+	var w tileCols
+	run, seen := true, false
+	for j, t := range cols {
+		if t < 0 {
+			continue
+		}
+		w.mask |= 1 << j
+		w.reach = max(w.reach, int(t)+1)
+		if !seen {
+			w.base, seen = int(t)-j, true
+		} else if int(t)-j != w.base {
+			run = false
+		}
+	}
+	if !run || w.base < 0 {
+		w.base, w.cols = 0, cols
+	}
+	return w
+}
+
+// sweep folds the product of a packed A block and a packed B panel into C:
+//
+//	C[offs[i] + col(j)] = FMA(sign, acc(i, j), C[offs[i] + col(j)])
+//
+// for every product row i with offs[i] >= 0 and column j < n with a slot,
+// where acc(i, j) is the FMA sum over ascending l from +0 and col(j) is
+// col0+j, or cols[j] when cols is not nil (-1: no slot). ap holds
+// len(offs)/mr strips of mr rows, bp the n columns in strips of nr; each
+// B strip goes to tile, the kernel level dispatched at startup.
+func sweep(n, k int, ap, bp, c []float64, ldc int, offs []int, maxOff, col0 int, cols []int32, sign float64) {
+	if ldc < 0 || col0 < 0 {
+		panic("xblas: negative ldc or column offset") // offsets < 0 would read as "no slot"
+	}
+	if maxOff < 0 {
+		return
+	}
+	for jr := 0; jr < n; jr += nr {
+		nj := min(nr, n-jr)
+		w := tileCols{base: col0 + jr, reach: col0 + jr + nj, mask: 1<<nj - 1}
+		if cols != nil {
+			if w = stripCols(cols[jr : jr+nj]); w.mask == 0 {
+				continue
+			}
+		}
+		// One bounds check per strip, on the farthest element its tiles
+		// write, so the kernels may run unchecked.
+		_ = c[maxOff+w.reach-1]
+		tile(k, ap, bp[jr*k:(jr+nr)*k], c, ldc, offs, &w, sign)
+	}
+}
+
+// negZeroTile seeds tileStrips' scratch tile: FMA(1, acc, -0) is acc
+// exactly, the sign of a zero included, so folding the scratch tile gives
+// the bits of folding acc.
+var negZeroTile = func() (t [mr * nr]float64) {
+	for i := range t {
+		t[i] = math.Copysign(0, -1)
+	}
+	return t
+}()
+
+// tileStrips runs the A strips against one B strip on the 4x8 kernel:
+// straight into C when a strip's rows are consecutive and its eight columns
+// contiguous, through a scratch tile otherwise. C += sign*v rounds once, as
+// the fused fold does: the product by sign is exact.
+func tileStrips(k int, as, bs, c []float64, ldc int, offs []int, w *tileCols, sign float64) {
+	for s := 0; s < len(offs); s += mr {
+		o, a := offs[s:s+mr], as[s*k:]
+		if w.cols == nil && w.mask == 1<<nr-1 && o[0] >= 0 && o[1] == o[0]+ldc && o[2] == o[1]+ldc && o[3] == o[2]+ldc {
+			kernel4x8(k, a, bs, c[o[0]+w.base:], ldc, sign)
+			continue
+		}
+		tmp := negZeroTile
+		kernel4x8(k, a, bs, tmp[:], nr, 1)
+		for ii, off := range o {
+			if off < 0 {
+				continue
+			}
+			trow := tmp[ii*nr : ii*nr+nr]
+			if w.cols == nil {
+				crow := c[off+w.base:]
+				for jj, v := range trow {
+					if w.mask>>jj&1 != 0 {
+						crow[jj] += sign * v
+					}
+				}
+				continue
+			}
+			for jj, t := range w.cols {
+				if t >= 0 {
+					c[off+int(t)] += sign * trow[jj]
+				}
+			}
 		}
 	}
 }
@@ -228,6 +372,7 @@ type Dest struct {
 	Rows []int32
 	// Cols[j] is the column of C that product column j lands on, -1 for none.
 	// nil means the columns land on the contiguous run Col0, Col0+1, ...
+	// No two product columns land on one column of C.
 	Cols []int32
 	Col0 int
 }
@@ -244,6 +389,7 @@ type Packs struct {
 	bPacked bool
 	rows    []int32 // GemmScatter's converted maps
 	cols    []int32
+	offs    []int // sweep's row offsets into C
 }
 
 // NewB declares that the next GemmUpdate brings a new B operand.
@@ -279,11 +425,11 @@ var packsPool = sync.Pool{New: func() any { return new(Packs) }}
 // are structural zeros in the S* update). This is the one engine behind every
 // block update of the factorization: the maps come precomputed and compacted
 // from the static update plan, operand panels are packed without gathering,
-// the micro-kernel accumulates each tile in registers over the full k extent
-// and the write-back folds it into C with a single rounding per element —
-// bit-matching the naive mapped triple loop. With contiguous destination
-// columns the write-back is a direct store, and with the zero Dest full tiles
-// go straight from the micro-kernel into C.
+// each tile accumulates in registers over the full k extent and is folded
+// into C with a single rounding per element — bit-matching the naive mapped
+// triple loop. On AVX-512 hosts every tile folds in registers, whatever the
+// maps; elsewhere tiles on four consecutive rows and eight contiguous columns
+// do, and the rest go through a scratch tile.
 //
 // pk may be nil (buffers then come from a pool and B is packed for this call
 // only); pa may be nil (A is then packed for this call only). Stats: the zero
@@ -329,64 +475,13 @@ func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 			packA(pk.a, a, lda, ic, k, mcb)
 			ap = pk.a
 		}
-		for jr := 0; jr < n; jr += nr {
-			bs := pk.b[jr*k:]
-			nj := min(nr, n-jr)
-			for ir := 0; ir < mcb; ir += mr {
-				as := ap[ir*k:]
-				mi := min(mr, mcb-ir)
-				if d.Cols == nil && mi == mr && nj == nr {
-					// Full tile onto a contiguous rectangle of C: the
-					// micro-kernel folds it in directly.
-					if t := tileRow(d.Rows, ic+ir); t >= 0 {
-						kernel4x8(k, as, bs, c[t*ldc+d.Col0+jr:], ldc, -1)
-						continue
-					}
-				}
-				var tmp [mr * nr]float64
-				kernel4x8(k, as, bs, tmp[:], nr, 1)
-				for ii := 0; ii < mi; ii++ {
-					ri := ic + ir + ii
-					if d.Rows != nil {
-						if ri = int(d.Rows[ri]); ri < 0 {
-							continue
-						}
-					}
-					trow := tmp[ii*nr : ii*nr+nj]
-					if d.Cols == nil {
-						crow := c[ri*ldc+d.Col0+jr:]
-						crow = crow[:len(trow)]
-						for jj, v := range trow {
-							crow[jj] -= v
-						}
-						continue
-					}
-					crow := c[ri*ldc:]
-					for jj, t := range d.Cols[jr : jr+nj] {
-						if t >= 0 {
-							crow[t] -= trow[jj]
-						}
-					}
-				}
-			}
-		}
+		offs, maxOff := rowOffsets(pk.offs, d.Rows, ic, mcb, ldc)
+		pk.offs = offs
+		sweep(n, k, ap, pk.b, c, ldc, offs, maxOff, d.Col0, d.Cols, -1)
 	}
 	if pooled {
 		packsPool.Put(pk)
 	}
-}
-
-// tileRow returns the row of C on which product row r lands when product rows
-// r .. r+mr-1 land on mr consecutive rows of C, and -1 otherwise.
-func tileRow(rows []int32, r int) int {
-	if rows == nil {
-		return r
-	}
-	t := rows[r]
-	if t < 0 || rows[r+1] != t+1 || rows[r+2] != t+2 || rows[r+3] != t+3 {
-		return -1
-	}
-	return int(t)
 }
 
 // smallUpdate is the direct path for tiny products: the mapped FMA triple
@@ -438,8 +533,8 @@ func countSlots(m []int32, n int) int {
 //	C[dstRow[i], dstCol[j]] -= (A*B)[i, j]
 //
 // with entries of dstRow / dstCol equal to -1 marking product rows/columns
-// that have no slot in C. A thin wrapper — the maps are converted into pooled
-// scratch and the shared engine does the rest.
+// that have no slot in C, under Dest's conventions. A thin wrapper — the
+// maps are converted into pooled scratch and the shared engine does the rest.
 func GemmScatter(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, dstRow, dstCol []int) {
 	if m == 0 || n == 0 || k == 0 {
 		return

@@ -2,15 +2,24 @@
 
 package xblas
 
-// useAsmKernel reports whether the AVX2+FMA vector micro-kernel can run on
-// this CPU (checked once at startup via CPUID/XGETBV). The fallback
-// kernel4x8go produces bitwise-identical results, so the switch is purely a
-// speed decision.
-var useAsmKernel = x86HasAVX2FMA()
+// hostLevel is the best kernel level this CPU runs (CPUID/XGETBV, checked
+// once at startup): the AVX-512 tiles need AVX512F with OS-enabled opmask and
+// ZMM state, the AVX2 kernels AVX2+FMA with OS-enabled YMM state.
+var hostLevel = detectLevel()
 
-// x86HasAVX2FMA reports AVX2+FMA hardware support with OS-enabled YMM state.
-// Implemented in gemm_amd64.s.
+func detectLevel() int {
+	switch {
+	case !x86HasAVX2FMA():
+		return levelPortable
+	case !x86HasAVX512F():
+		return levelAVX2
+	}
+	return levelAVX512
+}
+
+// x86HasAVX2FMA and x86HasAVX512F are implemented in gemm_amd64.s.
 func x86HasAVX2FMA() bool
+func x86HasAVX512F() bool
 
 // kernel4x8asm computes the 4x8 micro-tile update C += sign * Ap*Bp over
 // packed strips Ap (kc*4, layout l*4+i) and Bp (kc*8, layout l*8+j), with C
@@ -19,22 +28,46 @@ func x86HasAVX2FMA() bool
 //go:noescape
 func kernel4x8asm(kc int, a, b, c *float64, ldc int, sign float64)
 
-// KernelName identifies the micro-kernel selected at startup, for benchmark
-// reports.
-func KernelName() string {
-	if useAsmKernel {
-		return "amd64-avx2-fma"
-	}
-	return "portable-fma"
-}
+// gemmTile512 is the AVX-512 tile: rows/4 consecutive packed A strips (rows
+// 4, 8 or 12) against one packed B strip, folded into C as
+// c[offs[i] + col(j)] = FMA(sign, acc, c[offs[i] + col(j)]) for the lanes j
+// set in cmask and the rows with offs[i] >= 0, where col(j) is j, or cols[j]
+// when cols is not nil. c points at the tile's column base. Implemented in
+// gemm_amd64.s; the caller has checked every address the tile reaches.
+//
+//go:noescape
+func gemmTile512(kc, rows int, a, b, c *float64, offs *int, cols *int32, cmask uint64, sign float64)
 
 // kernel4x8 dispatches to the vector kernel when available.
 func kernel4x8(kc int, a, b, c []float64, ldc int, sign float64) {
-	if useAsmKernel {
+	if level >= levelAVX2 {
 		kernel4x8asm(kc, &a[0], &b[0], &c[0], ldc, sign)
 		return
 	}
 	kernel4x8go(kc, a, b, c, ldc, sign)
+}
+
+// tile folds the A strips of sweep against one B strip into C: on AVX-512
+// as tiles of two strips, the last three or the only one together, else
+// strip by strip on the 4x8 kernels.
+func tile(k int, as, bs, c []float64, ldc int, offs []int, w *tileCols, sign float64) {
+	if level < levelAVX512 {
+		tileStrips(k, as, bs, c, ldc, offs, w, sign)
+		return
+	}
+	var cols *int32
+	if w.cols != nil {
+		cols = &w.cols[0]
+	}
+	cb := &c[w.base]
+	for s, strips := 0, len(offs)/mr; s < strips; {
+		g := 2
+		if r := strips - s; r == 1 || r == 3 {
+			g = r
+		}
+		gemmTile512(k, g*mr, &as[s*mr*k], &bs[0], cb, &offs[s*mr], cols, w.mask, sign)
+		s += g
+	}
 }
 
 // mulSub4asm and mulSub1asm are the MulSub micro-kernels for a strip of four
@@ -52,7 +85,7 @@ func mulSub1asm(n, k int, a *float64, b *float64, ldb int, c *float64)
 // kernels. They apply mulSubGo's operation sequence to each element, so the
 // split never shows in the result.
 func mulSub(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if !useAsmKernel {
+	if level < levelAVX2 {
 		mulSubGo(m, n, k, a, lda, b, ldb, c, ldc)
 		return
 	}
@@ -73,7 +106,7 @@ func mulSub(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64
 func elimStepAsm(rows *float64, s, n, w int) (best float64, bestRow int)
 
 func elimStep(rows []float64, s, n, w int) (float64, int) {
-	if !useAsmKernel {
+	if level < levelAVX2 {
 		return elimStepGo(rows, s, n, w)
 	}
 	best, bestRow := elimStepAsm(&rows[0], s, n, w)

@@ -2,16 +2,21 @@
 
 package xblas
 
-// KernelName identifies the micro-kernel selected at startup, for benchmark
-// reports.
-func KernelName() string { return "portable-fma" }
+// hostLevel: off amd64 only the portable kernels exist.
+var hostLevel = levelPortable
 
 // kernel4x8 runs the portable micro-kernel on non-amd64 targets. math.FMA
 // is correctly rounded on every platform (hardware fused multiply-add where
 // available, exact software emulation otherwise), so results are bitwise
-// identical to the amd64 vector kernel.
+// identical to the amd64 vector kernels.
 func kernel4x8(kc int, a, b, c []float64, ldc int, sign float64) {
 	kernel4x8go(kc, a, b, c, ldc, sign)
+}
+
+// tile folds the A strips of sweep against one B strip into C on the
+// portable kernel.
+func tile(k int, as, bs, c []float64, ldc int, offs []int, w *tileCols, sign float64) {
+	tileStrips(k, as, bs, c, ldc, offs, w, sign)
 }
 
 // mulSub runs the portable kernel, whose explicitly rounded products give

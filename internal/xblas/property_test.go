@@ -314,7 +314,9 @@ func bitEqual(x, y []float64) bool {
 	return true
 }
 
-func TestGemmBitMatchesReference(t *testing.T) {
+func TestGemmBitMatchesReference(t *testing.T) { forEachLevel(t, testGemmBitMatchesReference) }
+
+func testGemmBitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 300; trial++ {
 		m, n, k := randDims(rng)
@@ -345,6 +347,10 @@ func TestGemmBitMatchesReference(t *testing.T) {
 }
 
 func TestGemmScatterBitMatchesReference(t *testing.T) {
+	forEachLevel(t, testGemmScatterBitMatchesReference)
+}
+
+func testGemmScatterBitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 300; trial++ {
 		m, n, k := randDims(rng)
@@ -369,68 +375,125 @@ func TestGemmScatterBitMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGemmUpdateBitMatchesReference drives the planned-update engine through
-// every Dest form the static update plan produces — no row map, row maps with
-// consecutive runs (the direct tile store) and with dropped rows, contiguous
-// destination columns at an offset, full column maps — and through the
-// pack-once contract: several A operands against one B between two NewB
-// calls, sharing one Packs, must each bit-match the naive mapped loop.
-func TestGemmUpdateBitMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	var pk Packs
-	for trial := 0; trial < 300; trial++ {
-		m, n, k := randDims(rng)
-		if trial%10 == 0 {
-			m += 100 // more rows than one A cache block
-		}
-		lda, ldb := k+rng.Intn(5), n+rng.Intn(5)
-		b := randMat(rng, k, ldb)
-		pk.NewB()
-		for rep := 0; rep < 3; rep++ { // same B, fresh A and destination each time
-			tm, tn := m+rng.Intn(4), n+rng.Intn(4)
-			ldc := tn + rng.Intn(5)
-			var d Dest
-			dstRow, dstCol := make([]int, m), make([]int, n)
-			for i := range dstRow {
-				dstRow[i] = i
-			}
-			form := rng.Intn(4)
-			switch form {
-			case 1: // runs of consecutive rows with a gap, no drops
-				gap := rng.Intn(m + 1)
-				for i := gap; i < m; i++ {
-					dstRow[i] = i + tm - m
-				}
-			case 2: // arbitrary injective map with drops
-				dstRow = scatterMap(rng, m, tm)
-			}
-			if form != 0 { // form 0 leaves Rows nil: row i lands on row i
-				d.Rows = toInt32(nil, dstRow)
-			}
-			if rng.Intn(2) == 0 {
-				d.Col0 = rng.Intn(tn - n + 1)
-				for j := range dstCol {
-					dstCol[j] = d.Col0 + j
-				}
-			} else {
-				dstCol = scatterMap(rng, n, tn)
-				d.Cols = toInt32(nil, dstCol)
-			}
-			a := randMat(rng, m, lda)
-			c := randMat(rng, tm, ldc)
-			want := append([]float64(nil), c...)
-			refGemmScatter(m, n, k, a, lda, b, ldb, want, ldc, dstRow, dstCol)
-			usePk := &pk
-			if trial%4 == 3 {
-				usePk = nil // pooled buffers, B packed per call
-			}
-			GemmUpdate(m, n, k, a, lda, b, ldb, c, ldc, d, usePk, nil)
-			if !bitEqual(c, want) {
-				t.Fatalf("trial %d rep %d: GemmUpdate m=%d n=%d k=%d rows=%v cols=%v col0=%d: not bit-identical to reference (max diff %g)",
-					trial, rep, m, n, k, d.Rows != nil, d.Cols != nil, d.Col0, maxDiff(c, want))
-			}
-		}
+// forEachLevel runs f once per kernel level the host runs, with level set
+// to it.
+func forEachLevel(t *testing.T, f func(t *testing.T)) {
+	defer func(l int) { level = l }(level)
+	for l := levelPortable; l <= hostLevel; l++ {
+		level = l
+		t.Run(levelNames[l], f)
 	}
+}
+
+// guarded returns a slice of n random values followed, in the same array, by
+// a band of canaries, and a check that the band is intact: kernels that run
+// unchecked must not write past the end of C.
+func guarded(rng *rand.Rand, n int) ([]float64, func() bool) {
+	const band = 16
+	buf := randMat(rng, n+band, 1)
+	for i := n; i < len(buf); i++ {
+		buf[i] = 12345.5
+	}
+	return buf[:n], func() bool {
+		for _, v := range buf[n:] {
+			if v != 12345.5 {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// TestGemmUpdateBitMatchesReference drives the planned-update engine, at
+// every kernel level, through every Dest form the static update plan
+// produces — no row map, row maps with consecutive runs and with dropped
+// rows, contiguous destination columns at an offset, column maps that are
+// runs with holes and arbitrary ones — at every m mod 8, and through the
+// pack-once contract: several A operands against one B between two NewB
+// calls, sharing one Packs, must each bit-match the naive mapped loop. Half
+// the time C ends exactly at the last element the update writes, with
+// canaries behind it, so a tile that reaches too far fails loudly.
+func TestGemmUpdateBitMatchesReference(t *testing.T) {
+	forEachLevel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(59))
+		var pk Packs
+		for trial := 0; trial < 300; trial++ {
+			m, n, k := randDims(rng)
+			switch trial % 10 {
+			case 0:
+				m += 100 // more rows than one A cache block
+			case 5:
+				m = 8*rng.Intn(4) + 1 + trial/10%7 // m mod 8 = 1..7 in turn
+			}
+			lda, ldb := k+rng.Intn(5), n+rng.Intn(5)
+			b := randMat(rng, k, ldb)
+			pk.NewB()
+			for rep := 0; rep < 3; rep++ { // same B, fresh A and destination each time
+				tm, tn := m+rng.Intn(4), n+rng.Intn(4)
+				ldc := tn + rng.Intn(5)
+				var d Dest
+				dstRow, dstCol := make([]int, m), make([]int, n)
+				for i := range dstRow {
+					dstRow[i] = i
+				}
+				form := rng.Intn(4)
+				switch form {
+				case 1: // runs of consecutive rows with a gap, no drops
+					gap := rng.Intn(m + 1)
+					for i := gap; i < m; i++ {
+						dstRow[i] = i + tm - m
+					}
+				case 2: // arbitrary injective map with drops
+					dstRow = scatterMap(rng, m, tm)
+				}
+				if form != 0 { // form 0 leaves Rows nil: row i lands on row i
+					d.Rows = toInt32(nil, dstRow)
+				}
+				switch rng.Intn(3) {
+				case 0:
+					d.Col0 = rng.Intn(tn - n + 1)
+					for j := range dstCol {
+						dstCol[j] = d.Col0 + j
+					}
+				case 1: // one run at an offset, about a quarter of it dropped
+					off := rng.Intn(tn - n + 1)
+					for j := range dstCol {
+						if dstCol[j] = off + j; rng.Intn(4) == 0 {
+							dstCol[j] = -1
+						}
+					}
+					d.Cols = toInt32(nil, dstCol)
+				default:
+					dstCol = scatterMap(rng, n, tn)
+					d.Cols = toInt32(nil, dstCol)
+				}
+				a := randMat(rng, m, lda)
+				size := tm * ldc
+				if rng.Intn(2) == 0 {
+					size = 0 // just past the last element written
+					for _, r := range dstRow {
+						for _, cj := range dstCol {
+							if r >= 0 && cj >= 0 {
+								size = max(size, r*ldc+cj+1)
+							}
+						}
+					}
+				}
+				c, intact := guarded(rng, size)
+				want := append([]float64(nil), c...)
+				refGemmScatter(m, n, k, a, lda, b, ldb, want, ldc, dstRow, dstCol)
+				usePk := &pk
+				if trial%4 == 3 {
+					usePk = nil // pooled buffers, B packed per call
+				}
+				GemmUpdate(m, n, k, a, lda, b, ldb, c, ldc, d, usePk, nil)
+				if !bitEqual(c, want) || !intact() {
+					t.Fatalf("trial %d rep %d: GemmUpdate m=%d n=%d k=%d rows=%v cols=%v col0=%d len(c)=%d: not bit-identical to reference (max diff %g) or wrote past C",
+						trial, rep, m, n, k, d.Rows != nil, d.Cols != nil, d.Col0, len(c), maxDiff(c, want))
+				}
+			}
+		}
+	})
 }
 
 // scatterMap draws an injective map of src positions onto t target slots with
@@ -482,24 +545,148 @@ func TestTrsmMatchesReference(t *testing.T) {
 	}
 }
 
-// TestKernelDispatchParity pins the dispatched micro-kernel (vector assembly
-// on capable amd64 hosts) to the portable math.FMA kernel bit for bit.
+// refTile is the naive definition of one tile of sweep: packed strips as
+// (len(offs)/mr strips of kc*mr) against the packed B strip bs.
+func refTile(kc int, as, bs, c []float64, offs []int, w *tileCols, sign float64) {
+	for i, off := range offs {
+		if off < 0 {
+			continue
+		}
+		for j := 0; j < nr; j++ {
+			if w.mask>>j&1 == 0 {
+				continue
+			}
+			acc := 0.0
+			for l := 0; l < kc; l++ {
+				acc = math.FMA(as[i/mr*mr*kc+l*mr+i%mr], bs[l*nr+j], acc)
+			}
+			t := off + w.base + j
+			if w.cols != nil {
+				t = off + int(w.cols[j])
+			}
+			c[t] = math.FMA(sign, acc, c[t])
+		}
+	}
+}
+
+// TestKernelDispatchParity pins the dispatched kernels to the portable
+// math.FMA ones bit for bit, at every level the host runs: the 4x8 kernel to
+// kernel4x8go, and every tile — one, two and three strips — in every
+// write-back form (contiguous, a column edge under a mask, rows without a
+// slot, a run of columns with holes, a gathered column map) to the naive
+// tile. C is sized to end at the last element written, with canaries behind.
 func TestKernelDispatchParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for _, kc := range []int{1, 2, 7, 16, 33, 128} {
-		a := randMat(rng, kc, 4)
-		b := randMat(rng, kc, 8)
-		for _, sign := range []float64{1, -1} {
-			ldc := 8 + rng.Intn(4)
-			c1 := randMat(rng, 4, ldc)
-			c2 := append([]float64(nil), c1...)
-			kernel4x8(kc, a, b, c1, ldc, sign)
-			kernel4x8go(kc, a, b, c2, ldc, sign)
-			if !bitEqual(c1, c2) {
-				t.Fatalf("kc=%d sign=%v: dispatched kernel differs from portable kernel on %s", kc, sign, runtime.GOARCH)
+	forEachLevel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(53))
+		for _, kc := range []int{1, 2, 7, 16, 33, 128} {
+			a := randMat(rng, kc, 4)
+			b := randMat(rng, kc, 8)
+			for _, sign := range []float64{1, -1} {
+				ldc := 8 + rng.Intn(4)
+				c1 := randMat(rng, 4, ldc)
+				c2 := append([]float64(nil), c1...)
+				kernel4x8(kc, a, b, c1, ldc, sign)
+				kernel4x8go(kc, a, b, c2, ldc, sign)
+				if !bitEqual(c1, c2) {
+					t.Fatalf("kc=%d sign=%v: 4x8 kernel differs from portable kernel on %s", kc, sign, runtime.GOARCH)
+				}
+				for _, rows := range []int{4, 8, 12} {
+					for form := 0; form < 5; form++ {
+						checkTile(t, rng, kc, rows, form, sign)
+					}
+				}
+			}
+		}
+	})
+}
+
+// checkTile runs one tile of the given rows and write-back form against
+// refTile.
+func checkTile(t *testing.T, rng *rand.Rand, kc, rows, form int, sign float64) {
+	const ldc = 21
+	as, bs := randMat(rng, rows, kc), randMat(rng, nr, kc)
+	offs := make([]int, rows)
+	for i := range offs {
+		offs[i] = (rows - 1 - i) * ldc // rows land in reverse order
+	}
+	w := tileCols{base: 3, mask: 1<<nr - 1}
+	switch form {
+	case 1: // column edge: 1..7 live lanes
+		w.mask = 1<<(1+rng.Intn(nr-1)) - 1
+	case 2: // rows without a slot
+		for i := range offs {
+			if rng.Intn(3) == 0 {
+				offs[i] = -1
+			}
+		}
+	case 3: // a run with holes
+		w.mask = uint64(rng.Intn(1<<nr-1)) + 1
+	case 4: // gathered columns, some without a slot
+		w = tileCols{cols: make([]int32, nr)}
+		for j, p := range rng.Perm(ldc)[:nr] {
+			if w.cols[j] = int32(p); rng.Intn(4) == 0 {
+				w.cols[j] = -1
+			} else {
+				w.mask |= 1 << j
 			}
 		}
 	}
+	size := 0 // just past the last element written
+	for _, off := range offs {
+		for j := 0; j < nr; j++ {
+			if off >= 0 && w.mask>>j&1 != 0 {
+				t := off + w.base + j
+				if w.cols != nil {
+					t = off + int(w.cols[j])
+				}
+				size = max(size, t+1)
+			}
+		}
+	}
+	if size == 0 {
+		return
+	}
+	c, intact := guarded(rng, size)
+	want := append([]float64(nil), c...)
+	refTile(kc, as, bs, want, offs, &w, sign)
+	tile(kc, as, bs, c, ldc, offs, &w, sign)
+	if !bitEqual(c, want) || !intact() {
+		t.Fatalf("kc=%d rows=%d form=%d sign=%v: tile differs from the naive tile or wrote past C", kc, rows, form, sign)
+	}
+}
+
+// TestGemmSignedZeroUnderflow pins the fold on the one input where a scratch
+// tile could change the sign of a zero: a product that underflows to -0 in
+// every term gives acc = -0, and C = -0 minus it is +0 (C -= acc, the naive
+// loop), at every level, for mapped and plain updates alike.
+func TestGemmSignedZeroUnderflow(t *testing.T) {
+	forEachLevel(t, func(t *testing.T) {
+		const m, n, k = 9, 11, 3
+		a, b := make([]float64, m*k), make([]float64, k*n)
+		for i := range a {
+			a[i] = -1e-200
+		}
+		for i := range b {
+			b[i] = 1e-200
+		}
+		negZero := math.Copysign(0, -1)
+		cols := make([]int32, n)
+		for j := range cols {
+			cols[j] = int32(n - 1 - j)
+		}
+		for _, d := range []Dest{{}, {Cols: cols}} {
+			c := make([]float64, m*n)
+			for i := range c {
+				c[i] = negZero
+			}
+			GemmUpdate(m, n, k, a, k, b, n, c, n, d, nil, nil)
+			for i, v := range c {
+				if math.Signbit(v) {
+					t.Fatalf("cols=%v: c[%d] = -0, want +0", d.Cols != nil, i)
+				}
+			}
+		}
+	})
 }
 
 // TestGemmConcurrent hammers the shared pack-buffer pool from many

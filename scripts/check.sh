@@ -16,10 +16,10 @@ fi
 go vet ./...
 go build ./...
 
-# The unfused kernels (xblas.MulSub, xblas.ElimStep) have vector assembly on
-# amd64 and an explicitly rounded pure-Go twin everywhere else. Vetting and
-# building for arm64 (offline, nothing is run) keeps the twin, its dispatch
-# and the assembly declarations from rotting apart.
+# The xblas kernels (GEMM tiles, MulSub, ElimStep) have vector assembly on
+# amd64 and a pure-Go twin of the same bits everywhere else. Vetting and
+# building for arm64 (offline, nothing is run) keeps the twins, their
+# dispatch and the assembly declarations from rotting apart.
 GOARCH=arm64 go vet ./internal/xblas ./internal/core
 GOARCH=arm64 go build ./...
 
@@ -65,6 +65,15 @@ go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/xblas
 # iterations: a smoke, not a measurement).
 go test -run 'TestRefactorizeSteadyStateAllocs' -count=1 .
 go test -run '^$' -bench Refactorize -benchtime 3x ./internal/core
+# Kernel bench smoke: every GEMM and MulSub shape runs end to end (GEMM at
+# every kernel level the host runs; 3 iterations: a smoke, not a measurement).
+go test -run '^$' -bench 'Gemm|MulSub' -benchtime 3x ./internal/xblas
+
+# Knob guard: the kernel level is the best the CPU runs, detected at startup,
+# and nothing else. No environment variable or build tag beyond the arch
+# split may select a kernel (tests lower the level through a package var).
+if git grep -nE 'os\.(Getenv|LookupEnv)' -- 'internal/xblas/*.go' ':!*_test.go'; then exit 1; fi
+if git grep -n 'go:build' -- 'internal/xblas/*.go' 'internal/xblas/*.s' ':!*_test.go' | grep -vE ':[0-9]+://go:build !?amd64$'; then exit 1; fi
 
 # Deletion guard: the retired bench reports and the entrypoints folded into
 # Options.Procs / core.SolvePar stay gone (history files and this script
