@@ -61,7 +61,7 @@ func (an *Analysis) FactorizeWith(a *Matrix) (*Factorization, error) {
 	if !an.pat.EqualCSR(a) {
 		return nil, fmt.Errorf("sstar: FactorizeWith: matrix pattern differs from the analyzed pattern (%d vs %d nonzeros)", a.Nnz(), an.pat.Nnz())
 	}
-	fact, err := core.FactorizeHostObs(a, an.sym, an.opts.HostWorkers, sinkFor(an.opts.Observer))
+	fact, err := core.FactorizeHostObs(a, an.sym, an.sym.HostWorkers(an.opts.HostWorkers), sinkFor(an.opts.Observer))
 	if err != nil {
 		return nil, err
 	}

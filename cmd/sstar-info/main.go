@@ -1,6 +1,7 @@
 // Command sstar-info prints structural and symbolic statistics for a matrix:
 // its Table 1 row (order, nnz, symmetry, dynamic/static/Cholesky fills, ops
-// ratio) plus the supernode partition summary.
+// ratio), the supernode partition summary and the host executor's verdict
+// (task grain against G, critical-path fraction, workers chosen).
 //
 //	sstar-info -list
 //	sstar-info -gen sherman5
@@ -11,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"sstar/internal/bench"
 	"sstar/internal/core"
@@ -108,6 +110,16 @@ func main() {
 	fmt.Printf("elimination forest height: %d of %d blocks (tree parallelism proxy)\n",
 		ordering.TreeHeight(forest), p.NB)
 	fmt.Printf("flop-weighted panel width: %.1f\n", p.FlopWeightedWidth())
+
+	tasks, grain := sym.Grain()
+	g := sym.TaskGraph()
+	w := g.Weights(1, 1, 1, 1, 0)
+	cp, _ := g.CriticalPath(w)
+	fmt.Printf("\nhost executor (numeric phase, HostWorkers=0):\n")
+	fmt.Printf("Factor/Update tasks:       %d\n", tasks)
+	fmt.Printf("mean flops per task:       %.0f (parallel from G = %d)\n", grain, core.ParallelGrain)
+	fmt.Printf("critical-path fraction:    %.3f of total work\n", cp/g.TotalWork(w))
+	fmt.Printf("workers at GOMAXPROCS=%d:   %d\n", runtime.GOMAXPROCS(0), sym.HostWorkers(0))
 
 	pt, tm := sym.Phases, p.Times
 	fmt.Printf("\nanalyze-phase breakdown (workers=%d):\n", *workers)

@@ -120,30 +120,35 @@ func BenchmarkUpdateBlockScatter(b *testing.B) {
 // BenchmarkRefactorize measures the numeric-only refactorization — clear the
 // slab, scatter A through the assembly map, run the executor over the static
 // update plan — on the benchmark's small-supernode (lnsp3937) and
-// big-supernode (ex11) representatives, at the sizes the benchmark runs them.
-// allocs/op is the steady-state guard: it must stay O(1).
+// big-supernode (ex11) representatives, at the sizes the benchmark runs them,
+// on the sequential driver (w1) and the task-DAG executor on two workers
+// (w2). allocs/op is the steady-state guard: it must stay O(1) — 0 on w1,
+// the goroutine launch on w2.
 func BenchmarkRefactorize(b *testing.B) {
 	for _, c := range []struct {
 		name  string
 		scale float64
 	}{{"lnsp3937", 1}, {"ex11", 0.8}} {
-		b.Run(c.name, func(b *testing.B) {
-			a := bench.ByName(c.name).Gen(c.scale)
-			f, err := core.FactorizeSeq(a, core.Analyze(a, core.AnalyzeOptions{}))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := f.Refactorize(a, 1, nil); err != nil { // allocates the second slab
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := f.Refactorize(a, 1, nil); err != nil {
+		a := bench.ByName(c.name).Gen(c.scale)
+		sym := core.Analyze(a, core.AnalyzeOptions{})
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(b *testing.B) {
+				f, err := core.FactorizeHost(a, sym, workers)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(f.Fl.Total())*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
-		})
+				if err := f.Refactorize(a, workers, nil); err != nil { // allocates the second slab
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := f.Refactorize(a, workers, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(f.Fl.Total())*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+			})
+		}
 	}
 }

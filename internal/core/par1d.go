@@ -94,7 +94,7 @@ func Factorize1D(a *sparse.CSR, sym *Symbolic, model machine.Model, s *sched.Sch
 	cfg := applyRunOptions(opts)
 	bm, asm := assemble(a, sym)
 	p := sym.Partition
-	g := taskgraph.Build(p)
+	g := sym.TaskGraph()
 	piv := make([]int32, sym.N)
 	mach := machine.New(s.P, model)
 	if cfg.trace {
@@ -179,8 +179,7 @@ func Factorize1D(a *sparse.CSR, sym *Symbolic, model machine.Model, s *sched.Sch
 
 // ScheduleCA builds the compute-ahead schedule for a symbolic factorization.
 func ScheduleCA(sym *Symbolic, nproc int) *sched.Schedule {
-	g := taskgraph.Build(sym.Partition)
-	return sched.ComputeAhead(g, nproc)
+	return sched.ComputeAhead(sym.TaskGraph(), nproc)
 }
 
 // ScheduleRAPID builds the graph schedule for a symbolic factorization under
@@ -188,9 +187,9 @@ func ScheduleCA(sym *Symbolic, nproc int) *sched.Schedule {
 // schedule (ETF) and a load-balance-first LPT schedule with bottom-level task
 // ordering, simulates both with blocking semantics, and keeps the faster —
 // mirroring how the RAPID system executes the best schedule its scheduler
-// finds.
+// finds. The schedulers only read the analysis' shared task graph.
 func ScheduleRAPID(sym *Symbolic, nproc int, model machine.Model) *sched.Schedule {
-	g := taskgraph.Build(sym.Partition)
+	g := sym.TaskGraph()
 	w := g.Weights(model.Blas1Rate, model.Blas2Rate, model.Blas3Rate, model.SwapRate, model.TaskOverhead)
 	etf := sched.ListSchedule(g, nproc, w, model.TransferSeconds)
 	lpt := sched.LPTSchedule(g, nproc, w)

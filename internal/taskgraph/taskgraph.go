@@ -78,14 +78,7 @@ func Build(p *supernode.Partition) *Graph {
 	}
 	for k := 0; k < p.NB; k++ {
 		s := int64(p.Size(k))
-		// Factor(k): per panel column, a scale plus a rank-1 update of the
-		// panel to the right over all rows below.
-		var b1, b2 int64
-		for mc := int64(0); mc < s; mc++ {
-			below := (s - mc - 1) + nL[k]
-			b1 += below
-			b2 += 2 * below * (s - mc - 1)
-		}
+		b1, b2 := factorFlops(s, nL[k])
 		ft := &Task{Kind: KindFactor, K: k, J: k, B1: b1, B2: b2}
 		// Broadcast payload: pivot sequence + diagonal block + L blocks.
 		ft.CommBytes = 8 * int(s+s*s+nL[k]*s)
@@ -100,7 +93,7 @@ func Build(p *supernode.Partition) *Graph {
 				Kind: KindUpdate,
 				K:    k,
 				J:    j,
-				B3:   nc*s*(s-1) + 2*nL[k]*nc*s,
+				B3:   updateFlops(s, nL[k], nc),
 				Sw:   s * nc, // delayed row interchanges, elementwise
 			}
 			id := addTask(ut)
@@ -130,6 +123,38 @@ func Build(p *supernode.Partition) *Graph {
 		}
 	}
 	return g
+}
+
+// factorFlops is the weight of Factor(k) on an s-wide panel with nL L rows:
+// per panel column, a scale plus a rank-1 update of the panel to the right
+// over all rows below.
+func factorFlops(s, nL int64) (b1, b2 int64) {
+	for mc := int64(0); mc < s; mc++ {
+		below := (s - mc - 1) + nL
+		b1 += below
+		b2 += 2 * below * (s - mc - 1)
+	}
+	return b1, b2
+}
+
+// updateFlops is the weight of Update(k, j) carrying nc columns of U_kj: the
+// triangular scaling of U_kj plus the block updates below it.
+func updateFlops(s, nL, nc int64) int64 { return nc*s*(s-1) + 2*nL*nc*s }
+
+// Work returns the task count and the total flops (B1+B2+B3) of the task
+// graph Build would make of p, from the partition's counts alone: the graph
+// is not built. Update(k, ·) splits panel k's U columns among its tasks and
+// its weight is linear in their count, so the panel's update flops need only
+// that count.
+func Work(p *supernode.Partition) (tasks int, flops int64) {
+	tasks = p.NB
+	for k := 0; k < p.NB; k++ {
+		s, nL := int64(p.Size(k)), int64(len(p.LRows[k]))
+		b1, b2 := factorFlops(s, nL)
+		flops += b1 + b2 + updateFlops(s, nL, int64(len(p.UCols[k])))
+		tasks += len(p.UBlocks[k])
+	}
+	return tasks, flops
 }
 
 func countInBlock(cols []int32, lo, hi int) int {

@@ -148,6 +148,26 @@ func TestWeightsPositive(t *testing.T) {
 	}
 }
 
+// TestWorkMatchesBuild: the counts Work reads off the partition are the
+// built graph's task count and flop sum, on every structure family.
+func TestWorkMatchesBuild(t *testing.T) {
+	for name, a := range map[string]*sparse.CSR{
+		"dense":   sparse.Dense(30, 6),
+		"grid2d":  sparse.Grid2D(9, 8, false, sparse.GenOptions{Seed: 7}),
+		"grid3d":  sparse.Grid3D(5, 5, 4, sparse.GenOptions{DOF: 2, Seed: 8}),
+		"circuit": sparse.Circuit(150, 3, sparse.GenOptions{Seed: 9, StructuralDrop: 0.1}),
+	} {
+		g, p := buildGraph(t, a, 8, 4)
+		var flops int64
+		for _, task := range g.Tasks {
+			flops += task.B1 + task.B2 + task.B3
+		}
+		if tasks, f := Work(p); tasks != len(g.Tasks) || f != flops {
+			t.Fatalf("%s: Work = (%d tasks, %d flops), Build has (%d, %d)", name, tasks, f, len(g.Tasks), flops)
+		}
+	}
+}
+
 func TestCommBytesSet(t *testing.T) {
 	g, _ := buildGraph(t, sparse.Dense(20, 4), 10, 0)
 	for _, task := range g.Tasks {
