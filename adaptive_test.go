@@ -1,6 +1,9 @@
 package sstar
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestAdaptiveGoldenBitIdentical is the facade-level golden test of
 // structure-adaptive blocking: on the standard test matrices the adaptive
@@ -11,15 +14,18 @@ import "testing"
 // floating-point grouping, so bitwise equality with fixed-25 is not
 // expected, but both are LU factorizations of the same matrix.
 func TestAdaptiveGoldenBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	mats := []*Matrix{
 		GenGrid2D(10, 10, false, GenOptions{Seed: 1, Convection: 0.3}),
 		GenGrid2D(8, 8, true, GenOptions{Seed: 2, DOF: 2}),
 		GenCircuit(400, 3, GenOptions{Seed: 3, StructuralDrop: 0.2}),
+		coarseMatrix(),
 	}
+	const coarse = 3 // the one whose task grain admits the executor
 	for mi, a := range mats {
 		b := rhs(a.N, int64(100+mi))
 
-		seq, err := Factorize(a, DefaultOptions())
+		seq, err := Factorize(a, Options{HostWorkers: 1})
 		if err != nil {
 			t.Fatalf("matrix %d seq: %v", mi, err)
 		}
@@ -39,6 +45,9 @@ func TestAdaptiveGoldenBitIdentical(t *testing.T) {
 		par, err := Factorize(a, po)
 		if err != nil {
 			t.Fatalf("matrix %d par: %v", mi, err)
+		}
+		if mi == coarse {
+			onExecutor(t, "4-worker adaptive run", par)
 		}
 		xPar, err := par.Solve(b)
 		if err != nil {

@@ -101,7 +101,7 @@ func newMetrics(s *Server) *metrics {
 		"Request-level worker pool size.",
 		func() float64 { return float64(s.cfg.Workers) })
 	reg.GaugeFunc("sstar_server_factor_workers",
-		"Factor-phase goroutines per request (the core-split knob).",
+		"Cap on factor-phase goroutines per request (the core-split knob).",
 		func() float64 { return float64(s.cfg.FactorWorkers) })
 	reg.GaugeFunc("sstar_xblas_tile_mc",
 		"Cache-block rows (mc) of the packed GEMM engine.",

@@ -254,7 +254,8 @@ type RequestStats struct {
 	// Workers too small, FactorNs shrinks with FactorWorkers.
 	Workers int
 	// FactorWorkers is the goroutine count the numeric factor phase of
-	// this request ran with (the server's core-split knob; meaningful for
+	// this request ran with: the server's FactorWorkers cap as the matrix's
+	// task grain resolved it, 1 for the sequential driver (meaningful for
 	// factorize and refactorize).
 	FactorWorkers int
 	// BatchWidth is the number of solve requests the server coalesced into
@@ -289,7 +290,7 @@ type ServerStats struct {
 	CacheEntries int // live cached analyses
 	Handles      int // live factorization handles
 	Workers      int
-	// FactorWorkers is the per-request factor-phase goroutine count — the
+	// FactorWorkers is the per-request factor-phase goroutine cap — the
 	// other half of the Workers × FactorWorkers core split.
 	FactorWorkers int
 	QueueDepth    int // requests waiting for a worker at snapshot time

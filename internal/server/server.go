@@ -19,16 +19,19 @@ type Config struct {
 	// concurrently (default 4). Requests beyond it queue; the queue wait
 	// is reported per request.
 	Workers int
-	// FactorWorkers is the goroutine count each request's numeric factor
-	// phase runs with — the knob that splits the machine's cores between
+	// FactorWorkers caps the goroutines each request's numeric factor phase
+	// runs with — the knob that splits the machine's cores between
 	// request-level parallelism (Workers) and factor-level parallelism.
 	// Workers × FactorWorkers should roughly equal the core count: many
 	// small independent systems want high Workers and FactorWorkers=1;
 	// a few big systems want the opposite. Default: NumCPU()/Workers,
 	// floored at 1 (all cores to request-level concurrency when the pool
 	// is at least as wide as the machine). The server applies this to
-	// every factorize/refactorize — clients cannot grab more cores than
-	// the split grants; the factors are bit-identical at any setting.
+	// every factorize/refactorize as sstar.Options.HostWorkers — clients
+	// cannot grab more cores than the split grants — so a matrix whose task
+	// grain does not pay for the executor still factors sequentially
+	// (RequestStats.FactorWorkers reports the count a request ran with);
+	// the factors are bit-identical at any setting.
 	FactorWorkers int
 	// QueueDepth is the buffered request backlog beyond the workers
 	// (default 8*Workers). A full queue applies backpressure to clients.
@@ -492,8 +495,8 @@ func (s *Server) doFactorize(req *Request) *Response {
 	}
 	var stats RequestStats
 	// The core split is server policy: the factor phase of every request
-	// runs with the configured FactorWorkers, whatever the client asked
-	// for. Normalizing before hashing keeps the cache's exact-options
+	// runs with at most the configured FactorWorkers, whatever the client
+	// asked for. Normalizing before hashing keeps the cache's exact-options
 	// check consistent across clients (the key itself already ignores
 	// HostWorkers — parallelism never changes the analysis or factors).
 	opts := req.Opts
@@ -509,7 +512,6 @@ func (s *Server) doFactorize(req *Request) *Response {
 	// the cache's exact-options check cannot fragment on them (they are
 	// excluded from the structure key for the same reason).
 	opts.Procs, opts.Machine, opts.Mapping, opts.TraceParallel = 0, "", "", false
-	stats.FactorWorkers = s.cfg.FactorWorkers
 	key := sstar.StructureKey(a, opts)
 	t0 := time.Now()
 	// Singleflight on the cold analysis: a thundering herd on a new
@@ -559,6 +561,7 @@ func (s *Server) doFactorize(req *Request) *Response {
 		return errResponse(err)
 	}
 	stats.FactorNs = time.Since(t1).Nanoseconds()
+	stats.FactorWorkers = f.HostWorkers()
 	h := &handle{
 		f:        f,
 		n:        a.N,
@@ -600,9 +603,9 @@ func (s *Server) doRefactorize(req *Request) *Response {
 		m = &sstar.Matrix{N: h.n, M: h.n, RowPtr: h.rowPtr, ColInd: h.colInd, Val: req.Values}
 	}
 	var stats RequestStats
-	stats.FactorWorkers = s.cfg.FactorWorkers
 	t0 := time.Now()
 	h.mu.Lock()
+	stats.FactorWorkers = h.f.HostWorkers()
 	err = h.f.Refactorize(m)
 	if err == nil {
 		h.valEpoch++

@@ -3,28 +3,31 @@ package server_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"sstar"
 	"sstar/client"
+	"sstar/internal/bench"
 	"sstar/internal/server"
 )
 
 // TestConcurrentSolvesDuringRefactorize hammers one handle from several
 // solving clients while another client keeps refactorizing it with new
 // values, on a server whose factor phase itself runs multi-worker
-// (FactorWorkers > 1). Run under -race this is the executor/server
-// integration check: request-level and factor-level parallelism compose
-// without data races, and every solve sees some complete set of factors —
-// either the old values or the new ones, never a torn mix (verified by
-// accepting a solve iff its residual is small against one of the value sets
-// the refactorizer has published).
+// (FactorWorkers > 1) on a matrix whose task grain admits the executor. Run
+// under -race this is the executor/server integration check: request-level
+// and factor-level parallelism compose without data races, and every solve
+// sees some complete set of factors — either the old values or the new ones,
+// never a torn mix (verified by accepting a solve iff its residual is small
+// against one of the value sets the refactorizer has published).
 func TestConcurrentSolvesDuringRefactorize(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	addr := startServer(t, server.Config{Workers: 3, FactorWorkers: 2, CacheEntries: 4})
 
-	a := sstar.GenGrid2D(12, 12, false, sstar.GenOptions{Seed: 500, Convection: 0.3})
+	a := bench.ByName("ex11").Gen(0.5)
 	owner, err := client.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -35,10 +38,22 @@ func TestConcurrentSolvesDuringRefactorize(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.FactorWorkers != 2 {
-		t.Fatalf("factorize stats report %d factor workers, want 2", st.FactorWorkers)
+		t.Fatalf("factorize ran on %d factor workers, want 2", st.FactorWorkers)
 	}
 	if st.Workers != 3 {
 		t.Fatalf("factorize stats report %d request workers, want 3", st.Workers)
+	}
+	// Below the task-grain line the same server factors sequentially, and
+	// its stats say so.
+	fine, fst, err := owner.Factorize(context.Background(), sstar.GenGrid2D(12, 12, false, sstar.GenOptions{Seed: 500}), sstar.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fst.FactorWorkers != 1 {
+		t.Fatalf("a fine-grained factorize reports %d factor workers, want 1", fst.FactorWorkers)
+	}
+	if err := fine.Free(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 
 	// versions holds every value set the refactorizer has published; a solve

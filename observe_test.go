@@ -3,6 +3,7 @@ package sstar
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +36,8 @@ func (r *recordingObserver) Task(ev TaskEvent) {
 // TestObserverReceivesAllPhases: one Factorize + Solve through an Observer
 // must report every pipeline phase exactly once and a Factor task per panel.
 func TestObserverReceivesAllPhases(t *testing.T) {
-	a := GenGrid2D(11, 10, false, GenOptions{Seed: 91, Convection: 0.3})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	a := coarseMatrix()
 	rec := newRecordingObserver()
 	o := DefaultOptions()
 	o.HostWorkers = 4
@@ -44,6 +46,7 @@ func TestObserverReceivesAllPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	onExecutor(t, "observed factorization", f)
 	if _, err := f.Solve(rhs(a.N, 92)); err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +96,9 @@ func TestObserverReceivesAllPhases(t *testing.T) {
 // Observer (including a Trace with its per-task time stamps) must leave the
 // factors bit-identical, at any worker count.
 func TestObserverDoesNotChangeFactors(t *testing.T) {
-	a := GenGrid2D(12, 11, false, GenOptions{Seed: 93, Convection: 0.4})
-	plain, err := Factorize(a, DefaultOptions())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	a := coarseMatrix()
+	plain, err := Factorize(a, Options{HostWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,6 +110,9 @@ func TestObserverDoesNotChangeFactors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if w > 1 {
+			onExecutor(t, "traced factorization", traced)
+		}
 		factsBitIdentical(t, "traced vs plain", plain, traced)
 	}
 }
@@ -114,7 +121,8 @@ func TestObserverDoesNotChangeFactors(t *testing.T) {
 // valid Chrome trace_event JSON whose Factor/Update spans match the task DAG
 // (one F(k) per panel, every U(k,j) with j > k).
 func TestTraceChromeJSON(t *testing.T) {
-	a := GenGrid2D(10, 10, false, GenOptions{Seed: 94})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	a := coarseMatrix()
 	tr := NewTrace(0)
 	o := DefaultOptions()
 	o.HostWorkers = 3
@@ -123,6 +131,7 @@ func TestTraceChromeJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	onExecutor(t, "traced factorization", f)
 	if tr.Len() == 0 {
 		t.Fatal("trace recorded no spans")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -57,14 +58,24 @@ func sameBits(x, y []float64) bool {
 // allocated by it) or a later one, sequential or task-parallel; and the
 // handle keeps working afterwards. A non-finite value fails the same way.
 func TestRefactorizeFailureIsAtomic(t *testing.T) {
-	a := GenGrid3D(7, 6, 5, GenOptions{Seed: 41, Convection: 0.4})
-	b := rhs(a.N, 42)
-	for _, workers := range []int{0, 3} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range []struct {
+		a       *Matrix
+		workers int
+	}{
+		{GenGrid3D(7, 6, 5, GenOptions{Seed: 41, Convection: 0.4}), 1},
+		{coarseMatrix(), 3},
+	} {
+		a, workers := c.a, c.workers
+		b := rhs(a.N, 42)
 		o := DefaultOptions()
 		o.HostWorkers = workers
 		f, err := Factorize(a, o)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if workers > 1 {
+			onExecutor(t, "parallel handle", f)
 		}
 		// Two ways to fail: an all-zero column, and one NaN value — which used
 		// to come back as NaN factors with a nil error.
@@ -87,7 +98,7 @@ func TestRefactorizeFailureIsAtomic(t *testing.T) {
 			if err := f.Refactorize(good); err != nil {
 				t.Fatalf("workers=%d round %d: refactorize after a failure: %v", workers, round, err)
 			}
-			fresh, err := Factorize(good, DefaultOptions())
+			fresh, err := Factorize(good, Options{HostWorkers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,16 +183,17 @@ func TestLoadThenRefactorize(t *testing.T) {
 // update plan hang off the analysis and are built lazily by whichever
 // factorization gets there first. Many goroutines starting at once on a
 // never-used Analysis must all get the same factors (run under -race: the
-// lazy builds are the shared state).
+// lazy builds — the executor's task graph among them — are the shared state).
 func TestConcurrentFactorizeWithSharedAnalysis(t *testing.T) {
-	a := GenGrid2D(16, 15, false, GenOptions{Seed: 46, Convection: 0.5})
-	want, err := Factorize(a, DefaultOptions())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	a := coarseMatrix()
+	want, err := Factorize(a, Options{HostWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 4; trial++ {
 		o := DefaultOptions()
-		o.HostWorkers = trial % 3 // 0, 1, 2: sequential and task-parallel
+		o.HostWorkers = trial % 3 // 0, 1, 2: task-parallel and sequential
 		an, err := Analyze(a, o)
 		if err != nil {
 			t.Fatal(err)
@@ -206,6 +218,9 @@ func TestConcurrentFactorizeWithSharedAnalysis(t *testing.T) {
 		for g := range facts {
 			if errs[g] != nil {
 				t.Fatalf("trial %d goroutine %d: %v", trial, g, errs[g])
+			}
+			if o.HostWorkers != 1 {
+				onExecutor(t, "concurrent FactorizeWith", facts[g])
 			}
 			factsBitIdentical(t, "concurrent FactorizeWith on a shared Analysis", want, facts[g])
 		}
