@@ -113,7 +113,7 @@ func (f *BTFFactorization) Solve(b []float64) ([]float64, error) {
 			cols, vals := f.perm.Row(i)
 			for k, j := range cols {
 				if j >= hi {
-					sum -= vals[k] * x[j]
+					sum -= float64(vals[k] * x[j])
 				}
 			}
 			rhs[i-lo] = sum

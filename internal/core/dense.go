@@ -34,7 +34,7 @@ func DenseLU(n int, a []float64, piv []int) error {
 				continue
 			}
 			for j := k + 1; j < n; j++ {
-				a[i*n+j] -= l * a[k*n+j]
+				a[i*n+j] -= float64(l * a[k*n+j])
 			}
 		}
 	}
@@ -49,13 +49,13 @@ func DenseSolve(n int, lu []float64, piv []int, b []float64) {
 			b[k], b[p] = b[p], b[k]
 		}
 		for i := k + 1; i < n; i++ {
-			b[i] -= lu[i*n+k] * b[k]
+			b[i] -= float64(lu[i*n+k] * b[k])
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
 		for j := i + 1; j < n; j++ {
-			s -= lu[i*n+j] * b[j]
+			s -= float64(lu[i*n+j] * b[j])
 		}
 		b[i] = s / lu[i*n+i]
 	}

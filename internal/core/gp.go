@@ -141,7 +141,7 @@ func GPFactorize(a *sparse.CSR, pivotTol float64) (*GPFactors, error) {
 			}
 			lo, hi := f.LPtr[pcol], f.LPtr[pcol+1]
 			for k := lo; k < hi; k++ {
-				x[f.LInd[k]] -= f.LVal[k] * xr
+				x[f.LInd[k]] -= float64(f.LVal[k] * xr)
 				f.Flops += 2
 			}
 		}
@@ -213,7 +213,7 @@ func (f *GPFactors) Solve(b []float64) []float64 {
 			continue
 		}
 		for k := f.LPtr[j]; k < f.LPtr[j+1]; k++ {
-			y[f.PRow[f.LInd[k]]] -= f.LVal[k] * yj
+			y[f.PRow[f.LInd[k]]] -= float64(f.LVal[k] * yj)
 		}
 	}
 	// Backward solve U x = z. U columns hold pivot-position row indices;
@@ -223,7 +223,7 @@ func (f *GPFactors) Solve(b []float64) []float64 {
 		y[j] /= f.UVal[dk]
 		xj := y[j]
 		for k := f.UPtr[j]; k < dk; k++ {
-			y[f.UInd[k]] -= f.UVal[k] * xj
+			y[f.UInd[k]] -= float64(f.UVal[k] * xj)
 		}
 	}
 	return y

@@ -60,7 +60,7 @@ func backwardError(a *sparse.CSR, x, b, r []float64) float64 {
 		cols, vals := a.Row(i)
 		ax, axAbs := 0.0, 0.0
 		for k, j := range cols {
-			ax += vals[k] * x[j]
+			ax += float64(vals[k] * x[j])
 			axAbs += math.Abs(vals[k] * x[j])
 		}
 		r[i] = b[i] - ax
@@ -128,7 +128,7 @@ func (f *Factorization) CondEst(a *sparse.CSR) float64 {
 		}
 		dot := 0.0
 		for i := range z {
-			dot += z[i] * x[i]
+			dot += float64(z[i] * x[i])
 		}
 		if zmax <= dot {
 			break

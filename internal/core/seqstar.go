@@ -319,11 +319,18 @@ func runSeq(bm *supernode.BlockMatrix, piv []int32, sym *Symbolic, ws *Workspace
 }
 
 // Solve solves A x = b for the original (unpermuted) system.
+//
+// Every block product runs through the row-block kernels (xblas.DotRows,
+// DotRowsGather), which keep each row's sum in Dot's order, so the result is
+// bitwise the one-row-at-a-time sweep's — and SolveManyExact's per column.
 func (f *Factorization) Solve(b []float64) []float64 {
 	n := f.Sym.N
 	p := f.Sym.Partition
 	bm := f.BM
 	y := make([]float64, n)
+	// Until the final permutation fills it, x holds the row results of one
+	// block product at a time (a block has at most n rows).
+	x := make([]float64, n)
 	// Apply the analyze-phase row permutation: row i of A is row RowPerm[i]
 	// of the working matrix.
 	for i := 0; i < n; i++ {
@@ -344,8 +351,10 @@ func (f *Factorization) Solve(b []float64) []float64 {
 		xblas.TrsvLowerUnit(s, d.Data, s, y[start:end])
 		for _, lb := range bm.LCol[k] {
 			nc := len(lb.Cols)
+			dots := x[:len(lb.Rows)]
+			xblas.DotRows(len(lb.Rows), nc, lb.Data, nc, y[start:end], dots)
 			for r, gr := range lb.Rows {
-				y[gr] -= xblas.Dot(lb.Data[r*nc:(r+1)*nc], y[start:end])
+				y[gr] -= dots[r]
 			}
 		}
 	}
@@ -353,22 +362,18 @@ func (f *Factorization) Solve(b []float64) []float64 {
 	for k := p.NB - 1; k >= 0; k-- {
 		start, end := p.Start[k], p.Start[k+1]
 		s := end - start
+		yk := y[start:end]
 		for _, ub := range bm.URow[k] {
-			nc := len(ub.Cols)
-			for r := 0; r < s; r++ {
-				sum := 0.0
-				row := ub.Data[r*nc : (r+1)*nc]
-				for q, c := range ub.Cols {
-					sum += row[q] * y[c]
-				}
-				y[start+r] -= sum
+			dots := x[:s]
+			xblas.DotRowsGather(s, ub.Data, len(ub.Cols), ub.Cols, y, dots)
+			for r, v := range dots {
+				yk[r] -= v
 			}
 		}
 		d := bm.Diag[k]
-		xblas.TrsvUpper(s, d.Data, s, y[start:end])
+		xblas.TrsvUpper(s, d.Data, s, yk)
 	}
 	// Undo the column permutation: working column ColPerm[j] is variable j.
-	x := make([]float64, n)
 	for j := 0; j < n; j++ {
 		x[j] = y[f.Sym.ColPerm[j]]
 	}

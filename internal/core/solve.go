@@ -172,7 +172,7 @@ func (f *Factorization) SolveTranspose(b []float64) []float64 {
 		for i := 0; i < s; i++ {
 			sum := y[start+i]
 			for r := 0; r < i; r++ {
-				sum -= d.Data[r*s+i] * y[start+r]
+				sum -= float64(d.Data[r*s+i] * y[start+r])
 			}
 			y[start+i] = sum / d.Data[i*s+i]
 		}
@@ -182,7 +182,7 @@ func (f *Factorization) SolveTranspose(b []float64) []float64 {
 			for q, c := range ub.Cols {
 				sum := 0.0
 				for r := 0; r < s; r++ {
-					sum += ub.Data[r*nc+q] * y[start+r]
+					sum += float64(ub.Data[r*nc+q] * y[start+r])
 				}
 				y[c] -= sum
 			}
@@ -204,7 +204,7 @@ func (f *Factorization) SolveTranspose(b []float64) []float64 {
 				}
 				row := lb.Data[r*nc : (r+1)*nc]
 				for q := range row {
-					y[start+q] -= row[q] * zr
+					y[start+q] -= float64(row[q] * zr)
 				}
 			}
 		}
@@ -214,7 +214,7 @@ func (f *Factorization) SolveTranspose(b []float64) []float64 {
 		for i := s - 1; i >= 0; i-- {
 			sum := y[start+i]
 			for r := i + 1; r < s; r++ {
-				sum -= d.Data[r*s+i] * y[start+r]
+				sum -= float64(d.Data[r*s+i] * y[start+r])
 			}
 			y[start+i] = sum
 		}

@@ -157,48 +157,72 @@ func TestSolveManyBlockedAgainstSolve(t *testing.T) {
 // TestSolveManyExactBitIdentical: the coalescing kernel's contract — at every
 // batch width 1..32 (and past the panel boundary) each column of
 // SolveManyExact must be bit-for-bit what Solve returns on that column alone.
+// The second matrix has wide supernodes: 19-row panels, so Solve's row-block
+// kernels run full four-row groups and then a remainder on every block.
 func TestSolveManyExactBitIdentical(t *testing.T) {
-	a := sparse.Grid2D(11, 10, false, sparse.GenOptions{Seed: 48, Convection: 0.4, WeakDiagFraction: 0.2})
-	sym := analyzeFor(t, a, 8, 4)
-	f, err := FactorizeSeq(a, sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Stats(0).Interchanges == 0 {
-		t.Fatal("test needs interchanges to exercise the panel row swaps")
-	}
-	widths := make([]int, 0, 34)
-	for w := 1; w <= 32; w++ {
-		widths = append(widths, w)
-	}
-	widths = append(widths, 33, 40)
-	for _, nrhs := range widths {
-		b := make([]float64, a.N*nrhs)
-		for j := 0; j < nrhs; j++ {
-			copy(b[j*a.N:], randRHS(a.N, int64(700+j)))
-		}
-		x, err := f.SolveManyExact(b, nrhs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < nrhs; j++ {
-			bj := b[j*a.N : (j+1)*a.N]
-			xj := x[j*a.N : (j+1)*a.N]
-			ref := f.Solve(bj)
-			for i := range ref {
-				if xj[i] != ref[i] {
-					t.Fatalf("nrhs=%d rhs %d: SolveManyExact differs from Solve at %d: %v vs %v",
-						nrhs, j, i, xj[i], ref[i])
+	for _, c := range []struct {
+		name  string
+		a     *sparse.CSR
+		bsize int
+	}{
+		{"grid2d", sparse.Grid2D(11, 10, false, sparse.GenOptions{Seed: 48, Convection: 0.4, WeakDiagFraction: 0.2}), 8},
+		{"grid3d-wide", sparse.Grid3D(5, 5, 4, sparse.GenOptions{DOF: 3, Convection: 0.4, DiagCoupling: true, WeakDiagFraction: 0.2, Seed: 49}), 19},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a := c.a
+			sym := analyzeFor(t, a, c.bsize, 4)
+			f, err := FactorizeSeq(a, sym)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Stats(0).Interchanges == 0 {
+				t.Fatal("test needs interchanges to exercise the panel row swaps")
+			}
+			if widest := maxPanel(sym); widest != c.bsize {
+				t.Fatalf("widest panel has %d rows, want %d", widest, c.bsize)
+			}
+			widths := make([]int, 0, 34)
+			for w := 1; w <= 32; w++ {
+				widths = append(widths, w)
+			}
+			widths = append(widths, 33, 40)
+			for _, nrhs := range widths {
+				b := make([]float64, a.N*nrhs)
+				for j := 0; j < nrhs; j++ {
+					copy(b[j*a.N:], randRHS(a.N, int64(700+j)))
+				}
+				x, err := f.SolveManyExact(b, nrhs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < nrhs; j++ {
+					bj := b[j*a.N : (j+1)*a.N]
+					xj := x[j*a.N : (j+1)*a.N]
+					ref := f.Solve(bj)
+					for i := range ref {
+						if xj[i] != ref[i] {
+							t.Fatalf("nrhs=%d rhs %d: SolveManyExact differs from Solve at %d: %v vs %v",
+								nrhs, j, i, xj[i], ref[i])
+						}
+					}
 				}
 			}
-		}
+			if _, err := f.SolveManyExact(nil, 0); err == nil {
+				t.Fatal("expected nrhs error")
+			}
+			if _, err := f.SolveManyExact(make([]float64, 5), 2); err == nil {
+				t.Fatal("expected length error")
+			}
+		})
 	}
-	if _, err := f.SolveManyExact(nil, 0); err == nil {
-		t.Fatal("expected nrhs error")
+}
+
+func maxPanel(sym *Symbolic) int {
+	widest := 0
+	for k := 0; k < sym.Partition.NB; k++ {
+		widest = max(widest, sym.Partition.Size(k))
 	}
-	if _, err := f.SolveManyExact(make([]float64, 5), 2); err == nil {
-		t.Fatal("expected length error")
-	}
+	return widest
 }
 
 func TestThresholdPivoting(t *testing.T) {

@@ -68,7 +68,7 @@ func (f *Factorization) SolveManyExact(b []float64, nrhs int) ([]float64, error)
 			for pc, v := range row {
 				yp := y[(start+pc)*w : (start+pc)*w+w]
 				for q := 0; q < w; q++ {
-					acc[q] -= v * yp[q]
+					acc[q] -= float64(v * yp[q])
 				}
 			}
 			copy(yi, acc)
@@ -85,7 +85,7 @@ func (f *Factorization) SolveManyExact(b []float64, nrhs int) ([]float64, error)
 				for pc, v := range row {
 					yp := y[(start+pc)*w : (start+pc)*w+w]
 					for q := 0; q < w; q++ {
-						acc[q] += v * yp[q]
+						acc[q] += float64(v * yp[q])
 					}
 				}
 				dst := y[int(gr)*w : int(gr)*w+w]
@@ -110,7 +110,7 @@ func (f *Factorization) SolveManyExact(b []float64, nrhs int) ([]float64, error)
 					yc := y[int(c)*w : int(c)*w+w]
 					v := row[t]
 					for q := 0; q < w; q++ {
-						acc[q] += v * yc[q]
+						acc[q] += float64(v * yc[q])
 					}
 				}
 				dst := y[(start+r)*w : (start+r)*w+w]
@@ -129,7 +129,7 @@ func (f *Factorization) SolveManyExact(b []float64, nrhs int) ([]float64, error)
 				v := row[pc]
 				yp := y[(start+pc)*w : (start+pc)*w+w]
 				for q := 0; q < w; q++ {
-					acc[q] -= v * yp[q]
+					acc[q] -= float64(v * yp[q])
 				}
 			}
 			div := row[i]

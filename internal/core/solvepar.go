@@ -69,6 +69,18 @@ func SolvePar(f *Factorization, nproc int, at func(i, j int) int, model machine.
 
 	pt, err := runMachine(mach, func(proc *machine.Proc) {
 		me := proc.ID()
+		// A contribution this processor applies itself is computed into its
+		// scratch; one it sends travels in a slice of its own.
+		var scratch []float64
+		contrib := func(m, dst int) []float64 {
+			if dst != me {
+				return make([]float64, m)
+			}
+			if cap(scratch) < m {
+				scratch = make([]float64, m)
+			}
+			return scratch[:m]
+		}
 		// ---- Forward sweep: L y' = P b, panel by panel. ----
 		for k := 0; k < p.NB; k++ {
 			start, end := p.Start[k], p.Start[k+1]
@@ -114,12 +126,11 @@ func SolvePar(f *Factorization, nproc int, at func(i, j int) int, model machine.
 					received = true
 				}
 				nc := len(lb.Cols)
-				vals := make([]float64, len(lb.Rows))
-				for r := range lb.Rows {
-					vals[r] = xblas.Dot(lb.Data[r*nc:(r+1)*nc], y[start:end])
-				}
+				dst := at(lb.I, lb.I)
+				vals := contrib(len(lb.Rows), dst)
+				xblas.DotRows(len(lb.Rows), nc, lb.Data, nc, y[start:end], vals)
 				proc.ChargeFlops(0, 2*int64(len(lb.Rows))*int64(s), 0, 0)
-				if dst := at(lb.I, lb.I); dst == me {
+				if dst == me {
 					for r, gr := range lb.Rows {
 						y[gr] -= vals[r]
 					}
@@ -188,17 +199,11 @@ func SolvePar(f *Factorization, nproc int, at func(i, j int) int, model machine.
 				ub := bm.BlockAt(i, k)
 				si := p.Size(i)
 				nc := len(ub.Cols)
-				vals := make([]float64, si)
-				for r := 0; r < si; r++ {
-					sum := 0.0
-					row := ub.Data[r*nc : (r+1)*nc]
-					for q, c := range ub.Cols {
-						sum += row[q] * y[c]
-					}
-					vals[r] = sum
-				}
+				dst := at(i, i)
+				vals := contrib(si, dst)
+				xblas.DotRowsGather(si, ub.Data, nc, ub.Cols, y, vals)
 				proc.ChargeFlops(0, 2*int64(si)*int64(nc), 0, 0)
-				if dst := at(i, i); dst == me {
+				if dst == me {
 					for r := 0; r < si; r++ {
 						y[p.Start[i]+r] -= vals[r]
 					}

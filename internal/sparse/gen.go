@@ -50,6 +50,14 @@ func (o GenOptions) withDefaults() GenOptions {
 	return o
 }
 
+// unit and signed draw uniform values in [0, 1) and [-1, 1). The explicit
+// conversions round the generator's internal scaling on its own, so no
+// compiler fuses it with the caller's arithmetic on FMA architectures and
+// every platform generates the same matrices, bit for bit.
+func unit(rng *rand.Rand) float64 { return float64(rng.Float64()) }
+
+func signed(rng *rand.Rand) float64 { return float64(2*unit(rng)) - 1 }
+
 type genState struct {
 	rng *rand.Rand
 	o   GenOptions
@@ -71,7 +79,7 @@ func (g *genState) coupling(u, v int, w float64) {
 			}
 		}
 	}
-	skew := 1 + g.o.Convection*(2*g.rng.Float64()-1)
+	skew := 1 + float64(g.o.Convection*signed(g.rng))
 	for p := 0; p < d; p++ {
 		for q := 0; q < d; q++ {
 			if g.o.DiagCoupling && p != q {
@@ -79,8 +87,8 @@ func (g *genState) coupling(u, v int, w float64) {
 			}
 			// Couple DOF pairs with decaying magnitude off the block
 			// diagonal so blocks are full but diagonally weighted.
-			scale := w / (1 + 0.5*math.Abs(float64(p-q)))
-			jitter := 0.8 + 0.4*g.rng.Float64()
+			scale := w / (1 + float64(0.5*math.Abs(float64(p-q))))
+			jitter := 0.8 + float64(0.4*unit(g.rng))
 			if !dropUV {
 				g.coo.Add(u*d+p, v*d+q, scale*jitter*skew)
 			}
@@ -94,7 +102,7 @@ func (g *genState) coupling(u, v int, w float64) {
 func (g *genState) diagonal(u int, degree float64) {
 	d := g.o.DOF
 	for p := 0; p < d; p++ {
-		val := degree * (1.5 + g.rng.Float64())
+		val := degree * (1.5 + unit(g.rng))
 		if g.rng.Float64() < g.o.WeakDiagFraction {
 			val *= 0.01 // force a pivot interchange here
 		}
@@ -102,7 +110,7 @@ func (g *genState) diagonal(u int, degree float64) {
 			if p == q {
 				g.coo.Add(u*d+p, u*d+q, val)
 			} else {
-				g.coo.Add(u*d+p, u*d+q, 0.3*(2*g.rng.Float64()-1))
+				g.coo.Add(u*d+p, u*d+q, 0.3*signed(g.rng))
 			}
 		}
 	}
@@ -191,8 +199,8 @@ func Circuit(n, avgDeg int, o GenOptions) *CSR {
 		}
 		seen[key(i, j)] = true
 		seen[key(j, i)] = true
-		v := 0.5 + g.rng.Float64()
-		skew := 1 + o.Convection*(2*g.rng.Float64()-1)
+		v := 0.5 + unit(g.rng)
+		skew := 1 + float64(o.Convection*signed(g.rng))
 		drop := g.rng.Float64() < o.StructuralDrop
 		if !drop || g.rng.Intn(2) == 0 {
 			g.coo.Add(i, j, -v*skew)
@@ -224,7 +232,7 @@ func Circuit(n, avgDeg int, o GenOptions) *CSR {
 		}
 	}
 	for i := 0; i < n; i++ {
-		val := float64(avgDeg) * (1.5 + g.rng.Float64())
+		val := float64(avgDeg) * (1.5 + unit(g.rng))
 		if g.rng.Float64() < o.WeakDiagFraction {
 			val *= 0.01
 		}
@@ -245,7 +253,7 @@ func MemoryCircuitFrac(n, frac int, seed int64) *CSR {
 	rng := rand.New(rand.NewSource(seed))
 	coo := NewCOO(n, n)
 	for i := 0; i < n; i++ {
-		coo.Add(i, i, 8+rng.Float64())
+		coo.Add(i, i, 8+unit(rng))
 		// Local couplings.
 		for k := 0; k < 2; k++ {
 			if j := i + 1 + rng.Intn(8); j < n {
@@ -275,7 +283,7 @@ func Dense(n int, seed int64) *CSR {
 	coo := NewCOO(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			v := 2*rng.Float64() - 1
+			v := signed(rng)
 			if i == j {
 				v += 4
 			}
@@ -292,11 +300,11 @@ func RandomSparse(n, avgDeg int, seed int64) *CSR {
 	rng := rand.New(rand.NewSource(seed))
 	coo := NewCOO(n, n)
 	for i := 0; i < n; i++ {
-		coo.Add(i, i, 4+2*rng.Float64())
+		coo.Add(i, i, 4+float64(2*unit(rng)))
 		for k := 0; k < avgDeg; k++ {
 			j := rng.Intn(n)
 			if j != i {
-				coo.Add(i, j, 2*rng.Float64()-1)
+				coo.Add(i, j, signed(rng))
 			}
 		}
 	}
@@ -349,7 +357,7 @@ func PerturbPattern(a *CSR, add, del int, seed int64) *CSR {
 			if _, ok := rows[i][j]; ok {
 				continue
 			}
-			rows[i][j] = 0.02 * (2*rng.Float64() - 1)
+			rows[i][j] = 0.02 * signed(rng)
 			colCount[j]++
 			break
 		}
@@ -431,7 +439,7 @@ func PerturbLocal(a *CSR, add, del int, seed int64) *CSR {
 			if _, ok := rows[u][v]; ok {
 				continue
 			}
-			rows[u][v] = 0.02 * (2*rng.Float64() - 1)
+			rows[u][v] = 0.02 * signed(rng)
 			colCount[v]++
 			break
 		}

@@ -321,7 +321,7 @@ func (a *CSR) MulVec(x, y []float64) {
 		cols, vals := a.Row(i)
 		s := 0.0
 		for k, j := range cols {
-			s += vals[k] * x[j]
+			s += float64(vals[k] * x[j])
 		}
 		y[i] = s
 	}
@@ -347,7 +347,7 @@ func (a *CSR) NormInf() float64 {
 func (a *CSR) NormFrob() float64 {
 	s := 0.0
 	for _, v := range a.Val {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

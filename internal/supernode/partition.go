@@ -148,7 +148,7 @@ func (p *Partition) FlopWeightedWidth() float64 {
 		if fl == 0 {
 			fl = s * s * s // trailing block: dense panel factorization
 		}
-		wsum += fl * s
+		wsum += float64(fl * s)
 		fsum += fl
 	}
 	if fsum == 0 {

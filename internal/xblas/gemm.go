@@ -325,14 +325,14 @@ func tileStrips(k int, as, bs, c []float64, ldc int, offs []int, w *tileCols, si
 				crow := c[off+w.base:]
 				for jj, v := range trow {
 					if w.mask>>jj&1 != 0 {
-						crow[jj] += sign * v
+						crow[jj] += float64(sign * v)
 					}
 				}
 				continue
 			}
 			for jj, t := range w.cols {
 				if t >= 0 {
-					c[off+int(t)] += sign * trow[jj]
+					c[off+int(t)] += float64(sign * trow[jj])
 				}
 			}
 		}

@@ -23,6 +23,22 @@ go build ./...
 GOARCH=arm64 go vet ./internal/xblas ./internal/core
 GOARCH=arm64 go build ./...
 
+# Fusion guard: Go may compile x*y+z to one fused multiply-add where the ISA
+# has it (arm64 does; amd64 at the default GOAMD64=v1 does not), and that
+# moves bits. The numeric code rounds every product it adds explicitly,
+# float64(x*y), so every platform computes amd64's bits; in the arm64
+# assembly of these packages a fused op may only come from a line that asks
+# for one through math.FMA. The compiler's output is replayed from the build
+# cache, so this reads the whole listing every time.
+GOARCH=arm64 go build -gcflags=-S . ./internal/xblas ./internal/core ./internal/supernode ./internal/sparse 2>&1 |
+    grep -E '\bFN?M(ADD|SUB)[DS]\b' | grep -oE '[^ (]+\.go:[0-9]+' | sort -u |
+    while IFS=: read -r file line; do
+        if ! sed -n "${line}p" "$file" | grep -q 'math\.FMA('; then
+            echo "fused multiply-add without math.FMA at $file:$line" >&2
+            exit 1
+        fi
+    done
+
 go test ./...
 # (./internal/xblas below carries the MulSub / ElimStep / TRSM bitwise
 # property tests; ./internal/core the blocked-panel ones.)
@@ -66,6 +82,10 @@ go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/xblas
 # iterations: a smoke, not a measurement).
 go test -run 'TestRefactorizeSteadyStateAllocs|TestHostRefactorizeSteadyStateAllocs' -count=1 . ./internal/core
 go test -run '^$' -bench 'Refactorize/.*/w[12]' -benchtime 3x ./internal/core
+# Single-RHS solve guards: Solve makes its two vectors and nothing else, and
+# its benchmark runs end to end on both supernode regimes (a smoke).
+go test -run 'TestSolveAllocs|TestSolveGoldenBits' -count=1 ./internal/core
+go test -run '^$' -bench 'Solve' -benchtime 3x ./internal/core
 
 # The executor the facade now picks by default, under the race detector at
 # GOMAXPROCS >= 2 (the tests raise it, and fail if the grain gate leaves them

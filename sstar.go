@@ -475,7 +475,7 @@ func Residual(a *Matrix, x, b []float64) float64 {
 		xn = max(xn, math.Abs(x[i]))
 		bn = max(bn, math.Abs(b[i]))
 	}
-	den := a.NormInf()*xn + bn
+	den := float64(a.NormInf()*xn) + bn
 	if den == 0 {
 		return 0
 	}
