@@ -17,26 +17,17 @@ func (f *Factorization) SolveTranspose(b []float64) ([]float64, error) {
 }
 
 // SolveMany solves A X = B for nrhs right-hand sides stored column-major in b
-// (b[j*n:(j+1)*n] holds column j).
+// (b[j*n:(j+1)*n] holds column j). Column j of the result is bitwise what
+// Solve returns for column j alone, at every nrhs; only the sign bit of a NaN
+// is outside that promise. The factor blocks stream through memory once for
+// the whole batch instead of once per column, which is where a batch gains.
 func (f *Factorization) SolveMany(b []float64, nrhs int) ([]float64, error) {
-	if nrhs < 1 {
-		return nil, fmt.Errorf("sstar: SolveMany needs nrhs >= 1, got %d", nrhs)
-	}
 	return f.fact.SolveMany(b, nrhs)
 }
 
-// SolveManyExact solves A X = B for nrhs column-major right-hand sides with a
-// stronger guarantee than SolveMany: every solution column is bitwise
-// identical to what Solve returns for that column alone. It trades the
-// blocked BLAS-3 panel kernels for a lockstep replay of Solve's per-column
-// operation sequence, still amortizing the factor-block memory traffic across
-// the batch. The server's solve coalescer uses it so that merging concurrent
-// single-RHS requests is invisible to clients, bit for bit.
+// SolveManyExact is SolveMany, whose columns are already bitwise Solve's.
 func (f *Factorization) SolveManyExact(b []float64, nrhs int) ([]float64, error) {
-	if nrhs < 1 {
-		return nil, fmt.Errorf("sstar: SolveManyExact needs nrhs >= 1, got %d", nrhs)
-	}
-	return f.fact.SolveManyExact(b, nrhs)
+	return f.SolveMany(b, nrhs)
 }
 
 // RefineResult reports iterative refinement progress.

@@ -317,6 +317,48 @@ func TestScatterSolveMany(t *testing.T) {
 	}
 }
 
+// TestScatterSolveManyOddSplit: five right-hand sides scatter as 2 + 3, and
+// every gathered column is still bitwise a local Solve of that column.
+func TestScatterSolveManyOddSplit(t *testing.T) {
+	fleet := startFleet(t, 3)
+	sys := buildSystem(t, 3)
+	const nrhs = 5
+	n := sys.a.N
+	b := make([]float64, n*nrhs)
+	for k := range b {
+		b[k] = math.Sin(float64(k)*0.3 - 1)
+	}
+
+	c, err := client.Dial("tcp", fleet.raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	h, _, err := c.Factorize(context.Background(), sys.a, sstar.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := fleet.ownerIndex(h.Key())
+	waitFor(t, "factor replication", func() bool { return fleet.replicaHolder(h.ID(), owner) >= 0 })
+
+	x, _, err := h.SolveMany(context.Background(), b, nrhs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := fleet.router.Stats(); st.Scatters < 1 {
+		t.Fatalf("router scatters = %d, want >= 1 (panel was not scattered)", st.Scatters)
+	}
+	for j := 0; j < nrhs; j++ {
+		want, err := sys.f.Solve(b[j*n : (j+1)*n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitIdentical(x[j*n:(j+1)*n], want) {
+			t.Errorf("column %d of the scattered SolveMany differs bitwise from a local Solve", j)
+		}
+	}
+}
+
 // TestAnalysisReplicationWarmsCache: after a factorize on the owner, the
 // successor has the symbolic analysis in cache — a failover factorize there
 // is a cache hit, not a cold analyze.

@@ -112,7 +112,7 @@ func (d *detector) ack(addr string) {
 			dt = ceil
 		}
 		const alpha = 0.2
-		p.ewmaNs = (1-alpha)*p.ewmaNs + alpha*dt
+		p.ewmaNs = float64((1-alpha)*p.ewmaNs) + float64(alpha*dt)
 		if p.ewmaNs < float64(d.minEwma) {
 			p.ewmaNs = float64(d.minEwma)
 		}

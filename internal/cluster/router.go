@@ -299,12 +299,11 @@ func (r *Router) refreshRing(hint string) bool {
 }
 
 // scatterSolveMany splits a wide multi-RHS panel across the first two
-// replica holders and gathers the halves. Each half keeps at least 2
-// columns so the blocked panel solve takes the same code path as the
-// unsplit call — which is what makes the gathered result bit-identical to a
-// single-shard SolveMany. Any failure of either half falls back to
-// forwarding the whole panel (SolveMany is idempotent, so the re-send is
-// safe).
+// replica holders and gathers the halves. Every column of a SolveMany is
+// bitwise a lone Solve of that column, so the gathered result is
+// bit-identical to a single-shard SolveMany at any split. Any failure of
+// either half falls back to forwarding the whole panel (SolveMany is
+// idempotent, so the re-send is safe).
 func (r *Router) scatterSolveMany(req *server.Request, candidates []string) *server.Response {
 	n := len(req.B) / req.NRHS
 	half := req.NRHS / 2

@@ -322,15 +322,21 @@ func runSeq(bm *supernode.BlockMatrix, piv []int32, sym *Symbolic, ws *Workspace
 //
 // Every block product runs through the row-block kernels (xblas.DotRows,
 // DotRowsGather), which keep each row's sum in Dot's order, so the result is
-// bitwise the one-row-at-a-time sweep's — and SolveManyExact's per column.
+// bitwise the one-row-at-a-time sweep's — and SolveMany's per column.
 func (f *Factorization) Solve(b []float64) []float64 {
+	x := make([]float64, f.Sym.N)
+	f.solveInto(b, x)
+	return x
+}
+
+// solveInto is Solve writing its result to x (length n). Until the final
+// permutation fills it, x holds the row results of one block product at a
+// time (a block has at most n rows).
+func (f *Factorization) solveInto(b, x []float64) {
 	n := f.Sym.N
 	p := f.Sym.Partition
 	bm := f.BM
 	y := make([]float64, n)
-	// Until the final permutation fills it, x holds the row results of one
-	// block product at a time (a block has at most n rows).
-	x := make([]float64, n)
 	// Apply the analyze-phase row permutation: row i of A is row RowPerm[i]
 	// of the working matrix.
 	for i := 0; i < n; i++ {
@@ -377,5 +383,4 @@ func (f *Factorization) Solve(b []float64) []float64 {
 	for j := 0; j < n; j++ {
 		x[j] = y[f.Sym.ColPerm[j]]
 	}
-	return x
 }

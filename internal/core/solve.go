@@ -7,140 +7,161 @@ import (
 	"sstar/internal/xblas"
 )
 
-// solveManyPanel is the RHS panel width of the blocked SolveMany: wide
-// enough to keep the GEMM micro-kernel busy, narrow enough that the
-// row-major working panel (n × solveManyPanel) stays cache-friendly.
-const solveManyPanel = 32
+// solveManyLoneBelow is the width below which SolveMany runs one Solve per
+// column: on the service's small-panel grids the panel sweep's extra passes
+// (zeroing, negating, subtracting the accumulators) cost more there than
+// streaming the factors once per column. From it up the sweep beat w lone
+// solves on every measured matrix (DESIGN.md, "Multi-RHS solve").
+const solveManyLoneBelow = 4
 
-// SolveMany solves A X = B for nrhs right-hand sides stored column-major in
-// b (b[j*n:(j+1)*n] is the j-th column). The right-hand sides are processed
-// in panels of up to solveManyPanel columns through the packed BLAS-3 path:
-// each factor block is applied to the whole panel at once (TRSM on the
-// diagonal blocks, GEMM/GemmScatter for the off-diagonal couplings), so the
-// factor traversal and the kernel-launch overheads amortize across columns
-// instead of re-running the BLAS-2 single-vector sweep per RHS.
+// SolveMany solves A X = B for nrhs right-hand sides stored column-major in b
+// (b[j*n:(j+1)*n] is column j). Column j of the result is bitwise Solve of
+// column j alone, at every width; only a NaN's sign bit is outside that
+// contract (the sweep negates values, and a NaN's sign is the hardware's
+// choice).
+//
+// It is Solve's sweep over a row-major n × w working panel, every block
+// product on xblas.MulSub with the w columns as lanes, so each factor entry
+// is read once per call instead of once per column. Solve's order is kept
+// element by element:
+//
+//   - the unit-lower diagonal block goes in MulSub strips of four rows plus
+//     single rows, each row taking the rows above it in ascending order —
+//     TrsvLowerUnit's sequence;
+//   - Solve sums an L or U block row's dot from +0 and then subtracts it,
+//     while MulSub subtracts in place. So the block products run from a
+//     zeroed accumulator against the negated operand rows and the
+//     accumulator is subtracted after: round(a·(−y)) = −round(a·y) and
+//     c − (−p) is c + p in IEEE 754, so the accumulator is Dot's sum bit for
+//     bit, signed zeros included;
+//   - the upper diagonal block goes row by row, MulSub over the rows below
+//     and then the division — TrsvUpper's sequence.
 func (f *Factorization) SolveMany(b []float64, nrhs int) ([]float64, error) {
 	n := f.Sym.N
+	if nrhs < 1 {
+		return nil, fmt.Errorf("core: SolveMany needs nrhs >= 1, got %d", nrhs)
+	}
 	if len(b) != n*nrhs {
 		return nil, fmt.Errorf("core: SolveMany rhs length %d, want %d", len(b), n*nrhs)
 	}
-	if nrhs == 1 {
-		// Single column: the vector sweep has less overhead (and keeps
-		// SolveMany(b, 1) bit-identical to Solve(b)).
-		x := make([]float64, n)
-		copy(x, f.Solve(b))
+	x := make([]float64, n*nrhs)
+	if nrhs < solveManyLoneBelow {
+		for j := 0; j < nrhs; j++ {
+			f.solveInto(b[j*n:(j+1)*n], x[j*n:(j+1)*n])
+		}
 		return x, nil
 	}
-	x := make([]float64, n*nrhs)
-	ws := newSolvePanelScratch(f, min(nrhs, solveManyPanel))
-	for j0 := 0; j0 < nrhs; j0 += solveManyPanel {
-		w := min(solveManyPanel, nrhs-j0)
-		f.solvePanel(b[j0*n:(j0+w)*n], x[j0*n:(j0+w)*n], w, ws)
-	}
-	return x, nil
-}
-
-// solvePanelScratch holds the reusable buffers of one SolveMany call: the
-// row-major working panel, the gather buffer of the backward sweep, and the
-// scatter maps of the forward GEMM updates.
-type solvePanelScratch struct {
-	y        []float64 // n × w working panel, row-major
-	gat      []float64 // gathered U-block rows, maxUCols × w
-	rowPos   []int     // L-block row scatter map
-	colIdent []int     // identity column map (the panel is dense in RHS)
-}
-
-func newSolvePanelScratch(f *Factorization, w int) *solvePanelScratch {
-	maxLRows, maxUCols := 0, 0
-	for _, row := range f.BM.URow {
-		for _, ub := range row {
-			maxUCols = max(maxUCols, len(ub.Cols))
-		}
-	}
-	for _, col := range f.BM.LCol {
-		for _, lb := range col {
-			maxLRows = max(maxLRows, len(lb.Rows))
-		}
-	}
-	ws := &solvePanelScratch{
-		y:        make([]float64, f.Sym.N*w),
-		gat:      make([]float64, maxUCols*w),
-		rowPos:   make([]int, maxLRows),
-		colIdent: make([]int, w),
-	}
-	for q := range ws.colIdent {
-		ws.colIdent[q] = q
-	}
-	return ws
-}
-
-// solvePanel runs the blocked forward/backward sweeps on one w-wide RHS
-// panel: bpanel and xpanel are column-major n × w (slices of the caller's B
-// and X), the working panel is row-major so every panel operation is a
-// contiguous BLAS-3 call.
-func (f *Factorization) solvePanel(bpanel, xpanel []float64, w int, ws *solvePanelScratch) {
-	n := f.Sym.N
 	p := f.Sym.Partition
 	bm := f.BM
-	y := ws.y[:n*w]
+	w := nrhs
+	// Every off-diagonal block's rows and columns lie in one panel, so a
+	// block operand or accumulator has at most the widest panel's rows.
+	widest := 0
+	for k := 0; k < p.NB; k++ {
+		widest = max(widest, p.Size(k))
+	}
+	scratch := make([]float64, (n+2*widest)*w)
+	y := scratch[:n*w]                            // working panel, row-major
+	neg := scratch[n*w : (n+widest)*w]            // negated operand rows
+	acc := scratch[(n+widest)*w : (n+2*widest)*w] // block-product accumulator
 	// Transpose in, applying the analyze-phase row permutation: row i of A
 	// is row RowPerm[i] of the working matrix.
 	for i := 0; i < n; i++ {
-		dst := y[f.Sym.RowPerm[i]*w:]
-		for q := 0; q < w; q++ {
-			dst[q] = bpanel[q*n+i]
+		dst := y[f.Sym.RowPerm[i]*w:][:w]
+		for q := range dst {
+			dst[q] = b[q*n+i]
 		}
 	}
-	// Forward sweep: replay the panel interchanges on all w columns, solve
-	// against the unit-lower diagonal block, then eliminate the L blocks
-	// below through the fused scatter GEMM (the L rows land on scattered
-	// global rows; the RHS dimension is dense, hence the identity map).
-	cols := ws.colIdent[:w]
+	// subAcc subtracts accumulator row r from working row gr.
+	subAcc := func(r, gr int) {
+		dst, src := y[gr*w:gr*w+w], acc[r*w:r*w+w]
+		for q := range dst {
+			dst[q] -= src[q]
+		}
+	}
+	// Forward sweep, panel by panel: replay the panel's interchanges, solve
+	// against the diagonal block's unit-lower part, then eliminate the L
+	// blocks below.
 	for k := 0; k < p.NB; k++ {
 		start, end := p.Start[k], p.Start[k+1]
 		s := end - start
 		for m := start; m < end; m++ {
 			if t := int(f.Piv[m]); t != m {
-				a, b := y[m*w:m*w+w], y[t*w:t*w+w]
-				for q := range a {
-					a[q], b[q] = b[q], a[q]
+				ym, yt := y[m*w:][:w], y[t*w:][:w]
+				for q := range ym {
+					ym[q], yt[q] = yt[q], ym[q]
 				}
 			}
 		}
-		xblas.TrsmLowerUnitLeft(s, w, bm.Diag[k].Data, s, y[start*w:], w)
-		for _, lb := range bm.LCol[k] {
-			m := len(lb.Rows)
-			rp := ws.rowPos[:m]
-			for r, gr := range lb.Rows {
-				rp[r] = int(gr)
+		d := bm.Diag[k].Data
+		yk := y[start*w : end*w]
+		for i0 := 0; i0 < s; i0 += 4 {
+			mi := min(4, s-i0)
+			xblas.MulSub(mi, w, i0, d[i0*s:], s, yk, w, yk[i0*w:], w)
+			for i := i0 + 1; i < i0+mi; i++ {
+				xblas.MulSub(1, w, i-i0, d[i*s+i0:], s, yk[i0*w:], w, yk[i*w:], w)
 			}
-			xblas.GemmScatter(m, w, s, lb.Data, len(lb.Cols), y[start*w:], w, y, w, rp, cols)
+		}
+		if len(bm.LCol[k]) == 0 {
+			continue
+		}
+		nk := neg[:s*w]
+		for q, v := range yk {
+			nk[q] = -v
+		}
+		for _, lb := range bm.LCol[k] {
+			m, nc := len(lb.Rows), len(lb.Cols)
+			clear(acc[:m*w])
+			xblas.MulSub(m, w, nc, lb.Data, nc, nk, w, acc, w)
+			for r, gr := range lb.Rows {
+				subAcc(r, int(gr))
+			}
 		}
 	}
-	// Backward sweep: gather each U block's solved rows into a contiguous
-	// panel, subtract with one GEMM, then the upper-triangular TRSM on the
-	// diagonal block.
+	// Backward sweep: gather each U block's negated operand rows, take the
+	// block product, then the diagonal block's upper part.
 	for k := p.NB - 1; k >= 0; k-- {
-		start := p.Start[k]
-		s := p.Start[k+1] - start
+		start, end := p.Start[k], p.Start[k+1]
+		s := end - start
 		for _, ub := range bm.URow[k] {
 			nc := len(ub.Cols)
-			g := ws.gat[:nc*w]
+			g := neg[:nc*w]
 			for t, c := range ub.Cols {
-				copy(g[t*w:t*w+w], y[int(c)*w:int(c)*w+w])
+				src, dst := y[int(c)*w:int(c)*w+w], g[t*w:t*w+w]
+				for q := range dst {
+					dst[q] = -src[q]
+				}
 			}
-			xblas.Gemm(s, w, nc, ub.Data, nc, g, w, y[start*w:], w)
+			clear(acc[:s*w])
+			xblas.MulSub(s, w, nc, ub.Data, nc, g, w, acc, w)
+			for r := 0; r < s; r++ {
+				subAcc(r, start+r)
+			}
 		}
-		xblas.TrsmUpperLeft(s, w, bm.Diag[k].Data, s, y[start*w:], w)
+		d := bm.Diag[k].Data
+		for i := s - 1; i >= 0; i-- {
+			yi := y[(start+i)*w:][:w]
+			xblas.MulSub(1, w, s-1-i, d[i*s+i+1:], s, y[(start+i+1)*w:], w, yi, w)
+			div := d[i*s+i]
+			for q := range yi {
+				yi[q] /= div
+			}
+		}
 	}
 	// Transpose out, undoing the column permutation: working column
 	// ColPerm[j] is variable j.
 	for j := 0; j < n; j++ {
-		src := y[f.Sym.ColPerm[j]*w:]
-		for q := 0; q < w; q++ {
-			xpanel[q*n+j] = src[q]
+		src := y[f.Sym.ColPerm[j]*w:][:w]
+		for q, v := range src {
+			x[q*n+j] = v
 		}
 	}
+	return x, nil
+}
+
+// SolveManyExact is SolveMany, whose columns are already bitwise Solve's.
+func (f *Factorization) SolveManyExact(b []float64, nrhs int) ([]float64, error) {
+	return f.SolveMany(b, nrhs)
 }
 
 // SolveTranspose solves Aᵀ x = b using the same factors.

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -106,5 +107,45 @@ func TestSolveAllocs(t *testing.T) {
 	_, _, f, b := solveCase(t, "ex11", 0.3, 5)
 	if got := testing.AllocsPerRun(20, func() { f.Solve(b) }); got != 2 {
 		t.Fatalf("Solve allocates %v objects per call, want 2", got)
+	}
+}
+
+// BenchmarkSolveMany measures SolveMany at a width below the lone-solve
+// cutoff (w2, two Solves), the benchmark's batch width (w8) and a wide panel
+// (w32) on the same two matrices as BenchmarkSolve.
+func BenchmarkSolveMany(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		scale float64
+	}{{"lnsp3937", 1}, {"ex11", 0.8}} {
+		_, _, f, _ := solveCase(b, c.name, c.scale, 5)
+		for _, w := range []int{2, 8, 32} {
+			rhs := make([]float64, f.Sym.N*w)
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := range rhs {
+				rhs[i] = 2*rng.Float64() - 1
+			}
+			b.Run(fmt.Sprintf("%s/w%d", c.name, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					solveSink, _ = f.SolveMany(rhs, w)
+				}
+			})
+		}
+	}
+}
+
+// TestSolveManyAllocs pins SolveMany above the lone-solve cutoff to two
+// allocations: the result and one scratch slab (working panel, negated
+// operand rows, accumulator).
+func TestSolveManyAllocs(t *testing.T) {
+	_, _, f, b := solveCase(t, "ex11", 0.3, 5)
+	const w = 8
+	rhs := make([]float64, 0, len(b)*w)
+	for j := 0; j < w; j++ {
+		rhs = append(rhs, b...)
+	}
+	if got := testing.AllocsPerRun(20, func() { f.SolveMany(rhs, w) }); got != 2 {
+		t.Fatalf("SolveMany allocates %v objects per call, want 2", got)
 	}
 }

@@ -102,64 +102,12 @@ func TestSolveMany(t *testing.T) {
 	}
 }
 
-// TestSolveManyBlockedAgainstSolve: the blocked BLAS-3 panel path must agree
-// with the per-column vector sweep on every right-hand side, including when
-// nrhs crosses the 32-column panel boundary, and the single-column case must
-// stay bit-identical to Solve.
-func TestSolveManyBlockedAgainstSolve(t *testing.T) {
-	a := sparse.Grid2D(11, 10, false, sparse.GenOptions{Seed: 48, Convection: 0.4, WeakDiagFraction: 0.2})
-	sym := analyzeFor(t, a, 8, 4)
-	f, err := FactorizeSeq(a, sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Stats(0).Interchanges == 0 {
-		t.Fatal("test needs interchanges to exercise the panel row swaps")
-	}
-	for _, nrhs := range []int{2, 31, 32, 33, 40} {
-		b := make([]float64, a.N*nrhs)
-		for j := 0; j < nrhs; j++ {
-			copy(b[j*a.N:], randRHS(a.N, int64(300+j)))
-		}
-		x, err := f.SolveMany(b, nrhs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < nrhs; j++ {
-			bj := b[j*a.N : (j+1)*a.N]
-			xj := x[j*a.N : (j+1)*a.N]
-			if r := residual(a, xj, bj); r > 1e-9 {
-				t.Fatalf("nrhs=%d rhs %d: residual %g", nrhs, j, r)
-			}
-			ref := f.Solve(bj)
-			for i := range ref {
-				if math.Abs(xj[i]-ref[i]) > 1e-10*(1+math.Abs(ref[i])) {
-					t.Fatalf("nrhs=%d rhs %d: blocked path differs from Solve at %d: %g vs %g",
-						nrhs, j, i, xj[i], ref[i])
-				}
-			}
-		}
-	}
-	// nrhs == 1 delegates to Solve and must match it bit for bit.
-	b := randRHS(a.N, 299)
-	x1, err := f.SolveMany(b, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := f.Solve(b)
-	for i := range ref {
-		if x1[i] != ref[i] {
-			t.Fatalf("SolveMany(b, 1) not bit-identical to Solve at %d", i)
-		}
-	}
-}
-
-// TestSolveManyExactBitIdentical: the coalescing kernel's contract — at every
-// batch width 1..32 (and past the panel boundary) each column of
-// SolveManyExact must be bit-for-bit what Solve returns on that column alone.
-// The second matrix has wide supernodes: 19-row panels, so Solve's row-block
-// kernels run full four-row groups and then a remainder on every block.
-func TestSolveManyExactBitIdentical(t *testing.T) {
+// TestSolveManyBitIdentical: SolveMany's contract — at every width 1..32 (and
+// past it) each column is bit for bit what Solve returns on that column
+// alone, signed zeros included, on both sides of the lone-solve cutoff. The
+// second matrix has wide supernodes: 19-row panels, so the diagonal blocks
+// run full four-row MulSub strips and then single rows on every block.
+func TestSolveManyBitIdentical(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		a     *sparse.CSR
@@ -186,34 +134,108 @@ func TestSolveManyExactBitIdentical(t *testing.T) {
 				widths = append(widths, w)
 			}
 			widths = append(widths, 33, 40)
+			rng := rand.New(rand.NewSource(71))
 			for _, nrhs := range widths {
 				b := make([]float64, a.N*nrhs)
 				for j := 0; j < nrhs; j++ {
 					copy(b[j*a.N:], randRHS(a.N, int64(700+j)))
 				}
-				x, err := f.SolveManyExact(b, nrhs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for j := 0; j < nrhs; j++ {
-					bj := b[j*a.N : (j+1)*a.N]
-					xj := x[j*a.N : (j+1)*a.N]
-					ref := f.Solve(bj)
-					for i := range ref {
-						if xj[i] != ref[i] {
-							t.Fatalf("nrhs=%d rhs %d: SolveManyExact differs from Solve at %d: %v vs %v",
-								nrhs, j, i, xj[i], ref[i])
-						}
-					}
-				}
+				checkSolveManyBits(t, f, b, nrhs)
+				checkSolveManyBits(t, f, zeroPanel(a.N, nrhs, rng), nrhs)
 			}
-			if _, err := f.SolveManyExact(nil, 0); err == nil {
+			if _, err := f.SolveMany(nil, 0); err == nil {
 				t.Fatal("expected nrhs error")
 			}
-			if _, err := f.SolveManyExact(make([]float64, 5), 2); err == nil {
+			if _, err := f.SolveMany(make([]float64, 5), 2); err == nil {
 				t.Fatal("expected length error")
 			}
 		})
+	}
+}
+
+// zeroPanel is an n × nrhs right-hand side that holds the negated-operand
+// argument where it is thinnest: its columns cycle through all +0, all −0,
+// mostly zeros of mixed sign with a few nonzeros, and ordinary values.
+func zeroPanel(n, nrhs int, rng *rand.Rand) []float64 {
+	negZero := math.Copysign(0, -1)
+	b := make([]float64, n*nrhs)
+	for j := 0; j < nrhs; j++ {
+		col := b[j*n : (j+1)*n]
+		for i := range col {
+			switch j % 4 {
+			case 0: // all +0: already
+			case 1:
+				col[i] = negZero
+			case 2:
+				switch r := rng.Intn(16); {
+				case r == 0:
+					col[i] = 2*rng.Float64() - 1
+				case r < 8:
+					col[i] = negZero
+				}
+			case 3:
+				col[i] = 2*rng.Float64() - 1
+			}
+		}
+	}
+	return b
+}
+
+// TestSolveManyNaN: a NaN in one right-hand side poisons the same entries of
+// that column as in Solve and no entry of any other column. Only the NaNs'
+// positions are compared — their sign bit is outside SolveMany's contract.
+func TestSolveManyNaN(t *testing.T) {
+	a := sparse.Grid2D(11, 10, false, sparse.GenOptions{Seed: 48, Convection: 0.4, WeakDiagFraction: 0.2})
+	f, err := FactorizeSeq(a, analyzeFor(t, a, 8, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nrhs := range []int{2, 4, 8} {
+		b := make([]float64, a.N*nrhs)
+		for j := 0; j < nrhs; j++ {
+			copy(b[j*a.N:], randRHS(a.N, int64(900+j)))
+		}
+		b[a.N+a.N/2] = math.NaN()
+		x, err := f.SolveMany(b, nrhs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nans := 0
+		for j := 0; j < nrhs; j++ {
+			ref := f.Solve(b[j*a.N : (j+1)*a.N])
+			for i, v := range x[j*a.N : (j+1)*a.N] {
+				switch {
+				case math.IsNaN(v) != math.IsNaN(ref[i]):
+					t.Fatalf("nrhs=%d rhs %d: NaN at %d is %v, Solve's is %v", nrhs, j, i, v, ref[i])
+				case math.IsNaN(v):
+					nans++
+				case math.Float64bits(v) != math.Float64bits(ref[i]):
+					t.Fatalf("nrhs=%d rhs %d: differs from Solve at %d: %v vs %v", nrhs, j, i, v, ref[i])
+				}
+			}
+		}
+		if nans == 0 {
+			t.Fatalf("nrhs=%d: the NaN right-hand side produced no NaN", nrhs)
+		}
+	}
+}
+
+// checkSolveManyBits fails unless every column of SolveMany(b, nrhs) is
+// bitwise Solve of that column, signed zeros included.
+func checkSolveManyBits(t *testing.T, f *Factorization, b []float64, nrhs int) {
+	t.Helper()
+	n := f.Sym.N
+	x, err := f.SolveMany(b, nrhs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < nrhs; j++ {
+		ref := f.Solve(b[j*n : (j+1)*n])
+		for i, v := range x[j*n : (j+1)*n] {
+			if math.Float64bits(v) != math.Float64bits(ref[i]) {
+				t.Fatalf("nrhs=%d rhs %d: SolveMany differs from Solve at %d: %v vs %v", nrhs, j, i, v, ref[i])
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"sstar/internal/machine"
@@ -244,13 +243,8 @@ func TestSolveParGolden(t *testing.T) {
 		if sr.SentBytes != c.bytes || sr.SentMessages != c.msgs {
 			t.Errorf("%s: sent %d bytes in %d messages, want %d in %d", c.name, sr.SentBytes, sr.SentMessages, c.bytes, c.msgs)
 		}
-		want := math.Float64frombits(c.ptBits)
-		if runtime.GOARCH == "amd64" {
-			if sr.ParallelTime != want {
-				t.Errorf("%s: parallel time %v (%#x), want %v (%#x)", c.name, sr.ParallelTime, math.Float64bits(sr.ParallelTime), want, c.ptBits)
-			}
-		} else if math.Abs(sr.ParallelTime-want) > 1e-12*want {
-			t.Errorf("%s: parallel time %v, want %v", c.name, sr.ParallelTime, want)
+		if want := math.Float64frombits(c.ptBits); sr.ParallelTime != want {
+			t.Errorf("%s: parallel time %v (%#x), want %v (%#x)", c.name, sr.ParallelTime, math.Float64bits(sr.ParallelTime), want, c.ptBits)
 		}
 	}
 }

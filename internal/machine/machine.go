@@ -10,6 +10,9 @@
 // Numerics still execute for real on the shared block matrix; channel
 // (queue) synchronization gives the happens-before edges that make the shared
 // accesses race-free, mirroring the data dependences the messages model.
+//
+// A product added to a clock is rounded first, float64(x*y), so no compiler
+// fuses the two: modelled times are the same bits on every architecture.
 package machine
 
 import (
@@ -340,7 +343,7 @@ func (p *Proc) BusySeconds() float64 { return p.busy }
 func (p *Proc) Send(dst int, tag Tag, bytes int, payload any) {
 	tag.Src = p.id
 	arrival := p.clock + p.m.Model.TransferSeconds(bytes) +
-		float64(p.m.Hops(p.id, dst))*p.m.Model.HopLatency
+		float64(float64(p.m.Hops(p.id, dst))*p.m.Model.HopLatency)
 	p.clock += p.m.Model.Latency
 	p.SentBytes += int64(bytes)
 	p.SentMessages++
@@ -361,8 +364,8 @@ func (p *Proc) Multicast(dsts []int, tag Tag, bytes int, payload any) {
 			continue
 		}
 		depth := bitsLen(sent + 1) // 1 for the first, 2 for next two, ...
-		arrival := p.clock + float64(depth)*hop +
-			float64(p.m.Hops(p.id, d))*p.m.Model.HopLatency
+		arrival := p.clock + float64(float64(depth)*hop) +
+			float64(float64(p.m.Hops(p.id, d))*p.m.Model.HopLatency)
 		p.m.procs[d].deliver(message{tag: tag, arrival: arrival, bytes: bytes, payload: payload})
 		p.SentBytes += int64(bytes)
 		p.SentMessages++
@@ -371,7 +374,7 @@ func (p *Proc) Multicast(dsts []int, tag Tag, bytes int, payload any) {
 			levels = depth
 		}
 	}
-	p.clock += float64(levels) * p.m.Model.Latency
+	p.clock += float64(float64(levels) * p.m.Model.Latency)
 }
 
 // bitsLen returns the number of bits of x (floor(log2 x) + 1 for x >= 1).
@@ -458,7 +461,7 @@ func (b *Barrier) Wait(p *Proc) {
 		for 1<<depth < b.parties {
 			depth++
 		}
-		b.release = b.max + 2*float64(depth)*b.lat
+		b.release = b.max + float64(2*float64(depth)*b.lat)
 		b.count = 0
 		b.max = 0
 		b.gen++

@@ -9,13 +9,12 @@ import (
 )
 
 // Solve coalescing: concurrent plain solves against one handle are merged
-// into a single batched triangular solve. The batch runs through
-// SolveManyExact, whose every column is bitwise identical to a lone Solve of
-// that column — coalescing is invisible to clients except in throughput: the
-// factor blocks stream through memory once per batch instead of once per
-// request, and the triangular solves are memory-bound. Each member keeps its
-// own response (scatter), its own queue-wait accounting, and its own
-// deadline check.
+// into a single SolveMany, whose every column is bitwise identical to a lone
+// Solve of that column — coalescing is invisible to clients except in
+// throughput: from four columns up the factor blocks stream through memory
+// once per batch instead of once per request. Each member keeps its own
+// response (scatter), its own queue-wait accounting, and its own deadline
+// check.
 
 // collectRiders gathers ride-along solves for a dequeued lead: everything
 // already queued against the same handle (opportunistic, no added latency),
@@ -121,33 +120,19 @@ func (s *Server) runSolveBatch(id int, lead *job, riders []*job) {
 
 	w := len(live)
 	t0 := time.Now()
-	var xs [][]float64
-	var serr error
-	if w == 1 {
-		// A lone survivor takes the exact single-solve path.
-		h.mu.RLock()
-		x, err := h.f.Solve(live[0].req.B)
-		h.mu.RUnlock()
-		xs, serr = [][]float64{x}, err
-	} else {
-		bb := make([]float64, h.n*w)
+	bb := live[0].req.B
+	if w > 1 {
+		bb = make([]float64, h.n*w)
 		for q, j := range live {
 			copy(bb[q*h.n:(q+1)*h.n], j.req.B)
-		}
-		h.mu.RLock()
-		x, err := h.f.SolveManyExact(bb, w)
-		h.mu.RUnlock()
-		serr = err
-		if err == nil {
-			xs = make([][]float64, w)
-			for q := range live {
-				xs[q] = x[q*h.n : (q+1)*h.n : (q+1)*h.n]
-			}
 		}
 		s.solveBatches.Add(1)
 		s.coalescedSolves.Add(int64(w))
 		s.met.solveBatchWidth.Observe(float64(w))
 	}
+	h.mu.RLock()
+	x, serr := h.f.SolveMany(bb, w)
+	h.mu.RUnlock()
 	solveNs := time.Since(t0).Nanoseconds()
 
 	for q, j := range live {
@@ -156,7 +141,7 @@ func (s *Server) runSolveBatch(id int, lead *job, riders []*job) {
 		if serr != nil {
 			resp = errResponse(serr)
 		} else {
-			resp = &Response{Handle: j.req.Handle, X: xs[q]}
+			resp = &Response{Handle: j.req.Handle, X: x[q*h.n : (q+1)*h.n : (q+1)*h.n]}
 		}
 		resp.Stats.SolveNs = solveNs
 		resp.Stats.BatchWidth = w

@@ -639,10 +639,11 @@ func (s *Server) doSolve(req *Request) *Response {
 	return &Response{Handle: req.Handle, X: x, Stats: stats}
 }
 
-// doSolveMany runs the blocked multi-RHS solve: B holds NRHS right-hand
-// sides column-major, X comes back in the same layout. Columns are
-// independent, which is what lets the cluster router scatter one of these
-// across the shards holding replicas and gather a bit-identical result.
+// doSolveMany runs the multi-RHS solve: B holds NRHS right-hand sides
+// column-major, X comes back in the same layout. Column j is bitwise a lone
+// Solve of column j, which is what lets the cluster router scatter one of
+// these across the shards holding replicas, at any split, and gather a
+// bit-identical result.
 func (s *Server) doSolveMany(req *Request) *Response {
 	s.solves.Add(1)
 	h, err := s.reg.get(req.Handle)

@@ -1,10 +1,10 @@
 // Packed, register-tiled GEMM engine.
 //
 // The products (Gemm, GemmAdd, GemmUpdate/GemmScatter, and through Gemm the
-// coupling between the diagonal blocks of the two TRSMs) run on one
+// coupling between the diagonal blocks of the TRSM) run on one
 // micro-architecture: operand panels are packed into contiguous tiles and an
 // unrolled mr-by-nr accumulator micro-kernel sweeps them, BLIS-style. It is
-// not the only kernel of the package: the diagonal blocks of the TRSMs and
+// not the only kernel of the package: the diagonal blocks of the TRSM and
 // the panel factorization are defined as sequences of separately rounded
 // multiply-subtracts and run on the unfused, unpacked kernels of mulsub.go.
 //
@@ -412,7 +412,7 @@ type PackedA struct {
 func PackedALen(m, k int) int { return roundUp(m, mr) * k }
 
 // packsPool backs the calls that bring no Packs of their own (Gemm, GemmAdd,
-// the blocked TRSMs, GemmScatter, GemmUpdate with a nil pk).
+// the blocked TRSM, GemmScatter, GemmUpdate with a nil pk).
 var packsPool = sync.Pool{New: func() any { return new(Packs) }}
 
 // GemmUpdate computes the mapped update
@@ -588,39 +588,6 @@ func TrsmLowerUnitLeft(k, n int, l []float64, ldl int, b []float64, ldb int) {
 		// Trailing-panel update B[ib+tb:] -= L[ib+tb:, ib:ib+tb] * B[ib:ib+tb].
 		if rem := k - ib - tb; rem > 0 {
 			Gemm(rem, n, tb, l[(ib+tb)*ldl+ib:], ldl, b[ib*ldb:], ldb, b[(ib+tb)*ldb:], ldb)
-		}
-	}
-}
-
-// TrsmUpperLeft solves U * X = B in place for an upper-triangular k-by-k U
-// (row-major, stride ldu, nonzero diagonal); B is k-by-n (row-major, stride
-// ldb) and is overwritten with X — the multi-RHS counterpart of TrsvUpper
-// for the blocked SolveMany backward sweep. Blocked like TrsmLowerUnitLeft:
-// the coupling of each diagonal block to the already-solved trailing rows
-// goes through the packed GEMM engine, and the trsmBlock-row backward
-// substitutions run row by row through MulSub. Flops: n*k*k.
-func TrsmUpperLeft(k, n int, u []float64, ldu int, b []float64, ldb int) {
-	if k == 0 || n == 0 {
-		return
-	}
-	noteTrsm(k, n, int64(n)*int64(k)*int64(k))
-	for ib := (k - 1) / trsmBlock * trsmBlock; ib >= 0; ib -= trsmBlock {
-		tb := min(trsmBlock, k-ib)
-		// Couple to the solved rows below: B[ib:ib+tb] -= U[ib:ib+tb, ib+tb:] * B[ib+tb:].
-		if rem := k - ib - tb; rem > 0 {
-			Gemm(tb, n, rem, u[ib*ldu+ib+tb:], ldu, b[(ib+tb)*ldb:], ldb, b[ib*ldb:], ldb)
-		}
-		// Backward substitution within the diagonal block: row i takes the
-		// solved rows below it in ascending p, unfused, then its division.
-		for i := ib + tb - 1; i >= ib; i-- {
-			if i+1 < ib+tb {
-				MulSub(1, n, ib+tb-1-i, u[i*ldu+i+1:], ldu, b[(i+1)*ldb:], ldb, b[i*ldb:], ldb)
-			}
-			d := u[i*ldu+i]
-			brow := b[i*ldb : i*ldb+n]
-			for j := range brow {
-				brow[j] /= d
-			}
 		}
 	}
 }

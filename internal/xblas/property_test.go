@@ -21,9 +21,9 @@ import (
 // relative tolerance instead.
 //
 // MulSub and ElimStep are defined per element as a sequence of separately
-// rounded operations, so they — and the diagonal blocks of the two TRSMs,
-// which run on MulSub — are pinned bitwise too: to naive loops, and to the
-// blocked TRSMs with scalar diagonal solves.
+// rounded operations, so they — and the diagonal blocks of the TRSM, which
+// run on MulSub — are pinned bitwise too: to naive loops, and to the blocked
+// TRSM with scalar diagonal solves.
 
 // refGemmSign computes C += sign*A*B the naive way, with the engine's
 // rounding contract (FMA accumulation in ascending l, one fold per element).
@@ -71,70 +71,42 @@ func refTrsmLowerUnitLeft(k, n int, l []float64, ldl int, b []float64, ldb int) 
 	}
 }
 
-// refTrsmBlocked is the blocked solve the TRSMs implement, with the diagonal
-// blocks as scalar loops: trsmBlock rows at a time, every element taking its
-// updates in ascending p, unfused, and the blocks coupled through Gemm. The
-// tiled diagonal solves must reproduce it bit for bit.
-func refTrsmBlocked(upper bool, k, n int, t []float64, ldt int, b []float64, ldb int) {
-	sub := func(i, p int) {
-		for j := 0; j < n; j++ {
-			b[i*ldb+j] -= float64(t[i*ldt+p] * b[p*ldb+j])
-		}
-	}
-	if !upper {
-		for ib := 0; ib < k; ib += trsmBlock {
-			tb := min(trsmBlock, k-ib)
-			for i := ib + 1; i < ib+tb; i++ {
-				for p := ib; p < i; p++ {
-					sub(i, p)
+// refTrsmBlocked is the blocked solve TrsmLowerUnitLeft implements, with the
+// diagonal blocks as scalar loops: trsmBlock rows at a time, every element
+// taking its updates in ascending p, unfused, and the blocks coupled through
+// Gemm. The tiled diagonal solve must reproduce it bit for bit.
+func refTrsmBlocked(k, n int, t []float64, ldt int, b []float64, ldb int) {
+	for ib := 0; ib < k; ib += trsmBlock {
+		tb := min(trsmBlock, k-ib)
+		for i := ib + 1; i < ib+tb; i++ {
+			for p := ib; p < i; p++ {
+				for j := 0; j < n; j++ {
+					b[i*ldb+j] -= float64(t[i*ldt+p] * b[p*ldb+j])
 				}
 			}
-			if rem := k - ib - tb; rem > 0 {
-				Gemm(rem, n, tb, t[(ib+tb)*ldt+ib:], ldt, b[ib*ldb:], ldb, b[(ib+tb)*ldb:], ldb)
-			}
 		}
-		return
-	}
-	for ib := (k - 1) / trsmBlock * trsmBlock; ib >= 0; ib -= trsmBlock {
-		tb := min(trsmBlock, k-ib)
 		if rem := k - ib - tb; rem > 0 {
-			Gemm(tb, n, rem, t[ib*ldt+ib+tb:], ldt, b[(ib+tb)*ldb:], ldb, b[ib*ldb:], ldb)
-		}
-		for i := ib + tb - 1; i >= ib; i-- {
-			for p := i + 1; p < ib+tb; p++ {
-				sub(i, p)
-			}
-			for j := 0; j < n; j++ {
-				b[i*ldb+j] /= t[i*ldt+i]
-			}
+			Gemm(rem, n, tb, t[(ib+tb)*ldt+ib:], ldt, b[ib*ldb:], ldb, b[(ib+tb)*ldb:], ldb)
 		}
 	}
 }
 
-// TestTrsmBitMatchesBlockedReference: both TRSMs against refTrsmBlocked for
-// every k up to past four diagonal blocks and every n up to five tiles.
+// TestTrsmBitMatchesBlockedReference: TrsmLowerUnitLeft against
+// refTrsmBlocked for every k up to past four diagonal blocks and every n up
+// to five tiles.
 func TestTrsmBitMatchesBlockedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for k := 1; k <= 70; k++ {
 		for n := 1; n <= 40; n++ {
 			ldt, ldb := k+rng.Intn(3), n+rng.Intn(3)
 			tri := randMat(rng, k, ldt)
-			for i := 0; i < k; i++ {
-				tri[i*ldt+i] = 1 + rng.Float64() // the upper solve divides by it
-			}
-			for _, upper := range []bool{false, true} {
-				b := randMat(rng, k, ldb)
-				want := append([]float64(nil), b...)
-				refTrsmBlocked(upper, k, n, tri, ldt, want, ldb)
-				if upper {
-					TrsmUpperLeft(k, n, tri, ldt, b, ldb)
-				} else {
-					TrsmLowerUnitLeft(k, n, tri, ldt, b, ldb)
-				}
-				if !bitEqual(b, want) {
-					t.Fatalf("upper=%v k=%d n=%d ldt=%d ldb=%d: not bit-identical to the scalar-diagonal blocked solve (max diff %g)",
-						upper, k, n, ldt, ldb, maxDiff(b, want))
-				}
+			b := randMat(rng, k, ldb)
+			want := append([]float64(nil), b...)
+			refTrsmBlocked(k, n, tri, ldt, want, ldb)
+			TrsmLowerUnitLeft(k, n, tri, ldt, b, ldb)
+			if !bitEqual(b, want) {
+				t.Fatalf("k=%d n=%d ldt=%d ldb=%d: not bit-identical to the scalar-diagonal blocked solve (max diff %g)",
+					k, n, ldt, ldb, maxDiff(b, want))
 			}
 		}
 	}

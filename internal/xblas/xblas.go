@@ -5,10 +5,10 @@
 //
 //   - Gemm, GemmAdd, GemmUpdate (with GemmScatter): the block updates, on the
 //     packed register-tiled FMA engine of gemm.go;
-//   - TrsmLowerUnitLeft, TrsmUpperLeft: blocked triangular solves, coupled
-//     through that engine;
+//   - TrsmLowerUnitLeft: the blocked triangular solve of task Update,
+//     coupled through that engine;
 //   - MulSub, ElimStep (mulsub.go): the unfused kernels under the panel
-//     factorization and the TRSM diagonal blocks;
+//     factorization, the TRSM diagonal blocks and the multi-RHS solve;
 //   - Dot, DotRows, DotRowsGather, TrsvLowerUnit, TrsvUpper: the vector
 //     kernels of the single-RHS solves, several rows' dependent chains side
 //     by side.

@@ -129,50 +129,6 @@ func TestTrsmLowerUnitLeft(t *testing.T) {
 	}
 }
 
-func TestTrsmUpperLeft(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	// k crosses two trsmBlock boundaries so the blocked GEMM coupling runs.
-	k, n := 2*trsmBlock+5, 7
-	u := randMat(rng, k, k)
-	for i := 0; i < k; i++ {
-		u[i*k+i] = 2 + rng.Float64()
-		for j := 0; j < i; j++ {
-			u[i*k+j] = 0
-		}
-	}
-	x := randMat(rng, k, n)
-	b := make([]float64, k*n)
-	// b = U*x
-	for i := 0; i < k; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for p := i; p < k; p++ {
-				s += u[i*k+p] * x[p*n+j]
-			}
-			b[i*n+j] = s
-		}
-	}
-	// Column-by-column TrsvUpper is the established reference.
-	ref := make([]float64, k*n)
-	col := make([]float64, k)
-	for j := 0; j < n; j++ {
-		for i := 0; i < k; i++ {
-			col[i] = b[i*n+j]
-		}
-		TrsvUpper(k, u, k, col)
-		for i := 0; i < k; i++ {
-			ref[i*n+j] = col[i]
-		}
-	}
-	TrsmUpperLeft(k, n, u, k, b, n)
-	if maxDiff(b, x) > 1e-9 {
-		t.Fatal("TrsmUpperLeft failed to recover X")
-	}
-	if maxDiff(b, ref) > 1e-12 {
-		t.Fatal("TrsmUpperLeft disagrees with per-column TrsvUpper")
-	}
-}
-
 func TestTrsvLowerUnitUpper(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 8

@@ -30,7 +30,7 @@ GOARCH=arm64 go build ./...
 # assembly of these packages a fused op may only come from a line that asks
 # for one through math.FMA. The compiler's output is replayed from the build
 # cache, so this reads the whole listing every time.
-GOARCH=arm64 go build -gcflags=-S . ./internal/xblas ./internal/core ./internal/supernode ./internal/sparse 2>&1 |
+GOARCH=arm64 go build -gcflags=-S . ./internal/xblas ./internal/core ./internal/supernode ./internal/sparse ./internal/machine ./internal/cluster 2>&1 |
     grep -E '\bFN?M(ADD|SUB)[DS]\b' | grep -oE '[^ (]+\.go:[0-9]+' | sort -u |
     while IFS=: read -r file line; do
         if ! sed -n "${line}p" "$file" | grep -q 'math\.FMA('; then
@@ -82,9 +82,10 @@ go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/xblas
 # iterations: a smoke, not a measurement).
 go test -run 'TestRefactorizeSteadyStateAllocs|TestHostRefactorizeSteadyStateAllocs' -count=1 . ./internal/core
 go test -run '^$' -bench 'Refactorize/.*/w[12]' -benchtime 3x ./internal/core
-# Single-RHS solve guards: Solve makes its two vectors and nothing else, and
-# its benchmark runs end to end on both supernode regimes (a smoke).
-go test -run 'TestSolveAllocs|TestSolveGoldenBits' -count=1 ./internal/core
+# Solve guards: Solve makes its two vectors and nothing else, SolveMany its
+# result and one scratch slab, and their benchmarks run end to end on both
+# supernode regimes (a smoke).
+go test -run 'TestSolveAllocs|TestSolveManyAllocs|TestSolveGoldenBits' -count=1 ./internal/core
 go test -run '^$' -bench 'Solve' -benchtime 3x ./internal/core
 
 # The executor the facade now picks by default, under the race detector at
