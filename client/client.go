@@ -207,9 +207,9 @@ func (h *Handle) Nnz() int { return h.nnz }
 func (h *Handle) Key() uint64 { return h.key }
 
 // Solve solves A x = b with the handle's current factors. Concurrent Solve
-// calls against the same handle may be coalesced server-side into one
-// batched solve — bitwise identical to solving alone; stats.BatchWidth
-// reports the width the request rode in.
+// and SolveMany calls against the same handle may be coalesced server-side
+// into one batched solve — bitwise identical to solving alone;
+// stats.BatchWidth reports the width the request rode in.
 func (h *Handle) Solve(ctx context.Context, b []float64) ([]float64, RequestStats, error) {
 	resp, err := h.c.roundTrip(ctx, &server.Request{Op: server.OpSolve, Handle: h.id, Key: h.key, B: b}, h.addr)
 	if err != nil {
@@ -219,9 +219,12 @@ func (h *Handle) Solve(ctx context.Context, b []float64) ([]float64, RequestStat
 }
 
 // SolveMany solves NRHS right-hand sides stored column-major in b
-// (len(b) = N*nrhs) through the server's blocked BLAS-3 panel path; the
-// solutions come back in the same layout. Against a cluster router, wide
-// panels are scattered across the shards holding replicas of the factors.
+// (len(b) = N*nrhs); the solutions come back in the same layout, column j
+// bitwise a lone Solve of column j. The server may run the panel in one
+// batched solve with other solves on the handle (stats.BatchWidth counts
+// the requests). Against a cluster router, wide panels are scattered across
+// the shards holding replicas of the factors, and gathered only when both
+// halves were solved against the same factors.
 func (h *Handle) SolveMany(ctx context.Context, b []float64, nrhs int) ([]float64, RequestStats, error) {
 	resp, err := h.c.roundTrip(ctx, &server.Request{Op: server.OpSolveMany, Handle: h.id, Key: h.key, B: b, NRHS: nrhs}, h.addr)
 	if err != nil {

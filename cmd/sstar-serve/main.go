@@ -84,7 +84,6 @@ func main() {
 		autotune = flag.Bool("autotune", true, "measure the xblas kernels at startup and pick the best cache-block tile shape")
 		quiet    = flag.Bool("quiet", false, "suppress per-event logging")
 
-		coalesceWidth  = flag.Int("coalesce-width", 0, "max solves merged into one batched solve; 0 = default (32), 1 disables coalescing")
 		coalesceWindow = flag.Duration("coalesce-window", 0, "extra time a dequeued solve waits for ride-alongs, e.g. 200us (0 = opportunistic only)")
 		tenantWeights  = flag.String("tenant-weights", "", "per-tenant fair-share weights, e.g. prod=4,batch=1 (unlisted tenants get 1)")
 
@@ -114,7 +113,6 @@ func main() {
 		MemBudget:      *memMB << 20,
 		HandleTTL:      *ttl,
 		DrainTimeout:   *drain,
-		CoalesceWidth:  *coalesceWidth,
 		CoalesceWindow: *coalesceWindow,
 	}
 	if *tenantWeights != "" {

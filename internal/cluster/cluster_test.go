@@ -11,6 +11,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -356,6 +357,84 @@ func TestScatterSolveManyOddSplit(t *testing.T) {
 		if !bitIdentical(x[j*n:(j+1)*n], want) {
 			t.Errorf("column %d of the scattered SolveMany differs bitwise from a local Solve", j)
 		}
+	}
+}
+
+// TestScatterGathersOneEpoch: the halves of a scattered SolveMany are
+// gathered only when both shards solved against the same values-epoch. Two
+// fake shards answer every solve with their own marker value and epoch; when
+// the epochs differ (a replica lagging a refactorize) the whole panel must
+// come from the shard holding the newer factors, never half from each.
+func TestScatterGathersOneEpoch(t *testing.T) {
+	var epochs [2]atomic.Uint64
+	addrs := make([]string, 2)
+	for i := range addrs {
+		marker := float64(i + 1)
+		ep := server.NewEndpoint(0, func(req *server.Request) *server.Response {
+			if req.Op != server.OpSolveMany {
+				return &server.Response{Err: "fake shard: solves only"}
+			}
+			x := make([]float64, len(req.B))
+			for k := range x {
+				x[k] = marker
+			}
+			return &server.Response{Handle: req.Handle, X: x, ValEpoch: epochs[i].Load()}
+		}, nil)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go ep.Serve(l)
+		t.Cleanup(func() { ep.Close() })
+		addrs[i] = l.Addr().String()
+	}
+	r, err := NewRouter(RouterConfig{Shards: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	const key, n, nrhs = 0x5eed, 3, 4
+	candidates := r.candidatesFor(key)
+	index := map[string]int{addrs[0]: 0, addrs[1]: 1}
+	solve := func() *server.Response {
+		resp := r.handle(&server.Request{Op: server.OpSolveMany, Handle: 9, Key: key, B: make([]float64, n*nrhs), NRHS: nrhs})
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		if len(resp.X) != n*nrhs {
+			t.Fatalf("gathered %d entries, want %d", len(resp.X), n*nrhs)
+		}
+		return resp
+	}
+
+	for newer := range candidates {
+		epochs[index[candidates[newer]]].Store(3)
+		epochs[index[candidates[1-newer]]].Store(2)
+		resp := solve()
+		want := float64(index[candidates[newer]] + 1)
+		for k, x := range resp.X {
+			if x != want {
+				t.Fatalf("newer factors on candidate %d: X[%d] came from shard %v, want every column from shard %v (epoch 3)", newer, k, x, want)
+			}
+		}
+		if resp.ValEpoch != 3 {
+			t.Fatalf("reply values-epoch %d, want 3", resp.ValEpoch)
+		}
+	}
+	if got := r.Stats().Scatters; got != 0 {
+		t.Fatalf("scatters = %d after mixed-epoch halves, want 0", got)
+	}
+
+	// Equal epochs: the halves gather, one from each holder.
+	epochs[0].Store(3)
+	epochs[1].Store(3)
+	resp := solve()
+	if first, last := resp.X[0], resp.X[n*nrhs-1]; first != float64(index[candidates[0]]+1) || last != float64(index[candidates[1]]+1) {
+		t.Fatalf("same-epoch halves not gathered: X[0] from shard %v, X[last] from shard %v", first, last)
+	}
+	if got := r.Stats().Scatters; got != 1 {
+		t.Fatalf("scatters = %d after same-epoch halves, want 1", got)
 	}
 }
 

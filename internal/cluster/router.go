@@ -301,9 +301,12 @@ func (r *Router) refreshRing(hint string) bool {
 // scatterSolveMany splits a wide multi-RHS panel across the first two
 // replica holders and gathers the halves. Every column of a SolveMany is
 // bitwise a lone Solve of that column, so the gathered result is
-// bit-identical to a single-shard SolveMany at any split. Any failure of
-// either half falls back to forwarding the whole panel (SolveMany is
-// idempotent, so the re-send is safe).
+// bit-identical to a single-shard SolveMany at any split — provided both
+// halves were solved against the same factors: a replica lags its owner's
+// refactorize by one asynchronous push. The halves are gathered only when
+// they report the same values-epoch; otherwise the whole panel goes to the
+// holder of the newer factors. Any failure falls back to forwarding the
+// whole panel (SolveMany is idempotent, so the re-send is safe).
 func (r *Router) scatterSolveMany(req *server.Request, candidates []string) *server.Response {
 	n := len(req.B) / req.NRHS
 	half := req.NRHS / 2
@@ -329,6 +332,16 @@ func (r *Router) scatterSolveMany(req *server.Request, candidates []string) *ser
 			// whole panel goes through the ordinary failover path.
 			return r.forward(req, req.Key)
 		}
+	}
+	if e0, e1 := resps[0].ValEpoch, resps[1].ValEpoch; e0 != e1 {
+		newer := candidates[0]
+		if e1 > e0 {
+			newer = candidates[1]
+		}
+		if resp, _, err := r.peers.Exchange(context.Background(), newer, req); err == nil && resp.Err == "" {
+			return resp
+		}
+		return r.forward(req, req.Key)
 	}
 	r.scatters.Add(1)
 	x := make([]float64, 0, len(req.B))

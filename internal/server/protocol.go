@@ -258,11 +258,11 @@ type RequestStats struct {
 	// task grain resolved it, 1 for the sequential driver (meaningful for
 	// factorize and refactorize).
 	FactorWorkers int
-	// BatchWidth is the number of solve requests the server coalesced into
-	// the one batched triangular solve this request rode in (1 = solved
-	// alone, 0 on non-solve ops and servers predating coalescing). The
-	// answer is bitwise identical at any width; the width only explains
-	// where the throughput came from.
+	// BatchWidth is the number of solve requests (OpSolve and OpSolveMany
+	// alike) the server ran as the one batched triangular solve this
+	// request rode in (1 = solved alone, 0 on non-solve ops and servers
+	// predating coalescing). The answer is bitwise identical at any width;
+	// the width only explains where the throughput came from.
 	BatchWidth int
 }
 
@@ -549,6 +549,12 @@ type Response struct {
 	Members []string
 	// Manifest is the responder's handle manifest on OpManifest.
 	Manifest []ManifestEntry
+	// ValEpoch is, on a solve reply, the values-epoch of the factors X was
+	// computed from (read under the same lock as the solve), so a router
+	// gathering halves from two shards can tell whether they solved
+	// against the same factorization. Additive gob field: zero from
+	// servers predating it.
+	ValEpoch uint64
 }
 
 // Error returns the response's failure as a *RemoteError, nil on success.

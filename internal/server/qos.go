@@ -130,27 +130,26 @@ func (q *qosched) removeActive(i int) {
 	}
 }
 
-// takeSolves extracts up to maxn queued plain solves against the given handle
-// — the coalescer's ride-along collection. Jobs are taken in FIFO order
-// within each tenant queue, across every tenant (a ride-along costs its
-// tenant nothing: it shares the leader's worker slot), and disappear from
-// the backlog exactly as if a worker had dequeued them.
-func (q *qosched) takeSolves(handle uint64, maxn int) []*job {
-	if maxn <= 0 {
-		return nil
+// takeSolves appends to batch the queued solves (OpSolve and OpSolveMany)
+// against the given handle whose columns fit in room — the coalescer's
+// ride-along collection — and returns the extended batch and the room left.
+// Jobs are taken in FIFO order within each tenant queue, across every tenant
+// (a ride-along costs its tenant nothing: it shares the leader's worker
+// slot); one too wide for the room left stays queued. Taken jobs disappear
+// from the backlog exactly as if a worker had dequeued them.
+func (q *qosched) takeSolves(batch []*job, handle uint64, room int) ([]*job, int) {
+	if room <= 0 {
+		return batch, room
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.queued == 0 {
-		return nil
-	}
-	var taken []*job
-	for ai := 0; ai < len(q.active) && len(taken) < maxn; {
+	for ai := 0; ai < len(q.active) && room > 0; {
 		tq := q.active[ai]
 		kept := tq.jobs[:0]
 		for _, j := range tq.jobs {
-			if len(taken) < maxn && j.req.Op == OpSolve && j.req.Handle == handle {
-				taken = append(taken, j)
+			if isSolve(j.req.Op) && j.req.Handle == handle && j.req.columns() <= room {
+				batch = append(batch, j)
+				room -= j.req.columns()
 				q.queued--
 			} else {
 				kept = append(kept, j)
@@ -158,9 +157,7 @@ func (q *qosched) takeSolves(handle uint64, maxn int) []*job {
 		}
 		// Zero the vacated tail so taken jobs are not pinned by the
 		// backing array.
-		for i := len(kept); i < len(tq.jobs); i++ {
-			tq.jobs[i] = nil
-		}
+		clear(tq.jobs[len(kept):])
 		tq.jobs = kept
 		if len(tq.jobs) == 0 {
 			q.removeActive(ai)
@@ -168,7 +165,7 @@ func (q *qosched) takeSolves(handle uint64, maxn int) []*job {
 			ai++
 		}
 	}
-	return taken
+	return batch, room
 }
 
 // depth returns the total backlog.

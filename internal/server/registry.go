@@ -35,6 +35,16 @@ type handle struct {
 	valEpoch uint64
 }
 
+// solveMany solves nrhs column-major right-hand sides under the read lock
+// and reports the values-epoch of the factors that produced x, read under
+// the same lock.
+func (h *handle) solveMany(b []float64, nrhs int) (x []float64, valEpoch uint64, err error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	x, err = h.f.SolveMany(b, nrhs)
+	return x, h.valEpoch, err
+}
+
 // bytes estimates the memory the handle pins: the block factor storage
 // (values plus roughly one index word per entry) and the retained CSR
 // pattern. An estimate is enough — the budget is a shedding threshold, not an

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,57 +55,104 @@ func TestQoschedWeightedOrder(t *testing.T) {
 	}
 }
 
-// TestSolveBatchBitwiseIdentical is the coalescing correctness property: at
-// every batch width 1..32, a coalesced solve returns, for each member,
-// bitwise exactly the vector a lone Solve of that member's rhs returns.
+// solveJob wraps a solve on handle h as a dequeued job: a plain OpSolve when
+// nrhs is 0, an OpSolveMany of nrhs columns otherwise.
+func solveJob(h uint64, b []float64, nrhs int) *job {
+	req := &Request{Op: OpSolve, Handle: h, B: b}
+	if nrhs > 0 {
+		req.Op, req.NRHS = OpSolveMany, nrhs
+	}
+	return &job{req: req, tenant: DefaultTenant, enqueued: time.Now(), done: make(chan *Response, 1)}
+}
+
+// TestSolveBatchBitwiseIdentical is the coalescing correctness property,
+// driven through run: in any batch of plain solves and SolveMany members up
+// to the column budget, each member gets back, bitwise, its columns' lone
+// Solves and reports the batch's width. A member that fails the length gate
+// is answered alone while its companions succeed, and a SolveMany wider than
+// the budget runs as a batch of its own.
 func TestSolveBatchBitwiseIdentical(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, CoalesceWidth: 32})
+	s := newTestServer(t, Config{Workers: 1})
 	a := sstar.GenGrid2D(11, 10, false, sstar.GenOptions{Seed: 42, Convection: 0.3})
 	fr := s.submit(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
 	if fr.Err != "" {
 		t.Fatal(fr.Err)
 	}
-	h := fr.Handle
-
-	const maxW = 32
-	rhs := testRHS(a.N, maxW)
-	// Reference: each rhs solved alone through the server (a width-1 batch
-	// takes the exact single-solve path).
-	ref := make([][]float64, maxW)
-	for q, b := range rhs {
-		resp := s.submit(&Request{Op: OpSolve, Handle: h, B: b})
-		if resp.Err != "" {
-			t.Fatal(resp.Err)
+	f, err := sstar.Factorize(a, sstar.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := a.N
+	const wide = batchColumns + 8
+	rhs := testRHS(n, wide)
+	ref := make([][]float64, wide)
+	for c, b := range rhs {
+		if ref[c], err = f.Solve(b); err != nil {
+			t.Fatal(err)
 		}
-		ref[q] = resp.X
 	}
 
-	for w := 1; w <= maxW; w++ {
-		batch := make([]*job, w)
-		for q := 0; q < w; q++ {
-			batch[q] = &job{
-				req:      &Request{Op: OpSolve, Handle: h, B: rhs[q]},
-				tenant:   DefaultTenant,
-				enqueued: time.Now(),
-				done:     make(chan *Response, 1),
+	// A layout lists the members of one batch: 0 is a plain solve, k > 0 a
+	// SolveMany of k columns, -1 a plain solve one entry short.
+	var layouts [][]int
+	for w := 1; w <= batchColumns; w++ {
+		layouts = append(layouts, make([]int, w))
+	}
+	layouts = append(layouts,
+		[]int{1}, []int{8}, []int{0, 1, 0, 2}, []int{8, 8, 8, 8},
+		[]int{3, 0, 8, 0, 5, 1, 0, 4, 6, 2}, // 32 columns
+		[]int{0, -1, 3, 0},
+		[]int{wide},
+	)
+	for _, layout := range layouts {
+		batch := make([]*job, len(layout))
+		first := make([]int, len(layout)) // each member's first column in rhs
+		c, valid := 0, 0
+		for q, k := range layout {
+			first[q] = c % wide
+			switch {
+			case k < 0:
+				batch[q] = solveJob(fr.Handle, rhs[first[q]][:n-1], 0)
+			case k == 0:
+				batch[q] = solveJob(fr.Handle, rhs[first[q]], 0)
+			default:
+				b := make([]float64, 0, n*k)
+				for i := 0; i < k; i++ {
+					b = append(b, rhs[(first[q]+i)%wide]...)
+				}
+				batch[q] = solveJob(fr.Handle, b, k)
+			}
+			c += max(k, 1)
+			if k >= 0 {
+				valid++
 			}
 		}
-		s.runSolveBatch(0, batch[0], batch[1:])
+		s.run(0, batch)
 		for q, j := range batch {
 			resp := <-j.done
+			if layout[q] < 0 {
+				if !strings.Contains(resp.Err, "rhs length") {
+					t.Fatalf("layout %v member %d: short rhs answered %q, want a length error", layout, q, resp.Err)
+				}
+				continue
+			}
 			if resp.Err != "" {
-				t.Fatalf("width %d member %d: %s", w, q, resp.Err)
+				t.Fatalf("layout %v member %d: %s", layout, q, resp.Err)
 			}
-			if resp.Stats.BatchWidth != w {
-				t.Fatalf("width %d member %d reported BatchWidth %d", w, q, resp.Stats.BatchWidth)
+			if resp.Stats.BatchWidth != valid {
+				t.Fatalf("layout %v member %d reported BatchWidth %d, want %d", layout, q, resp.Stats.BatchWidth, valid)
 			}
-			if len(resp.X) != len(ref[q]) {
-				t.Fatalf("width %d member %d: len %d want %d", w, q, len(resp.X), len(ref[q]))
+			k := max(layout[q], 1)
+			if len(resp.X) != n*k {
+				t.Fatalf("layout %v member %d: len %d want %d", layout, q, len(resp.X), n*k)
 			}
-			for i := range resp.X {
-				if resp.X[i] != ref[q][i] {
-					t.Fatalf("width %d member %d: x[%d] = %x, lone solve %x — coalescing changed bits",
-						w, q, i, resp.X[i], ref[q][i])
+			for i := 0; i < k; i++ {
+				want := ref[(first[q]+i)%wide]
+				for r, x := range resp.X[i*n : (i+1)*n] {
+					if x != want[r] {
+						t.Fatalf("layout %v member %d column %d: x[%d] = %x, lone Solve %x — coalescing changed bits",
+							layout, q, i, r, x, want[r])
+					}
 				}
 			}
 		}
@@ -114,11 +162,102 @@ func TestSolveBatchBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// TestTakeSolvesColumnBudget: the collector takes queued solves of both ops
+// on the lead's handle, FIFO across tenants, while their columns fit the
+// room left; everything else stays queued, and a lead wider than the budget
+// takes no riders.
+func TestTakeSolvesColumnBudget(t *testing.T) {
+	q := newQosched(nil)
+	mk := func(tenant string, op Op, handle uint64, nrhs int) *job {
+		j := &job{req: &Request{Op: op, Handle: handle, NRHS: nrhs}, tenant: tenant, done: make(chan *Response, 1)}
+		q.enqueue(j)
+		return j
+	}
+	s1 := mk("a", OpSolve, 7, 0)
+	m8 := mk("a", OpSolveMany, 7, 8)
+	mk("a", OpSolveMany, 7, 30) // does not fit the room left
+	mk("a", OpSolve, 9, 0)      // another handle
+	mk("a", OpPing, 7, 0)       // not a solve
+	s2 := mk("a", OpSolve, 7, 0)
+	m2 := mk("a", OpSolveMany, 7, 2)
+	m4 := mk("b", OpSolveMany, 7, 4)
+
+	lead := solveJob(7, nil, 0)
+	batch, room := q.takeSolves([]*job{lead}, 7, batchColumns-1)
+	want := []*job{lead, s1, m8, s2, m2, m4}
+	if fmt.Sprint(batch) != fmt.Sprint(want) || room != batchColumns-1-16 {
+		t.Fatalf("took %v with room %d left, want %v with %d", batch, room, want, batchColumns-1-16)
+	}
+	if d := q.depth(); d != 3 {
+		t.Fatalf("depth %d after the take, want the 3 jobs that did not ride", d)
+	}
+
+	wideLead := solveJob(7, nil, batchColumns+1)
+	mk("a", OpSolve, 7, 0)
+	batch, _ = q.takeSolves([]*job{wideLead}, 7, batchColumns-wideLead.req.columns())
+	if len(batch) != 1 || q.depth() != 4 {
+		t.Fatalf("a lead wider than the budget took %d riders", len(batch)-1)
+	}
+}
+
+// TestCoalesceWindowGathersLateRider: with a batch window, a solve arriving
+// after its lead was dequeued still rides in the lead's batch, and both
+// answers are the lone solves' bits.
+func TestCoalesceWindowGathersLateRider(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, CoalesceWindow: 500 * time.Millisecond})
+	a := sstar.GenGrid2D(10, 9, false, sstar.GenOptions{Seed: 11, Convection: 0.2})
+	fr := s.submit(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
+	if fr.Err != "" {
+		t.Fatal(fr.Err)
+	}
+	f, err := sstar.Factorize(a, sstar.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := testRHS(a.N, 2)
+
+	lead := make(chan *Response, 1)
+	go func() { lead <- s.submit(&Request{Op: OpSolve, Handle: fr.Handle, B: rhs[0], Tenant: "lead"}) }()
+	// The lead is in its window once it was queued (its tenant queue
+	// exists) and the backlog is empty again (the worker took it).
+	dequeued := func() bool {
+		s.sched.mu.Lock()
+		defer s.sched.mu.Unlock()
+		_, queued := s.sched.queues["lead"]
+		return queued && s.sched.queued == 0
+	}
+	for i := 0; !dequeued(); i++ {
+		if i > 5000 {
+			t.Fatal("the lead solve was never dequeued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	resps := []*Response{nil, s.submit(&Request{Op: OpSolve, Handle: fr.Handle, B: rhs[1]})}
+	resps[0] = <-lead
+	for q, resp := range resps {
+		if resp.Err != "" {
+			t.Fatalf("solve %d: %s", q, resp.Err)
+		}
+		if resp.Stats.BatchWidth != 2 {
+			t.Fatalf("solve %d reported BatchWidth %d, want 2 (the late rider missed the window)", q, resp.Stats.BatchWidth)
+		}
+		want, err := f.Solve(rhs[q])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if resp.X[i] != want[i] {
+				t.Fatalf("solve %d: x[%d] = %x, lone Solve %x", q, i, resp.X[i], want[i])
+			}
+		}
+	}
+}
+
 // TestCoalescingEndToEnd drives coalescing through the real queue: solves
 // piling up behind a busy worker ride one batch when the worker frees, each
 // answered bitwise identically to solving alone.
 func TestCoalescingEndToEnd(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 64, CoalesceWidth: 32})
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 64})
 	a := sstar.GenGrid2D(12, 12, false, sstar.GenOptions{Seed: 7, Convection: 0.2})
 	fr := s.submit(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
 	if fr.Err != "" {
@@ -183,7 +322,7 @@ func TestCoalescingEndToEnd(t *testing.T) {
 // factorizes cannot starve another tenant's solve — weighted round-robin
 // serves the quiet tenant on its next turn, ahead of the storm's backlog.
 func TestTenantFairShareUnderStorm(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 64, CoalesceWidth: 1})
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 64})
 	a := sstar.GenGrid2D(10, 10, false, sstar.GenOptions{Seed: 9, Convection: 0.2})
 	fr := s.submit(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions(), Tenant: "quiet"})
 	if fr.Err != "" {
