@@ -357,3 +357,33 @@ func (c captureHooks) Analyzed(uint64, *sstar.Analysis)  {}
 func (c captureHooks) Stored(ev StoredEvent)             { c.stored(ev) }
 func (c captureHooks) Freed(uint64, uint64)              {}
 func (c captureHooks) AugmentStats(*ServerStats)         {}
+
+// slowRouteHooks answers every request in Route after a pause, the way a
+// shard answers membership, manifest and redirects inside its cluster hook.
+type slowRouteHooks struct {
+	captureHooks
+	pause time.Duration
+}
+
+func (h slowRouteHooks) Route(*Request) *Response {
+	time.Sleep(h.pause)
+	return &Response{Err: "routed elsewhere", Code: CodeRedirect}
+}
+
+// TestRoutedAnswerKeepsProcessTime: an answer the cluster hook gives is
+// observed with the time spent giving it, for a solve and for any other op,
+// so /metrics and the request timeline still show shard-side routing cost.
+func TestRoutedAnswerKeepsProcessTime(t *testing.T) {
+	const pause = 3 * time.Millisecond
+	s := New(Config{Workers: 1, Cluster: slowRouteHooks{pause: pause}})
+	defer s.Close()
+	for _, req := range []*Request{{Op: OpSolve, Handle: 1, B: []float64{1}}, {Op: OpMembership}} {
+		sum := s.met.request.Sum()
+		if r := s.process(req); r.Code != CodeRedirect {
+			t.Fatalf("%s: code %v (%q), want the hook's redirect", req.Op, r.Code, r.Err)
+		}
+		if got := s.met.request.Sum() - sum; got < pause.Seconds() {
+			t.Errorf("%s: observed process time %.6fs, want >= %v", req.Op, got, pause)
+		}
+	}
+}
