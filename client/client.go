@@ -56,10 +56,12 @@ type ServerStats = server.ServerStats
 // Option configures a Client.
 type Option func(*Client)
 
-// WithMaxIdle caps the pooled idle connections (default 4).
+// WithMaxIdle caps the pooled idle connections per address; n <= 0 selects
+// the default, 4.
 func WithMaxIdle(n int) Option { return func(c *Client) { c.pool.MaxIdle = n } }
 
-// WithDialTimeout bounds each dial, handshake included (default 5s).
+// WithDialTimeout bounds each dial, handshake included; d <= 0 selects the
+// default, 5s.
 func WithDialTimeout(d time.Duration) Option { return func(c *Client) { c.pool.DialTimeout = d } }
 
 // WithMaxFrame caps an incoming response frame (default wire.DefaultMaxPayload).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"testing"
+	"time"
 
 	"sstar"
 	"sstar/client"
@@ -20,6 +21,22 @@ func startServer(t *testing.T, cfg server.Config) string {
 	go s.Serve(l)
 	t.Cleanup(func() { s.Close() })
 	return l.Addr().String()
+}
+
+// TestDialTimeoutNonPositiveIsDefault: a zero or negative dial timeout means
+// the 5s default, not an already-expired dial.
+func TestDialTimeoutNonPositiveIsDefault(t *testing.T) {
+	addr := startServer(t, server.Config{Workers: 1})
+	for _, d := range []time.Duration{0, -time.Second} {
+		c, err := client.Dial("tcp", addr, client.WithDialTimeout(d))
+		if err != nil {
+			t.Fatalf("WithDialTimeout(%v): %v", d, err)
+		}
+		if err := c.Ping(context.Background()); err != nil {
+			t.Fatalf("WithDialTimeout(%v): ping: %v", d, err)
+		}
+		c.Close()
+	}
 }
 
 func TestDialFailsFast(t *testing.T) {

@@ -24,13 +24,12 @@ import (
 
 func main() {
 	var (
-		file    = flag.String("file", "", "Matrix Market file")
-		gen     = flag.String("gen", "", "benchmark matrix name")
-		scale   = flag.Float64("scale", 1.0, "generator size multiplier")
-		bsize   = flag.Int("bsize", 0, "supernode panel width; 0 = structure-adaptive")
-		amalg   = flag.Int("r", 0, "amalgamation factor; 0 under -bsize 0 = cost model chooses")
-		list    = flag.Bool("list", false, "list the benchmark suite and exit")
-		workers = flag.Int("workers", 1, "analyze-phase worker goroutines (symbolic subtrees, candidate sweep, block builds)")
+		file  = flag.String("file", "", "Matrix Market file")
+		gen   = flag.String("gen", "", "benchmark matrix name")
+		scale = flag.Float64("scale", 1.0, "generator size multiplier")
+		bsize = flag.Int("bsize", 0, "supernode panel width; 0 = structure-adaptive")
+		amalg = flag.Int("r", 0, "amalgamation factor; 0 under -bsize 0 = cost model chooses")
+		list  = flag.Bool("list", false, "list the benchmark suite and exit")
 	)
 	flag.Parse()
 
@@ -74,10 +73,7 @@ func main() {
 	fmt.Printf("pattern symmetry: %.3f (1 = symmetric pattern)\n", stats.Symmetry)
 	fmt.Printf("zero-free diag:   %v\n", stats.DiagFree)
 
-	sym := core.Analyze(a, core.AnalyzeOptions{
-		Workers:   *workers,
-		Supernode: supernode.Options{MaxBlock: *bsize, Amalgamate: *amalg},
-	})
+	sym := core.Analyze(a, core.AnalyzeOptions{Supernode: supernode.Options{MaxBlock: *bsize, Amalgamate: *amalg}})
 	work := sym.PermutedMatrix(a)
 	fmt.Printf("\nafter MC21 transversal + minimum degree on A'A:\n")
 	fmt.Printf("static fill (George-Ng):   %d entries\n", sym.Static.NnzTotal())
@@ -122,7 +118,7 @@ func main() {
 	fmt.Printf("workers at GOMAXPROCS=%d:   %d\n", runtime.GOMAXPROCS(0), sym.HostWorkers(0))
 
 	pt, tm := sym.Phases, p.Times
-	fmt.Printf("\nanalyze-phase breakdown (workers=%d):\n", *workers)
+	fmt.Printf("\nanalyze-phase breakdown:\n")
 	fmt.Printf("ordering:                  %9.2f ms\n", float64(pt.OrderingNs)/1e6)
 	fmt.Printf("symbolic fill:             %9.2f ms\n", float64(pt.SymbolicNs)/1e6)
 	fmt.Printf("partition:                 %9.2f ms\n", float64(pt.PartitionNs)/1e6)

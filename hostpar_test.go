@@ -2,6 +2,7 @@ package sstar
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -194,5 +195,28 @@ func TestStructureKeyIgnoresHostWorkers(t *testing.T) {
 	o.BlockSize = base.BlockSize + 5
 	if StructureKey(a, o) == k0 {
 		t.Fatal("BlockSize change did not change the structure key")
+	}
+	// HostWorkers caps the numeric phase only: the analysis it comes with is
+	// the same at every setting (Partition compared without its Times).
+	c := GenCircuit(1200, 3, GenOptions{Seed: 85})
+	var ref *Analysis
+	for _, w := range []int{0, 1, 4} {
+		o := base
+		o.HostWorkers = w
+		an, err := Analyze(c, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = an
+			continue
+		}
+		p, q := an.sym.Partition, ref.sym.Partition
+		if an.key != ref.key || !reflect.DeepEqual(an.sym.Static, ref.sym.Static) ||
+			p.Choice != q.Choice || !reflect.DeepEqual(p.Start, q.Start) ||
+			!reflect.DeepEqual(p.UCols, q.UCols) || !reflect.DeepEqual(p.LRows, q.LRows) ||
+			!reflect.DeepEqual(p.UBlocks, q.UBlocks) || !reflect.DeepEqual(p.LBlocks, q.LBlocks) {
+			t.Fatalf("HostWorkers=%d analysis differs from HostWorkers=0", w)
+		}
 	}
 }

@@ -58,11 +58,6 @@ type AnalyzeOptions struct {
 	// paper's multiple minimum degree on A^T A, the default) or "colmmd"
 	// (column minimum degree computed directly on A, COLMMD-style).
 	Ordering string
-	// Workers bounds the host goroutines of the analyze phase: the parallel
-	// symbolic fill computation and the partition build (unless
-	// Supernode.Workers pins the latter separately). <= 1 runs sequentially.
-	// The analysis is byte-identical at every worker count.
-	Workers int
 	// Obs, when non-nil, receives one Phase event per analyze stage
 	// (ordering, symbolic, partition). Nil disables all timing work.
 	Obs obs.Sink
@@ -126,14 +121,10 @@ func Analyze(a *sparse.CSR, o AnalyzeOptions) *Symbolic {
 		sym.ColPerm = cp
 	})
 	phase(obs.PhaseSymbolic, &sym.Phases.SymbolicNs, func() {
-		sym.Static = symbolic.FactorizeWorkers(sparse.PatternOf(work), o.Workers)
+		sym.Static = symbolic.Factorize(sparse.PatternOf(work))
 	})
 	phase(obs.PhasePartition, &sym.Phases.PartitionNs, func() {
-		sn := o.Supernode
-		if sn.Workers == 0 {
-			sn.Workers = o.Workers
-		}
-		sym.Partition = supernode.NewPartition(sym.Static, sn)
+		sym.Partition = supernode.NewPartition(sym.Static, o.Supernode)
 	})
 	if o.Obs != nil {
 		// Partition sub-phase breakdown, emitted after the coarse phase so

@@ -20,18 +20,18 @@ type Config struct {
 	// is reported per request.
 	Workers int
 	// FactorWorkers caps the goroutines each request's numeric factor phase
-	// runs with — the knob that splits the machine's cores between
-	// request-level parallelism (Workers) and factor-level parallelism.
-	// Workers × FactorWorkers should roughly equal the core count: many
-	// small independent systems want high Workers and FactorWorkers=1;
-	// a few big systems want the opposite. Default: NumCPU()/Workers,
-	// floored at 1 (all cores to request-level concurrency when the pool
-	// is at least as wide as the machine). The server applies this to
-	// every factorize/refactorize as sstar.Options.HostWorkers — clients
-	// cannot grab more cores than the split grants — so a matrix whose task
-	// grain does not pay for the executor still factors sequentially
-	// (RequestStats.FactorWorkers reports the count a request ran with);
-	// the factors are bit-identical at any setting.
+	// runs with (the analyze phase is sequential) — the knob that splits the
+	// machine's cores between request-level parallelism (Workers) and
+	// factor-level parallelism. Workers × FactorWorkers should roughly equal
+	// the core count: many small independent systems want high Workers and
+	// FactorWorkers=1; a few big systems want the opposite. Default:
+	// NumCPU()/Workers, floored at 1 (all cores to request-level concurrency
+	// when the pool is at least as wide as the machine). The server applies
+	// this to every factorize/refactorize as sstar.Options.HostWorkers —
+	// clients cannot grab more cores than the split grants — so a matrix
+	// whose task grain does not pay for the executor still factors
+	// sequentially (RequestStats.FactorWorkers reports the count a request
+	// ran with); the factors are bit-identical at any setting.
 	FactorWorkers int
 	// QueueDepth is the buffered request backlog beyond the workers
 	// (default 8*Workers). A full queue applies backpressure to clients.
@@ -562,7 +562,8 @@ func (s *Server) doFactorize(req *Request) *Response {
 	// runs with at most the configured FactorWorkers, whatever the client
 	// asked for. Normalizing before hashing keeps the cache's exact-options
 	// check consistent across clients (the key itself already ignores
-	// HostWorkers — parallelism never changes the analysis or factors).
+	// HostWorkers, the numeric phase's cap — parallelism never changes the
+	// factors).
 	opts := req.Opts
 	opts.HostWorkers = s.cfg.FactorWorkers
 	// Observers are a local-process concern: they cannot travel the wire,

@@ -169,8 +169,8 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 type Pool struct {
 	Network     string        // dial network ("tcp" when empty)
 	MaxFrame    int           // caps an incoming response payload (<= 0 selects wire.DefaultMaxPayload)
-	MaxIdle     int           // pooled idle connections per address (default 4)
-	DialTimeout time.Duration // bounds connect plus handshake (default 5s); a sooner context deadline wins
+	MaxIdle     int           // pooled idle connections per address (<= 0 selects 4)
+	DialTimeout time.Duration // bounds connect plus handshake (<= 0 selects 5s); a sooner context deadline wins
 	CallTimeout time.Duration // bounds a round trip whose context has no sooner deadline (0 = unbounded)
 
 	mu     sync.Mutex
@@ -241,7 +241,7 @@ func ctxCause(ctx context.Context, err error) (_ error, caused bool) {
 // "definitely not executed".
 func (p *Pool) dial(ctx context.Context, addr string) (net.Conn, error) {
 	p.dials.Add(1)
-	ctx, cancel := context.WithTimeout(ctx, cmp.Or(p.DialTimeout, 5*time.Second))
+	ctx, cancel := context.WithTimeout(ctx, cmp.Or(max(p.DialTimeout, 0), 5*time.Second))
 	defer cancel()
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, cmp.Or(p.Network, "tcp"), addr)

@@ -160,36 +160,26 @@ func boundsOf(supers []superStruct, splits []int) []int {
 func newAdaptivePartition(st *symbolic.Static, o Options) *Partition {
 	var tm Times
 	t0 := time.Now()
-	strict := detectSupernodesWorkers(st, o.Workers)
+	strict := detectSupernodes(st)
 	tm.DetectNs = time.Since(t0).Nanoseconds()
 	t0 = time.Now()
 	cands := adaptiveAmalgCandidates
 	if o.Amalgamate > 0 {
 		cands = []int{o.Amalgamate}
 	}
-	// Evaluate the candidates concurrently — each runs its own merge pass and
-	// split plan into an index-owned slot — then pick the winner by strictly
-	// lower cost, lowest index on ties: exactly the order the sequential scan
-	// would have preferred, so the choice is worker-count independent.
-	type cand struct {
-		supers []superStruct
-		plan   []int
-		cost   float64
-	}
-	results := make([]cand, len(cands))
-	parallelFor(len(cands), o.Workers, func(i int) {
-		supers := amalgamateStructs(st, strict, cands[i])
+	// Each candidate runs its own merge pass and split plan; the winner has
+	// strictly lower cost, so ties go to the lowest index.
+	var bestSupers []superStruct
+	var bestPlan []int
+	bestR, bestCost := 0, 0.0
+	for i, r := range cands {
+		supers := amalgamateStructs(st, strict, r)
 		plan, cost := planSplits(supers)
-		results[i] = cand{supers: supers, plan: plan, cost: cost}
-	})
-	best := 0
-	for i := 1; i < len(results); i++ {
-		if results[i].cost < results[best].cost {
-			best = i
+		if i == 0 || cost < bestCost {
+			bestSupers, bestPlan, bestR, bestCost = supers, plan, r, cost
 		}
 	}
-	bestR, bestCost := cands[best], results[best].cost
-	bounds := boundsOf(results[best].supers, results[best].plan)
+	bounds := boundsOf(bestSupers, bestPlan)
 	if len(bounds) == 1 {
 		// n == 0: keep the fixed path's shape (one empty block) so the
 		// two paths agree on degenerate input.
@@ -197,7 +187,7 @@ func newAdaptivePartition(st *symbolic.Static, o Options) *Partition {
 	}
 	tm.ChooseNs = time.Since(t0).Nanoseconds()
 	t0 = time.Now()
-	p := buildPartition(st, bounds, o.Workers)
+	p := buildPartition(st, bounds, nil)
 	tm.BuildNs = time.Since(t0).Nanoseconds()
 	maxw := 0
 	for b := 0; b < p.NB; b++ {

@@ -122,9 +122,14 @@ func TestAdaptiveDeterministic(t *testing.T) {
 // TestAdaptiveDenseGoesWide: on a dense matrix there is no padding penalty
 // and plenty of flops, so the model must choose panels wider than the
 // paper's fixed 25 — the whole point of making the width structure-aware.
+// A dense structure is one supernode at every r, so every candidate costs
+// the same and the sweep's tie-break must keep the lowest-index one.
 func TestAdaptiveDenseGoesWide(t *testing.T) {
 	st := symbolic.Factorize(sparse.PatternOf(sparse.Dense(300, 51)))
 	p := NewPartition(st, Options{})
+	if p.Choice.Amalgamate != adaptiveAmalgCandidates[0] {
+		t.Fatalf("tied candidates chose r=%d, want the first, r=%d", p.Choice.Amalgamate, adaptiveAmalgCandidates[0])
+	}
 	if p.Choice.MaxBlock <= 25 {
 		t.Fatalf("dense 300x300 chose max width %d, want > 25", p.Choice.MaxBlock)
 	}

@@ -29,12 +29,6 @@ type Options struct {
 	// adaptive blocking (MaxBlock <= 0), r = 0 lets the cost model choose
 	// r too, while r > 0 pins it.
 	Amalgamate int
-	// Workers bounds the goroutines used inside partitioning — supernode
-	// detection, the adaptive candidate sweep and the per-block structure
-	// builds. <= 1 runs sequentially; the partition is identical at any
-	// worker count (every parallel stage writes index-owned slots and the
-	// candidate winner is picked by a deterministic lowest-index rule).
-	Workers int
 }
 
 // DefaultOptions selects structure-adaptive blocking: the panel widths and
@@ -170,7 +164,7 @@ func NewPartition(st *symbolic.Static, o Options) *Partition {
 	}
 	var tm Times
 	t0 := time.Now()
-	bounds := detectSupernodesWorkers(st, o.Workers)
+	bounds := detectSupernodes(st)
 	tm.DetectNs = time.Since(t0).Nanoseconds()
 	t0 = time.Now()
 	if o.Amalgamate > 0 {
@@ -179,7 +173,7 @@ func NewPartition(st *symbolic.Static, o Options) *Partition {
 	bounds = split(bounds, o.MaxBlock)
 	tm.ChooseNs = time.Since(t0).Nanoseconds()
 	t0 = time.Now()
-	p := buildPartition(st, bounds, o.Workers)
+	p := buildPartition(st, bounds, nil)
 	tm.BuildNs = time.Since(t0).Nanoseconds()
 	p.Choice = Choice{MaxBlock: o.MaxBlock, Amalgamate: o.Amalgamate}
 	p.Times = tm
@@ -188,9 +182,9 @@ func NewPartition(st *symbolic.Static, o Options) *Partition {
 
 // buildPartition materializes the partition for a final set of panel
 // boundaries: per-panel U/L structures and their block-granularity images.
-// Blocks are independent (each writes only its own slots and reads the
-// frozen BlockOf map), so they spread across workers freely.
-func buildPartition(st *symbolic.Static, bounds []int, workers int) *Partition {
+// reuse, when non-nil, may supply a block's U/L unions instead of computing
+// them from st (ok == false computes them).
+func buildPartition(st *symbolic.Static, bounds []int, reuse func(lo, hi int) (ucols, lrows []int32, ok bool)) *Partition {
 	n := st.N
 	nb := len(bounds) - 1
 	p := &Partition{
@@ -208,27 +202,38 @@ func buildPartition(st *symbolic.Static, bounds []int, workers int) *Partition {
 			p.BlockOf[c] = b
 		}
 	}
-	parallelFor(nb, workers, func(b int) {
-		end := int32(bounds[b+1])
-		var ucols, lrows []int32
-		for c := bounds[b]; c < bounds[b+1]; c++ {
-			for _, j := range st.URows[c] {
-				if j >= end {
-					ucols = append(ucols, j)
-				}
-			}
-			for _, i := range st.LCols[c] {
-				if i >= end {
-					lrows = append(lrows, i)
-				}
-			}
+	for b := 0; b < nb; b++ {
+		lo, hi := bounds[b], bounds[b+1]
+		var ok bool
+		if reuse != nil {
+			p.UCols[b], p.LRows[b], ok = reuse(lo, hi)
 		}
-		p.UCols[b] = sortDedup(ucols)
-		p.LRows[b] = sortDedup(lrows)
+		if !ok {
+			p.UCols[b], p.LRows[b] = blockUnions(st, lo, hi)
+		}
 		p.UBlocks[b] = p.blocksOf(p.UCols[b])
 		p.LBlocks[b] = p.blocksOf(p.LRows[b])
-	})
+	}
 	return p
+}
+
+// blockUnions returns the sorted unions of the U-row and L-column structures
+// of columns [lo, hi) beyond hi.
+func blockUnions(st *symbolic.Static, lo, hi int) (ucols, lrows []int32) {
+	end := int32(hi)
+	for c := lo; c < hi; c++ {
+		for _, j := range st.URows[c] {
+			if j >= end {
+				ucols = append(ucols, j)
+			}
+		}
+		for _, i := range st.LCols[c] {
+			if i >= end {
+				lrows = append(lrows, i)
+			}
+		}
+	}
+	return sortDedup(ucols), sortDedup(lrows)
 }
 
 func (p *Partition) blocksOf(idx []int32) []int32 {

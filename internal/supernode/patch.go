@@ -23,9 +23,9 @@ import (
 // of ch re-applied: the adaptive per-supernode split plan under ch's pinned
 // amalgamation factor, or the fixed amalgamate+split pipeline. Returns the
 // bounds and the Choice describing them.
-func pinnedBounds(st *symbolic.Static, ch Choice, workers int, tm *Times) ([]int, Choice) {
+func pinnedBounds(st *symbolic.Static, ch Choice, tm *Times) ([]int, Choice) {
 	t0 := time.Now()
-	strict := detectSupernodesWorkers(st, workers)
+	strict := detectSupernodes(st)
 	tm.DetectNs = time.Since(t0).Nanoseconds()
 	t0 = time.Now()
 	var bounds []int
@@ -58,11 +58,11 @@ func pinnedBounds(st *symbolic.Static, ch Choice, workers int, tm *Times) ([]int
 // pinnedPartition is the non-incremental reference: the partition of st under
 // the re-applied blocking decisions of ch. PatchPartition is defined to equal
 // it (modulo Times).
-func pinnedPartition(st *symbolic.Static, ch Choice, workers int) *Partition {
+func pinnedPartition(st *symbolic.Static, ch Choice) *Partition {
 	var tm Times
-	bounds, choice := pinnedBounds(st, ch, workers, &tm)
+	bounds, choice := pinnedBounds(st, ch, &tm)
 	t0 := time.Now()
-	p := buildPartition(st, bounds, workers)
+	p := buildPartition(st, bounds, nil)
 	tm.BuildNs = time.Since(t0).Nanoseconds()
 	p.Choice = choice
 	p.Times = tm
@@ -82,61 +82,24 @@ func sameSlice(a, b []int32) bool {
 // scratch; only the per-block union work of blocks touching recomputed
 // columns is actually re-run. The block-granularity images (UBlocks, LBlocks)
 // are always recomputed: they index blocks, and one shifted boundary
-// renumbers every later block.
-func PatchPartition(newSt, oldSt *symbolic.Static, base *Partition, workers int) *Partition {
+// renumbers every later block. The fourth parameter is ignored; it remains
+// for callers written when the block builds ran on a worker pool.
+func PatchPartition(newSt, oldSt *symbolic.Static, base *Partition, _ int) *Partition {
 	var tm Times
-	bounds, choice := pinnedBounds(newSt, base.Choice, workers, &tm)
+	bounds, choice := pinnedBounds(newSt, base.Choice, &tm)
 	t0 := time.Now()
 
-	n := newSt.N
-	clean := make([]bool, n)
-	for c := 0; c < n; c++ {
+	clean := make([]bool, newSt.N)
+	for c := range clean {
 		clean[c] = sameSlice(newSt.URows[c], oldSt.URows[c]) && sameSlice(newSt.LCols[c], oldSt.LCols[c])
 	}
-
-	nb := len(bounds) - 1
-	p := &Partition{
-		N:       n,
-		NB:      nb,
-		Start:   bounds,
-		BlockOf: make([]int, n),
-		UCols:   make([][]int32, nb),
-		LRows:   make([][]int32, nb),
-		UBlocks: make([][]int32, nb),
-		LBlocks: make([][]int32, nb),
-	}
-	for b := 0; b < nb; b++ {
-		for c := bounds[b]; c < bounds[b+1]; c++ {
-			p.BlockOf[c] = b
-		}
-	}
-	parallelFor(nb, workers, func(b int) {
-		lo, hi := bounds[b], bounds[b+1]
+	// A block with a base block's column range and every column untouched
+	// has the base's unions verbatim.
+	p := buildPartition(newSt, bounds, func(lo, hi int) ([]int32, []int32, bool) {
 		if bb := baseBlockAt(base, lo, hi); bb >= 0 && allClean(clean, lo, hi) {
-			// Same column range, every column untouched: the unions are the
-			// base's verbatim.
-			p.UCols[b] = base.UCols[bb]
-			p.LRows[b] = base.LRows[bb]
-		} else {
-			end := int32(hi)
-			var ucols, lrows []int32
-			for c := lo; c < hi; c++ {
-				for _, j := range newSt.URows[c] {
-					if j >= end {
-						ucols = append(ucols, j)
-					}
-				}
-				for _, i := range newSt.LCols[c] {
-					if i >= end {
-						lrows = append(lrows, i)
-					}
-				}
-			}
-			p.UCols[b] = sortDedup(ucols)
-			p.LRows[b] = sortDedup(lrows)
+			return base.UCols[bb], base.LRows[bb], true
 		}
-		p.UBlocks[b] = p.blocksOf(p.UCols[b])
-		p.LBlocks[b] = p.blocksOf(p.LRows[b])
+		return nil, nil, false
 	})
 	tm.BuildNs = time.Since(t0).Nanoseconds()
 	p.Choice = choice

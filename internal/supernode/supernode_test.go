@@ -40,6 +40,17 @@ func TestPartitionCoversMatrix(t *testing.T) {
 	}
 }
 
+func TestPartitionTimesPopulated(t *testing.T) {
+	a := sparse.Grid2D(16, 16, false, sparse.GenOptions{Seed: 2})
+	st := symbolic.Factorize(sparse.PatternOf(a))
+	for _, o := range []Options{{}, {MaxBlock: 16, Amalgamate: 4}} {
+		p := NewPartition(st, o)
+		if p.Times.DetectNs <= 0 || p.Times.BuildNs <= 0 {
+			t.Fatalf("partition times not recorded: %+v", p.Times)
+		}
+	}
+}
+
 func TestPartitionDenseSingleSupernode(t *testing.T) {
 	n := 30
 	st := symbolic.Factorize(sparse.PatternOf(sparse.Dense(n, 1)))

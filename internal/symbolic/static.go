@@ -61,9 +61,9 @@ func (s *Static) ElementOps() int64 {
 }
 
 // group is one "super-row" of the row-merge forest: a set of rows proven
-// identical in structure for the remaining columns. The sequential,
-// parallel-subtree and incremental drivers all move the same groups through
-// the same merge step, which is what makes their outputs byte-identical.
+// identical in structure for the remaining columns. The full and the
+// incremental driver move the same groups through the same merge step, which
+// is what makes their outputs byte-identical.
 type group struct {
 	cols []int32 // remaining structure, sorted, all >= current step
 	rows []int32 // alive member rows (candidate pivots), sorted
@@ -92,7 +92,7 @@ type mergeState struct {
 // the column's U-row and L-column into st and returning the surviving merged
 // group (nil when the pivot row was the sole candidate). The unions are
 // sort-and-dedup, so the output is independent of the order the participants
-// arrive in — the property every parallel and incremental driver relies on.
+// arrive in — the property the incremental driver relies on.
 func (ms *mergeState) step(k int, parts []*group, st *Static) *group {
 	if len(parts) == 0 {
 		panic("symbolic: no candidate rows at step; diagonal not zero-free?")
@@ -152,9 +152,6 @@ func (ms *mergeState) step(k int, parts []*group, st *Static) *group {
 // consumed by exactly one merge, so the total work is O(nnz(L+U) log) — this
 // is the efficient formulation the paper credits to Kai Shen's
 // implementation.
-//
-// FactorizeWorkers runs the same computation on a worker pool with a
-// byte-identical result.
 func Factorize(a *sparse.Pattern) *Static {
 	n := a.N
 	// bucket[c] holds the groups whose minimum column is c.
@@ -174,6 +171,11 @@ func Factorize(a *sparse.Pattern) *Static {
 	}
 	return st
 }
+
+// FactorizeWorkers is Factorize; the worker count is ignored.
+//
+// Deprecated: use Factorize. The analyze phase is sequential.
+func FactorizeWorkers(a *sparse.Pattern, _ int) *Static { return Factorize(a) }
 
 // LRows returns, for each row i, the sorted list of columns k < i where row i
 // may hold an L entry (the transpose view of LCols). Useful for per-row

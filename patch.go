@@ -91,7 +91,7 @@ func (an *Analysis) Patch(a *Matrix) (*Analysis, PatchInfo, error) {
 	info.RecomputedCols, info.ReusedCols = stats.Recomputed, stats.Reused
 	patchNs := time.Since(t0).Nanoseconds()
 	t0 = time.Now()
-	part := supernode.PatchPartition(st, an.sym.Static, an.sym.Partition, an.opts.HostWorkers)
+	part := supernode.PatchPartition(st, an.sym.Static, an.sym.Partition, 0)
 	partNs := time.Since(t0).Nanoseconds()
 	if sink := sinkFor(an.opts.Observer); sink != nil {
 		sink.Phase(obs.PhasePatch, patchNs)

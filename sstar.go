@@ -74,12 +74,10 @@ type Options struct {
 	// partition's task grain says that wins (a mean of core.ParallelGrain
 	// flops per task), and the sequential driver otherwise; 1 is always
 	// sequential; N > 1 is the same choice with at most N workers
-	// (Factorization.HostWorkers reports the outcome). The analyze phase's
-	// parallel stages (symbolic fill, partition build) read it as before: 0
-	// or 1 sequential, N up to N workers. Factors and analyses are
-	// bit-identical either way, so
-	// HostWorkers never changes results — only wall-clock — and it is
-	// deliberately excluded from StructureKey.
+	// (Factorization.HostWorkers reports the outcome). It caps the numeric
+	// phase only: the analyze phase is sequential. Factors are bit-identical
+	// at every setting, so HostWorkers never changes results — only
+	// wall-clock — and it is deliberately excluded from StructureKey.
 	HostWorkers int
 	// PatchMaxDiff bounds the incremental re-analysis of Analysis.Patch: the
 	// symmetric difference between the cached and the new pattern, as a
@@ -138,7 +136,6 @@ func (o Options) analyzeOptions() core.AnalyzeOptions {
 	return core.AnalyzeOptions{
 		SkipOrdering: o.SkipOrdering,
 		Ordering:     o.Ordering,
-		Workers:      o.HostWorkers,
 		Supernode:    supernode.Options{MaxBlock: o.BlockSize, Amalgamate: o.Amalgamate},
 		Obs:          sinkFor(o.Observer),
 	}
