@@ -8,8 +8,10 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -241,14 +243,32 @@ func (a *CSR) PermuteCols(perm []int) *CSR {
 	if len(perm) != a.M {
 		panic("sparse: column permutation length mismatch")
 	}
-	b := a.Clone()
-	for p, j := range b.ColInd {
-		b.ColInd[p] = perm[j]
+	b := &CSR{
+		N:      a.N,
+		M:      a.M,
+		RowPtr: append([]int(nil), a.RowPtr...),
+		ColInd: make([]int, len(a.ColInd)),
+		Val:    make([]float64, len(a.Val)),
 	}
-	// Re-sort each row's entries by the new column indices.
-	for i := 0; i < b.N; i++ {
-		lo, hi := b.RowPtr[i], b.RowPtr[i+1]
-		sortRowSegment(b.ColInd[lo:hi], b.Val[lo:hi])
+	// Re-sort each row's entries by the new column indices, through one
+	// pair buffer for the whole call. The indices within a row are
+	// distinct, so the order is total and the sort's stability moot.
+	type pair struct {
+		c int
+		v float64
+	}
+	var ps []pair
+	for i := 0; i < a.N; i++ {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		ps = ps[:0]
+		for p := lo; p < hi; p++ {
+			ps = append(ps, pair{perm[a.ColInd[p]], a.Val[p]})
+		}
+		slices.SortFunc(ps, func(x, y pair) int { return cmp.Compare(x.c, y.c) })
+		for k, e := range ps {
+			b.ColInd[lo+k] = e.c
+			b.Val[lo+k] = e.v
+		}
 	}
 	return b
 }
@@ -264,22 +284,6 @@ func (a *CSR) Permute(rowPerm, colPerm []int) *CSR {
 		b = b.PermuteCols(colPerm)
 	}
 	return b
-}
-
-func sortRowSegment(cols []int, vals []float64) {
-	type pair struct {
-		c int
-		v float64
-	}
-	ps := make([]pair, len(cols))
-	for k := range cols {
-		ps[k] = pair{cols[k], vals[k]}
-	}
-	sort.Slice(ps, func(p, q int) bool { return ps[p].c < ps[q].c })
-	for k := range ps {
-		cols[k] = ps[k].c
-		vals[k] = ps[k].v
-	}
 }
 
 // InversePerm returns the inverse permutation of p.

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -98,20 +99,34 @@ func equalCSR(a, b *CSR) bool {
 }
 
 func TestPermuteRowsCols(t *testing.T) {
-	a := sampleCSR()
-	rp := []int{2, 0, 3, 1} // old row i -> new row rp[i]
-	cp := []int{1, 2, 3, 0}
-	b := a.Permute(rp, cp)
-	for i := 0; i < a.N; i++ {
-		cols, vals := a.Row(i)
-		for k, j := range cols {
-			if got := b.At(rp[i], cp[j]); got != vals[k] {
-				t.Fatalf("B(%d,%d) = %v, want %v", rp[i], cp[j], got, vals[k])
+	rng := rand.New(rand.NewSource(3))
+	big := RandomSparse(60, 6, 11)
+	for _, c := range []struct {
+		a      *CSR
+		rp, cp []int // old row i -> new row rp[i]; old column j -> cp[j]
+	}{
+		{sampleCSR(), []int{2, 0, 3, 1}, []int{1, 2, 3, 0}},
+		{big, rng.Perm(60), rng.Perm(60)},
+	} {
+		a := c.a
+		b := a.Permute(c.rp, c.cp)
+		for i := 0; i < a.N; i++ {
+			cols, vals := a.Row(i)
+			for k, j := range cols {
+				if got := b.At(c.rp[i], c.cp[j]); got != vals[k] {
+					t.Fatalf("B(%d,%d) = %v, want %v", c.rp[i], c.cp[j], got, vals[k])
+				}
+			}
+			bc, _ := b.Row(i)
+			for k := 1; k < len(bc); k++ {
+				if bc[k] <= bc[k-1] {
+					t.Fatalf("row %d of the permuted matrix is not strictly increasing: %v", i, bc)
+				}
 			}
 		}
-	}
-	if b.Nnz() != a.Nnz() {
-		t.Fatalf("permutation changed nnz: %d vs %d", b.Nnz(), a.Nnz())
+		if b.Nnz() != a.Nnz() {
+			t.Fatalf("permutation changed nnz: %d vs %d", b.Nnz(), a.Nnz())
+		}
 	}
 }
 
@@ -284,5 +299,28 @@ func TestPermutePattern(t *testing.T) {
 		if q.Ind[i] != pb.Ind[i] || q.Ptr[i%len(q.Ptr)] != pb.Ptr[i%len(pb.Ptr)] {
 			t.Fatal("PermutePattern disagrees with CSR.Permute")
 		}
+	}
+}
+
+// TestMarkerSetsAndWraps: AppendNew keeps the first occurrence of each index
+// at or above lo, Next empties the set, and the stamp's wrap at MaxInt32
+// clears the marks instead of reusing a stamp a stale mark still holds.
+func TestMarkerSetsAndWraps(t *testing.T) {
+	m := NewMarker(5)
+	if got := m.AppendNew(nil, []int32{3, 0, 3, 4, 1}, 1); !reflect.DeepEqual(got, []int32{3, 4, 1}) {
+		t.Fatalf("first set = %v, want [3 4 1]", got)
+	}
+	if got := m.AppendNew(nil, []int32{4, 2}, 0); !reflect.DeepEqual(got, []int32{2}) {
+		t.Fatalf("same set again = %v, want [2]", got)
+	}
+	m.Next()
+	if got := m.AppendNew(nil, []int32{4, 2}, 0); !reflect.DeepEqual(got, []int32{4, 2}) {
+		t.Fatalf("after Next = %v, want [4 2]", got)
+	}
+	m.mark[2] = 1 // a mark left from the set stamped 1, long ago
+	m.stamp = math.MaxInt32
+	m.Next()
+	if got := m.AppendNew(nil, []int32{0, 1, 2, 3, 4}, 0); len(got) != 5 {
+		t.Fatalf("after the stamp wrapped = %v, want every index", got)
 	}
 }

@@ -15,7 +15,7 @@
 //     flops, and wider panels serialize more of the elimination.
 //
 // Both effects are computable from the supernode structures alone — the
-// trailing L-row and U-column counts that amalgamateStructs already derives —
+// trailing L-row and U-column counts that amalgamateSpans already derives —
 // so the choice is a deterministic, pivot-independent function of the
 // nonzero pattern. It therefore caches with the symbolic analysis: a cached
 // Analysis carries its chosen blocking, and every matrix sharing the pattern
@@ -120,10 +120,10 @@ func bestSplit(w, l, u int) (p int, cost float64) {
 
 // planSplits chooses a panel count per supernode and returns the total
 // modeled cost of the plan.
-func planSplits(supers []superStruct) (splits []int, total float64) {
+func planSplits(supers []superSpan) (splits []int, total float64) {
 	splits = make([]int, len(supers))
 	for i, s := range supers {
-		p, c := bestSplit(s.hi-s.lo, len(s.lrows), len(s.ucols))
+		p, c := bestSplit(s.hi-s.lo, s.nl, s.nu)
 		splits[i] = p
 		total += c
 	}
@@ -133,7 +133,7 @@ func planSplits(supers []superStruct) (splits []int, total float64) {
 // boundsOf expands a per-supernode split plan into panel boundaries with
 // balanced widths: a supernode of width w split p ways yields w%p panels of
 // width ⌈w/p⌉ followed by panels of width ⌊w/p⌋.
-func boundsOf(supers []superStruct, splits []int) []int {
+func boundsOf(supers []superSpan, splits []int) []int {
 	out := []int{0}
 	for i, s := range supers {
 		w := s.hi - s.lo
@@ -169,11 +169,11 @@ func newAdaptivePartition(st *symbolic.Static, o Options) *Partition {
 	}
 	// Each candidate runs its own merge pass and split plan; the winner has
 	// strictly lower cost, so ties go to the lowest index.
-	var bestSupers []superStruct
+	var bestSupers []superSpan
 	var bestPlan []int
 	bestR, bestCost := 0, 0.0
 	for i, r := range cands {
-		supers := amalgamateStructs(st, strict, r)
+		supers := amalgamateSpans(st, strict, r)
 		plan, cost := planSplits(supers)
 		if i == 0 || cost < bestCost {
 			bestSupers, bestPlan, bestR, bestCost = supers, plan, r, cost

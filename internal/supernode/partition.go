@@ -7,9 +7,11 @@
 package supernode
 
 import (
+	"slices"
 	"sync"
 	"time"
 
+	"sstar/internal/sparse"
 	"sstar/internal/symbolic"
 )
 
@@ -202,6 +204,7 @@ func buildPartition(st *symbolic.Static, bounds []int, reuse func(lo, hi int) (u
 			p.BlockOf[c] = b
 		}
 	}
+	u := unions{seen: sparse.NewMarker(n)}
 	for b := 0; b < nb; b++ {
 		lo, hi := bounds[b], bounds[b+1]
 		var ok bool
@@ -209,7 +212,7 @@ func buildPartition(st *symbolic.Static, bounds []int, reuse func(lo, hi int) (u
 			p.UCols[b], p.LRows[b], ok = reuse(lo, hi)
 		}
 		if !ok {
-			p.UCols[b], p.LRows[b] = blockUnions(st, lo, hi)
+			p.UCols[b], p.LRows[b] = u.of(st.URows, lo, hi), u.of(st.LCols, lo, hi)
 		}
 		p.UBlocks[b] = p.blocksOf(p.UCols[b])
 		p.LBlocks[b] = p.blocksOf(p.LRows[b])
@@ -217,23 +220,32 @@ func buildPartition(st *symbolic.Static, bounds []int, reuse func(lo, hi int) (u
 	return p
 }
 
-// blockUnions returns the sorted unions of the U-row and L-column structures
-// of columns [lo, hi) beyond hi.
-func blockUnions(st *symbolic.Static, lo, hi int) (ucols, lrows []int32) {
-	end := int32(hi)
+// unions is the scratch of one buildPartition call's block unions: a stamp
+// marker over the n indices and the buffer a union is gathered in. It is
+// never stored on a Partition, because several goroutines may patch one
+// cached partition at once.
+type unions struct {
+	seen *sparse.Marker
+	buf  []int32
+}
+
+// of returns the sorted union of lists[c] beyond hi over the columns
+// [lo, hi) in a right-sized slice (nil when empty). Each index is appended
+// once, when first met, so only the union is sorted, not the concatenation
+// of the columns' lists; as a set union sorted it is the same slice
+// append-sort-dedup builds.
+func (u *unions) of(lists [][]int32, lo, hi int) []int32 {
+	u.seen.Next()
+	buf := u.buf[:0]
 	for c := lo; c < hi; c++ {
-		for _, j := range st.URows[c] {
-			if j >= end {
-				ucols = append(ucols, j)
-			}
-		}
-		for _, i := range st.LCols[c] {
-			if i >= end {
-				lrows = append(lrows, i)
-			}
-		}
+		buf = u.seen.AppendNew(buf, lists[c], int32(hi))
 	}
-	return sortDedup(ucols), sortDedup(lrows)
+	u.buf = buf
+	if len(buf) == 0 {
+		return nil
+	}
+	slices.Sort(buf)
+	return append(make([]int32, 0, len(buf)), buf...)
 }
 
 func (p *Partition) blocksOf(idx []int32) []int32 {
@@ -298,11 +310,23 @@ type superStruct struct {
 	lrows  []int32 // L rows >= hi
 }
 
+// superSpan is a supernode as the blocking choice reads it: the column range
+// and the sizes of the trailing structures. The merge pass reuses the
+// buffers behind its structures, so it hands on counts, not slices.
+type superSpan struct {
+	lo, hi int // column range [lo, hi)
+	nu, nl int // U columns and L rows >= hi
+}
+
+func (s superStruct) span() superSpan {
+	return superSpan{lo: s.lo, hi: s.hi, nu: len(s.ucols), nl: len(s.lrows)}
+}
+
 // amalgamate greedily merges adjacent supernodes while each merge introduces
 // at most r explicit zeros per column of the merged supernode (the paper's
 // O(n), permutation-free scheme of Section 3.3).
 func amalgamate(st *symbolic.Static, bounds []int, r int) []int {
-	ss := amalgamateStructs(st, bounds, r)
+	ss := amalgamateSpans(st, bounds, r)
 	out := make([]int, 0, len(ss)+1)
 	out = append(out, 0)
 	for _, s := range ss {
@@ -316,8 +340,8 @@ func amalgamate(st *symbolic.Static, bounds []int, r int) []int {
 // column's structure past hi equals the last column's, so the supernode's
 // trailing structure is URows[hi-1] minus its diagonal and LCols[hi-1]
 // verbatim. The slices alias the static structure and must not be mutated
-// (the merge pass only reads them; merged supernodes get fresh slices from
-// mergeSorted).
+// (the merge pass only reads them; merged supernodes live in the pass's own
+// buffers).
 func strictStruct(st *symbolic.Static, lo, hi int) superStruct {
 	s := superStruct{lo: lo, hi: hi}
 	if hi <= lo {
@@ -330,46 +354,48 @@ func strictStruct(st *symbolic.Static, lo, hi int) superStruct {
 	return s
 }
 
-// buildStructs returns the structures of every strict supernode in bounds
-// without merging (the r = 0 view the adaptive chooser also evaluates).
-// bounds must be strict supernode boundaries of st.
-func buildStructs(st *symbolic.Static, bounds []int) []superStruct {
-	out := make([]superStruct, 0, len(bounds)-1)
-	for s := 0; s+1 < len(bounds); s++ {
-		out = append(out, strictStruct(st, bounds[s], bounds[s+1]))
-	}
-	return out
-}
-
-// amalgamateStructs runs the merge pass and returns the merged supernodes
-// with their trailing structures (the raw material of both the bounds-only
-// amalgamate above and the adaptive cost model). bounds must be strict
-// supernode boundaries of st, which makes the initial structures O(1) each.
-func amalgamateStructs(st *symbolic.Static, bounds []int, r int) []superStruct {
+// amalgamateSpans runs the merge pass and returns the merged supernodes
+// with the sizes of their trailing structures (the raw material of both the
+// bounds-only amalgamate above and the adaptive cost model); r <= 0 returns
+// the strict supernodes unmerged. bounds must be strict supernode boundaries
+// of st, which makes the initial structures O(1) each.
+func amalgamateSpans(st *symbolic.Static, bounds []int, r int) []superSpan {
 	ns := len(bounds) - 1
 	if ns < 1 {
 		return nil
 	}
+	out := make([]superSpan, 0, ns)
 	if r <= 0 {
-		return buildStructs(st, bounds)
+		for s := 0; s < ns; s++ {
+			out = append(out, strictStruct(st, bounds[s], bounds[s+1]).span())
+		}
+		return out
 	}
+	var m merger
 	cur := strictStruct(st, bounds[0], bounds[1])
-	var out []superStruct
 	for s := 1; s < ns; s++ {
 		next := strictStruct(st, bounds[s], bounds[s+1])
-		if merged, ok := tryMerge(cur, next, r); ok {
-			cur = merged
+		if m.tryMerge(&cur, next, r) {
 			continue
 		}
-		out = append(out, cur)
+		out = append(out, cur.span())
 		cur = next
 	}
-	return append(out, cur)
+	return append(out, cur.span())
 }
 
-// tryMerge evaluates merging adjacent supernodes a (left) and b (right);
-// on success it returns the merged structure.
-func tryMerge(a, b superStruct, r int) (superStruct, bool) {
+// merger owns the buffers of one merge pass: two ping-pong pairs of U and L
+// lists. A merge writes into the pair the running supernode does not occupy
+// and then swaps, so the pass allocates only while the buffers grow.
+type merger struct {
+	u, l [2][]int32
+	side int // the pair the next merge writes
+}
+
+// tryMerge evaluates merging adjacent supernodes a (left, the running
+// supernode) and b (right); on success it replaces *a with the merged
+// structure, held in the merger's buffers.
+func (m *merger) tryMerge(a *superStruct, b superStruct, r int) bool {
 	wa := a.hi - a.lo // width of a
 	wb := b.hi - b.lo
 	// Split a's structure at b.hi: the part inside b's columns/rows becomes
@@ -383,14 +409,14 @@ func tryMerge(a, b superStruct, r int) (superStruct, bool) {
 		wb*uOnlyA + wa*uOnlyB + // U region rows extended to the union
 		wb*lOnlyA + wa*lOnlyB // L region columns extended to the union
 	if extraZeros > r*(wa+wb) {
-		return superStruct{}, false
+		return false
 	}
-	return superStruct{
-		lo:    a.lo,
-		hi:    b.hi,
-		ucols: mergeSorted(uaOut, b.ucols),
-		lrows: mergeSorted(laOut, b.lrows),
-	}, true
+	i := m.side
+	m.u[i] = mergeSorted(m.u[i][:0], uaOut, b.ucols)
+	m.l[i] = mergeSorted(m.l[i][:0], laOut, b.lrows)
+	*a = superStruct{lo: a.lo, hi: b.hi, ucols: m.u[i], lrows: m.l[i]}
+	m.side ^= 1
+	return true
 }
 
 // split cuts every supernode wider than maxBlock into panels of at most
@@ -439,8 +465,8 @@ func diffCounts(a, b []int32) (onlyA, onlyB int) {
 	return
 }
 
-func mergeSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
+// mergeSorted appends the sorted union of sorted a and b to out.
+func mergeSorted(out, a, b []int32) []int32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -459,52 +485,4 @@ func mergeSorted(a, b []int32) []int32 {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-// sortDedup returns the sorted distinct values of xs (which it reorders) in
-// a right-sized slice: the lists it builds live as long as the partition, and
-// the input — one entry per (column, index) pair of a panel, grown by append
-// — is several times larger than the union it reduces to.
-func sortDedup(xs []int32) []int32 {
-	if len(xs) == 0 {
-		return nil
-	}
-	sortInt32(xs)
-	n := 1
-	for _, x := range xs[1:] {
-		if x != xs[n-1] {
-			xs[n] = x
-			n++
-		}
-	}
-	return append(make([]int32, 0, n), xs[:n]...)
-}
-
-func sortInt32(x []int32) {
-	// Insertion sort for short slices, else a simple quicksort.
-	if len(x) < 24 {
-		for i := 1; i < len(x); i++ {
-			for j := i; j > 0 && x[j] < x[j-1]; j-- {
-				x[j], x[j-1] = x[j-1], x[j]
-			}
-		}
-		return
-	}
-	pivot := x[len(x)/2]
-	lo, hi := 0, len(x)-1
-	for lo <= hi {
-		for x[lo] < pivot {
-			lo++
-		}
-		for x[hi] > pivot {
-			hi--
-		}
-		if lo <= hi {
-			x[lo], x[hi] = x[hi], x[lo]
-			lo++
-			hi--
-		}
-	}
-	sortInt32(x[:hi+1])
-	sortInt32(x[lo:])
 }

@@ -30,7 +30,7 @@ func pinnedBounds(st *symbolic.Static, ch Choice, tm *Times) ([]int, Choice) {
 	t0 = time.Now()
 	var bounds []int
 	if ch.Adaptive {
-		supers := amalgamateStructs(st, strict, ch.Amalgamate)
+		supers := amalgamateSpans(st, strict, ch.Amalgamate)
 		plan, cost := planSplits(supers)
 		bounds = boundsOf(supers, plan)
 		if len(bounds) == 1 {

@@ -96,7 +96,7 @@ func Patch(old *Static, oldPat, newPat *sparse.Pattern, maxFrac float64) (*Stati
 		startRows[c] = append(startRows[c], int32(i))
 	}
 	st := &Static{N: n, URows: make([][]int32, n), LCols: make([][]int32, n)}
-	var ms mergeState
+	ms := newMergeState(n)
 	var parts []*group
 	for k := 0; k < n; k++ {
 		if !dirty[k] {

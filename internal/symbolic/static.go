@@ -5,9 +5,11 @@
 // as the looser comparison bound in Table 1.
 package symbolic
 
-import "sort"
+import (
+	"slices"
 
-import "sstar/internal/sparse"
+	"sstar/internal/sparse"
+)
 
 // Static holds the result of the static symbolic factorization of an n-by-n
 // matrix with a zero-free diagonal.
@@ -82,17 +84,27 @@ func rowGroup(a *sparse.Pattern, i int) *group {
 	return &group{cols: cols, rows: []int32{int32(i)}}
 }
 
-// mergeState carries the reusable scratch buffers of one merge run.
+// mergeState carries the scratch of one merge run: a stamp marker over the
+// n columns and the buffers the unions are gathered in. It belongs to one
+// Factorize or Patch call; nothing of it is stored on a Static.
 type mergeState struct {
+	seen     *sparse.Marker
 	scratch  []int32
 	rscratch []int32
 }
 
+func newMergeState(n int) *mergeState { return &mergeState{seen: sparse.NewMarker(n)} }
+
 // step performs the merge at column k over the participant groups, writing
 // the column's U-row and L-column into st and returning the surviving merged
-// group (nil when the pivot row was the sole candidate). The unions are
-// sort-and-dedup, so the output is independent of the order the participants
-// arrive in — the property the incremental driver relies on.
+// group (nil when the pivot row was the sole candidate). The column union
+// appends each column once, when the marker first meets it, and sorts only
+// the union; the member rows of distinct groups are disjoint, so their
+// concatenation is sorted as it is. Both outputs are sorted sets, independent
+// of the order the participants arrive in — the property the incremental
+// driver relies on.
+// The marker's stamp is a counter, not k: Patch re-runs step on the columns
+// it recomputes, in its own order.
 func (ms *mergeState) step(k int, parts []*group, st *Static) *group {
 	if len(parts) == 0 {
 		panic("symbolic: no candidate rows at step; diagonal not zero-free?")
@@ -101,26 +113,22 @@ func (ms *mergeState) step(k int, parts []*group, st *Static) *group {
 	// candidate rows at step k are exactly the rows that may hold an
 	// L multiplier in column k (any of them could have been left
 	// below the diagonal by the row interchanges).
+	ms.seen.Next()
 	scratch := ms.scratch[:0]
 	rscratch := ms.rscratch[:0]
 	for _, g := range parts {
-		scratch = append(scratch, g.cols...)
+		scratch = ms.seen.AppendNew(scratch, g.cols, 0)
 		rscratch = append(rscratch, g.rows...)
 	}
-	sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-	merged := make([]int32, 0, len(scratch))
-	for i, c := range scratch {
-		if i == 0 || c != scratch[i-1] {
-			merged = append(merged, c)
-		}
-	}
-	if merged[0] != int32(k) {
+	slices.Sort(scratch)
+	if scratch[0] != int32(k) {
 		panic("symbolic: candidate structure does not start at step column")
 	}
+	merged := append(make([]int32, 0, len(scratch)), scratch...)
 	st.URows[k] = merged
 	// Member-row sets of distinct groups are disjoint; sort and drop
 	// the retiring row k (a candidate by the zero-free diagonal).
-	sort.Slice(rscratch, func(i, j int) bool { return rscratch[i] < rscratch[j] })
+	slices.Sort(rscratch)
 	if len(rscratch) == 0 || rscratch[0] != int32(k) {
 		panic("symbolic: row k is not a candidate at step k")
 	}
@@ -161,7 +169,7 @@ func Factorize(a *sparse.Pattern) *Static {
 		bucket[g.cols[0]] = append(bucket[g.cols[0]], g)
 	}
 	st := &Static{N: n, URows: make([][]int32, n), LCols: make([][]int32, n)}
-	var ms mergeState
+	ms := newMergeState(n)
 	for k := 0; k < n; k++ {
 		parts := bucket[k]
 		bucket[k] = nil

@@ -80,8 +80,9 @@ func (an *Analysis) Patch(a *Matrix) (*Analysis, PatchInfo, error) {
 	// The propagation runs in the analyzed coordinate system: permute both
 	// patterns by the cached transversal + fill-reducing permutations, then
 	// patch the static structure there.
+	pat := sparse.PatternOf(a)
 	oldPerm := sparse.PermutePattern(an.pat, an.sym.RowPerm, an.sym.ColPerm)
-	newPerm := sparse.PermutePattern(sparse.PatternOf(a), an.sym.RowPerm, an.sym.ColPerm)
+	newPerm := sparse.PermutePattern(pat, an.sym.RowPerm, an.sym.ColPerm)
 	st, stats := symbolic.Patch(an.sym.Static, oldPerm, newPerm, maxFrac)
 	info.ChangedRows, info.ChangedEntries = stats.ChangedRows, stats.ChangedEntries
 	if st == nil {
@@ -112,7 +113,7 @@ func (an *Analysis) Patch(a *Matrix) (*Analysis, PatchInfo, error) {
 	return &Analysis{
 		sym:  sym,
 		opts: an.opts,
-		pat:  sparse.PatternOf(a),
+		pat:  pat,
 		key:  StructureKey(a, an.opts),
 	}, info, nil
 }

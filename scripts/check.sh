@@ -82,6 +82,9 @@ go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/xblas
 # iterations: a smoke, not a measurement).
 go test -run 'TestRefactorizeSteadyStateAllocs|TestHostRefactorizeSteadyStateAllocs' -count=1 . ./internal/core
 go test -run '^$' -bench 'Refactorize/.*/w[12]' -benchtime 3x ./internal/core
+# Cold-analysis smoke: a cold Analyze and a near-miss Patch of each cold-start
+# base run end to end (3 iterations: a smoke, not a measurement).
+go test -run '^$' -bench 'Analyze|Patch' -benchtime 3x .
 # Solve guards: Solve makes its two vectors and nothing else, SolveMany its
 # result and one scratch slab, and their benchmarks run end to end on both
 # supernode regimes (a smoke).
