@@ -1,16 +1,18 @@
 package ordering
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"sstar/internal/sparse"
 )
 
 // MinimumDegree computes a fill-reducing elimination ordering of a symmetric
-// pattern using a quotient-graph minimum-degree algorithm with external
-// degrees and indistinguishable-variable (supervariable) merging — the
-// practical core of the multiple-minimum-degree ordering the paper applies to
-// the structure of A^T A.
+// pattern: single-elimination minimum degree on the quotient graph, with
+// exact external degrees and indistinguishable-variable (supervariable)
+// merging. It stands in for the multiple-minimum-degree ordering the paper
+// applies to the structure of A^T A, but eliminates one supervariable per
+// degree update where MMD eliminates an independent set of them.
 //
 // The returned perm maps old index to new index: variable i is eliminated at
 // step perm[i].
@@ -40,6 +42,14 @@ func MinimumDegree(s *sparse.Pattern) []int {
 // quotientGraph is the working representation: variables and elements share
 // the index space 0..n-1; an eliminated variable becomes the element with the
 // same index.
+//
+// The lists keep two invariants that let the hot loops skip find:
+//   - adjVar[v] and adjElem[v] of every member of the newest element were
+//     rebuilt by its elimination as sorted sets of live principal variables
+//     and unabsorbed elements (adjElem with the new element appended last).
+//   - Every unabsorbed element that lists a merged variable also lists its
+//     principal: a merge requires equal element sets. An element list may
+//     therefore drop its merged and eliminated entries whenever it is read.
 type quotientGraph struct {
 	n        int
 	adjVar   [][]int // variable -> adjacent (principal) variables
@@ -49,18 +59,28 @@ type quotientGraph struct {
 	parent   []int   // supervariable merge forest: principal var of each var
 	children [][]int // inverse of parent, for member expansion
 	degree   []int   // external degree of principal variables
-	state    []int8  // 0 = live variable, 1 = eliminated (element), 2 = merged
+	state    []int8  // stateLive, stateElement, stateAbsorbed or stateMerged
 	buckets  [][]int // degree -> candidate principal variables (lazy)
 	minDeg   int
 	mark     []int
 	stamp    int
+
+	sigs       []varHash // mergeIndistinguishable's scratch
+	out, stack []int     // members' scratch
 }
 
 const (
-	stateLive int8 = iota
-	stateElement
-	stateMerged
+	stateLive     int8 = iota
+	stateElement       // eliminated variable, now an element
+	stateAbsorbed      // element absorbed into a later element
+	stateMerged        // variable merged into a supervariable
 )
+
+// varHash is a live variable with the hash of its adjacency.
+type varHash struct {
+	hash uint64
+	v    int
+}
 
 func newQuotientGraph(s *sparse.Pattern) *quotientGraph {
 	n := s.N
@@ -77,40 +97,41 @@ func newQuotientGraph(s *sparse.Pattern) *quotientGraph {
 		buckets:  make([][]int, n+1),
 		mark:     make([]int, n),
 	}
+	// One backing array holds every initial variable list; a list only
+	// shrinks in place, so the capacity bound keeps each in its own range.
+	all := make([]int, 0, len(s.Ind))
 	for i := 0; i < n; i++ {
 		g.weight[i] = 1
 		g.parent[i] = i
-		row := s.Row(i)
-		adj := make([]int, 0, len(row))
-		for _, j := range row {
+		start := len(all)
+		for _, j := range s.Row(i) {
 			if j != i {
-				adj = append(adj, j)
+				all = append(all, j)
 			}
 		}
-		g.adjVar[i] = adj
-		g.degree[i] = len(adj)
-		g.buckets[len(adj)] = append(g.buckets[len(adj)], i)
+		d := len(all) - start
+		g.adjVar[i] = all[start:len(all):len(all)]
+		g.degree[i] = d
+		g.buckets[d] = append(g.buckets[d], i)
 		g.mark[i] = -1
 	}
 	return g
 }
 
-// members returns the original variables represented by principal variable p
-// (p plus everything merged into it).
-func (g *quotientGraph) members(p int) []int { return g.childList(p) }
-
-// childList returns p plus every variable merged into p (recursively).
-func (g *quotientGraph) childList(p int) []int {
-	out := []int{}
-	stack := []int{p}
+// members returns, sorted, the original variables represented by principal
+// variable p: p plus everything merged into it, recursively. The slice is
+// scratch, valid until the next call.
+func (g *quotientGraph) members(p int) []int {
+	out := g.out[:0]
+	stack := append(g.stack[:0], p)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		out = append(out, v)
 		stack = append(stack, g.children[v]...)
 	}
-	// Keep deterministic order.
-	sort.Ints(out)
+	slices.Sort(out)
+	g.out, g.stack = out, stack
 	return out
 }
 
@@ -153,7 +174,8 @@ func (g *quotientGraph) push(v int) {
 func (g *quotientGraph) eliminate(p int) {
 	g.state[p] = stateElement
 	// Gather the element's variable set: adjacent live variables plus the
-	// variables of adjacent elements (absorbing those elements).
+	// variables of adjacent elements (absorbing those elements). A merged
+	// entry of an element list is skipped: its principal is listed too.
 	g.stamp++
 	st := g.stamp
 	g.mark[p] = st
@@ -166,16 +188,19 @@ func (g *quotientGraph) eliminate(p int) {
 		}
 	}
 	for _, e := range g.adjElem[p] {
+		if g.state[e] != stateElement {
+			continue
+		}
 		for _, v := range g.elemVars[e] {
-			v = g.find(v)
 			if g.state[v] == stateLive && g.mark[v] != st {
 				g.mark[v] = st
 				vars = append(vars, v)
 			}
 		}
-		g.elemVars[e] = nil // absorbed
+		g.state[e] = stateAbsorbed
+		g.elemVars[e] = nil
 	}
-	sort.Ints(vars)
+	slices.Sort(vars)
 	g.elemVars[p] = vars
 	// Update each member variable.
 	for _, v := range vars {
@@ -189,93 +214,105 @@ func (g *quotientGraph) eliminate(p int) {
 			}
 			out = append(out, w)
 		}
-		g.adjVar[v] = dedupInts(out)
+		g.adjVar[v] = sortedSet(out)
 		// Element list: drop absorbed elements, add p.
 		eout := g.adjElem[v][:0]
 		for _, e := range g.adjElem[v] {
-			if g.state[e] == stateElement && g.elemVars[e] != nil {
+			if g.state[e] == stateElement {
 				eout = append(eout, e)
 			}
 		}
-		g.adjElem[v] = append(dedupInts(eout), p)
+		g.adjElem[v] = append(sortedSet(eout), p)
 	}
 	// Supervariable detection: variables in this element with identical
 	// adjacency are merged. Hash by adjacency contents.
 	g.mergeIndistinguishable(vars)
-	// Recompute external degrees of the (surviving) members.
+	// Recompute external degrees of the (surviving) members. Each sees all
+	// of the new element: stamp its live principals once and sum their
+	// weights, then count per member only what lies outside it.
+	g.stamp++
+	sp := g.stamp
+	wp := 0
+	for _, v := range vars {
+		if g.state[v] == stateLive {
+			g.mark[v] = sp
+			wp += g.weight[v]
+		}
+	}
 	for _, v := range vars {
 		if g.state[v] != stateLive {
 			continue
 		}
-		g.degree[v] = g.externalDegree(v)
+		g.degree[v] = wp - g.weight[v] + g.outerDegree(v, p, sp)
 		g.push(v)
 	}
 }
 
-// externalDegree computes the weighted size of v's neighborhood (union of its
-// variable neighbors and the variables of its adjacent elements, minus v).
-func (g *quotientGraph) externalDegree(v int) int {
+// outerDegree returns the weight of v's live neighbours outside element p,
+// whose live principals carry stamp sp. It compacts every other element list
+// of v to its live entries as it reads it; p's list is skipped, so the vars
+// slice that eliminate iterates stays intact.
+func (g *quotientGraph) outerDegree(v, p, sp int) int {
 	g.stamp++
 	st := g.stamp
-	g.mark[v] = st
 	d := 0
+	// Rebuilt by this elimination: distinct live principals outside p.
 	for _, w := range g.adjVar[v] {
-		w = g.find(w)
-		if g.state[w] == stateLive && g.mark[w] != st {
-			g.mark[w] = st
-			d += g.weight[w]
-		}
+		g.mark[w] = st
+		d += g.weight[w]
 	}
 	for _, e := range g.adjElem[v] {
+		if e == p {
+			continue
+		}
+		live := g.elemVars[e][:0]
 		for _, w := range g.elemVars[e] {
-			w = g.find(w)
-			if g.state[w] == stateLive && g.mark[w] != st {
+			if g.state[w] != stateLive {
+				continue
+			}
+			live = append(live, w)
+			if g.mark[w] != sp && g.mark[w] != st {
 				g.mark[w] = st
 				d += g.weight[w]
 			}
 		}
+		g.elemVars[e] = live
 	}
 	return d
 }
 
 // mergeIndistinguishable merges variables among vars that have identical
 // quotient-graph adjacency (they can be eliminated together with no extra
-// fill).
+// fill). Equal-hash variables are merged in the order the sort leaves them,
+// so that order is part of the output.
 func (g *quotientGraph) mergeIndistinguishable(vars []int) {
 	if len(vars) < 2 {
 		return
 	}
-	type sig struct {
-		hash  uint64
-		index int
-	}
-	sigs := make([]sig, 0, len(vars))
+	sigs := g.sigs[:0]
 	for _, v := range vars {
 		if g.state[v] != stateLive {
 			continue
 		}
 		h := uint64(1469598103934665603)
-		mix := func(x int) {
-			h ^= uint64(x + 1)
-			h *= 1099511628211
-		}
 		for _, w := range g.adjVar[v] {
-			mix(g.find(w))
+			h = mixHash(h, w)
 		}
-		mix(-7)
+		h = mixHash(h, -7)
 		for _, e := range g.adjElem[v] {
-			mix(e)
+			h = mixHash(h, e)
 		}
-		sigs = append(sigs, sig{h, v})
+		sigs = append(sigs, varHash{h, v})
 	}
-	sort.Slice(sigs, func(i, j int) bool { return sigs[i].hash < sigs[j].hash })
+	g.sigs = sigs
+	slices.SortFunc(sigs, func(a, b varHash) int { return cmp.Compare(a.hash, b.hash) })
 	for i := 0; i < len(sigs); i++ {
-		v := sigs[i].index
+		v := sigs[i].v
 		if g.state[v] != stateLive {
 			continue
 		}
 		for j := i + 1; j < len(sigs) && sigs[j].hash == sigs[i].hash; j++ {
-			w := sigs[j].index
+			w := sigs[j].v
 			if g.state[w] != stateLive || !g.sameAdjacency(v, w) {
 				continue
 			}
@@ -290,44 +327,17 @@ func (g *quotientGraph) mergeIndistinguishable(vars []int) {
 	}
 }
 
-// sameAdjacency reports whether live variables v and w have the same
-// quotient-graph neighborhood (ignoring each other).
-func (g *quotientGraph) sameAdjacency(v, w int) bool {
-	av := g.liveAdj(v, w)
-	aw := g.liveAdj(w, v)
-	if len(av) != len(aw) {
-		return false
-	}
-	for i := range av {
-		if av[i] != aw[i] {
-			return false
-		}
-	}
-	ev := append([]int(nil), g.adjElem[v]...)
-	ew := append([]int(nil), g.adjElem[w]...)
-	sort.Ints(ev)
-	sort.Ints(ew)
-	if len(ev) != len(ew) {
-		return false
-	}
-	for i := range ev {
-		if ev[i] != ew[i] {
-			return false
-		}
-	}
-	return true
+// mixHash folds x into the FNV-1a style hash h.
+func mixHash(h uint64, x int) uint64 {
+	return (h ^ uint64(x+1)) * 1099511628211
 }
 
-func (g *quotientGraph) liveAdj(v, skip int) []int {
-	var out []int
-	for _, w := range g.adjVar[v] {
-		w = g.find(w)
-		if g.state[w] == stateLive && w != v && w != skip {
-			out = append(out, w)
-		}
-	}
-	sort.Ints(out)
-	return dedupSortedInts(out)
+// sameAdjacency reports whether live members v and w of the newest element
+// have the same quotient-graph neighborhood. Both lists of each were just
+// rebuilt as sorted sets (adjElem with the new element last) and neither
+// holds the other, so the sets are equal exactly when the lists are.
+func (g *quotientGraph) sameAdjacency(v, w int) bool {
+	return slices.Equal(g.adjVar[v], g.adjVar[w]) && slices.Equal(g.adjElem[v], g.adjElem[w])
 }
 
 // find resolves a possibly-merged variable to its principal representative.
@@ -339,17 +349,14 @@ func (g *quotientGraph) find(v int) int {
 	return v
 }
 
-func dedupInts(xs []int) []int {
-	sort.Ints(xs)
-	return dedupSortedInts(xs)
-}
-
-func dedupSortedInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
+// sortedSet sorts xs in place and drops duplicates, skipping the sort when
+// xs is already strictly increasing.
+func sortedSet(xs []int) []int {
+	for i := 1; i < len(xs); i++ {
+		if xs[i] <= xs[i-1] {
+			slices.Sort(xs)
+			return slices.Compact(xs)
 		}
 	}
-	return out
+	return xs
 }
