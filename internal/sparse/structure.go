@@ -1,6 +1,9 @@
 package sparse
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Pattern is the structure of a square sparse matrix without values:
 // Ptr/Ind in CSR-like layout with sorted indices per row.
@@ -44,33 +47,65 @@ func (p *Pattern) EqualCSR(a *CSR) bool {
 	return true
 }
 
+// ColumnPattern returns the column structure of a without its values: the
+// rows of column j, ascending, are rows[ptr[j]:ptr[j+1]]. It is ToCSC's
+// ColPtr and RowInd, read from RowPtr and ColInd alone.
+func (a *CSR) ColumnPattern() (ptr, rows []int) {
+	ptr = make([]int, a.M+1)
+	for _, j := range a.ColInd {
+		ptr[j+1]++
+	}
+	for j := 0; j < a.M; j++ {
+		ptr[j+1] += ptr[j]
+	}
+	rows = make([]int, len(a.ColInd))
+	next := slices.Clone(ptr[:a.M])
+	for i := 0; i < a.N; i++ {
+		for _, j := range a.ColInd[a.RowPtr[i]:a.RowPtr[i+1]] {
+			rows[next[j]] = i
+			next[j]++
+		}
+	}
+	return ptr, rows
+}
+
 // ATAPattern returns the structure of A^T·A for a square or rectangular A.
 // Entry (i, j) of A^T A is structurally nonzero when some row k of A has
-// entries in both columns i and j. The result is M-by-M and symmetric.
+// entries in both columns i and j. The result is symmetric, with one row and
+// one column per column of A (M-by-M for an N-by-M A).
 func ATAPattern(a *CSR) *Pattern {
 	m := a.M
-	// Build column-wise access once.
-	csc := a.ToCSC()
+	colPtr, colRows := a.ColumnPattern()
+	// Row j of A^T A is the union of the rows of A that hold column j:
+	// gather each, unsorted, with a marker.
 	marker := make([]int, m)
 	for i := range marker {
 		marker[i] = -1
 	}
 	ptr := make([]int, m+1)
-	var ind []int
+	var gathered []int
 	for j := 0; j < m; j++ {
-		rows, _ := csc.Col(j)
-		start := len(ind)
-		for _, k := range rows {
-			cols, _ := a.Row(k)
-			for _, i := range cols {
+		for _, k := range colRows[colPtr[j]:colPtr[j+1]] {
+			for _, i := range a.ColInd[a.RowPtr[k]:a.RowPtr[k+1]] {
 				if marker[i] != j {
 					marker[i] = j
-					ind = append(ind, i)
+					gathered = append(gathered, i)
 				}
 			}
 		}
-		sort.Ints(ind[start:])
-		ptr[j+1] = len(ind)
+		ptr[j+1] = len(gathered)
+	}
+	// Transpose the gathered rows: row i of the transpose lists, ascending,
+	// every j whose row holds i. A^T A is symmetric, so that is row i itself,
+	// sorted and of the same length, and one pass replaces a sort per row.
+	ind := make([]int, len(gathered))
+	next := marker
+	copy(next, ptr[:m])
+	for j := 0; j < m; j++ {
+		for _, i := range gathered[ptr[j]:ptr[j+1]] {
+			ind[next[i]] = j
+			next[i]++
+		}
 	}
 	return &Pattern{N: m, Ptr: ptr, Ind: ind}
 }
