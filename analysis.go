@@ -158,7 +158,6 @@ func StructureKey(a *Matrix, o Options) uint64 {
 	} else {
 		put(0)
 	}
-	h.Write([]byte(o.Ordering))
 	put(math.Float64bits(o.PivotThreshold))
 	return h.Sum64()
 }

@@ -124,8 +124,8 @@ func AblationGridAspect(cfg Config, name string, nproc int) (*Table, error) {
 // natural order versus MC21 transversal + minimum degree on A^T A.
 func AblationOrdering(cfg Config) (*Table, error) {
 	t := &Table{
-		Title:   "Ablation: ordering impact on static fill (natural vs MMD(A'A) vs COLMMD)",
-		Headers: []string{"matrix", "fill natural", "fill MMD(A'A)", "fill COLMMD", "MMD reduction", "COLMMD reduction"},
+		Title:   "Ablation: ordering impact on static fill (natural vs MMD(A'A))",
+		Headers: []string{"matrix", "fill natural", "fill MMD(A'A)", "MMD reduction"},
 		Notes: []string{
 			"paper Section 7: the static scheme depends on a good ordering; a poor one (or a",
 			"nearly dense row) inflates the overestimate dramatically.",
@@ -136,16 +136,12 @@ func AblationOrdering(cfg Config) (*Table, error) {
 		sn := supernode.Options{MaxBlock: cfg.BSize, Amalgamate: cfg.Amalg}
 		natural := core.Analyze(a, core.AnalyzeOptions{SkipOrdering: true, Supernode: sn})
 		mmd := core.Analyze(a, core.AnalyzeOptions{Supernode: sn})
-		colmmd := core.Analyze(a, core.AnalyzeOptions{Supernode: sn, Ordering: "colmmd"})
 		fn := natural.Static.NnzTotal()
 		fm := mmd.Static.NnzTotal()
-		fc := colmmd.Static.NnzTotal()
 		t.AddRow(spec.Name,
 			fmt.Sprintf("%d", fn),
 			fmt.Sprintf("%d", fm),
-			fmt.Sprintf("%d", fc),
-			fmt.Sprintf("%.1f%%", 100*(1-float64(fm)/float64(fn))),
-			fmt.Sprintf("%.1f%%", 100*(1-float64(fc)/float64(fn))))
+			fmt.Sprintf("%.1f%%", 100*(1-float64(fm)/float64(fn))))
 	}
 	return t, nil
 }

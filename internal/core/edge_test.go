@@ -212,29 +212,3 @@ func TestTracing(t *testing.T) {
 		t.Fatalf("1D traces %d, want 3", len(res1.Traces))
 	}
 }
-
-// TestColmmdOrderingPath exercises the alternative column ordering through
-// the whole pipeline.
-func TestColmmdOrderingPath(t *testing.T) {
-	a := sparse.Grid2D(10, 10, false, sparse.GenOptions{Seed: 38, Convection: 0.4})
-	sym := Analyze(a, AnalyzeOptions{Ordering: "colmmd", Supernode: supernode.Options{MaxBlock: 8, Amalgamate: 4}})
-	f, err := FactorizeSeq(a, sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solveAndCheck(t, a, f, 1e-9)
-	res, err := Factorize2D(a, sym, machine.T3E(), 2, 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solveAndCheck(t, a, res.Fact, 1e-9)
-}
-
-func TestUnknownOrderingPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unknown ordering")
-		}
-	}()
-	Analyze(sparse.Dense(5, 1), AnalyzeOptions{Ordering: "nope"})
-}

@@ -54,10 +54,6 @@ type AnalyzeOptions struct {
 	// SkipOrdering keeps the matrix in its given row/column order (useful
 	// for experiments that supply a pre-ordered matrix).
 	SkipOrdering bool
-	// Ordering selects the fill-reducing column ordering: "mmd-ata" (the
-	// paper's multiple minimum degree on A^T A, the default) or "colmmd"
-	// (column minimum degree computed directly on A, COLMMD-style).
-	Ordering string
 	// Obs, when non-nil, receives one Phase event per analyze stage
 	// (ordering, symbolic, partition). Nil disables all timing work.
 	Obs obs.Sink
@@ -105,15 +101,7 @@ func Analyze(a *sparse.CSR, o AnalyzeOptions) *Symbolic {
 		}
 		rp, _ := ordering.MaxTransversal(a)
 		work = a.PermuteRows(rp)
-		var cp []int
-		switch o.Ordering {
-		case "colmmd":
-			cp = ordering.ColumnMinDegree(work)
-		case "", "mmd-ata":
-			cp = ordering.MinimumDegree(sparse.ATAPattern(work))
-		default:
-			panic(fmt.Sprintf("core: unknown ordering %q", o.Ordering))
-		}
+		cp := ordering.MinimumDegree(sparse.ATAPattern(work))
 		// The column permutation is applied symmetrically (rows follow
 		// columns) so the zero-free diagonal survives.
 		work = work.Permute(cp, cp)

@@ -57,10 +57,6 @@ type Options struct {
 	// SkipOrdering keeps the caller's row/column order instead of applying
 	// the maximum transversal + minimum degree preprocessing.
 	SkipOrdering bool
-	// Ordering selects the fill-reducing column ordering: "" or "mmd-ata"
-	// for the paper's minimum degree on AᵀA, "colmmd" for column minimum
-	// degree computed directly on A.
-	Ordering string
 	// PivotThreshold in (0,1] enables threshold pivoting: the diagonal
 	// candidate is kept whenever its magnitude reaches PivotThreshold
 	// times the column maximum, reducing row interchanges (and so
@@ -135,7 +131,6 @@ func PaperOptions() Options { return Options{BlockSize: 25, Amalgamate: 4} }
 func (o Options) analyzeOptions() core.AnalyzeOptions {
 	return core.AnalyzeOptions{
 		SkipOrdering: o.SkipOrdering,
-		Ordering:     o.Ordering,
 		Supernode:    supernode.Options{MaxBlock: o.BlockSize, Amalgamate: o.Amalgamate},
 		Obs:          sinkFor(o.Observer),
 	}
