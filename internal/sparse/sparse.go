@@ -140,28 +140,14 @@ func (a *CSR) At(i, j int) float64 {
 
 // ToCSC converts to compressed-sparse-column form.
 func (a *CSR) ToCSC() *CSC {
-	c := &CSC{
-		N:      a.N,
-		M:      a.M,
-		ColPtr: make([]int, a.M+1),
-		RowInd: make([]int, a.Nnz()),
-		Val:    make([]float64, a.Nnz()),
-	}
-	for _, j := range a.ColInd {
-		c.ColPtr[j+1]++
-	}
-	for j := 0; j < a.M; j++ {
-		c.ColPtr[j+1] += c.ColPtr[j]
-	}
-	pos := make([]int, a.M)
-	copy(pos, c.ColPtr[:a.M])
+	ptr, rows := a.ColumnPattern()
+	c := &CSC{N: a.N, M: a.M, ColPtr: ptr, RowInd: rows, Val: make([]float64, len(rows))}
+	next := slices.Clone(ptr[:a.M])
 	for i := 0; i < a.N; i++ {
-		cols, vals := a.Row(i)
-		for k, j := range cols {
-			p := pos[j]
-			c.RowInd[p] = i
-			c.Val[p] = vals[k]
-			pos[j]++
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			j := a.ColInd[k]
+			c.Val[next[j]] = a.Val[k]
+			next[j]++
 		}
 	}
 	return c
