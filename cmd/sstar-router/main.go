@@ -10,9 +10,8 @@
 //	sstar-router -tcp :7070 \
 //	    -shards 127.0.0.1:7071,127.0.0.1:7072,127.0.0.1:7073
 //
-// The -vnodes and -replicas flags must match the shards' configuration:
-// placement is a pure function of (membership, vnodes), computed
-// independently by router and shards.
+// Placement is a pure function of the membership, computed independently
+// by router and shards.
 //
 // The router runs until SIGINT/SIGTERM.
 package main
@@ -34,12 +33,10 @@ import (
 
 func main() {
 	var (
-		tcpAddr  = flag.String("tcp", ":7070", "TCP listen address for clients")
-		shards   = flag.String("shards", "", "comma-separated shard addresses (required)")
-		vnodes   = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per shard on the placement ring (must match the shards)")
-		replicas = flag.Int("replicas", 2, "copies per structure including the owner (must match the shards)")
-		admin    = flag.String("admin", "", "HTTP admin listen address (/metrics); empty disables")
-		quiet    = flag.Bool("quiet", false, "suppress per-event logging")
+		tcpAddr = flag.String("tcp", ":7070", "TCP listen address for clients")
+		shards  = flag.String("shards", "", "comma-separated shard addresses (required)")
+		admin   = flag.String("admin", "", "HTTP admin listen address (/metrics); empty disables")
+		quiet   = flag.Bool("quiet", false, "suppress per-event logging")
 	)
 	flag.Parse()
 	if *shards == "" {
@@ -48,11 +45,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := cluster.RouterConfig{
-		Shards:   strings.Split(*shards, ","),
-		VNodes:   *vnodes,
-		Replicas: *replicas,
-	}
+	cfg := cluster.RouterConfig{Shards: strings.Split(*shards, ",")}
 	if !*quiet {
 		cfg.Logf = log.Printf
 	}
@@ -86,7 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("sstar-router: %v", err)
 	}
-	log.Printf("sstar-router: listening on %s, fronting %d shards (vnodes=%d replicas=%d)", l.Addr(), len(cfg.Shards), *vnodes, *replicas)
+	log.Printf("sstar-router: listening on %s, fronting %d shards", l.Addr(), len(cfg.Shards))
 
 	errc := make(chan error, 1)
 	go func() { errc <- r.Serve(l) }()

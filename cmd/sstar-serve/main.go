@@ -35,40 +35,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"sstar/internal/cluster"
 	"sstar/internal/server"
-	"sstar/internal/xblas"
 )
-
-// parseTenantWeights parses "a=3,b=1" into a weight map. Weights must be
-// positive integers; names must be non-empty.
-func parseTenantWeights(s string) (map[string]int, error) {
-	out := make(map[string]int)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(part, "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("bad entry %q, want tenant=weight", part)
-		}
-		w, err := strconv.Atoi(val)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("bad weight %q for tenant %q, want a positive integer", val, name)
-		}
-		out[name] = w
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no tenant=weight entries in %q", s)
-	}
-	return out, nil
-}
 
 func main() {
 	var (
@@ -81,25 +54,15 @@ func main() {
 		ttl      = flag.Duration("handle-ttl", 0, "evict handles idle for this long, e.g. 10m (0 = never)")
 		drain    = flag.Duration("drain", 10*time.Second, "max time to wait for in-flight requests on shutdown")
 		admin    = flag.String("admin", "", "HTTP admin listen address (/metrics, /debug/trace, /debug/pprof); empty disables")
-		autotune = flag.Bool("autotune", true, "measure the xblas kernels at startup and pick the best cache-block tile shape")
 		quiet    = flag.Bool("quiet", false, "suppress per-event logging")
-
-		coalesceWindow = flag.Duration("coalesce-window", 0, "extra time a dequeued solve waits for ride-alongs, e.g. 200us (0 = opportunistic only)")
-		tenantWeights  = flag.String("tenant-weights", "", "per-tenant fair-share weights, e.g. prod=4,batch=1 (unlisted tenants get 1)")
 
 		clusterSelf  = flag.String("cluster-self", "", "this shard's advertised address; enables cluster mode")
 		clusterPeers = flag.String("cluster-peers", "", "comma-separated advertised addresses of every shard (including self)")
 		clusterJoin  = flag.String("cluster-join", "", "address of any live cluster member to join through (dynamic membership; needs -cluster-self)")
-		vnodes       = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per shard on the placement ring")
-		replicas     = flag.Int("replicas", 2, "copies per structure including the owner")
 		heartbeat    = flag.Duration("heartbeat", 0, "peer heartbeat interval; 0 = default (250ms), negative disables the failure detector")
 		repairEvery  = flag.Duration("repair-interval", 0, "anti-entropy repair sweep interval; 0 = default (2s), negative disables the periodic sweep")
 	)
 	flag.Parse()
-	if *autotune {
-		tc := xblas.Autotune()
-		log.Printf("sstar-serve: xblas autotune chose tile (mc=%d, nc=%d), gemm %.0fus trsm %.0fus", tc.MC, tc.NC, tc.GemmNs/1e3, tc.TrsmNs/1e3)
-	}
 	if *tcpAddr == "" && *unixPath == "" {
 		fmt.Fprintln(os.Stderr, "sstar-serve: need -tcp and/or -unix")
 		flag.Usage()
@@ -107,20 +70,12 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Workers:        *workers,
-		FactorWorkers:  *factorW,
-		CacheEntries:   *cache,
-		MemBudget:      *memMB << 20,
-		HandleTTL:      *ttl,
-		DrainTimeout:   *drain,
-		CoalesceWindow: *coalesceWindow,
-	}
-	if *tenantWeights != "" {
-		w, err := parseTenantWeights(*tenantWeights)
-		if err != nil {
-			log.Fatalf("sstar-serve: -tenant-weights: %v", err)
-		}
-		cfg.TenantWeights = w
+		Workers:       *workers,
+		FactorWorkers: *factorW,
+		CacheEntries:  *cache,
+		MemBudget:     *memMB << 20,
+		HandleTTL:     *ttl,
+		DrainTimeout:  *drain,
 	}
 	if !*quiet {
 		cfg.Logf = log.Printf
@@ -140,8 +95,6 @@ func main() {
 			Self:              *clusterSelf,
 			Peers:             peers,
 			Join:              *clusterJoin,
-			VNodes:            *vnodes,
-			Replicas:          *replicas,
 			HeartbeatInterval: *heartbeat,
 			RepairInterval:    *repairEvery,
 		}
@@ -155,9 +108,9 @@ func main() {
 		}
 		cfg.Cluster = shard
 		if *clusterJoin != "" {
-			log.Printf("sstar-serve: cluster shard %s joining via %s (vnodes=%d replicas=%d)", *clusterSelf, *clusterJoin, *vnodes, *replicas)
+			log.Printf("sstar-serve: cluster shard %s joining via %s", *clusterSelf, *clusterJoin)
 		} else {
-			log.Printf("sstar-serve: cluster shard %s of %d peers (vnodes=%d replicas=%d)", *clusterSelf, len(peers), *vnodes, *replicas)
+			log.Printf("sstar-serve: cluster shard %s of %d peers", *clusterSelf, len(peers))
 		}
 	}
 	s := server.New(cfg)

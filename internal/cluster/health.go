@@ -35,12 +35,12 @@ func (s peerState) String() string {
 // periods of silence" (a simplified phi-accrual detector: the EWMA plays the
 // role of the inter-arrival distribution's mean). A peer above
 // suspectThreshold is suspect (still routed to, noted in logs); above
-// deadThreshold it is declared dead and removed from the ring. The defaults
-// are deliberately generous — a false positive costs a full re-replication
+// deadThreshold it is declared dead and removed from the ring. Both are
+// deliberately generous — a false positive costs a full re-replication
 // round-trip cycle, a true positive only delays promotion by seconds.
 const (
-	defaultSuspectThreshold = 4.0
-	defaultDeadThreshold    = 8.0
+	suspectThreshold = 4.0
+	deadThreshold    = 8.0
 )
 
 // detector is the per-shard failure detector: it smooths the inter-ack
@@ -49,8 +49,6 @@ const (
 // chaos.Clock, and acks are fed explicitly.
 type detector struct {
 	clock   chaos.Clock
-	suspect float64
-	dead    float64
 	minEwma time.Duration // floor on the smoothed interval, so phi cannot explode on back-to-back acks
 	maxIdle time.Duration // cap on the smoothed interval, so one long outage does not blind the detector afterwards
 	mu      sync.Mutex
@@ -63,23 +61,15 @@ type peerHealth struct {
 	ewmaNs  float64 // smoothed inter-ack interval
 }
 
-func newDetector(clock chaos.Clock, interval time.Duration, suspect, dead float64) *detector {
+func newDetector(clock chaos.Clock, interval time.Duration) *detector {
 	if clock == nil {
 		clock = chaos.RealClock{}
-	}
-	if suspect <= 0 {
-		suspect = defaultSuspectThreshold
-	}
-	if dead <= suspect {
-		dead = max(defaultDeadThreshold, 2*suspect)
 	}
 	if interval <= 0 {
 		interval = defaultHeartbeatInterval
 	}
 	return &detector{
 		clock:   clock,
-		suspect: suspect,
-		dead:    dead,
 		minEwma: interval / 2,
 		maxIdle: 10 * interval,
 		tracked: make(map[string]*peerHealth),
@@ -142,9 +132,9 @@ func (d *detector) phi(addr string) float64 {
 func (d *detector) state(addr string) peerState {
 	phi := d.phi(addr)
 	switch {
-	case phi >= d.dead:
+	case phi >= deadThreshold:
 		return stateDead
-	case phi >= d.suspect:
+	case phi >= suspectThreshold:
 		return stateSuspect
 	}
 	return stateAlive
@@ -465,7 +455,7 @@ func (sh *Shard) heartbeat() {
 				sh.membershipChanges.Add(1)
 				sh.deaths.Add(1)
 				sh.logf("cluster: %s: declared %s dead (phi %.1f >= %.1f), membership now epoch %d %v",
-					sh.cfg.Self, addr, sh.det.phi(addr), sh.det.dead, sh.ring.Epoch(), sh.ring.Members())
+					sh.cfg.Self, addr, sh.det.phi(addr), deadThreshold, sh.ring.Epoch(), sh.ring.Members())
 				sh.kickRebalance()
 			}
 		case stateSuspect:

@@ -14,7 +14,7 @@ import (
 
 func TestDetectorPhases(t *testing.T) {
 	clk := chaos.NewFakeClock()
-	d := newDetector(clk, 100*time.Millisecond, 4, 8)
+	d := newDetector(clk, 100*time.Millisecond)
 	d.track("a")
 
 	// Regular acks: alive, phi near zero.
@@ -49,7 +49,7 @@ func TestDetectorPhases(t *testing.T) {
 
 func TestDetectorAdaptsToSlowPeers(t *testing.T) {
 	clk := chaos.NewFakeClock()
-	d := newDetector(clk, 100*time.Millisecond, 4, 8)
+	d := newDetector(clk, 100*time.Millisecond)
 	d.track("slow")
 	// A peer that acks every 300ms (slow network, busy host): the EWMA
 	// adapts, so 600ms of silence — fatal for a 100ms peer — stays alive.
@@ -64,7 +64,7 @@ func TestDetectorAdaptsToSlowPeers(t *testing.T) {
 }
 
 func TestDetectorUnknownPeerHasNoOpinion(t *testing.T) {
-	d := newDetector(chaos.NewFakeClock(), 100*time.Millisecond, 4, 8)
+	d := newDetector(chaos.NewFakeClock(), 100*time.Millisecond)
 	if phi := d.phi("never-seen"); phi != 0 {
 		t.Fatalf("phi of untracked peer = %.2f, want 0", phi)
 	}
@@ -75,7 +75,7 @@ func TestDetectorUnknownPeerHasNoOpinion(t *testing.T) {
 
 func TestDetectorFreshTrackGrace(t *testing.T) {
 	clk := chaos.NewFakeClock()
-	d := newDetector(clk, 100*time.Millisecond, 4, 8)
+	d := newDetector(clk, 100*time.Millisecond)
 	d.track("new")
 	// A just-learned peer must not be instantly suspect: its grace window is
 	// a couple of intervals.

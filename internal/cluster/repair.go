@@ -98,7 +98,7 @@ func (sh *Shard) sweep(allowDrop bool) {
 
 	confirmed := make(map[uint64]struct{})
 	for _, e := range manifest {
-		reps := sh.ring.Replicas(e.Key, sh.cfg.Replicas)
+		reps := sh.ring.Replicas(e.Key, replicas)
 		pos := -1
 		for i, m := range reps {
 			if m == sh.cfg.Self {
@@ -209,7 +209,6 @@ func PlacementViolations(shards []*Shard) []string {
 		return nil
 	}
 	ring := shards[0].ring
-	replicas := shards[0].cfg.Replicas
 	type copyAt struct {
 		addr string
 		e    server.ManifestEntry

@@ -30,12 +30,16 @@ import (
 // the point list in microseconds.
 const DefaultVNodes = 128
 
+// replicas is the copy count per structure, owner included: the owner and
+// its ring successor. Router and shards place with the same constant, so
+// they cannot disagree on placement.
+const replicas = 2
+
 // pointsPerVNode spreads every virtual node over several ring positions.
 // A member's keyspace share is a sum of independent arc lengths with
 // relative spread ~1/sqrt(points), so 128 vnodes alone (~9%) would leave a
 // 16-member fleet with a max/min ownership ratio around 1.5; at 8 positions
-// per vnode (~3%) the ratio stays comfortably under 1.3 while the vnode
-// count remains the user-facing granularity knob.
+// per vnode (~3%) the ratio stays comfortably under 1.3.
 const pointsPerVNode = 8
 
 // Ring is a consistent-hash ring over shard addresses. Each member

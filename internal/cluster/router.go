@@ -18,10 +18,6 @@ type RouterConfig struct {
 	// Shards lists every shard's advertised address — the same set every
 	// shard was configured with.
 	Shards []string
-	// VNodes and Replicas must match the shards' configuration (placement
-	// is a pure function of them; defaults match ShardConfig's).
-	VNodes   int
-	Replicas int
 	// Network is the dial network for shard links ("tcp" default).
 	Network string
 	// MaxFrame caps request and response frames.
@@ -66,16 +62,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one shard")
 	}
-	if cfg.VNodes < 1 {
-		cfg.VNodes = DefaultVNodes
-	}
-	if cfg.Replicas < 2 {
-		cfg.Replicas = 2
-	}
-	// Replicas is deliberately NOT clamped to len(Shards): the configured
-	// shards are only the seed view, and a fleet reached through one seed
-	// address can grow past it (ring.Replicas clamps per call).
-	ring := NewRing(cfg.VNodes)
+	ring := NewRing(DefaultVNodes)
 	for _, s := range cfg.Shards {
 		ring.Add(s)
 	}
@@ -189,7 +176,7 @@ const maxRedirectHops = 4
 // the rest refuse).
 func (r *Router) candidatesFor(key uint64) []string {
 	if key != 0 {
-		return r.ring.Replicas(key, r.cfg.Replicas)
+		return r.ring.Replicas(key, replicas)
 	}
 	return r.ring.Members()
 }

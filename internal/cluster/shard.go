@@ -24,11 +24,6 @@ type ShardConfig struct {
 	// is the ring membership; every shard must be configured with the same
 	// set (placement is a pure function of it).
 	Peers []string
-	// VNodes is the virtual-node count per shard (DefaultVNodes when < 1).
-	VNodes int
-	// Replicas is the copy count per structure including the owner (default
-	// 2: owner + one successor). Clamped to the fleet size.
-	Replicas int
 	// Network is the dial network for peer links ("tcp" default).
 	Network string
 	// MaxFrame caps peer response frames (wire.DefaultMaxPayload default).
@@ -54,12 +49,6 @@ type ShardConfig struct {
 	// still run). The sweep diffs per-shard manifests against ring
 	// placement and pushes/demotes/drops until the fleet converges.
 	RepairInterval time.Duration
-	// SuspectThreshold and DeadThreshold are the failure detector's phi
-	// levels (time since last ack in units of the smoothed ack interval):
-	// suspect logs, dead removes the peer from the ring and triggers
-	// promotion. Defaults 4 and 8.
-	SuspectThreshold float64
-	DeadThreshold    float64
 	// Clock injects time into the failure detector (default wall clock).
 	// Chaos tests drive a chaos.FakeClock to make suspect/dead transitions
 	// deterministic.
@@ -69,12 +58,6 @@ type ShardConfig struct {
 }
 
 func (c ShardConfig) withDefaults() ShardConfig {
-	if c.VNodes < 1 {
-		c.VNodes = DefaultVNodes
-	}
-	if c.Replicas < 2 {
-		c.Replicas = 2
-	}
 	if c.Network == "" {
 		c.Network = "tcp"
 	}
@@ -147,7 +130,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	if len(cfg.Peers) == 0 {
 		cfg.Peers = []string{cfg.Self}
 	}
-	ring := NewRing(cfg.VNodes)
+	ring := NewRing(DefaultVNodes)
 	self := false
 	for _, p := range cfg.Peers {
 		ring.Add(p)
@@ -173,7 +156,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		repairDone: make(chan struct{}),
 	}
 	sh.mem = newMembership(cfg.Self, ring)
-	sh.det = newDetector(cfg.Clock, cfg.HeartbeatInterval, cfg.SuspectThreshold, cfg.DeadThreshold)
+	sh.det = newDetector(cfg.Clock, cfg.HeartbeatInterval)
 	for _, p := range cfg.Peers {
 		sh.mem.noteKnown(p)
 	}
@@ -279,7 +262,7 @@ func (sh *Shard) logf(format string, args ...any) {
 // successor returns the first replica holder for key that is not this shard,
 // "" when the fleet has no other member.
 func (sh *Shard) successor(key uint64) string {
-	for _, m := range sh.ring.Replicas(key, sh.cfg.Replicas) {
+	for _, m := range sh.ring.Replicas(key, replicas) {
 		if m != sh.cfg.Self {
 			return m
 		}
@@ -305,7 +288,7 @@ func (sh *Shard) Route(req *server.Request) *server.Response {
 			return nil // local validation produces the real error
 		}
 		key := sstar.StructureKey(req.Matrix, req.Opts)
-		reps := sh.ring.Replicas(key, sh.cfg.Replicas)
+		reps := sh.ring.Replicas(key, replicas)
 		for _, m := range reps {
 			if m == sh.cfg.Self {
 				// Any replica holder may factorize — the owner normally,
@@ -331,7 +314,7 @@ func (sh *Shard) Route(req *server.Request) *server.Response {
 		if req.Key == 0 {
 			return nil
 		}
-		reps := sh.ring.Replicas(req.Key, sh.cfg.Replicas)
+		reps := sh.ring.Replicas(req.Key, replicas)
 		for _, m := range reps {
 			if m == sh.cfg.Self {
 				// Placement says the handle belongs here but it isn't here

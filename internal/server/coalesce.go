@@ -28,23 +28,13 @@ func (r *Request) columns() int {
 }
 
 // collectRiders extends batch, which holds a dequeued solve, with the solves
-// queued on the same handle that fit the column budget: everything already
-// queued (opportunistic, no added latency), then — if a batch window is
-// configured and room is left — one bounded wait for more. Riders leave the
-// queue exactly as if a worker had dequeued them, freeing their admission
-// slots here.
+// already queued on the same handle that fit the column budget. It never
+// waits for more: a window that waited gathered no rider in closed-loop load
+// and only added its length to every solve (results/knob-audit.txt). Riders
+// leave the queue exactly as if a worker had dequeued them, freeing their
+// admission slots here.
 func (s *Server) collectRiders(batch []*job) []*job {
-	handle := batch[0].req.Handle
-	batch, room := s.sched.takeSolves(batch, handle, batchColumns-batch[0].req.columns())
-	if room > 0 && s.cfg.CoalesceWindow > 0 {
-		t := time.NewTimer(s.cfg.CoalesceWindow)
-		select {
-		case <-t.C:
-		case <-s.quit:
-			t.Stop()
-		}
-		batch, _ = s.sched.takeSolves(batch, handle, room)
-	}
+	batch = s.sched.takeSolves(batch, batch[0].req.Handle, batchColumns-batch[0].req.columns())
 	for range batch[1:] {
 		<-s.slots
 	}

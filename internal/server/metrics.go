@@ -7,7 +7,6 @@ import (
 
 	"sstar"
 	"sstar/internal/obs"
-	"sstar/internal/xblas"
 )
 
 // metrics bundles the server's observability surface: a Prometheus-style
@@ -103,12 +102,6 @@ func newMetrics(s *Server) *metrics {
 	reg.GaugeFunc("sstar_server_factor_workers",
 		"Cap on factor-phase goroutines per request (the core-split knob).",
 		func() float64 { return float64(s.cfg.FactorWorkers) })
-	reg.GaugeFunc("sstar_xblas_tile_mc",
-		"Cache-block rows (mc) of the packed GEMM engine.",
-		func() float64 { mc, _ := xblas.TileShape(); return float64(mc) })
-	reg.GaugeFunc("sstar_xblas_tile_nc",
-		"Cache-block columns (nc) of the packed GEMM engine.",
-		func() float64 { _, nc := xblas.TileShape(); return float64(nc) })
 
 	m.queueWait = reg.Histogram("sstar_server_queue_wait_seconds",
 		"Time requests waited for a worker.")

@@ -70,8 +70,6 @@ func TestAdminMetricsGoldenFormat(t *testing.T) {
 		"sstar_server_analyze_seconds":    "histogram",
 		"sstar_server_cache_hits_total":   "counter",
 		"sstar_server_cache_misses_total": "counter",
-		"sstar_xblas_tile_mc":             "gauge",
-		"sstar_xblas_tile_nc":             "gauge",
 	} {
 		if !strings.Contains(body, "# HELP "+name+" ") {
 			t.Fatalf("/metrics missing HELP for %s", name)

@@ -183,7 +183,7 @@ type Request struct {
 	// replica installs under.
 	Blob []byte
 
-	// Tenant names the requester for the server's weighted fair scheduler
+	// Tenant names the requester for the server's round-robin scheduler
 	// and per-tenant accounting. An additive gob field: requests from
 	// clients that predate it decode with Tenant empty and are admitted
 	// under DefaultTenant. Purely a QoS identity — it never changes what a
@@ -274,8 +274,6 @@ type TenantStats struct {
 	Sheds int64
 	// Queued is the tenant's backlog at snapshot time.
 	Queued int
-	// Weight is the tenant's fair-share weight in the scheduler.
-	Weight int
 }
 
 // ServerStats is a snapshot of the server's counters.

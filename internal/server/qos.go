@@ -11,51 +11,30 @@ const (
 	spillTenant     = "~other"
 )
 
-// tenantQueue is one tenant's FIFO backlog plus its weighted-round-robin
-// state.
+// tenantQueue is one tenant's FIFO backlog.
 type tenantQueue struct {
-	name   string
-	jobs   []*job
-	weight int
-	// credit is the tenant's remaining dequeues in the current round-robin
-	// visit: replenished to weight when the pointer arrives, decremented
-	// per dequeue, the pointer moves on at zero. A tenant with weight w
-	// therefore gets up to w consecutive dequeues per visit — w shares per
-	// round when every queue is backlogged.
-	credit int
+	jobs []*job
 }
 
-// qosched is the per-tenant weighted fair scheduler that replaced the single
-// jobs channel: one FIFO per tenant, served weighted round-robin, so one
-// tenant's burst (a factorize storm) queues behind its own share instead of
-// ahead of everyone else's solves. Capacity is bounded by the caller (the
-// server's admission slots), not here.
+// qosched is the per-tenant fair scheduler: one FIFO per tenant, served
+// round-robin one job per turn, so one tenant's burst (a factorize storm)
+// queues behind its own share instead of ahead of everyone else's solves.
+// Capacity is bounded by the caller (the server's admission slots), not
+// here.
 type qosched struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queues  map[string]*tenantQueue
 	active  []*tenantQueue // queues with a backlog, in round-robin order
-	rrpos   int
+	rrpos   int            // index in active of the queue whose turn it is
 	queued  int
-	weights map[string]int // configured weights; unlisted tenants get 1
 	stopped bool
 }
 
-func newQosched(weights map[string]int) *qosched {
-	q := &qosched{
-		queues:  make(map[string]*tenantQueue),
-		weights: weights,
-	}
+func newQosched() *qosched {
+	q := &qosched{queues: make(map[string]*tenantQueue)}
 	q.cond = sync.NewCond(&q.mu)
 	return q
-}
-
-// weightOf returns the configured weight for a tenant, floored at 1.
-func (q *qosched) weightOf(tenant string) int {
-	if w := q.weights[tenant]; w > 0 {
-		return w
-	}
-	return 1
 }
 
 // enqueue appends j to its tenant's queue (creating it on first use) and
@@ -71,12 +50,11 @@ func (q *qosched) enqueue(j *job) {
 			tq = q.queues[name]
 		}
 		if tq == nil {
-			tq = &tenantQueue{name: name, weight: q.weightOf(name)}
+			tq = new(tenantQueue)
 			q.queues[name] = tq
 		}
 	}
 	if len(tq.jobs) == 0 {
-		tq.credit = tq.weight
 		q.active = append(q.active, tq)
 	}
 	tq.jobs = append(tq.jobs, j)
@@ -85,9 +63,10 @@ func (q *qosched) enqueue(j *job) {
 	q.cond.Signal()
 }
 
-// pop blocks until a job is available and returns the weighted-round-robin
-// choice. After stop it keeps returning queued jobs until the backlog is
-// drained, then reports ok=false — the worker-exit signal.
+// pop blocks until a job is available and returns the head of the queue
+// whose turn it is, passing the turn on. After stop it keeps returning
+// queued jobs until the backlog is drained, then reports ok=false — the
+// worker-exit signal.
 func (q *qosched) pop() (*job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -97,49 +76,41 @@ func (q *qosched) pop() (*job, bool) {
 		}
 		q.cond.Wait()
 	}
-	// Serve the queue under the round-robin pointer; a queue out of credit
-	// passes the turn and replenishes for its next visit.
-	for {
-		tq := q.active[q.rrpos]
-		if tq.credit <= 0 {
-			tq.credit = tq.weight
-			q.rrpos = (q.rrpos + 1) % len(q.active)
-			continue
-		}
-		tq.credit--
-		j := tq.jobs[0]
-		tq.jobs = tq.jobs[1:]
-		q.queued--
-		if len(tq.jobs) == 0 {
-			q.removeActive(q.rrpos)
-		} else if tq.credit == 0 {
-			q.rrpos = (q.rrpos + 1) % len(q.active)
-		}
-		return j, true
+	tq := q.active[q.rrpos]
+	j := tq.jobs[0]
+	tq.jobs = tq.jobs[1:]
+	q.queued--
+	if len(tq.jobs) == 0 {
+		q.removeActive(q.rrpos)
+	} else {
+		q.rrpos = (q.rrpos + 1) % len(q.active)
 	}
+	return j, true
 }
 
 // removeActive drops the queue at index i from the round-robin ring, keeping
-// the pointer on the next queue in order.
+// the turn with the queue that held it (the next one in order when i held
+// it).
 func (q *qosched) removeActive(i int) {
 	q.active = append(q.active[:i], q.active[i+1:]...)
-	if len(q.active) == 0 {
-		q.rrpos = 0
-	} else if q.rrpos >= len(q.active) {
+	if i < q.rrpos {
+		q.rrpos--
+	}
+	if q.rrpos >= len(q.active) {
 		q.rrpos = 0
 	}
 }
 
 // takeSolves appends to batch the queued solves (OpSolve and OpSolveMany)
 // against the given handle whose columns fit in room — the coalescer's
-// ride-along collection — and returns the extended batch and the room left.
+// ride-along collection — and returns the extended batch.
 // Jobs are taken in FIFO order within each tenant queue, across every tenant
 // (a ride-along costs its tenant nothing: it shares the leader's worker
 // slot); one too wide for the room left stays queued. Taken jobs disappear
 // from the backlog exactly as if a worker had dequeued them.
-func (q *qosched) takeSolves(batch []*job, handle uint64, room int) ([]*job, int) {
+func (q *qosched) takeSolves(batch []*job, handle uint64, room int) []*job {
 	if room <= 0 {
-		return batch, room
+		return batch
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -165,7 +136,7 @@ func (q *qosched) takeSolves(batch []*job, handle uint64, room int) ([]*job, int
 			ai++
 		}
 	}
-	return batch, room
+	return batch
 }
 
 // depth returns the total backlog.

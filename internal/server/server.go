@@ -66,19 +66,6 @@ type Config struct {
 	// DrainTimeout bounds how long Close waits for in-flight requests to
 	// finish before tearing connections down anyway (default 10s).
 	DrainTimeout time.Duration
-	// TenantWeights sets per-tenant fair-share weights for the weighted
-	// round-robin scheduler: a tenant with weight w is served up to w
-	// requests per scheduling round when every tenant is backlogged.
-	// Unlisted tenants (including DefaultTenant) weigh 1. Nil gives every
-	// tenant an equal share.
-	TenantWeights map[string]int
-	// CoalesceWindow is how long a dequeued solve waits for ride-along
-	// solves on the same handle before executing, when opportunistic
-	// collection left room in the batch's column budget (batchColumns).
-	// 0 (the default) collects only what is already queued — no added
-	// latency; a small positive window trades that much solve latency for
-	// wider batches.
-	CoalesceWindow time.Duration
 	// Logf, when set, receives one line per connection event and per
 	// failed request.
 	Logf func(format string, args ...any)
@@ -200,7 +187,7 @@ type Server struct {
 	cfg   Config
 	cache *analysisCache
 	reg   *registry
-	sched *qosched      // per-tenant weighted fair queues (replaced the single jobs channel)
+	sched *qosched      // per-tenant round-robin queues
 	slots chan struct{} // admission capacity: one token per queued request, QueueDepth total
 	stop  chan struct{} // closed first: gates submissions and the sweeper
 	quit  chan struct{} // closed after drain: workers exit
@@ -234,7 +221,7 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		cache: newAnalysisCache(cfg.CacheEntries),
 		reg:   newRegistry(cfg.MemBudget, cfg.HandleTTL),
-		sched: newQosched(cfg.TenantWeights),
+		sched: newQosched(),
 		slots: make(chan struct{}, cfg.QueueDepth),
 		stop:  make(chan struct{}),
 		quit:  make(chan struct{}),
@@ -854,7 +841,6 @@ func (s *Server) tenantStats() map[string]TenantStats {
 			Requests: n,
 			Sheds:    sheds[name],
 			Queued:   depths[name],
-			Weight:   s.sched.weightOf(name),
 		}
 	}
 	return out

@@ -25,18 +25,19 @@ func testRHS(n, nrhs int) [][]float64 {
 	return out
 }
 
-// TestQoschedWeightedOrder: with every queue backlogged, a tenant of weight w
-// gets w consecutive dequeues per round-robin visit.
-func TestQoschedWeightedOrder(t *testing.T) {
-	q := newQosched(map[string]int{"heavy": 3, "light": 1})
-	mk := func(tenant string, i int) *job {
+// TestQoschedEqualShareOrder: with every queue backlogged, tenants take one
+// dequeue per turn in round-robin order, so a deep backlog gets no more
+// turns than a shallow one.
+func TestQoschedEqualShareOrder(t *testing.T) {
+	q := newQosched()
+	mk := func(tenant string) *job {
 		return &job{req: &Request{Op: OpPing}, tenant: tenant, done: make(chan *Response, 1)}
 	}
 	for i := 0; i < 6; i++ {
-		q.enqueue(mk("heavy", i))
+		q.enqueue(mk("heavy"))
 	}
 	for i := 0; i < 2; i++ {
-		q.enqueue(mk("light", i))
+		q.enqueue(mk("light"))
 	}
 	var order []string
 	for i := 0; i < 8; i++ {
@@ -46,12 +47,39 @@ func TestQoschedWeightedOrder(t *testing.T) {
 		}
 		order = append(order, j.tenant)
 	}
-	want := []string{"heavy", "heavy", "heavy", "light", "heavy", "heavy", "heavy", "light"}
+	want := []string{"heavy", "light", "heavy", "light", "heavy", "heavy", "heavy", "heavy"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("dequeue order %v, want %v", order, want)
 	}
 	if d := q.depth(); d != 0 {
 		t.Fatalf("depth %d after draining", d)
+	}
+}
+
+// TestQoschedTakeKeepsTurn: when the collector empties a queue that sits
+// before the round-robin pointer, the turn stays with the tenant that held
+// it. Tenants a, b and c are queued; pop serves a, the collector takes a's
+// queued solve, and b is next, not c.
+func TestQoschedTakeKeepsTurn(t *testing.T) {
+	q := newQosched()
+	mk := func(tenant string, op Op) {
+		q.enqueue(&job{req: &Request{Op: op, Handle: 7}, tenant: tenant, done: make(chan *Response, 1)})
+	}
+	mk("a", OpPing)
+	mk("a", OpSolve)
+	mk("b", OpPing)
+	mk("c", OpPing)
+	j, _ := q.pop()
+	order := []string{j.tenant}
+	if batch := q.takeSolves(nil, 7, batchColumns); len(batch) != 1 || batch[0].tenant != "a" {
+		t.Fatalf("the collector took %d jobs, want a's one solve", len(batch))
+	}
+	for q.depth() > 0 {
+		j, _ := q.pop()
+		order = append(order, j.tenant)
+	}
+	if got := fmt.Sprint(order); got != "[a b c]" {
+		t.Fatalf("dequeue order %s, want [a b c]", got)
 	}
 }
 
@@ -167,7 +195,7 @@ func TestSolveBatchBitwiseIdentical(t *testing.T) {
 // room left; everything else stays queued, and a lead wider than the budget
 // takes no riders.
 func TestTakeSolvesColumnBudget(t *testing.T) {
-	q := newQosched(nil)
+	q := newQosched()
 	mk := func(tenant string, op Op, handle uint64, nrhs int) *job {
 		j := &job{req: &Request{Op: op, Handle: handle, NRHS: nrhs}, tenant: tenant, done: make(chan *Response, 1)}
 		q.enqueue(j)
@@ -183,10 +211,10 @@ func TestTakeSolvesColumnBudget(t *testing.T) {
 	m4 := mk("b", OpSolveMany, 7, 4)
 
 	lead := solveJob(7, nil, 0)
-	batch, room := q.takeSolves([]*job{lead}, 7, batchColumns-1)
+	batch := q.takeSolves([]*job{lead}, 7, batchColumns-1)
 	want := []*job{lead, s1, m8, s2, m2, m4}
-	if fmt.Sprint(batch) != fmt.Sprint(want) || room != batchColumns-1-16 {
-		t.Fatalf("took %v with room %d left, want %v with %d", batch, room, want, batchColumns-1-16)
+	if fmt.Sprint(batch) != fmt.Sprint(want) {
+		t.Fatalf("took %v, want %v", batch, want)
 	}
 	if d := q.depth(); d != 3 {
 		t.Fatalf("depth %d after the take, want the 3 jobs that did not ride", d)
@@ -194,62 +222,9 @@ func TestTakeSolvesColumnBudget(t *testing.T) {
 
 	wideLead := solveJob(7, nil, batchColumns+1)
 	mk("a", OpSolve, 7, 0)
-	batch, _ = q.takeSolves([]*job{wideLead}, 7, batchColumns-wideLead.req.columns())
+	batch = q.takeSolves([]*job{wideLead}, 7, batchColumns-wideLead.req.columns())
 	if len(batch) != 1 || q.depth() != 4 {
 		t.Fatalf("a lead wider than the budget took %d riders", len(batch)-1)
-	}
-}
-
-// TestCoalesceWindowGathersLateRider: with a batch window, a solve arriving
-// after its lead was dequeued still rides in the lead's batch, and both
-// answers are the lone solves' bits.
-func TestCoalesceWindowGathersLateRider(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, CoalesceWindow: 500 * time.Millisecond})
-	a := sstar.GenGrid2D(10, 9, false, sstar.GenOptions{Seed: 11, Convection: 0.2})
-	fr := s.submit(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
-	if fr.Err != "" {
-		t.Fatal(fr.Err)
-	}
-	f, err := sstar.Factorize(a, sstar.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhs := testRHS(a.N, 2)
-
-	lead := make(chan *Response, 1)
-	go func() { lead <- s.submit(&Request{Op: OpSolve, Handle: fr.Handle, B: rhs[0], Tenant: "lead"}) }()
-	// The lead is in its window once it was queued (its tenant queue
-	// exists) and the backlog is empty again (the worker took it).
-	dequeued := func() bool {
-		s.sched.mu.Lock()
-		defer s.sched.mu.Unlock()
-		_, queued := s.sched.queues["lead"]
-		return queued && s.sched.queued == 0
-	}
-	for i := 0; !dequeued(); i++ {
-		if i > 5000 {
-			t.Fatal("the lead solve was never dequeued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	resps := []*Response{nil, s.submit(&Request{Op: OpSolve, Handle: fr.Handle, B: rhs[1]})}
-	resps[0] = <-lead
-	for q, resp := range resps {
-		if resp.Err != "" {
-			t.Fatalf("solve %d: %s", q, resp.Err)
-		}
-		if resp.Stats.BatchWidth != 2 {
-			t.Fatalf("solve %d reported BatchWidth %d, want 2 (the late rider missed the window)", q, resp.Stats.BatchWidth)
-		}
-		want, err := f.Solve(rhs[q])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if resp.X[i] != want[i] {
-				t.Fatalf("solve %d: x[%d] = %x, lone Solve %x", q, i, resp.X[i], want[i])
-			}
-		}
 	}
 }
 
@@ -319,7 +294,7 @@ func TestCoalescingEndToEnd(t *testing.T) {
 }
 
 // TestTenantFairShareUnderStorm: one tenant flooding the queue with
-// factorizes cannot starve another tenant's solve — weighted round-robin
+// factorizes cannot starve another tenant's solve — round-robin
 // serves the quiet tenant on its next turn, ahead of the storm's backlog.
 func TestTenantFairShareUnderStorm(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 64})
@@ -395,9 +370,6 @@ func TestTenantFairShareUnderStorm(t *testing.T) {
 	qs, ss := st.Tenants["quiet"], st.Tenants["storm"]
 	if qs.Requests < 3 || ss.Requests != stormN+1 {
 		t.Fatalf("tenant request counters: quiet=%d storm=%d (want >=3, %d)", qs.Requests, ss.Requests, stormN+1)
-	}
-	if qs.Weight != 1 || ss.Weight != 1 {
-		t.Fatalf("tenant weights: quiet=%d storm=%d", qs.Weight, ss.Weight)
 	}
 }
 

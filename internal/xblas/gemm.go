@@ -50,18 +50,20 @@ import (
 
 // Tile constants of the engine. The strip widths mr and nr are the packed
 // layout every kernel level reads (gemm_amd64.s and kernel4x8go alike), so
-// changing them means changing all of them. The cache blocks (rows of A,
-// columns of B per packed panel) are runtime state published by
-// autotune.go: every element of C is still accumulated over the full k
-// extent inside a single tile and folded with one rounding, so the
-// cache-block shape never changes results — retiling is a pure wall-clock
-// knob (see Autotune).
+// changing them means changing all of them. The cache blocks mcBlock and
+// ncBlock (rows of A, columns of B per packed panel) only regroup packing
+// and tile calls: every element of C is still accumulated over the full k
+// extent inside a single tile and folded with one rounding, so they never
+// change results. They are fixed: measured at startup, the best shape moved
+// between runs by more than the candidates differed (DESIGN.md, "Fixed
+// cache blocks"). mcBlock is a multiple of 2*mr, so every strip of a full
+// block pairs in the 8-row AVX-512 tile.
 const (
 	mr = 4 // A-panel strip width (rows)
 	nr = 8 // B-panel strip width (columns)
 
-	defaultMCBlock = 96  // A-panel rows per cache block (multiple of mr)
-	defaultNCBlock = 256 // B-panel columns per cache block (multiple of nr)
+	mcBlock = 96  // A-panel rows per cache block
+	ncBlock = 256 // B-panel columns per cache block
 
 	// smallGemmFlops: at or below this many flops (2*m*n*k) the packing
 	// overhead outweighs the micro-kernel win and a direct FMA triple loop
@@ -86,6 +88,10 @@ var level = hostLevel
 // KernelName identifies the kernel level dispatched at startup, for
 // benchmark reports.
 func KernelName() string { return levelNames[level] }
+
+// TileShape returns the engine's cache blocks (A rows, B columns per packed
+// panel), for benchmark reports.
+func TileShape() (mc, nc int) { return mcBlock, ncBlock }
 
 func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
@@ -123,8 +129,6 @@ func gemmEngine(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 		return
 	}
 	pb := packsPool.Get().(*Packs)
-	ts := tileCfg.Load()
-	mcBlock, ncBlock := ts.mc, ts.nc
 	for jc := 0; jc < n; jc += ncBlock {
 		ncb := min(ncBlock, n-jc)
 		ncbPad := roundUp(ncb, nr)
@@ -464,7 +468,6 @@ func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 		packA(pa.Buf[:PackedALen(m, k)], a, lda, 0, k, m)
 		pa.packed = true
 	}
-	mcBlock := tileCfg.Load().mc
 	for ic := 0; ic < m; ic += mcBlock {
 		mcb := min(mcBlock, m-ic)
 		var ap []float64 // packed rows ic.. of A; strips of mr rows, so row ir starts at ir*k

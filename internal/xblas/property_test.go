@@ -318,6 +318,35 @@ func testGemmBitMatchesReference(t *testing.T) {
 	}
 }
 
+// TestTileShapeBitIdentical extends the GEMM property test to products larger
+// than the cache blocks (mcBlock, ncBlock), which randDims never reaches:
+// ragged dims cut them into several packed panels with a partial last block,
+// and every element must still bit-match the unblocked reference at every
+// kernel level the host runs.
+func TestTileShapeBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, d := range []struct{ m, n, k int }{
+		{7, 5, 3},
+		{65, 129, 33},
+		{200, 300, 25},
+		{257, 513, 64},
+	} {
+		a := randMat(rng, d.m, d.k)
+		b := randMat(rng, d.k, d.n)
+		c0 := randMat(rng, d.m, d.n)
+		want := append([]float64(nil), c0...)
+		refGemmSign(d.m, d.n, d.k, a, d.k, b, d.n, want, d.n, -1)
+		forEachLevel(t, func(t *testing.T) {
+			c := append([]float64(nil), c0...)
+			Gemm(d.m, d.n, d.k, a, d.k, b, d.n, c, d.n)
+			if !bitEqual(c, want) {
+				t.Fatalf("m=%d n=%d k=%d: not bit-identical to reference (max diff %g)",
+					d.m, d.n, d.k, maxDiff(c, want))
+			}
+		})
+	}
+}
+
 func TestGemmScatterBitMatchesReference(t *testing.T) {
 	forEachLevel(t, testGemmScatterBitMatchesReference)
 }

@@ -110,13 +110,15 @@ if git grep -n 'go:build' -- 'internal/xblas/*.go' 'internal/xblas/*.s' ':!*_tes
 # Deletion guard: the retired bench reports, the entrypoints folded into
 # Options.Procs / core.SolvePar, the server's separate solve paths and
 # width knob (every dequeued job runs through run), the parallel analyze
-# paths (the analyze phase is sequential) and the column minimum-degree
-# ordering (minimum degree on AᵀA is the one ordering) stay gone. Scanned: every file but
+# paths (the analyze phase is sequential), the column minimum-degree
+# ordering (minimum degree on AᵀA is the one ordering) and the knobs no
+# workload set (tile autotuning, the coalescing window, tenant weights, the
+# detector thresholds) stay gone. Scanned: every file but
 # the result logs and this script; of the top-level markdown, the documents
 # that describe the program and its sources (the changelog, roadmap and
 # planning notes are history and may name what went). Spelled as an if
 # because set -e ignores a command behind "!".
-retired='BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D|runSolveBatch|doSolveMany|CoalesceWidth|coalesce-width|ColEtree|detectSupernodesWorkers|parMinCols|partParMin|ColumnMinDegree|colmmd'
+retired='BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D|runSolveBatch|doSolveMany|CoalesceWidth|coalesce-width|ColEtree|detectSupernodesWorkers|parMinCols|partParMin|ColumnMinDegree|colmmd|SetTileShape|AutotuneResult|TileChoice|tileCandidates|CoalesceWindow|coalesce-window|TenantWeights|tenant-weights|parseTenantWeights|SuspectThreshold|DeadThreshold'
 if git grep -nE "$retired" -- . ':(exclude,glob)*.md' ':!results/' ':!scripts/check.sh' ||
 	git grep -nE "$retired" -- README.md DESIGN.md EXPERIMENTS.md PAPER.md PAPERS.md SNIPPETS.md; then exit 1; fi
 
