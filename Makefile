@@ -23,7 +23,7 @@ chaos: ## fault-injection suite: chaos conn/proxy tests + the end-to-end kill/re
 	$(GO) test -race -count=1 -run 'TestChaosEndToEnd' -timeout 600s ./internal/server
 	$(GO) test -race -count=1 -run 'TestClusterChaosFailover' -timeout 600s ./internal/cluster
 
-cluster: ## the sharded-cluster suite: ring placement, redirects, replication failover, scatter, chaos e2e — race detector on
+cluster: ## the sharded-cluster suite: ring placement, redirects, replication failover, chaos e2e — race detector on
 	$(GO) test -race -count=1 -timeout 600s ./internal/cluster
 
 cluster-churn: ## the self-healing suite: membership churn property test + kill/rejoin and partition e2e — race detector on

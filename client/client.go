@@ -20,7 +20,7 @@
 // Client.Metrics reports the client's own request/error/dial counters.
 //
 // Multi-tenant servers attribute work to tenants for fair-share scheduling
-// (see DESIGN.md, "Coalescing & QoS"). Dial with WithTenant to stamp every
+// (see DESIGN.md, "Per-tenant QoS"). Dial with WithTenant to stamp every
 // request, or derive a per-tenant view with ForTenant — the view shares the
 // connection pool and counters with its parent:
 //
@@ -46,8 +46,7 @@ import (
 )
 
 // RequestStats is the server's per-request cost split (queue wait,
-// analyze/factor/solve nanoseconds, analysis-cache hit flag, and — for
-// coalesced solves — the batch width the request rode in).
+// analyze/factor/solve nanoseconds, analysis-cache hit flag).
 type RequestStats = server.RequestStats
 
 // ServerStats is a snapshot of the server's counters.
@@ -185,9 +184,8 @@ type Handle struct {
 
 // ForTenant returns a view of the handle whose operations are attributed to
 // tenant — the per-call counterpart of Client.ForTenant. The view targets the
-// same server-side factors, so solves issued through different tenant views
-// of one handle still coalesce into shared batches; only the accounting and
-// fair-share scheduling differ.
+// same server-side factors; only the accounting and fair-share scheduling
+// differ.
 func (h *Handle) ForTenant(tenant string) *Handle {
 	view := *h
 	view.c = h.c.ForTenant(tenant)
@@ -208,10 +206,7 @@ func (h *Handle) Nnz() int { return h.nnz }
 // (0 when the server predates cluster support).
 func (h *Handle) Key() uint64 { return h.key }
 
-// Solve solves A x = b with the handle's current factors. Concurrent Solve
-// and SolveMany calls against the same handle may be coalesced server-side
-// into one batched solve — bitwise identical to solving alone;
-// stats.BatchWidth reports the width the request rode in.
+// Solve solves A x = b with the handle's current factors.
 func (h *Handle) Solve(ctx context.Context, b []float64) ([]float64, RequestStats, error) {
 	resp, err := h.c.roundTrip(ctx, &server.Request{Op: server.OpSolve, Handle: h.id, Key: h.key, B: b}, h.addr)
 	if err != nil {
@@ -222,11 +217,8 @@ func (h *Handle) Solve(ctx context.Context, b []float64) ([]float64, RequestStat
 
 // SolveMany solves NRHS right-hand sides stored column-major in b
 // (len(b) = N*nrhs); the solutions come back in the same layout, column j
-// bitwise a lone Solve of column j. The server may run the panel in one
-// batched solve with other solves on the handle (stats.BatchWidth counts
-// the requests). Against a cluster router, wide panels are scattered across
-// the shards holding replicas of the factors, and gathered only when both
-// halves were solved against the same factors.
+// bitwise a lone Solve of column j. The server solves the panel as sent;
+// a cluster router forwards it whole to one shard holding the factors.
 func (h *Handle) SolveMany(ctx context.Context, b []float64, nrhs int) ([]float64, RequestStats, error) {
 	resp, err := h.c.roundTrip(ctx, &server.Request{Op: server.OpSolveMany, Handle: h.id, Key: h.key, B: b, NRHS: nrhs}, h.addr)
 	if err != nil {

@@ -1,9 +1,8 @@
 // Command sstar-router fronts a fleet of sstar-serve cluster shards with the
 // ordinary client protocol: clients connect to the router exactly as they
 // would to a single server, and the router places each request on the shard
-// that owns its structure (consistent hashing), follows redirects, fails
-// solves over to the replica when the owner dies — without refactorizing —
-// and scatters wide multi-RHS panels across replica holders.
+// that owns its structure (consistent hashing), follows redirects, and fails
+// solves over to the replica when the owner dies — without refactorizing.
 //
 // Usage:
 //
@@ -96,6 +95,6 @@ func main() {
 	}
 	r.Close()
 	st := r.Stats()
-	log.Printf("sstar-router: routed %d requests (%d errors), %d failovers, %d scatters, %d redirects followed, %d ambiguous, %d ring refreshes (epoch %d)",
-		st.Requests, st.Errors, st.Failovers, st.Scatters, st.Redirects, st.Ambiguous, st.RingRefreshes, st.Epoch)
+	log.Printf("sstar-router: routed %d requests (%d errors), %d failovers, %d redirects followed, %d ambiguous, %d ring refreshes (epoch %d)",
+		st.Requests, st.Errors, st.Failovers, st.Redirects, st.Ambiguous, st.RingRefreshes, st.Epoch)
 }

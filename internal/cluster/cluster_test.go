@@ -11,7 +11,6 @@ import (
 	"context"
 	"math"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -265,22 +264,13 @@ func TestFailoverNoRefactorize(t *testing.T) {
 	}
 }
 
-// TestScatterSolveMany: a wide multi-RHS panel through the router is split
-// across the two replica holders and gathered — and the gathered panel is
-// bitwise equal to a single-node SolveMany of the whole panel.
+// TestScatterSolveMany: a wide multi-RHS panel through the router is
+// bitwise a single-node SolveMany of the whole panel, and it runs on the
+// owner alone — the shard holding the replica solves nothing — however
+// wide it is.
 func TestScatterSolveMany(t *testing.T) {
 	fleet := startFleet(t, 3)
 	sys := buildSystem(t, 3)
-	const nrhs = 8
-	b := make([]float64, sys.a.N*nrhs)
-	for k := range b {
-		b[k] = math.Cos(float64(k)*0.7 + 2)
-	}
-	want, err := sys.f.SolveMany(b, nrhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	c, err := client.Dial("tcp", fleet.raddr)
 	if err != nil {
 		t.Fatal(err)
@@ -292,149 +282,32 @@ func TestScatterSolveMany(t *testing.T) {
 	}
 	owner := fleet.ownerIndex(h.Key())
 	waitFor(t, "factor replication", func() bool { return fleet.replicaHolder(h.ID(), owner) >= 0 })
+	replica := fleet.replicaHolder(h.ID(), owner)
 
-	x, _, err := h.SolveMany(context.Background(), b, nrhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitIdentical(x, want) {
-		t.Error("scattered SolveMany differs bitwise from single-node SolveMany")
-	}
-	if st := fleet.router.Stats(); st.Scatters < 1 {
-		t.Errorf("router scatters = %d, want >= 1 (panel was not scattered)", st.Scatters)
-	}
-
-	// A narrow panel must not scatter but still answer identically.
-	narrow, err := sys.f.SolveMany(b[:sys.a.N*2], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2, _, err := h.SolveMany(context.Background(), b[:sys.a.N*2], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitIdentical(x2, narrow) {
-		t.Error("narrow SolveMany differs from single-node result")
-	}
-}
-
-// TestScatterSolveManyOddSplit: five right-hand sides scatter as 2 + 3, and
-// every gathered column is still bitwise a local Solve of that column.
-func TestScatterSolveManyOddSplit(t *testing.T) {
-	fleet := startFleet(t, 3)
-	sys := buildSystem(t, 3)
-	const nrhs = 5
-	n := sys.a.N
-	b := make([]float64, n*nrhs)
-	for k := range b {
-		b[k] = math.Sin(float64(k)*0.3 - 1)
-	}
-
-	c, err := client.Dial("tcp", fleet.raddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	h, _, err := c.Factorize(context.Background(), sys.a, sstar.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := fleet.ownerIndex(h.Key())
-	waitFor(t, "factor replication", func() bool { return fleet.replicaHolder(h.ID(), owner) >= 0 })
-
-	x, _, err := h.SolveMany(context.Background(), b, nrhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := fleet.router.Stats(); st.Scatters < 1 {
-		t.Fatalf("router scatters = %d, want >= 1 (panel was not scattered)", st.Scatters)
-	}
-	for j := 0; j < nrhs; j++ {
-		want, err := sys.f.Solve(b[j*n : (j+1)*n])
+	for _, nrhs := range []int{2, 5, 8} {
+		b := make([]float64, sys.a.N*nrhs)
+		for k := range b {
+			b[k] = math.Cos(float64(k)*0.7 + 2)
+		}
+		want, err := sys.f.SolveMany(b, nrhs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bitIdentical(x[j*n:(j+1)*n], want) {
-			t.Errorf("column %d of the scattered SolveMany differs bitwise from a local Solve", j)
-		}
-	}
-}
-
-// TestScatterGathersOneEpoch: the halves of a scattered SolveMany are
-// gathered only when both shards solved against the same values-epoch. Two
-// fake shards answer every solve with their own marker value and epoch; when
-// the epochs differ (a replica lagging a refactorize) the whole panel must
-// come from the shard holding the newer factors, never half from each.
-func TestScatterGathersOneEpoch(t *testing.T) {
-	var epochs [2]atomic.Uint64
-	addrs := make([]string, 2)
-	for i := range addrs {
-		marker := float64(i + 1)
-		ep := server.NewEndpoint(0, func(req *server.Request) *server.Response {
-			if req.Op != server.OpSolveMany {
-				return &server.Response{Err: "fake shard: solves only"}
-			}
-			x := make([]float64, len(req.B))
-			for k := range x {
-				x[k] = marker
-			}
-			return &server.Response{Handle: req.Handle, X: x, ValEpoch: epochs[i].Load()}
-		}, nil)
-		l, err := net.Listen("tcp", "127.0.0.1:0")
+		ownerSolves := fleet.servers[owner].Stats().Solves
+		replicaSolves := fleet.servers[replica].Stats().Solves
+		x, _, err := h.SolveMany(context.Background(), b, nrhs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		go ep.Serve(l)
-		t.Cleanup(func() { ep.Close() })
-		addrs[i] = l.Addr().String()
-	}
-	r, err := NewRouter(RouterConfig{Shards: addrs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	const key, n, nrhs = 0x5eed, 3, 4
-	candidates := r.candidatesFor(key)
-	index := map[string]int{addrs[0]: 0, addrs[1]: 1}
-	solve := func() *server.Response {
-		resp := r.handle(&server.Request{Op: server.OpSolveMany, Handle: 9, Key: key, B: make([]float64, n*nrhs), NRHS: nrhs})
-		if resp.Err != "" {
-			t.Fatal(resp.Err)
+		if !bitIdentical(x, want) {
+			t.Errorf("routed SolveMany of %d columns differs bitwise from single-node SolveMany", nrhs)
 		}
-		if len(resp.X) != n*nrhs {
-			t.Fatalf("gathered %d entries, want %d", len(resp.X), n*nrhs)
+		if got := fleet.servers[owner].Stats().Solves - ownerSolves; got != 1 {
+			t.Errorf("SolveMany of %d columns: the owner ran %d solves, want 1", nrhs, got)
 		}
-		return resp
-	}
-
-	for newer := range candidates {
-		epochs[index[candidates[newer]]].Store(3)
-		epochs[index[candidates[1-newer]]].Store(2)
-		resp := solve()
-		want := float64(index[candidates[newer]] + 1)
-		for k, x := range resp.X {
-			if x != want {
-				t.Fatalf("newer factors on candidate %d: X[%d] came from shard %v, want every column from shard %v (epoch 3)", newer, k, x, want)
-			}
+		if got := fleet.servers[replica].Stats().Solves - replicaSolves; got != 0 {
+			t.Errorf("SolveMany of %d columns: the replica holder ran %d solves, want 0 (the panel was split)", nrhs, got)
 		}
-		if resp.ValEpoch != 3 {
-			t.Fatalf("reply values-epoch %d, want 3", resp.ValEpoch)
-		}
-	}
-	if got := r.Stats().Scatters; got != 0 {
-		t.Fatalf("scatters = %d after mixed-epoch halves, want 0", got)
-	}
-
-	// Equal epochs: the halves gather, one from each holder.
-	epochs[0].Store(3)
-	epochs[1].Store(3)
-	resp := solve()
-	if first, last := resp.X[0], resp.X[n*nrhs-1]; first != float64(index[candidates[0]]+1) || last != float64(index[candidates[1]]+1) {
-		t.Fatalf("same-epoch halves not gathered: X[0] from shard %v, X[last] from shard %v", first, last)
-	}
-	if got := r.Stats().Scatters; got != 1 {
-		t.Fatalf("scatters = %d after same-epoch halves, want 1", got)
 	}
 }
 

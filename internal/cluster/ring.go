@@ -3,9 +3,8 @@
 // 64-bit structure key, factors and analysis-cache entries are replicated
 // asynchronously to each owner's successor on the ring, and a thin router
 // (cmd/sstar-router) speaks the ordinary client protocol in front of the
-// fleet — scattering wide multi-RHS solves across replica holders and
-// failing solves over to the replica when the owner dies, without ever
-// refactorizing.
+// fleet, failing solves over to the replica when the owner dies, without
+// ever refactorizing.
 //
 // The design leans on two properties of the underlying solver. First,
 // Factorization.Save/Load round-trips factors bit-exactly (the pivot

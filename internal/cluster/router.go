@@ -29,8 +29,8 @@ type RouterConfig struct {
 // Router speaks the ordinary client protocol in front of a shard fleet: it
 // hashes each request to its owning shard, follows redirects, fails handle
 // operations over to the replica when the owner is unreachable (counting
-// each as a failover — the solve that survived without refactorizing), and
-// scatters wide SolveMany panels across the shards holding replicas.
+// each as a failover — the solve that survived without refactorizing). A
+// SolveMany goes whole to one holder, like every other handle operation.
 //
 // Clients connect to the router exactly as they would to a single server —
 // same Hello, same frames, same response codes — so the fleet is a drop-in
@@ -47,7 +47,6 @@ type Router struct {
 	requests  atomic.Int64
 	errors    atomic.Int64
 	failovers atomic.Int64
-	scatters  atomic.Int64
 	redirects atomic.Int64
 	ambiguous atomic.Int64
 	refreshes atomic.Int64
@@ -133,8 +132,8 @@ func (r *Router) handle(req *server.Request) *server.Response {
 			r.placeMu.Unlock()
 			// Strip the shard's advertised address: a client that learned it
 			// would aim handle ops at the shard directly, bypassing the one
-			// component that can fail them over and scatter them. Replica
-			// stays — it is informational.
+			// component that can fail them over. Replica stays — it is
+			// informational.
 			resp.Addr = ""
 		}
 	case server.OpSolve, server.OpSolveMany, server.OpRefactorize, server.OpFree:
@@ -143,12 +142,7 @@ func (r *Router) handle(req *server.Request) *server.Response {
 			key = r.keyOf(req.Handle)
 		}
 		req.Key = key
-		candidates := r.candidatesFor(key)
-		if req.Op == server.OpSolveMany && key != 0 && req.NRHS >= 4 && len(candidates) >= 2 {
-			resp = r.scatterSolveMany(req, candidates)
-		} else {
-			resp = r.forward(req, key)
-		}
+		resp = r.forward(req, key)
 		if req.Op == server.OpFree && resp.Err == "" {
 			r.placeMu.Lock()
 			delete(r.place, req.Handle)
@@ -285,61 +279,6 @@ func (r *Router) refreshRing(hint string) bool {
 	return false
 }
 
-// scatterSolveMany splits a wide multi-RHS panel across the first two
-// replica holders and gathers the halves. Every column of a SolveMany is
-// bitwise a lone Solve of that column, so the gathered result is
-// bit-identical to a single-shard SolveMany at any split — provided both
-// halves were solved against the same factors: a replica lags its owner's
-// refactorize by one asynchronous push. The halves are gathered only when
-// they report the same values-epoch; otherwise the whole panel goes to the
-// holder of the newer factors. Any failure falls back to forwarding the
-// whole panel (SolveMany is idempotent, so the re-send is safe).
-func (r *Router) scatterSolveMany(req *server.Request, candidates []string) *server.Response {
-	n := len(req.B) / req.NRHS
-	half := req.NRHS / 2
-	sub := [2]*server.Request{
-		{Op: server.OpSolveMany, Handle: req.Handle, Key: req.Key, B: req.B[:n*half], NRHS: half, TimeoutNs: req.TimeoutNs},
-		{Op: server.OpSolveMany, Handle: req.Handle, Key: req.Key, B: req.B[n*half:], NRHS: req.NRHS - half, TimeoutNs: req.TimeoutNs},
-	}
-	var resps [2]*server.Response
-	var errs [2]error
-	var wg sync.WaitGroup
-	for i := range sub {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, _, err := r.peers.Exchange(context.Background(), candidates[i], sub[i])
-			resps[i], errs[i] = resp, err
-		}(i)
-	}
-	wg.Wait()
-	for i := range sub {
-		if errs[i] != nil || resps[i].Err != "" {
-			// One half failed — replica lagging, shard down, whatever: the
-			// whole panel goes through the ordinary failover path.
-			return r.forward(req, req.Key)
-		}
-	}
-	if e0, e1 := resps[0].ValEpoch, resps[1].ValEpoch; e0 != e1 {
-		newer := candidates[0]
-		if e1 > e0 {
-			newer = candidates[1]
-		}
-		if resp, _, err := r.peers.Exchange(context.Background(), newer, req); err == nil && resp.Err == "" {
-			return resp
-		}
-		return r.forward(req, req.Key)
-	}
-	r.scatters.Add(1)
-	x := make([]float64, 0, len(req.B))
-	x = append(x, resps[0].X...)
-	x = append(x, resps[1].X...)
-	out := *resps[0]
-	out.X = x
-	out.Stats.SolveNs = max(resps[0].Stats.SolveNs, resps[1].Stats.SolveNs)
-	return &out
-}
-
 // aggregateStats fans OpStats out to every shard and merges: counters sum,
 // the router's own counters ride on top. Unreachable shards are skipped —
 // the Shards field reports how many answered.
@@ -387,7 +326,6 @@ func (r *Router) aggregateStats() server.ServerStats {
 	agg.Shards = reachable
 	agg.Redirects += r.redirects.Load()
 	agg.Failovers = r.failovers.Load()
-	agg.Scatters = r.scatters.Load()
 	return agg
 }
 
@@ -397,11 +335,15 @@ type RouterStats struct {
 	Requests      int64  // client requests routed
 	Errors        int64  // requests that ended in an error response
 	Failovers     int64  // handle ops completed by a non-first candidate (replica answered)
-	Scatters      int64  // SolveMany panels split across replica holders
 	Redirects     int64  // redirect answers followed to a new shard
 	Ambiguous     int64  // non-idempotent ops answered CodeAmbiguous (delivered, unanswered)
 	RingRefreshes int64  // membership views adopted from the fleet
 	Epoch         uint64 // current membership epoch of the router's ring view
+
+	// Scatters is always 0: a SolveMany goes whole to one holder. The field
+	// stays only because the benchmark's cluster.scatters reads it; it goes
+	// when that metric is retired.
+	Scatters int64
 }
 
 // Stats returns a snapshot of the router's counters.
@@ -410,7 +352,6 @@ func (r *Router) Stats() RouterStats {
 		Requests:      r.requests.Load(),
 		Errors:        r.errors.Load(),
 		Failovers:     r.failovers.Load(),
-		Scatters:      r.scatters.Load(),
 		Redirects:     r.redirects.Load(),
 		Ambiguous:     r.ambiguous.Load(),
 		RingRefreshes: r.refreshes.Load(),
@@ -430,9 +371,6 @@ func (r *Router) Bind(reg *obs.Registry) {
 	reg.CounterFunc("sstar_router_failovers_total",
 		"Handle operations completed by a replica after the owner was unreachable.",
 		func() float64 { return float64(r.failovers.Load()) })
-	reg.CounterFunc("sstar_router_scatters_total",
-		"SolveMany panels split across replica holders and gathered.",
-		func() float64 { return float64(r.scatters.Load()) })
 	reg.CounterFunc("sstar_router_redirects_total",
 		"Redirect answers followed to the shard they named.",
 		func() float64 { return float64(r.redirects.Load()) })

@@ -6,7 +6,9 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -384,6 +386,88 @@ func TestRoutedAnswerKeepsProcessTime(t *testing.T) {
 		}
 		if got := s.met.request.Sum() - sum; got < pause.Seconds() {
 			t.Errorf("%s: observed process time %.6fs, want >= %v", req.Op, got, pause)
+		}
+	}
+}
+
+// TestSolveReplyCarriesValuesEpoch: a solve reply, read off the wire from a
+// served shard, carries the values-epoch of the factors that produced X —
+// after a Refactorize on the owner, and on a replica after it installs the
+// owner's push. A router that splits a SolveMany over two holders gathers the
+// halves only when both report the same epoch; this pins what it reads.
+func TestSolveReplyCarriesValuesEpoch(t *testing.T) {
+	var mu sync.Mutex // the hook runs on a worker; the test reads over TCP
+	var events []StoredEvent
+	owner := newTestServer(t, Config{Workers: 2, Cluster: captureHooks{stored: func(ev StoredEvent) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}}})
+	replica := newTestServer(t, Config{Workers: 2})
+	addrs := make([]string, 2)
+	for i, s := range []*Server{owner, replica} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go s.Serve(l)
+		addrs[i] = l.Addr().String()
+	}
+	p := &Pool{}
+	t.Cleanup(p.Close)
+	call := func(addr string, req *Request) *Response {
+		t.Helper()
+		resp, _, err := p.Exchange(context.Background(), addr, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Err != "" {
+			t.Fatalf("%s: %s", req.Op, resp.Err)
+		}
+		return resp
+	}
+	a := sstar.GenGrid2D(9, 9, false, sstar.GenOptions{Seed: 77, Convection: 0.3})
+	b := testRHS(a.N, 2)
+	panel := append(append([]float64(nil), b[0]...), b[1]...)
+	solves := func(addr string, h uint64) []*Response {
+		return []*Response{
+			call(addr, &Request{Op: OpSolve, Handle: h, B: b[0]}),
+			call(addr, &Request{Op: OpSolveMany, Handle: h, B: panel, NRHS: 2}),
+		}
+	}
+	wantEpoch := func(where string, resps []*Response, want uint64) {
+		t.Helper()
+		for _, r := range resps {
+			if r.ValEpoch != want {
+				t.Fatalf("%s: solve reply values-epoch %d, want %d", where, r.ValEpoch, want)
+			}
+		}
+	}
+
+	h := call(addrs[0], &Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()}).Handle
+	wantEpoch("after factorize", solves(addrs[0], h), 1)
+	vals := append([]float64(nil), a.Val...)
+	for k := range vals {
+		vals[k] *= 1.5
+	}
+	call(addrs[0], &Request{Op: OpRefactorize, Handle: h, Values: vals})
+	onOwner := solves(addrs[0], h)
+	wantEpoch("after refactorize", onOwner, 2)
+
+	mu.Lock()
+	pushes := append([]StoredEvent(nil), events...)
+	mu.Unlock()
+	if len(pushes) != 2 || pushes[1].ValEpoch != 2 {
+		t.Fatalf("owner made %d replication pushes, want 2 ending at values-epoch 2", len(pushes))
+	}
+	call(addrs[1], pushes[1].ReplicateRequest())
+	onReplica := solves(addrs[1], h)
+	wantEpoch("on the replica after the install", onReplica, 2)
+	for i := range onOwner {
+		for k, x := range onReplica[i].X {
+			if math.Float64bits(x) != math.Float64bits(onOwner[i].X[k]) {
+				t.Fatalf("replica solve %d: X[%d] differs bitwise from the owner's", i, k)
+			}
 		}
 	}
 }

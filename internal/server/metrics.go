@@ -27,10 +27,9 @@ type metrics struct {
 
 	// Multi-tenant QoS surface: per-tenant request/shed counters and queue
 	// gauges (bounded families — tenants past the bound share one spillover
-	// series), plus the solve-coalescing width distribution.
-	tenantRequests  *obs.CounterVec
-	tenantSheds     *obs.CounterVec
-	solveBatchWidth *obs.Histogram
+	// series).
+	tenantRequests *obs.CounterVec
+	tenantSheds    *obs.CounterVec
 
 	// Analyze-phase breakdown, observed once per freshly computed analysis
 	// (cache hits contribute nothing — they ran no phase).
@@ -139,14 +138,6 @@ func newMetrics(s *Server) *metrics {
 	m.tenantSheds = reg.CounterVec("sstar_server_tenant_sheds_total",
 		"Requests refused by admission control, per tenant.", "tenant").
 		Bound(maxTenantQueues, spillTenant)
-	reg.CounterFunc("sstar_server_coalesced_solves_total",
-		"Solve requests answered from a batched solve of width >= 2 (bitwise identical to solving alone).",
-		func() float64 { return float64(s.coalescedSolves.Load()) })
-	reg.CounterFunc("sstar_server_solve_batches_total",
-		"Batched solve calls (width >= 2) the coalescer issued.",
-		func() float64 { return float64(s.solveBatches.Load()) })
-	m.solveBatchWidth = reg.Histogram("sstar_server_solve_batch_width",
-		"Width distribution of coalesced solve batches.", 2, 4, 8, 16, 32, 64)
 	return m
 }
 

@@ -54,10 +54,9 @@ const (
 	OpStats       Op = 6 // -> ServerStats snapshot
 
 	// OpSolveMany solves Handle against NRHS right-hand sides stored
-	// column-major in B (len(B) = N*NRHS) through the blocked BLAS-3 panel
-	// path; X comes back in the same layout. The cluster router splits
-	// these across the shards holding replicas of the factors
-	// (scatter/gather) when the panel is wide enough.
+	// column-major in B (len(B) = N*NRHS); X comes back in the same layout,
+	// column j bitwise a lone OpSolve of column j. A cluster router
+	// forwards it whole to one shard holding the factors.
 	OpSolveMany Op = 7
 
 	// OpReplicate is the shard-to-shard replication message: install (or
@@ -258,11 +257,10 @@ type RequestStats struct {
 	// task grain resolved it, 1 for the sequential driver (meaningful for
 	// factorize and refactorize).
 	FactorWorkers int
-	// BatchWidth is the number of solve requests (OpSolve and OpSolveMany
-	// alike) the server ran as the one batched triangular solve this
-	// request rode in (1 = solved alone, 0 on non-solve ops and servers
-	// predating coalescing). The answer is bitwise identical at any width;
-	// the width only explains where the throughput came from.
+	// BatchWidth is 1 on every answered solve and 0 on other ops: every
+	// solve runs alone. The field stays only because the benchmark's
+	// server.batch_width_mean averages it; it goes when that metric is
+	// retired.
 	BatchWidth int
 }
 
@@ -314,12 +312,6 @@ type ServerStats struct {
 	Patches        int64
 	PatchFallbacks int64
 
-	// CoalescedSolves counts solve requests that rode in a batched solve
-	// with at least one companion; SolveBatches counts the batched calls
-	// (width >= 2) they were merged into. Both zero when coalescing is
-	// disabled.
-	CoalescedSolves int64
-	SolveBatches    int64
 	// Tenants is the per-tenant counter breakdown, keyed by tenant name
 	// (DefaultTenant for requests that carried none). Additive gob field:
 	// old clients decode snapshots without it unchanged.
@@ -348,9 +340,6 @@ type ServerStats struct {
 	// after the owner failed — each one is a solve that survived a shard
 	// death without refactorizing.
 	Failovers int64
-	// Scatters counts SolveMany requests the router split across the
-	// shards holding replicas (scatter/gather).
-	Scatters int64
 
 	// Self-healing membership fields — zero on a standalone server and on
 	// fleets predating dynamic membership.
@@ -548,10 +537,11 @@ type Response struct {
 	// Manifest is the responder's handle manifest on OpManifest.
 	Manifest []ManifestEntry
 	// ValEpoch is, on a solve reply, the values-epoch of the factors X was
-	// computed from (read under the same lock as the solve), so a router
-	// gathering halves from two shards can tell whether they solved
-	// against the same factorization. Additive gob field: zero from
-	// servers predating it.
+	// computed from (read under the same lock as the solve). Today's router
+	// sends each SolveMany to one holder, but an older router in a
+	// mixed-version fleet still splits a wide panel over two holders and
+	// gathers only halves that report the same epoch, so the field stays.
+	// Additive gob field: zero from servers predating it.
 	ValEpoch uint64
 }
 

@@ -78,65 +78,20 @@ func (q *qosched) pop() (*job, bool) {
 	}
 	tq := q.active[q.rrpos]
 	j := tq.jobs[0]
+	tq.jobs[0] = nil // the backing array must not pin a dequeued request
 	tq.jobs = tq.jobs[1:]
 	q.queued--
 	if len(tq.jobs) == 0 {
-		q.removeActive(q.rrpos)
+		// The emptied queue leaves the ring; the next one in order slides
+		// into its place and takes the turn.
+		q.active = append(q.active[:q.rrpos], q.active[q.rrpos+1:]...)
 	} else {
-		q.rrpos = (q.rrpos + 1) % len(q.active)
-	}
-	return j, true
-}
-
-// removeActive drops the queue at index i from the round-robin ring, keeping
-// the turn with the queue that held it (the next one in order when i held
-// it).
-func (q *qosched) removeActive(i int) {
-	q.active = append(q.active[:i], q.active[i+1:]...)
-	if i < q.rrpos {
-		q.rrpos--
+		q.rrpos++
 	}
 	if q.rrpos >= len(q.active) {
 		q.rrpos = 0
 	}
-}
-
-// takeSolves appends to batch the queued solves (OpSolve and OpSolveMany)
-// against the given handle whose columns fit in room — the coalescer's
-// ride-along collection — and returns the extended batch.
-// Jobs are taken in FIFO order within each tenant queue, across every tenant
-// (a ride-along costs its tenant nothing: it shares the leader's worker
-// slot); one too wide for the room left stays queued. Taken jobs disappear
-// from the backlog exactly as if a worker had dequeued them.
-func (q *qosched) takeSolves(batch []*job, handle uint64, room int) []*job {
-	if room <= 0 {
-		return batch
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for ai := 0; ai < len(q.active) && room > 0; {
-		tq := q.active[ai]
-		kept := tq.jobs[:0]
-		for _, j := range tq.jobs {
-			if isSolve(j.req.Op) && j.req.Handle == handle && j.req.columns() <= room {
-				batch = append(batch, j)
-				room -= j.req.columns()
-				q.queued--
-			} else {
-				kept = append(kept, j)
-			}
-		}
-		// Zero the vacated tail so taken jobs are not pinned by the
-		// backing array.
-		clear(tq.jobs[len(kept):])
-		tq.jobs = kept
-		if len(tq.jobs) == 0 {
-			q.removeActive(ai)
-		} else {
-			ai++
-		}
-	}
-	return batch
+	return j, true
 }
 
 // depth returns the total backlog.

@@ -166,13 +166,6 @@ type job struct {
 	enqueued time.Time
 	deadline time.Time
 	done     chan *Response
-	answered bool // set by answer; a batch's panic recovery answers the rest
-}
-
-// answer delivers j's response.
-func (j *job) answer(resp *Response) {
-	j.answered = true
-	j.done <- resp
 }
 
 // Server is the sparse-solve service. Create with New, attach listeners
@@ -210,8 +203,6 @@ type Server struct {
 	patchFallbacks    atomic.Int64
 	replicasInstalled atomic.Int64
 	staleReplicas     atomic.Int64 // replication pushes refused as older than the installed values-epoch
-	coalescedSolves   atomic.Int64 // solves that rode in a width >= 2 batch
-	solveBatches      atomic.Int64 // batched solve calls of width >= 2
 }
 
 // New returns a running server (workers started, no listeners yet).
@@ -384,86 +375,88 @@ func (s *Server) submit(req *Request) *Response {
 
 // worker runs jobs until the scheduler reports drained-and-stopped (Close
 // guarantees no new submissions by then), so no admitted request is ever
-// dropped. A dequeued solve first collects the solves queued on its handle
-// (collectRiders); every other job runs as a batch of one.
+// dropped.
 func (s *Server) worker(id int) {
 	defer s.workerWg.Done()
-	batch := make([]*job, 0, batchColumns)
 	for {
 		j, ok := s.sched.pop()
 		if !ok {
 			return
 		}
 		<-s.slots // the job left the queue; its admission slot frees up
-		batch = append(batch[:0], j)
-		if isSolve(j.req.Op) {
-			batch = s.collectRiders(batch)
-		}
-		s.run(id, batch)
-		clear(batch) // pin no request past its reply
+		s.run(id, j)
 	}
 }
 
-// run executes one dequeued batch: a non-solve job alone, or solves on one
-// handle. Every member passes the same gates in the same order — deadline
+// isSolve reports whether op is answered by a triangular solve on a handle.
+func isSolve(op Op) bool { return op == OpSolve || op == OpSolveMany }
+
+// run executes one dequeued job. It passes the gates in order — deadline
 // shed, cluster routing, then for solves the handle lookup and the length
-// check — and a member failing one is answered alone, never failing its
-// companions. Every answer but a shed goes through finish, and a panic
-// anywhere below answers every member still unanswered: one request may
-// fail, the service keeps serving.
-func (s *Server) run(id int, batch []*job) {
+// check — and every answer but a shed goes through finish. Each path answers
+// as its last act, so a panic anywhere below leaves the job unanswered, and
+// the recovery answers it: one request may fail, the service keeps serving.
+func (s *Server) run(id int, j *job) {
 	now := time.Now()
+	queueNs := now.Sub(j.enqueued).Nanoseconds()
 	defer func() {
 		if p := recover(); p != nil {
 			s.met.panics.Inc()
-			s.logf("server: panic in %s: %v\n%s", batch[0].req.Op, p, debug.Stack())
-			for _, j := range batch {
-				if !j.answered {
-					s.finish(id, j, errResponse(fmt.Errorf("%w: recovered panic: %v", sstar.ErrInternal, p)),
-						now.Sub(j.enqueued).Nanoseconds(), time.Since(now).Nanoseconds())
-				}
-			}
+			s.logf("server: panic in %s: %v\n%s", j.req.Op, p, debug.Stack())
+			s.finish(id, j, errResponse(fmt.Errorf("%w: recovered panic: %v", sstar.ErrInternal, p)),
+				queueNs, time.Since(now).Nanoseconds())
 		}
 	}()
-	solve := isSolve(batch[0].req.Op)
 	var h *handle
 	var herr error
-	if solve {
-		h, herr = s.reg.get(batch[0].req.Handle)
+	if isSolve(j.req.Op) {
+		h, herr = s.reg.get(j.req.Handle)
 	}
-	live := 0
-	for _, j := range batch {
-		queueNs := now.Sub(j.enqueued).Nanoseconds()
-		// The client stopped waiting for a job whose deadline passed while it
-		// queued; doing the work would only delay requests that can still
-		// meet theirs. shed keeps its own counters and is not observed.
-		if !j.deadline.IsZero() && now.After(j.deadline) {
-			j.answer(s.shed(j.req, j.tenant, queueNs, fmt.Sprintf("queue wait %v exceeded the request deadline", time.Duration(queueNs))))
-			continue
-		}
-		// A refusal's process time runs from the dequeue, so answers the
-		// cluster hook gives (membership, manifest, redirects) keep theirs.
-		if r := s.gate(j.req, h, herr); r != nil {
-			s.finish(id, j, r, queueNs, time.Since(now).Nanoseconds())
-			continue
-		}
-		live++
+	// The client stopped waiting for a job whose deadline passed while it
+	// queued; doing the work would only delay requests that can still meet
+	// theirs. shed keeps its own counters and is not observed.
+	if !j.deadline.IsZero() && now.After(j.deadline) {
+		j.done <- s.shed(j.req, j.tenant, queueNs, fmt.Sprintf("queue wait %v exceeded the request deadline", time.Duration(queueNs)))
+		return
 	}
-	switch {
-	case live == 0:
-	case solve:
-		s.solveBatch(id, batch, h, live, now)
-	default:
-		j := batch[0]
-		resp := s.exec(j.req)
-		s.finish(id, j, resp, now.Sub(j.enqueued).Nanoseconds(), time.Since(now).Nanoseconds())
+	// A refusal's process time runs from the dequeue, so answers the cluster
+	// hook gives (membership, manifest, redirects) keep theirs.
+	if r := s.gate(j.req, h, herr); r != nil {
+		s.finish(id, j, r, queueNs, time.Since(now).Nanoseconds())
+		return
 	}
+	if isSolve(j.req.Op) {
+		s.solve(id, j, h, queueNs)
+		return
+	}
+	s.finish(id, j, s.exec(j.req), queueNs, time.Since(now).Nanoseconds())
 }
 
-// gate is run's check of one member after the deadline shed: cluster
-// routing, then for solves the handle lookup (h, herr) and the right-hand
-// side's length against the handle's order, each op with its own error
-// text. A non-nil response refuses the member.
+// solve answers a solve that passed run's gates with one SolveMany of the
+// request's own right-hand sides, as the client sent them: a plain solve is
+// a panel of one column. The reply carries the values-epoch of the factors
+// that produced X, and a BatchWidth of 1 (see RequestStats.BatchWidth).
+func (s *Server) solve(id int, j *job, h *handle, queueNs int64) {
+	nrhs := 1
+	if j.req.Op == OpSolveMany {
+		nrhs = j.req.NRHS
+	}
+	t0 := time.Now()
+	x, epoch, err := h.solveMany(j.req.B, nrhs)
+	solveNs := time.Since(t0).Nanoseconds()
+	resp := &Response{Handle: j.req.Handle, X: x, ValEpoch: epoch}
+	if err != nil {
+		resp = errResponse(err)
+	}
+	resp.Stats.SolveNs = solveNs
+	resp.Stats.BatchWidth = 1
+	s.finish(id, j, resp, queueNs, solveNs)
+}
+
+// gate is run's check of one job after the deadline shed: cluster routing,
+// then for solves the handle lookup (h, herr) and the right-hand side's
+// length against the handle's order, each op with its own error text. A
+// non-nil response refuses the job.
 func (s *Server) gate(req *Request, h *handle, herr error) *Response {
 	if hk := s.cfg.Cluster; hk != nil {
 		if r := hk.Route(req); r != nil {
@@ -489,7 +482,7 @@ func (s *Server) gate(req *Request, h *handle, herr error) *Response {
 	return nil
 }
 
-// finish accounts one member and answers it: the request and error
+// finish accounts one job and answers it: the request and error
 // counters, a log line on failure, the histogram observation, the reply.
 func (s *Server) finish(id int, j *job, resp *Response, queueNs, processNs int64) {
 	resp.Stats.QueueNs = queueNs
@@ -500,14 +493,14 @@ func (s *Server) finish(id int, j *job, resp *Response, queueNs, processNs int64
 		s.logf("server: %s failed (%s): %s", j.req.Op, resp.Code, resp.Err)
 	}
 	s.met.observe(j.req.Op, id, queueNs, processNs, resp.Stats)
-	j.answer(resp)
+	j.done <- resp
 }
 
-// process runs one request as a batch of one through run, bypassing only
-// admission and the queue.
+// process runs one request through run, bypassing only admission and the
+// queue.
 func (s *Server) process(req *Request) *Response {
 	j := &job{req: req, tenant: tenantOf(req), enqueued: time.Now(), done: make(chan *Response, 1)}
-	s.run(0, []*job{j})
+	s.run(0, j)
 	return <-j.done
 }
 
@@ -799,29 +792,27 @@ func (s *Server) Stats() ServerStats {
 	hit, miss, entries := s.cache.counters()
 	nHandles, handleBytes, evictions := s.reg.stats()
 	st := ServerStats{
-		Requests:        s.requests.Load(),
-		Errors:          s.errors.Load(),
-		Factorizes:      s.factorizes.Load(),
-		Refactorizes:    s.refactorizes.Load(),
-		Solves:          s.solves.Load(),
-		CacheHits:       hit,
-		CacheMisses:     miss,
-		CacheEntries:    entries,
-		Coalesced:       s.cache.coalescedCount(),
-		Patches:         s.patches.Load(),
-		PatchFallbacks:  s.patchFallbacks.Load(),
-		Handles:         nHandles,
-		ReplicaHandles:  s.reg.replicaCount(),
-		Workers:         s.cfg.Workers,
-		FactorWorkers:   s.cfg.FactorWorkers,
-		QueueDepth:      s.sched.depth(),
-		Sheds:           s.sheds.Load(),
-		Evictions:       evictions,
-		HandleBytes:     handleBytes,
-		CoalescedSolves: s.coalescedSolves.Load(),
-		SolveBatches:    s.solveBatches.Load(),
-		StaleReplicas:   s.staleReplicas.Load(),
-		Tenants:         s.tenantStats(),
+		Requests:       s.requests.Load(),
+		Errors:         s.errors.Load(),
+		Factorizes:     s.factorizes.Load(),
+		Refactorizes:   s.refactorizes.Load(),
+		Solves:         s.solves.Load(),
+		CacheHits:      hit,
+		CacheMisses:    miss,
+		CacheEntries:   entries,
+		Coalesced:      s.cache.coalescedCount(),
+		Patches:        s.patches.Load(),
+		PatchFallbacks: s.patchFallbacks.Load(),
+		Handles:        nHandles,
+		ReplicaHandles: s.reg.replicaCount(),
+		Workers:        s.cfg.Workers,
+		FactorWorkers:  s.cfg.FactorWorkers,
+		QueueDepth:     s.sched.depth(),
+		Sheds:          s.sheds.Load(),
+		Evictions:      evictions,
+		HandleBytes:    handleBytes,
+		StaleReplicas:  s.staleReplicas.Load(),
+		Tenants:        s.tenantStats(),
 	}
 	if hk := s.cfg.Cluster; hk != nil {
 		hk.AugmentStats(&st)

@@ -80,8 +80,6 @@ func TestClientTenantStamping(t *testing.T) {
 	for _, want := range []string{
 		`sstar_server_tenant_requests_total{tenant="prod"}`,
 		`sstar_server_tenant_requests_total{tenant="batch"}`,
-		"sstar_server_solve_batch_width",
-		"sstar_server_coalesced_solves_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)

@@ -56,30 +56,23 @@ func TestQoschedEqualShareOrder(t *testing.T) {
 	}
 }
 
-// TestQoschedTakeKeepsTurn: when the collector empties a queue that sits
-// before the round-robin pointer, the turn stays with the tenant that held
-// it. Tenants a, b and c are queued; pop serves a, the collector takes a's
-// queued solve, and b is next, not c.
-func TestQoschedTakeKeepsTurn(t *testing.T) {
+// TestQoschedPopClearsSlot: pop clears the slot it dequeues from, so the
+// queue's backing array does not keep a dequeued job — its request, matrix
+// and right-hand sides — reachable until the queue next reallocates.
+func TestQoschedPopClearsSlot(t *testing.T) {
 	q := newQosched()
-	mk := func(tenant string, op Op) {
-		q.enqueue(&job{req: &Request{Op: op, Handle: 7}, tenant: tenant, done: make(chan *Response, 1)})
+	for i := 0; i < 3; i++ {
+		q.enqueue(&job{req: &Request{Op: OpPing}, tenant: "a", done: make(chan *Response, 1)})
 	}
-	mk("a", OpPing)
-	mk("a", OpSolve)
-	mk("b", OpPing)
-	mk("c", OpPing)
-	j, _ := q.pop()
-	order := []string{j.tenant}
-	if batch := q.takeSolves(nil, 7, batchColumns); len(batch) != 1 || batch[0].tenant != "a" {
-		t.Fatalf("the collector took %d jobs, want a's one solve", len(batch))
-	}
-	for q.depth() > 0 {
-		j, _ := q.pop()
-		order = append(order, j.tenant)
-	}
-	if got := fmt.Sprint(order); got != "[a b c]" {
-		t.Fatalf("dequeue order %s, want [a b c]", got)
+	tq := q.queues["a"]
+	for i := 0; i < 3; i++ {
+		before := tq.jobs
+		if _, ok := q.pop(); !ok {
+			t.Fatal("pop reported stopped")
+		}
+		if before[0] != nil {
+			t.Fatalf("pop %d left the dequeued job in its queue's backing array", i)
+		}
 	}
 }
 
@@ -93,12 +86,11 @@ func solveJob(h uint64, b []float64, nrhs int) *job {
 	return &job{req: req, tenant: DefaultTenant, enqueued: time.Now(), done: make(chan *Response, 1)}
 }
 
-// TestSolveBatchBitwiseIdentical is the coalescing correctness property,
-// driven through run: in any batch of plain solves and SolveMany members up
-// to the column budget, each member gets back, bitwise, its columns' lone
-// Solves and reports the batch's width. A member that fails the length gate
-// is answered alone while its companions succeed, and a SolveMany wider than
-// the budget runs as a batch of its own.
+// TestSolveBatchBitwiseIdentical is the solve path's correctness property,
+// driven through run one request at a time: a plain solve and a SolveMany of
+// any width up to 40 columns each get back, bitwise, their columns' lone
+// Solves and report BatchWidth 1, and a plain solve one entry short is
+// answered with the length error.
 func TestSolveBatchBitwiseIdentical(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	a := sstar.GenGrid2D(11, 10, false, sstar.GenOptions{Seed: 42, Convection: 0.3})
@@ -111,7 +103,7 @@ func TestSolveBatchBitwiseIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := a.N
-	const wide = batchColumns + 8
+	const wide = 40
 	rhs := testRHS(n, wide)
 	ref := make([][]float64, wide)
 	for c, b := range rhs {
@@ -120,176 +112,53 @@ func TestSolveBatchBitwiseIdentical(t *testing.T) {
 		}
 	}
 
-	// A layout lists the members of one batch: 0 is a plain solve, k > 0 a
-	// SolveMany of k columns, -1 a plain solve one entry short.
-	var layouts [][]int
-	for w := 1; w <= batchColumns; w++ {
-		layouts = append(layouts, make([]int, w))
+	// One request per width: 0 is a plain solve, k > 0 a SolveMany of k
+	// columns, -1 a plain solve one entry short.
+	widths := []int{0, -1}
+	for k := 1; k <= wide; k++ {
+		widths = append(widths, k)
 	}
-	layouts = append(layouts,
-		[]int{1}, []int{8}, []int{0, 1, 0, 2}, []int{8, 8, 8, 8},
-		[]int{3, 0, 8, 0, 5, 1, 0, 4, 6, 2}, // 32 columns
-		[]int{0, -1, 3, 0},
-		[]int{wide},
-	)
-	for _, layout := range layouts {
-		batch := make([]*job, len(layout))
-		first := make([]int, len(layout)) // each member's first column in rhs
-		c, valid := 0, 0
-		for q, k := range layout {
-			first[q] = c % wide
-			switch {
-			case k < 0:
-				batch[q] = solveJob(fr.Handle, rhs[first[q]][:n-1], 0)
-			case k == 0:
-				batch[q] = solveJob(fr.Handle, rhs[first[q]], 0)
-			default:
-				b := make([]float64, 0, n*k)
-				for i := 0; i < k; i++ {
-					b = append(b, rhs[(first[q]+i)%wide]...)
-				}
-				batch[q] = solveJob(fr.Handle, b, k)
-			}
-			c += max(k, 1)
-			if k >= 0 {
-				valid++
-			}
-		}
-		s.run(0, batch)
-		for q, j := range batch {
-			resp := <-j.done
-			if layout[q] < 0 {
-				if !strings.Contains(resp.Err, "rhs length") {
-					t.Fatalf("layout %v member %d: short rhs answered %q, want a length error", layout, q, resp.Err)
-				}
-				continue
-			}
-			if resp.Err != "" {
-				t.Fatalf("layout %v member %d: %s", layout, q, resp.Err)
-			}
-			if resp.Stats.BatchWidth != valid {
-				t.Fatalf("layout %v member %d reported BatchWidth %d, want %d", layout, q, resp.Stats.BatchWidth, valid)
-			}
-			k := max(layout[q], 1)
-			if len(resp.X) != n*k {
-				t.Fatalf("layout %v member %d: len %d want %d", layout, q, len(resp.X), n*k)
-			}
+	for r, k := range widths {
+		first := (7 * r) % wide // the request's first column in rhs
+		var j *job
+		switch {
+		case k < 0:
+			j = solveJob(fr.Handle, rhs[first][:n-1], 0)
+		case k == 0:
+			j = solveJob(fr.Handle, rhs[first], 0)
+		default:
+			b := make([]float64, 0, n*k)
 			for i := 0; i < k; i++ {
-				want := ref[(first[q]+i)%wide]
-				for r, x := range resp.X[i*n : (i+1)*n] {
-					if x != want[r] {
-						t.Fatalf("layout %v member %d column %d: x[%d] = %x, lone Solve %x — coalescing changed bits",
-							layout, q, i, r, x, want[r])
-					}
+				b = append(b, rhs[(first+i)%wide]...)
+			}
+			j = solveJob(fr.Handle, b, k)
+		}
+		s.run(0, j)
+		resp := <-j.done
+		if k < 0 {
+			if !strings.Contains(resp.Err, "rhs length") {
+				t.Fatalf("width %d: short rhs answered %q, want a length error", k, resp.Err)
+			}
+			continue
+		}
+		if resp.Err != "" {
+			t.Fatalf("width %d: %s", k, resp.Err)
+		}
+		if resp.Stats.BatchWidth != 1 {
+			t.Fatalf("width %d reported BatchWidth %d, want 1", k, resp.Stats.BatchWidth)
+		}
+		cols := max(k, 1)
+		if len(resp.X) != n*cols {
+			t.Fatalf("width %d: len %d want %d", k, len(resp.X), n*cols)
+		}
+		for i := 0; i < cols; i++ {
+			want := ref[(first+i)%wide]
+			for row, x := range resp.X[i*n : (i+1)*n] {
+				if x != want[row] {
+					t.Fatalf("width %d column %d: x[%d] = %x, lone Solve %x", k, i, row, x, want[row])
 				}
 			}
 		}
-	}
-	if n := s.solveBatches.Load(); n == 0 {
-		t.Fatal("no batched solve recorded")
-	}
-}
-
-// TestTakeSolvesColumnBudget: the collector takes queued solves of both ops
-// on the lead's handle, FIFO across tenants, while their columns fit the
-// room left; everything else stays queued, and a lead wider than the budget
-// takes no riders.
-func TestTakeSolvesColumnBudget(t *testing.T) {
-	q := newQosched()
-	mk := func(tenant string, op Op, handle uint64, nrhs int) *job {
-		j := &job{req: &Request{Op: op, Handle: handle, NRHS: nrhs}, tenant: tenant, done: make(chan *Response, 1)}
-		q.enqueue(j)
-		return j
-	}
-	s1 := mk("a", OpSolve, 7, 0)
-	m8 := mk("a", OpSolveMany, 7, 8)
-	mk("a", OpSolveMany, 7, 30) // does not fit the room left
-	mk("a", OpSolve, 9, 0)      // another handle
-	mk("a", OpPing, 7, 0)       // not a solve
-	s2 := mk("a", OpSolve, 7, 0)
-	m2 := mk("a", OpSolveMany, 7, 2)
-	m4 := mk("b", OpSolveMany, 7, 4)
-
-	lead := solveJob(7, nil, 0)
-	batch := q.takeSolves([]*job{lead}, 7, batchColumns-1)
-	want := []*job{lead, s1, m8, s2, m2, m4}
-	if fmt.Sprint(batch) != fmt.Sprint(want) {
-		t.Fatalf("took %v, want %v", batch, want)
-	}
-	if d := q.depth(); d != 3 {
-		t.Fatalf("depth %d after the take, want the 3 jobs that did not ride", d)
-	}
-
-	wideLead := solveJob(7, nil, batchColumns+1)
-	mk("a", OpSolve, 7, 0)
-	batch = q.takeSolves([]*job{wideLead}, 7, batchColumns-wideLead.req.columns())
-	if len(batch) != 1 || q.depth() != 4 {
-		t.Fatalf("a lead wider than the budget took %d riders", len(batch)-1)
-	}
-}
-
-// TestCoalescingEndToEnd drives coalescing through the real queue: solves
-// piling up behind a busy worker ride one batch when the worker frees, each
-// answered bitwise identically to solving alone.
-func TestCoalescingEndToEnd(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 64})
-	a := sstar.GenGrid2D(12, 12, false, sstar.GenOptions{Seed: 7, Convection: 0.2})
-	fr := s.submit(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
-	if fr.Err != "" {
-		t.Fatal(fr.Err)
-	}
-	h := fr.Handle
-
-	const nrhs = 8
-	rhs := testRHS(a.N, nrhs)
-	ref := make([][]float64, nrhs)
-	for q, b := range rhs {
-		resp := s.submit(&Request{Op: OpSolve, Handle: h, B: b})
-		if resp.Err != "" {
-			t.Fatal(resp.Err)
-		}
-		ref[q] = resp.X
-	}
-
-	// Occupy the only worker, then pile the solves up behind it.
-	busy := make(chan *Response, 1)
-	go func() {
-		busy <- s.submit(&Request{Op: OpFactorize, Matrix: slowMatrix(3), Opts: sstar.DefaultOptions()})
-	}()
-	waitFactorizing(t, s, 2)
-	resps := make([]*Response, nrhs)
-	var wg sync.WaitGroup
-	for q := 0; q < nrhs; q++ {
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			resps[q] = s.submit(&Request{Op: OpSolve, Handle: h, B: rhs[q]})
-		}(q)
-	}
-	for i := 0; s.sched.depth() < nrhs; i++ {
-		if i > 5000 {
-			t.Fatal("solves never queued behind the busy worker")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	wg.Wait()
-	if r := <-busy; r.Err != "" {
-		t.Fatalf("blocker factorize failed: %s", r.Err)
-	}
-
-	for q, resp := range resps {
-		if resp.Err != "" {
-			t.Fatalf("solve %d: %s", q, resp.Err)
-		}
-		for i := range resp.X {
-			if resp.X[i] != ref[q][i] {
-				t.Fatalf("solve %d: x[%d] = %x, lone solve %x", q, i, resp.X[i], ref[q][i])
-			}
-		}
-	}
-	st := s.Stats()
-	if st.SolveBatches == 0 || st.CoalescedSolves < 2 {
-		t.Fatalf("queued solves never coalesced: batches=%d coalesced=%d", st.SolveBatches, st.CoalescedSolves)
 	}
 }
 

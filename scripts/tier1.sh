@@ -10,7 +10,7 @@ go build ./...
 go test ./...
 
 # The cluster package is all cross-shard concurrency (replication queues,
-# failover, scatter/gather, and the self-healing machinery: heartbeat loops,
+# failover, and the self-healing machinery: heartbeat loops,
 # membership merges, repair sweeps racing live traffic); its suite is fast
 # enough to run under the race detector on every commit. The symbolic and
 # supernode packages carry the
