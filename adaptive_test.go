@@ -90,9 +90,9 @@ func TestAdaptiveAnalysisCarriesBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc := an.Blocking()
-	if !bc.Adaptive || bc.Panels != an.Blocks() {
-		t.Fatalf("analysis blocking inconsistent: %+v vs %d blocks", bc, an.Blocks())
+	bc := blockingOf(an.sym)
+	if !bc.Adaptive || bc.Panels != an.sym.Partition.NB {
+		t.Fatalf("analysis blocking inconsistent: %+v vs %d blocks", bc, an.sym.Partition.NB)
 	}
 	f, err := an.FactorizeWith(a)
 	if err != nil {
@@ -109,7 +109,7 @@ func TestAdaptiveAnalysisCarriesBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc2 := an2.Blocking()
+	bc2 := blockingOf(an2.sym)
 	if bc2.Adaptive || bc2.MaxBlock != 7 || bc2.Amalgamate != 2 {
 		t.Fatalf("explicit override not honored: %+v", bc2)
 	}

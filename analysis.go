@@ -61,6 +61,9 @@ func (an *Analysis) FactorizeWith(a *Matrix) (*Factorization, error) {
 	if !an.pat.EqualCSR(a) {
 		return nil, fmt.Errorf("sstar: FactorizeWith: matrix pattern differs from the analyzed pattern (%d vs %d nonzeros)", a.Nnz(), an.pat.Nnz())
 	}
+	if len(a.Val) != len(a.ColInd) {
+		return nil, fmt.Errorf("sstar: FactorizeWith: %d values for %d nonzeros", len(a.Val), len(a.ColInd))
+	}
 	fact, err := core.FactorizeHostObs(a, an.sym, an.sym.HostWorkers(an.opts.HostWorkers), sinkFor(an.opts.Observer))
 	if err != nil {
 		return nil, err
@@ -76,9 +79,6 @@ func (an *Analysis) FactorizeWith(a *Matrix) (*Factorization, error) {
 // N returns the matrix order the analysis was computed for.
 func (an *Analysis) N() int { return an.pat.N }
 
-// Nnz returns the nonzero count of the analyzed pattern.
-func (an *Analysis) Nnz() int { return an.pat.Nnz() }
-
 // Key returns the structure key of the analyzed (pattern, options) pair,
 // the value StructureKey reports for any matching matrix.
 func (an *Analysis) Key() uint64 { return an.key }
@@ -89,17 +89,6 @@ func (an *Analysis) Options() Options { return an.opts }
 // Matches reports whether a has exactly the analyzed pattern, i.e. whether
 // FactorizeWith would accept it.
 func (an *Analysis) Matches(a *Matrix) bool { return a != nil && an.pat.EqualCSR(a) }
-
-// StaticFill returns the entry count of the static structure.
-func (an *Analysis) StaticFill() int { return an.sym.Static.NnzTotal() }
-
-// Blocks returns the number of supernode panels of the 2D partition.
-func (an *Analysis) Blocks() int { return an.sym.Partition.NB }
-
-// Blocking reports the panel blocking the analysis settled on. Like
-// everything else in an Analysis it is a pure function of the (pattern,
-// options) pair, so a cached Analysis carries its blocking choice.
-func (an *Analysis) Blocking() BlockingChoice { return blockingOf(an.sym) }
 
 // patternHash returns a 64-bit FNV-1a hash of the nonzero structure of a:
 // the order, the row pointers and the column indices, each as 8

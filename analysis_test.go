@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sstar/internal/bench"
+	"sstar/internal/sparse"
 )
 
 func TestAnalyzeFactorizeWith(t *testing.T) {
@@ -15,10 +16,10 @@ func TestAnalyzeFactorizeWith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if an.N() != a.N || an.Nnz() != a.Nnz() {
-		t.Fatalf("analysis dims: N=%d nnz=%d, want %d/%d", an.N(), an.Nnz(), a.N, a.Nnz())
+	if an.N() != a.N || an.pat.Nnz() != a.Nnz() {
+		t.Fatalf("analysis dims: N=%d nnz=%d, want %d/%d", an.N(), an.pat.Nnz(), a.N, a.Nnz())
 	}
-	if an.StaticFill() <= a.Nnz() || an.Blocks() <= 0 {
+	if an.sym.Static.NnzTotal() <= a.Nnz() || an.sym.Partition.NB <= 0 {
 		t.Fatal("analysis metadata broken")
 	}
 	// The same analysis serves several same-pattern matrices.
@@ -127,7 +128,7 @@ func TestRefactorizeRejectsPatternMismatch(t *testing.T) {
 }
 
 func TestSolveRejectsBadRHS(t *testing.T) {
-	a := GenDense(12, 8)
+	a := sparse.Dense(12, 8)
 	f, err := Factorize(a, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -137,9 +138,6 @@ func TestSolveRejectsBadRHS(t *testing.T) {
 	}
 	if _, err := f.Solve(make([]float64, 5)); err == nil {
 		t.Fatal("short rhs accepted")
-	}
-	if _, err := f.SolveTranspose(make([]float64, 13)); err == nil {
-		t.Fatal("long rhs accepted by SolveTranspose")
 	}
 	if _, err := f.SolveMany(make([]float64, 24), 0); err == nil {
 		t.Fatal("nrhs=0 accepted by SolveMany")

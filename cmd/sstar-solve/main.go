@@ -39,10 +39,9 @@ func main() {
 		mach    = flag.String("machine", "t3e", "virtual machine model: t3d | t3e")
 		bsize   = flag.Int("bsize", 0, "supernode panel width; 0 = structure-adaptive")
 		amalg   = flag.Int("r", 0, "amalgamation factor; 0 under -bsize 0 = cost model chooses")
-		workers = flag.Int("workers", 0, "host goroutines for the numeric factor phase (seq mapping; 0 = sequential)")
+		workers = flag.Int("workers", 0, "goroutine cap for the numeric factor phase (seq mapping; 0 = the task-grain gate picks, at most 2; 1 = sequential)")
 		ones    = flag.Bool("ones", false, "use b = A*1 instead of a random rhs (exact solution all ones)")
 		trace   = flag.String("trace", "", "write a Chrome trace JSON timeline of the run to this file")
-		btf     = flag.Bool("btf", false, "factor through the block upper triangular decomposition (sequential only)")
 	)
 	flag.Parse()
 
@@ -96,28 +95,6 @@ func main() {
 	if *trace != "" {
 		tr = sstar.NewTrace(0)
 		opts.Observer = tr
-	}
-
-	if *btf {
-		start := time.Now()
-		bf, err := sstar.FactorizeBTF(a, opts)
-		if err != nil {
-			fatalf("btf factorization failed: %v", err)
-		}
-		x, err := bf.Solve(b)
-		if err != nil {
-			fatalf("btf solve failed: %v", err)
-		}
-		fmt.Printf("BTF: %d irreducible blocks, %.0f%% of the matrix factored, wall-clock %v\n",
-			bf.NumBlocks(), 100*bf.FactoredFraction(), time.Since(start).Round(time.Microsecond))
-		fmt.Printf("residual ||Ax-b||/(||A|| ||x|| + ||b||): %.3e\n", sstar.Residual(a, x, b))
-		if tr != nil {
-			if err := writeTrace(*trace, tr); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("trace: %d spans -> %s (%d dropped)\n", tr.Len(), *trace, tr.Dropped())
-		}
-		return
 	}
 
 	if *mapping != "seq" {

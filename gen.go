@@ -25,25 +25,16 @@ func GenCircuit(n, avgDeg int, o GenOptions) *Matrix {
 	return sparse.Circuit(n, avgDeg, o)
 }
 
-// GenDense generates a dense random matrix with a dominant diagonal.
-func GenDense(n int, seed int64) *Matrix { return sparse.Dense(n, seed) }
-
-// GenPerturb returns a structural near-miss of a: up to add inserted
+// GenPerturbLocal returns a structural near-miss of a: up to add inserted
 // off-diagonal entries and up to del deleted ones (diagonals and last
 // entries of a row or column are never deleted, so the result stays
-// structurally nonsingular). Deterministic in seed. This is the service
-// benchmark's model of pattern churn — the workload Analysis.Patch exists
-// for.
-func GenPerturb(a *Matrix, add, del int, seed int64) *Matrix {
-	return sparse.PerturbPattern(a, add, del, seed)
-}
-
-// GenPerturbLocal is GenPerturb with structure-preserving insertions: new
-// entries land on length-2 paths of the structure graph (nodes already
-// coupled through a neighbor), the churn shape of a simulation service
-// editing devices rather than rewiring the whole circuit. Local insertions
-// keep the incremental re-analysis cone small, where uniform random ones
-// scatter it.
+// structurally nonsingular), deterministic in seed. The insertions preserve
+// structure: new entries land on length-2 paths of the structure graph
+// (nodes already coupled through a neighbor), the churn shape of a
+// simulation service editing devices rather than rewiring the whole
+// circuit. Local insertions keep the incremental re-analysis cone small,
+// where uniform random ones scatter it. This is the service benchmark's
+// model of pattern churn — the workload Analysis.Patch exists for.
 func GenPerturbLocal(a *Matrix, add, del int, seed int64) *Matrix {
 	return sparse.PerturbLocal(a, add, del, seed)
 }

@@ -164,96 +164,6 @@ func (f *Factorization) SolveManyExact(b []float64, nrhs int) ([]float64, error)
 	return f.SolveMany(b, nrhs)
 }
 
-// SolveTranspose solves Aᵀ x = b using the same factors.
-//
-// The numeric phase computes U = M · (P_c A_w) with M the composition of
-// per-panel interchanges and eliminations (A_w the ordered working matrix),
-// so Aᵀ x = b unravels as: solve Uᵀ w = b' (a forward sweep over the U rows
-// transposed), then apply Mᵀ = P_1ᵀ L_1⁻ᵀ … P_NBᵀ L_NB⁻ᵀ from the last panel
-// backwards, undoing each panel's elimination (transposed) and then its
-// interchanges in reverse order.
-func (f *Factorization) SolveTranspose(b []float64) []float64 {
-	n := f.Sym.N
-	p := f.Sym.Partition
-	bm := f.BM
-	y := make([]float64, n)
-	// Aᵀ's row space is A's column space: apply the column permutation.
-	for j := 0; j < n; j++ {
-		y[f.Sym.ColPerm[j]] = b[j]
-	}
-	// Forward: solve Uᵀ w = y, panel by panel. Row-block k of U couples
-	// panel k (diagonal) with later column blocks; transposed, panel k's
-	// result feeds forward into those blocks' positions.
-	for k := 0; k < p.NB; k++ {
-		start, end := p.Start[k], p.Start[k+1]
-		s := end - start
-		d := bm.Diag[k]
-		// wₖ = U_kkᵀ⁻¹ yₖ : lower-triangular solve with the transpose of
-		// the upper part of the diagonal block.
-		for i := 0; i < s; i++ {
-			sum := y[start+i]
-			for r := 0; r < i; r++ {
-				sum -= float64(d.Data[r*s+i] * y[start+r])
-			}
-			y[start+i] = sum / d.Data[i*s+i]
-		}
-		// Propagate through the transposed U blocks of row k.
-		for _, ub := range bm.URow[k] {
-			nc := len(ub.Cols)
-			for q, c := range ub.Cols {
-				sum := 0.0
-				for r := 0; r < s; r++ {
-					sum += float64(ub.Data[r*nc+q] * y[start+r])
-				}
-				y[c] -= sum
-			}
-		}
-	}
-	// Backward: apply Mᵀ from panel NB-1 down to 0. For each panel:
-	// zₚ := L_dᵀ⁻¹ (zₚ − L_bᵀ z_below), then undo the interchanges in
-	// reverse column order.
-	for k := p.NB - 1; k >= 0; k-- {
-		start, end := p.Start[k], p.Start[k+1]
-		s := end - start
-		// zₚ -= L_bᵀ z_below (the L blocks of column k, transposed).
-		for _, lb := range bm.LCol[k] {
-			nc := len(lb.Cols)
-			for r, gr := range lb.Rows {
-				zr := y[gr]
-				if zr == 0 {
-					continue
-				}
-				row := lb.Data[r*nc : (r+1)*nc]
-				for q := range row {
-					y[start+q] -= float64(row[q] * zr)
-				}
-			}
-		}
-		// zₚ := L_dᵀ⁻¹ zₚ with the unit-lower part of the diagonal block
-		// transposed (a unit *upper* triangular solve).
-		d := bm.Diag[k]
-		for i := s - 1; i >= 0; i-- {
-			sum := y[start+i]
-			for r := i + 1; r < s; r++ {
-				sum -= float64(d.Data[r*s+i] * y[start+r])
-			}
-			y[start+i] = sum
-		}
-		// Undo the panel's interchanges in reverse order.
-		for m := end - 1; m >= start; m-- {
-			if t := int(f.Piv[m]); t != m {
-				y[m], y[t] = y[t], y[m]
-			}
-		}
-	}
-	// Undo the row permutation: Aᵀ's column space is A's row space.
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = y[f.Sym.RowPerm[i]]
-	}
-	return x
-}
-
 // Stats summarizes a completed numeric factorization.
 type FactStats struct {
 	// Interchanges counts the columns whose pivot differed from the

@@ -4,77 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"sstar/internal/machine"
 	"sstar/internal/sparse"
 )
-
-func TestSolveTransposeAgainstGP(t *testing.T) {
-	for _, seed := range []int64{41, 42, 43} {
-		a := sparse.Grid2D(8, 8, false, sparse.GenOptions{Seed: seed, Convection: 0.5})
-		sym := analyzeFor(t, a, 6, 3)
-		f, err := FactorizeSeq(a, sym)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := randRHS(a.N, seed)
-		x := f.SolveTranspose(b)
-		// x must satisfy Aᵀ x = b.
-		at := a.Transpose()
-		if r := residual(at, x, b); r > 1e-9 {
-			t.Fatalf("seed %d: transpose residual %g", seed, r)
-		}
-		// Cross-check against a direct factorization of Aᵀ.
-		gp, err := GPFactorize(at, 1.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xg := gp.Solve(b)
-		for i := range x {
-			if math.Abs(x[i]-xg[i]) > 1e-7*(1+math.Abs(xg[i])) {
-				t.Fatalf("seed %d: transpose solutions differ at %d: %g vs %g", seed, i, x[i], xg[i])
-			}
-		}
-	}
-}
-
-func TestSolveTransposeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 15 + rng.Intn(50)
-		a := sparse.RandomSparse(n, 1+rng.Intn(3), seed)
-		sym := Analyze(a, AnalyzeOptions{})
-		fac, err := FactorizeSeq(a, sym)
-		if err != nil {
-			return false
-		}
-		b := randRHS(n, seed+7)
-		x := fac.SolveTranspose(b)
-		return residual(a.Transpose(), x, b) < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSolveTransposeWithPivoting(t *testing.T) {
-	// Force interchanges with weak diagonals, then check the transpose
-	// solve still replays them correctly (in reverse).
-	a := sparse.Grid2D(9, 9, false, sparse.GenOptions{Seed: 44, WeakDiagFraction: 0.3})
-	sym := analyzeFor(t, a, 7, 4)
-	f, err := FactorizeSeq(a, sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Stats(0).Interchanges == 0 {
-		t.Fatal("test needs interchanges to be meaningful")
-	}
-	b := randRHS(a.N, 45)
-	if r := residual(a.Transpose(), f.SolveTranspose(b), b); r > 1e-9 {
-		t.Fatalf("transpose residual %g with pivoting", r)
-	}
-}
 
 func TestSolveMany(t *testing.T) {
 	a := sparse.Circuit(80, 3, sparse.GenOptions{Seed: 46})
@@ -312,125 +245,5 @@ func TestStatsBlas3Fraction(t *testing.T) {
 	}
 	if st.StorageEntries <= 0 {
 		t.Fatal("storage entries missing")
-	}
-}
-
-func TestRefineImprovesOrHolds(t *testing.T) {
-	// An ill-scaled system: refinement should converge to a tiny
-	// componentwise backward error.
-	a := sparse.Grid2D(10, 10, false, sparse.GenOptions{Seed: 51, WeakDiagFraction: 0.2})
-	sc := a.Clone()
-	for k := range sc.Val {
-		sc.Val[k] *= math.Pow(10, float64(k%7)-3)
-	}
-	sym := analyzeFor(t, sc, 8, 4)
-	f, err := FactorizeSeq(sc, sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := randRHS(sc.N, 52)
-	x := f.Solve(b)
-	res := f.Refine(sc, x, b, 1e-14, 10)
-	if !res.Converged {
-		t.Fatalf("refinement did not converge: %+v", res)
-	}
-	if res.Berr > 1e-13 {
-		t.Fatalf("backward error %g after refinement", res.Berr)
-	}
-}
-
-func TestRefineAlreadyAccurate(t *testing.T) {
-	a := sparse.Dense(20, 53)
-	sym := Analyze(a, AnalyzeOptions{})
-	f, err := FactorizeSeq(a, sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := randRHS(a.N, 54)
-	x := f.Solve(b)
-	res := f.Refine(a, x, b, 1e-12, 5)
-	if !res.Converged || res.Iterations > 2 {
-		t.Fatalf("well-conditioned refinement should converge immediately: %+v", res)
-	}
-}
-
-func TestCondEstIdentityAndIllConditioned(t *testing.T) {
-	// Identity-like: condition ~ 1.
-	n := 30
-	coo := sparse.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, 2)
-		if i+1 < n {
-			coo.Add(i, i+1, 1e-6)
-		}
-	}
-	a := coo.ToCSR()
-	sym := Analyze(a, AnalyzeOptions{})
-	f, err := FactorizeSeq(a, sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := f.CondEst(a)
-	if c1 < 1 || c1 > 10 {
-		t.Fatalf("near-diagonal condition estimate %g, want ~1", c1)
-	}
-	// Graded matrix: condition grows like the scale range.
-	coo2 := sparse.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		coo2.Add(i, i, math.Pow(10, -float64(i%9)))
-		if i+1 < n {
-			coo2.Add(i+1, i, 1e-4)
-		}
-	}
-	a2 := coo2.ToCSR()
-	sym2 := Analyze(a2, AnalyzeOptions{})
-	f2, err := FactorizeSeq(a2, sym2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := f2.CondEst(a2)
-	if c2 < 1e6 {
-		t.Fatalf("graded condition estimate %g, want >= 1e6", c2)
-	}
-}
-
-func TestEquilibrate(t *testing.T) {
-	a := sparse.Circuit(60, 3, sparse.GenOptions{Seed: 55})
-	// Wreck the scaling.
-	bad := a.Clone()
-	for i := 0; i < bad.N; i++ {
-		_, vals := bad.Row(i)
-		s := math.Pow(10, float64(i%8)-4)
-		for k := range vals {
-			vals[k] *= s
-		}
-	}
-	scaled, rs, cs := Equilibrate(bad)
-	// Every row's max must now be ~1 and every column's max <= 1.
-	for i := 0; i < scaled.N; i++ {
-		_, vals := scaled.Row(i)
-		m := MaxAbs(vals)
-		if m > 1+1e-12 {
-			t.Fatalf("row %d max %g after equilibration", i, m)
-		}
-	}
-	// Solving through the scaled system reproduces the original solution.
-	sym := Analyze(scaled, AnalyzeOptions{})
-	f, err := FactorizeSeq(scaled, sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := randRHS(bad.N, 56)
-	rb := make([]float64, bad.N)
-	for i := range rb {
-		rb[i] = rs[i] * b[i]
-	}
-	y := f.Solve(rb)
-	x := make([]float64, bad.N)
-	for j := range x {
-		x[j] = cs[j] * y[j]
-	}
-	if r := residual(bad, x, b); r > 1e-9 {
-		t.Fatalf("equilibrated solve residual %g", r)
 	}
 }

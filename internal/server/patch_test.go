@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sstar"
+	"sstar/internal/sparse"
 )
 
 // analyzedHooks records every Analyzed replication callback.
@@ -42,7 +43,7 @@ func TestFactorizeSecondChancePatch(t *testing.T) {
 		t.Fatal("first factorize cannot be a patch")
 	}
 
-	pert := sstar.GenPerturb(base, 3, 2, 32)
+	pert := sparse.PerturbPattern(base, 3, 2, 32)
 	r2 := s.process(&Request{Op: OpFactorize, Matrix: pert, Opts: sstar.DefaultOptions()})
 	if r2.Err != "" {
 		t.Fatal(r2.Err)
@@ -118,7 +119,7 @@ func TestFactorizePatchDisabled(t *testing.T) {
 	if r := s.process(&Request{Op: OpFactorize, Matrix: base, Opts: sstar.DefaultOptions()}); r.Err != "" {
 		t.Fatal(r.Err)
 	}
-	pert := sstar.GenPerturb(base, 2, 1, 8)
+	pert := sparse.PerturbPattern(base, 2, 1, 8)
 	r := s.process(&Request{Op: OpFactorize, Matrix: pert, Opts: sstar.DefaultOptions()})
 	if r.Err != "" {
 		t.Fatal(r.Err)
@@ -143,7 +144,7 @@ func TestNearestRespectsOptionsAndOrder(t *testing.T) {
 	}
 	c.add(an.Key(), an)
 
-	pert := sstar.GenPerturb(a, 2, 1, 4)
+	pert := sparse.PerturbPattern(a, 2, 1, 4)
 	if got := c.nearest(pert, opts); got != an {
 		t.Fatal("near-miss pattern should find the cached base")
 	}

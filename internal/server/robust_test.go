@@ -242,6 +242,51 @@ func TestSingularTypedThroughProcess(t *testing.T) {
 	}
 }
 
+// TestMalformedMatrixIsBadInput: a factorize of malformed CSR storage and a
+// full-matrix refactorize one value short are outside input. Each gets an
+// ordinary error response, not an internal one, no recovered panic is
+// counted, and a well-formed matrix still factorizes under its usual
+// structure key.
+func TestMalformedMatrixIsBadInput(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	a := sstar.GenGrid2D(6, 6, false, sstar.GenOptions{Seed: 2})
+	good := s.submit(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
+	if good.Err != "" {
+		t.Fatal(good.Err)
+	}
+	if want := sstar.StructureKey(a, sstar.DefaultOptions()); good.Key != want {
+		t.Fatalf("structure key %#x, want %#x", good.Key, want)
+	}
+	bad := func(edit func(m *sstar.Matrix)) *sstar.Matrix {
+		m := a.Clone()
+		edit(m)
+		return m
+	}
+	reqs := map[string]*Request{
+		"rowptr short":                 {Op: OpFactorize, Opts: sstar.DefaultOptions(), Matrix: bad(func(m *sstar.Matrix) { m.RowPtr = m.RowPtr[:m.N] })},
+		"rowptr past end":              {Op: OpFactorize, Opts: sstar.DefaultOptions(), Matrix: bad(func(m *sstar.Matrix) { m.RowPtr[m.N-1] = m.RowPtr[m.N] + 2 })},
+		"column too large":             {Op: OpFactorize, Opts: sstar.DefaultOptions(), Matrix: bad(func(m *sstar.Matrix) { m.ColInd[3] = m.M })},
+		"val short":                    {Op: OpFactorize, Opts: sstar.DefaultOptions(), Matrix: bad(func(m *sstar.Matrix) { m.Val = m.Val[:len(m.Val)-1] })},
+		"refactorize matrix val short": {Op: OpRefactorize, Handle: good.Handle, Matrix: bad(func(m *sstar.Matrix) { m.Val = m.Val[:len(m.Val)-1] })},
+	}
+	for name, req := range reqs {
+		resp := s.submit(req)
+		if resp.Err == "" {
+			t.Fatalf("%s: accepted", name)
+		}
+		if resp.Code == CodeInternal || errors.Is(resp.Error(), sstar.ErrInternal) {
+			t.Fatalf("%s: answered as an internal error: %q", name, resp.Err)
+		}
+	}
+	if n := s.met.panics.Value(); n != 0 {
+		t.Fatalf("malformed input counted %d recovered panics", n)
+	}
+	again := s.submit(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
+	if again.Err != "" || again.Key != good.Key {
+		t.Fatalf("well-formed factorize after bad input: err %q, key %#x want %#x", again.Err, again.Key, good.Key)
+	}
+}
+
 // TestShedAndEvictionCountersExposed: the new resilience counters are part
 // of the /metrics contract.
 func TestShedAndEvictionCountersExposed(t *testing.T) {

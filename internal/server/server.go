@@ -537,6 +537,11 @@ func (s *Server) doFactorize(req *Request) *Response {
 	if a == nil {
 		return &Response{Err: "server: factorize needs a matrix"}
 	}
+	// Outside input: a malformed matrix is refused here, before the cache's
+	// pattern sketch or the analysis indexes into it.
+	if err := a.Validate(); err != nil {
+		return errResponse(err)
+	}
 	var stats RequestStats
 	// The core split is server policy: the factor phase of every request
 	// runs with at most the configured FactorWorkers, whatever the client

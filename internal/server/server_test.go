@@ -144,15 +144,29 @@ func TestBadInputNeverKillsServer(t *testing.T) {
 	}
 }
 
+// panicHooks is a ClusterHooks whose routing gate panics on every factorize:
+// the one way left to make a request panic, since outside input is checked
+// before use.
+type panicHooks struct{ captureHooks }
+
+func (panicHooks) Route(req *Request) *Response {
+	if req.Op == OpFactorize {
+		panic("test: route hook panics")
+	}
+	return nil
+}
+
 func TestProcessRecoversPanic(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
-	// A matrix that lies about its own shape panics deep inside the
-	// pipeline (RowPtr too short for N); the worker must turn that into an
-	// error response.
-	evil := &sstar.Matrix{N: 8, M: 8, RowPtr: []int{0, 1}, ColInd: []int{0}, Val: []float64{1}}
-	resp := s.submit(&Request{Op: OpFactorize, Matrix: evil, Opts: sstar.DefaultOptions()})
-	if resp.Err == "" {
-		t.Fatal("malformed matrix accepted")
+	s := newTestServer(t, Config{Workers: 1, Cluster: panicHooks{}})
+	// A panic inside a request's execution must become that request's
+	// error response, classed internal, and count as a recovered panic.
+	a := sstar.GenGrid2D(4, 4, false, sstar.GenOptions{Seed: 2})
+	resp := s.submit(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
+	if resp.Err == "" || resp.Code != CodeInternal {
+		t.Fatalf("panicking factorize answered code %s (%q), want internal", resp.Code, resp.Err)
+	}
+	if n := s.met.panics.Value(); n != 1 {
+		t.Fatalf("panic counter %d, want 1", n)
 	}
 	if resp := s.submit(&Request{Op: OpPing}); resp.Err != "" {
 		t.Fatal("server dead after panic recovery")

@@ -9,6 +9,7 @@ package sparse
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -83,6 +84,44 @@ type CSC struct {
 
 // Nnz returns the number of stored entries.
 func (a *CSR) Nnz() int { return len(a.ColInd) }
+
+// Validate reports an error unless a is a well-formed CSR matrix: non-nil,
+// with nonnegative dimensions, N+1 row pointers that start at 0, never
+// decrease and end at len(ColInd), one value per column index, and every
+// column index in [0, M). Row, MulVec and the rest of the package assume
+// all of this without checking, so a matrix from outside the process is
+// validated once before any of them runs.
+func (a *CSR) Validate() error {
+	if a == nil {
+		return errors.New("sparse: nil matrix")
+	}
+	if a.N < 0 || a.M < 0 {
+		return fmt.Errorf("sparse: negative shape %dx%d", a.N, a.M)
+	}
+	if len(a.RowPtr) != a.N+1 {
+		return fmt.Errorf("sparse: %d row pointers for %d rows, want %d", len(a.RowPtr), a.N, a.N+1)
+	}
+	if a.RowPtr[0] != 0 {
+		return fmt.Errorf("sparse: row pointers start at %d, want 0", a.RowPtr[0])
+	}
+	for i := 0; i < a.N; i++ {
+		if a.RowPtr[i+1] < a.RowPtr[i] {
+			return fmt.Errorf("sparse: row pointers decrease at row %d", i)
+		}
+	}
+	if a.RowPtr[a.N] != len(a.ColInd) {
+		return fmt.Errorf("sparse: row pointers end at %d, want %d (the column index count)", a.RowPtr[a.N], len(a.ColInd))
+	}
+	if len(a.Val) != len(a.ColInd) {
+		return fmt.Errorf("sparse: %d values for %d column indices", len(a.Val), len(a.ColInd))
+	}
+	for k, j := range a.ColInd {
+		if j < 0 || j >= a.M {
+			return fmt.Errorf("sparse: column index %d at position %d outside [0, %d)", j, k, a.M)
+		}
+	}
+	return nil
+}
 
 // Nnz returns the number of stored entries.
 func (a *CSC) Nnz() int { return len(a.RowInd) }

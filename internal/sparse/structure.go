@@ -31,7 +31,7 @@ func PatternOf(a *CSR) *Pattern {
 // EqualCSR reports whether a has exactly the nonzero structure p (same
 // dimension, same row pointers, same column indices).
 func (p *Pattern) EqualCSR(a *CSR) bool {
-	if a == nil || p.N != a.N || p.N != a.M || len(p.Ind) != len(a.ColInd) {
+	if a == nil || p.N != a.N || p.N != a.M || len(p.Ptr) != len(a.RowPtr) || len(p.Ind) != len(a.ColInd) {
 		return false
 	}
 	for i, v := range p.Ptr {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"sstar/internal/sparse"
 )
 
 // TestPatchMatchesAnalyzeSkipOrdering pins the facade contract in the case
@@ -23,7 +25,7 @@ func TestPatchMatchesAnalyzeSkipOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pert := GenPerturb(base, 1+rng.Intn(5), rng.Intn(4), seed+1)
+		pert := sparse.PerturbPattern(base, 1+rng.Intn(5), rng.Intn(4), seed+1)
 		patched, info, err := an.Patch(pert)
 		if err != nil {
 			t.Fatal(err)
@@ -35,8 +37,8 @@ func TestPatchMatchesAnalyzeSkipOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if patched.Key() != full.Key() || patched.StaticFill() != full.StaticFill() ||
-			patched.Blocks() != full.Blocks() || patched.Blocking() != full.Blocking() {
+		if patched.Key() != full.Key() || patched.sym.Static.NnzTotal() != full.sym.Static.NnzTotal() ||
+			patched.sym.Partition.NB != full.sym.Partition.NB || blockingOf(patched.sym) != blockingOf(full.sym) {
 			return false
 		}
 		fp, err := patched.FactorizeWith(pert)
@@ -76,7 +78,7 @@ func TestPatchAdaptiveBaseReusesChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pert := GenPerturb(base, 4, 3, 18)
+	pert := sparse.PerturbPattern(base, 4, 3, 18)
 	patched, info, err := an.Patch(pert)
 	if err != nil {
 		t.Fatal(err)
@@ -88,10 +90,10 @@ func TestPatchAdaptiveBaseReusesChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if patched.Key() != full.Key() || patched.StaticFill() != full.StaticFill() {
+	if patched.Key() != full.Key() || patched.sym.Static.NnzTotal() != full.sym.Static.NnzTotal() {
 		t.Fatal("patched static structure differs from a fresh Analyze")
 	}
-	if got, want := patched.Blocking().Amalgamate, an.Blocking().Amalgamate; got != want {
+	if got, want := blockingOf(patched.sym).Amalgamate, blockingOf(an.sym).Amalgamate; got != want {
 		t.Fatalf("patched amalgamation factor %d, want base's settled %d", got, want)
 	}
 	f, err := patched.FactorizeWith(pert)
@@ -121,7 +123,7 @@ func TestPatchWithOrderingFactorizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pert := GenPerturb(base, 4, 2, 9)
+	pert := sparse.PerturbPattern(base, 4, 2, 9)
 	patched, info, err := an.Patch(pert)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +175,7 @@ func TestPatchIdenticalPatternReturnsReceiver(t *testing.T) {
 
 func TestPatchThresholdAndDisabledFallBack(t *testing.T) {
 	base := GenCircuit(150, 3, GenOptions{Seed: 5})
-	pert := GenPerturb(base, 200, 100, 6)
+	pert := sparse.PerturbPattern(base, 200, 100, 6)
 
 	an, err := Analyze(base, Options{PatchMaxDiff: 0.001})
 	if err != nil {
@@ -194,7 +196,7 @@ func TestPatchThresholdAndDisabledFallBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := GenPerturb(base, 1, 0, 7)
+	small := sparse.PerturbPattern(base, 1, 0, 7)
 	_, info, err = an.Patch(small)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +221,7 @@ func TestSketchSimilarity(t *testing.T) {
 	if got := sa.Similarity(sa); got != 1 {
 		t.Fatalf("self-similarity = %v, want 1", got)
 	}
-	near := GenPerturb(a, 3, 2, 12)
+	near := sparse.PerturbPattern(a, 3, 2, 12)
 	if got := sa.Similarity(SketchOf(near)); got < 0.5 {
 		t.Fatalf("near-miss similarity = %v, want >= 0.5", got)
 	}

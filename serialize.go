@@ -64,7 +64,7 @@ func (f *Factorization) Save(w io.Writer) error {
 }
 
 // Load reads a factorization previously written by Save. The result supports
-// every solve variant (Solve, SolveTranspose, SolveMany, Refine, ...) and
+// every solve variant (Solve, SolveMany, SolveDistributed) and
 // Refactorize with same-pattern matrices. Corrupt input of any kind —
 // truncation, flipped bits, wrong format — returns an error; Load never
 // panics.

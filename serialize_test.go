@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"sstar/internal/sparse"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -33,13 +35,20 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("loaded factorization solves differently at %d", i)
 		}
 	}
-	// Transpose solve and refactorize must work on the loaded object too.
-	xt, err := g.SolveTranspose(b)
+	// The multi-RHS solve and refactorize must work on the loaded object
+	// too; SolveMany's first column is bitwise the original's Solve.
+	bm := append(append([]float64(nil), b...), rhs(a.N, 77)...)
+	xm, err := g.SolveMany(bm, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := Residual(a.Transpose(), xt, b); r > 1e-9 {
-		t.Fatalf("loaded transpose residual %g", r)
+	for i := range x1 {
+		if xm[i] != x1[i] {
+			t.Fatalf("loaded SolveMany column 0 differs from Solve at %d", i)
+		}
+	}
+	if r := Residual(a, xm[a.N:], bm[a.N:]); r > 1e-9 {
+		t.Fatalf("loaded SolveMany residual %g", r)
 	}
 	a2 := a.Clone()
 	for i := range a2.Val {
@@ -127,7 +136,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("expected error for garbage stream")
 	}
 	var buf bytes.Buffer
-	a := GenDense(8, 77)
+	a := sparse.Dense(8, 77)
 	f, _ := Factorize(a, DefaultOptions())
 	if err := f.Save(&buf); err != nil {
 		t.Fatal(err)

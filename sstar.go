@@ -186,27 +186,37 @@ type Factorization struct {
 func (f *Factorization) RunStats() *RunStats { return f.runStats }
 
 // validate rejects matrices the pipeline cannot factor before any expensive
-// work happens: non-square shapes, empty rows or columns (structural
-// singularity), and diagonal-free inputs when reordering is disabled.
+// work happens: nil or malformed CSR storage (Matrix.Validate), non-square
+// shapes, duplicate entries, empty rows or columns (structural singularity),
+// and diagonal-free inputs when reordering is disabled.
 func validate(a *Matrix, o Options) error {
+	if err := a.Validate(); err != nil {
+		return err
+	}
 	if a.N != a.M {
 		return fmt.Errorf("sstar: matrix must be square, got %dx%d", a.N, a.M)
 	}
 	if a.N == 0 {
 		return fmt.Errorf("sstar: empty matrix")
 	}
-	colSeen := make([]bool, a.M)
+	// lastRow[j] is 1 + the last row holding column j, 0 while none does:
+	// it finds a column repeated within a row (a duplicate entry, which the
+	// factorization would not sum) as well as the empty columns.
+	lastRow := make([]int, a.M)
 	for i := 0; i < a.N; i++ {
 		cols, _ := a.Row(i)
 		if len(cols) == 0 {
 			return fmt.Errorf("sstar: row %d is empty (structurally singular)", i)
 		}
 		for _, j := range cols {
-			colSeen[j] = true
+			if lastRow[j] == i+1 {
+				return fmt.Errorf("sstar: row %d holds column %d twice", i, j)
+			}
+			lastRow[j] = i + 1
 		}
 	}
-	for j, seen := range colSeen {
-		if !seen {
+	for j, r := range lastRow {
+		if r == 0 {
 			return fmt.Errorf("sstar: column %d is empty (structurally singular)", j)
 		}
 	}
@@ -255,6 +265,9 @@ func (f *Factorization) Refactorize(a *Matrix) error {
 	}
 	if a.Nnz() != f.patNnz || patternHash(a) != f.patHash {
 		return fmt.Errorf("sstar: refactorize pattern mismatch: matrix has %d nonzeros in a different structure than the factorized pattern (%d nonzeros)", a.Nnz(), f.patNnz)
+	}
+	if len(a.Val) != len(a.ColInd) {
+		return fmt.Errorf("sstar: refactorize: %d values for %d nonzeros", len(a.Val), len(a.ColInd))
 	}
 	return f.fact.Refactorize(a, f.HostWorkers(), sinkFor(f.observer))
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"sstar/internal/sparse"
 )
 
 // stringsBuilder adapts a bytes.Buffer for write-then-read round trips.
@@ -89,13 +91,13 @@ func TestRefactorize(t *testing.T) {
 	if r := Residual(a2, x, b); r > 1e-10 {
 		t.Fatalf("refactorized residual %g", r)
 	}
-	if err := f.Refactorize(GenDense(3, 1)); err == nil {
+	if err := f.Refactorize(sparse.Dense(3, 1)); err == nil {
 		t.Fatal("expected size-mismatch error")
 	}
 }
 
 func TestSolveLengthCheck(t *testing.T) {
-	a := GenDense(10, 5)
+	a := sparse.Dense(10, 5)
 	f, err := Factorize(a, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +173,7 @@ func TestFactorizeVirtualFold(t *testing.T) {
 }
 
 func TestFactorizeVirtualValidation(t *testing.T) {
-	a := GenDense(20, 8)
+	a := sparse.Dense(20, 8)
 	if _, err := Factorize(a, Options{Procs: 2, Machine: "vax"}); err == nil {
 		t.Fatal("expected unknown machine error")
 	}
