@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sync"
 
 	"sstar/internal/core"
@@ -147,6 +146,8 @@ func StructureKey(a *Matrix, o Options) uint64 {
 	} else {
 		put(0)
 	}
-	put(math.Float64bits(o.PivotThreshold))
+	// The slot of the retired pivot threshold: always 0, so keys computed
+	// before its removal still match.
+	put(0)
 	return h.Sum64()
 }

@@ -169,11 +169,6 @@ func TestStructureKey(t *testing.T) {
 	if StructureKey(a, o2) == k {
 		t.Fatal("key ignores BlockSize")
 	}
-	o3 := o
-	o3.PivotThreshold = 0.5
-	if StructureKey(a, o3) == k {
-		t.Fatal("key ignores PivotThreshold")
-	}
 	an, err := Analyze(a, o)
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,10 @@ import (
 
 // TestAPIContract holds DESIGN.md's "API contract" section and the package's
 // exported identifiers to each other: every export of a non-test file, each
-// method written as Type.Method, must be listed there, and every listed name
-// must still exist.
+// method written as Type.Method and each field of Options as Options.Field,
+// must be listed there, and every listed name must still exist. Listing the
+// Options fields with their setters keeps options only tests set from
+// coming back on the facade.
 func TestAPIContract(t *testing.T) {
 	exported := packageExports(t)
 	listed := contractNames(t)
@@ -31,7 +33,8 @@ func TestAPIContract(t *testing.T) {
 }
 
 // packageExports parses the package's non-test files and returns its
-// exported top-level names and the exported methods of its exported types.
+// exported top-level names, the exported methods of its exported types and
+// the fields of Options.
 func packageExports(t *testing.T) map[string]bool {
 	t.Helper()
 	files, err := filepath.Glob("*.go")
@@ -70,6 +73,13 @@ func packageExports(t *testing.T) map[string]bool {
 					case *ast.TypeSpec:
 						if s.Name.IsExported() {
 							names[s.Name.Name] = true
+						}
+						if st, ok := s.Type.(*ast.StructType); ok && s.Name.Name == "Options" {
+							for _, field := range st.Fields.List {
+								for _, id := range field.Names {
+									names["Options."+id.Name] = true
+								}
+							}
 						}
 					case *ast.ValueSpec:
 						for _, id := range s.Names {

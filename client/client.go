@@ -63,9 +63,6 @@ func WithMaxIdle(n int) Option { return func(c *Client) { c.pool.MaxIdle = n } }
 // default, 5s.
 func WithDialTimeout(d time.Duration) Option { return func(c *Client) { c.pool.DialTimeout = d } }
 
-// WithMaxFrame caps an incoming response frame (default wire.DefaultMaxPayload).
-func WithMaxFrame(n int) Option { return func(c *Client) { c.pool.MaxFrame = n } }
-
 // WithRetry makes the client retry failed round trips under p — see
 // RetryPolicy for exactly what is safe to retry and why. Without this option
 // retries are disabled and every failure surfaces immediately.

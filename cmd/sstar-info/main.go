@@ -80,7 +80,7 @@ func main() {
 	fmt.Printf("static element ops:        %d\n", sym.Static.ElementOps())
 	chol := symbolic.CholeskyFill(sparse.ATAPattern(work))
 	fmt.Printf("Cholesky(A'A) fill bound:  %d entries\n", 2*chol-int64(a.N))
-	if gp, err := core.GPFactorize(work, 1.0); err == nil {
+	if gp, err := core.GPFactorize(work); err == nil {
 		fmt.Printf("dynamic fill (GP LU):      %d entries\n", gp.NnzTotal())
 		fmt.Printf("dynamic flops:             %d\n", gp.Flops)
 		fmt.Printf("static/dynamic fill:       %.2f\n", float64(sym.Static.NnzTotal())/float64(gp.NnzTotal()))

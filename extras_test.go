@@ -27,30 +27,20 @@ func TestFacadeSolveMany(t *testing.T) {
 	}
 }
 
-func TestFacadeStatsAndThreshold(t *testing.T) {
+func TestFacadeStats(t *testing.T) {
 	a := GenGrid2D(10, 10, false, GenOptions{Seed: 68, WeakDiagFraction: 0.2})
-	o := DefaultOptions()
-	fc, err := Factorize(a, o)
+	f, err := Factorize(a, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.PivotThreshold = 0.05
-	ft, err := Factorize(a, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := core.MaxAbs(a.Val)
-	sc, st := fc.fact.Stats(ref), ft.fact.Stats(ref)
-	if st.Interchanges > sc.Interchanges {
-		t.Fatalf("threshold pivoting increased interchanges (%d > %d)", st.Interchanges, sc.Interchanges)
-	}
-	if sc.Blas3Fraction <= 0 || sc.GrowthFactor <= 0 {
-		t.Fatalf("stats incomplete: %+v", sc)
+	st := f.fact.Stats(core.MaxAbs(a.Val))
+	if st.Blas3Fraction <= 0 || st.GrowthFactor <= 0 {
+		t.Fatalf("stats incomplete: %+v", st)
 	}
 	b := rhs(a.N, 69)
-	x, _ := ft.Solve(b)
+	x, _ := f.Solve(b)
 	if r := Residual(a, x, b); r > 1e-8 {
-		t.Fatalf("threshold-pivoted residual %g", r)
+		t.Fatalf("residual %g", r)
 	}
 }
 

@@ -27,7 +27,7 @@ func AblationBlockSize(cfg Config, name string, sizes []int, nproc int) (*Table,
 	for _, bs := range sizes {
 		sym := core.Analyze(a, core.AnalyzeOptions{Supernode: supernode.Options{MaxBlock: bs, Amalgamate: cfg.Amalg}})
 		pre := sym.PermutedMatrix(a)
-		gp, err := core.GPFactorize(pre, 1.0)
+		gp, err := core.GPFactorize(pre)
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +62,7 @@ func AblationAmalgamation(cfg Config, name string, factors []int) (*Table, error
 	for _, r := range factors {
 		sym := core.Analyze(a, core.AnalyzeOptions{Supernode: supernode.Options{MaxBlock: cfg.BSize, Amalgamate: r}})
 		pre := sym.PermutedMatrix(a)
-		gp, err := core.GPFactorize(pre, 1.0)
+		gp, err := core.GPFactorize(pre)
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +97,7 @@ func AblationGridAspect(cfg Config, name string, nproc int) (*Table, error) {
 	model := machine.T3E()
 	sym := core.Analyze(a, core.AnalyzeOptions{Supernode: supernode.Options{MaxBlock: cfg.BSize, Amalgamate: cfg.Amalg}})
 	pre := sym.PermutedMatrix(a)
-	gp, err := core.GPFactorize(pre, 1.0)
+	gp, err := core.GPFactorize(pre)
 	if err != nil {
 		return nil, err
 	}

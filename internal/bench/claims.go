@@ -78,7 +78,7 @@ func Caveats(cfg Config, nproc int) (*Table, error) {
 		sym := core.Analyze(a, core.AnalyzeOptions{
 			Supernode: supernodeOptions(cfg),
 		})
-		gp, err := core.GPFactorize(sym.PermutedMatrix(a), 1.0)
+		gp, err := core.GPFactorize(sym.PermutedMatrix(a))
 		if err != nil {
 			return nil, err
 		}

@@ -45,7 +45,7 @@ func prepare(spec Spec, cfg Config) (*prepared, error) {
 	// The dynamic-fill baseline runs on the same ordering so fills and op
 	// counts are comparable (the paper orders both codes with MMD(A^T A)).
 	pre := sym.PermutedMatrix(a)
-	gp, err := core.GPFactorize(pre, 1.0)
+	gp, err := core.GPFactorize(pre)
 	if err != nil {
 		return nil, fmt.Errorf("%s: baseline LU failed: %w", spec.Name, err)
 	}

@@ -20,8 +20,6 @@ type RouterConfig struct {
 	Shards []string
 	// Network is the dial network for shard links ("tcp" default).
 	Network string
-	// MaxFrame caps request and response frames.
-	MaxFrame int
 	// Logf, when set, receives routing diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -71,10 +69,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	r := &Router{
 		cfg:   cfg,
 		ring:  ring,
-		peers: newPeers(cfg.Network, cfg.MaxFrame),
+		peers: newPeers(cfg.Network),
 		place: make(map[uint64]uint64),
 	}
-	r.ep = server.NewEndpoint(cfg.MaxFrame, r.handle, cfg.Logf)
+	r.ep = server.NewEndpoint(r.handle, cfg.Logf)
 	return r, nil
 }
 
@@ -82,8 +80,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // router its shards, a shard its ring peers). Cluster traffic runs outside
 // any client's context, so the pool's own timeouts are what bound it: a dead
 // peer fails a dial within seconds, a wedged one cannot hold a call forever.
-func newPeers(network string, maxFrame int) *server.Pool {
-	return &server.Pool{Network: network, MaxFrame: maxFrame, DialTimeout: 5 * time.Second, CallTimeout: 60 * time.Second}
+func newPeers(network string) *server.Pool {
+	return &server.Pool{Network: network, DialTimeout: 5 * time.Second, CallTimeout: 60 * time.Second}
 }
 
 func (r *Router) logf(format string, args ...any) {

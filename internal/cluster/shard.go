@@ -26,13 +26,6 @@ type ShardConfig struct {
 	Peers []string
 	// Network is the dial network for peer links ("tcp" default).
 	Network string
-	// MaxFrame caps peer response frames (wire.DefaultMaxPayload default).
-	MaxFrame int
-	// QueueDepth bounds the asynchronous replication queue (default 256).
-	// When the queue is full the oldest semantics are preserved by dropping
-	// the *new* push and counting it — a lagging successor degrades
-	// replication freshness, never the request path.
-	QueueDepth int
 	// Join, when set, names any live member of an existing cluster: the
 	// shard boots with a single-member ring at epoch 0 and the health loop
 	// joins through that address (receiving the fleet's epoch and member
@@ -57,12 +50,15 @@ type ShardConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// replQueueDepth bounds the asynchronous replication queue. When the queue is
+// full the oldest semantics are preserved by dropping the *new* push and
+// counting it — a lagging successor degrades replication freshness, never the
+// request path.
+const replQueueDepth = 256
+
 func (c ShardConfig) withDefaults() ShardConfig {
 	if c.Network == "" {
 		c.Network = "tcp"
-	}
-	if c.QueueDepth < 1 {
-		c.QueueDepth = 256
 	}
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = defaultHeartbeatInterval
@@ -147,8 +143,8 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	sh := &Shard{
 		cfg:        cfg,
 		ring:       ring,
-		peers:      newPeers(cfg.Network, cfg.MaxFrame),
-		jobs:       make(chan replJob, cfg.QueueDepth),
+		peers:      newPeers(cfg.Network),
+		jobs:       make(chan replJob, replQueueDepth),
 		rebalance:  make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),

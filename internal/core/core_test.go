@@ -76,7 +76,7 @@ func TestDenseLUSingular(t *testing.T) {
 func TestGPSolveAgainstDense(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		a := sparse.RandomSparse(50, 4, seed)
-		f, err := GPFactorize(a, 1.0)
+		f, err := GPFactorize(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestGPPivotingKicksIn(t *testing.T) {
 	coo.Add(2, 1, 1)
 	coo.Add(2, 2, 3)
 	a := coo.ToCSR()
-	f, err := GPFactorize(a, 1.0)
+	f, err := GPFactorize(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +134,14 @@ func TestGPSingular(t *testing.T) {
 	coo.Add(0, 1, 1)
 	coo.Add(1, 0, 2)
 	coo.Add(1, 1, 2)
-	if _, err := GPFactorize(coo.ToCSR(), 1.0); err == nil {
+	if _, err := GPFactorize(coo.ToCSR()); err == nil {
 		t.Fatal("expected singular error for rank-deficient matrix")
 	}
 }
 
 func TestGPFillAtLeastA(t *testing.T) {
 	a := sparse.Grid2D(10, 10, false, sparse.GenOptions{Seed: 5})
-	f, err := GPFactorize(a, 1.0)
+	f, err := GPFactorize(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSeqStarMatchesGPSolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, err := GPFactorize(a, 1.0)
+	gp, err := GPFactorize(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestSeqStarFlopsAccounting(t *testing.T) {
 	if f.Fl.B2 <= 0 || f.Fl.B3 <= 0 {
 		t.Fatalf("expected both BLAS-2 and BLAS-3 work, got %+v", f.Fl)
 	}
-	gp, _ := GPFactorize(a, 1.0)
+	gp, _ := GPFactorize(a)
 	if f.Fl.Total() < gp.Flops {
 		t.Fatalf("static-structure flops %d below dynamic-fill flops %d", f.Fl.Total(), gp.Flops)
 	}
@@ -324,45 +324,5 @@ func TestSeqStarSingular(t *testing.T) {
 	sym := Analyze(a, AnalyzeOptions{SkipOrdering: true, Supernode: supernode.Options{MaxBlock: 3}})
 	if _, err := FactorizeSeq(a, sym); err == nil {
 		t.Skip("matrix happened to be numerically nonsingular under this structure")
-	}
-}
-
-func TestGPThresholdPivoting(t *testing.T) {
-	a := sparse.Grid2D(9, 9, false, sparse.GenOptions{Seed: 16, WeakDiagFraction: 0.2})
-	strict, err := GPFactorize(a, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relaxed, err := GPFactorize(a, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offDiagStrict, offDiagRelaxed := 0, 0
-	for i, p := range strict.PRow {
-		if p != i {
-			offDiagStrict++
-		}
-	}
-	for i, p := range relaxed.PRow {
-		if p != i {
-			offDiagRelaxed++
-		}
-	}
-	if offDiagRelaxed > offDiagStrict {
-		t.Fatalf("threshold pivoting moved more rows: %d vs %d", offDiagRelaxed, offDiagStrict)
-	}
-	b := randRHS(a.N, 17)
-	if r := residual(a, relaxed.Solve(b), b); r > 1e-8 {
-		t.Fatalf("relaxed GP residual %g", r)
-	}
-	// Out-of-range tolerance falls back to classical pivoting.
-	fallback, err := GPFactorize(a, 7.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range strict.PRow {
-		if strict.PRow[i] != fallback.PRow[i] {
-			t.Fatal("tol > 1 should behave classically")
-		}
 	}
 }

@@ -45,16 +45,12 @@ func (f *GPFactors) NnzTotal() int { return f.fillL + f.fillU - f.N }
 // symbolic factorization. This is the algorithmic core of SuperLU (minus
 // supernodes) and provides the exact dynamic fill and operation counts the
 // experiments use as baselines and MFLOPS denominators.
-//
-// pivotTol in (0,1] controls threshold pivoting; 1.0 is classical partial
-// pivoting (always take the largest magnitude).
-func GPFactorize(a *sparse.CSR, pivotTol float64) (*GPFactors, error) {
+// Pivoting is classical: the largest magnitude wins, and a diagonal that ties
+// it is kept.
+func GPFactorize(a *sparse.CSR) (*GPFactors, error) {
 	n := a.N
 	if n != a.M {
 		return nil, fmt.Errorf("core: matrix must be square, got %dx%d", n, a.M)
-	}
-	if pivotTol <= 0 || pivotTol > 1 {
-		pivotTol = 1
 	}
 	ac := a.ToCSC()
 	f := &GPFactors{
@@ -164,8 +160,8 @@ func GPFactorize(a *sparse.CSR, pivotTol float64) (*GPFactors, error) {
 		if pivRow < 0 || pivAbs == 0 {
 			return nil, fmt.Errorf("%w: zero pivot at column %d", ErrSingular, j)
 		}
-		// Threshold pivoting: prefer the diagonal when it is large enough.
-		if diagRow >= 0 && math.Abs(x[diagRow]) >= pivotTol*pivAbs {
+		// A diagonal that ties the maximum is kept: xi need not list it first.
+		if diagRow >= 0 && math.Abs(x[diagRow]) >= pivAbs {
 			pivRow = diagRow
 		}
 		pivVal := x[pivRow]

@@ -94,12 +94,11 @@ const panelBlock = 8
 // are that loop's bit for bit. piv[m] receives the global storage row chosen
 // as pivot for column m.
 //
-// tol in (0,1] selects threshold pivoting: the diagonal candidate wins when
-// its magnitude reaches tol times the column maximum; tol = 1 is classical
-// partial pivoting. Ties go to the first maximum in panel row order. A column
-// whose pivot is zero, NaN or infinite fails with an error wrapping
-// ErrSingular.
-func FactorPanel(bm *supernode.BlockMatrix, k int, piv []int32, tol float64, ws *Workspace) error {
+// Pivoting is classical partial pivoting: the column maximum wins, and ties
+// go to the first maximum in panel row order — the diagonal first, so a
+// diagonal that ties the maximum is kept. A column whose pivot is zero, NaN
+// or infinite fails with an error wrapping ErrSingular.
+func FactorPanel(bm *supernode.BlockMatrix, k int, piv []int32, ws *Workspace) error {
 	p := bm.P
 	start, s := p.Start[k], p.Size(k)
 	lrows := p.LRows[k]
@@ -123,9 +122,6 @@ func FactorPanel(bm *supernode.BlockMatrix, k int, piv []int32, tol float64, ws 
 					return fmt.Errorf("%w: zero pivot at column %d", ErrSingular, m)
 				}
 				return fmt.Errorf("%w: non-finite pivot at column %d", ErrSingular, m)
-			}
-			if math.Abs(pan[mc*s+mc]) >= tol*best {
-				bestRow = mc // threshold pivoting: keep the diagonal
 			}
 			piv[m] = int32(start + bestRow)
 			if bestRow >= s {

@@ -36,14 +36,14 @@ func BenchmarkFactorPanel(b *testing.B) {
 		r, s := d[0], d[1]
 		b.Run(fmt.Sprintf("%dx%d", r, s), func(b *testing.B) {
 			bm, ws, piv, panel0 := densePanel(b, r, s)
-			if err := core.FactorPanel(bm, 0, piv, 1, ws); err != nil {
+			if err := core.FactorPanel(bm, 0, piv, ws); err != nil {
 				b.Fatal(err)
 			}
 			flops := ws.Fl.Total()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(bm.Panel(0), panel0)
-				if err := core.FactorPanel(bm, 0, piv, 1, ws); err != nil {
+				if err := core.FactorPanel(bm, 0, piv, ws); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -23,7 +23,7 @@ import (
 // right of the column. Every multiply-subtract rounds its product first and no
 // zero multiplier is skipped (the definition all executors share).
 
-func refFactorPanel(bm *supernode.BlockMatrix, k int, piv []int32, tol float64, ws *core.Workspace) error {
+func refFactorPanel(bm *supernode.BlockMatrix, k int, piv []int32, ws *core.Workspace) error {
 	p := bm.P
 	d := bm.Diag[k]
 	s := p.Size(k)
@@ -42,8 +42,7 @@ func refFactorPanel(bm *supernode.BlockMatrix, k int, piv []int32, tol float64, 
 	}
 	for mc := 0; mc < s; mc++ {
 		m := start + mc
-		diagVal := math.Abs(d.Data[mc*s+mc])
-		bestVal, bestRow := diagVal, m
+		bestVal, bestRow := math.Abs(d.Data[mc*s+mc]), m
 		for r := mc + 1; r < s; r++ {
 			if v := math.Abs(d.Data[r*s+mc]); v > bestVal {
 				bestVal, bestRow = v, start+r
@@ -61,9 +60,6 @@ func refFactorPanel(bm *supernode.BlockMatrix, k int, piv []int32, tol float64, 
 		}
 		if math.IsNaN(bestVal) || math.IsInf(bestVal, 0) {
 			return fmt.Errorf("%w: non-finite pivot at column %d", core.ErrSingular, m)
-		}
-		if diagVal >= tol*bestVal {
-			bestRow = m
 		}
 		piv[m] = int32(bestRow)
 		if bestRow != m {
@@ -107,8 +103,7 @@ func firstDiff(x, y []float64) int {
 
 // TestFactorPanelMatchesColumnAtATimeOnSuite factors every suite matrix twice
 // — Factor(k) by the reference loop, then by the sequential executor — and
-// wants the same factors, pivots and flop tallies, under classical and
-// threshold pivoting.
+// wants the same factors, pivots and flop tallies.
 func TestFactorPanelMatchesColumnAtATimeOnSuite(t *testing.T) {
 	scale := 0.5
 	if testing.Short() {
@@ -118,28 +113,25 @@ func TestFactorPanelMatchesColumnAtATimeOnSuite(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			a := spec.Gen(scale)
 			sym := core.Analyze(a, core.AnalyzeOptions{})
-			for _, tol := range []float64{1, 0.1} {
-				sym.PivotTol = tol
-				p := sym.Partition
-				bm := supernode.NewBlockMatrix(p, sym.PermutedMatrix(a))
-				piv := make([]int32, sym.N)
-				ws := new(core.Workspace)
-				for k := 0; k < p.NB; k++ {
-					if err := refFactorPanel(bm, k, piv, tol, ws); err != nil {
-						t.Fatalf("tol %v: reference: %v", tol, err)
-					}
-					for _, jb := range p.UBlocks[k] {
-						core.UpdatePanelPair(bm, k, int(jb), piv, ws)
-					}
+			p := sym.Partition
+			bm := supernode.NewBlockMatrix(p, sym.PermutedMatrix(a))
+			piv := make([]int32, sym.N)
+			ws := new(core.Workspace)
+			for k := 0; k < p.NB; k++ {
+				if err := refFactorPanel(bm, k, piv, ws); err != nil {
+					t.Fatalf("reference: %v", err)
 				}
-				f, err := core.FactorizeSeq(a, sym)
-				if err != nil {
-					t.Fatalf("tol %v: %v", tol, err)
+				for _, jb := range p.UBlocks[k] {
+					core.UpdatePanelPair(bm, k, int(jb), piv, ws)
 				}
-				sameFactors(t, fmt.Sprintf("tol %v", tol), f, bm, piv)
-				if f.Fl != ws.Fl {
-					t.Fatalf("tol %v: flop tally %+v, column-at-a-time reference %+v", tol, f.Fl, ws.Fl)
-				}
+			}
+			f, err := core.FactorizeSeq(a, sym)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFactors(t, spec.Name, f, bm, piv)
+			if f.Fl != ws.Fl {
+				t.Fatalf("flop tally %+v, column-at-a-time reference %+v", f.Fl, ws.Fl)
 			}
 		})
 	}
@@ -172,41 +164,39 @@ func fillPanel(rng *rand.Rand, pan []float64, s int) {
 // TestFactorPanelTallPanels: the blocked panel against the reference on tall
 // panels with exact ties and zero rows, at widths around the block width
 // (one column, under a block, a block, a block and one, many blocks and an
-// odd first one), classical and threshold pivoting.
+// odd first one).
 func TestFactorPanelTallPanels(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	compared := 0
 	for _, s := range []int{1, 7, 8, 9, 63} {
 		for _, r := range []int{s, s + 1, 2*s + 3, 5*s + 40} {
-			for _, tol := range []float64{1, 0.1} {
-				for trial := 0; trial < 4; trial++ {
-					bm, ws, piv, _ := densePanel(t, r, s)
-					ref, refWs, refPiv, _ := densePanel(t, r, s)
-					fillPanel(rng, bm.Panel(0), s)
-					copy(ref.Panel(0), bm.Panel(0))
-					err := core.FactorPanel(bm, 0, piv, tol, ws)
-					refErr := refFactorPanel(ref, 0, refPiv, tol, refWs)
-					what := fmt.Sprintf("%dx%d tol %v trial %d", r, s, tol, trial)
-					if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
-						t.Fatalf("%s: error %v, reference %v", what, err, refErr)
-					}
-					if err != nil {
-						continue // singular by construction: same column reported, nothing more to compare
-					}
-					if i := firstDiff(bm.Panel(0), ref.Panel(0)); i >= 0 {
-						t.Fatalf("%s: panel entry (%d,%d) is %x, reference %x", what, i/s, i%s,
-							math.Float64bits(bm.Panel(0)[i]), math.Float64bits(ref.Panel(0)[i]))
-					}
-					for m := 0; m < s; m++ {
-						if piv[m] != refPiv[m] {
-							t.Fatalf("%s: pivot %d is row %d, reference %d", what, m, piv[m], refPiv[m])
-						}
-					}
-					if ws.Fl != refWs.Fl {
-						t.Fatalf("%s: flop tally %+v, reference %+v", what, ws.Fl, refWs.Fl)
-					}
-					compared++
+			for trial := 0; trial < 8; trial++ {
+				bm, ws, piv, _ := densePanel(t, r, s)
+				ref, refWs, refPiv, _ := densePanel(t, r, s)
+				fillPanel(rng, bm.Panel(0), s)
+				copy(ref.Panel(0), bm.Panel(0))
+				err := core.FactorPanel(bm, 0, piv, ws)
+				refErr := refFactorPanel(ref, 0, refPiv, refWs)
+				what := fmt.Sprintf("%dx%d trial %d", r, s, trial)
+				if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+					t.Fatalf("%s: error %v, reference %v", what, err, refErr)
 				}
+				if err != nil {
+					continue // singular by construction: same column reported, nothing more to compare
+				}
+				if i := firstDiff(bm.Panel(0), ref.Panel(0)); i >= 0 {
+					t.Fatalf("%s: panel entry (%d,%d) is %x, reference %x", what, i/s, i%s,
+						math.Float64bits(bm.Panel(0)[i]), math.Float64bits(ref.Panel(0)[i]))
+				}
+				for m := 0; m < s; m++ {
+					if piv[m] != refPiv[m] {
+						t.Fatalf("%s: pivot %d is row %d, reference %d", what, m, piv[m], refPiv[m])
+					}
+				}
+				if ws.Fl != refWs.Fl {
+					t.Fatalf("%s: flop tally %+v, reference %+v", what, ws.Fl, refWs.Fl)
+				}
+				compared++
 			}
 		}
 	}
@@ -229,8 +219,8 @@ func TestFactorPanelSingularColumn(t *testing.T) {
 				pan[i*s+col] = 0 // stays zero: every update subtracts l times the pivot row's zero
 			}
 		}
-		err := core.FactorPanel(bm, 0, piv, 1, ws)
-		refErr := refFactorPanel(ref, 0, refPiv, 1, refWs)
+		err := core.FactorPanel(bm, 0, piv, ws)
+		refErr := refFactorPanel(ref, 0, refPiv, refWs)
 		if err == nil || !errors.Is(err, core.ErrSingular) || err.Error() != refErr.Error() {
 			t.Fatalf("zero column %d: error %v, reference %v", col, err, refErr)
 		}

@@ -128,7 +128,7 @@ func Factorize1D(a *sparse.CSR, sym *Symbolic, model machine.Model, s *sched.Sch
 			start := proc.Clock()
 			switch t.Kind {
 			case taskgraph.KindFactor:
-				if err := FactorPanel(bm, t.K, piv, sym.pivotTol(), ws); err != nil {
+				if err := FactorPanel(bm, t.K, piv, ws); err != nil {
 					panic(singularErr{err})
 				}
 				prev = chargeDelta(proc, ws, prev)

@@ -75,7 +75,6 @@ type proc2d struct {
 	pr, pc int
 	r, c   int
 	piv    []int32
-	tol    float64
 	ws     *Workspace
 	prev   Flops
 }
@@ -111,7 +110,7 @@ func Factorize2D(a *sparse.CSR, sym *Symbolic, model machine.Model, pr, pc int, 
 		x := &proc2d{
 			proc: proc, bm: bm, p: p, pr: pr, pc: pc,
 			r: proc.ID() / pc, c: proc.ID() % pc,
-			piv: piv, tol: sym.pivotTol(), ws: &workspaces[proc.ID()],
+			piv: piv, ws: &workspaces[proc.ID()],
 		}
 		nb := p.NB
 		span := func(label string, start float64) { proc.TraceSpan(label, start) }
@@ -276,8 +275,8 @@ func (x *proc2d) factor2D(k int) {
 			if best.row < 0 || best.val == 0 {
 				panic(singularErr{fmt.Errorf("%w: zero pivot at column %d", ErrSingular, m)})
 			}
-			if diagVal >= x.tol*best.val {
-				// Threshold pivoting: keep the diagonal row.
+			if diagVal >= best.val {
+				// A diagonal that ties the maximum keeps its row.
 				best = pivCand{val: diagVal, row: m}
 				bestSub = nil
 			}

@@ -144,7 +144,6 @@ type hostRun struct {
 	// The current run's inputs; spaces holds one Workspace per worker.
 	bm     *supernode.BlockMatrix
 	piv    []int32
-	tol    float64
 	spaces []Workspace
 	sink   obs.Sink
 
@@ -172,7 +171,7 @@ func newHostRun(dag *hostDAG) *hostRun {
 // the calling goroutine among them, and returns the merged flop tally and the
 // first error. Every block update packs its L block per call: consecutive
 // tasks of a worker rarely share a panel.
-func (r *hostRun) run(bm *supernode.BlockMatrix, piv []int32, tol float64, spaces []Workspace, sink obs.Sink) (Flops, error) {
+func (r *hostRun) run(bm *supernode.BlockMatrix, piv []int32, spaces []Workspace, sink obs.Sink) (Flops, error) {
 	for w := range spaces {
 		spaces[w].Fl = Flops{}
 	}
@@ -183,7 +182,7 @@ func (r *hostRun) run(bm *supernode.BlockMatrix, piv []int32, tol float64, space
 			r.ready.push(id, r.dag.blevel[id])
 		}
 	}
-	r.bm, r.piv, r.tol, r.spaces, r.sink = bm, piv, tol, spaces, sink
+	r.bm, r.piv, r.spaces, r.sink = bm, piv, spaces, sink
 	r.remaining, r.err = len(r.deps), nil
 
 	r.wg.Add(len(spaces) - 1)
@@ -230,7 +229,7 @@ func (r *hostRun) work(worker int) {
 		}
 		var err error
 		if t.Kind == taskgraph.KindFactor {
-			err = FactorPanel(r.bm, t.K, r.piv, r.tol, ws)
+			err = FactorPanel(r.bm, t.K, r.piv, ws)
 		} else {
 			UpdatePanelPair(r.bm, t.K, t.J, r.piv, ws)
 		}

@@ -55,7 +55,7 @@ func refFactorize(t testing.TB, a *sparse.CSR, sym *core.Symbolic) (*supernode.B
 	piv := make([]int32, sym.N)
 	ws := new(core.Workspace)
 	for k := 0; k < p.NB; k++ {
-		if err := core.FactorPanel(bm, k, piv, 1, ws); err != nil {
+		if err := core.FactorPanel(bm, k, piv, ws); err != nil {
 			t.Fatalf("reference factorization: %v", err)
 		}
 		for _, jb := range p.UBlocks[k] {

@@ -23,13 +23,6 @@ type Symbolic struct {
 	ColPerm   []int // fill-reducing column permutation (old col -> new col)
 	Static    *symbolic.Static
 	Partition *supernode.Partition
-	// PivotTol enables threshold pivoting in the numeric phases: the
-	// diagonal candidate is kept whenever its magnitude is at least
-	// PivotTol times the column maximum, trading a little stability
-	// headroom for fewer row interchanges. 0 (or 1) means classical
-	// partial pivoting. The static structure is a valid bound for every
-	// threshold because it already covers all pivot choices.
-	PivotTol float64
 	// Phases is the analyze-phase cost split, recorded once at
 	// construction.
 	Phases PhaseTimes
@@ -38,14 +31,6 @@ type Symbolic struct {
 	// dag) and read-only after.
 	dagOnce sync.Once
 	hostDAG *hostDAG
-}
-
-// pivotTol normalizes the threshold.
-func (s *Symbolic) pivotTol() float64 {
-	if s.PivotTol <= 0 || s.PivotTol > 1 {
-		return 1
-	}
-	return s.PivotTol
 }
 
 // AnalyzeOptions configures the analyze phase.
@@ -241,7 +226,7 @@ func (f *Factorization) refactorize(a *sparse.CSR, workers int, sink obs.Sink) e
 			f.host = newHostRun(sym.dag())
 		}
 		spaces := f.workspaces(min(workers, len(f.host.deps)))
-		fl, err = f.host.run(f.BM, f.Piv, sym.pivotTol(), spaces, sink)
+		fl, err = f.host.run(f.BM, f.Piv, spaces, sink)
 	} else {
 		ws := &f.workspaces(1)[0]
 		ws.Fl = Flops{}
@@ -268,14 +253,13 @@ func (f *Factorization) refactorize(a *sparse.CSR, workers int, sink obs.Sink) e
 // L blocks of panel k are packed once for all of them (Workspace.newPanel).
 func runSeq(bm *supernode.BlockMatrix, piv []int32, sym *Symbolic, ws *Workspace, sink obs.Sink) error {
 	p := sym.Partition
-	tol := sym.pivotTol()
 	defer ws.dropPanel()
 	for k := 0; k < p.NB; k++ {
 		var t0 time.Time
 		if sink != nil {
 			t0 = time.Now()
 		}
-		if err := FactorPanel(bm, k, piv, tol, ws); err != nil {
+		if err := FactorPanel(bm, k, piv, ws); err != nil {
 			return err
 		}
 		if sink != nil {

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"sstar/internal/machine"
+	"sstar/internal/sched"
 	"sstar/internal/sparse"
+	"sstar/internal/supernode"
 )
 
 func TestSolveMany(t *testing.T) {
@@ -180,49 +182,133 @@ func maxPanel(sym *Symbolic) int {
 	return widest
 }
 
-func TestThresholdPivoting(t *testing.T) {
-	a := sparse.Grid2D(10, 10, false, sparse.GenOptions{Seed: 47, WeakDiagFraction: 0.15})
-	classical := analyzeFor(t, a, 8, 4)
-	fc, err := FactorizeSeq(a, classical)
-	if err != nil {
-		t.Fatal(err)
+// tieLower returns an n x n lower-triangular matrix of small integers whose
+// diagonal is ±2 and whose other entries are ±1 or ±2: classical pivoting
+// with the diagonal kept on ties never interchanges, so no column is ever
+// updated and every column holding a ±2 below the diagonal is an exact tie
+// at its turn. ties counts those columns.
+func tieLower(n int, seed int64) (a *sparse.CSR, ties int) {
+	rng := rand.New(rand.NewSource(seed))
+	coo := sparse.NewCOO(n, n)
+	for j := 0; j < n; j++ {
+		coo.Add(j, j, float64(2-4*(j%2)))
+		tie := false
+		for i := j + 1; i < n; i++ {
+			if rng.Intn(6) != 0 {
+				continue
+			}
+			v := float64(1 + rng.Intn(2))
+			tie = tie || v == 2
+			if rng.Intn(2) == 0 {
+				v = -v
+			}
+			coo.Add(i, j, v)
+		}
+		if tie {
+			ties++
+		}
 	}
-	thresholded := analyzeFor(t, a, 8, 4)
-	thresholded.PivotTol = 0.1
-	ft, err := FactorizeSeq(a, thresholded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, st := fc.Stats(0), ft.Stats(0)
-	if st.Interchanges > sc.Interchanges {
-		t.Fatalf("threshold pivoting increased interchanges: %d vs %d", st.Interchanges, sc.Interchanges)
-	}
-	b := randRHS(a.N, 48)
-	if r := residual(a, ft.Solve(b), b); r > 1e-8 {
-		t.Fatalf("thresholded residual %g", r)
-	}
+	return coo.ToCSR(), ties
 }
 
-func TestThresholdPivotingConsistentAcrossCodes(t *testing.T) {
-	a := sparse.Grid2D(10, 10, false, sparse.GenOptions{Seed: 49, WeakDiagFraction: 0.2})
-	sym := analyzeFor(t, a, 8, 4)
-	sym.PivotTol = 0.25
-	seq, err := FactorizeSeq(a, sym)
-	if err != nil {
-		t.Fatal(err)
+// integerValues returns a copy of a whose values are ±1 or ±2, so pivot
+// columns start with exact magnitude ties.
+func integerValues(a *sparse.CSR, seed int64) *sparse.CSR {
+	rng := rand.New(rand.NewSource(seed))
+	b := a.Clone()
+	for i := range b.Val {
+		b.Val[i] = float64(1+rng.Intn(2)) * float64(1-2*rng.Intn(2))
 	}
-	d2, err := Factorize2D(a, sym, machine.T3E(), 2, 3, true)
-	if err != nil {
-		t.Fatal(err)
+	return b
+}
+
+// TestPivotTiesConsistentAcrossCodes pins the pivot tie rule across every
+// executor: on matrices with exact magnitude ties, the sequential code, the
+// host task-DAG executor, both 1D schedules and both 2D codes choose the same
+// pivot rows, and a diagonal that ties the column maximum is kept — by the
+// Gilbert–Peierls comparator too.
+func TestPivotTiesConsistentAcrossCodes(t *testing.T) {
+	lower, ties := tieLower(60, 51)
+	if ties < 15 {
+		t.Fatalf("only %d tie columns: the generator no longer makes ties", ties)
 	}
-	d1, err := Factorize1D(a, sym, machine.T3E(), ScheduleCA(sym, 3))
-	if err != nil {
-		t.Fatal(err)
+	// Column 1 of updated ties only after column 0's update, and
+	// Gilbert–Peierls reaches the fill row 2 before the diagonal.
+	coo := sparse.NewCOO(3, 3)
+	for _, e := range [][3]float64{{0, 0, 2}, {0, 1, 2}, {1, 1, 2}, {2, 0, 2}, {2, 2, 1}} {
+		coo.Add(int(e[0]), int(e[1]), e[2])
 	}
-	for m := range seq.Piv {
-		if seq.Piv[m] != d2.Fact.Piv[m] || seq.Piv[m] != d1.Fact.Piv[m] {
-			t.Fatalf("threshold pivot choice diverged at column %d", m)
-		}
+	updated := coo.ToCSR()
+	grid := integerValues(sparse.Grid2D(10, 10, false, sparse.GenOptions{Seed: 49}), 50)
+	natural := AnalyzeOptions{SkipOrdering: true, Supernode: supernode.Options{MaxBlock: 8, Amalgamate: 4}}
+	cases := []struct {
+		name string
+		a    *sparse.CSR
+		sym  *Symbolic
+		keep bool // every pivot is a tied diagonal
+	}{
+		{"lower", lower, Analyze(lower, natural), true},
+		{"updated", updated, Analyze(updated, natural), true},
+		{"grid", grid, analyzeFor(t, grid, 8, 4), false},
+	}
+	model := machine.T3E()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, sym := tc.a, tc.sym
+			seq, err := FactorizeSeq(a, sym)
+			if err != nil {
+				t.Fatal(err)
+			}
+			swaps := 0
+			for m, p := range seq.Piv {
+				if int(p) != m {
+					swaps++
+				}
+			}
+			if tc.keep {
+				if swaps != 0 {
+					t.Fatalf("%d interchanges: a tied diagonal was not kept", swaps)
+				}
+				gp, err := GPFactorize(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range gp.PRow {
+					if p != i {
+						t.Fatalf("Gilbert–Peierls pivots row %d at column %d: a tied diagonal was not kept", i, p)
+					}
+				}
+			}
+			if !tc.keep && swaps == 0 {
+				t.Fatal("no interchange: the matrix does not exercise pivoting")
+			}
+			host, err := FactorizeHost(a, sym, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			codes := map[string][]int32{"host": host.Piv}
+			for name, s := range map[string]*sched.Schedule{"1d-ca": ScheduleCA(sym, 3), "1d-rapid": ScheduleRAPID(sym, 3, model)} {
+				r, err := Factorize1D(a, sym, model, s)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				codes[name] = r.Fact.Piv
+			}
+			for name, async := range map[string]bool{"2d": true, "2d-sync": false} {
+				r, err := Factorize2D(a, sym, model, 2, 3, async)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				codes[name] = r.Fact.Piv
+			}
+			for name, piv := range codes {
+				for m := range seq.Piv {
+					if piv[m] != seq.Piv[m] {
+						t.Fatalf("%s: pivot of column %d is row %d, sequential %d", name, m, piv[m], seq.Piv[m])
+					}
+				}
+			}
+		})
 	}
 }
 

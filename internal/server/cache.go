@@ -60,20 +60,26 @@ const patchSimilarityMin = 0.75
 // incrementally when the exact structure key missed. Entries must share the
 // order and the options and clear patchSimilarityMin; nil when none does.
 // LRU positions and hit/miss counters are untouched: this is a miss-path
-// helper, and the caller accounts for patches separately.
+// helper, and the caller accounts for patches separately. a is sketched only
+// when some entry shares its order and options, and outside the lock.
 func (c *analysisCache) nearest(a *sstar.Matrix, opts sstar.Options) *sstar.Analysis {
-	sk := sstar.SketchOf(a)
+	var cands []*sstar.Analysis
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*cacheEntry); e.opts == opts && e.an.N() == a.N {
+			cands = append(cands, e.an)
+		}
+	}
+	c.mu.Unlock()
+	if len(cands) == 0 {
+		return nil
+	}
+	sk := sstar.SketchOf(a)
 	var best *sstar.Analysis
 	bestSim := patchSimilarityMin
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if e.opts != opts || e.an.N() != a.N {
-			continue
-		}
-		if sim := sk.Similarity(e.an.Sketch()); sim >= bestSim && (best == nil || sim > bestSim) {
-			best, bestSim = e.an, sim
+	for _, an := range cands {
+		if sim := sk.Similarity(an.Sketch()); sim >= bestSim && (best == nil || sim > bestSim) {
+			best, bestSim = an, sim
 		}
 	}
 	return best

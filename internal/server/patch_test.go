@@ -110,25 +110,33 @@ func TestFactorizeSecondChancePatch(t *testing.T) {
 	}
 }
 
-// TestFactorizePatchDisabled: a negative Config.PatchMaxDiff turns the
-// second-chance lookup off entirely.
-func TestFactorizePatchDisabled(t *testing.T) {
-	s := New(Config{Workers: 1, FactorWorkers: 1, PatchMaxDiff: -1})
-	defer s.Close()
-	base := sstar.GenCircuit(300, 4, sstar.GenOptions{Seed: 7})
-	if r := s.process(&Request{Op: OpFactorize, Matrix: base, Opts: sstar.DefaultOptions()}); r.Err != "" {
-		t.Fatal(r.Err)
+// TestNearestNoCandidateIsFree: a cold miss with no cached entry of the same
+// order and options pays nothing for the near-miss lookup — in particular, no
+// pattern sketch of the request.
+func TestNearestNoCandidateIsFree(t *testing.T) {
+	c := newAnalysisCache(8)
+	opts := sstar.DefaultOptions()
+	for _, n := range []int{100, 300} {
+		an, err := sstar.Analyze(sstar.GenCircuit(n, 4, sstar.GenOptions{Seed: 3}), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.add(an.Key(), an)
 	}
-	pert := sparse.PerturbPattern(base, 2, 1, 8)
-	r := s.process(&Request{Op: OpFactorize, Matrix: pert, Opts: sstar.DefaultOptions()})
-	if r.Err != "" {
-		t.Fatal(r.Err)
+	a := sstar.GenCircuit(200, 4, sstar.GenOptions{Seed: 3})
+	other := opts
+	other.BlockSize = 25
+	an, err := sstar.Analyze(a, other)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Stats.Patched {
-		t.Fatal("patching disabled but request reports a patch")
-	}
-	if st := s.Stats(); st.Patches != 0 {
-		t.Fatalf("patches = %d, want 0", st.Patches)
+	c.add(an.Key(), an)
+	if got := testing.AllocsPerRun(20, func() {
+		if c.nearest(a, opts) != nil {
+			t.Fatal("no entry shares the order and options")
+		}
+	}); got != 0 {
+		t.Fatalf("nearest with no candidate allocates %v times per call, want 0", got)
 	}
 }
 

@@ -13,7 +13,9 @@ import (
 	"sstar"
 )
 
-// Config tunes a Server. The zero value picks sensible defaults.
+// Config tunes a Server. The zero value picks sensible defaults. The
+// near-miss re-analysis budget (sstar.DefaultPatchMaxDiff) and the frame
+// payload cap (wire.DefaultMaxPayload) are fixed, not settings.
 type Config struct {
 	// Workers bounds the number of requests factorizing/solving
 	// concurrently (default 4). Requests beyond it queue; the queue wait
@@ -38,21 +40,6 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries caps the analysis LRU cache (default 64 structures).
 	CacheEntries int
-	// PatchMaxDiff tunes the incremental re-analysis path: on an analysis
-	// cache miss the server looks for a cached analysis of a structurally
-	// similar pattern (same order and options, pattern-sketch similarity at
-	// least patchSimilarityMin) and derives the new analysis by
-	// Analysis.Patch instead of analyzing from scratch, provided the
-	// structural diff stays under this fraction of the new pattern's
-	// nonzeros. 0 selects the library default (sstar.DefaultPatchMaxDiff);
-	// a negative value disables the second-chance lookup entirely. Patched
-	// analyses are byte-identical to a pinned-ordering recompute and
-	// replicate exactly like cold ones.
-	PatchMaxDiff float64
-	// MaxFrame caps an incoming frame payload (default
-	// wire.DefaultMaxPayload); oversized or corrupt-length frames fail the
-	// connection, never the server.
-	MaxFrame int
 	// MemBudget caps the estimated bytes held by live factorization
 	// handles (0 = unlimited). When a new handle pushes the total over
 	// budget, least-recently-used handles are evicted; operations on an
@@ -217,7 +204,7 @@ func New(cfg Config) *Server {
 		stop:  make(chan struct{}),
 		quit:  make(chan struct{}),
 	}
-	s.ep = NewEndpoint(cfg.MaxFrame, s.submit, cfg.Logf)
+	s.ep = NewEndpoint(s.submit, cfg.Logf)
 	s.met = newMetrics(s)
 	for i := 0; i < cfg.Workers; i++ {
 		s.workerWg.Add(1)
@@ -554,9 +541,6 @@ func (s *Server) doFactorize(req *Request) *Response {
 	// Observers are a local-process concern: they cannot travel the wire,
 	// and the cache's exact-options check must not see one.
 	opts.Observer = nil
-	// The patch budget is server policy too, normalized for the same
-	// reason as HostWorkers (and equally excluded from the key).
-	opts.PatchMaxDiff = s.cfg.PatchMaxDiff
 	// The virtual-machine routing knobs are meaningless on the service
 	// path: the server always factors on the host executor. Normalized so
 	// the cache's exact-options check cannot fragment on them (they are
@@ -573,22 +557,20 @@ func (s *Server) doFactorize(req *Request) *Response {
 	// symbolic computation only on the changed entries' propagation cone.
 	patched := false
 	an, hit, computed, err := s.cache.getOrCompute(key, a, opts, func() (*sstar.Analysis, error) {
-		if s.cfg.PatchMaxDiff >= 0 {
-			if base := s.cache.nearest(a, opts); base != nil {
-				an2, info, err := base.Patch(a)
-				if err != nil {
-					return nil, err
-				}
-				if info.Patched {
-					patched = true
-					s.patches.Add(1)
-				} else {
-					// Patch already fell back to the full analyze
-					// internally; an2 is that analysis.
-					s.patchFallbacks.Add(1)
-				}
-				return an2, nil
+		if base := s.cache.nearest(a, opts); base != nil {
+			an2, info, err := base.Patch(a)
+			if err != nil {
+				return nil, err
 			}
+			if info.Patched {
+				patched = true
+				s.patches.Add(1)
+			} else {
+				// Patch already fell back to the full analyze
+				// internally; an2 is that analysis.
+				s.patchFallbacks.Add(1)
+			}
+			return an2, nil
 		}
 		return sstar.Analyze(a, opts)
 	})

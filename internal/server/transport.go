@@ -45,9 +45,8 @@ func (h Hello) check() error {
 // handle returns is answered in-band and the connection lives on — an
 // endpoint never dies on bad input.
 type Endpoint struct {
-	maxFrame int
-	handle   func(*Request) *Response
-	logf     func(format string, args ...any)
+	handle func(*Request) *Response
+	logf   func(format string, args ...any)
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -57,14 +56,13 @@ type Endpoint struct {
 }
 
 // NewEndpoint returns an endpoint answering every request with handle, which
-// must not return nil. maxFrame caps an incoming request payload (<= 0
-// selects wire.DefaultMaxPayload); logf may be nil.
-func NewEndpoint(maxFrame int, handle func(*Request) *Response, logf func(format string, args ...any)) *Endpoint {
+// must not return nil; logf may be nil. An incoming request payload is capped
+// at wire.DefaultMaxPayload.
+func NewEndpoint(handle func(*Request) *Response, logf func(format string, args ...any)) *Endpoint {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	return &Endpoint{
-		maxFrame:  maxFrame,
 		handle:    handle,
 		logf:      logf,
 		listeners: make(map[net.Listener]struct{}),
@@ -153,7 +151,7 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 	}
 	for {
 		req := new(Request)
-		if wire.ReadGob(conn, FrameRequest, e.maxFrame, req) != nil {
+		if wire.ReadGob(conn, FrameRequest, wire.DefaultMaxPayload, req) != nil {
 			return // io.EOF here is the clean "peer hung up" path
 		}
 		if wire.WriteGob(conn, FrameResponse, e.handle(req)) != nil {
@@ -168,7 +166,6 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 // use.
 type Pool struct {
 	Network     string        // dial network ("tcp" when empty)
-	MaxFrame    int           // caps an incoming response payload (<= 0 selects wire.DefaultMaxPayload)
 	MaxIdle     int           // pooled idle connections per address (<= 0 selects 4)
 	DialTimeout time.Duration // bounds connect plus handshake (<= 0 selects 5s); a sooner context deadline wins
 	CallTimeout time.Duration // bounds a round trip whose context has no sooner deadline (0 = unbounded)
@@ -376,7 +373,7 @@ func (p *Pool) roundTrip(ctx context.Context, conn net.Conn, addr string, req *R
 	resp := new(Response)
 	if err == nil {
 		op = "receive"
-		err = wire.ReadGob(conn, FrameResponse, p.MaxFrame, resp)
+		err = wire.ReadGob(conn, FrameResponse, wire.DefaultMaxPayload, resp)
 	}
 	// The cancel firing after the response landed leaves the result valid
 	// and the connection not.

@@ -8,6 +8,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -33,8 +34,7 @@ func listenLoopback(t *testing.T) net.Listener {
 // costs that peer its connection — after the in-band answer, where one is
 // owed — and never the endpoint, which keeps serving the next connection.
 func TestEndpointBrokenConversations(t *testing.T) {
-	const maxFrame = 1 << 10
-	ep := NewEndpoint(maxFrame, func(r *Request) *Response { return &Response{Handle: r.Handle} }, nil)
+	ep := NewEndpoint(func(r *Request) *Response { return &Response{Handle: r.Handle} }, nil)
 	l := listenLoopback(t)
 	go ep.Serve(l)
 	defer ep.Close()
@@ -54,7 +54,11 @@ func TestEndpointBrokenConversations(t *testing.T) {
 		{name: "wrong magic", hello: Hello{Magic: "not-sstar", Version: ProtoVersion}, inBand: "unsupported protocol"},
 		{name: "wrong version", hello: Hello{Magic: ProtoMagic, Version: ProtoVersion + 1}, inBand: "unsupported protocol"},
 		{name: "oversized frame", hello: goodHello, after: func(t *testing.T, conn net.Conn) {
-			if err := wire.WriteGob(conn, FrameRequest, &Request{Op: OpSolve, B: make([]float64, maxFrame)}); err != nil {
+			// A frame header promising one byte over the payload cap: the
+			// endpoint hangs up before reading, let alone allocating, it.
+			hdr := []byte{FrameRequest, 0, 0, 0, 0, 0, 0, 0, 0}
+			binary.BigEndian.PutUint32(hdr[1:5], wire.DefaultMaxPayload+1)
+			if _, err := conn.Write(hdr); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -292,7 +296,7 @@ type poolStats struct{ Dials, Reused, Redials int64 }
 // is left alone (the router relays client requests under no context).
 func TestPoolForwardsDeadlineBudget(t *testing.T) {
 	var seen atomic.Int64
-	ep := NewEndpoint(0, func(r *Request) *Response { seen.Store(r.TimeoutNs); return &Response{} }, nil)
+	ep := NewEndpoint(func(r *Request) *Response { seen.Store(r.TimeoutNs); return &Response{} }, nil)
 	l := listenLoopback(t)
 	go ep.Serve(l)
 	defer ep.Close()

@@ -16,7 +16,7 @@ type PatchInfo struct {
 	// Patched is true when the incremental path produced the analysis;
 	// false means Patch fell back to a full analyze (Fallback says why).
 	Patched bool
-	// Fallback names why the incremental path was refused: "disabled",
+	// Fallback names why the incremental path was refused:
 	// "diff-above-threshold", "diagonal-lost" or "shape-mismatch". Empty
 	// when Patched (including the trivial identical-pattern case).
 	Fallback string
@@ -43,12 +43,17 @@ type PatchInfo struct {
 // pattern; callers that want the last percent of quality for a drifted
 // structure should re-analyze from scratch occasionally.
 //
-// When the diff exceeds Options.PatchMaxDiff (or the incremental machinery
-// cannot apply — the reused transversal lost a diagonal entry, the shapes
-// differ, or PatchMaxDiff is negative), Patch transparently falls back to a
-// full Analyze with the cached options; info.Fallback records the reason.
-// An identical pattern returns the receiver itself.
+// When the diff exceeds DefaultPatchMaxDiff (or the incremental machinery
+// cannot apply — the reused transversal lost a diagonal entry, or the shapes
+// differ), Patch transparently falls back to a full Analyze with the cached
+// options; info.Fallback records the reason. An identical pattern returns the
+// receiver itself.
 func (an *Analysis) Patch(a *Matrix) (*Analysis, PatchInfo, error) {
+	return an.patch(a, DefaultPatchMaxDiff)
+}
+
+// patch is Patch with the diff budget maxFrac as a parameter.
+func (an *Analysis) patch(a *Matrix, maxFrac float64) (*Analysis, PatchInfo, error) {
 	var info PatchInfo
 	if a == nil {
 		return nil, info, fmt.Errorf("sstar: Patch: nil matrix")
@@ -61,17 +66,10 @@ func (an *Analysis) Patch(a *Matrix) (*Analysis, PatchInfo, error) {
 		info.ReusedCols = an.pat.N
 		return an, info, nil
 	}
-	maxFrac := an.opts.PatchMaxDiff
-	if maxFrac == 0 {
-		maxFrac = DefaultPatchMaxDiff
-	}
 	fallback := func(reason string) (*Analysis, PatchInfo, error) {
 		info.Fallback = reason
 		full, err := Analyze(a, an.opts)
 		return full, info, err
-	}
-	if maxFrac < 0 {
-		return fallback("disabled")
 	}
 	if a.N != an.pat.N {
 		return fallback("shape-mismatch")
@@ -107,7 +105,6 @@ func (an *Analysis) Patch(a *Matrix) (*Analysis, PatchInfo, error) {
 		ColPerm:   an.sym.ColPerm,
 		Static:    st,
 		Partition: part,
-		PivotTol:  an.sym.PivotTol,
 		Phases:    core.PhaseTimes{PartitionNs: partNs, PatchNs: patchNs},
 	}
 	return &Analysis{

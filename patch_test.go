@@ -17,7 +17,7 @@ import (
 // so only the static structure — not the panel bounds — is pinned to a fresh
 // Analyze there.)
 func TestPatchMatchesAnalyzeSkipOrdering(t *testing.T) {
-	opts := Options{SkipOrdering: true, PatchMaxDiff: 1, BlockSize: 16, Amalgamate: 4}
+	opts := Options{SkipOrdering: true, BlockSize: 16, Amalgamate: 4}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		base := GenCircuit(60+rng.Intn(100), 3, GenOptions{Seed: seed})
@@ -26,7 +26,7 @@ func TestPatchMatchesAnalyzeSkipOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		pert := sparse.PerturbPattern(base, 1+rng.Intn(5), rng.Intn(4), seed+1)
-		patched, info, err := an.Patch(pert)
+		patched, info, err := an.patch(pert, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,14 +72,14 @@ func TestPatchMatchesAnalyzeSkipOrdering(t *testing.T) {
 // structure is still exactly Analyze's (it does not depend on blocking), and
 // the patched partition factorizes correctly.
 func TestPatchAdaptiveBaseReusesChoice(t *testing.T) {
-	opts := Options{SkipOrdering: true, PatchMaxDiff: 1}
+	opts := Options{SkipOrdering: true}
 	base := GenCircuit(250, 4, GenOptions{Seed: 17})
 	an, err := Analyze(base, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pert := sparse.PerturbPattern(base, 4, 3, 18)
-	patched, info, err := an.Patch(pert)
+	patched, info, err := an.patch(pert, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,15 +173,15 @@ func TestPatchIdenticalPatternReturnsReceiver(t *testing.T) {
 	}
 }
 
-func TestPatchThresholdAndDisabledFallBack(t *testing.T) {
+func TestPatchThresholdFallsBack(t *testing.T) {
 	base := GenCircuit(150, 3, GenOptions{Seed: 5})
 	pert := sparse.PerturbPattern(base, 200, 100, 6)
 
-	an, err := Analyze(base, Options{PatchMaxDiff: 0.001})
+	an, err := Analyze(base, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, info, err := an.Patch(pert)
+	full, info, err := an.patch(pert, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,28 +190,6 @@ func TestPatchThresholdAndDisabledFallBack(t *testing.T) {
 	}
 	if !full.Matches(pert) {
 		t.Fatal("fallback analysis does not match the new pattern")
-	}
-
-	an, err = Analyze(base, Options{PatchMaxDiff: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := sparse.PerturbPattern(base, 1, 0, 7)
-	_, info, err = an.Patch(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Patched || info.Fallback != "disabled" {
-		t.Fatalf("want disabled fallback, got %+v", info)
-	}
-}
-
-func TestPatchMaxDiffExcludedFromStructureKey(t *testing.T) {
-	a := GenCircuit(80, 3, GenOptions{Seed: 3})
-	k1 := StructureKey(a, Options{})
-	k2 := StructureKey(a, Options{PatchMaxDiff: 0.5, HostWorkers: 8})
-	if k1 != k2 {
-		t.Fatal("PatchMaxDiff/HostWorkers must not change the structure key")
 	}
 }
 

@@ -57,12 +57,6 @@ type Options struct {
 	// SkipOrdering keeps the caller's row/column order instead of applying
 	// the maximum transversal + minimum degree preprocessing.
 	SkipOrdering bool
-	// PivotThreshold in (0,1] enables threshold pivoting: the diagonal
-	// candidate is kept whenever its magnitude reaches PivotThreshold
-	// times the column maximum, reducing row interchanges (and so
-	// communication) at a controlled stability cost. 0 or 1 selects
-	// classical partial pivoting.
-	PivotThreshold float64
 	// HostWorkers caps the goroutines of the numeric factor phase. 0 (the
 	// default) runs the Factor/Update task DAG on up to
 	// core.DefaultHostWorkers (2, the count the grain gate was measured at)
@@ -75,14 +69,6 @@ type Options struct {
 	// at every setting, so HostWorkers never changes results — only
 	// wall-clock — and it is deliberately excluded from StructureKey.
 	HostWorkers int
-	// PatchMaxDiff bounds the incremental re-analysis of Analysis.Patch: the
-	// symmetric difference between the cached and the new pattern, as a
-	// fraction of the new pattern's nonzeros, above which Patch falls back
-	// to a full analyze. 0 selects DefaultPatchMaxDiff; a negative value
-	// disables the incremental path entirely. Purely a cost/latency knob —
-	// the patched analysis is byte-identical to a pinned-ordering recompute
-	// either way — so it is excluded from StructureKey.
-	PatchMaxDiff float64
 	// Observer, when non-nil, receives the pipeline's phase timings and
 	// per-task trace events (see the Observer interface for the stability
 	// contract). Purely observational: factors are bit-identical with or
@@ -113,10 +99,9 @@ type Options struct {
 	TraceParallel bool
 }
 
-// DefaultPatchMaxDiff is the Analysis.Patch diff budget used when
-// Options.PatchMaxDiff is 0: patterns differing by more than 5% of their
-// entries pay a full analyze (the propagation cone typically stops being a
-// win well before that).
+// DefaultPatchMaxDiff is the Analysis.Patch diff budget: patterns differing
+// by more than 5% of their entries pay a full analyze (the propagation cone
+// typically stops being a win well before that).
 const DefaultPatchMaxDiff = 0.05
 
 // DefaultOptions selects structure-adaptive blocking: the analyze phase
@@ -128,19 +113,13 @@ func DefaultOptions() Options { return Options{} }
 // width 25 and amalgamation factor 4 for every matrix.
 func PaperOptions() Options { return Options{BlockSize: 25, Amalgamate: 4} }
 
-func (o Options) analyzeOptions() core.AnalyzeOptions {
-	return core.AnalyzeOptions{
+// analyze runs the analyze phase under o.
+func (o Options) analyze(a *Matrix) *core.Symbolic {
+	return core.Analyze(a, core.AnalyzeOptions{
 		SkipOrdering: o.SkipOrdering,
 		Supernode:    supernode.Options{MaxBlock: o.BlockSize, Amalgamate: o.Amalgamate},
 		Obs:          sinkFor(o.Observer),
-	}
-}
-
-// analyze runs the analyze phase and applies the numeric options.
-func (o Options) analyze(a *Matrix) *core.Symbolic {
-	sym := core.Analyze(a, o.analyzeOptions())
-	sym.PivotTol = o.PivotThreshold
-	return sym
+	})
 }
 
 // Factorization holds the symbolic analysis and numeric factors of a matrix.
@@ -443,7 +422,7 @@ func factorizeVirtual(a *Matrix, o Options) (*Factorization, error) {
 
 	// MFLOPS by the paper's convention: dynamic-fill operation count over
 	// parallel time.
-	gp, gerr := core.GPFactorize(sym.PermutedMatrix(a), 1.0)
+	gp, gerr := core.GPFactorize(sym.PermutedMatrix(a))
 	mf := 0.0
 	if gerr == nil && res.ParallelTime > 0 {
 		mf = float64(gp.Flops) / res.ParallelTime / 1e6
