@@ -29,7 +29,7 @@ func TestRedirectFollowedTransparently(t *testing.T) {
 		bReqs.Add(1)
 		switch r.Op {
 		case server.OpFactorize:
-			// A real shard stamps its advertised address (Placement hook) so
+			// A real shard stamps its advertised address (Self hook) so
 			// the client aims handle ops at the owner directly.
 			return &server.Response{Handle: 42, N: 3, Nnz: 5, Key: 0xbeef, Addr: bAddr.Load().(string)}, false
 		case server.OpSolve:

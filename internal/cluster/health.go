@@ -37,7 +37,7 @@ func (s peerState) String() string {
 // suspectThreshold is suspect (still routed to, noted in logs); above
 // deadThreshold it is declared dead and removed from the ring. Both are
 // deliberately generous — a false positive costs a full re-replication
-// round-trip cycle, a true positive only delays promotion by seconds.
+// round-trip cycle, a true positive only delays the new owner's takeover by seconds.
 const (
 	suspectThreshold = 4.0
 	deadThreshold    = 8.0

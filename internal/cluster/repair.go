@@ -16,6 +16,13 @@ const (
 	defaultRepairInterval    = 2 * time.Second
 )
 
+// manifestTimeout bounds one manifest exchange of a sweep. A link that
+// swallows part of a frame leaves the peer waiting for bytes that never
+// come, and without a bound the repair loop would wait out the pool's whole
+// call timeout (a minute) with every other repair stalled behind it. A peer
+// that misses the bound counts as unreachable for this sweep.
+const manifestTimeout = 2 * time.Second
+
 // kickRebalance wakes the repair goroutine for an immediate push-only sweep
 // — the membership just changed, and the moved keys should re-replicate now
 // rather than at the next periodic tick. Non-blocking: a kick during a
@@ -27,10 +34,9 @@ func (sh *Shard) kickRebalance() {
 	}
 }
 
-// repairLoop alternates between kicked rebalances (membership changes:
-// promote + push the moved keys, never drop — the view may still be
-// converging) and periodic full sweeps (push and, with two-sweep
-// confirmation, drop strays).
+// repairLoop alternates between kicked rebalances (membership changes: push
+// the moved keys, never drop — the view may still be converging) and
+// periodic full sweeps (push and, with two-sweep confirmation, drop strays).
 func (sh *Shard) repairLoop() {
 	defer close(sh.repairDone)
 	var tick <-chan time.Time
@@ -52,22 +58,20 @@ func (sh *Shard) repairLoop() {
 }
 
 // sweep is one anti-entropy round: diff this shard's manifest against ring
-// placement and the responsible peers' manifests, then
+// placement and the responsible peers' manifests, and for every local entry
+// push it to each responsible shard other than this one whose manifest lacks
+// the handle or holds an older values-epoch. An entry on no responsible
+// position is a stray: with allowDrop, and only after every responsible
+// shard was confirmed to hold a current copy on two consecutive sweeps, it
+// is released.
 //
-//   - promote replica entries whose key this shard now owns (and push any
-//     successor that is missing or stale — restoring R copies after a
-//     promotion is what closes the "promoted replica is singly-homed" gap);
-//   - demote owned entries whose key moved away, once the new owner is
-//     confirmed to hold factors at least as new (the rejoin-reversal path:
-//     push first, demote after);
-//   - push strays (entries on no responsible position) to every responsible
-//     shard that lacks them, and — only with allowDrop, and only after the
-//     copies were confirmed on two consecutive sweeps — release them.
-//
-// The sweep never drops anything it cannot prove is held elsewhere, and the
-// push direction is always toward ring placement, so repeated sweeps
-// monotonically converge the fleet to "every key on exactly its R
-// responsible shards" (see DESIGN.md, "Self-healing membership").
+// There is no per-position case: whether this shard is the key's owner, its
+// successor, or neither, the rule is the same diff. Roles are never stored —
+// who owns a key is a ring lookup — so a membership change needs no
+// promotion or demotion, only the pushes. The push direction is always
+// toward ring placement and nothing is dropped that is not proven held
+// elsewhere, so repeated sweeps converge the fleet to "every key on exactly
+// its R responsible shards" (see DESIGN.md, "Self-healing membership").
 func (sh *Shard) sweep(allowDrop bool) {
 	s := sh.srv.Load()
 	if s == nil {
@@ -84,7 +88,9 @@ func (sh *Shard) sweep(allowDrop bool) {
 		if m == sh.cfg.Self {
 			continue
 		}
-		resp, _, err := sh.peers.Exchange(context.Background(), m, &server.Request{Op: server.OpManifest})
+		ctx, cancel := context.WithTimeout(context.Background(), manifestTimeout)
+		resp, _, err := sh.peers.Exchange(ctx, m, &server.Request{Op: server.OpManifest})
+		cancel()
 		if err != nil || resp.Err != "" {
 			peerMan[m] = nil
 			continue
@@ -99,67 +105,27 @@ func (sh *Shard) sweep(allowDrop bool) {
 	confirmed := make(map[uint64]struct{})
 	for _, e := range manifest {
 		reps := sh.ring.Replicas(e.Key, replicas)
-		pos := -1
-		for i, m := range reps {
+		stray, held := true, true
+		for _, m := range reps {
 			if m == sh.cfg.Self {
-				pos = i
-				break
+				stray = false
+				continue
+			}
+			pm := peerMan[m]
+			if pm == nil {
+				held = false // unreachable: nothing to push or confirm
+				continue
+			}
+			// A missing copy is always restored, never read as "freed":
+			// the other explanation (the peer restarted empty) would turn
+			// a drop into permanent data loss.
+			if pe, ok := pm[e.Handle]; !ok || pe.ValEpoch < e.ValEpoch {
+				sh.pushCopy(s, e.Handle, m)
+				held = false
 			}
 		}
-		switch {
-		case pos == 0: // this shard owns the key
-			if e.Replica && s.SetHandleRole(e.Handle, false) {
-				sh.promotions.Add(1)
-				sh.logf("cluster: %s: promoted handle %d (key %#x) to owner", sh.cfg.Self, e.Handle, e.Key)
-			}
-			for _, m := range reps[1:] {
-				pm := peerMan[m]
-				if pm == nil {
-					continue
-				}
-				if pe, ok := pm[e.Handle]; !ok || pe.ValEpoch < e.ValEpoch {
-					sh.pushCopy(s, e.Handle, m)
-				}
-			}
-		case pos > 0: // this shard is a replica position
-			owner := reps[0]
-			pm := peerMan[owner]
-			if pm == nil {
-				break // owner unreachable: hold everything as-is
-			}
-			if oe, ok := pm[e.Handle]; ok && oe.ValEpoch >= e.ValEpoch {
-				// The owner holds current factors — this copy is the
-				// replica it should be. (The previous owner rejoining and
-				// receiving its range back lands here: demotion closes the
-				// handover its pushes started.)
-				if !e.Replica && s.SetHandleRole(e.Handle, true) {
-					sh.demotions.Add(1)
-					sh.logf("cluster: %s: demoted handle %d (key %#x) to replica of %s", sh.cfg.Self, e.Handle, e.Key, owner)
-				}
-			} else {
-				// Owner missing or stale: restore it. Deliberately the
-				// resurrection-safe direction — a replica never decides a
-				// missing owner copy means "freed", because the other
-				// explanation (the owner restarted empty) would turn a drop
-				// into permanent data loss.
-				sh.pushCopy(s, e.Handle, owner)
-			}
-		default: // stray: this shard holds a key it is not responsible for
-			held := true
-			for _, m := range reps {
-				pm := peerMan[m]
-				if pm == nil {
-					held = false
-					continue
-				}
-				if pe, ok := pm[e.Handle]; !ok || pe.ValEpoch < e.ValEpoch {
-					sh.pushCopy(s, e.Handle, m)
-					held = false
-				}
-			}
-			if held && len(reps) > 0 {
-				confirmed[e.Handle] = struct{}{}
-			}
+		if stray && held && len(reps) > 0 {
+			confirmed[e.Handle] = struct{}{}
 		}
 	}
 
@@ -198,12 +164,13 @@ func (sh *Shard) pushCopy(s *server.Server, id uint64, addr string) {
 
 // PlacementViolations diffs a fleet's manifests against the ring placement
 // of the first shard and returns one human-readable line per violation: a
-// key with the wrong copy count, a copy on a shard outside its replica set,
-// an owner position marked replica, or a copy older than the newest values-
-// epoch. Empty means converged: every key has exactly min(R, fleet) copies,
-// each on its responsible shard, owner marked owned. Exported for the churn
-// property test, the chaos e2e, and sstar-load's availability bench — the
-// "is the cluster healed" predicate they all share.
+// missing copy, a copy on a shard outside its replica set, or a copy older
+// than the newest values-epoch. Empty means converged: every key has exactly
+// min(R, fleet) copies, each on its responsible shard. It is computed
+// independently of sweep, which is what makes it a check on the sweep: the
+// churn property test (TestChurnConvergence) and the e2e suites
+// (TestSelfHealKillRejoinE2E, TestClusterPartitionHeal) share it as their
+// "is the cluster healed" predicate.
 func PlacementViolations(shards []*Shard) []string {
 	if len(shards) == 0 {
 		return nil
@@ -226,9 +193,9 @@ func PlacementViolations(shards []*Shard) []string {
 	var out []string
 	for key, copies := range byKey {
 		reps := ring.Replicas(key, replicas)
-		want := make(map[string]int, len(reps)) // addr -> position
-		for i, m := range reps {
-			want[m] = i
+		want := make(map[string]bool, len(reps))
+		for _, m := range reps {
+			want[m] = true
 		}
 		var newest uint64
 		for _, c := range copies {
@@ -238,15 +205,9 @@ func PlacementViolations(shards []*Shard) []string {
 		}
 		seen := make(map[string]bool, len(copies))
 		for _, c := range copies {
-			pos, ok := want[c.addr]
-			switch {
-			case !ok:
+			if !want[c.addr] {
 				out = append(out, fmt.Sprintf("key %#x: stray copy on %s", key, c.addr))
 				continue
-			case pos == 0 && c.e.Replica:
-				out = append(out, fmt.Sprintf("key %#x: owner position %s marked replica", key, c.addr))
-			case pos > 0 && !c.e.Replica:
-				out = append(out, fmt.Sprintf("key %#x: replica position %s marked owner", key, c.addr))
 			}
 			if c.e.ValEpoch < newest {
 				out = append(out, fmt.Sprintf("key %#x: stale copy on %s (values-epoch %d < %d)", key, c.addr, c.e.ValEpoch, newest))

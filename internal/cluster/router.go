@@ -130,8 +130,7 @@ func (r *Router) handle(req *server.Request) *server.Response {
 			r.placeMu.Unlock()
 			// Strip the shard's advertised address: a client that learned it
 			// would aim handle ops at the shard directly, bypassing the one
-			// component that can fail them over. Replica stays — it is
-			// informational.
+			// component that can fail them over.
 			resp.Addr = ""
 		}
 	case server.OpSolve, server.OpSolveMany, server.OpRefactorize, server.OpFree:
@@ -300,7 +299,6 @@ func (r *Router) aggregateStats() server.ServerStats {
 		agg.CacheEntries += st.CacheEntries
 		agg.Coalesced += st.Coalesced
 		agg.Handles += st.Handles
-		agg.ReplicaHandles += st.ReplicaHandles
 		agg.Workers += st.Workers
 		if agg.FactorWorkers == 0 {
 			agg.FactorWorkers = st.FactorWorkers
@@ -312,8 +310,6 @@ func (r *Router) aggregateStats() server.ServerStats {
 		agg.Redirects += st.Redirects
 		agg.Replications += st.Replications
 		agg.ReplicationPending += st.ReplicationPending
-		agg.Promotions += st.Promotions
-		agg.Demotions += st.Demotions
 		agg.RepairPushes += st.RepairPushes
 		agg.RepairDrops += st.RepairDrops
 		agg.StaleReplicas += st.StaleReplicas

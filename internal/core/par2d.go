@@ -275,11 +275,6 @@ func (x *proc2d) factor2D(k int) {
 			if best.row < 0 || best.val == 0 {
 				panic(singularErr{fmt.Errorf("%w: zero pivot at column %d", ErrSingular, m)})
 			}
-			if diagVal >= best.val {
-				// A diagonal that ties the maximum keeps its row.
-				best = pivCand{val: diagVal, row: m}
-				bestSub = nil
-			}
 			t := best.row
 			x.piv[m] = int32(t)
 			rowM := panelRow(bm, k, m)

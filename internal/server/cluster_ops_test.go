@@ -169,7 +169,7 @@ func TestSolveManyOp(t *testing.T) {
 // TestReplicateInstallsUnderSameHandle: an OpReplicate push installs the
 // factors under the pushed handle id, solves bit-identically, and supports
 // the values-only refactorize fast path — the full failover contract of a
-// promoted replica.
+// copy, whichever shard the ring later names its owner.
 func TestReplicateInstallsUnderSameHandle(t *testing.T) {
 	owner := New(Config{Workers: 2})
 	defer owner.Close()
@@ -218,9 +218,6 @@ func TestReplicateInstallsUnderSameHandle(t *testing.T) {
 	}
 	if !replica.HasHandle(ev.Handle) {
 		t.Fatal("replica does not hold the pushed handle id")
-	}
-	if got := replica.Stats().ReplicaHandles; got != 1 {
-		t.Errorf("ReplicaHandles = %d, want 1", got)
 	}
 	sr := replica.process(&Request{Op: OpSolve, Handle: ev.Handle, B: b})
 	if sr.Err != "" {
@@ -348,17 +345,64 @@ func TestSingularRefactorizeIsAtomic(t *testing.T) {
 	}
 }
 
-// captureHooks is a minimal ClusterHooks that records Stored events.
+// captureHooks is a minimal ClusterHooks that records Stored and, when
+// freed is set, Freed events.
 type captureHooks struct {
 	stored func(StoredEvent)
+	freed  func(handle, key uint64)
 }
 
-func (c captureHooks) Route(*Request) *Response          { return nil }
-func (c captureHooks) Placement(uint64) (string, string) { return "", "" }
-func (c captureHooks) Analyzed(uint64, *sstar.Analysis)  {}
-func (c captureHooks) Stored(ev StoredEvent)             { c.stored(ev) }
-func (c captureHooks) Freed(uint64, uint64)              {}
-func (c captureHooks) AugmentStats(*ServerStats)         {}
+func (c captureHooks) Route(*Request) *Response         { return nil }
+func (c captureHooks) Self() string                     { return "" }
+func (c captureHooks) Analyzed(uint64, *sstar.Analysis) {}
+func (c captureHooks) Stored(ev StoredEvent)            { c.stored(ev) }
+func (c captureHooks) AugmentStats(*ServerStats)        {}
+func (c captureHooks) Freed(handle, key uint64) {
+	if c.freed != nil {
+		c.freed(handle, key)
+	}
+}
+
+// TestFreedAfterEverySuccessfulFree: the server hands every successful free
+// to the cluster hook with the handle's structure key — a factorized handle
+// and a pushed-in copy alike, since the server stores no role — and never
+// a failed one. The cluster layer's forwarding rule relies on both: it
+// decides from the ring alone, and a repeat free (BadHandle) cannot extend
+// a chain of forwards.
+func TestFreedAfterEverySuccessfulFree(t *testing.T) {
+	type freed struct{ handle, key uint64 }
+	var got []freed
+	s := newTestServer(t, Config{Workers: 1, Cluster: captureHooks{
+		stored: func(StoredEvent) {},
+		freed:  func(h, k uint64) { got = append(got, freed{h, k}) },
+	}})
+	a := sstar.GenGrid2D(6, 7, false, sstar.GenOptions{Seed: 5})
+	fr := s.process(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
+	if fr.Err != "" {
+		t.Fatal(fr.Err)
+	}
+	ev, ok := s.ExportHandle(fr.Handle)
+	if !ok {
+		t.Fatal("cannot export the factorized handle")
+	}
+	const copyID = 1 << 40
+	ev.Handle = copyID
+	if r := s.process(ev.ReplicateRequest()); r.Err != "" {
+		t.Fatalf("install a pushed copy: %s", r.Err)
+	}
+	for _, id := range []uint64{fr.Handle, copyID} {
+		if r := s.process(&Request{Op: OpFree, Handle: id}); r.Err != "" {
+			t.Fatalf("free %d: %s", id, r.Err)
+		}
+		if r := s.process(&Request{Op: OpFree, Handle: id}); r.Code != CodeBadHandle {
+			t.Fatalf("repeat free %d: code %v (%q), want BadHandle", id, r.Code, r.Err)
+		}
+	}
+	want := []freed{{fr.Handle, fr.Key}, {copyID, fr.Key}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("Freed calls %v, want %v (one per successful free, none for a repeat)", got, want)
+	}
+}
 
 // slowRouteHooks answers every request in Route after a pause, the way a
 // shard answers membership, manifest and redirects inside its cluster hook.

@@ -88,7 +88,7 @@ func FuzzRedirectDecode(f *testing.F) {
 	seeds := []*Response{
 		{Code: CodeRedirect, Addr: "127.0.0.1:7072", Key: 0xdeadbeef, Err: "redirect: structure 0xdeadbeef is placed on 127.0.0.1:7072"},
 		{Code: CodeNotOwner, Addr: "10.0.0.3:7071", Key: 1, Err: "not owner: handle 7"},
-		{Handle: 7, N: 16, Nnz: 64, Key: 9, Addr: "127.0.0.1:7071", Replica: "127.0.0.1:7073"},
+		{Handle: 7, N: 16, Nnz: 64, Key: 9, Addr: "127.0.0.1:7071"},
 		{Code: CodeRedirect, Err: "redirect with no address"},
 		{Code: Code(250), Addr: "\x00junk", Err: "unknown code"},
 		{X: []float64{1, 2, 3}},

@@ -77,9 +77,6 @@ func newMetrics(s *Server) *metrics {
 	reg.GaugeFunc("sstar_server_handles",
 		"Live factorization handles.",
 		func() float64 { n, _, _ := s.reg.stats(); return float64(n) })
-	reg.GaugeFunc("sstar_server_replica_handles",
-		"Live handles installed by peer-shard replication pushes.",
-		func() float64 { return float64(s.reg.replicaCount()) })
 	reg.CounterFunc("sstar_server_replicas_installed_total",
 		"Replication pushes accepted from peer shards.",
 		func() float64 { return float64(s.replicasInstalled.Load()) })

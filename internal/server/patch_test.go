@@ -15,8 +15,8 @@ type analyzedHooks struct {
 	keys []uint64
 }
 
-func (h *analyzedHooks) Route(*Request) *Response          { return nil }
-func (h *analyzedHooks) Placement(uint64) (string, string) { return "", "" }
+func (h *analyzedHooks) Route(*Request) *Response { return nil }
+func (h *analyzedHooks) Self() string             { return "" }
 func (h *analyzedHooks) Analyzed(key uint64, _ *sstar.Analysis) {
 	h.mu.Lock()
 	h.keys = append(h.keys, key)

@@ -61,10 +61,11 @@ const (
 
 	// OpReplicate is the shard-to-shard replication message: install (or
 	// refresh) Blob — a factorization in the sstar Save format — under
-	// Handle with structure Key and the pattern carried in Matrix, marking
-	// it a replica. Idempotent: re-installing the same handle replaces the
-	// factors. Single-node servers accept it too, which is what makes a
-	// replica promotable without a mode switch.
+	// Handle with structure Key and the pattern carried in Matrix.
+	// Idempotent: re-installing the same handle replaces the factors. An
+	// installed copy is indistinguishable from a locally factorized one;
+	// which shard owns it is a ring lookup, never stored. Single-node
+	// servers accept it too.
 	OpReplicate Op = 8
 
 	// OpReplicateAnalysis replicates one analysis-cache entry: Blob is an
@@ -84,9 +85,9 @@ const (
 	OpMembership Op = 10
 
 	// OpManifest asks for the receiver's handle manifest — one entry per
-	// live factorization (handle id, structure key, values-epoch, replica
-	// flag). The anti-entropy repair sweep diffs manifests against ring
-	// placement to find missing, stale, or stray copies.
+	// live factorization (handle id, structure key, values-epoch). The
+	// anti-entropy repair sweep diffs manifests against ring placement to
+	// find missing, stale, or stray copies.
 	OpManifest Op = 11
 )
 
@@ -221,7 +222,6 @@ type ManifestEntry struct {
 	Handle   uint64
 	Key      uint64 // structure key (ring placement input)
 	ValEpoch uint64 // values-epoch of the installed factors
-	Replica  bool   // installed by replication rather than factorized locally
 }
 
 // DefaultTenant is the tenant requests without a Tenant field (old peers,
@@ -333,9 +333,6 @@ type ServerStats struct {
 	// replica the successor has not yet acknowledged (the lag a failover
 	// at this instant would expose).
 	ReplicationPending int
-	// ReplicaHandles is how many of Handles are replicas installed by a
-	// peer shard rather than factorized locally.
-	ReplicaHandles int
 	// Failovers counts handle operations the router completed on a replica
 	// after the owner failed — each one is a solve that survived a shard
 	// death without refactorizing.
@@ -347,12 +344,6 @@ type ServerStats struct {
 	// Epoch is the membership epoch of the reporting shard's ring view
 	// (routers report the highest epoch they have seen).
 	Epoch uint64
-	// Promotions counts replica handles this shard flipped to owned after
-	// a membership change moved their key onto it (owner death or leave).
-	Promotions int64
-	// Demotions counts owned handles flipped back to replica after their
-	// key moved away (typically the previous owner rejoining).
-	Demotions int64
 	// RepairPushes counts factor copies the anti-entropy sweep pushed to
 	// restore placement (missing or stale copies on the responsible
 	// shards, strays returned to their owner).
@@ -500,9 +491,11 @@ func (e *RemoteError) Is(target error) bool {
 
 // Response is the server-to-client message. A non-empty Err means the
 // request failed; every other field is op-dependent. The cluster fields
-// (Addr, Replica, Key) are additive gob fields, so v2-frame clients that
-// predate them decode responses unchanged — backward compatibility is what
-// lets a mixed fleet upgrade shard by shard.
+// (Addr, Key) are additive gob fields, so v2-frame clients that predate them
+// decode responses unchanged — backward compatibility is what lets a mixed
+// fleet upgrade shard by shard. Removed fields are harmless in both
+// directions: gob skips a field the receiver lacks and leaves one the sender
+// lacks at zero.
 type Response struct {
 	Err    string
 	Code   Code         // failure class of Err (CodeNone for legacy/uncategorized errors)
@@ -518,9 +511,6 @@ type Response struct {
 	// from a cluster shard, the advertised address of the shard that now
 	// holds the factors — clients go shard-direct from then on.
 	Addr string
-	// Replica is the shard holding (or about to hold — replication is
-	// asynchronous) the factor replica of a successful factorize.
-	Replica string
 	// Key is the structure key of a successful factorize, stamped so
 	// clients can hint later handle operations (Request.Key) and routers
 	// can place without re-hashing.

@@ -23,11 +23,6 @@ type handle struct {
 	// key is the structure key of the handle's matrix, retained so cluster
 	// shards can re-replicate after a refactorize without re-hashing.
 	key uint64
-	// replica marks a handle installed by a peer shard's replication push
-	// rather than factorized locally. Replicas serve solves identically;
-	// the flag feeds the per-shard ownership gauges and the free-forwarding
-	// rule, and the repair sweep flips it on promotion/demotion.
-	replica bool
 	// valEpoch is the values-epoch of the installed factors: 1 at
 	// factorize, incremented under mu on every refactorize, carried by
 	// replication pushes so a stale (delayed) push can never roll newer
@@ -186,7 +181,7 @@ func (r *registry) contains(id uint64) bool {
 }
 
 // manifest snapshots every live handle's placement identity (id, structure
-// key, values-epoch, replica flag) without touching the LRU order — the
+// key, values-epoch) without touching the LRU order — the
 // repair sweep must not keep strays artificially warm.
 func (r *registry) manifest() []ManifestEntry {
 	r.mu.Lock()
@@ -195,7 +190,7 @@ func (r *registry) manifest() []ManifestEntry {
 	for id, el := range r.live {
 		h := el.Value.(*regEntry).h
 		h.mu.RLock()
-		out = append(out, ManifestEntry{Handle: id, Key: h.key, ValEpoch: h.valEpoch, Replica: h.replica})
+		out = append(out, ManifestEntry{Handle: id, Key: h.key, ValEpoch: h.valEpoch})
 		h.mu.RUnlock()
 	}
 	return out
@@ -217,24 +212,6 @@ func (r *registry) valEpochOf(id uint64) (uint64, bool) {
 	return e, true
 }
 
-// setRole flips a live handle's replica flag (false = owned). Returns whether
-// the id was live and the flag actually changed — the promotion/demotion
-// counters only count real transitions.
-func (r *registry) setRole(id uint64, replica bool) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	el, ok := r.live[id]
-	if !ok {
-		return false
-	}
-	h := el.Value.(*regEntry).h
-	h.mu.Lock()
-	changed := h.replica != replica
-	h.replica = replica
-	h.mu.Unlock()
-	return changed
-}
-
 // drop removes a live handle without a tombstone and without an error — the
 // repair sweep releasing a stray whose copies are confirmed elsewhere. A
 // later operation on the id redirects by placement (the shard layer) or fails
@@ -251,19 +228,6 @@ func (r *registry) drop(id uint64) bool {
 	delete(r.live, id)
 	r.bytes -= e.bytes
 	return true
-}
-
-// replicaCount returns how many live handles are replication installs.
-func (r *registry) replicaCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, el := range r.live {
-		if el.Value.(*regEntry).h.replica {
-			n++
-		}
-	}
-	return n
 }
 
 // get returns the handle for id, marking it most recently used. A missing id

@@ -74,10 +74,9 @@ type ClusterHooks interface {
 	// CodeNotOwner for work that placement assigns elsewhere. Nil executes
 	// locally.
 	Route(req *Request) *Response
-	// Placement reports the advertised address of this shard and of the
-	// replica successor for key, stamped on factorize responses so clients
-	// learn topology from first contact.
-	Placement(key uint64) (self, replica string)
+	// Self reports the advertised address of this shard, stamped on
+	// factorize responses so clients go shard-direct from first contact.
+	Self() string
 	// Analyzed is called after a cold analyze completes, with the
 	// immutable analysis, for asynchronous replication of the cache entry.
 	Analyzed(key uint64, an *sstar.Analysis)
@@ -85,8 +84,8 @@ type ClusterHooks interface {
 	// the serialized factors, for asynchronous replication to the
 	// successor shard.
 	Stored(ev StoredEvent)
-	// Freed is called after a successful free so the replica can be
-	// released too.
+	// Freed is called after every successful free, so the cluster layer
+	// can release the other copies of the handle.
 	Freed(handle uint64, key uint64)
 	// AugmentStats fills the cluster section of a stats snapshot.
 	AugmentStats(st *ServerStats)
@@ -95,8 +94,8 @@ type ClusterHooks interface {
 // StoredEvent is one replicable write: the handle's identity and its factors
 // serialized in the sstar Save format (bit-exact: a replica loaded from Blob
 // solves bit-identically to the original). RowPtr/ColInd are the retained
-// pattern backing the values-only refactorize fast path after a promotion;
-// they are shared read-only slices.
+// pattern backing the values-only refactorize fast path on whichever shard
+// holds the copy; they are shared read-only slices.
 type StoredEvent struct {
 	Handle uint64
 	Key    uint64
@@ -113,8 +112,8 @@ type StoredEvent struct {
 // ReplicateRequest is the OpReplicate push installing ev on a peer: the one
 // place the event's fields are mapped onto the wire, so the live push and the
 // repair push cannot disagree about what rides along. The pattern travels in
-// Matrix so the replica supports the values-only refactorize fast path after
-// a promotion.
+// Matrix so the copy supports the values-only refactorize fast path wherever
+// it lands.
 func (ev StoredEvent) ReplicateRequest() *Request {
 	return &Request{
 		Op:       OpReplicate,
@@ -605,7 +604,7 @@ func (s *Server) doFactorize(req *Request) *Response {
 	id := s.reg.add(h)
 	resp := &Response{Handle: id, N: a.N, Nnz: len(h.colInd), Key: key, Stats: stats}
 	if hk != nil {
-		resp.Addr, resp.Replica = hk.Placement(key)
+		resp.Addr = hk.Self()
 		s.replicate(hk, id)
 	}
 	return resp
@@ -685,7 +684,6 @@ func (s *Server) doReplicate(req *Request) *Response {
 		rowPtr:   m.RowPtr,
 		colInd:   m.ColInd,
 		key:      req.Key,
-		replica:  true,
 		valEpoch: valEpoch,
 	}
 	s.reg.put(req.Handle, h)
@@ -706,39 +704,25 @@ func (s *Server) doReplicateAnalysis(req *Request) *Response {
 
 func (s *Server) doFree(req *Request) *Response {
 	var key uint64
-	owned := false
 	if h, err := s.reg.get(req.Handle); err == nil {
-		key, owned = h.key, !h.replica
+		key = h.key
 	}
 	if err := s.reg.free(req.Handle); err != nil {
 		return errResponse(err)
 	}
-	// Only an owned handle's free is forwarded to the replica holder —
-	// freeing a replica must not trigger a forward of its own, or the free
-	// would cascade around the ring.
-	if hk := s.cfg.Cluster; hk != nil && owned {
+	if hk := s.cfg.Cluster; hk != nil {
 		hk.Freed(req.Handle, key)
 	}
 	return &Response{}
 }
 
-// HasHandle reports whether id is live in the registry (owned or replica),
-// without disturbing the LRU order. The cluster layer's routing check.
+// HasHandle reports whether id is live in the registry (factorized here or
+// installed by a push), without disturbing the LRU order. The cluster layer's routing check.
 func (s *Server) HasHandle(id uint64) bool { return s.reg.contains(id) }
 
 // Manifest snapshots every live handle's placement identity — the input the
 // cluster layer's anti-entropy repair sweep diffs against ring placement.
 func (s *Server) Manifest() []ManifestEntry { return s.reg.manifest() }
-
-// SetHandleRole flips a live handle between owned (replica=false) and
-// replica. Returns whether the flag actually changed. The cluster layer
-// promotes a replica to owner when a membership change moves its key here,
-// and demotes an owned handle back when the key moves away (a rejoined
-// owner reclaiming its range). Role never changes what a solve computes —
-// only the ownership gauges and the free-forwarding rule.
-func (s *Server) SetHandleRole(id uint64, replica bool) bool {
-	return s.reg.setRole(id, replica)
-}
 
 // ExportHandle serializes a live handle's factors as a replicable
 // StoredEvent (bit-exact: Save/Load round-trips the pivot sequence and
@@ -791,7 +775,6 @@ func (s *Server) Stats() ServerStats {
 		Patches:        s.patches.Load(),
 		PatchFallbacks: s.patchFallbacks.Load(),
 		Handles:        nHandles,
-		ReplicaHandles: s.reg.replicaCount(),
 		Workers:        s.cfg.Workers,
 		FactorWorkers:  s.cfg.FactorWorkers,
 		QueueDepth:     s.sched.depth(),

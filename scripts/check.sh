@@ -57,9 +57,9 @@ go test -race -count=1 -run 'TestClusterChaosFailover' -timeout 600s ./internal/
 # Self-healing suite (make cluster-churn): the membership churn property
 # test (any join/leave/kill sequence converges to an empty manifest diff
 # with every key at min(R, live) copies) plus the kill/rejoin and partition
-# e2e tests — owner dies mid-workload behind fault proxies, replica is
-# promoted, the rejoined member is repopulated by repair without ever
-# refactorizing.
+# e2e tests — owner dies mid-workload behind fault proxies, the ring makes
+# the replica holder the owner, the rejoined member is repopulated by repair
+# without ever refactorizing.
 make cluster-churn
 
 # Fuzz smoke: the frame codec and the request decoder face the raw network
@@ -131,6 +131,15 @@ if git grep -n 'go:build' -- 'internal/xblas/*.go' 'internal/xblas/*.s' ':!*_tes
 retired='BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D|runSolveBatch|doSolveMany|CoalesceWidth|coalesce-width|ColEtree|detectSupernodesWorkers|parMinCols|partParMin|ColumnMinDegree|colmmd|SetTileShape|AutotuneResult|TileChoice|tileCandidates|CoalesceWindow|coalesce-window|TenantWeights|tenant-weights|parseTenantWeights|SuspectThreshold|DeadThreshold|collectRiders|takeSolves|solveBatch|batchColumns|scatterSolveMany|coalescedSolves|CoalescedSolves|SolveBatches|solve_batch_width|router_scatters_total|FactorizeBTF|BTFFactorization|BlockTriangular|btfcircuit|SolveTranspose|CondEst|Equilibrate|RefineResult|backwardError|GenDense|GenPerturb\(|\.Refine\(|PivotThreshold|PivotTol|pivotTol|WithMaxFrame|MaxFrame|\.PatchMaxDiff|PatchMaxDiff:'
 if git grep -nE "$retired" -- . ':(exclude,glob)*.md' ':!results/' ':!scripts/check.sh' ||
 	git grep -nE "$retired" -- README.md DESIGN.md EXPERIMENTS.md PAPER.md PAPERS.md SNIPPETS.md; then exit 1; fi
+
+# Role guard: a handle's owner is a ring lookup, never stored, so the stored
+# replica flag, its promotion/demotion counters and gauges stay gone (same
+# scope as above). A bare "Replica" is not listed: replica sets, pushes and
+# copies remain. The one file exempt rebuilds an old peer's wire shape to
+# prove the retired fields still decode, and has to spell them.
+roles='SetHandleRole|setRole|replicaCount|ReplicaHandles|promotions_total|demotions_total|sstar_server_replica_handles|\bPromotions\b|\bDemotions\b'
+if git grep -nE "$roles" -- . ':(exclude,glob)*.md' ':!results/' ':!scripts/check.sh' ':!internal/server/oldpeer_test.go' ||
+	git grep -nE "$roles" -- README.md DESIGN.md EXPERIMENTS.md PAPER.md PAPERS.md SNIPPETS.md; then exit 1; fi
 
 # sstar-info has no test of its own: one run end to end is its smoke.
 go run ./cmd/sstar-info -gen lnsp3937 >/dev/null
