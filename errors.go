@@ -23,8 +23,9 @@ import (
 
 var (
 	// ErrSingular reports a numerically singular matrix: a pivot search
-	// found no nonzero candidate. The input is the problem — retrying the
-	// same values cannot succeed.
+	// found no nonzero candidate, or a value of the matrix is a NaN or an
+	// infinity. The input is the problem — retrying the same values cannot
+	// succeed.
 	ErrSingular = core.ErrSingular
 
 	// ErrBadHandle reports an operation on a factorization handle the

@@ -387,6 +387,12 @@ func (sh *Shard) handleMembership(req *server.Request) *server.Response {
 	return &server.Response{Epoch: epoch, Members: members}
 }
 
+// heartbeatTimeout bounds one peer's exchange in a probe round. A link that
+// swallows part of a frame would otherwise hold the whole round, and every
+// peer's detector with it, for the pool's call timeout (a minute). A probe
+// that misses the bound is a missed ack.
+const heartbeatTimeout = time.Second
+
 // healthLoop is the shard's heartbeat driver: probe every known peer each
 // interval, merge the views that come back, escalate to a Join when the
 // cluster's view lacks this shard (fresh join, restart, healed partition),
@@ -426,7 +432,9 @@ func (sh *Shard) heartbeat() {
 		if joinNeeded {
 			req.Join = true
 		}
-		resp, _, err := sh.peers.Exchange(context.Background(), addr, req)
+		ctx, cancel := context.WithTimeout(context.Background(), heartbeatTimeout)
+		resp, _, err := sh.peers.Exchange(ctx, addr, req)
+		cancel()
 		if err != nil || resp.Err != "" {
 			continue // no ack: phi keeps growing
 		}

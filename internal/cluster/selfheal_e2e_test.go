@@ -63,12 +63,10 @@ func (n *healNode) upstream() string {
 	return s
 }
 
-func bootHealNode(t *testing.T, n *healNode, peers []string, join string) {
+// bootHealNode boots n's shard and server on the listener ul, which the
+// node's proxy reaches through n.upstream.
+func bootHealNode(t *testing.T, n *healNode, ul net.Listener, peers []string, join string) {
 	t.Helper()
-	ul, err := net.Listen("tcp", n.upstream())
-	if err != nil {
-		t.Fatal(err)
-	}
 	n.upstreamAddr.Store(ul.Addr().String())
 	sh, err := NewShard(ShardConfig{
 		Self:              n.proxyAddr,
@@ -98,6 +96,7 @@ func TestSelfHealKillRejoinE2E(t *testing.T) {
 
 	nodes := make([]*healNode, shards)
 	peers := make([]string, shards)
+	uls := make([]net.Listener, shards) // each node's own listener, handed over, never re-listened
 	for i := range nodes {
 		ul, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -109,7 +108,7 @@ func TestSelfHealKillRejoinE2E(t *testing.T) {
 		}
 		n := &healNode{proxyAddr: pl.Addr().String()}
 		n.upstreamAddr.Store(ul.Addr().String())
-		ul.Close() // bootHealNode re-listens; reserve only the port choice
+		uls[i] = ul
 		n.proxy = chaos.NewProxy(pl, func() (net.Conn, error) {
 			return net.DialTimeout("tcp", n.upstream(), 2*time.Second)
 		}, chaos.Config{
@@ -123,8 +122,8 @@ func TestSelfHealKillRejoinE2E(t *testing.T) {
 		nodes[i] = n
 		peers[i] = n.proxyAddr
 	}
-	for _, n := range nodes {
-		bootHealNode(t, n, peers, "")
+	for i, n := range nodes {
+		bootHealNode(t, n, uls[i], peers, "")
 	}
 	router, err := NewRouter(RouterConfig{Shards: peers})
 	if err != nil {
@@ -322,7 +321,13 @@ func TestSelfHealKillRejoinE2E(t *testing.T) {
 			facBefore += n.srv.Stats().Factorizes + n.srv.Stats().Refactorizes
 		}
 	}
-	bootHealNode(t, nodes[victim], nil, peers[(victim+1)%shards])
+	// The reboot listens on a fresh port: the proxy keeps the advertised
+	// address and dials whatever upstream the node has now.
+	ul, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bootHealNode(t, nodes[victim], ul, nil, peers[(victim+1)%shards])
 	waitForOr(t, "rejoin convergence (R=2 across all three)", func() bool {
 		viol = PlacementViolations(liveShards(-1))
 		return len(viol) == 0
@@ -367,6 +372,7 @@ func TestClusterPartitionHeal(t *testing.T) {
 
 	nodes := make([]*healNode, shards)
 	peers := make([]string, shards)
+	uls := make([]net.Listener, shards) // each node's own listener, handed over, never re-listened
 	for i := range nodes {
 		ul, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -378,7 +384,7 @@ func TestClusterPartitionHeal(t *testing.T) {
 		}
 		n := &healNode{proxyAddr: pl.Addr().String()}
 		n.upstreamAddr.Store(ul.Addr().String())
-		ul.Close()
+		uls[i] = ul
 		n.proxy = chaos.NewProxy(pl, func() (net.Conn, error) {
 			return net.DialTimeout("tcp", n.upstream(), 2*time.Second)
 		}, chaos.Config{Seed: int64(7700 + i)})
@@ -386,8 +392,8 @@ func TestClusterPartitionHeal(t *testing.T) {
 		nodes[i] = n
 		peers[i] = n.proxyAddr
 	}
-	for _, n := range nodes {
-		bootHealNode(t, n, peers, "")
+	for i, n := range nodes {
+		bootHealNode(t, n, uls[i], peers, "")
 	}
 	router, err := NewRouter(RouterConfig{Shards: peers})
 	if err != nil {

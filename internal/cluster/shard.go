@@ -97,6 +97,7 @@ type Shard struct {
 	done       chan struct{}
 	healthDone chan struct{}
 	repairDone chan struct{}
+	closeOnce  sync.Once
 
 	strayMu   sync.Mutex
 	strayCand map[uint64]struct{} // strays whose copies were confirmed last sweep (two-sweep drop rule)
@@ -217,12 +218,15 @@ func (sh *Shard) Bind(s *server.Server) {
 
 // Close stops the health, repair, and replicator goroutines (best effort:
 // the replication queue is drained first) and releases peer connections.
+// Later calls do nothing.
 func (sh *Shard) Close() {
-	close(sh.stop)
-	<-sh.healthDone
-	<-sh.repairDone
-	<-sh.done
-	sh.peers.Close()
+	sh.closeOnce.Do(func() {
+		close(sh.stop)
+		<-sh.healthDone
+		<-sh.repairDone
+		<-sh.done
+		sh.peers.Close()
+	})
 }
 
 // Leave announces a coordinated departure: every reachable member receives a
@@ -434,6 +438,13 @@ func (sh *Shard) replicator() {
 	}
 }
 
+// pushTimeout bounds one replication exchange. Pushes run one at a time off
+// one queue, so without a bound a link that swallows part of a frame would
+// stall every write behind it for the pool's call timeout (a minute). The
+// bound leaves room for a push's factor copy, the largest frame a shard sends;
+// a push that misses it is retried like any failed one.
+const pushTimeout = 5 * time.Second
+
 // push delivers one replication job with up to attempts tries.
 func (sh *Shard) push(j replJob, attempts int) {
 	defer sh.pending.Add(-1)
@@ -446,7 +457,9 @@ func (sh *Shard) push(j replJob, attempts int) {
 			}
 		}
 		var resp *server.Response
-		resp, _, err = sh.peers.Exchange(context.Background(), j.addr, j.req)
+		ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
+		resp, _, err = sh.peers.Exchange(ctx, j.addr, j.req)
+		cancel()
 		if err == nil && resp.Err != "" {
 			// OpFree forwarded to a shard that never installed the copy
 			// (or already freed or dropped it) answers BadHandle — the

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"sstar/internal/machine"
@@ -210,5 +213,45 @@ func TestTracing(t *testing.T) {
 	}
 	if len(res1.Traces) != 3 {
 		t.Fatalf("1D traces %d, want 3", len(res1.Traces))
+	}
+}
+
+// TestTracedSpansGolden pins every span a traced run records — processor,
+// label, virtual start and end — for the 2D, 2D-sync and 1D codes, which
+// build their labels only when tracing. The constants were taken when the
+// labels were still formatted on every run, traced or not.
+func TestTracedSpansGolden(t *testing.T) {
+	a := sparse.Grid2D(8, 8, false, sparse.GenOptions{Seed: 37})
+	sym := analyzeFor(t, a, 6, 3)
+	fingerprint := func(traces [][]machine.TraceEvent) (int, uint64) {
+		h := fnv.New64a()
+		n := 0
+		for pid, spans := range traces {
+			for _, s := range spans {
+				fmt.Fprintf(h, "%d %s %x %x\n", pid, s.Label, math.Float64bits(s.Start), math.Float64bits(s.End))
+				n++
+			}
+		}
+		return n, h.Sum64()
+	}
+	for _, c := range []struct {
+		name  string
+		run   func() (*ParResult, error)
+		spans int
+		hash  uint64
+	}{
+		{"2d", func() (*ParResult, error) { return Factorize2D(a, sym, machine.T3E(), 2, 2, true, WithTracing()) }, 640, 0xb079e8be5f6db969},
+		{"2d-sync", func() (*ParResult, error) { return Factorize2D(a, sym, machine.T3E(), 2, 2, false, WithTracing()) }, 640, 0xd9f2a15b91a4d7e5},
+		{"1d", func() (*ParResult, error) {
+			return Factorize1D(a, sym, machine.T3E(), ScheduleCA(sym, 3), WithTracing())
+		}, 95, 0x83c198b66d5821d9},
+	} {
+		res, err := c.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, h := fingerprint(res.Traces); n != c.spans || h != c.hash {
+			t.Errorf("%s: %d spans, fingerprint %#x; want %d, %#x", c.name, n, h, c.spans, c.hash)
+		}
 	}
 }

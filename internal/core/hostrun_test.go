@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"sstar/internal/bench"
@@ -35,10 +37,16 @@ func TestHostRefactorizeSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A NaN in the middle of the matrix fails some pivot once it has
-	// propagated, after the executor has already run part of the DAG.
+	// A column of zeros stays zero through every update into it, so the
+	// pivot search fails there, in the middle of the elimination, after the
+	// executor has already run part of the DAG.
 	bad := a.Clone()
-	bad.Val[len(bad.Val)/2] = math.NaN()
+	mid := slices.Index(sym.ColPerm, a.N/2)
+	for q, j := range bad.ColInd {
+		if j == mid {
+			bad.Val[q] = 0
+		}
+	}
 	for round, r := range []struct {
 		m       *sparse.CSR
 		workers int
@@ -49,8 +57,8 @@ func TestHostRefactorizeSequence(t *testing.T) {
 		m := r.m
 		err := f.Refactorize(m, r.workers, nil)
 		if m == bad {
-			if !errors.Is(err, core.ErrSingular) {
-				t.Fatalf("round %d: singular refactorize returned %v", round, err)
+			if want := fmt.Sprintf("zero pivot at column %d", a.N/2); !errors.Is(err, core.ErrSingular) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("round %d: singular refactorize returned %v, want %q", round, err, want)
 			}
 			continue
 		}

@@ -31,49 +31,12 @@ func (f Flops) Total() int64 { return f.B1 + f.B2 + f.B3 }
 
 // Workspace holds per-worker scratch so the kernels allocate nothing on the
 // hot path: the GEMM packing buffers (with the packed U panel an Update task
-// shares across its block updates), the packed L panel of an executor that
-// runs every Update(k, ·) after Factor(k) on one worker, and the worker's flop
-// tally. Each (simulated) processor owns one; the zero value is ready to use.
+// shares across its block updates) and the worker's flop tally. Each
+// (simulated) processor owns one; the zero value is ready to use.
 type Workspace struct {
 	packs xblas.Packs
 	Fl    Flops
-
-	// The packed L panel. After newPanel(bm, k), lpack[li] keeps the li-th L
-	// block of panel k packed from its first block update on, so the panel is
-	// packed once per Factor(k) instead of once per (L block, U block) pair.
-	// lbuf backs every lpack[li].Buf; it is sized once, for the partition's
-	// largest panel. lpack is empty while no panel is declared.
-	lpack []xblas.PackedA
-	lbuf  []float64
 }
-
-// newPanel declares that every block update to come, until the next newPanel
-// or dropPanel, is one of panel k and reads its L blocks as Factor(k) left
-// them.
-func (ws *Workspace) newPanel(bm *supernode.BlockMatrix, k int) {
-	if ws.lbuf == nil {
-		maxLen, maxBlocks := 0, 0
-		for j, col := range bm.LCol {
-			n := 0
-			for _, lb := range col {
-				n += xblas.PackedALen(len(lb.Rows), bm.P.Size(j))
-			}
-			maxLen, maxBlocks = max(maxLen, n), max(maxBlocks, len(col))
-		}
-		ws.lbuf = make([]float64, maxLen)
-		ws.lpack = make([]xblas.PackedA, 0, maxBlocks)
-	}
-	ws.lpack = ws.lpack[:0]
-	off, s := 0, bm.P.Size(k)
-	for _, lb := range bm.LCol[k] {
-		n := xblas.PackedALen(len(lb.Rows), s)
-		ws.lpack = append(ws.lpack, xblas.PackedA{Buf: ws.lbuf[off : off+n]})
-		off += n
-	}
-}
-
-// dropPanel ends the declaration: block updates pack their L block per call.
-func (ws *Workspace) dropPanel() { ws.lpack = ws.lpack[:0] }
 
 // panelBlock is the column-block width of FactorPanel: one cache line of a
 // panel row, and the k extent of its trailing updates.
@@ -225,13 +188,14 @@ func scaleU(bm *supernode.BlockMatrix, k int, ub *supernode.Block, ws *Workspace
 // and one kernel call, no search.
 func UpdateBlock(bm *supernode.BlockMatrix, k, ui, li int, ws *Workspace) {
 	ws.packs.NewB()
-	updateBlock(bm, bm.P.UpdatePlan(), k, ui, li, ws)
+	updateBlock(bm, bm.P.UpdatePlan(), k, ui, li, nil, ws)
 }
 
 // updateBlock is UpdateBlock for callers that run several block updates
 // against one U_kj: they call ws.packs.NewB once and the packed U panel is
-// shared by every update that needs it.
-func updateBlock(bm *supernode.BlockMatrix, plan *supernode.UpdatePlan, k, ui, li int, ws *Workspace) {
+// shared by every update that needs it. pa is the L block packed by
+// xblas.PackA, or nil to pack it for this call.
+func updateBlock(bm *supernode.BlockMatrix, plan *supernode.UpdatePlan, k, ui, li int, pa []float64, ws *Workspace) {
 	u := plan.Pair(k, ui, li)
 	if u.Target < 0 {
 		// No block (i, j) in the static structure: every contribution is an
@@ -241,10 +205,6 @@ func updateBlock(bm *supernode.BlockMatrix, plan *supernode.UpdatePlan, k, ui, l
 	lb, ub, target := bm.LCol[k][li], bm.URow[k][ui], bm.Block(u.Target)
 	m, kk, n := len(lb.Rows), len(lb.Cols), len(ub.Cols)
 	ws.Fl.B3 += 2 * int64(m) * int64(n) * int64(kk)
-	var pa *xblas.PackedA
-	if li < len(ws.lpack) {
-		pa = &ws.lpack[li]
-	}
 	xblas.GemmUpdate(m, n, kk, lb.Data, kk, ub.Data, n, target.Data, len(target.Cols),
 		xblas.Dest{Rows: u.Rows, Cols: u.Cols, Col0: u.Col0}, &ws.packs, pa)
 }
@@ -253,6 +213,12 @@ func updateBlock(bm *supernode.BlockMatrix, plan *supernode.UpdatePlan, k, ui, l
 // application, U scaling, then all block updates of column j below block k).
 // It is the unit of work of the 1D codes.
 func UpdatePanelPair(bm *supernode.BlockMatrix, k, j int, piv []int32, ws *Workspace) {
+	updatePanelPair(bm, k, j, piv, packedPanel{}, ws)
+}
+
+// updatePanelPair is UpdatePanelPair multiplying panel k's L blocks from
+// their packed images (the zero packedPanel packs each per call).
+func updatePanelPair(bm *supernode.BlockMatrix, k, j int, piv []int32, panel packedPanel, ws *Workspace) {
 	ApplyPivots(bm, k, j, piv, ws)
 	ui := bm.UIndex(k, j)
 	if ui < 0 {
@@ -262,6 +228,6 @@ func UpdatePanelPair(bm *supernode.BlockMatrix, k, j int, piv []int32, ws *Works
 	plan := bm.P.UpdatePlan()
 	ws.packs.NewB()
 	for li := range bm.LCol[k] {
-		updateBlock(bm, plan, k, ui, li, ws)
+		updateBlock(bm, plan, k, ui, li, panel.block(li), ws)
 	}
 }

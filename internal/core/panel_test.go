@@ -232,8 +232,9 @@ func TestFactorPanelSingularColumn(t *testing.T) {
 
 // TestNonFinitePivotIsSingular: a NaN or infinite pivot candidate used to
 // slip through every comparison and come back as NaN factors with a nil
-// error. Every executor now fails the column with an error wrapping
-// ErrSingular.
+// error. Every executor now fails with an error wrapping ErrSingular: a
+// value that is not finite is refused at assembly, naming its entry, and a
+// pivot that the elimination itself overflows fails its column.
 func TestNonFinitePivotIsSingular(t *testing.T) {
 	base := bench.ByName("sherman5").Gen(0.3)
 	sym := core.Analyze(base, core.AnalyzeOptions{})
@@ -262,9 +263,30 @@ func TestNonFinitePivotIsSingular(t *testing.T) {
 			if err == nil || !errors.Is(err, core.ErrSingular) {
 				t.Fatalf("%s with a %v entry: error %v, want one wrapping ErrSingular", name, bad, err)
 			}
-			if !strings.Contains(err.Error(), "non-finite pivot at column") {
-				t.Fatalf("%s with a %v entry: error %q does not name a non-finite pivot", name, bad, err)
+			if want := fmt.Sprintf("at row %d, column %d is not finite", i, i); !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s with a %v entry: error %q does not say %q", name, bad, err, want)
 			}
+		}
+	}
+	// Finite input whose elimination overflows: the first column ties, so
+	// the diagonal pivots with multiplier 1, and -1e308 - 1e308 leaves -Inf
+	// as the second pivot.
+	c := sparse.NewCOO(2, 2)
+	c.Add(0, 0, 1)
+	c.Add(0, 1, 1e308)
+	c.Add(1, 0, 1)
+	c.Add(1, 1, -1e308)
+	a := c.ToCSR()
+	sym = core.Analyze(a, core.AnalyzeOptions{SkipOrdering: true})
+	runs := map[string]func() error{
+		"seq":  func() error { _, err := core.FactorizeSeq(a, sym); return err },
+		"host": func() error { _, err := core.FactorizeHost(a, sym, 3); return err },
+		"1d":   func() error { _, err := core.Factorize1D(a, sym, model, core.ScheduleCA(sym, 4)); return err },
+		"2d":   func() error { _, err := core.Factorize2D(a, sym, model, 2, 2, true); return err },
+	}
+	for name, run := range runs {
+		if err := run(); !errors.Is(err, core.ErrSingular) || !strings.Contains(fmt.Sprint(err), "non-finite pivot at column 1") {
+			t.Fatalf("%s with an overflowing elimination: error %v, want a non-finite pivot at column 1 wrapping ErrSingular", name, err)
 		}
 	}
 }

@@ -92,7 +92,10 @@ func panelBytes(p *supernode.Partition, k int) int {
 // broadcasts are the only communication, exactly as in the paper's 1D codes.
 func Factorize1D(a *sparse.CSR, sym *Symbolic, model machine.Model, s *sched.Schedule, opts ...RunOption) (*ParResult, error) {
 	cfg := applyRunOptions(opts)
-	bm, asm := assemble(a, sym)
+	bm, asm, err := assemble(a, sym)
+	if err != nil {
+		return nil, err
+	}
 	p := sym.Partition
 	g := sym.TaskGraph()
 	piv := make([]int32, sym.N)
@@ -143,7 +146,9 @@ func Factorize1D(a *sparse.CSR, sym *Symbolic, model machine.Model, s *sched.Sch
 				UpdatePanelPair(bm, t.K, t.J, piv, ws)
 				prev = chargeDelta(proc, ws, prev)
 			}
-			proc.TraceSpan(t.Label(), start)
+			if cfg.trace {
+				proc.TraceSpan(t.Label(), start)
+			}
 		}
 	})
 	if err != nil {

@@ -96,7 +96,10 @@ func Factorize2D(a *sparse.CSR, sym *Symbolic, model machine.Model, pr, pc int, 
 		return nil, err
 	}
 	cfg := applyRunOptions(opts)
-	bm, asm := assemble(a, sym)
+	bm, asm, err := assemble(a, sym)
+	if err != nil {
+		return nil, err
+	}
 	p := sym.Partition
 	nproc := pr * pc
 	mach := machine.New(nproc, model)
@@ -113,31 +116,37 @@ func Factorize2D(a *sparse.CSR, sym *Symbolic, model machine.Model, pr, pc int, 
 			piv: piv, ws: &workspaces[proc.ID()],
 		}
 		nb := p.NB
-		span := func(label string, start float64) { proc.TraceSpan(label, start) }
+		// span records a task's trace span; its label is formatted only
+		// when the run is traced (j < 0: a one-index task).
+		span := func(kind string, k, j int, start float64) {
+			if cfg.trace {
+				proc.TraceSpan(spanLabel(kind, k, j), start)
+			}
+		}
 		if async {
 			if x.c == x.colOfBlock(0) {
 				st := proc.Clock()
 				x.factor2D(0)
-				span("F(0)", st)
+				span("F", 0, -1, st)
 			}
 			for k := 0; k+1 < nb; k++ {
 				st := proc.Clock()
 				x.scaleSwap(k)
-				span(fmt.Sprintf("S(%d)", k), st)
+				span("S", k, -1, st)
 				next := k + 1
 				if x.c == x.colOfBlock(next) {
 					st = proc.Clock()
 					x.update2D(k, next)
-					span(fmt.Sprintf("U(%d,%d)", k, next), st)
+					span("U", k, next, st)
 					st = proc.Clock()
 					x.factor2D(next)
-					span(fmt.Sprintf("F(%d)", next), st)
+					span("F", next, -1, st)
 				}
 				for j := k + 2; j < nb; j++ {
 					if x.c == x.colOfBlock(j) {
 						st = proc.Clock()
 						x.update2D(k, j)
-						span(fmt.Sprintf("U(%d,%d)", k, j), st)
+						span("U", k, j, st)
 					}
 				}
 			}
@@ -146,17 +155,17 @@ func Factorize2D(a *sparse.CSR, sym *Symbolic, model machine.Model, pr, pc int, 
 				if x.c == x.colOfBlock(k) {
 					st := proc.Clock()
 					x.factor2D(k)
-					span(fmt.Sprintf("F(%d)", k), st)
+					span("F", k, -1, st)
 				}
 				if k+1 < nb {
 					st := proc.Clock()
 					x.scaleSwap(k)
-					span(fmt.Sprintf("S(%d)", k), st)
+					span("S", k, -1, st)
 					for j := k + 1; j < nb; j++ {
 						if x.c == x.colOfBlock(j) {
 							st = proc.Clock()
 							x.update2D(k, j)
-							span(fmt.Sprintf("U(%d,%d)", k, j), st)
+							span("U", k, j, st)
 						}
 					}
 				}
@@ -539,6 +548,14 @@ func commonSlots(bm *supernode.BlockMatrix, j, m, t int) []slotPair {
 	return out
 }
 
+// spanLabel names a 2D task's trace span: kind(k), or kind(k,j) when j >= 0.
+func spanLabel(kind string, k, j int) string {
+	if j < 0 {
+		return fmt.Sprintf("%s(%d)", kind, k)
+	}
+	return fmt.Sprintf("%s(%d,%d)", kind, k, j)
+}
+
 // update2D is task Update_2D(k, j) of Fig. 15: this processor updates the
 // blocks A_ij it owns using L_ik (from the row multicast) and U_kj (from the
 // column multicast).
@@ -554,7 +571,7 @@ func (x *proc2d) update2D(k, j int) {
 		if x.rowOfBlock(lb.I) != x.r {
 			continue
 		}
-		updateBlock(bm, plan, k, ui, li, x.ws)
+		updateBlock(bm, plan, k, ui, li, nil, x.ws)
 	}
 	x.charge()
 	x.proc.ChargeTask()

@@ -145,6 +145,7 @@ type hostRun struct {
 	bm     *supernode.BlockMatrix
 	piv    []int32
 	spaces []Workspace
+	panels *panelStore
 	sink   obs.Sink
 
 	// mu guards deps, ready, remaining and err; cond signals ready work and
@@ -169,9 +170,8 @@ func newHostRun(dag *hostDAG) *hostRun {
 
 // run executes the DAG over assembled storage on one worker per workspace,
 // the calling goroutine among them, and returns the merged flop tally and the
-// first error. Every block update packs its L block per call: consecutive
-// tasks of a worker rarely share a panel.
-func (r *hostRun) run(bm *supernode.BlockMatrix, piv []int32, spaces []Workspace, sink obs.Sink) (Flops, error) {
+// first error. Each panel is packed once, by its Factor task, into panels.
+func (r *hostRun) run(bm *supernode.BlockMatrix, piv []int32, spaces []Workspace, panels *panelStore, sink obs.Sink) (Flops, error) {
 	for w := range spaces {
 		spaces[w].Fl = Flops{}
 	}
@@ -182,7 +182,7 @@ func (r *hostRun) run(bm *supernode.BlockMatrix, piv []int32, spaces []Workspace
 			r.ready.push(id, r.dag.blevel[id])
 		}
 	}
-	r.bm, r.piv, r.spaces, r.sink = bm, piv, spaces, sink
+	r.bm, r.piv, r.spaces, r.panels, r.sink = bm, piv, spaces, panels, sink
 	r.remaining, r.err = len(r.deps), nil
 
 	r.wg.Add(len(spaces) - 1)
@@ -209,6 +209,8 @@ func (r *hostRun) spawned(worker int) {
 // then — under the same lock acquisition as the next pop — release the
 // successors whose dependence counters hit zero. The worker keeps one
 // released task for itself and wakes another worker for each further one.
+// A Factor(k) task packs panel k (exec) before it releases the updates that
+// read it.
 func (r *hostRun) work(worker int) {
 	tasks, ws := r.dag.g.Tasks, &r.spaces[worker]
 	r.mu.Lock()
@@ -227,12 +229,7 @@ func (r *hostRun) work(worker int) {
 		if r.sink != nil {
 			t0 = time.Now()
 		}
-		var err error
-		if t.Kind == taskgraph.KindFactor {
-			err = FactorPanel(r.bm, t.K, r.piv, ws)
-		} else {
-			UpdatePanelPair(r.bm, t.K, t.J, r.piv, ws)
-		}
+		err := r.exec(t, ws)
 		if r.sink != nil {
 			kind := obs.KindFactor
 			if t.Kind == taskgraph.KindUpdate {
@@ -269,6 +266,20 @@ func (r *hostRun) work(worker int) {
 			r.cond.Signal()
 		}
 	}
+}
+
+// exec runs one task on ws. A Factor(k) task packs panel k for the updates
+// it releases.
+func (r *hostRun) exec(t *taskgraph.Task, ws *Workspace) error {
+	if t.Kind == taskgraph.KindUpdate {
+		updatePanelPair(r.bm, t.K, t.J, r.piv, r.panels.panel(t.K), ws)
+		return nil
+	}
+	if err := FactorPanel(r.bm, t.K, r.piv, ws); err != nil {
+		return err
+	}
+	r.panels.pack(t.K)
+	return nil
 }
 
 // taskHeap is a max-heap of task ids keyed by priority, hand-rolled (rather

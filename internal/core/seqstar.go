@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -145,11 +146,13 @@ type Factorization struct {
 	// untouched. The second slab is allocated on the first Refactorize of
 	// existing factors, not before. spaces holds one Workspace per worker:
 	// the sequential driver runs on the first, the task-DAG executor on one
-	// each. host is the executor's remaining state, made by its first run.
+	// each. panels holds the packed L panels both share among their
+	// updates. host is the executor's remaining state, made by its first run.
 	asm      []int
 	spare    []float64
 	sparePiv []int32
 	spaces   []Workspace
+	panels   *panelStore
 	host     *hostRun
 }
 
@@ -169,12 +172,31 @@ func FactorizeSeq(a *sparse.CSR, sym *Symbolic) (*Factorization, error) {
 }
 
 // assemble returns fresh block storage holding a (permuted by the analysis)
-// and the assembly map that put it there.
-func assemble(a *sparse.CSR, sym *Symbolic) (*supernode.BlockMatrix, []int) {
+// and the assembly map that put it there; a value that is not finite is an
+// error (nonFinite).
+func assemble(a *sparse.CSR, sym *Symbolic) (*supernode.BlockMatrix, []int, error) {
 	asm := sym.Partition.AssemblyMap(a, sym.RowPerm, sym.ColPerm)
 	bm := supernode.NewEmptyBlockMatrix(sym.Partition)
-	bm.Assemble(asm, a.Val)
-	return bm, asm
+	if !bm.Assemble(asm, a.Val) {
+		return nil, nil, nonFinite(a)
+	}
+	return bm, asm, nil
+}
+
+// nonFinite is the error for a matrix holding an infinity or a NaN, which
+// names the first such entry. Such a matrix has no LU factors in floating
+// point, and refusing it keeps every factor entry finite unless the
+// elimination itself overflows — the ground of the zero-column skip in the
+// block updates (DESIGN.md, "Zero U subcolumns").
+func nonFinite(a *sparse.CSR) error {
+	for i := 0; i < a.N; i++ {
+		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
+			if v := a.Val[q]; math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: value %v at row %d, column %d is not finite", ErrSingular, v, i, a.ColInd[q])
+			}
+		}
+	}
+	return fmt.Errorf("%w: a value is not finite", ErrSingular)
 }
 
 // Refactorize replaces the factors with those of a, a matrix with exactly the
@@ -185,8 +207,9 @@ func assemble(a *sparse.CSR, sym *Symbolic) (*supernode.BlockMatrix, []int) {
 // nothing on the sequential path. workers > 1 runs the task-DAG executor on
 // exactly that many workers (clamped to the task count), whose steady state
 // allocates only its goroutines; the factors are bit-identical to a fresh
-// sequential factorization either way. On error (a singular matrix) the
-// previous factors stay live and intact. sink follows FactorizeHostObs.
+// sequential factorization either way. On error (a singular matrix, or a
+// value that is an infinity or a NaN) the previous factors stay live and
+// intact. sink follows FactorizeHostObs.
 func (f *Factorization) Refactorize(a *sparse.CSR, workers int, sink obs.Sink) error {
 	var t0 time.Time
 	if sink != nil {
@@ -203,7 +226,11 @@ func (f *Factorization) refactorize(a *sparse.CSR, workers int, sink obs.Sink) e
 	sym := f.Sym
 	fresh := f.BM == nil
 	if fresh {
-		f.BM, f.asm = assemble(a, sym)
+		bm, asm, err := assemble(a, sym)
+		if err != nil {
+			return err
+		}
+		f.BM, f.asm = bm, asm
 		f.Piv = make([]int32, sym.N)
 	} else {
 		if f.asm == nil { // loaded from a stream: no scatter has run yet
@@ -215,10 +242,17 @@ func (f *Factorization) refactorize(a *sparse.CSR, workers int, sink obs.Sink) e
 			f.spare = make([]float64, len(f.BM.Values()))
 			f.sparePiv = make([]int32, sym.N)
 		}
-		f.spare = f.BM.SwapValues(f.spare)
-		f.Piv, f.sparePiv = f.sparePiv, f.Piv
-		f.BM.Assemble(f.asm, a.Val)
+		f.swapSlabs()
+		if !f.BM.Assemble(f.asm, a.Val) {
+			f.swapSlabs() // back to the previous factors
+			return nonFinite(a)
+		}
 	}
+	if f.panels == nil || workers > 1 && !f.panels.shared {
+		f.panels = newPanelStore(f.BM, workers > 1)
+	}
+	f.panels.begin()
+	defer f.panels.end()
 	var fl Flops
 	var err error
 	if workers > 1 {
@@ -226,17 +260,16 @@ func (f *Factorization) refactorize(a *sparse.CSR, workers int, sink obs.Sink) e
 			f.host = newHostRun(sym.dag())
 		}
 		spaces := f.workspaces(min(workers, len(f.host.deps)))
-		fl, err = f.host.run(f.BM, f.Piv, spaces, sink)
+		fl, err = f.host.run(f.BM, f.Piv, spaces, f.panels, sink)
 	} else {
 		ws := &f.workspaces(1)[0]
 		ws.Fl = Flops{}
-		err = runSeq(f.BM, f.Piv, sym, ws, sink)
+		err = runSeq(f.BM, f.Piv, sym, ws, f.panels, sink)
 		fl = ws.Fl
 	}
 	if err != nil {
-		if !fresh { // back to the previous factors
-			f.spare = f.BM.SwapValues(f.spare)
-			f.Piv, f.sparePiv = f.sparePiv, f.Piv
+		if !fresh {
+			f.swapSlabs() // back to the previous factors
 		}
 		return err
 	}
@@ -244,16 +277,19 @@ func (f *Factorization) refactorize(a *sparse.CSR, workers int, sink obs.Sink) e
 	return nil
 }
 
+// swapSlabs exchanges the live value slab and pivot vector with the spares.
+func (f *Factorization) swapSlabs() {
+	f.spare = f.BM.SwapValues(f.spare)
+	f.Piv, f.sparePiv = f.sparePiv, f.Piv
+}
+
 // runSeq is the sequential executor over assembled storage. When sink is
 // non-nil every Factor/Update task is timed and reported (worker 0); the
 // instrumentation only changes when clocks are read, never the numeric work,
-// so traced and untraced factors are bit-identical.
-//
-// Every Update(k, ·) runs right after Factor(k) on the one workspace, so the
-// L blocks of panel k are packed once for all of them (Workspace.newPanel).
-func runSeq(bm *supernode.BlockMatrix, piv []int32, sym *Symbolic, ws *Workspace, sink obs.Sink) error {
+// so traced and untraced factors are bit-identical. Each panel is packed once,
+// right after its Factor task, for all of its updates.
+func runSeq(bm *supernode.BlockMatrix, piv []int32, sym *Symbolic, ws *Workspace, panels *panelStore, sink obs.Sink) error {
 	p := sym.Partition
-	defer ws.dropPanel()
 	for k := 0; k < p.NB; k++ {
 		var t0 time.Time
 		if sink != nil {
@@ -266,12 +302,12 @@ func runSeq(bm *supernode.BlockMatrix, piv []int32, sym *Symbolic, ws *Workspace
 			sink.Task(obs.TaskEvent{Kind: obs.KindFactor, K: int32(k), J: int32(k),
 				StartNs: t0.UnixNano(), DurNs: time.Since(t0).Nanoseconds()})
 		}
-		ws.newPanel(bm, k)
+		panels.pack(k)
 		for _, jb := range p.UBlocks[k] {
 			if sink != nil {
 				t0 = time.Now()
 			}
-			UpdatePanelPair(bm, k, int(jb), piv, ws)
+			updatePanelPair(bm, k, int(jb), piv, panels.panel(k), ws)
 			if sink != nil {
 				sink.Task(obs.TaskEvent{Kind: obs.KindUpdate, K: int32(k), J: jb,
 					StartNs: t0.UnixNano(), DurNs: time.Since(t0).Nanoseconds()})

@@ -2,7 +2,9 @@ package server
 
 import (
 	"errors"
+	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -239,6 +241,48 @@ func TestSingularTypedThroughProcess(t *testing.T) {
 	}
 	if s.met.panics.Value() != 0 {
 		t.Fatal("singularity counted as a panic")
+	}
+}
+
+// TestNonFiniteTypedThroughProcess: a matrix holding a NaN or an infinity is
+// refused as singular input, on factorize and on both forms of refactorize,
+// never as an internal error, and a refused refactorize leaves the handle
+// solving as before.
+func TestNonFiniteTypedThroughProcess(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	a := sstar.GenGrid2D(7, 6, false, sstar.GenOptions{Seed: 3, Convection: 0.2})
+	fr := s.submit(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
+	if fr.Err != "" {
+		t.Fatal(fr.Err)
+	}
+	b := make([]float64, a.N)
+	for k := range b {
+		b[k] = float64(k%5) - 2
+	}
+	before := s.submit(&Request{Op: OpSolve, Handle: fr.Handle, B: b})
+	if before.Err != "" {
+		t.Fatal(before.Err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := a.Clone()
+		bad.Val[len(bad.Val)/3] = v
+		for _, req := range []*Request{
+			{Op: OpFactorize, Matrix: bad, Opts: sstar.DefaultOptions()},
+			{Op: OpRefactorize, Handle: fr.Handle, Values: bad.Val},
+			{Op: OpRefactorize, Handle: fr.Handle, Matrix: bad},
+		} {
+			r := s.submit(req)
+			if r.Code != CodeSingular || !errors.Is(r.Error(), sstar.ErrSingular) {
+				t.Fatalf("%s with a %v value answered code %s (%q), want singular", req.Op, v, r.Code, r.Err)
+			}
+		}
+		after := s.submit(&Request{Op: OpSolve, Handle: fr.Handle, B: b})
+		if after.Err != "" || !slices.Equal(after.X, before.X) {
+			t.Fatalf("solve after refused refactorizes with a %v value: err %q, x changed %v", v, after.Err, !slices.Equal(after.X, before.X))
+		}
+	}
+	if s.met.panics.Value() != 0 {
+		t.Fatal("a non-finite value counted as a panic")
 	}
 }
 

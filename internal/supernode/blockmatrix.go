@@ -2,6 +2,7 @@ package supernode
 
 import (
 	"fmt"
+	"math"
 
 	"sstar/internal/sparse"
 )
@@ -296,12 +297,19 @@ func (p *Partition) AssemblyMap(a *sparse.CSR, rowPerm, colPerm []int) []int {
 
 // Assemble overwrites the matrix with the values val laid out by the assembly
 // map off (see Partition.AssemblyMap): every slot not named by off becomes
-// zero. It allocates nothing.
-func (bm *BlockMatrix) Assemble(off []int, val []float64) {
+// zero. It reports whether every value was finite, from a test the copy
+// folds in without a branch. It allocates nothing.
+func (bm *BlockMatrix) Assemble(off []int, val []float64) (finite bool) {
 	clear(bm.slab)
+	var bad uint64
 	for q, o := range off {
-		bm.slab[o] = val[q]
+		v := val[q]
+		bm.slab[o] = v
+		// Bit 63 of the sum is set exactly when the exponent is all ones:
+		// an infinity or a NaN.
+		bad |= math.Float64bits(v)&0x7ff0000000000000 + 1<<52
 	}
+	return bad>>63 == 0
 }
 
 // LoadBlockMatrix rebuilds a BlockMatrix from a partition and a value slab

@@ -141,7 +141,7 @@ func gemmEngine(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 			packA(pb.a, a, lda, ic, k, mcb)
 			offs, maxOff := rowOffsets(pb.offs, nil, ic, mcb, ldc)
 			pb.offs = offs
-			sweep(ncb, k, pb.a, pb.b, c, ldc, offs, maxOff, jc, nil, sign)
+			sweep(ncb, k, pb.a, pb.b, c, ldc, offs, maxOff, jc, nil, nil, sign)
 		}
 	}
 	packsPool.Put(pb)
@@ -273,16 +273,26 @@ func stripCols(cols []int32) tileCols {
 // for every product row i with offs[i] >= 0 and column j < n with a slot,
 // where acc(i, j) is the FMA sum over ascending l from +0 and col(j) is
 // col0+j, or cols[j] when cols is not nil (-1: no slot). ap holds
-// len(offs)/mr strips of mr rows, bp the n columns in strips of nr; each
-// B strip goes to tile, the kernel level dispatched at startup.
-func sweep(n, k int, ap, bp, c []float64, ldc int, offs []int, maxOff, col0 int, cols []int32, sign float64) {
+// len(offs)/mr strips of mr rows, bp the n columns in strips of nr — strip q
+// holding columns q*nr onward, or starts[q] onward when starts is not nil
+// (packUpdateB's windows; the columns no strip holds are skipped). Each B strip
+// goes to tile, the kernel level dispatched at startup.
+func sweep(n, k int, ap, bp, c []float64, ldc int, offs []int, maxOff, col0 int, cols []int32, starts []int32, sign float64) {
 	if ldc < 0 || col0 < 0 {
 		panic("xblas: negative ldc or column offset") // offsets < 0 would read as "no slot"
 	}
 	if maxOff < 0 {
 		return
 	}
-	for jr := 0; jr < n; jr += nr {
+	strips := (n + nr - 1) / nr
+	if starts != nil {
+		strips = len(starts)
+	}
+	for q := 0; q < strips; q++ {
+		jr := q * nr
+		if starts != nil {
+			jr = int(starts[q])
+		}
 		nj := min(nr, n-jr)
 		w := tileCols{base: col0 + jr, reach: col0 + jr + nj, mask: 1<<nj - 1}
 		if cols != nil {
@@ -293,7 +303,7 @@ func sweep(n, k int, ap, bp, c []float64, ldc int, offs []int, maxOff, col0 int,
 		// One bounds check per strip, on the farthest element its tiles
 		// write, so the kernels may run unchecked.
 		_ = c[maxOff+w.reach-1]
-		tile(k, ap, bp[jr*k:(jr+nr)*k], c, ldc, offs, &w, sign)
+		tile(k, ap, bp[q*nr*k:(q+1)*nr*k], c, ldc, offs, &w, sign)
 	}
 }
 
@@ -386,34 +396,40 @@ type Dest struct {
 // one packed B panel serve several products: after NewB the first GemmUpdate
 // that needs B packed packs it, and later calls reuse it until the next NewB.
 // The caller owns that contract — every call between two NewB must pass the
-// same, unchanged B. (PackedA is the same arrangement for the A side.) The
-// zero value is ready to use; a Packs must not be shared between goroutines.
+// same, unchanged B. The zero value is ready to use; a Packs must not be
+// shared between goroutines.
 type Packs struct {
 	a, b    []float64
 	bPacked bool
-	rows    []int32 // GemmScatter's converted maps
-	cols    []int32
-	offs    []int // sweep's row offsets into C
+	// After a pack that dropped zero columns (skip), strip q of the packed
+	// panel holds B's columns starts[q] .. starts[q]+nr-1; otherwise strip q
+	// holds columns q*nr onward. nz is the pack's per-column OR of B's bits.
+	skip   bool
+	starts []int32
+	nz     []uint64
+	rows   []int32 // GemmScatter's converted maps
+	cols   []int32
+	offs   []int // sweep's row offsets into C
 }
 
 // NewB declares that the next GemmUpdate brings a new B operand.
 func (pk *Packs) NewB() { pk.bPacked = false }
 
-// PackedA keeps one A operand packed across GemmUpdate calls, for a caller
-// that multiplies the same A by several B — an L block against every U block
-// of its panel. The first GemmUpdate that needs A packed packs all of it into
-// Buf, which must hold PackedALen(m, k) values; later calls read Buf and never
-// look at A. The caller owns the contract: every call given one PackedA passes
-// the same, unchanged A; a new A takes a new PackedA (the zero value with its
-// Buf set). Packing moves values and rounds nothing, so results do not depend
-// on who packed what, when.
-type PackedA struct {
-	Buf    []float64
-	packed bool
-}
-
 // PackedALen returns the length of the packed image of an m-by-k A operand.
 func PackedALen(m, k int) int { return roundUp(m, mr) * k }
+
+// PackA packs the m-by-k A operand (row-major, stride lda) into dst, which
+// must hold PackedALen(m, k) values, for GemmUpdate calls that multiply the
+// same A by several B. Packing moves values and rounds nothing, so results do
+// not depend on who packed what, when.
+func PackA(dst []float64, m, k int, a []float64, lda int) {
+	packA(dst[:PackedALen(m, k)], a, lda, 0, k, m)
+}
+
+// PacksA reports whether GemmUpdate reads an m-by-k A packed when it
+// multiplies it by a k-by-n B; smaller products run a direct loop over A in
+// place.
+func PacksA(m, n, k int) bool { return 2*m*n*k > smallGemmFlops }
 
 // packsPool backs the calls that bring no Packs of their own (Gemm, GemmAdd,
 // the blocked TRSM, GemmScatter, GemmUpdate with a nil pk).
@@ -433,13 +449,15 @@ var packsPool = sync.Pool{New: func() any { return new(Packs) }}
 // into C with a single rounding per element — bit-matching the naive mapped
 // triple loop. On AVX-512 hosts every tile folds in registers, whatever the
 // maps; elsewhere tiles on four consecutive rows and eight contiguous columns
-// do, and the rest go through a scratch tile.
+// do, and the rest go through a scratch tile. B's pack notes its zero
+// columns and leaves out the strips of nr columns it can (packUpdateB): with
+// A finite, a zero column's sums are +0 and leave C's bits as they are.
 //
 // pk may be nil (buffers then come from a pool and B is packed for this call
-// only); pa may be nil (A is then packed for this call only). Stats: the zero
-// Dest counts as a Gemm call, anything else as a scatter call of the shape
-// that actually lands in C.
-func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, d Dest, pk *Packs, pa *PackedA) {
+// only); pa is A packed by PackA, or nil (A is then packed for this call
+// only). Stats: the zero Dest counts as a Gemm call, anything else as a
+// scatter call of the shape the map lands in C, zero columns included.
+func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, d Dest, pk *Packs, pa []float64) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
@@ -460,19 +478,19 @@ func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 		pk.bPacked = false
 	}
 	if !pk.bPacked {
-		pk.b = grow(pk.b, roundUp(n, nr)*k)
-		packB(pk.b, b, ldb, 0, k, n)
-		pk.bPacked = true
+		pk.packUpdateB(b, ldb, k, n)
 	}
-	if pa != nil && !pa.packed {
-		packA(pa.Buf[:PackedALen(m, k)], a, lda, 0, k, m)
-		pa.packed = true
+	var starts []int32
+	if pk.skip {
+		if starts = pk.starts; len(starts) == 0 {
+			n = 0 // B is zero: every sum is +0, and C keeps its bits
+		}
 	}
 	for ic := 0; ic < m; ic += mcBlock {
 		mcb := min(mcBlock, m-ic)
 		var ap []float64 // packed rows ic.. of A; strips of mr rows, so row ir starts at ir*k
 		if pa != nil {
-			ap = pa.Buf[ic*k:]
+			ap = pa[ic*k:]
 		} else {
 			pk.a = grow(pk.a, roundUp(mcb, mr)*k)
 			packA(pk.a, a, lda, ic, k, mcb)
@@ -480,12 +498,91 @@ func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 		}
 		offs, maxOff := rowOffsets(pk.offs, d.Rows, ic, mcb, ldc)
 		pk.offs = offs
-		sweep(n, k, ap, pk.b, c, ldc, offs, maxOff, d.Col0, d.Cols, -1)
+		sweep(n, k, ap, pk.b, c, ldc, offs, maxOff, d.Col0, d.Cols, starts, -1)
 	}
 	if pooled {
 		packsPool.Put(pk)
 	}
 }
+
+// packUpdateB packs the k-by-n B (stride ldb) into pk.b for GemmUpdate, noting
+// in the same pass which columns hold a nonzero (a NaN or an infinity
+// counts, a zero of either sign does not). Then it lays the panel out again
+// as windows of nr consecutive columns, each opening at the first nonzero
+// column past the last window, when that takes fewer strips: the zero
+// columns no window reaches are never multiplied, and every strip still
+// lands on a contiguous run of C's columns wherever B's columns do. Breaking
+// that contiguity to drop every zero column (a composed column map) saved
+// more flops but cost as much in gathered and scattered write-backs
+// (DESIGN.md, "Zero U subcolumns").
+func (pk *Packs) packUpdateB(b []float64, ldb, k, n int) {
+	bp := grow(pk.b, roundUp(n, nr)*k)
+	nz := grow(pk.nz, n)
+	for jr := 0; jr < n; jr += nr {
+		strip := bp[jr*k : (jr+nr)*k]
+		w := min(nr, n-jr)
+		// One accumulator per lane, nr = 8 of them, kept in registers
+		// (unrolledForEight fails to compile for any other nr); the lanes
+		// past w hold the strip's zero padding.
+		var o0, o1, o2, o3, o4, o5, o6, o7 uint64
+		for l := 0; l < k; l++ {
+			d := (*[nr]float64)(strip[l*nr:])
+			if w == nr {
+				*d = *(*[nr]float64)(b[l*ldb+jr:])
+			} else {
+				copy(d[:w], b[l*ldb+jr:l*ldb+jr+w])
+				clear(d[w:])
+			}
+			o0 |= math.Float64bits(d[0])
+			o1 |= math.Float64bits(d[1])
+			o2 |= math.Float64bits(d[2])
+			o3 |= math.Float64bits(d[3])
+			o4 |= math.Float64bits(d[4])
+			o5 |= math.Float64bits(d[5])
+			o6 |= math.Float64bits(d[6])
+			o7 |= math.Float64bits(d[7])
+		}
+		lanes := [nr]uint64{o0, o1, o2, o3, o4, o5, o6, o7}
+		copy(nz[jr:jr+w], lanes[:w])
+	}
+	starts := pk.starts[:0]
+	for j := 0; j < n; j++ {
+		if nz[j]<<1 != 0 { // not ±0 throughout
+			starts = append(starts, int32(j))
+			j += nr - 1
+		}
+	}
+	pk.b, pk.nz, pk.starts, pk.bPacked = bp, nz, starts, true
+	if pk.skip = len(starts) < (n+nr-1)/nr; !pk.skip {
+		return
+	}
+	// Window q starts at column starts[q] >= q*nr, so it reads strips q and
+	// above only, which no earlier window wrote, and within strip q it moves
+	// each value to a lower lane or leaves it: the layout changes in place.
+	for q, c := range starts {
+		s0, o := int(c)/nr, int(c)%nr
+		switch {
+		case s0 == q && o == 0:
+		case o == 0: // a whole strip, padding included
+			copy(bp[q*nr*k:(q+1)*nr*k], bp[s0*nr*k:(s0+1)*nr*k])
+		default: // lanes o.. of strip s0, then the first lanes of strip s0+1
+			dst, src := bp[q*nr*k:(q+1)*nr*k], bp[s0*nr*k:]
+			w := min(nr, n-int(c))
+			w0 := min(w, nr-o)
+			for l := 0; l < k; l++ {
+				d := dst[l*nr : l*nr+nr]
+				copy(d[:w0], src[l*nr+o:])
+				if w > w0 {
+					copy(d[w0:w], src[(k+l)*nr:])
+				}
+				clear(d[w:])
+			}
+		}
+	}
+}
+
+// unrolledForEight holds packUpdateB's unrolled strip loop to nr = 8.
+const unrolledForEight = uint(nr-8) + uint(8-nr)
 
 // smallUpdate is the direct path for tiny products: the mapped FMA triple
 // loop itself, with the same per-element accumulation order and

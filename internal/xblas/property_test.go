@@ -723,3 +723,114 @@ func TestGemmConcurrent(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// TestGemmUpdateZeroColumns: B's pack leaves out the strips of nr columns
+// that only zero columns fill, and the update must still be the naive mapped
+// loop's bit for bit — C's signed zeros included — with zero columns leading,
+// trailing, interleaved, in runs longer than a strip, everywhere and nowhere,
+// under every map form, at every kernel level, and with one packed B shared
+// by several products.
+func TestGemmUpdateZeroColumns(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	patterns := []struct {
+		name string
+		zero func(n int, rng *rand.Rand) []bool
+	}{
+		{"none", func(n int, _ *rand.Rand) []bool { return make([]bool, n) }},
+		{"all", func(n int, _ *rand.Rand) []bool { return filled(n, func(int) bool { return true }) }},
+		{"leading", func(n int, rng *rand.Rand) []bool {
+			z := 1 + rng.Intn(n)
+			return filled(n, func(j int) bool { return j < z })
+		}},
+		{"trailing", func(n int, rng *rand.Rand) []bool {
+			z := rng.Intn(n)
+			return filled(n, func(j int) bool { return j >= z })
+		}},
+		{"interleaved", func(n int, _ *rand.Rand) []bool { return filled(n, func(j int) bool { return j%2 == 1 }) }},
+		{"runs", func(n int, rng *rand.Rand) []bool {
+			z := make([]bool, n)
+			for j := 0; j < n; {
+				run := 1 + rng.Intn(2*nr)
+				zero := rng.Intn(2) == 0
+				for ; run > 0 && j < n; run, j = run-1, j+1 {
+					z[j] = zero
+				}
+			}
+			return z
+		}},
+	}
+	forEachLevel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(83))
+		var pk Packs
+		for _, p := range patterns {
+			name := p.name
+			for trial := 0; trial < 40; trial++ {
+				m, n, k := 1+rng.Intn(30), 1+rng.Intn(60), 1+rng.Intn(24)
+				zero := p.zero(n, rng)
+				b := randMat(rng, k, n)
+				for l := 0; l < k; l++ {
+					for j := range zero {
+						if zero[j] {
+							b[l*n+j] = 0
+							if rng.Intn(2) == 0 {
+								b[l*n+j] = negZero
+							}
+						}
+					}
+				}
+				tm, tn := m+rng.Intn(5), n+rng.Intn(9)
+				dstRow, dstCol := make([]int, m), make([]int, n)
+				var d Dest
+				for i := range dstRow {
+					dstRow[i] = i
+				}
+				if rng.Intn(2) == 0 {
+					dstRow = scatterMap(rng, m, tm)
+					d.Rows = toInt32(nil, dstRow)
+				}
+				if rng.Intn(2) == 0 {
+					d.Col0 = rng.Intn(tn - n + 1)
+					for j := range dstCol {
+						dstCol[j] = d.Col0 + j
+					}
+				} else {
+					dstCol = scatterMap(rng, n, tn)
+					d.Cols = toInt32(nil, dstCol)
+				}
+				pk.NewB()
+				for rep := 0; rep < 2; rep++ { // two products share the packed B
+					a := randMat(rng, m, k)
+					c := randMat(rng, tm, tn)
+					for q := range c {
+						switch rng.Intn(4) {
+						case 0:
+							c[q] = 0
+						case 1:
+							c[q] = negZero
+						}
+					}
+					want := append([]float64(nil), c...)
+					refGemmScatter(m, n, k, a, k, b, n, want, tn, dstRow, dstCol)
+					var pa []float64
+					if rep == 1 {
+						pa = make([]float64, PackedALen(m, k))
+						PackA(pa, m, k, a, k)
+					}
+					GemmUpdate(m, n, k, a, k, b, n, c, tn, d, &pk, pa)
+					if !bitEqual(c, want) {
+						t.Fatalf("%s trial %d rep %d: m=%d n=%d k=%d zero=%v rows=%v cols=%v: not bit-identical to the naive loop (max diff %g)",
+							name, trial, rep, m, n, k, zero, d.Rows != nil, d.Cols != nil, maxDiff(c, want))
+					}
+				}
+			}
+		}
+	})
+}
+
+func filled(n int, f func(int) bool) []bool {
+	z := make([]bool, n)
+	for j := range z {
+		z[j] = f(j)
+	}
+	return z
+}

@@ -3,8 +3,10 @@ package sstar
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -282,6 +284,59 @@ func TestLoadBalance2DIsExact(t *testing.T) {
 			}
 			if math.Float64bits(st.ParallelTime) != math.Float64bits(first.ParallelTime) || st.SentBytes != first.SentBytes || st.SentMessages != first.SentMessages {
 				t.Errorf("%s: modelled run statistics differ between two runs", mapping)
+			}
+		}
+	}
+}
+
+// TestNonFiniteValuesRefused: a NaN or an infinity anywhere in the matrix is
+// refused by every entry point — Factorize on the host (sequential and
+// task-DAG) and on the virtual machine, FactorizeWith, and Refactorize on
+// either driver — with an error wrapping ErrSingular that names the entry.
+// A refused Refactorize leaves the previous factors answering. An entry off
+// the pivot path used to fail only sometimes.
+func TestNonFiniteValuesRefused(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	a := coarseMatrix()
+	// An entry of the last row left of the diagonal: a subdiagonal value
+	// the pivot search need not meet.
+	i := a.N - 1
+	q := a.RowPtr[i]
+	j := a.ColInd[q]
+	want := fmt.Sprintf("at row %d, column %d is not finite", i, j)
+	check := func(label string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrSingular) || !strings.Contains(fmt.Sprint(err), want) {
+			t.Fatalf("%s: error %v, want one wrapping ErrSingular that says %q", label, err, want)
+		}
+	}
+	b := rhs(a.N, 44)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := a.Clone()
+		bad.Val[q] = v
+		for _, o := range []Options{{HostWorkers: 1}, {HostWorkers: 2}, {Procs: 4, Mapping: Map2D}, {Procs: 4, Mapping: Map1DCA}} {
+			_, err := Factorize(bad, o)
+			check(fmt.Sprintf("Factorize %v %+v", v, o), err)
+		}
+		an, err := Analyze(a, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = an.FactorizeWith(bad)
+		check(fmt.Sprintf("FactorizeWith %v", v), err)
+		for _, workers := range []int{1, 2} {
+			f, err := Factorize(a, Options{HostWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers > 1 {
+				onExecutor(t, "parallel handle", f)
+			}
+			before, _ := f.Solve(b)
+			check(fmt.Sprintf("Refactorize %v on %d workers", v, workers), f.Refactorize(bad))
+			after, err := f.Solve(b)
+			if err != nil || !sameBits(before, after) {
+				t.Fatalf("Refactorize %v on %d workers: Solve changed after the refusal (err %v)", v, workers, err)
 			}
 		}
 	}

@@ -120,7 +120,9 @@ if git grep -n 'go:build' -- 'internal/xblas/*.go' 'internal/xblas/*.s' ':!*_tes
 # test-only generator wrappers; GenPerturb is spelled with its parenthesis
 # because it prefixes the kept GenPerturbLocal) and the options only tests
 # set (the pivot threshold, the patch budget — spelled so that the kept
-# DefaultPatchMaxDiff does not match — and the frame caps) stay gone.
+# DefaultPatchMaxDiff does not match — and the frame caps) and the
+# sequential driver's own panel declaration (the Factor task packs the
+# panel for every executor) stay gone.
 # RequestStats.BatchWidth, RouterStats.Scatters and the benchmark metrics
 # reading them are not listed: they stay until the benchmark retires them.
 # Scanned: every file but
@@ -128,7 +130,7 @@ if git grep -n 'go:build' -- 'internal/xblas/*.go' 'internal/xblas/*.s' ':!*_tes
 # that describe the program and its sources (the changelog, roadmap and
 # planning notes are history and may name what went). Spelled as an if
 # because set -e ignores a command behind "!".
-retired='BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D|runSolveBatch|doSolveMany|CoalesceWidth|coalesce-width|ColEtree|detectSupernodesWorkers|parMinCols|partParMin|ColumnMinDegree|colmmd|SetTileShape|AutotuneResult|TileChoice|tileCandidates|CoalesceWindow|coalesce-window|TenantWeights|tenant-weights|parseTenantWeights|SuspectThreshold|DeadThreshold|collectRiders|takeSolves|solveBatch|batchColumns|scatterSolveMany|coalescedSolves|CoalescedSolves|SolveBatches|solve_batch_width|router_scatters_total|FactorizeBTF|BTFFactorization|BlockTriangular|btfcircuit|SolveTranspose|CondEst|Equilibrate|RefineResult|backwardError|GenDense|GenPerturb\(|\.Refine\(|PivotThreshold|PivotTol|pivotTol|WithMaxFrame|MaxFrame|\.PatchMaxDiff|PatchMaxDiff:'
+retired='BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D|runSolveBatch|doSolveMany|CoalesceWidth|coalesce-width|ColEtree|detectSupernodesWorkers|parMinCols|partParMin|ColumnMinDegree|colmmd|SetTileShape|AutotuneResult|TileChoice|tileCandidates|CoalesceWindow|coalesce-window|TenantWeights|tenant-weights|parseTenantWeights|SuspectThreshold|DeadThreshold|collectRiders|takeSolves|solveBatch|batchColumns|scatterSolveMany|coalescedSolves|CoalescedSolves|SolveBatches|solve_batch_width|router_scatters_total|FactorizeBTF|BTFFactorization|BlockTriangular|btfcircuit|SolveTranspose|CondEst|Equilibrate|RefineResult|backwardError|GenDense|GenPerturb\(|\.Refine\(|PivotThreshold|PivotTol|pivotTol|WithMaxFrame|MaxFrame|\.PatchMaxDiff|PatchMaxDiff:|newPanel\(|dropPanel'
 if git grep -nE "$retired" -- . ':(exclude,glob)*.md' ':!results/' ':!scripts/check.sh' ||
 	git grep -nE "$retired" -- README.md DESIGN.md EXPERIMENTS.md PAPER.md PAPERS.md SNIPPETS.md; then exit 1; fi
 

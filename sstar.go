@@ -231,10 +231,11 @@ func Factorize(a *Matrix, o Options) (*Factorization, error) {
 // to factor storage are reused, so a refactorization clears and refills the
 // factor storage and allocates O(1) objects (the first call allocates the
 // second of two value buffers it alternates between). It is atomic: on error
-// — a pattern mismatch, a numerically singular matrix — the previous factors
-// stay live and Solve keeps answering from them. A matrix whose pattern
-// differs from the originally factorized one is rejected (the static
-// structure only bounds fill for the analyzed pattern).
+// — a pattern mismatch, a numerically singular matrix, a NaN or an infinity
+// among the values — the previous factors stay live and Solve keeps
+// answering from them. A matrix whose pattern differs from the originally
+// factorized one is rejected (the static structure only bounds fill for the
+// analyzed pattern).
 func (f *Factorization) Refactorize(a *Matrix) error {
 	if a == nil {
 		return fmt.Errorf("sstar: refactorize: nil matrix")
