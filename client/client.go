@@ -19,14 +19,6 @@
 //
 // Client.Metrics reports the client's own request/error/dial counters.
 //
-// Multi-tenant servers attribute work to tenants for fair-share scheduling
-// (see DESIGN.md, "Per-tenant QoS"). Dial with WithTenant to stamp every
-// request, or derive a per-tenant view with ForTenant — the view shares the
-// connection pool and counters with its parent:
-//
-//	c, _ := client.Dial("tcp", addr, client.WithTenant("prod"))
-//	batch := c.ForTenant("batch")   // same pool, different attribution
-//
 // Failures are typed: a server-side error arrives as a *RemoteError whose
 // class matches the root package's sentinels through errors.Is
 // (sstar.ErrSingular, sstar.ErrBadHandle, sstar.ErrOverloaded,
@@ -68,12 +60,6 @@ func WithDialTimeout(d time.Duration) Option { return func(c *Client) { c.pool.D
 // retries are disabled and every failure surfaces immediately.
 func WithRetry(p RetryPolicy) Option { return func(c *Client) { c.retry = p.withDefaults() } }
 
-// WithTenant stamps every request from this client with the tenant name, the
-// unit of the server's fair-share scheduling and per-tenant metrics. An
-// empty tenant (the default) is admitted under the server's default tenant.
-// Old servers ignore the field.
-func WithTenant(tenant string) Option { return func(c *Client) { c.tenant = tenant } }
-
 // Client is a connection-pooling client of one solver service — a single
 // server, a cluster shard, or a cluster router; the protocol is identical.
 // Connections are pooled per address because a cluster answer can redirect
@@ -81,15 +67,12 @@ func WithTenant(tenant string) Option { return func(c *Client) { c.tenant = tena
 // the client follows the redirect transparently, dialing and pooling the new
 // address alongside the primary (see Metrics.Redirects).
 type Client struct {
-	addr   string
-	retry  RetryPolicy
-	tenant string
+	addr  string
+	retry RetryPolicy
 
-	// pool and met are shared by every tenant-derived view of this client
-	// (ForTenant): the view copies the fields above and aliases these. The
-	// pool owns the wire conversation — dialing, handshake, deadlines, the
-	// stale-connection redial; the client adds retry, redirect and metrics
-	// policy on top.
+	// The pool owns the wire conversation — dialing, handshake, deadlines,
+	// the stale-connection redial; the client adds retry, redirect and
+	// metrics policy on top.
 	pool *server.Pool
 	met  *clientMetrics
 }
@@ -109,20 +92,8 @@ func Dial(network, addr string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// ForTenant returns a view of the client that stamps tenant on every request
-// it issues. The view shares the connection pool, the metrics counters, and
-// the retry policy with its parent; only the attribution differs. Closing
-// either closes the shared pool. Handles keep the tenant of the view that
-// factorized them.
-func (c *Client) ForTenant(tenant string) *Client {
-	view := *c
-	view.tenant = tenant
-	return &view
-}
-
-// Close releases every pooled connection, including those of ForTenant views
-// (the pool is shared). In-flight requests on checked-out connections
-// finish; their connections are then closed on return.
+// Close releases every pooled connection. In-flight requests on checked-out
+// connections finish; their connections are then closed on return.
 func (c *Client) Close() error {
 	c.pool.Close()
 	return nil
@@ -177,16 +148,6 @@ type Handle struct {
 	// cluster): handle operations start there instead of rediscovering the
 	// owner through a redirect on every call.
 	addr string
-}
-
-// ForTenant returns a view of the handle whose operations are attributed to
-// tenant — the per-call counterpart of Client.ForTenant. The view targets the
-// same server-side factors; only the accounting and fair-share scheduling
-// differ.
-func (h *Handle) ForTenant(tenant string) *Handle {
-	view := *h
-	view.c = h.c.ForTenant(tenant)
-	return &view
 }
 
 // ID returns the server-side handle id.

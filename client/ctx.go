@@ -112,9 +112,6 @@ func (e *RedirectLoopError) Is(target error) bool { return target == sstar.ErrRe
 // that has since died falls back to the router (or a redirect) instead of
 // hammering the corpse.
 func (c *Client) roundTrip(ctx context.Context, req *server.Request, preferred string) (resp *server.Response, err error) {
-	if c.tenant != "" {
-		req.Tenant = c.tenant
-	}
 	c.met.requests.Add(1)
 	start := time.Now()
 	target := preferred

@@ -140,8 +140,6 @@ const (
 	kindHistogram
 	kindCounterFunc
 	kindGaugeFunc
-	kindCounterVec
-	kindGaugeVec
 )
 
 // metric is one named registry entry.
@@ -152,8 +150,6 @@ type metric struct {
 	g          *Gauge
 	h          *Histogram
 	fn         func() float64
-	cv         *CounterVec
-	gv         *GaugeVec
 }
 
 // Registry holds named metrics and renders them in Prometheus text
@@ -231,7 +227,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, m := range ms {
 		typ := "counter"
 		switch m.kind {
-		case kindGauge, kindGaugeFunc, kindGaugeVec:
+		case kindGauge, kindGaugeFunc:
 			typ = "gauge"
 		case kindHistogram:
 			typ = "histogram"
@@ -247,10 +243,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.g.Value())
 		case kindCounterFunc, kindGaugeFunc:
 			_, err = fmt.Fprintf(w, "%s %s\n", m.name, fmtFloat(m.fn()))
-		case kindCounterVec:
-			err = writeCounterVec(w, m.name, m.cv)
-		case kindGaugeVec:
-			err = writeGaugeVec(w, m.name, m.gv)
 		case kindHistogram:
 			cum := int64(0)
 			for i, b := range m.h.bounds {

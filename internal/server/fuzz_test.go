@@ -35,12 +35,12 @@ func FuzzRequestDecode(f *testing.F) {
 		{Op: OpRefactorize, Handle: 2, Values: []float64{1, 2, 3}},
 		{Op: OpFree, Handle: 3},
 		{Op: Op(200)},
-		// Tenant is the additive QoS field: hostile names must be as
-		// survivable as hostile payloads (they become scheduler queue names
-		// and metric label values).
-		{Op: OpSolve, Handle: 1, B: make([]float64, 16), Tenant: "prod"},
-		{Op: OpPing, Tenant: "\x00\xff weird\nname\""},
-		{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions(), Tenant: strings.Repeat("t", 300)},
+		// Addr and Members are the strings a peer chooses (on a shard they
+		// become ring member names): hostile names must be as survivable as
+		// hostile payloads.
+		{Op: OpMembership, Epoch: 2, Addr: "prod", Members: []string{"prod"}, Join: true},
+		{Op: OpMembership, Addr: "\x00\xff weird\nname\"", Leave: true},
+		{Op: OpMembership, Members: []string{strings.Repeat("t", 300), ""}},
 	}
 	for _, req := range seeds {
 		var buf bytes.Buffer

@@ -25,12 +25,6 @@ type metrics struct {
 	solve     *obs.Histogram
 	request   *obs.Histogram
 
-	// Multi-tenant QoS surface: per-tenant request/shed counters and queue
-	// gauges (bounded families — tenants past the bound share one spillover
-	// series).
-	tenantRequests *obs.CounterVec
-	tenantSheds    *obs.CounterVec
-
 	// Analyze-phase breakdown, observed once per freshly computed analysis
 	// (cache hits contribute nothing — they ran no phase).
 	phOrdering *obs.Histogram
@@ -91,7 +85,7 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(s.sheds.Load()) })
 	reg.GaugeFunc("sstar_server_queue_depth",
 		"Requests waiting for a worker.",
-		func() float64 { return float64(s.sched.depth()) })
+		func() float64 { return float64(len(s.queue)) })
 	reg.GaugeFunc("sstar_server_workers",
 		"Request-level worker pool size.",
 		func() float64 { return float64(s.cfg.Workers) })
@@ -128,13 +122,6 @@ func newMetrics(s *Server) *metrics {
 		"Per-block partition structure build of freshly computed analyses.")
 	m.phPatch = reg.Histogram("sstar_analyze_patch_seconds",
 		"Incremental symbolic re-analysis time of patched analyses.")
-
-	m.tenantRequests = reg.CounterVec("sstar_server_tenant_requests_total",
-		"Requests submitted per tenant (including sheds).", "tenant").
-		Bound(maxTenantQueues, spillTenant)
-	m.tenantSheds = reg.CounterVec("sstar_server_tenant_sheds_total",
-		"Requests refused by admission control, per tenant.", "tenant").
-		Bound(maxTenantQueues, spillTenant)
 	return m
 }
 

@@ -1,16 +1,20 @@
 package server
 
-// The retired handle-role fields on the wire. Handle roles are derived from
-// the ring, not stored, so Response.Replica, ManifestEntry.Replica and three
-// ServerStats counters are gone from the types; a peer built before that
-// still sends them. This file spells their names to rebuild that peer's
-// shape, which is why scripts/check.sh's role deletion guard skips it.
+// The retired fields on the wire. Handle roles are derived from the ring, not
+// stored, so Response.Replica, ManifestEntry.Replica and three ServerStats
+// counters are gone from the types; admission is one queue, so
+// Request.Tenant and ServerStats.Tenants are gone too. A peer built before
+// that still sends them. This file spells their names to rebuild that peer's
+// shape, which is why scripts/check.sh's role and tenant deletion guards
+// skip it.
 
 import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
+	"sstar"
 	"sstar/internal/wire"
 )
 
@@ -30,10 +34,11 @@ func withFields(t reflect.Type, retype map[string]reflect.Type, extra ...reflect
 }
 
 // TestOldPeerResponseDecodes: a Response and its ManifestEntry list as a peer
-// that still stores handle roles encodes them — Response.Replica,
-// ManifestEntry.Replica and ServerStats.{ReplicaHandles,Promotions,
-// Demotions} set — decode into today's types without error and with every
-// kept field intact: the mixed-fleet contract of the additive wire.
+// that still stores handle roles and tenants encodes them — Response.Replica,
+// ManifestEntry.Replica, ServerStats.{ReplicaHandles,Promotions,Demotions}
+// and the ServerStats.Tenants map set — decode into today's types without
+// error and with every kept field intact: the mixed-fleet contract of the
+// additive wire.
 func TestOldPeerResponseDecodes(t *testing.T) {
 	want := Response{
 		Err: "not owner", Code: CodeNotOwner, Handle: 7, N: 16, Nnz: 64,
@@ -53,14 +58,19 @@ func TestOldPeerResponseDecodes(t *testing.T) {
 			f.SetUint(uint64(100 + i))
 		}
 	}
-	want.Server.Tenants = map[string]TenantStats{DefaultTenant: {Requests: 4, Sheds: 1, Queued: 2}}
 
+	oldTenantStats := reflect.StructOf([]reflect.StructField{
+		{Name: "Requests", Type: reflect.TypeOf(int64(0))},
+		{Name: "Sheds", Type: reflect.TypeOf(int64(0))},
+		{Name: "Queued", Type: reflect.TypeOf(0)},
+	})
 	oldEntry := withFields(reflect.TypeOf(ManifestEntry{}), nil,
 		reflect.StructField{Name: "Replica", Type: reflect.TypeOf(true)})
 	oldStats := withFields(reflect.TypeOf(ServerStats{}), nil,
 		reflect.StructField{Name: "ReplicaHandles", Type: reflect.TypeOf(0)},
 		reflect.StructField{Name: "Promotions", Type: reflect.TypeOf(int64(0))},
-		reflect.StructField{Name: "Demotions", Type: reflect.TypeOf(int64(0))})
+		reflect.StructField{Name: "Demotions", Type: reflect.TypeOf(int64(0))},
+		reflect.StructField{Name: "Tenants", Type: reflect.MapOf(reflect.TypeOf(""), oldTenantStats)})
 	oldResp := withFields(reflect.TypeOf(Response{}),
 		map[string]reflect.Type{"Server": oldStats, "Manifest": reflect.SliceOf(oldEntry)},
 		reflect.StructField{Name: "Replica", Type: reflect.TypeOf("")})
@@ -81,6 +91,13 @@ func TestOldPeerResponseDecodes(t *testing.T) {
 	ost.FieldByName("ReplicaHandles").SetInt(1)
 	ost.FieldByName("Promotions").SetInt(2)
 	ost.FieldByName("Demotions").SetInt(3)
+	tenants := reflect.MakeMap(reflect.MapOf(reflect.TypeOf(""), oldTenantStats))
+	ts := reflect.New(oldTenantStats).Elem()
+	ts.FieldByName("Requests").SetInt(4)
+	ts.FieldByName("Sheds").SetInt(1)
+	ts.FieldByName("Queued").SetInt(2)
+	tenants.SetMapIndex(reflect.ValueOf("default"), ts)
+	ost.FieldByName("Tenants").Set(tenants)
 	om := o.FieldByName("Manifest")
 	for i := 0; i < om.Len(); i++ {
 		om.Index(i).FieldByName("Replica").SetBool(i%2 == 0)
@@ -96,5 +113,51 @@ func TestOldPeerResponseDecodes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("old-peer response decoded as\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// TestOldPeerRequestDefaultTenant: requests as a client that still stamps a
+// tenant encodes them — Request.Tenant set, to the old default tenant name
+// and to another — decode into today's Request with every kept field intact
+// and are served.
+func TestOldPeerRequestDefaultTenant(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	a := sstar.GenGrid2D(8, 8, false, sstar.GenOptions{Seed: 2, Convection: 0.2})
+	fr := s.submit(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
+	if fr.Err != "" {
+		t.Fatal(fr.Err)
+	}
+	b := testRHS(a.N, 1)[0]
+
+	oldReq := withFields(reflect.TypeOf(Request{}), nil,
+		reflect.StructField{Name: "Tenant", Type: reflect.TypeOf("")})
+	for i, want := range []Request{
+		{Op: OpPing},
+		{Op: OpSolve, Handle: fr.Handle, B: b, TimeoutNs: int64(time.Minute)},
+	} {
+		var buf bytes.Buffer
+		if err := wire.WriteGob(&buf, FrameRequest, &want); err != nil {
+			t.Fatal(err)
+		}
+		old := reflect.New(oldReq)
+		if err := wire.ReadGob(&buf, FrameRequest, 1<<20, old.Interface()); err != nil {
+			t.Fatal(err)
+		}
+		old.Elem().FieldByName("Tenant").SetString([]string{"default", "batch"}[i])
+
+		buf.Reset()
+		if err := wire.WriteGob(&buf, FrameRequest, old.Interface()); err != nil {
+			t.Fatal(err)
+		}
+		var got Request
+		if err := wire.ReadGob(&buf, FrameRequest, 1<<20, &got); err != nil {
+			t.Fatalf("old-peer request failed to decode: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("old-peer request decoded as\n%+v\nwant\n%+v", got, want)
+		}
+		if resp := s.submit(&got); resp.Err != "" {
+			t.Fatalf("old-peer %s refused: %s", got.Op, resp.Err)
+		}
 	}
 }

@@ -183,13 +183,6 @@ type Request struct {
 	// replica installs under.
 	Blob []byte
 
-	// Tenant names the requester for the server's round-robin scheduler
-	// and per-tenant accounting. An additive gob field: requests from
-	// clients that predate it decode with Tenant empty and are admitted
-	// under DefaultTenant. Purely a QoS identity — it never changes what a
-	// request computes.
-	Tenant string
-
 	// Epoch and Members carry the sender's membership view on
 	// OpMembership. Additive gob fields: peers that predate them decode
 	// zero values, which merge as "no information".
@@ -223,10 +216,6 @@ type ManifestEntry struct {
 	Key      uint64 // structure key (ring placement input)
 	ValEpoch uint64 // values-epoch of the installed factors
 }
-
-// DefaultTenant is the tenant requests without a Tenant field (old peers,
-// unconfigured clients) are admitted and accounted under.
-const DefaultTenant = "default"
 
 // RequestStats is the per-request cost split the server reports with every
 // response: where the time went and whether the analysis cache served the
@@ -262,16 +251,6 @@ type RequestStats struct {
 	// server.batch_width_mean averages it; it goes when that metric is
 	// retired.
 	BatchWidth int
-}
-
-// TenantStats is one tenant's slice of the server counters.
-type TenantStats struct {
-	// Requests counts this tenant's submissions (including sheds).
-	Requests int64
-	// Sheds counts this tenant's requests refused by admission control.
-	Sheds int64
-	// Queued is the tenant's backlog at snapshot time.
-	Queued int
 }
 
 // ServerStats is a snapshot of the server's counters.
@@ -311,11 +290,6 @@ type ServerStats struct {
 	// over budget, lost diagonal) and a full analyze ran after all.
 	Patches        int64
 	PatchFallbacks int64
-
-	// Tenants is the per-tenant counter breakdown, keyed by tenant name
-	// (DefaultTenant for requests that carried none). Additive gob field:
-	// old clients decode snapshots without it unchanged.
-	Tenants map[string]TenantStats
 
 	// Cluster fields — zero on a standalone server. On a shard they
 	// describe that shard; on a stats response aggregated by the router

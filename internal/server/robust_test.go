@@ -85,7 +85,7 @@ func TestAdmissionShedsOnFullQueue(t *testing.T) {
 		}(i)
 	}
 	waitFactorizing(t, s, 1)
-	for i := 0; s.sched.depth() == 0; i++ {
+	for i := 0; len(s.queue) == 0; i++ {
 		if i > 5000 {
 			t.Fatal("queue never filled")
 		}
@@ -208,6 +208,56 @@ func TestGracefulCloseDrains(t *testing.T) {
 	// Close is idempotent.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseRacesSubmitters: with one worker and a queue two deep, many
+// submitters — with and without deadlines — race Close. Every submit
+// returns, answered or shed with CodeOverloaded; none hangs and none sends on
+// a closed channel.
+func TestCloseRacesSubmitters(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2})
+	const n = 24
+	resps := make(chan *Response, n)
+	start := make(chan struct{})
+	for i := 0; i < n; i++ {
+		req := &Request{Op: OpPing}
+		if i%3 == 0 {
+			req = &Request{Op: OpFactorize, Matrix: smallMatrix(int64(i)), Opts: sstar.DefaultOptions()}
+		}
+		if i%2 == 0 {
+			req.TimeoutNs = int64(time.Duration(1+i%4) * time.Millisecond)
+		}
+		go func() {
+			<-start
+			resps <- s.submit(req)
+		}()
+	}
+	close(start)
+	time.Sleep(200 * time.Microsecond) // let some submitters reach the queue first
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	timeout := time.After(30 * time.Second)
+	for i := 0; i < n; i++ {
+		select {
+		case r := <-resps:
+			if r.Err != "" && r.Code != CodeOverloaded {
+				t.Fatalf("submit answered code %s (%q), want success or overloaded", r.Code, r.Err)
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d submits never returned", n-i, n)
+		}
+	}
+	select {
+	case <-closed:
+	case <-timeout:
+		t.Fatal("Close never returned")
+	}
+	if d := len(s.queue); d != 0 {
+		t.Fatalf("%d jobs left queued after Close", d)
 	}
 }
 

@@ -148,7 +148,6 @@ func (c Config) withDefaults() Config {
 // time budget and is processed whenever a worker frees up.
 type job struct {
 	req      *Request
-	tenant   string // resolved tenant (DefaultTenant when the request carried none)
 	enqueued time.Time
 	deadline time.Time
 	done     chan *Response
@@ -166,10 +165,9 @@ type Server struct {
 	cfg   Config
 	cache *analysisCache
 	reg   *registry
-	sched *qosched      // per-tenant round-robin queues
-	slots chan struct{} // admission capacity: one token per queued request, QueueDepth total
+	queue chan *job     // admitted requests waiting for a worker, QueueDepth at most; never closed
 	stop  chan struct{} // closed first: gates submissions and the sweeper
-	quit  chan struct{} // closed after drain: workers exit
+	quit  chan struct{} // closed after drain: workers run what is still queued, then exit
 
 	subWg    sync.WaitGroup // submissions past the admission gate
 	workerWg sync.WaitGroup // worker pool + sweeper
@@ -198,8 +196,7 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		cache: newAnalysisCache(cfg.CacheEntries),
 		reg:   newRegistry(cfg.MemBudget, cfg.HandleTTL),
-		sched: newQosched(),
-		slots: make(chan struct{}, cfg.QueueDepth),
+		queue: make(chan *job, cfg.QueueDepth),
 		stop:  make(chan struct{}),
 		quit:  make(chan struct{}),
 	}
@@ -275,10 +272,10 @@ func (s *Server) Close() error {
 		s.logf("server: drain timeout (%v) — closing with requests in flight", s.cfg.DrainTimeout)
 	}
 
+	// The queue channel is never closed: a submitter racing the stop gate
+	// may still be selecting on its send, and a send on a closed channel
+	// panics even inside a select. Workers exit on quit instead.
 	close(s.quit)
-	// Wake every worker blocked on the scheduler; they drain whatever is
-	// still queued (nothing new can arrive past the stop gate) and exit.
-	s.sched.stop()
 	s.workerWg.Wait()
 	s.ep.Close()
 	return nil
@@ -291,12 +288,11 @@ func errResponse(err error) *Response {
 }
 
 // shed refuses a request without executing it, counting it on the shed,
-// request, error, and per-tenant counters.
-func (s *Server) shed(req *Request, tenant string, queueNs int64, why string) *Response {
+// request and error counters.
+func (s *Server) shed(req *Request, queueNs int64, why string) *Response {
 	s.sheds.Add(1)
 	s.requests.Add(1)
 	s.errors.Add(1)
-	s.met.tenantSheds.With(tenant).Inc()
 	s.logf("server: shed %s: %s", req.Op, why)
 	resp := errResponse(fmt.Errorf("%w: %s", sstar.ErrOverloaded, why))
 	resp.Stats.QueueNs = queueNs
@@ -304,73 +300,63 @@ func (s *Server) shed(req *Request, tenant string, queueNs int64, why string) *R
 	return resp
 }
 
-// tenantOf resolves a request's tenant: the wire field when present,
-// DefaultTenant otherwise (old peers that predate the field land here).
-func tenantOf(req *Request) string {
-	if req.Tenant != "" {
-		return req.Tenant
-	}
-	return DefaultTenant
-}
-
-// submit runs the admission gate, queues the request on its tenant's fair
-// queue, and waits for the response. Admission control: capacity is a slot
-// pool of QueueDepth tokens shared by every tenant — a request carrying a
-// deadline budget is refused (never executed late) when no slot frees up
-// before the budget runs out, and the dequeue side applies the matching
-// check (see worker). Requests arriving after Close has begun are refused
-// in-band with CodeOverloaded.
+// submit runs the admission gate, queues the request, and waits for the
+// response. Admission control: the send on the queue, QueueDepth jobs deep,
+// is the gate — a request carrying a deadline budget is refused (never
+// executed late) when no room frees up before the budget runs out, and the
+// dequeue side applies the matching check (see run). Requests arriving after
+// Close has begun are refused in-band with CodeOverloaded.
 func (s *Server) submit(req *Request) *Response {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return s.shed(req, tenantOf(req), 0, "server shutting down")
+		return s.shed(req, 0, "server shutting down")
 	}
 	s.subWg.Add(1)
 	s.mu.Unlock()
 	defer s.subWg.Done()
 
-	j := &job{req: req, tenant: tenantOf(req), enqueued: time.Now(), done: make(chan *Response, 1)}
-	s.met.tenantRequests.With(j.tenant).Inc()
+	j := &job{req: req, enqueued: time.Now(), done: make(chan *Response, 1)}
 	if req.TimeoutNs > 0 {
 		j.deadline = j.enqueued.Add(time.Duration(req.TimeoutNs))
 	}
 	if j.deadline.IsZero() {
 		select {
-		case s.slots <- struct{}{}:
+		case s.queue <- j:
 		case <-s.stop:
-			return s.shed(req, j.tenant, 0, "server shutting down")
+			return s.shed(req, 0, "server shutting down")
 		}
 	} else {
 		t := time.NewTimer(time.Until(j.deadline))
 		select {
-		case s.slots <- struct{}{}:
+		case s.queue <- j:
 			t.Stop()
 		case <-t.C:
-			return s.shed(req, j.tenant, time.Since(j.enqueued).Nanoseconds(), "queue full past the request deadline")
+			return s.shed(req, time.Since(j.enqueued).Nanoseconds(), "queue full past the request deadline")
 		case <-s.stop:
 			t.Stop()
-			return s.shed(req, j.tenant, 0, "server shutting down")
+			return s.shed(req, 0, "server shutting down")
 		}
 	}
-	s.sched.enqueue(j)
-	// Every enqueued job is answered: workers keep running until the drain
+	// Every queued job is answered: workers keep running until the drain
 	// in Close has seen this submission complete.
 	return <-j.done
 }
 
-// worker runs jobs until the scheduler reports drained-and-stopped (Close
-// guarantees no new submissions by then), so no admitted request is ever
+// worker runs queued jobs until quit is closed and the queue is empty
+// (Close closes quit after the drain), so no admitted request is ever
 // dropped.
 func (s *Server) worker(id int) {
 	defer s.workerWg.Done()
 	for {
-		j, ok := s.sched.pop()
-		if !ok {
-			return
+		select {
+		case j := <-s.queue:
+			s.run(id, j)
+		case <-s.quit:
+			if len(s.queue) == 0 {
+				return
+			}
 		}
-		<-s.slots // the job left the queue; its admission slot frees up
-		s.run(id, j)
 	}
 }
 
@@ -402,7 +388,7 @@ func (s *Server) run(id int, j *job) {
 	// queued; doing the work would only delay requests that can still meet
 	// theirs. shed keeps its own counters and is not observed.
 	if !j.deadline.IsZero() && now.After(j.deadline) {
-		j.done <- s.shed(j.req, j.tenant, queueNs, fmt.Sprintf("queue wait %v exceeded the request deadline", time.Duration(queueNs)))
+		j.done <- s.shed(j.req, queueNs, fmt.Sprintf("queue wait %v exceeded the request deadline", time.Duration(queueNs)))
 		return
 	}
 	// A refusal's process time runs from the dequeue, so answers the cluster
@@ -485,7 +471,7 @@ func (s *Server) finish(id int, j *job, resp *Response, queueNs, processNs int64
 // process runs one request through run, bypassing only admission and the
 // queue.
 func (s *Server) process(req *Request) *Response {
-	j := &job{req: req, tenant: tenantOf(req), enqueued: time.Now(), done: make(chan *Response, 1)}
+	j := &job{req: req, enqueued: time.Now(), done: make(chan *Response, 1)}
 	s.run(0, j)
 	return <-j.done
 }
@@ -777,32 +763,14 @@ func (s *Server) Stats() ServerStats {
 		Handles:        nHandles,
 		Workers:        s.cfg.Workers,
 		FactorWorkers:  s.cfg.FactorWorkers,
-		QueueDepth:     s.sched.depth(),
+		QueueDepth:     len(s.queue),
 		Sheds:          s.sheds.Load(),
 		Evictions:      evictions,
 		HandleBytes:    handleBytes,
 		StaleReplicas:  s.staleReplicas.Load(),
-		Tenants:        s.tenantStats(),
 	}
 	if hk := s.cfg.Cluster; hk != nil {
 		hk.AugmentStats(&st)
 	}
 	return st
-}
-
-// tenantStats assembles the per-tenant counter breakdown from the metric
-// vecs (the single source of truth) and the scheduler's live backlog.
-func (s *Server) tenantStats() map[string]TenantStats {
-	reqs := s.met.tenantRequests.Values()
-	sheds := s.met.tenantSheds.Values()
-	depths := s.sched.depths()
-	out := make(map[string]TenantStats, len(reqs))
-	for name, n := range reqs {
-		out[name] = TenantStats{
-			Requests: n,
-			Sheds:    sheds[name],
-			Queued:   depths[name],
-		}
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"sstar"
 )
@@ -170,5 +171,104 @@ func TestProcessRecoversPanic(t *testing.T) {
 	}
 	if resp := s.submit(&Request{Op: OpPing}); resp.Err != "" {
 		t.Fatal("server dead after panic recovery")
+	}
+}
+
+// testRHS builds nrhs deterministic, mutually distinct right-hand sides.
+func testRHS(n, nrhs int) [][]float64 {
+	out := make([][]float64, nrhs)
+	for q := range out {
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = float64((i*7+q*13)%11) - 5 + float64(q)/8
+		}
+		out[q] = b
+	}
+	return out
+}
+
+// solveJob wraps a solve on handle h as a dequeued job: a plain OpSolve when
+// nrhs is 0, an OpSolveMany of nrhs columns otherwise.
+func solveJob(h uint64, b []float64, nrhs int) *job {
+	req := &Request{Op: OpSolve, Handle: h, B: b}
+	if nrhs > 0 {
+		req.Op, req.NRHS = OpSolveMany, nrhs
+	}
+	return &job{req: req, enqueued: time.Now(), done: make(chan *Response, 1)}
+}
+
+// TestSolveBatchBitwiseIdentical is the solve path's correctness property,
+// driven through run one request at a time: a plain solve and a SolveMany of
+// any width up to 40 columns each get back, bitwise, their columns' lone
+// Solves and report BatchWidth 1, and a plain solve one entry short is
+// answered with the length error.
+func TestSolveBatchBitwiseIdentical(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	a := sstar.GenGrid2D(11, 10, false, sstar.GenOptions{Seed: 42, Convection: 0.3})
+	fr := s.submit(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
+	if fr.Err != "" {
+		t.Fatal(fr.Err)
+	}
+	f, err := sstar.Factorize(a, sstar.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := a.N
+	const wide = 40
+	rhs := testRHS(n, wide)
+	ref := make([][]float64, wide)
+	for c, b := range rhs {
+		if ref[c], err = f.Solve(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// One request per width: 0 is a plain solve, k > 0 a SolveMany of k
+	// columns, -1 a plain solve one entry short.
+	widths := []int{0, -1}
+	for k := 1; k <= wide; k++ {
+		widths = append(widths, k)
+	}
+	for r, k := range widths {
+		first := (7 * r) % wide // the request's first column in rhs
+		var j *job
+		switch {
+		case k < 0:
+			j = solveJob(fr.Handle, rhs[first][:n-1], 0)
+		case k == 0:
+			j = solveJob(fr.Handle, rhs[first], 0)
+		default:
+			b := make([]float64, 0, n*k)
+			for i := 0; i < k; i++ {
+				b = append(b, rhs[(first+i)%wide]...)
+			}
+			j = solveJob(fr.Handle, b, k)
+		}
+		s.run(0, j)
+		resp := <-j.done
+		if k < 0 {
+			if !strings.Contains(resp.Err, "rhs length") {
+				t.Fatalf("width %d: short rhs answered %q, want a length error", k, resp.Err)
+			}
+			continue
+		}
+		if resp.Err != "" {
+			t.Fatalf("width %d: %s", k, resp.Err)
+		}
+		if resp.Stats.BatchWidth != 1 {
+			t.Fatalf("width %d reported BatchWidth %d, want 1", k, resp.Stats.BatchWidth)
+		}
+		cols := max(k, 1)
+		if len(resp.X) != n*cols {
+			t.Fatalf("width %d: len %d want %d", k, len(resp.X), n*cols)
+		}
+		for i := 0; i < cols; i++ {
+			want := ref[(first+i)%wide]
+			for row, x := range resp.X[i*n : (i+1)*n] {
+				if x != want[row] {
+					t.Fatalf("width %d column %d: x[%d] = %x, lone Solve %x", k, i, row, x, want[row])
+				}
+			}
+		}
 	}
 }

@@ -143,6 +143,14 @@ roles='SetHandleRole|setRole|replicaCount|ReplicaHandles|promotions_total|demoti
 if git grep -nE "$roles" -- . ':(exclude,glob)*.md' ':!results/' ':!scripts/check.sh' ':!internal/server/oldpeer_test.go' ||
 	git grep -nE "$roles" -- README.md DESIGN.md EXPERIMENTS.md PAPER.md PAPERS.md SNIPPETS.md; then exit 1; fi
 
+# Tenant guard: admission is one queue, so the per-tenant fair scheduler, its
+# wire fields, the client's tenant views, the per-tenant metric families and
+# the labeled-metric vecs only they used stay gone (same scope and exemption
+# as the role guard: the old peer's wire shape still carries the fields).
+tenants='qosched|WithTenant|ForTenant|TenantStats|DefaultTenant|sstar_server_tenant|maxTenantQueues|spillTenant|CounterVec|GaugeVec'
+if git grep -nE "$tenants" -- . ':(exclude,glob)*.md' ':!results/' ':!scripts/check.sh' ':!internal/server/oldpeer_test.go' ||
+	git grep -nE "$tenants" -- README.md DESIGN.md EXPERIMENTS.md PAPER.md PAPERS.md SNIPPETS.md; then exit 1; fi
+
 # sstar-info has no test of its own: one run end to end is its smoke.
 go run ./cmd/sstar-info -gen lnsp3937 >/dev/null
 

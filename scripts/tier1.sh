@@ -13,9 +13,10 @@ go test ./...
 # failover, and the self-healing machinery: heartbeat loops,
 # membership merges, repair sweeps racing live traffic); its suite is fast
 # enough to run under the race detector on every commit. The symbolic and
-# supernode packages carry the
-# parallel analyze stages (subtree workers, candidate sweep, block builds)
-# whose byte-identity contract the race detector must see exercised.
+# supernode packages start no goroutine of their own; they build the
+# skeleton and plan that one analysis shares, read-only, with every
+# concurrent factorization of it, so the race detector must see their
+# suites run too.
 go test -race ./internal/cluster ./internal/symbolic ./internal/supernode
 
 # The block skeleton and the static update plan are built lazily, once per
