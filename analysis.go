@@ -46,6 +46,24 @@ func Analyze(a *Matrix, o Options) (*Analysis, error) {
 	}, nil
 }
 
+// AnalysisOf returns the analysis f's own symbolic structure makes, without
+// running the analyze phase: the structure depends only on the pattern and
+// the options, so it serves every later factorization of that pattern. a
+// supplies the pattern (values unused), o the options f was analyzed with,
+// and key the structure key the caller files the result under. A pattern
+// other than f's is refused, and so is a key that StructureKey(a, o) does
+// not reproduce. The result shares f's structure, which neither ever
+// modifies.
+func AnalysisOf(f *Factorization, a *Matrix, o Options, key uint64) (*Analysis, error) {
+	if a == nil || a.N != f.sym.N || a.Nnz() != f.patNnz || patternHash(a) != f.patHash {
+		return nil, fmt.Errorf("sstar: AnalysisOf: pattern differs from the factorization's")
+	}
+	if k := StructureKey(a, o); k != key {
+		return nil, fmt.Errorf("sstar: AnalysisOf: pattern and options have key %#x, not %#x", k, key)
+	}
+	return &Analysis{sym: f.sym, opts: o, pat: sparse.PatternOf(a), key: key}, nil
+}
+
 // FactorizeWith numerically factorizes a, which must have exactly the
 // nonzero pattern the Analysis was computed from. The error path (not a
 // panic) makes it safe to feed untrusted matrices: a pattern mismatch is

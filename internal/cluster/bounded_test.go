@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"sstar"
 	"sstar/internal/server"
 )
 
@@ -19,7 +18,6 @@ func (h stallHooks) Route(*server.Request) *server.Response {
 	return &server.Response{Err: "released"}
 }
 func (stallHooks) Self() string                     { return "" }
-func (stallHooks) Analyzed(uint64, *sstar.Analysis) {}
 func (stallHooks) Stored(server.StoredEvent)        {}
 func (stallHooks) Freed(uint64, uint64)             {}
 func (stallHooks) AugmentStats(*server.ServerStats) {}

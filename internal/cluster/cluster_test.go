@@ -11,6 +11,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -355,6 +356,142 @@ func TestAnalysisReplicationWarmsCache(t *testing.T) {
 	}
 	if !bitIdentical(x, sys.xref) {
 		t.Error("solve from replicated-analysis factorize differs from local reference")
+	}
+}
+
+// TestRepairPushWarmsJoinerCache: a shard that joins after a structure was
+// factorized gets the handle from a repair push, and the analysis with it —
+// its own factorize of the structure is a cache hit, not a cold analyze.
+func TestRepairPushWarmsJoinerCache(t *testing.T) {
+	// Static views and no periodic sweep: the join is the ring view installed
+	// below, and the only repair is the sweep run by hand.
+	fleet := startFleet(t, 3, func(c *ShardConfig) {
+		c.HeartbeatInterval = -1
+		c.RepairInterval = -1
+	})
+	const joiner = 2
+	pool := newPeers("tcp")
+	defer pool.Close()
+	ctx := context.Background()
+	drained := func() bool {
+		for _, sh := range fleet.shards {
+			if sh.pending.Load() != 0 {
+				return false
+			}
+		}
+		return true
+	}
+
+	// A structure the joiner will be responsible for.
+	var sys *testSystem
+	var key uint64
+	for seed := 10; sys == nil; seed++ {
+		if seed == 40 {
+			t.Fatal("no structure places a copy on the joiner")
+		}
+		cand := buildSystem(t, seed)
+		key = sstar.StructureKey(cand.a, sstar.DefaultOptions())
+		if slices.Contains(fleet.shards[0].ring.Replicas(key, replicas), fleet.peers[joiner]) {
+			sys = cand
+		}
+	}
+
+	// Before the join: the two old members hold every key between them.
+	old := append([]string(nil), fleet.peers[:joiner]...)
+	for _, sh := range fleet.shards[:joiner] {
+		sh.ring.Replace(old, sh.Epoch()+1)
+	}
+	owner := fleet.shards[0].Owner(key)
+	resp, _, err := pool.Exchange(ctx, owner, &server.Request{Op: server.OpFactorize, Matrix: sys.a, Opts: sstar.DefaultOptions()})
+	if err == nil {
+		err = resp.Error()
+	}
+	if err != nil {
+		t.Fatalf("factorize at the owner: %v", err)
+	}
+	id := resp.Handle
+	waitFor(t, "the live push", func() bool {
+		return fleet.servers[0].HasHandle(id) && fleet.servers[1].HasHandle(id) && drained()
+	})
+	if fleet.servers[joiner].HasHandle(id) || fleet.servers[joiner].Stats().CacheEntries != 0 {
+		t.Fatal("the joiner received the structure before it joined")
+	}
+
+	// The join: the old members adopt the three-member view, and a sweep
+	// moves the copy onto the joiner.
+	for _, sh := range fleet.shards[:joiner] {
+		sh.ring.Replace(fleet.peers, sh.Epoch()+1)
+	}
+	for _, sh := range fleet.shards[:joiner] {
+		sh.sweep(false)
+	}
+	waitFor(t, "the repair push", func() bool { return fleet.servers[joiner].HasHandle(id) && drained() })
+
+	resp, _, err = pool.Exchange(ctx, fleet.peers[joiner], &server.Request{Op: server.OpFactorize, Matrix: sys.a, Opts: sstar.DefaultOptions()})
+	if err == nil {
+		err = resp.Error()
+	}
+	if err != nil {
+		t.Fatalf("factorize at the joiner: %v", err)
+	}
+	if !resp.Stats.CacheHit {
+		t.Error("the joiner analyzed cold a structure the repair push brought it")
+	}
+	sr, _, err := pool.Exchange(ctx, fleet.peers[joiner], &server.Request{Op: server.OpSolve, Handle: resp.Handle, B: sys.b})
+	if err == nil {
+		err = sr.Error()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitIdentical(sr.X, sys.xref) {
+		t.Error("solve from the joiner's cache-hit factorize differs from the local reference")
+	}
+}
+
+// TestRouterKeylessSolveReachesHolder: a handle op without a structure key
+// (an older client) goes through the router to every member in turn, so it
+// still reaches a shard holding the handle — here one that is not the first
+// member the router tries. With every shard up that search is not a
+// failover.
+func TestRouterKeylessSolveReachesHolder(t *testing.T) {
+	fleet := startFleet(t, 3, func(c *ShardConfig) { c.RepairInterval = -1 })
+	first := fleet.router.ring.Members()[0]
+	var sys *testSystem
+	for seed := 10; sys == nil; seed++ {
+		if seed == 40 {
+			t.Fatal("every structure places a copy on the first member")
+		}
+		cand := buildSystem(t, seed)
+		key := sstar.StructureKey(cand.a, sstar.DefaultOptions())
+		if !slices.Contains(fleet.router.ring.Replicas(key, replicas), first) {
+			sys = cand
+		}
+	}
+	c, err := client.Dial("tcp", fleet.raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	h, _, err := c.Factorize(context.Background(), sys.a, sstar.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pool := newPeers("tcp")
+	defer pool.Close()
+	resp, _, err := pool.Exchange(context.Background(), fleet.raddr, &server.Request{Op: server.OpSolve, Handle: h.ID(), B: sys.b})
+	if err == nil {
+		err = resp.Error()
+	}
+	if err != nil {
+		t.Fatalf("keyless solve through the router: %v", err)
+	}
+	if !bitIdentical(resp.X, sys.xref) {
+		t.Error("keyless solve through the router differs from the local reference")
+	}
+	if n := fleet.router.failovers.Load(); n != 0 {
+		t.Errorf("router counted %d failovers for a keyless solve with every shard up, want 0", n)
 	}
 }
 

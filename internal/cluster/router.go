@@ -39,9 +39,6 @@ type Router struct {
 	ep    *server.Endpoint // client side: answers every request with handle
 	peers *server.Pool     // shard links
 
-	placeMu sync.Mutex
-	place   map[uint64]uint64 // handle -> structure key, learned from factorize responses
-
 	requests  atomic.Int64
 	errors    atomic.Int64
 	failovers atomic.Int64
@@ -70,7 +67,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg:   cfg,
 		ring:  ring,
 		peers: newPeers(cfg.Network),
-		place: make(map[uint64]uint64),
 	}
 	r.ep = server.NewEndpoint(r.handle, cfg.Logf)
 	return r, nil
@@ -101,14 +97,6 @@ func (r *Router) Close() error {
 	return nil
 }
 
-// keyOf returns the structure key recorded for handle (0 if unknown — e.g.
-// the handle was created through a different router).
-func (r *Router) keyOf(handle uint64) uint64 {
-	r.placeMu.Lock()
-	defer r.placeMu.Unlock()
-	return r.place[handle]
-}
-
 // handle routes one request.
 func (r *Router) handle(req *server.Request) *server.Response {
 	r.requests.Add(1)
@@ -125,26 +113,15 @@ func (r *Router) handle(req *server.Request) *server.Response {
 		key := sstar.StructureKey(req.Matrix, req.Opts)
 		resp = r.forward(req, key)
 		if resp != nil && resp.Err == "" {
-			r.placeMu.Lock()
-			r.place[resp.Handle] = resp.Key
-			r.placeMu.Unlock()
 			// Strip the shard's advertised address: a client that learned it
 			// would aim handle ops at the shard directly, bypassing the one
 			// component that can fail them over.
 			resp.Addr = ""
 		}
 	case server.OpSolve, server.OpSolveMany, server.OpRefactorize, server.OpFree:
-		key := req.Key
-		if key == 0 {
-			key = r.keyOf(req.Handle)
-		}
-		req.Key = key
-		resp = r.forward(req, key)
-		if req.Op == server.OpFree && resp.Err == "" {
-			r.placeMu.Lock()
-			delete(r.place, req.Handle)
-			r.placeMu.Unlock()
-		}
+		// The client stamps the handle's structure key on every handle op;
+		// a keyless one (an older client) goes to every member in turn.
+		resp = r.forward(req, req.Key)
 	default:
 		// Replication pushes and unknown ops are shard-to-shard traffic; a
 		// router is the wrong audience.
@@ -162,9 +139,8 @@ func (r *Router) handle(req *server.Request) *server.Response {
 const maxRedirectHops = 4
 
 // candidatesFor resolves the shards to try for a structure key: the key's
-// replica set in placement order, or — key unknown (a handle that predates
-// this router) — every member in deterministic order (the holder answers,
-// the rest refuse).
+// replica set in placement order, or — no key on the request — every member
+// in deterministic order (the holder answers, the rest refuse).
 func (r *Router) candidatesFor(key uint64) []string {
 	if key != 0 {
 		return r.ring.Replicas(key, replicas)
@@ -236,9 +212,11 @@ func (r *Router) forwardOnce(req *server.Request, candidates []string) (*server.
 				// The replica may still hold what this shard lost.
 				last = resp
 			default:
-				// A handle op completed by a non-first candidate is a failover
-				// (a factorize landing there allocates a new handle: not one).
-				if i > 0 && req.Op != server.OpFactorize && resp.Err == "" {
+				// A handle op completed by a non-first candidate of its key's
+				// replica set is a failover (a factorize landing there
+				// allocates a new handle: not one; a keyless op trying every
+				// member is searching for the holder: not one either).
+				if i > 0 && req.Op != server.OpFactorize && req.Key != 0 && resp.Err == "" {
 					r.failovers.Add(1)
 				}
 				return resp, nil

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -334,26 +333,6 @@ func (sh *Shard) Route(req *server.Request) *server.Response {
 
 // Self implements server.ClusterHooks.
 func (sh *Shard) Self() string { return sh.cfg.Self }
-
-// Analyzed implements server.ClusterHooks: replicate a freshly computed
-// analysis-cache entry to the successor, so a failover factorize there is a
-// cache hit instead of a cold analyze.
-func (sh *Shard) Analyzed(key uint64, an *sstar.Analysis) {
-	succ := sh.successor(key)
-	if succ == "" {
-		return
-	}
-	var buf bytes.Buffer
-	if err := an.Save(&buf); err != nil {
-		sh.logf("cluster: serialize analysis %#x: %v", key, err)
-		return
-	}
-	sh.enqueue(replJob{addr: succ, req: &server.Request{
-		Op:   server.OpReplicateAnalysis,
-		Key:  key,
-		Blob: buf.Bytes(),
-	}})
-}
 
 // Stored implements server.ClusterHooks: replicate the factors to the
 // successor.

@@ -34,8 +34,7 @@ type analysisCache struct {
 // flight is one in-progress cold analysis. The leader computes and closes
 // done; every concurrent request for the same key waits instead of
 // recomputing — the singleflight that turns a thundering herd on a new
-// structure into one analyze (and, on a cluster shard, one replication push
-// instead of a duplicate per herd member).
+// structure into one analyze.
 type flight struct {
 	done chan struct{}
 	an   *sstar.Analysis
@@ -156,26 +155,19 @@ func (c *analysisCache) lookup(key uint64, a *sstar.Matrix, opts sstar.Options) 
 	return nil
 }
 
-// get returns the cached analysis for (pattern of a, opts), or nil on a
-// miss. The caller supplies the precomputed key to avoid hashing twice.
-func (c *analysisCache) get(key uint64, a *sstar.Matrix, opts sstar.Options) *sstar.Analysis {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if an := c.lookup(key, a, opts); an != nil {
-		c.hit++
-		return an
-	}
-	c.miss++
-	return nil
-}
-
-// add inserts an analysis under key, evicting least-recently-used entries
-// beyond capacity. A racing duplicate (two inserts of the same structure,
-// e.g. a replication racing a local analyze) is tolerated: both are valid,
-// and LRU eviction reclaims the spare.
+// add inserts an analysis under key unless an entry with that key and the
+// same options is cached — a refreshed replica brings its structure again,
+// and must not file a second copy. A racing duplicate (a replication racing
+// a local analyze of the same structure) is tolerated: both are valid, and
+// LRU eviction reclaims the spare.
 func (c *analysisCache) add(key uint64, an *sstar.Analysis) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for _, el := range c.m[key] {
+		if el.Value.(*cacheEntry).opts == an.Options() {
+			return
+		}
+	}
 	c.insert(key, an)
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"testing"
 
 	"sstar"
@@ -15,16 +16,28 @@ func mustAnalyze(t *testing.T, a *sstar.Matrix, o sstar.Options) *sstar.Analysis
 	return an
 }
 
+// lookupOnly looks a structure up through getOrCompute without computing
+// anything: a miss counts as one, as a factorize's would, and adds nothing.
+func lookupOnly(c *analysisCache, key uint64, a *sstar.Matrix, o sstar.Options) *sstar.Analysis {
+	an, hit, _, _ := c.getOrCompute(key, a, o, func() (*sstar.Analysis, error) {
+		return nil, errors.New("not cached")
+	})
+	if !hit {
+		return nil
+	}
+	return an
+}
+
 func TestCacheHitMiss(t *testing.T) {
 	c := newAnalysisCache(4)
 	o := sstar.DefaultOptions()
 	a := sstar.GenGrid2D(6, 6, false, sstar.GenOptions{Seed: 1})
 	key := sstar.StructureKey(a, o)
-	if c.get(key, a, o) != nil {
+	if lookupOnly(c, key, a, o) != nil {
 		t.Fatal("hit on empty cache")
 	}
 	c.add(key, mustAnalyze(t, a, o))
-	if c.get(key, a, o) == nil {
+	if lookupOnly(c, key, a, o) == nil {
 		t.Fatal("miss after add")
 	}
 	// Same pattern, different values: still a hit.
@@ -32,13 +45,13 @@ func TestCacheHitMiss(t *testing.T) {
 	for i := range b.Val {
 		b.Val[i] *= -2
 	}
-	if c.get(sstar.StructureKey(b, o), b, o) == nil {
+	if lookupOnly(c, sstar.StructureKey(b, o), b, o) == nil {
 		t.Fatal("values changed the cache outcome")
 	}
 	// Different options: miss.
 	o2 := o
 	o2.BlockSize = 7
-	if c.get(sstar.StructureKey(a, o2), a, o2) != nil {
+	if lookupOnly(c, sstar.StructureKey(a, o2), a, o2) != nil {
 		t.Fatal("different options hit the cached analysis")
 	}
 	hit, miss, entries := c.counters()
@@ -61,7 +74,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		c.add(keys[i], mustAnalyze(t, m, o))
 	}
 	// Touch 0 so 1 becomes the LRU, then overflow with 2.
-	if c.get(keys[0], mats[0], o) == nil {
+	if lookupOnly(c, keys[0], mats[0], o) == nil {
 		t.Fatal("warm entry missing")
 	}
 	keys[2] = sstar.StructureKey(mats[2], o)
@@ -69,10 +82,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, _, entries := c.counters(); entries != 2 {
 		t.Fatalf("entries %d, want 2", entries)
 	}
-	if c.get(keys[1], mats[1], o) != nil {
+	if lookupOnly(c, keys[1], mats[1], o) != nil {
 		t.Fatal("LRU entry survived eviction")
 	}
-	if c.get(keys[0], mats[0], o) == nil || c.get(keys[2], mats[2], o) == nil {
+	if lookupOnly(c, keys[0], mats[0], o) == nil || lookupOnly(c, keys[2], mats[2], o) == nil {
 		t.Fatal("recently used entries evicted")
 	}
 }

@@ -5,7 +5,6 @@ package server
 // all driven through process, the same path a connection takes.
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"net"
@@ -238,43 +237,78 @@ func TestReplicateInstallsUnderSameHandle(t *testing.T) {
 	}
 }
 
-// TestReplicateAnalysisWarmsCache: an OpReplicateAnalysis push makes the
-// next factorize of that structure a cache hit. The pushed analysis carries
-// the owner's *normalized* options (HostWorkers = FactorWorkers, no
-// Observer) — exactly what a shard's Analyzed hook replicates — because the
-// cache's exact-options check compares against the receiver's normalized
-// options; a heterogeneous FactorWorkers config across the fleet degrades
-// the push to a harmless cache miss.
-func TestReplicateAnalysisWarmsCache(t *testing.T) {
-	a := sstar.GenGrid2D(10, 8, false, sstar.GenOptions{Seed: 74})
-	opts := sstar.DefaultOptions()
-	opts.HostWorkers = 3 // matches FactorWorkers below
-	opts.Observer = nil
-	an, err := sstar.Analyze(a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := an.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	s := New(Config{Workers: 2, FactorWorkers: 3})
+// storedEvent factorizes a on a server with the given FactorWorkers and
+// returns the replication event its Stored hook receives — the push a
+// shard would send.
+func storedEvent(t *testing.T, factorWorkers int, a *sstar.Matrix, opts sstar.Options) StoredEvent {
+	t.Helper()
+	var events []StoredEvent
+	s := New(Config{Workers: 1, FactorWorkers: factorWorkers, Cluster: captureHooks{stored: func(ev StoredEvent) { events = append(events, ev) }}})
 	defer s.Close()
-	if r := s.process(&Request{Op: OpReplicateAnalysis, Key: an.Key(), Blob: buf.Bytes()}); r.Err != "" {
-		t.Fatalf("replicate analysis: %s", r.Err)
+	if r := s.process(&Request{Op: OpFactorize, Matrix: a, Opts: opts}); r.Err != "" {
+		t.Fatal(r.Err)
+	}
+	if len(events) != 1 {
+		t.Fatalf("Stored hook fired %d times, want 1", len(events))
+	}
+	return events[0]
+}
+
+// TestReplicateWarmsCache: one OpReplicate push makes the next factorize of
+// that structure on the receiver a cache hit — the handle's symbolic
+// structure, pattern and options are its analysis — and refresh pushes of
+// the same handle never file a second entry. The receiver applies its own
+// FactorWorkers to the pushed options, so a fleet whose shards split their
+// cores differently still hits.
+func TestReplicateWarmsCache(t *testing.T) {
+	a := sstar.GenGrid2D(10, 8, false, sstar.GenOptions{Seed: 74})
+	ev := storedEvent(t, 3, a, sstar.DefaultOptions())
+
+	s := New(Config{Workers: 2, FactorWorkers: 1})
+	defer s.Close()
+	if r := s.process(ev.ReplicateRequest()); r.Err != "" {
+		t.Fatalf("replicate: %s", r.Err)
+	}
+	if n := s.Stats().CacheEntries; n != 1 {
+		t.Fatalf("cache entries after one push = %d, want 1", n)
+	}
+	for i := 0; i < 5; i++ {
+		if r := s.process(ev.ReplicateRequest()); r.Err != "" {
+			t.Fatalf("refresh push %d: %s", i, r.Err)
+		}
+	}
+	if n := s.Stats().CacheEntries; n != 1 {
+		t.Fatalf("cache entries after 5 refresh pushes = %d, want 1", n)
 	}
 	fr := s.process(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
 	if fr.Err != "" {
 		t.Fatal(fr.Err)
 	}
 	st := s.Stats()
-	if st.CacheHits != 1 || st.CacheMisses != 0 {
-		t.Errorf("cache hits/misses = %d/%d, want 1/0: replicated analysis did not warm the cache", st.CacheHits, st.CacheMisses)
+	if st.CacheHits != 1 || st.CacheMisses != 0 || st.CacheEntries != 1 {
+		t.Errorf("cache hits/misses/entries = %d/%d/%d, want 1/0/1: the handle push did not warm the cache", st.CacheHits, st.CacheMisses, st.CacheEntries)
 	}
-	// Garbage analysis blob: in-band error.
-	if r := s.process(&Request{Op: OpReplicateAnalysis, Key: 7, Blob: []byte("junk")}); r.Err == "" {
-		t.Error("garbage analysis blob accepted")
+}
+
+// TestReplicateMismatchedKeyAddsNoEntry: a push whose key its pattern and
+// options do not reproduce installs the handle — its factors are sound, and
+// Load verified them — but files nothing in the analysis cache, where it
+// would answer for a structure it is not.
+func TestReplicateMismatchedKeyAddsNoEntry(t *testing.T) {
+	a := sstar.GenGrid2D(9, 8, true, sstar.GenOptions{Seed: 76})
+	ev := storedEvent(t, 1, a, sstar.DefaultOptions())
+	ev.Key ^= 1
+
+	s := New(Config{Workers: 1, FactorWorkers: 1})
+	defer s.Close()
+	if r := s.process(ev.ReplicateRequest()); r.Err != "" {
+		t.Fatalf("replicate: %s", r.Err)
+	}
+	if !s.HasHandle(ev.Handle) {
+		t.Fatal("the push was not installed")
+	}
+	if n := s.Stats().CacheEntries; n != 0 {
+		t.Fatalf("cache entries = %d, want 0 for a push whose key does not match", n)
 	}
 }
 
@@ -352,11 +386,10 @@ type captureHooks struct {
 	freed  func(handle, key uint64)
 }
 
-func (c captureHooks) Route(*Request) *Response         { return nil }
-func (c captureHooks) Self() string                     { return "" }
-func (c captureHooks) Analyzed(uint64, *sstar.Analysis) {}
-func (c captureHooks) Stored(ev StoredEvent)            { c.stored(ev) }
-func (c captureHooks) AugmentStats(*ServerStats)        {}
+func (c captureHooks) Route(*Request) *Response  { return nil }
+func (c captureHooks) Self() string              { return "" }
+func (c captureHooks) Stored(ev StoredEvent)     { c.stored(ev) }
+func (c captureHooks) AugmentStats(*ServerStats) {}
 func (c captureHooks) Freed(handle, key uint64) {
 	if c.freed != nil {
 		c.freed(handle, key)

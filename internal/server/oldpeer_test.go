@@ -1,12 +1,13 @@
 package server
 
-// The retired fields on the wire. Handle roles are derived from the ring, not
-// stored, so Response.Replica, ManifestEntry.Replica and three ServerStats
-// counters are gone from the types; admission is one queue, so
-// Request.Tenant and ServerStats.Tenants are gone too. A peer built before
-// that still sends them. This file spells their names to rebuild that peer's
-// shape, which is why scripts/check.sh's role and tenant deletion guards
-// skip it.
+// The retired fields and pushes on the wire. Handle roles are derived from the
+// ring, not stored, so Response.Replica, ManifestEntry.Replica and three
+// ServerStats counters are gone from the types; admission is one queue, so
+// Request.Tenant and ServerStats.Tenants are gone too; the handle push
+// carries its analysis, so the separate analysis push is retired. A peer
+// built before that still sends them. This file spells their names to
+// rebuild that peer's shape, which is why scripts/check.sh's role and tenant
+// deletion guards skip it.
 
 import (
 	"bytes"
@@ -159,5 +160,31 @@ func TestOldPeerRequestDefaultTenant(t *testing.T) {
 		if resp := s.submit(&got); resp.Err != "" {
 			t.Fatalf("old-peer %s refused: %s", got.Op, resp.Err)
 		}
+	}
+}
+
+// TestOldPeerReplication: the pushes of a shard that predates analysis-bearing
+// handle pushes. Its separate analysis push is acknowledged, so it neither
+// retries nor logs, and its blob is ignored. Its OpReplicate carries no
+// options: the handle is installed, and — its key computed under options
+// other than the zero value — no cache entry is filed. (A handle analyzed
+// under the default options, which are the zero value, gets its entry: the
+// key proves the pushed structure is the one those options make.)
+func TestOldPeerReplication(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, FactorWorkers: 1})
+	if r := s.submit(&Request{Op: OpReplicateAnalysis, Key: 7, Blob: []byte("an analysis in the retired format")}); r.Err != "" {
+		t.Fatalf("retired analysis push refused: %s", r.Err)
+	}
+	a := sstar.GenGrid2D(9, 7, false, sstar.GenOptions{Seed: 77})
+	req := storedEvent(t, 1, a, sstar.PaperOptions()).ReplicateRequest()
+	req.Opts = sstar.Options{}
+	if r := s.submit(req); r.Err != "" {
+		t.Fatalf("optionless replicate refused: %s", r.Err)
+	}
+	if !s.HasHandle(req.Handle) {
+		t.Fatal("optionless replicate was not installed")
+	}
+	if st := s.Stats(); st.CacheEntries != 0 || st.Errors != 0 {
+		t.Fatalf("cache entries %d, errors %d after the old peer's pushes; want 0 and 0", st.CacheEntries, st.Errors)
 	}
 }

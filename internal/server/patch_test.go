@@ -2,36 +2,19 @@ package server
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"sstar"
 	"sstar/internal/sparse"
 )
 
-// analyzedHooks records every Analyzed replication callback.
-type analyzedHooks struct {
-	mu   sync.Mutex
-	keys []uint64
-}
-
-func (h *analyzedHooks) Route(*Request) *Response { return nil }
-func (h *analyzedHooks) Self() string             { return "" }
-func (h *analyzedHooks) Analyzed(key uint64, _ *sstar.Analysis) {
-	h.mu.Lock()
-	h.keys = append(h.keys, key)
-	h.mu.Unlock()
-}
-func (h *analyzedHooks) Stored(StoredEvent)        {}
-func (h *analyzedHooks) Freed(uint64, uint64)      {}
-func (h *analyzedHooks) AugmentStats(*ServerStats) {}
-
 // TestFactorizeSecondChancePatch: a cold structure key whose pattern is a
 // near miss of a cached one is served by the incremental patch path, and the
-// patched analysis replicates to the successor exactly like a cold one.
+// patched analysis reaches the successor in the handle push exactly like a
+// cold one.
 func TestFactorizeSecondChancePatch(t *testing.T) {
-	hooks := &analyzedHooks{}
-	s := New(Config{Workers: 1, FactorWorkers: 1, Cluster: hooks})
+	var events []StoredEvent
+	s := New(Config{Workers: 1, FactorWorkers: 1, Cluster: captureHooks{stored: func(ev StoredEvent) { events = append(events, ev) }}})
 	defer s.Close()
 
 	base := sstar.GenCircuit(400, 4, sstar.GenOptions{Seed: 31})
@@ -62,14 +45,19 @@ func TestFactorizeSecondChancePatch(t *testing.T) {
 		t.Fatalf("patches/fallbacks = %d/%d, want 1/0", st.Patches, st.PatchFallbacks)
 	}
 
-	// Satellite contract: the patched analysis flowed through the Analyzed
-	// replication hook under its own key, so incremental hits survive
-	// failover just like cold analyses.
-	hooks.mu.Lock()
-	keys := append([]uint64(nil), hooks.keys...)
-	hooks.mu.Unlock()
-	if len(keys) != 2 || keys[0] != r1.Key || keys[1] != r2.Key {
-		t.Fatalf("Analyzed keys = %v, want [%d %d]", keys, r1.Key, r2.Key)
+	// The patched analysis reaches the successor in the handle push under
+	// its own key, so incremental hits survive failover just like cold
+	// analyses: a factorize of the perturbed structure there is a hit.
+	if len(events) != 2 || events[0].Key != r1.Key || events[1].Key != r2.Key {
+		t.Fatalf("%d handle pushes, want 2 under keys [%d %d]", len(events), r1.Key, r2.Key)
+	}
+	succ := New(Config{Workers: 1, FactorWorkers: 1})
+	defer succ.Close()
+	if r := succ.process(events[1].ReplicateRequest()); r.Err != "" {
+		t.Fatalf("replicate the patched handle: %s", r.Err)
+	}
+	if rs := succ.process(&Request{Op: OpFactorize, Matrix: pert, Opts: sstar.DefaultOptions()}); rs.Err != "" || !rs.Stats.CacheHit || rs.Stats.Patched {
+		t.Fatalf("successor factorize of the patched structure: err %q hit=%v patched=%v, want a plain hit", rs.Err, rs.Stats.CacheHit, rs.Stats.Patched)
 	}
 
 	// The exact key now hits: a repeat of the perturbed structure pays

@@ -61,17 +61,19 @@ const (
 
 	// OpReplicate is the shard-to-shard replication message: install (or
 	// refresh) Blob — a factorization in the sstar Save format — under
-	// Handle with structure Key and the pattern carried in Matrix.
+	// Handle with structure Key and the pattern carried in Matrix. Opts
+	// are the options the factors were analyzed with: the receiver files
+	// the symbolic structure inside Blob as its analysis-cache entry for
+	// Key, so a factorize of the structure there is a cache hit.
 	// Idempotent: re-installing the same handle replaces the factors. An
 	// installed copy is indistinguishable from a locally factorized one;
 	// which shard owns it is a ring lookup, never stored. Single-node
 	// servers accept it too.
 	OpReplicate Op = 8
 
-	// OpReplicateAnalysis replicates one analysis-cache entry: Blob is an
-	// Analysis in the sstar Save format, inserted into the receiver's
-	// structure-keyed cache so a failover factorize on the successor shard
-	// is a cache hit, not a cold analyze.
+	// OpReplicateAnalysis is retired: older shards pushed each analysis
+	// separately. The number stays reserved, and the push is acknowledged
+	// and its blob ignored, since OpReplicate carries the same structure.
 	OpReplicateAnalysis Op = 9
 
 	// OpMembership is the cluster heartbeat and view exchange: the sender's
@@ -142,7 +144,8 @@ type Request struct {
 	Op Op
 
 	// OpFactorize: the matrix and analysis options. Also accepted by
-	// OpRefactorize as the full-matrix form.
+	// OpRefactorize as the full-matrix form; OpReplicate carries the
+	// handle's pattern and options in them.
 	Matrix *sstar.Matrix
 	Opts   sstar.Options
 
@@ -176,11 +179,10 @@ type Request struct {
 	// column-major).
 	NRHS int
 
-	// Blob carries the replication payload of OpReplicate (a factorization
-	// in the sstar Save format) or OpReplicateAnalysis (an analysis in the
-	// sstar analysis Save format). For OpReplicate, Matrix carries the
-	// retained CSR pattern (values unused) and Handle/Key the identity the
-	// replica installs under.
+	// Blob carries the replication payload of OpReplicate: a factorization
+	// in the sstar Save format. Matrix carries the retained CSR pattern
+	// (values unused), Opts the options it was analyzed with, and
+	// Handle/Key the identity the replica installs under.
 	Blob []byte
 
 	// Epoch and Members carry the sender's membership view on
@@ -300,8 +302,8 @@ type ServerStats struct {
 	// Redirects counts requests answered with CodeRedirect/CodeNotOwner:
 	// work refused because placement says it belongs elsewhere.
 	Redirects int64
-	// Replications counts replica pushes acknowledged by the successor
-	// shard (factor blobs and analysis entries alike).
+	// Replications counts pushes acknowledged by the key's other
+	// responsible shard: handle copies and forwarded frees.
 	Replications int64
 	// ReplicationPending is the replication queue depth: writes whose
 	// replica the successor has not yet acknowledged (the lag a failover

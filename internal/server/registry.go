@@ -23,6 +23,10 @@ type handle struct {
 	// key is the structure key of the handle's matrix, retained so cluster
 	// shards can re-replicate after a refactorize without re-hashing.
 	key uint64
+	// opts are the normalized options the handle was analyzed with; a
+	// replication push carries them so the receiver can file the handle's
+	// structure in its analysis cache.
+	opts sstar.Options
 	// valEpoch is the values-epoch of the installed factors: 1 at
 	// factorize, incremented under mu on every refactorize, carried by
 	// replication pushes so a stale (delayed) push can never roll newer

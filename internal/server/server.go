@@ -77,9 +77,6 @@ type ClusterHooks interface {
 	// Self reports the advertised address of this shard, stamped on
 	// factorize responses so clients go shard-direct from first contact.
 	Self() string
-	// Analyzed is called after a cold analyze completes, with the
-	// immutable analysis, for asynchronous replication of the cache entry.
-	Analyzed(key uint64, an *sstar.Analysis)
 	// Stored is called after a successful factorize or refactorize with
 	// the serialized factors, for asynchronous replication to the
 	// successor shard.
@@ -95,13 +92,17 @@ type ClusterHooks interface {
 // serialized in the sstar Save format (bit-exact: a replica loaded from Blob
 // solves bit-identically to the original). RowPtr/ColInd are the retained
 // pattern backing the values-only refactorize fast path on whichever shard
-// holds the copy; they are shared read-only slices.
+// holds the copy; they are shared read-only slices. Opts are the normalized
+// options the handle was analyzed with: with the pattern and the symbolic
+// structure inside Blob they make the receiver's analysis-cache entry for
+// Key, so no separate analysis travels.
 type StoredEvent struct {
 	Handle uint64
 	Key    uint64
 	N      int
 	RowPtr []int
 	ColInd []int
+	Opts   sstar.Options
 	Blob   []byte
 	// ValEpoch is the values-epoch of the serialized factors (1 on
 	// factorize, incremented per refactorize); it rides on the replication
@@ -113,13 +114,14 @@ type StoredEvent struct {
 // place the event's fields are mapped onto the wire, so the live push and the
 // repair push cannot disagree about what rides along. The pattern travels in
 // Matrix so the copy supports the values-only refactorize fast path wherever
-// it lands.
+// it lands, and with Opts it warms the receiver's analysis cache.
 func (ev StoredEvent) ReplicateRequest() *Request {
 	return &Request{
 		Op:       OpReplicate,
 		Handle:   ev.Handle,
 		Key:      ev.Key,
 		Matrix:   &sstar.Matrix{N: ev.N, M: ev.N, RowPtr: ev.RowPtr, ColInd: ev.ColInd},
+		Opts:     ev.Opts,
 		Blob:     ev.Blob,
 		ValEpoch: ev.ValEpoch,
 	}
@@ -492,7 +494,10 @@ func (s *Server) exec(req *Request) *Response {
 	case OpReplicate:
 		return s.doReplicate(req)
 	case OpReplicateAnalysis:
-		return s.doReplicateAnalysis(req)
+		// An older peer still pushes analyses separately: acknowledged so
+		// it neither retries nor logs, and ignored — the handle push
+		// carries the same structure.
+		return &Response{Key: req.Key}
 	case OpManifest:
 		return &Response{Manifest: s.reg.manifest()}
 	case OpMembership:
@@ -515,22 +520,7 @@ func (s *Server) doFactorize(req *Request) *Response {
 		return errResponse(err)
 	}
 	var stats RequestStats
-	// The core split is server policy: the factor phase of every request
-	// runs with at most the configured FactorWorkers, whatever the client
-	// asked for. Normalizing before hashing keeps the cache's exact-options
-	// check consistent across clients (the key itself already ignores
-	// HostWorkers, the numeric phase's cap — parallelism never changes the
-	// factors).
-	opts := req.Opts
-	opts.HostWorkers = s.cfg.FactorWorkers
-	// Observers are a local-process concern: they cannot travel the wire,
-	// and the cache's exact-options check must not see one.
-	opts.Observer = nil
-	// The virtual-machine routing knobs are meaningless on the service
-	// path: the server always factors on the host executor. Normalized so
-	// the cache's exact-options check cannot fragment on them (they are
-	// excluded from the structure key for the same reason).
-	opts.Procs, opts.Machine, opts.Mapping, opts.TraceParallel = 0, "", "", false
+	opts := s.normalize(req.Opts)
 	key := sstar.StructureKey(a, opts)
 	t0 := time.Now()
 	// Singleflight on the cold analysis: a thundering herd on a new
@@ -568,10 +558,6 @@ func (s *Server) doFactorize(req *Request) *Response {
 	if computed {
 		s.met.observeAnalyze(an.Phases())
 	}
-	hk := s.cfg.Cluster
-	if computed && hk != nil {
-		hk.Analyzed(key, an)
-	}
 	t1 := time.Now()
 	f, err := an.FactorizeWith(a)
 	if err != nil {
@@ -585,15 +571,32 @@ func (s *Server) doFactorize(req *Request) *Response {
 		rowPtr:   append([]int(nil), a.RowPtr...),
 		colInd:   append([]int(nil), a.ColInd...),
 		key:      key,
+		opts:     opts,
 		valEpoch: 1,
 	}
 	id := s.reg.add(h)
 	resp := &Response{Handle: id, N: a.N, Nnz: len(h.colInd), Key: key, Stats: stats}
-	if hk != nil {
+	if hk := s.cfg.Cluster; hk != nil {
 		resp.Addr = hk.Self()
 		s.replicate(hk, id)
 	}
 	return resp
+}
+
+// normalize applies server policy to a request's options, so that the
+// cache's exact-options check is consistent across clients and peers. The
+// core split: the factor phase of every request runs with at most the
+// configured FactorWorkers, whatever the client or the pushing peer asked
+// for (the key ignores HostWorkers, the numeric phase's cap — parallelism
+// never changes the factors). Observers are a local-process concern: they
+// cannot travel the wire. The virtual-machine routing knobs are meaningless
+// on the service path, which always factors on the host executor (they are
+// excluded from the structure key for the same reason).
+func (s *Server) normalize(opts sstar.Options) sstar.Options {
+	opts.HostWorkers = s.cfg.FactorWorkers
+	opts.Observer = nil
+	opts.Procs, opts.Machine, opts.Mapping, opts.TraceParallel = 0, "", "", false
+	return opts
 }
 
 // replicate hands the handle's current factors to the cluster hooks — after
@@ -642,7 +645,11 @@ func (s *Server) doRefactorize(req *Request) *Response {
 // blob is loaded back into a live factorization under the id the owner
 // allocated, so a failover solve addresses the same handle here. Load
 // verifies every frame checksum — a blob corrupted in flight is refused, and
-// the pusher retries.
+// the pusher retries. The loaded symbolic structure also becomes the
+// analysis-cache entry for the pushed key, unless one with the same options
+// is cached, so a factorize of the structure here is a cache hit. A push
+// whose key its pattern and options do not reproduce (an older peer sends no
+// options) installs the handle alone.
 func (s *Server) doReplicate(req *Request) *Response {
 	valEpoch := req.ValEpoch
 	if valEpoch == 0 {
@@ -670,22 +677,15 @@ func (s *Server) doReplicate(req *Request) *Response {
 		rowPtr:   m.RowPtr,
 		colInd:   m.ColInd,
 		key:      req.Key,
+		opts:     s.normalize(req.Opts),
 		valEpoch: valEpoch,
 	}
 	s.reg.put(req.Handle, h)
 	s.replicasInstalled.Add(1)
-	return &Response{Handle: req.Handle, N: m.N, Nnz: len(m.ColInd)}
-}
-
-// doReplicateAnalysis installs one analysis-cache entry pushed by a peer
-// shard, so a post-failover factorize of that structure here is a cache hit.
-func (s *Server) doReplicateAnalysis(req *Request) *Response {
-	an, err := sstar.LoadAnalysis(bytes.NewReader(req.Blob))
-	if err != nil {
-		return errResponse(fmt.Errorf("server: replicate analysis: %w", err))
+	if an, err := sstar.AnalysisOf(f, m, h.opts, req.Key); err == nil {
+		s.cache.add(req.Key, an)
 	}
-	s.cache.add(an.Key(), an)
-	return &Response{Key: an.Key()}
+	return &Response{Handle: req.Handle, N: m.N, Nnz: len(m.ColInd)}
 }
 
 func (s *Server) doFree(req *Request) *Response {
@@ -735,6 +735,7 @@ func (s *Server) ExportHandle(id uint64) (ev StoredEvent, ok bool) {
 		N:        h.n,
 		RowPtr:   h.rowPtr,
 		ColInd:   h.colInd,
+		Opts:     h.opts,
 		Blob:     buf.Bytes(),
 		ValEpoch: h.valEpoch,
 	}, true

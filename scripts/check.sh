@@ -122,7 +122,9 @@ if git grep -n 'go:build' -- 'internal/xblas/*.go' 'internal/xblas/*.s' ':!*_tes
 # set (the pivot threshold, the patch budget — spelled so that the kept
 # DefaultPatchMaxDiff does not match — and the frame caps) and the
 # sequential driver's own panel declaration (the Factor task packs the
-# panel for every executor) stay gone.
+# panel for every executor), the separate analysis push with its hook,
+# handler and file format (the handle push carries the analysis) and the
+# router's handle→key map (clients stamp the key) stay gone.
 # RequestStats.BatchWidth, RouterStats.Scatters and the benchmark metrics
 # reading them are not listed: they stay until the benchmark retires them.
 # Scanned: every file but
@@ -130,7 +132,7 @@ if git grep -n 'go:build' -- 'internal/xblas/*.go' 'internal/xblas/*.s' ':!*_tes
 # that describe the program and its sources (the changelog, roadmap and
 # planning notes are history and may name what went). Spelled as an if
 # because set -e ignores a command behind "!".
-retired='BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D|runSolveBatch|doSolveMany|CoalesceWidth|coalesce-width|ColEtree|detectSupernodesWorkers|parMinCols|partParMin|ColumnMinDegree|colmmd|SetTileShape|AutotuneResult|TileChoice|tileCandidates|CoalesceWindow|coalesce-window|TenantWeights|tenant-weights|parseTenantWeights|SuspectThreshold|DeadThreshold|collectRiders|takeSolves|solveBatch|batchColumns|scatterSolveMany|coalescedSolves|CoalescedSolves|SolveBatches|solve_batch_width|router_scatters_total|FactorizeBTF|BTFFactorization|BlockTriangular|btfcircuit|SolveTranspose|CondEst|Equilibrate|RefineResult|backwardError|GenDense|GenPerturb\(|\.Refine\(|PivotThreshold|PivotTol|pivotTol|WithMaxFrame|MaxFrame|\.PatchMaxDiff|PatchMaxDiff:|newPanel\(|dropPanel'
+retired='BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D|runSolveBatch|doSolveMany|CoalesceWidth|coalesce-width|ColEtree|detectSupernodesWorkers|parMinCols|partParMin|ColumnMinDegree|colmmd|SetTileShape|AutotuneResult|TileChoice|tileCandidates|CoalesceWindow|coalesce-window|TenantWeights|tenant-weights|parseTenantWeights|SuspectThreshold|DeadThreshold|collectRiders|takeSolves|solveBatch|batchColumns|scatterSolveMany|coalescedSolves|CoalescedSolves|SolveBatches|solve_batch_width|router_scatters_total|FactorizeBTF|BTFFactorization|BlockTriangular|btfcircuit|SolveTranspose|CondEst|Equilibrate|RefineResult|backwardError|GenDense|GenPerturb\(|\.Refine\(|PivotThreshold|PivotTol|pivotTol|WithMaxFrame|MaxFrame|\.PatchMaxDiff|PatchMaxDiff:|newPanel\(|dropPanel|doReplicateAnalysis|LoadAnalysis|analysisMeta|analysisMagic|Analyzed\(|placeMu|keyOf\('
 if git grep -nE "$retired" -- . ':(exclude,glob)*.md' ':!results/' ':!scripts/check.sh' ||
 	git grep -nE "$retired" -- README.md DESIGN.md EXPERIMENTS.md PAPER.md PAPERS.md SNIPPETS.md; then exit 1; fi
 

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"sstar/internal/core"
-	"sstar/internal/sparse"
 	"sstar/internal/supernode"
 	"sstar/internal/wire"
 )
@@ -18,9 +17,6 @@ import (
 const (
 	serialMagic   = "sstar-lu"
 	serialVersion = 3 // v3: factors are the value slab alone; the block structure is rebuilt from the partition
-
-	analysisMagic   = "sstar-an"
-	analysisVersion = 1
 
 	frameHeader  byte = 0x48 // 'H'
 	frameSection byte = 0x53 // 'S'
@@ -108,70 +104,4 @@ func Load(r io.Reader) (*Factorization, error) {
 	}
 	fact.Sym, fact.BM = &sym, bm
 	return &Factorization{sym: &sym, fact: fact, patHash: tr.PatHash, patNnz: tr.PatNnz}, nil
-}
-
-// analysisHeaderSections carries everything an Analysis holds beyond the
-// gob-heavy symbolic structure: the options it was computed with and the
-// analyzed pattern (CSR, no values).
-type analysisMeta struct {
-	Opts Options
-	N    int
-	Ptr  []int
-	Ind  []int
-	Key  uint64
-}
-
-// Save writes the complete analysis (options, analyzed pattern, symbolic
-// structure) to w in a self-contained binary format, so an expensive analyze
-// phase can be computed once and shared across processes — the cluster
-// replicates analysis-cache entries between shards through exactly this
-// format. The Observer option is a local-process hook and is not serialized.
-func (an *Analysis) Save(w io.Writer) error {
-	if err := wire.WriteGob(w, frameHeader, serialHeader{Magic: analysisMagic, Version: analysisVersion}); err != nil {
-		return fmt.Errorf("sstar: save analysis header: %w", err)
-	}
-	opts := an.opts
-	opts.Observer = nil
-	meta := analysisMeta{Opts: opts, N: an.pat.N, Ptr: an.pat.Ptr, Ind: an.pat.Ind, Key: an.key}
-	if err := wire.WriteGob(w, frameSection, meta); err != nil {
-		return fmt.Errorf("sstar: save analysis meta: %w", err)
-	}
-	if err := wire.WriteGob(w, frameSection, an.sym); err != nil {
-		return fmt.Errorf("sstar: save analysis symbolic: %w", err)
-	}
-	return nil
-}
-
-// LoadAnalysis reads an analysis previously written by Analysis.Save. The
-// result behaves exactly like a freshly computed Analysis: FactorizeWith
-// produces bit-identical factors, Matches verifies patterns, Key reports the
-// structure key. Corrupt input of any kind returns an error, never a panic.
-func LoadAnalysis(r io.Reader) (*Analysis, error) {
-	var h serialHeader
-	if err := wire.ReadGob(r, frameHeader, 1<<16, &h); err != nil {
-		return nil, fmt.Errorf("sstar: load analysis header: %w", err)
-	}
-	if h.Magic != analysisMagic {
-		return nil, fmt.Errorf("sstar: not an analysis stream")
-	}
-	if h.Version != analysisVersion {
-		return nil, fmt.Errorf("sstar: unsupported analysis format version %d", h.Version)
-	}
-	var meta analysisMeta
-	if err := wire.ReadGob(r, frameSection, 0, &meta); err != nil {
-		return nil, fmt.Errorf("sstar: load analysis meta: %w", err)
-	}
-	var sym core.Symbolic
-	if err := wire.ReadGob(r, frameSection, 0, &sym); err != nil {
-		return nil, fmt.Errorf("sstar: load analysis symbolic: %w", err)
-	}
-	if meta.N <= 0 || len(meta.Ptr) != meta.N+1 || sym.N != meta.N || sym.Partition == nil || sym.Static == nil {
-		return nil, fmt.Errorf("sstar: analysis stream is incomplete")
-	}
-	return &Analysis{
-		sym:  &sym,
-		opts: meta.Opts,
-		pat:  &sparse.Pattern{N: meta.N, Ptr: meta.Ptr, Ind: meta.Ind},
-		key:  meta.Key,
-	}, nil
 }
