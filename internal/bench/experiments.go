@@ -21,9 +21,6 @@ type Config struct {
 	Amalg int
 }
 
-// DefaultConfig mirrors the paper's setup.
-func DefaultConfig() Config { return Config{Scale: 1.0, BSize: 25, Amalg: 4} }
-
 // superLUSymbolicOverhead is the paper's h: the ratio of SuperLU's on-the-fly
 // symbolic factorization time to its numeric time. The paper estimates
 // h < 0.82 from [7]; we use a mid-range value.

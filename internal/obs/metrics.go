@@ -9,57 +9,6 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing atomic counter. All methods are
-// no-ops on a nil receiver.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add adds n (n must be >= 0 for Prometheus semantics; not enforced).
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value. All methods are no-ops on nil.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // DefTimeBuckets is the default latency bucket ladder in seconds: 100µs to
 // 10s, roughly ×2.5 per step — wide enough to hold both a cached analyze
 // (microseconds) and a cold large-matrix factorization (seconds).
@@ -135,9 +84,7 @@ func (h *Histogram) Sum() float64 {
 type metricKind uint8
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
+	kindHistogram metricKind = iota
 	kindCounterFunc
 	kindGaugeFunc
 )
@@ -146,8 +93,6 @@ const (
 type metric struct {
 	name, help string
 	kind       metricKind
-	c          *Counter
-	g          *Gauge
 	h          *Histogram
 	fn         func() float64
 }
@@ -172,20 +117,6 @@ func (r *Registry) register(m *metric) {
 	}
 	r.byName[m.name] = m
 	r.ms = append(r.ms, m)
-}
-
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(&metric{name: name, help: help, kind: kindCounter, c: c})
-	return c
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&metric{name: name, help: help, kind: kindGauge, g: g})
-	return g
 }
 
 // Histogram registers and returns a new histogram (DefTimeBuckets when no
@@ -227,7 +158,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, m := range ms {
 		typ := "counter"
 		switch m.kind {
-		case kindGauge, kindGaugeFunc:
+		case kindGaugeFunc:
 			typ = "gauge"
 		case kindHistogram:
 			typ = "histogram"
@@ -237,10 +168,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		var err error
 		switch m.kind {
-		case kindCounter:
-			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.c.Value())
-		case kindGauge:
-			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.g.Value())
 		case kindCounterFunc, kindGaugeFunc:
 			_, err = fmt.Fprintf(w, "%s %s\n", m.name, fmtFloat(m.fn()))
 		case kindHistogram:

@@ -1,7 +1,8 @@
-// Package obs is the repo's zero-dependency observability layer: atomic
-// counters, gauges and fixed-bucket latency histograms collected in a
-// Registry that renders Prometheus text format, plus a lock-cheap
-// ring-buffer trace recorder that dumps Chrome trace_event JSON timelines.
+// Package obs is the repo's zero-dependency observability layer: counters
+// and gauges read at scrape time and fixed-bucket latency histograms,
+// collected in a Registry that renders Prometheus text format, plus a
+// lock-cheap ring-buffer trace recorder that dumps Chrome trace_event JSON
+// timelines.
 //
 // The paper's whole argument is a performance argument — PT/ET efficiency,
 // per-phase cost splits, bounded asynchronous overlap — and this package is
@@ -12,10 +13,10 @@
 // timeline in chrome://tracing or Perfetto), and the solver service exports
 // its counters and request-phase histograms over /metrics.
 //
-// Everything here is safe on a nil receiver: a nil *Tracer, *Counter,
-// *Gauge or *Histogram turns every method into a pointer check and return,
-// which is what keeps the disabled path (the default for the library) at
-// effectively zero cost — no allocation, no atomics, no time syscalls.
+// Everything here is safe on a nil receiver: a nil *Tracer or *Histogram
+// turns every method into a pointer check and return, which is what keeps
+// the disabled path (the default for the library) at effectively zero cost —
+// no allocation, no atomics, no time syscalls.
 package obs
 
 // Phase names used across the pipeline. Emitters and dashboards agree on

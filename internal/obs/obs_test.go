@@ -11,14 +11,11 @@ import (
 
 func TestRegistryPrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("t_requests_total", "requests processed")
-	g := r.Gauge("t_queue_depth", "requests waiting")
+	r.CounterFunc("t_requests_total", "requests processed", func() float64 { return 5 })
+	r.GaugeFunc("t_queue_depth", "requests waiting", func() float64 { return 2 })
 	h := r.Histogram("t_factor_seconds", "factor latency", 0.001, 0.01, 0.1)
-	r.GaugeFunc("t_handles", "live handles", func() float64 { return 3 })
-	r.CounterFunc("t_hits_total", "cache hits", func() float64 { return 7 })
+	r.GaugeFunc("t_mean_wait_seconds", "mean wait", func() float64 { return 1.5 })
 
-	c.Add(5)
-	g.Set(2)
 	h.Observe(0.0005)
 	h.Observe(0.05)
 	h.Observe(9) // overflow bucket
@@ -40,8 +37,8 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 		`t_factor_seconds_bucket{le="0.1"} 2`,
 		`t_factor_seconds_bucket{le="+Inf"} 3`,
 		"t_factor_seconds_count 3",
-		"t_handles 3",
-		"t_hits_total 7",
+		"# TYPE t_mean_wait_seconds gauge",
+		"t_mean_wait_seconds 1.5",
 	} {
 		if !strings.Contains(got, want+"\n") {
 			t.Errorf("missing %q in output:\n%s", want, got)
@@ -169,8 +166,6 @@ func TestChromeTraceValidJSON(t *testing.T) {
 // within the <2% overhead budget when no tracer/observer is attached.
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var tr *Tracer
-	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	ev := TaskEvent{Kind: KindFactor, K: 1, StartNs: 1, DurNs: 1}
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -178,9 +173,6 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		tr.Phase(PhaseFactor, 10)
 		tr.Emit(Event{})
 		_ = tr.Since()
-		c.Inc()
-		c.Add(3)
-		g.Set(1)
 		h.Observe(0.5)
 		h.ObserveNs(100)
 	})

@@ -18,7 +18,6 @@ type metrics struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 
-	panics    *obs.Counter
 	queueWait *obs.Histogram
 	analyze   *obs.Histogram
 	factor    *obs.Histogram
@@ -45,8 +44,9 @@ func newMetrics(s *Server) *metrics {
 	reg.CounterFunc("sstar_server_errors_total",
 		"Requests answered with an error.",
 		func() float64 { return float64(s.errors.Load()) })
-	m.panics = reg.Counter("sstar_server_panics_total",
-		"Request handlers recovered from a panic (each one failed a single request, never the server).")
+	reg.CounterFunc("sstar_server_panics_total",
+		"Request handlers recovered from a panic (each one failed a single request, never the server).",
+		func() float64 { return float64(s.panics.Load()) })
 	reg.CounterFunc("sstar_server_factorize_total",
 		"Factorize requests.",
 		func() float64 { return float64(s.factorizes.Load()) })

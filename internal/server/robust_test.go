@@ -289,7 +289,7 @@ func TestSingularTypedThroughProcess(t *testing.T) {
 	if st.Errors != 1 {
 		t.Fatalf("error counter %d, want 1", st.Errors)
 	}
-	if s.met.panics.Value() != 0 {
+	if s.panics.Load() != 0 {
 		t.Fatal("singularity counted as a panic")
 	}
 }
@@ -331,7 +331,7 @@ func TestNonFiniteTypedThroughProcess(t *testing.T) {
 			t.Fatalf("solve after refused refactorizes with a %v value: err %q, x changed %v", v, after.Err, !slices.Equal(after.X, before.X))
 		}
 	}
-	if s.met.panics.Value() != 0 {
+	if s.panics.Load() != 0 {
 		t.Fatal("a non-finite value counted as a panic")
 	}
 }
@@ -372,7 +372,7 @@ func TestMalformedMatrixIsBadInput(t *testing.T) {
 			t.Fatalf("%s: answered as an internal error: %q", name, resp.Err)
 		}
 	}
-	if n := s.met.panics.Value(); n != 0 {
+	if n := s.panics.Load(); n != 0 {
 		t.Fatalf("malformed input counted %d recovered panics", n)
 	}
 	again := s.submit(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})

@@ -182,6 +182,7 @@ type Server struct {
 	requests          atomic.Int64
 	errors            atomic.Int64
 	sheds             atomic.Int64
+	panics            atomic.Int64 // request handlers recovered from a panic
 	factorizes        atomic.Int64
 	refactorizes      atomic.Int64
 	solves            atomic.Int64
@@ -375,7 +376,7 @@ func (s *Server) run(id int, j *job) {
 	queueNs := now.Sub(j.enqueued).Nanoseconds()
 	defer func() {
 		if p := recover(); p != nil {
-			s.met.panics.Inc()
+			s.panics.Add(1)
 			s.logf("server: panic in %s: %v\n%s", j.req.Op, p, debug.Stack())
 			s.finish(id, j, errResponse(fmt.Errorf("%w: recovered panic: %v", sstar.ErrInternal, p)),
 				queueNs, time.Since(now).Nanoseconds())

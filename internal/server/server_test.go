@@ -166,7 +166,7 @@ func TestProcessRecoversPanic(t *testing.T) {
 	if resp.Err == "" || resp.Code != CodeInternal {
 		t.Fatalf("panicking factorize answered code %s (%q), want internal", resp.Code, resp.Err)
 	}
-	if n := s.met.panics.Value(); n != 1 {
+	if n := s.panics.Load(); n != 1 {
 		t.Fatalf("panic counter %d, want 1", n)
 	}
 	if resp := s.submit(&Request{Op: OpPing}); resp.Err != "" {

@@ -41,22 +41,6 @@ func benchGemmN(b *testing.B, n int) {
 	b.ReportMetric(gflops(2*int64(n)*int64(n)*int64(n), b), "GFLOP/s")
 }
 
-func BenchmarkGemmAdd(b *testing.B) {
-	for _, n := range gemmBenchSizes {
-		b.Run(fmt.Sprintf("%dx%dx%d", n, n, n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(2))
-			a := randMat(rng, n, n)
-			bb := randMat(rng, n, n)
-			c := randMat(rng, n, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				GemmAdd(n, n, n, a, n, bb, n, c, n)
-			}
-			b.ReportMetric(gflops(2*int64(n)*int64(n)*int64(n), b), "GFLOP/s")
-		})
-	}
-}
-
 // BenchmarkGemmRect exercises the panel-update shape of the 1D/2D codes:
 // a tall L block times a BSIZE-wide U block.
 func BenchmarkGemmRect(b *testing.B) {

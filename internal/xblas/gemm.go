@@ -1,11 +1,12 @@
 // Packed, register-tiled GEMM engine.
 //
-// The products (Gemm, GemmAdd, GemmUpdate/GemmScatter, and through Gemm the
-// coupling between the diagonal blocks of the TRSM) run on one
-// micro-architecture: operand panels are packed into contiguous tiles and an
-// unrolled mr-by-nr accumulator micro-kernel sweeps them, BLIS-style. It is
-// not the only kernel of the package: the diagonal blocks of the TRSM and
-// the panel factorization are defined as sequences of separately rounded
+// Every product runs on one driver, GemmUpdate: the mapped block updates of
+// the factorization, GemmScatter, and Gemm, which is GemmUpdate with the zero
+// Dest (and through it the coupling between the diagonal blocks of the
+// TRSM). Operand panels are packed into contiguous tiles and an unrolled
+// mr-by-nr accumulator micro-kernel sweeps them, BLIS-style. It is not the
+// only kernel of the package: the diagonal blocks of the TRSM and the panel
+// factorization are defined as sequences of separately rounded
 // multiply-subtracts and run on the unfused, unpacked kernels of mulsub.go.
 //
 //   - A panels are packed into strips of mr rows: strip element (l, i) sits at
@@ -15,8 +16,8 @@
 //     at offset l*nr+j.
 //   - A tile of one, two or three A strips by one B strip stays in registers,
 //     accumulating over the whole k extent with fused multiply-adds, and is
-//     folded into C with a single rounding per element: C += sign*acc, at
-//     the positions the caller's row and column maps name.
+//     folded into C with a single rounding per element: C -= acc, at the
+//     positions the caller's row and column maps name.
 //
 // Three kernel levels exist, the best the CPU runs picked once at startup
 // (CPUID/XGETBV on amd64):
@@ -50,26 +51,30 @@ import (
 
 // Tile constants of the engine. The strip widths mr and nr are the packed
 // layout every kernel level reads (gemm_amd64.s and kernel4x8go alike), so
-// changing them means changing all of them. The cache blocks mcBlock and
-// ncBlock (rows of A, columns of B per packed panel) only regroup packing
-// and tile calls: every element of C is still accumulated over the full k
-// extent inside a single tile and folded with one rounding, so they never
-// change results. They are fixed: measured at startup, the best shape moved
-// between runs by more than the candidates differed (DESIGN.md, "Fixed
-// cache blocks"). mcBlock is a multiple of 2*mr, so every strip of a full
-// block pairs in the 8-row AVX-512 tile.
+// changing them means changing all of them. The cache block mcBlock (rows of
+// A per packed panel) only regroups packing and tile calls: every element of
+// C is still accumulated over the full k extent inside a single tile and
+// folded with one rounding, so it never changes results. It is fixed:
+// measured at startup, the best shape moved between runs by more than the
+// candidates differed (DESIGN.md, "Fixed cache blocks"). mcBlock is a
+// multiple of 2*mr, so every strip of a full block pairs in the 8-row
+// AVX-512 tile.
 const (
 	mr = 4 // A-panel strip width (rows)
 	nr = 8 // B-panel strip width (columns)
 
-	mcBlock = 96  // A-panel rows per cache block
-	ncBlock = 256 // B-panel columns per cache block
+	mcBlock = 96 // A-panel rows per cache block
 
-	// smallGemmFlops: at or below this many flops (2*m*n*k) the packing
-	// overhead outweighs the micro-kernel win and a direct FMA triple loop
-	// runs instead. Both paths produce bitwise-identical results, so the
-	// threshold is a pure tuning knob.
-	smallGemmFlops = 2 * 4 * 4 * 4
+	// ncBlock cuts nothing: GemmUpdate packs all of B at once. It stays only
+	// because the benchmark's xblas.tile_nc reads it through TileShape; it
+	// goes when that metric is retired.
+	ncBlock = 256
+
+	// smallUpdateFlops: at or below this many flops (2*m*n*k) the packing
+	// overhead outweighs the micro-kernel win and the direct loop
+	// smallUpdate runs instead. Both paths produce bitwise-identical
+	// results, so the threshold is a pure tuning knob.
+	smallUpdateFlops = 2 * 4 * 4 * 4
 )
 
 // Kernel levels, lowest first; every level gives the same bits.
@@ -89,8 +94,8 @@ var level = hostLevel
 // benchmark reports.
 func KernelName() string { return levelNames[level] }
 
-// TileShape returns the engine's cache blocks (A rows, B columns per packed
-// panel), for benchmark reports.
+// TileShape returns the engine's A cache block (rows per packed panel) and
+// ncBlock, which cuts nothing, for benchmark reports.
 func TileShape() (mc, nc int) { return mcBlock, ncBlock }
 
 func grow[T any](buf []T, n int) []T {
@@ -104,64 +109,10 @@ func roundUp(n, q int) int { return (n + q - 1) / q * q }
 
 // Gemm computes C = C - A*B (the update form used throughout sparse LU:
 // A_ij -= L_ik * U_kj) for row-major A (m-by-k, stride lda), B (k-by-n,
-// stride ldb) and C (m-by-n, stride ldc). Flops: 2*m*n*k.
+// stride ldb) and C (m-by-n, stride ldc): GemmUpdate with the zero Dest.
+// Flops: 2*m*n*k.
 func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if m == 0 || n == 0 || k == 0 {
-		return
-	}
-	noteGemm(m, n, k)
-	gemmEngine(m, n, k, a, lda, b, ldb, c, ldc, -1)
-}
-
-// GemmAdd computes C = C + A*B with the same layout conventions as Gemm.
-func GemmAdd(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if m == 0 || n == 0 || k == 0 {
-		return
-	}
-	noteGemm(m, n, k)
-	gemmEngine(m, n, k, a, lda, b, ldb, c, ldc, 1)
-}
-
-// gemmEngine is the shared packed driver: C += sign * A*B.
-func gemmEngine(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, sign float64) {
-	if 2*m*n*k <= smallGemmFlops {
-		smallGemm(m, n, k, a, lda, b, ldb, c, ldc, sign)
-		return
-	}
-	pb := packsPool.Get().(*Packs)
-	for jc := 0; jc < n; jc += ncBlock {
-		ncb := min(ncBlock, n-jc)
-		ncbPad := roundUp(ncb, nr)
-		pb.b = grow(pb.b, ncbPad*k)
-		packB(pb.b, b, ldb, jc, k, ncb)
-		for ic := 0; ic < m; ic += mcBlock {
-			mcb := min(mcBlock, m-ic)
-			mcbPad := roundUp(mcb, mr)
-			pb.a = grow(pb.a, mcbPad*k)
-			packA(pb.a, a, lda, ic, k, mcb)
-			offs, maxOff := rowOffsets(pb.offs, nil, ic, mcb, ldc)
-			pb.offs = offs
-			sweep(ncb, k, pb.a, pb.b, c, ldc, offs, maxOff, jc, nil, nil, sign)
-		}
-	}
-	packsPool.Put(pb)
-}
-
-// smallGemm is the direct path for tiny products: an FMA triple loop with the
-// same per-element accumulation order and single-rounding fold as the packed
-// path, so the two are bitwise interchangeable.
-func smallGemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, sign float64) {
-	for i := 0; i < m; i++ {
-		arow := a[i*lda : i*lda+k]
-		crow := c[i*ldc : i*ldc+n]
-		for j := 0; j < n; j++ {
-			acc := 0.0
-			for l, av := range arow {
-				acc = math.FMA(av, b[l*ldb+j], acc)
-			}
-			crow[j] = math.FMA(sign, acc, crow[j])
-		}
-	}
+	GemmUpdate(m, n, k, a, lda, b, ldb, c, ldc, Dest{}, nil, nil)
 }
 
 // packA packs rows [ic, ic+rows) of A (full k extent) into strips of mr rows;
@@ -181,25 +132,6 @@ func packA(dst, a []float64, lda, ic, k, rows int) {
 			arow := a[(ic+ir+ii)*lda : (ic+ir+ii)*lda+k]
 			for l, v := range arow {
 				strip[l*mr+ii] = v
-			}
-		}
-	}
-}
-
-// packB packs columns [jc, jc+cols) of B (full k extent) into strips of nr
-// columns; strip s holds element (l, j) at offset s*nr*k + l*nr + j, with
-// zero padding past the last column.
-func packB(dst, b []float64, ldb, jc, k, cols int) {
-	colsPad := roundUp(cols, nr)
-	for jr := 0; jr < colsPad; jr += nr {
-		strip := dst[jr*k : (jr+nr)*k]
-		w := min(nr, cols-jr)
-		for l := 0; l < k; l++ {
-			brow := b[l*ldb+jc+jr : l*ldb+jc+jr+w]
-			drow := strip[l*nr : l*nr+nr]
-			copy(drow, brow)
-			for jj := w; jj < nr; jj++ {
-				drow[jj] = 0
 			}
 		}
 	}
@@ -268,7 +200,7 @@ func stripCols(cols []int32) tileCols {
 
 // sweep folds the product of a packed A block and a packed B panel into C:
 //
-//	C[offs[i] + col(j)] = FMA(sign, acc(i, j), C[offs[i] + col(j)])
+//	C[offs[i] + col(j)] -= acc(i, j)
 //
 // for every product row i with offs[i] >= 0 and column j < n with a slot,
 // where acc(i, j) is the FMA sum over ascending l from +0 and col(j) is
@@ -277,7 +209,7 @@ func stripCols(cols []int32) tileCols {
 // holding columns q*nr onward, or starts[q] onward when starts is not nil
 // (packUpdateB's windows; the columns no strip holds are skipped). Each B strip
 // goes to tile, the kernel level dispatched at startup.
-func sweep(n, k int, ap, bp, c []float64, ldc int, offs []int, maxOff, col0 int, cols []int32, starts []int32, sign float64) {
+func sweep(n, k int, ap, bp, c []float64, ldc int, offs []int, maxOff, col0 int, cols []int32, starts []int32) {
 	if ldc < 0 || col0 < 0 {
 		panic("xblas: negative ldc or column offset") // offsets < 0 would read as "no slot"
 	}
@@ -303,7 +235,7 @@ func sweep(n, k int, ap, bp, c []float64, ldc int, offs []int, maxOff, col0 int,
 		// One bounds check per strip, on the farthest element its tiles
 		// write, so the kernels may run unchecked.
 		_ = c[maxOff+w.reach-1]
-		tile(k, ap, bp[q*nr*k:(q+1)*nr*k], c, ldc, offs, &w, sign)
+		tile(k, ap, bp[q*nr*k:(q+1)*nr*k], c, ldc, offs, &w, -1)
 	}
 }
 
@@ -403,10 +335,9 @@ type Packs struct {
 	bPacked bool
 	// After a pack that dropped zero columns (skip), strip q of the packed
 	// panel holds B's columns starts[q] .. starts[q]+nr-1; otherwise strip q
-	// holds columns q*nr onward. nz is the pack's per-column OR of B's bits.
+	// holds columns q*nr onward.
 	skip   bool
 	starts []int32
-	nz     []uint64
 	rows   []int32 // GemmScatter's converted maps
 	cols   []int32
 	offs   []int // sweep's row offsets into C
@@ -429,10 +360,10 @@ func PackA(dst []float64, m, k int, a []float64, lda int) {
 // PacksA reports whether GemmUpdate reads an m-by-k A packed when it
 // multiplies it by a k-by-n B; smaller products run a direct loop over A in
 // place.
-func PacksA(m, n, k int) bool { return 2*m*n*k > smallGemmFlops }
+func PacksA(m, n, k int) bool { return 2*m*n*k > smallUpdateFlops }
 
-// packsPool backs the calls that bring no Packs of their own (Gemm, GemmAdd,
-// the blocked TRSM, GemmScatter, GemmUpdate with a nil pk).
+// packsPool backs the calls that bring no Packs of their own (Gemm and
+// through it the blocked TRSM, GemmScatter, GemmUpdate with a nil pk).
 var packsPool = sync.Pool{New: func() any { return new(Packs) }}
 
 // GemmUpdate computes the mapped update
@@ -442,16 +373,17 @@ var packsPool = sync.Pool{New: func() any { return new(Packs) }}
 // for row-major A (m-by-k, stride lda) and B (k-by-n, stride ldb), writing
 // directly into the mapped positions of C (stride ldc); see Dest for the map
 // conventions. Product rows/columns without a slot contribute nothing (they
-// are structural zeros in the S* update). This is the one engine behind every
-// block update of the factorization: the maps come precomputed and compacted
-// from the static update plan, operand panels are packed without gathering,
-// each tile accumulates in registers over the full k extent and is folded
-// into C with a single rounding per element — bit-matching the naive mapped
-// triple loop. On AVX-512 hosts every tile folds in registers, whatever the
-// maps; elsewhere tiles on four consecutive rows and eight contiguous columns
-// do, and the rest go through a scratch tile. B's pack notes its zero
-// columns and leaves out the strips of nr columns it can (packUpdateB): with
-// A finite, a zero column's sums are +0 and leave C's bits as they are.
+// are structural zeros in the S* update). This is the one driver behind every
+// product of the package — the block updates of the factorization, whose
+// maps come precomputed and compacted from the static update plan, and Gemm,
+// the zero Dest: operand panels are packed without gathering, each tile
+// accumulates in registers over the full k extent and is folded into C with
+// a single rounding per element — bit-matching the naive mapped triple loop.
+// On AVX-512 hosts every tile folds in registers, whatever the maps;
+// elsewhere tiles on four consecutive rows and eight contiguous columns do,
+// and the rest go through a scratch tile. B's pack notes its zero columns
+// and leaves out the strips of nr columns it can (packUpdateB): with A
+// finite, a zero column's sums are +0 and leave C's bits as they are.
 //
 // pk may be nil (buffers then come from a pool and B is packed for this call
 // only); pa is A packed by PackA, or nil (A is then packed for this call
@@ -468,7 +400,7 @@ func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 			noteScatter(mv, nv, k)
 		}
 	}
-	if 2*m*n*k <= smallGemmFlops {
+	if 2*m*n*k <= smallUpdateFlops {
 		smallUpdate(m, n, k, a, lda, b, ldb, c, ldc, d)
 		return
 	}
@@ -498,7 +430,7 @@ func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 		}
 		offs, maxOff := rowOffsets(pk.offs, d.Rows, ic, mcb, ldc)
 		pk.offs = offs
-		sweep(n, k, ap, pk.b, c, ldc, offs, maxOff, d.Col0, d.Cols, starts, -1)
+		sweep(n, k, ap, pk.b, c, ldc, offs, maxOff, d.Col0, d.Cols, starts)
 	}
 	if pooled {
 		packsPool.Put(pk)
@@ -517,7 +449,8 @@ func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 // (DESIGN.md, "Zero U subcolumns").
 func (pk *Packs) packUpdateB(b []float64, ldb, k, n int) {
 	bp := grow(pk.b, roundUp(n, nr)*k)
-	nz := grow(pk.nz, n)
+	starts := pk.starts[:0]
+	next := 0 // the first column past the last window
 	for jr := 0; jr < n; jr += nr {
 		strip := bp[jr*k : (jr+nr)*k]
 		w := min(nr, n-jr)
@@ -543,16 +476,14 @@ func (pk *Packs) packUpdateB(b []float64, ldb, k, n int) {
 			o7 |= math.Float64bits(d[7])
 		}
 		lanes := [nr]uint64{o0, o1, o2, o3, o4, o5, o6, o7}
-		copy(nz[jr:jr+w], lanes[:w])
-	}
-	starts := pk.starts[:0]
-	for j := 0; j < n; j++ {
-		if nz[j]<<1 != 0 { // not ±0 throughout
-			starts = append(starts, int32(j))
-			j += nr - 1
+		for jj, o := range lanes[:w] {
+			if j := jr + jj; j >= next && o<<1 != 0 { // not ±0 throughout
+				starts = append(starts, int32(j))
+				next = j + nr
+			}
 		}
 	}
-	pk.b, pk.nz, pk.starts, pk.bPacked = bp, nz, starts, true
+	pk.b, pk.starts, pk.bPacked = bp, starts, true
 	if pk.skip = len(starts) < (n+nr-1)/nr; !pk.skip {
 		return
 	}
@@ -661,13 +592,14 @@ const trsmBlock = 16
 // k-by-k L (row-major, stride ldl); B is k-by-n (row-major, stride ldb) and
 // is overwritten with X. This is the "U_kj = L_kk^{-1} U_kj" operation of
 // task Update (Fig. 8 line 05). The solve is blocked: forward eliminations on
-// trsmBlock-row diagonal blocks, with the trailing rows updated by the packed
-// GEMM engine — true BLAS-3. Inside a diagonal block every element takes its
-// updates one at a time in ascending p, unfused (the unblocked loop's
-// sequence, which MulSub reproduces on register tiles): four rows at a time
-// take the block's rows above them as one rectangle, then the 4-by-4 triangle
-// row by row. trsmBlock and the fused GEMM coupling between blocks define the
-// result's bits; the tiling inside a block does not. Flops: n*k*(k-1).
+// trsmBlock-row diagonal blocks, with the trailing rows updated by Gemm —
+// true BLAS-3, leaving out the strips of B's all-zero columns like every
+// product. Inside a diagonal block every element takes its updates one at a
+// time in ascending p, unfused (the unblocked loop's sequence, which MulSub
+// reproduces on register tiles): four rows at a time take the block's rows
+// above them as one rectangle, then the 4-by-4 triangle row by row.
+// trsmBlock and the fused GEMM coupling between blocks define the result's
+// bits; the tiling inside a block does not. Flops: n*k*(k-1).
 func TrsmLowerUnitLeft(k, n int, l []float64, ldl int, b []float64, ldb int) {
 	if k == 0 || n == 0 {
 		return

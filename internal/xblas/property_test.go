@@ -14,7 +14,7 @@ import (
 // The engine accumulates every C element over the full k extent in ascending
 // order with correctly-rounded fused multiply-adds and folds the result into
 // C with a single rounding — exactly what the FMA triple loop below does. So
-// Gemm, GemmAdd and GemmScatter must bit-match the reference EXACTLY, on
+// Gemm, GemmUpdate and GemmScatter must bit-match the reference EXACTLY, on
 // every path (small direct, packed interior tiles, padded edge tiles, asm and
 // portable micro-kernels alike). TrsmLowerUnitLeft reassociates the solve
 // into blocked BLAS-3 form, so against the unblocked solve it gets a 1e-12
@@ -74,7 +74,8 @@ func refTrsmLowerUnitLeft(k, n int, l []float64, ldl int, b []float64, ldb int) 
 // refTrsmBlocked is the blocked solve TrsmLowerUnitLeft implements, with the
 // diagonal blocks as scalar loops: trsmBlock rows at a time, every element
 // taking its updates in ascending p, unfused, and the blocks coupled through
-// Gemm. The tiled diagonal solve must reproduce it bit for bit.
+// the naive product refGemmSign, not through the engine under test. The tiled
+// diagonal solve and the engine's coupling must reproduce it bit for bit.
 func refTrsmBlocked(k, n int, t []float64, ldt int, b []float64, ldb int) {
 	for ib := 0; ib < k; ib += trsmBlock {
 		tb := min(trsmBlock, k-ib)
@@ -86,30 +87,49 @@ func refTrsmBlocked(k, n int, t []float64, ldt int, b []float64, ldb int) {
 			}
 		}
 		if rem := k - ib - tb; rem > 0 {
-			Gemm(rem, n, tb, t[(ib+tb)*ldt+ib:], ldt, b[ib*ldb:], ldb, b[(ib+tb)*ldb:], ldb)
+			refGemmSign(rem, n, tb, t[(ib+tb)*ldt+ib:], ldt, b[ib*ldb:], ldb, b[(ib+tb)*ldb:], ldb, -1)
 		}
 	}
 }
 
 // TestTrsmBitMatchesBlockedReference: TrsmLowerUnitLeft against
 // refTrsmBlocked for every k up to past four diagonal blocks and every n up
-// to five tiles.
+// to five tiles, at every kernel level, on random B and on B with all-zero
+// columns (+0 and -0 mixed), whose strips the trailing products leave out.
 func TestTrsmBitMatchesBlockedReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	for k := 1; k <= 70; k++ {
-		for n := 1; n <= 40; n++ {
-			ldt, ldb := k+rng.Intn(3), n+rng.Intn(3)
-			tri := randMat(rng, k, ldt)
-			b := randMat(rng, k, ldb)
-			want := append([]float64(nil), b...)
-			refTrsmBlocked(k, n, tri, ldt, want, ldb)
-			TrsmLowerUnitLeft(k, n, tri, ldt, b, ldb)
-			if !bitEqual(b, want) {
-				t.Fatalf("k=%d n=%d ldt=%d ldb=%d: not bit-identical to the scalar-diagonal blocked solve (max diff %g)",
-					k, n, ldt, ldb, maxDiff(b, want))
+	negZero := math.Copysign(0, -1)
+	forEachLevel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(67))
+		for k := 1; k <= 70; k++ {
+			for n := 1; n <= 40; n++ {
+				for _, zeroCols := range []bool{false, true} {
+					ldt, ldb := k+rng.Intn(3), n+rng.Intn(3)
+					tri := randMat(rng, k, ldt)
+					b := randMat(rng, k, ldb)
+					if zeroCols {
+						for j := 0; j < n; j++ {
+							if rng.Intn(2) == 0 {
+								continue
+							}
+							for i := 0; i < k; i++ {
+								b[i*ldb+j] = 0
+								if rng.Intn(2) == 0 {
+									b[i*ldb+j] = negZero
+								}
+							}
+						}
+					}
+					want := append([]float64(nil), b...)
+					refTrsmBlocked(k, n, tri, ldt, want, ldb)
+					TrsmLowerUnitLeft(k, n, tri, ldt, b, ldb)
+					if !bitEqual(b, want) {
+						t.Fatalf("k=%d n=%d ldt=%d ldb=%d zero columns=%v: not bit-identical to the scalar-diagonal blocked solve (max diff %g)",
+							k, n, ldt, ldb, zeroCols, maxDiff(b, want))
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
 // refMulSub is the definition of MulSub as a naive triple loop: per element,
@@ -301,28 +321,21 @@ func testGemmBitMatchesReference(t *testing.T) {
 		b := randMat(rng, k, ldb)
 		c := randMat(rng, m, ldc)
 		want := append([]float64(nil), c...)
-		sign := -1.0
-		if trial%2 == 0 {
-			sign = 1
-		}
-		refGemmSign(m, n, k, a, lda, b, ldb, want, ldc, sign)
-		if sign < 0 {
-			Gemm(m, n, k, a, lda, b, ldb, c, ldc)
-		} else {
-			GemmAdd(m, n, k, a, lda, b, ldb, c, ldc)
-		}
+		refGemmSign(m, n, k, a, lda, b, ldb, want, ldc, -1)
+		Gemm(m, n, k, a, lda, b, ldb, c, ldc)
 		if !bitEqual(c, want) {
-			t.Fatalf("trial %d: Gemm(sign=%v) m=%d n=%d k=%d lda=%d ldb=%d ldc=%d: not bit-identical to reference (max diff %g)",
-				trial, sign, m, n, k, lda, ldb, ldc, maxDiff(c, want))
+			t.Fatalf("trial %d: Gemm m=%d n=%d k=%d lda=%d ldb=%d ldc=%d: not bit-identical to reference (max diff %g)",
+				trial, m, n, k, lda, ldb, ldc, maxDiff(c, want))
 		}
 	}
 }
 
 // TestTileShapeBitIdentical extends the GEMM property test to products larger
-// than the cache blocks (mcBlock, ncBlock), which randDims never reaches:
-// ragged dims cut them into several packed panels with a partial last block,
-// and every element must still bit-match the unblocked reference at every
-// kernel level the host runs.
+// than the A cache block (mcBlock) and wider than one B strip many times
+// over, which randDims never reaches: ragged row counts cut A into several
+// packed panels with a partial last block (ncBlock cuts nothing: B is packed
+// whole), and every element must still bit-match the unblocked reference at
+// every kernel level the host runs.
 func TestTileShapeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, d := range []struct{ m, n, k int }{
@@ -728,8 +741,8 @@ func TestGemmConcurrent(t *testing.T) {
 // that only zero columns fill, and the update must still be the naive mapped
 // loop's bit for bit — C's signed zeros included — with zero columns leading,
 // trailing, interleaved, in runs longer than a strip, everywhere and nowhere,
-// under every map form, at every kernel level, and with one packed B shared
-// by several products.
+// under every map form, at every kernel level, with one packed B shared by
+// several products, and through plain Gemm (zero Dest, pooled buffers).
 func TestGemmUpdateZeroColumns(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	patterns := []struct {
@@ -800,15 +813,7 @@ func TestGemmUpdateZeroColumns(t *testing.T) {
 				pk.NewB()
 				for rep := 0; rep < 2; rep++ { // two products share the packed B
 					a := randMat(rng, m, k)
-					c := randMat(rng, tm, tn)
-					for q := range c {
-						switch rng.Intn(4) {
-						case 0:
-							c[q] = 0
-						case 1:
-							c[q] = negZero
-						}
-					}
+					c := signedZeros(rng, randMat(rng, tm, tn))
 					want := append([]float64(nil), c...)
 					refGemmScatter(m, n, k, a, k, b, n, want, tn, dstRow, dstCol)
 					var pa []float64
@@ -822,9 +827,31 @@ func TestGemmUpdateZeroColumns(t *testing.T) {
 							name, trial, rep, m, n, k, zero, d.Rows != nil, d.Cols != nil, maxDiff(c, want))
 					}
 				}
+				a := randMat(rng, m, k)
+				c := signedZeros(rng, randMat(rng, m, n))
+				want := append([]float64(nil), c...)
+				refGemmSign(m, n, k, a, k, b, n, want, n, -1)
+				Gemm(m, n, k, a, k, b, n, c, n)
+				if !bitEqual(c, want) {
+					t.Fatalf("%s trial %d: Gemm m=%d n=%d k=%d zero=%v: not bit-identical to the naive loop (max diff %g)",
+						name, trial, m, n, k, zero, maxDiff(c, want))
+				}
 			}
 		}
 	})
+}
+
+// signedZeros sets about a quarter of c to +0 and a quarter to -0.
+func signedZeros(rng *rand.Rand, c []float64) []float64 {
+	for q := range c {
+		switch rng.Intn(4) {
+		case 0:
+			c[q] = 0
+		case 1:
+			c[q] = math.Copysign(0, -1)
+		}
+	}
+	return c
 }
 
 func filled(n int, f func(int) bool) []bool {

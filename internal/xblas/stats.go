@@ -56,7 +56,8 @@ func ReadStats() (Stats, bool) {
 	}, true
 }
 
-// noteGemm charges one Gemm/GemmAdd call of shape m x n x k.
+// noteGemm charges one unmapped product (GemmUpdate with the zero Dest,
+// which is every Gemm call) of shape m x n x k.
 func noteGemm(m, n, k int) {
 	if s := kstats.Load(); s != nil {
 		s.gemmCalls.Add(1)

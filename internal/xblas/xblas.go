@@ -3,10 +3,11 @@
 // against; stdlib only. The routines are the ones the factorization and the
 // solves call, nothing else:
 //
-//   - Gemm, GemmAdd, GemmUpdate (with GemmScatter): the block updates, on the
-//     packed register-tiled FMA engine of gemm.go;
+//   - GemmUpdate (with GemmScatter): the block updates, on the packed
+//     register-tiled FMA engine of gemm.go — its one product driver — and
+//     Gemm, the same call with the zero map;
 //   - TrsmLowerUnitLeft: the blocked triangular solve of task Update,
-//     coupled through that engine;
+//     coupled through Gemm;
 //   - MulSub, ElimStep (mulsub.go): the unfused kernels under the panel
 //     factorization, the TRSM diagonal blocks and the multi-RHS solve;
 //   - Dot, DotRows, DotRowsGather, TrsvLowerUnit, TrsvUpper: the vector

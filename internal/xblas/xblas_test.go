@@ -78,20 +78,6 @@ func TestGemmStrided(t *testing.T) {
 	}
 }
 
-func TestGemmAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m, n, k := 9, 7, 8
-	a := randMat(rng, m, k)
-	b := randMat(rng, k, n)
-	c := randMat(rng, m, n)
-	d := append([]float64(nil), c...)
-	Gemm(m, n, k, a, k, b, n, c, n)
-	GemmAdd(m, n, k, a, k, b, n, c, n)
-	if maxDiff(c, d) > 1e-10 {
-		t.Fatal("GemmAdd did not invert Gemm")
-	}
-}
-
 func TestGemmEmpty(t *testing.T) {
 	c := []float64{1, 2, 3, 4}
 	Gemm(0, 2, 2, nil, 1, nil, 2, c, 2)

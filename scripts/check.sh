@@ -123,8 +123,13 @@ if git grep -n 'go:build' -- 'internal/xblas/*.go' 'internal/xblas/*.s' ':!*_tes
 # DefaultPatchMaxDiff does not match — and the frame caps) and the
 # sequential driver's own panel declaration (the Factor task packs the
 # panel for every executor), the separate analysis push with its hook,
-# handler and file format (the handle push carries the analysis) and the
-# router's handle→key map (clients stamp the key) stay gone.
+# handler and file format (the handle push carries the analysis), the
+# router's handle→key map (clients stamp the key), the second GEMM driver
+# with its small-product loop, B packer and add form (Gemm is GemmUpdate with
+# the zero map), the registry's stored counter and gauge kinds (every counter
+# and gauge is read at scrape time; spelled with a word boundary because they
+# prefix the kept kindCounterFunc and kindGaugeFunc) and the bench package's
+# unused default config stay gone.
 # RequestStats.BatchWidth, RouterStats.Scatters and the benchmark metrics
 # reading them are not listed: they stay until the benchmark retires them.
 # Scanned: every file but
@@ -132,7 +137,7 @@ if git grep -n 'go:build' -- 'internal/xblas/*.go' 'internal/xblas/*.s' ':!*_tes
 # that describe the program and its sources (the changelog, roadmap and
 # planning notes are history and may name what went). Spelled as an if
 # because set -e ignores a command behind "!".
-retired='BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D|runSolveBatch|doSolveMany|CoalesceWidth|coalesce-width|ColEtree|detectSupernodesWorkers|parMinCols|partParMin|ColumnMinDegree|colmmd|SetTileShape|AutotuneResult|TileChoice|tileCandidates|CoalesceWindow|coalesce-window|TenantWeights|tenant-weights|parseTenantWeights|SuspectThreshold|DeadThreshold|collectRiders|takeSolves|solveBatch|batchColumns|scatterSolveMany|coalescedSolves|CoalescedSolves|SolveBatches|solve_batch_width|router_scatters_total|FactorizeBTF|BTFFactorization|BlockTriangular|btfcircuit|SolveTranspose|CondEst|Equilibrate|RefineResult|backwardError|GenDense|GenPerturb\(|\.Refine\(|PivotThreshold|PivotTol|pivotTol|WithMaxFrame|MaxFrame|\.PatchMaxDiff|PatchMaxDiff:|newPanel\(|dropPanel|doReplicateAnalysis|LoadAnalysis|analysisMeta|analysisMagic|Analyzed\(|placeMu|keyOf\('
+retired='BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D|runSolveBatch|doSolveMany|CoalesceWidth|coalesce-width|ColEtree|detectSupernodesWorkers|parMinCols|partParMin|ColumnMinDegree|colmmd|SetTileShape|AutotuneResult|TileChoice|tileCandidates|CoalesceWindow|coalesce-window|TenantWeights|tenant-weights|parseTenantWeights|SuspectThreshold|DeadThreshold|collectRiders|takeSolves|solveBatch|batchColumns|scatterSolveMany|coalescedSolves|CoalescedSolves|SolveBatches|solve_batch_width|router_scatters_total|FactorizeBTF|BTFFactorization|BlockTriangular|btfcircuit|SolveTranspose|CondEst|Equilibrate|RefineResult|backwardError|GenDense|GenPerturb\(|\.Refine\(|PivotThreshold|PivotTol|pivotTol|WithMaxFrame|MaxFrame|\.PatchMaxDiff|PatchMaxDiff:|newPanel\(|dropPanel|doReplicateAnalysis|LoadAnalysis|analysisMeta|analysisMagic|Analyzed\(|placeMu|keyOf\(|gemmEngine|smallGemm|GemmAdd|packB\(|kindCounter\b|kindGauge\b|DefaultConfig\('
 if git grep -nE "$retired" -- . ':(exclude,glob)*.md' ':!results/' ':!scripts/check.sh' ||
 	git grep -nE "$retired" -- README.md DESIGN.md EXPERIMENTS.md PAPER.md PAPERS.md SNIPPETS.md; then exit 1; fi
 
