@@ -588,13 +588,16 @@ func TestLivePushCarriesValuesEpoch(t *testing.T) {
 	}
 
 	// A push older than what the replica holds is acknowledged and ignored.
-	ev, ok := fleet.servers[owner].ExportHandle(h.ID())
+	push, ok := fleet.servers[owner].ExportHandle(h.ID(), false)
 	if !ok {
 		t.Fatal("owner cannot export its own handle")
 	}
-	ev.ValEpoch = 2
-	fleet.shards[owner].Stored(ev)
-	waitFor(t, "stale push to be answered", drained)
+	push.ValEpoch = 2
+	pool := newPeers("tcp")
+	defer pool.Close()
+	if resp, _, err := pool.Exchange(ctx, fleet.peers[succ], push); err != nil || resp.Err != "" {
+		t.Fatalf("stale push: %v %+v", err, resp)
+	}
 	if n := fleet.servers[succ].Stats().StaleReplicas; n != 1 {
 		t.Errorf("replica refused %d stale pushes, want 1", n)
 	}

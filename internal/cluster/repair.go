@@ -120,7 +120,7 @@ func (sh *Shard) sweep(allowDrop bool) {
 			// the other explanation (the peer restarted empty) would turn
 			// a drop into permanent data loss.
 			if pe, ok := pm[e.Handle]; !ok || pe.ValEpoch < e.ValEpoch {
-				sh.pushCopy(s, e.Handle, m)
+				sh.pushCopy(e.Handle, m)
 				held = false
 			}
 		}
@@ -150,16 +150,13 @@ func (sh *Shard) sweep(allowDrop bool) {
 	sh.strayMu.Unlock()
 }
 
-// pushCopy enqueues a repair push of a live handle's factors to addr,
-// re-serializing them bit-exactly (Save/Load round-trips the pivot
+// pushCopy queues a repair push of a live handle's complete copy to addr.
+// Like a live push it names the handle only: the replicator exports the
+// factors as the push leaves, bit-exactly (Save/Load round-trips the pivot
 // sequence, so the receiver's solves stay bit-identical).
-func (sh *Shard) pushCopy(s *server.Server, id uint64, addr string) {
-	ev, ok := s.ExportHandle(id)
-	if !ok {
-		return
-	}
+func (sh *Shard) pushCopy(id uint64, addr string) {
 	sh.repairPushes.Add(1)
-	sh.enqueue(replJob{addr: addr, req: ev.ReplicateRequest()})
+	sh.replicate(addr, id, true)
 }
 
 // PlacementViolations diffs a fleet's manifests against the ring placement

@@ -52,7 +52,8 @@ type ShardConfig struct {
 // replQueueDepth bounds the asynchronous replication queue. When the queue is
 // full the oldest semantics are preserved by dropping the *new* push and
 // counting it — a lagging successor degrades replication freshness, never the
-// request path.
+// request path. Pushes of one handle to one peer coalesce (see replicate), so
+// the queue holds at most one per (peer, handle).
 const replQueueDepth = 256
 
 func (c ShardConfig) withDefaults() ShardConfig {
@@ -71,11 +72,22 @@ func (c ShardConfig) withDefaults() ShardConfig {
 	return c
 }
 
-// replJob is one queued replication push: a prebuilt request bound for the
-// successor shard.
+// replJob is one queued push to addr. A replication push names its handle
+// only: the replicator exports the factors as the push leaves (deliver), the
+// complete copy when full is set and the values push otherwise. Any other
+// push (a forwarded free) carries its request in req.
 type replJob struct {
-	addr string
-	req  *server.Request
+	addr   string
+	handle uint64
+	full   bool
+	req    *server.Request
+}
+
+// pushKey identifies the one replication push of a handle to a peer that may
+// be queued at a time.
+type pushKey struct {
+	addr   string
+	handle uint64
 }
 
 // Shard implements server.ClusterHooks: it owns the ring view, refuses work
@@ -90,8 +102,10 @@ type Shard struct {
 	mem   *membership
 	det   *detector
 
-	jobs       chan replJob
-	rebalance  chan struct{} // kicks an immediate push-only sweep after a membership change
+	jobs       chan *replJob
+	queuedMu   sync.Mutex
+	queued     map[pushKey]*replJob // replication pushes in jobs, by peer and handle
+	rebalance  chan struct{}        // kicks an immediate push-only sweep after a membership change
 	stop       chan struct{}
 	done       chan struct{}
 	healthDone chan struct{}
@@ -142,7 +156,8 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		cfg:        cfg,
 		ring:       ring,
 		peers:      newPeers(cfg.Network),
-		jobs:       make(chan replJob, replQueueDepth),
+		jobs:       make(chan *replJob, replQueueDepth),
+		queued:     make(map[pushKey]*replJob),
 		rebalance:  make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -334,11 +349,12 @@ func (sh *Shard) Route(req *server.Request) *server.Response {
 // Self implements server.ClusterHooks.
 func (sh *Shard) Self() string { return sh.cfg.Self }
 
-// Stored implements server.ClusterHooks: replicate the factors to the
-// successor.
+// Stored implements server.ClusterHooks: replicate the write to the
+// successor — the values alone after a refactorize, which changes nothing
+// else, and the complete copy after a factorize.
 func (sh *Shard) Stored(ev server.StoredEvent) {
 	if succ := sh.successor(ev.Key); succ != "" {
-		sh.enqueue(replJob{addr: succ, req: ev.ReplicateRequest()})
+		sh.replicate(succ, ev.Handle, !ev.Refactor)
 	}
 }
 
@@ -353,11 +369,14 @@ func (sh *Shard) Freed(handle uint64, key uint64) {
 	if succ == "" {
 		return
 	}
-	sh.enqueue(replJob{addr: succ, req: &server.Request{
+	j := &replJob{addr: succ, req: &server.Request{
 		Op:     server.OpFree,
 		Handle: handle,
 		Key:    key,
-	}})
+	}}
+	if !sh.send(j) {
+		sh.dropped(j)
+	}
 }
 
 // AugmentStats implements server.ClusterHooks.
@@ -381,34 +400,84 @@ func (sh *Shard) Owner(key uint64) string { return sh.ring.Owner(key) }
 // Members returns the shard's current member list, sorted.
 func (sh *Shard) Members() []string { return sh.ring.Members() }
 
-// enqueue hands a push to the replicator without ever blocking the request
-// path: a full queue drops the push (counted, logged) rather than stalling
-// a factorize behind a lagging successor.
-func (sh *Shard) enqueue(j replJob) {
+// replicate queues a push of handle to addr unless one is queued already.
+// The queued push exports the handle when it leaves the queue, so it carries
+// this write as well; full makes it the complete copy, which carries a values
+// push's write too. A push dropped on a full queue leaves no mark, so the
+// handle's next write queues afresh.
+func (sh *Shard) replicate(addr string, handle uint64, full bool) {
+	k := pushKey{addr: addr, handle: handle}
+	sh.queuedMu.Lock()
+	j, ok := sh.queued[k]
+	if ok {
+		j.full = j.full || full
+	} else {
+		j = &replJob{addr: addr, handle: handle, full: full}
+		if ok = sh.send(j); ok {
+			sh.queued[k] = j
+		}
+	}
+	sh.queuedMu.Unlock()
+	if !ok {
+		sh.dropped(j)
+	}
+}
+
+// take removes j from the coalescing marks as it leaves the queue — a write
+// from now on queues a push of its own — and returns it as it stands.
+func (sh *Shard) take(j *replJob) replJob {
+	sh.queuedMu.Lock()
+	defer sh.queuedMu.Unlock()
+	if j.req == nil {
+		delete(sh.queued, pushKey{addr: j.addr, handle: j.handle})
+	}
+	return *j
+}
+
+// send hands a push to the replicator without ever blocking the request
+// path, and reports whether it did: a full queue refuses the push rather
+// than stall a factorize behind a lagging successor.
+func (sh *Shard) send(j *replJob) bool {
 	sh.pending.Add(1)
 	select {
 	case sh.jobs <- j:
+		return true
 	default:
 		sh.pending.Add(-1)
-		sh.replDropped.Add(1)
-		sh.logf("cluster: replication queue full, dropped %s to %s", j.req.Op, j.addr)
+		return false
 	}
+}
+
+// dropped counts and logs a push the full queue refused.
+func (sh *Shard) dropped(j *replJob) {
+	sh.replDropped.Add(1)
+	sh.logf("cluster: replication queue full, dropped %s to %s", j, j.addr)
+}
+
+// String names the push for logs.
+func (j *replJob) String() string {
+	if j.req != nil {
+		return j.req.Op.String()
+	}
+	return fmt.Sprintf("replicate of handle %d", j.handle)
 }
 
 // replicator drains the push queue, retrying each push with backoff — the
 // successor may be mid-restart or behind a flaky link. On shutdown the
-// queued pushes are flushed with one attempt each.
+// queued pushes are flushed with one attempt each. It is the one goroutine
+// that exports factors for pushes, so at most one export per shard is in
+// flight.
 func (sh *Shard) replicator() {
 	defer close(sh.done)
 	for {
 		select {
 		case j := <-sh.jobs:
-			sh.push(j, 3)
+			sh.push(sh.take(j), 3)
 		case <-sh.stop:
 			for {
 				select {
 				case j := <-sh.jobs:
-					sh.push(j, 1)
+					sh.push(sh.take(j), 1)
 				default:
 					return
 				}
@@ -424,7 +493,7 @@ func (sh *Shard) replicator() {
 // a push that misses it is retried like any failed one.
 const pushTimeout = 5 * time.Second
 
-// push delivers one replication job with up to attempts tries.
+// push delivers one job with up to attempts tries.
 func (sh *Shard) push(j replJob, attempts int) {
 	defer sh.pending.Add(-1)
 	var err error
@@ -435,25 +504,52 @@ func (sh *Shard) push(j replJob, attempts int) {
 			case <-sh.stop:
 			}
 		}
-		var resp *server.Response
-		ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
-		resp, _, err = sh.peers.Exchange(ctx, j.addr, j.req)
-		cancel()
-		if err == nil && resp.Err != "" {
-			// OpFree forwarded to a shard that never installed the copy
-			// (or already freed or dropped it) answers BadHandle — the
-			// desired end state, not a failure.
-			if j.req.Op == server.OpFree && (resp.Code == server.CodeBadHandle || resp.Code == server.CodeEvicted) {
-				err = nil
-			} else {
-				err = resp.Error()
+		var sent bool
+		if sent, err = sh.deliver(&j); err == nil {
+			if sent {
+				sh.replications.Add(1)
 			}
-		}
-		if err == nil {
-			sh.replications.Add(1)
 			return
 		}
 	}
 	sh.replErrors.Add(1)
-	sh.logf("cluster: replication %s to %s failed after %d attempts: %v", j.req.Op, j.addr, attempts, err)
+	sh.logf("cluster: %s to %s failed after %d attempts: %v", &j, j.addr, attempts, err)
+}
+
+// deliver makes one attempt at j and reports whether anything was sent. A
+// replication push exports the handle now (server.ExportHandle); a handle
+// freed or evicted since has nothing left to push. A values push the
+// receiver refuses — it holds no copy the values apply to, or it predates
+// values pushes and fails to load them — is followed at once by the complete
+// copy, and j stays full for any retry.
+func (sh *Shard) deliver(j *replJob) (sent bool, err error) {
+	req := j.req
+	if req == nil {
+		s := sh.srv.Load()
+		if s == nil {
+			return false, nil
+		}
+		var ok bool
+		if req, ok = s.ExportHandle(j.handle, !j.full); !ok {
+			return false, nil
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
+	resp, _, err := sh.peers.Exchange(ctx, j.addr, req)
+	cancel()
+	switch {
+	case err != nil:
+		return false, err
+	case resp.Err == "":
+		return true, nil
+	case req.Op == server.OpFree && (resp.Code == server.CodeBadHandle || resp.Code == server.CodeEvicted):
+		// OpFree forwarded to a shard that never installed the copy (or
+		// already freed or dropped it) answers BadHandle — the desired end
+		// state, not a failure.
+		return true, nil
+	case req.Op == server.OpReplicate && !j.full:
+		j.full = true
+		return sh.deliver(j)
+	}
+	return false, resp.Error()
 }

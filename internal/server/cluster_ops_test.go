@@ -192,7 +192,8 @@ func TestReplicateInstallsUnderSameHandle(t *testing.T) {
 	if fr.Err != "" {
 		t.Fatal(fr.Err)
 	}
-	// Serialize the owner's factors the way the Stored hook does.
+	// Export the owner's factors the way the replicator does when the push
+	// the Stored hook names leaves.
 	var events []StoredEvent
 	owner2 := New(Config{Workers: 2, Cluster: captureHooks{stored: func(ev StoredEvent) { events = append(events, ev) }}})
 	defer owner2.Close()
@@ -204,14 +205,12 @@ func TestReplicateInstallsUnderSameHandle(t *testing.T) {
 		t.Fatalf("Stored hook fired %d times, want 1", len(events))
 	}
 	ev := events[0]
+	push, ok := owner2.ExportHandle(ev.Handle, false)
+	if !ok {
+		t.Fatal("cannot export the factorized handle")
+	}
 
-	rr := replica.process(&Request{
-		Op:     OpReplicate,
-		Handle: ev.Handle,
-		Key:    ev.Key,
-		Matrix: &sstar.Matrix{N: ev.N, M: ev.N, RowPtr: ev.RowPtr, ColInd: ev.ColInd},
-		Blob:   ev.Blob,
-	})
+	rr := replica.process(push)
 	if rr.Err != "" {
 		t.Fatalf("replicate: %s", rr.Err)
 	}
@@ -237,21 +236,26 @@ func TestReplicateInstallsUnderSameHandle(t *testing.T) {
 	}
 }
 
-// storedEvent factorizes a on a server with the given FactorWorkers and
-// returns the replication event its Stored hook receives — the push a
-// shard would send.
-func storedEvent(t *testing.T, factorWorkers int, a *sstar.Matrix, opts sstar.Options) StoredEvent {
+// replicatePush factorizes a on a server with the given FactorWorkers and
+// returns the full push a shard would send for the handle its Stored hook
+// names.
+func replicatePush(t *testing.T, factorWorkers int, a *sstar.Matrix, opts sstar.Options) *Request {
 	t.Helper()
 	var events []StoredEvent
 	s := New(Config{Workers: 1, FactorWorkers: factorWorkers, Cluster: captureHooks{stored: func(ev StoredEvent) { events = append(events, ev) }}})
 	defer s.Close()
-	if r := s.process(&Request{Op: OpFactorize, Matrix: a, Opts: opts}); r.Err != "" {
+	r := s.process(&Request{Op: OpFactorize, Matrix: a, Opts: opts})
+	if r.Err != "" {
 		t.Fatal(r.Err)
 	}
-	if len(events) != 1 {
-		t.Fatalf("Stored hook fired %d times, want 1", len(events))
+	if want := (StoredEvent{Handle: r.Handle, Key: r.Key}); len(events) != 1 || events[0] != want {
+		t.Fatalf("Stored hook got %+v, want one %+v", events, want)
 	}
-	return events[0]
+	push, ok := s.ExportHandle(r.Handle, false)
+	if !ok {
+		t.Fatal("cannot export the factorized handle")
+	}
+	return push
 }
 
 // TestReplicateWarmsCache: one OpReplicate push makes the next factorize of
@@ -262,18 +266,18 @@ func storedEvent(t *testing.T, factorWorkers int, a *sstar.Matrix, opts sstar.Op
 // cores differently still hits.
 func TestReplicateWarmsCache(t *testing.T) {
 	a := sstar.GenGrid2D(10, 8, false, sstar.GenOptions{Seed: 74})
-	ev := storedEvent(t, 3, a, sstar.DefaultOptions())
+	push := replicatePush(t, 3, a, sstar.DefaultOptions())
 
 	s := New(Config{Workers: 2, FactorWorkers: 1})
 	defer s.Close()
-	if r := s.process(ev.ReplicateRequest()); r.Err != "" {
+	if r := s.process(push); r.Err != "" {
 		t.Fatalf("replicate: %s", r.Err)
 	}
 	if n := s.Stats().CacheEntries; n != 1 {
 		t.Fatalf("cache entries after one push = %d, want 1", n)
 	}
 	for i := 0; i < 5; i++ {
-		if r := s.process(ev.ReplicateRequest()); r.Err != "" {
+		if r := s.process(push); r.Err != "" {
 			t.Fatalf("refresh push %d: %s", i, r.Err)
 		}
 	}
@@ -296,15 +300,15 @@ func TestReplicateWarmsCache(t *testing.T) {
 // would answer for a structure it is not.
 func TestReplicateMismatchedKeyAddsNoEntry(t *testing.T) {
 	a := sstar.GenGrid2D(9, 8, true, sstar.GenOptions{Seed: 76})
-	ev := storedEvent(t, 1, a, sstar.DefaultOptions())
-	ev.Key ^= 1
+	push := replicatePush(t, 1, a, sstar.DefaultOptions())
+	push.Key ^= 1
 
 	s := New(Config{Workers: 1, FactorWorkers: 1})
 	defer s.Close()
-	if r := s.process(ev.ReplicateRequest()); r.Err != "" {
+	if r := s.process(push); r.Err != "" {
 		t.Fatalf("replicate: %s", r.Err)
 	}
-	if !s.HasHandle(ev.Handle) {
+	if !s.HasHandle(push.Handle) {
 		t.Fatal("the push was not installed")
 	}
 	if n := s.Stats().CacheEntries; n != 0 {
@@ -414,13 +418,13 @@ func TestFreedAfterEverySuccessfulFree(t *testing.T) {
 	if fr.Err != "" {
 		t.Fatal(fr.Err)
 	}
-	ev, ok := s.ExportHandle(fr.Handle)
+	push, ok := s.ExportHandle(fr.Handle, false)
 	if !ok {
 		t.Fatal("cannot export the factorized handle")
 	}
 	const copyID = 1 << 40
-	ev.Handle = copyID
-	if r := s.process(ev.ReplicateRequest()); r.Err != "" {
+	push.Handle = copyID
+	if r := s.process(push); r.Err != "" {
 		t.Fatalf("install a pushed copy: %s", r.Err)
 	}
 	for _, id := range []uint64{fr.Handle, copyID} {
@@ -532,12 +536,16 @@ func TestSolveReplyCarriesValuesEpoch(t *testing.T) {
 	wantEpoch("after refactorize", onOwner, 2)
 
 	mu.Lock()
-	pushes := append([]StoredEvent(nil), events...)
+	writes := append([]StoredEvent(nil), events...)
 	mu.Unlock()
-	if len(pushes) != 2 || pushes[1].ValEpoch != 2 {
-		t.Fatalf("owner made %d replication pushes, want 2 ending at values-epoch 2", len(pushes))
+	if len(writes) != 2 || !writes[1].Refactor {
+		t.Fatalf("owner stored %+v, want a factorize and a refactorize", writes)
 	}
-	call(addrs[1], pushes[1].ReplicateRequest())
+	push, ok := owner.ExportHandle(h, false)
+	if !ok || push.ValEpoch != 2 {
+		t.Fatal("the owner's export does not carry values-epoch 2")
+	}
+	call(addrs[1], push)
 	onReplica := solves(addrs[1], h)
 	wantEpoch("on the replica after the install", onReplica, 2)
 	for i := range onOwner {
@@ -545,6 +553,116 @@ func TestSolveReplyCarriesValuesEpoch(t *testing.T) {
 			if math.Float64bits(x) != math.Float64bits(onOwner[i].X[k]) {
 				t.Fatalf("replica solve %d: X[%d] differs bitwise from the owner's", i, k)
 			}
+		}
+	}
+}
+
+// TestStoredNamesTheWrite: the request path hands the cluster hook the
+// write's identity and nothing else — StoredEvent is compared with ==, which
+// compiles only while it holds no blob, pattern or other slice — one event
+// per successful factorize and refactorize, the refactorize marked so.
+func TestStoredNamesTheWrite(t *testing.T) {
+	var events []StoredEvent
+	s := newTestServer(t, Config{Workers: 1, FactorWorkers: 1, Cluster: captureHooks{stored: func(ev StoredEvent) { events = append(events, ev) }}})
+	a := sstar.GenGrid2D(8, 7, false, sstar.GenOptions{Seed: 78})
+	fr := s.process(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
+	if fr.Err != "" {
+		t.Fatal(fr.Err)
+	}
+	for i := 0; i < 2; i++ {
+		if r := s.process(&Request{Op: OpRefactorize, Handle: fr.Handle, Values: a.Val}); r.Err != "" {
+			t.Fatal(r.Err)
+		}
+	}
+	want := []StoredEvent{{fr.Handle, fr.Key, false}, {fr.Handle, fr.Key, true}, {fr.Handle, fr.Key, true}}
+	if len(events) != len(want) {
+		t.Fatalf("Stored got %+v, want %+v", events, want)
+	}
+	for i := range want {
+		if events[i] != want[i] {
+			t.Fatalf("Stored got %+v, want %+v", events, want)
+		}
+	}
+}
+
+// TestValuesPushInstalls: a values push (ExportHandle with values set: no
+// pattern, the SaveValues stream) refreshes a copy the receiver holds, which
+// then solves bitwise as the owner at the owner's values-epoch. A receiver
+// without a copy of the handle under the pushed key, or whose copy has
+// another structure, answers CodeBadHandle and keeps what it held.
+func TestValuesPushInstalls(t *testing.T) {
+	owner := newTestServer(t, Config{Workers: 1, FactorWorkers: 1})
+	replica := newTestServer(t, Config{Workers: 1, FactorWorkers: 1})
+	a := sstar.GenGrid2D(9, 8, false, sstar.GenOptions{Seed: 79, Convection: 0.3})
+	fr := owner.process(&Request{Op: OpFactorize, Matrix: a, Opts: sstar.DefaultOptions()})
+	if fr.Err != "" {
+		t.Fatal(fr.Err)
+	}
+	export := func(s *Server, h uint64, values bool) *Request {
+		t.Helper()
+		push, ok := s.ExportHandle(h, values)
+		if !ok {
+			t.Fatalf("cannot export handle %d", h)
+		}
+		return push
+	}
+	values := export(owner, fr.Handle, true)
+	if values.Matrix != nil {
+		t.Fatal("a values push carries the pattern")
+	}
+	if r := replica.process(values); r.Code != CodeBadHandle {
+		t.Fatalf("values push without a copy: code %v (%q), want BadHandle", r.Code, r.Err)
+	}
+	if replica.HasHandle(fr.Handle) {
+		t.Fatal("a refused values push installed a handle")
+	}
+	if r := replica.process(export(owner, fr.Handle, false)); r.Err != "" {
+		t.Fatal(r.Err)
+	}
+	b := testRHS(a.N, 1)[0]
+	vals := append([]float64(nil), a.Val...)
+	for k := 2; k <= 4; k++ {
+		for i := range vals {
+			vals[i] = a.Val[i] * (1 + 0.1*float64(k*(i%5)))
+		}
+		if r := owner.process(&Request{Op: OpRefactorize, Handle: fr.Handle, Values: vals}); r.Err != "" {
+			t.Fatal(r.Err)
+		}
+		push := export(owner, fr.Handle, true)
+		if push.ValEpoch != uint64(k) {
+			t.Fatalf("values push at values-epoch %d, want %d", push.ValEpoch, k)
+		}
+		if r := replica.process(push); r.Err != "" {
+			t.Fatalf("values push %d: %s", k, r.Err)
+		}
+		want := owner.process(&Request{Op: OpSolve, Handle: fr.Handle, B: b})
+		got := replica.process(&Request{Op: OpSolve, Handle: fr.Handle, B: b})
+		if got.Err != "" || got.ValEpoch != want.ValEpoch {
+			t.Fatalf("replica solve: %q at values-epoch %d, want %d", got.Err, got.ValEpoch, want.ValEpoch)
+		}
+		for i := range want.X {
+			if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
+				t.Fatalf("values push %d: replica X[%d] differs bitwise from the owner's", k, i)
+			}
+		}
+	}
+
+	wrongKey := export(owner, fr.Handle, true)
+	wrongKey.Key ^= 1
+	other := owner.process(&Request{Op: OpFactorize, Matrix: sstar.GenGrid2D(9, 8, true, sstar.GenOptions{Seed: 79}), Opts: sstar.DefaultOptions()})
+	if other.Err != "" {
+		t.Fatal(other.Err)
+	}
+	otherPattern := export(owner, other.Handle, true)
+	otherPattern.Handle, otherPattern.Key, otherPattern.ValEpoch = fr.Handle, fr.Key, 9
+	for name, push := range map[string]*Request{"another key": wrongKey, "another pattern": otherPattern} {
+		if r := replica.process(push); r.Code != CodeBadHandle {
+			t.Fatalf("values push of %s: code %v (%q), want BadHandle", name, r.Code, r.Err)
+		}
+	}
+	for _, e := range replica.Manifest() {
+		if e.Handle == fr.Handle && e.ValEpoch != 4 {
+			t.Fatalf("refused values pushes moved the copy to values-epoch %d", e.ValEpoch)
 		}
 	}
 }

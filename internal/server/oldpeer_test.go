@@ -176,7 +176,7 @@ func TestOldPeerReplication(t *testing.T) {
 		t.Fatalf("retired analysis push refused: %s", r.Err)
 	}
 	a := sstar.GenGrid2D(9, 7, false, sstar.GenOptions{Seed: 77})
-	req := storedEvent(t, 1, a, sstar.PaperOptions()).ReplicateRequest()
+	req := replicatePush(t, 1, a, sstar.PaperOptions())
 	req.Opts = sstar.Options{}
 	if r := s.submit(req); r.Err != "" {
 		t.Fatalf("optionless replicate refused: %s", r.Err)

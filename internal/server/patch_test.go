@@ -53,7 +53,11 @@ func TestFactorizeSecondChancePatch(t *testing.T) {
 	}
 	succ := New(Config{Workers: 1, FactorWorkers: 1})
 	defer succ.Close()
-	if r := succ.process(events[1].ReplicateRequest()); r.Err != "" {
+	push, ok := s.ExportHandle(events[1].Handle, false)
+	if !ok {
+		t.Fatal("cannot export the patched handle")
+	}
+	if r := succ.process(push); r.Err != "" {
 		t.Fatalf("replicate the patched handle: %s", r.Err)
 	}
 	if rs := succ.process(&Request{Op: OpFactorize, Matrix: pert, Opts: sstar.DefaultOptions()}); rs.Err != "" || !rs.Stats.CacheHit || rs.Stats.Patched {

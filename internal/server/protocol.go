@@ -64,7 +64,11 @@ const (
 	// Handle with structure Key and the pattern carried in Matrix. Opts
 	// are the options the factors were analyzed with: the receiver files
 	// the symbolic structure inside Blob as its analysis-cache entry for
-	// Key, so a factorize of the structure there is a cache hit.
+	// Key, so a factorize of the structure there is a cache hit. Without
+	// Matrix it is a values push: Blob is a refactorize's factors in the
+	// sstar SaveValues format, applied to the copy of Handle the receiver
+	// already holds under Key, and refused with CodeBadHandle when it
+	// holds none that fits (the pusher then sends the full copy).
 	// Idempotent: re-installing the same handle replaces the factors. An
 	// installed copy is indistinguishable from a locally factorized one;
 	// which shard owns it is a ring lookup, never stored. Single-node
@@ -180,9 +184,10 @@ type Request struct {
 	NRHS int
 
 	// Blob carries the replication payload of OpReplicate: a factorization
-	// in the sstar Save format. Matrix carries the retained CSR pattern
-	// (values unused), Opts the options it was analyzed with, and
-	// Handle/Key the identity the replica installs under.
+	// in the sstar Save format, or in the SaveValues format when Matrix is
+	// nil (a values push). Matrix carries the retained CSR pattern (values
+	// unused), Opts the options it was analyzed with, and Handle/Key the
+	// identity the replica installs under.
 	Blob []byte
 
 	// Epoch and Members carry the sender's membership view on

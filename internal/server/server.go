@@ -78,8 +78,9 @@ type ClusterHooks interface {
 	// factorize responses so clients go shard-direct from first contact.
 	Self() string
 	// Stored is called after a successful factorize or refactorize with
-	// the serialized factors, for asynchronous replication to the
-	// successor shard.
+	// the write's identity alone, for asynchronous replication to the
+	// successor shard: the cluster layer exports the factors (ExportHandle)
+	// when the push leaves, off the request path.
 	Stored(ev StoredEvent)
 	// Freed is called after every successful free, so the cluster layer
 	// can release the other copies of the handle.
@@ -88,43 +89,14 @@ type ClusterHooks interface {
 	AugmentStats(st *ServerStats)
 }
 
-// StoredEvent is one replicable write: the handle's identity and its factors
-// serialized in the sstar Save format (bit-exact: a replica loaded from Blob
-// solves bit-identically to the original). RowPtr/ColInd are the retained
-// pattern backing the values-only refactorize fast path on whichever shard
-// holds the copy; they are shared read-only slices. Opts are the normalized
-// options the handle was analyzed with: with the pattern and the symbolic
-// structure inside Blob they make the receiver's analysis-cache entry for
-// Key, so no separate analysis travels.
+// StoredEvent names one replicable write: the handle and its structure key,
+// and whether the write was a refactorize, which changes the handle's values
+// and never its structure. It carries no factors; ExportHandle reads them
+// when the push is made, so one push carries every write before it.
 type StoredEvent struct {
-	Handle uint64
-	Key    uint64
-	N      int
-	RowPtr []int
-	ColInd []int
-	Opts   sstar.Options
-	Blob   []byte
-	// ValEpoch is the values-epoch of the serialized factors (1 on
-	// factorize, incremented per refactorize); it rides on the replication
-	// push so a delayed push cannot roll a newer replica back.
-	ValEpoch uint64
-}
-
-// ReplicateRequest is the OpReplicate push installing ev on a peer: the one
-// place the event's fields are mapped onto the wire, so the live push and the
-// repair push cannot disagree about what rides along. The pattern travels in
-// Matrix so the copy supports the values-only refactorize fast path wherever
-// it lands, and with Opts it warms the receiver's analysis cache.
-func (ev StoredEvent) ReplicateRequest() *Request {
-	return &Request{
-		Op:       OpReplicate,
-		Handle:   ev.Handle,
-		Key:      ev.Key,
-		Matrix:   &sstar.Matrix{N: ev.N, M: ev.N, RowPtr: ev.RowPtr, ColInd: ev.ColInd},
-		Opts:     ev.Opts,
-		Blob:     ev.Blob,
-		ValEpoch: ev.ValEpoch,
-	}
+	Handle   uint64
+	Key      uint64
+	Refactor bool
 }
 
 func (c Config) withDefaults() Config {
@@ -579,7 +551,7 @@ func (s *Server) doFactorize(req *Request) *Response {
 	resp := &Response{Handle: id, N: a.N, Nnz: len(h.colInd), Key: key, Stats: stats}
 	if hk := s.cfg.Cluster; hk != nil {
 		resp.Addr = hk.Self()
-		s.replicate(hk, id)
+		hk.Stored(StoredEvent{Handle: id, Key: key})
 	}
 	return resp
 }
@@ -598,15 +570,6 @@ func (s *Server) normalize(opts sstar.Options) sstar.Options {
 	opts.Observer = nil
 	opts.Procs, opts.Machine, opts.Mapping, opts.TraceParallel = 0, "", "", false
 	return opts
-}
-
-// replicate hands the handle's current factors to the cluster hooks — after
-// every factorize and refactorize, in the same StoredEvent a repair push
-// carries.
-func (s *Server) replicate(hk ClusterHooks, id uint64) {
-	if ev, ok := s.ExportHandle(id); ok {
-		hk.Stored(ev)
-	}
 }
 
 func (s *Server) doRefactorize(req *Request) *Response {
@@ -637,20 +600,21 @@ func (s *Server) doRefactorize(req *Request) *Response {
 		return errResponse(err)
 	}
 	if hk := s.cfg.Cluster; hk != nil {
-		s.replicate(hk, req.Handle)
+		hk.Stored(StoredEvent{Handle: req.Handle, Key: h.key, Refactor: true})
 	}
 	return &Response{Handle: req.Handle, N: h.n, Nnz: len(h.colInd), Key: h.key, Stats: stats}
 }
 
-// doReplicate installs (or refreshes) a replica pushed by a peer shard: the
-// blob is loaded back into a live factorization under the id the owner
-// allocated, so a failover solve addresses the same handle here. Load
-// verifies every frame checksum — a blob corrupted in flight is refused, and
-// the pusher retries. The loaded symbolic structure also becomes the
-// analysis-cache entry for the pushed key, unless one with the same options
-// is cached, so a factorize of the structure here is a cache hit. A push
-// whose key its pattern and options do not reproduce (an older peer sends no
-// options) installs the handle alone.
+// doReplicate installs (or refreshes) a replica pushed by a peer shard under
+// the id the owner allocated, so a failover solve addresses the same handle
+// here. A full push (the pattern in Matrix, the factors in the Save format)
+// is loaded back into a live factorization; Load verifies every frame
+// checksum, so a blob corrupted in flight is refused and the pusher retries.
+// Its symbolic structure also becomes the analysis-cache entry for the pushed
+// key, unless one with the same options is cached, so a factorize of the
+// structure here is a cache hit. A push whose key its pattern and options do
+// not reproduce (an older peer sends no options) installs the handle alone.
+// A values push (no Matrix) is installValues'.
 func (s *Server) doReplicate(req *Request) *Response {
 	valEpoch := req.ValEpoch
 	if valEpoch == 0 {
@@ -664,12 +628,15 @@ func (s *Server) doReplicate(req *Request) *Response {
 		s.staleReplicas.Add(1)
 		return &Response{Handle: req.Handle}
 	}
+	if req.Matrix == nil {
+		return s.installValues(req, valEpoch)
+	}
 	f, err := sstar.Load(bytes.NewReader(req.Blob))
 	if err != nil {
 		return errResponse(fmt.Errorf("server: replicate handle %d: %w", req.Handle, err))
 	}
 	m := req.Matrix
-	if m == nil || len(m.RowPtr) != m.N+1 {
+	if len(m.RowPtr) != m.N+1 {
 		return &Response{Err: "server: replicate needs the retained pattern"}
 	}
 	h := &handle{
@@ -687,6 +654,29 @@ func (s *Server) doReplicate(req *Request) *Response {
 		s.cache.add(req.Key, an)
 	}
 	return &Response{Handle: req.Handle, N: m.N, Nnz: len(m.ColInd)}
+}
+
+// installValues installs a values push: the factors of a refactorize, in the
+// SaveValues format, for a copy this shard already holds. The new copy shares
+// the held one's structure, pattern and options; only the values, pivots and
+// values-epoch change. A shard that holds no copy under the pushed key, or one
+// of another pattern or slab length, answers CodeBadHandle, and the pusher
+// sends the full copy instead.
+func (s *Server) installValues(req *Request, valEpoch uint64) *Response {
+	h, err := s.reg.get(req.Handle)
+	if err == nil && h.key != req.Key {
+		err = fmt.Errorf("handle %d holds structure %#x, not %#x", req.Handle, h.key, req.Key)
+	}
+	var f *sstar.Factorization
+	if err == nil {
+		f, err = h.f.LoadValues(bytes.NewReader(req.Blob))
+	}
+	if err != nil {
+		return &Response{Err: fmt.Sprintf("server: replicate values of handle %d: %v", req.Handle, err), Code: CodeBadHandle}
+	}
+	s.reg.put(req.Handle, &handle{f: f, n: h.n, rowPtr: h.rowPtr, colInd: h.colInd, key: h.key, opts: h.opts, valEpoch: valEpoch})
+	s.replicasInstalled.Add(1)
+	return &Response{Handle: req.Handle, N: h.n, Nnz: len(h.colInd)}
 }
 
 func (s *Server) doFree(req *Request) *Response {
@@ -711,35 +701,40 @@ func (s *Server) HasHandle(id uint64) bool { return s.reg.contains(id) }
 // cluster layer's anti-entropy repair sweep diffs against ring placement.
 func (s *Server) Manifest() []ManifestEntry { return s.reg.manifest() }
 
-// ExportHandle serializes a live handle's factors as a replicable
-// StoredEvent (bit-exact: Save/Load round-trips the pivot sequence and
-// values, which is what makes a failover solve on the replica bit-identical
-// to one on the owner). Live replication and the repair sweep both push what
-// it returns; ok is false when the id is not live. Factors and values-epoch
-// are read together under the handle's read lock, so a concurrent
-// refactorize can never yield a torn blob or a blob under the wrong epoch.
-func (s *Server) ExportHandle(id uint64) (ev StoredEvent, ok bool) {
+// ExportHandle builds the OpReplicate push of a live handle's current
+// factors; ok is false when the id is not live. The full push carries the
+// factors in the Save format with the retained pattern (in Matrix) and the
+// normalized options, which make the receiver's copy and its analysis-cache
+// entry. With values set it is a values push instead: SaveValues' stream and
+// no Matrix, for a receiver that already holds the copy (see installValues).
+// Both are bit-exact — the pivot sequence travels with the values — so a
+// failover solve on the copy is bit-identical to one on the owner. Factors
+// and values-epoch are read together under the handle's read lock, so a
+// concurrent refactorize can never yield a torn blob or one under the wrong
+// epoch. The cluster layer's replicator calls it as each push leaves, live
+// and repair pushes alike.
+func (s *Server) ExportHandle(id uint64, values bool) (req *Request, ok bool) {
 	h, err := s.reg.get(id)
 	if err != nil {
-		return StoredEvent{}, false
+		return nil, false
 	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
+	req = &Request{Op: OpReplicate, Handle: id, Key: h.key, ValEpoch: h.valEpoch}
 	var buf bytes.Buffer
-	if err := h.f.Save(&buf); err != nil {
-		s.logf("server: serialize handle %d for replication: %v", id, err)
-		return StoredEvent{}, false
+	if values {
+		err = h.f.SaveValues(&buf)
+	} else {
+		err = h.f.Save(&buf)
+		req.Matrix = &sstar.Matrix{N: h.n, M: h.n, RowPtr: h.rowPtr, ColInd: h.colInd}
+		req.Opts = h.opts
 	}
-	return StoredEvent{
-		Handle:   id,
-		Key:      h.key,
-		N:        h.n,
-		RowPtr:   h.rowPtr,
-		ColInd:   h.colInd,
-		Opts:     h.opts,
-		Blob:     buf.Bytes(),
-		ValEpoch: h.valEpoch,
-	}, true
+	if err != nil {
+		s.logf("server: serialize handle %d for replication: %v", id, err)
+		return nil, false
+	}
+	req.Blob = buf.Bytes()
+	return req, true
 }
 
 // DropHandle releases a live handle without a tombstone — the repair sweep

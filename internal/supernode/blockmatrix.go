@@ -321,7 +321,18 @@ func LoadBlockMatrix(p *Partition, vals []float64) (*BlockMatrix, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	sk := p.skeleton()
+	return withSlab(p.skeleton(), vals)
+}
+
+// WithValues returns a BlockMatrix over bm's structure holding vals, a slab
+// obtained from Values of a matrix over the same partition. The structure is
+// shared and not validated again (bm already holds it); only the slab length
+// is checked. The result takes ownership of vals and leaves bm unchanged.
+func (bm *BlockMatrix) WithValues(vals []float64) (*BlockMatrix, error) {
+	return withSlab(bm.sk, vals)
+}
+
+func withSlab(sk *skeleton, vals []float64) (*BlockMatrix, error) {
 	if need := sk.off[len(sk.desc)]; len(vals) != need {
 		return nil, fmt.Errorf("supernode: value slab has %d entries, structure needs %d", len(vals), need)
 	}

@@ -43,6 +43,13 @@ go test ./...
 # (./internal/xblas below carries the MulSub / ElimStep / TRSM bitwise
 # property tests; ./internal/core the blocked-panel ones.)
 go test -race . ./internal/machine ./internal/core ./internal/xblas ./internal/server ./internal/obs ./client ./internal/chaos ./internal/cluster ./internal/symbolic ./internal/supernode
+# The replicator and the values push, ten runs each: coalescing marks shared
+# by the request workers and the replicator, exports beside refactorizes,
+# values installs beside solves on the copy they replace, the fallback to the
+# full push.
+go test -race -count=10 -run 'TestPushesCoalesce|TestFreedBeforePushIsNotExported|TestFullPushAbsorbsValuesPush|TestDroppedPushClearsMark|TestValuesPushesKeepCopyBitIdentical|TestValuesPushFallsBackToFull|TestOneExportInFlight' ./internal/cluster
+go test -race -count=10 -run 'TestStoredNamesTheWrite|TestValuesPushInstalls' ./internal/server
+go test -race -count=10 -run 'TestSaveValuesMatchesSave|TestLoadValuesRefuses' .
 
 # Chaos suite: the full client -> fault proxy -> server stack with a
 # mid-workload server kill/restart; every completed solve must be
@@ -62,10 +69,11 @@ go test -race -count=1 -run 'TestClusterChaosFailover' -timeout 600s ./internal/
 # without ever refactorizing.
 make cluster-churn
 
-# Fuzz smoke: the frame codec and the request decoder face the raw network
-# and must never panic; a few seconds of fuzzing guards the invariant
+# Fuzz smoke: the frame codec, the values stream and the request decoder face
+# the raw network and must never panic; a few seconds of fuzzing guards the invariant
 # without stalling CI (longer runs: make fuzz).
 go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime=5s ./internal/wire
+go test -run='^$' -fuzz='^FuzzLoadValues$' -fuzztime=5s .
 go test -run='^$' -fuzz='^FuzzRequestDecode$' -fuzztime=5s ./internal/server
 go test -run='^$' -fuzz='^FuzzRedirectDecode$' -fuzztime=5s ./internal/server
 go test -run='^$' -fuzz='^FuzzMembershipDecode$' -fuzztime=5s ./internal/server
@@ -126,7 +134,8 @@ if git grep -n 'go:build' -- 'internal/xblas/*.go' 'internal/xblas/*.s' ':!*_tes
 # handler and file format (the handle push carries the analysis), the
 # router's handle→key map (clients stamp the key), the second GEMM driver
 # with its small-product loop, B packer and add form (Gemm is GemmUpdate with
-# the zero map), the registry's stored counter and gauge kinds (every counter
+# the zero map), the push built on the request path with its event-to-request
+# mapping (the replicator exports as each push leaves), the registry's stored counter and gauge kinds (every counter
 # and gauge is read at scrape time; spelled with a word boundary because they
 # prefix the kept kindCounterFunc and kindGaugeFunc) and the bench package's
 # unused default config stay gone.
@@ -137,7 +146,7 @@ if git grep -n 'go:build' -- 'internal/xblas/*.go' 'internal/xblas/*.s' ':!*_tes
 # that describe the program and its sources (the changelog, roadmap and
 # planning notes are history and may name what went). Spelled as an if
 # because set -e ignores a command behind "!".
-retired='BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D|runSolveBatch|doSolveMany|CoalesceWidth|coalesce-width|ColEtree|detectSupernodesWorkers|parMinCols|partParMin|ColumnMinDegree|colmmd|SetTileShape|AutotuneResult|TileChoice|tileCandidates|CoalesceWindow|coalesce-window|TenantWeights|tenant-weights|parseTenantWeights|SuspectThreshold|DeadThreshold|collectRiders|takeSolves|solveBatch|batchColumns|scatterSolveMany|coalescedSolves|CoalescedSolves|SolveBatches|solve_batch_width|router_scatters_total|FactorizeBTF|BTFFactorization|BlockTriangular|btfcircuit|SolveTranspose|CondEst|Equilibrate|RefineResult|backwardError|GenDense|GenPerturb\(|\.Refine\(|PivotThreshold|PivotTol|pivotTol|WithMaxFrame|MaxFrame|\.PatchMaxDiff|PatchMaxDiff:|newPanel\(|dropPanel|doReplicateAnalysis|LoadAnalysis|analysisMeta|analysisMagic|Analyzed\(|placeMu|keyOf\(|gemmEngine|smallGemm|GemmAdd|packB\(|kindCounter\b|kindGauge\b|DefaultConfig\('
+retired='BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D|runSolveBatch|doSolveMany|CoalesceWidth|coalesce-width|ColEtree|detectSupernodesWorkers|parMinCols|partParMin|ColumnMinDegree|colmmd|SetTileShape|AutotuneResult|TileChoice|tileCandidates|CoalesceWindow|coalesce-window|TenantWeights|tenant-weights|parseTenantWeights|SuspectThreshold|DeadThreshold|collectRiders|takeSolves|solveBatch|batchColumns|scatterSolveMany|coalescedSolves|CoalescedSolves|SolveBatches|solve_batch_width|router_scatters_total|FactorizeBTF|BTFFactorization|BlockTriangular|btfcircuit|SolveTranspose|CondEst|Equilibrate|RefineResult|backwardError|GenDense|GenPerturb\(|\.Refine\(|PivotThreshold|PivotTol|pivotTol|WithMaxFrame|MaxFrame|\.PatchMaxDiff|PatchMaxDiff:|newPanel\(|dropPanel|doReplicateAnalysis|LoadAnalysis|analysisMeta|analysisMagic|Analyzed\(|placeMu|keyOf\(|gemmEngine|smallGemm|GemmAdd|packB\(|ReplicateRequest|kindCounter\b|kindGauge\b|DefaultConfig\('
 if git grep -nE "$retired" -- . ':(exclude,glob)*.md' ':!results/' ':!scripts/check.sh' ||
 	git grep -nE "$retired" -- README.md DESIGN.md EXPERIMENTS.md PAPER.md PAPERS.md SNIPPETS.md; then exit 1; fi
 
