@@ -71,11 +71,16 @@ func GPFactorize(a *sparse.CSR) (*GPFactors, error) {
 	for i := range marked {
 		marked[i] = -1
 	}
+	// The loops below read L through locals and count into one: a store
+	// through f inside them would make every iteration reload f's slices.
+	lptr := f.LPtr
+	var flops int64
 	for j := 0; j < n; j++ {
 		// Symbolic: depth-first search from the rows of A(:,j) through the
 		// columns of L already computed, producing a topological order of
 		// the reachable pivotal rows in xi (reverse DFS finish order).
 		xi = xi[:0]
+		lind := f.LInd
 		rows, vals := ac.Col(j)
 		for _, r := range rows {
 			if marked[r] == j {
@@ -95,11 +100,11 @@ func GPFactorize(a *sparse.CSR) (*GPFactors, error) {
 					top--
 					continue
 				}
-				lo, hi := f.LPtr[pcol], f.LPtr[pcol+1]
+				lo, hi := lptr[pcol], lptr[pcol+1]
 				cursor := pstack[top]
 				advanced := false
 				for k := lo + cursor; k < hi; k++ {
-					child := f.LInd[k]
+					child := lind[k]
 					if marked[child] != j {
 						marked[child] = j
 						pstack[top] = k - lo + 1
@@ -135,11 +140,13 @@ func GPFactorize(a *sparse.CSR) (*GPFactors, error) {
 			if xr == 0 {
 				continue
 			}
-			lo, hi := f.LPtr[pcol], f.LPtr[pcol+1]
-			for k := lo; k < hi; k++ {
-				x[f.LInd[k]] -= float64(f.LVal[k] * xr)
-				f.Flops += 2
+			lo, hi := lptr[pcol], lptr[pcol+1]
+			li, lv := lind[lo:hi], f.LVal[lo:hi]
+			lv = lv[:len(li)] // drops the bounds check on lv[k]
+			for k, i := range li {
+				x[i] -= float64(lv[k] * xr)
 			}
+			flops += int64(2 * (hi - lo))
 		}
 		// Partial pivoting among the non-pivotal rows of x.
 		var pivRow int32 = -1
@@ -182,11 +189,12 @@ func GPFactorize(a *sparse.CSR) (*GPFactors, error) {
 			if pinv[r] < 0 && x[r] != 0 {
 				f.LInd = append(f.LInd, r)
 				f.LVal = append(f.LVal, x[r]/pivVal)
-				f.Flops++
+				flops++
 			}
 		}
-		f.LPtr[j+1] = len(f.LInd)
+		lptr[j+1] = len(f.LInd)
 	}
+	f.Flops = flops
 	f.fillL = len(f.LInd) + n // plus unit diagonal
 	f.fillU = len(f.UInd)
 	return f, nil

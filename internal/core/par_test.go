@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"sstar/internal/machine"
@@ -267,6 +269,30 @@ func TestLoadBalance2DWithinRange(t *testing.T) {
 	}
 }
 
+// TestLoadBalance2DRepeats: loadBalance2D sums the model's work in a fixed
+// loop order, so the 2D codes' LoadBalance is bit-equal across repeated runs
+// and whatever the number of host cores running the virtual processors.
+func TestLoadBalance2DRepeats(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	a := sparse.Grid2D(18, 18, true, sparse.GenOptions{Seed: 26, Convection: 0.5})
+	sym := analyzeFor(t, a, 10, 4)
+	for _, async := range []bool{true, false} {
+		var first uint64
+		for i, procs := range []int{1, 2, 1, 2, 2} {
+			runtime.GOMAXPROCS(procs)
+			res, err := Factorize2D(a, sym, machine.T3E(), 4, 4, async)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := math.Float64bits(res.LoadBalance); i == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("async=%v GOMAXPROCS=%d run %d: LoadBalance bits %#x, first run %#x", async, procs, i, got, first)
+			}
+		}
+	}
+}
+
 func TestBufferHighWaterBounded(t *testing.T) {
 	// Theorem 2: the asynchronous 2D code needs bounded buffer space —
 	// roughly (pc + pr) panels' worth, far below the full matrix size.
@@ -291,8 +317,10 @@ func TestFactorize2DSingular(t *testing.T) {
 	}
 	a := coo.ToCSR()
 	sym := Analyze(a, AnalyzeOptions{SkipOrdering: true})
-	if _, err := Factorize2D(a, sym, machine.Unit(), 2, 2, true); err == nil {
-		t.Fatal("expected singular error from 2D code")
+	for _, async := range []bool{true, false} {
+		if _, err := Factorize2D(a, sym, machine.Unit(), 2, 2, async); !errors.Is(err, ErrSingular) {
+			t.Fatalf("async=%v: 2D code returned %v, want ErrSingular", async, err)
+		}
 	}
 	if _, err := Factorize1D(a, sym, machine.Unit(), ScheduleCA(sym, 2)); err == nil {
 		t.Fatal("expected singular error from 1D code")

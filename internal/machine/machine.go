@@ -147,6 +147,8 @@ type Machine struct {
 	procs []*Proc
 	dims  [3]int
 	trace bool
+
+	barriers []*Barrier // every barrier NewBarrier made, woken on abort
 }
 
 // EnableTracing turns on per-processor span recording (see Proc.TraceSpan).
@@ -228,32 +230,38 @@ func (m *Machine) Hops(src, dst int) int {
 func (m *Machine) Proc(i int) *Proc { return m.procs[i] }
 
 // Run executes body on every processor concurrently and returns the parallel
-// time: the maximum final virtual clock. Any panic in a body is re-raised.
+// time: the maximum final virtual clock. A panic in a body is re-raised once
+// every processor has unwound; the one re-raised is the first, not the
+// aborts it provokes in processors waiting on the one that panicked.
 func (m *Machine) Run(body func(p *Proc)) float64 {
 	var wg sync.WaitGroup
-	panics := make([]any, m.P)
+	var first sync.Once
+	var cause any
 	for i := 0; i < m.P; i++ {
 		wg.Add(1)
 		go func(p *Proc) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					panics[p.id] = r
-					// Wake every receiver so the run unwinds instead
-					// of hanging.
-					for _, q := range m.procs {
-						q.poison()
-					}
+					first.Do(func() {
+						cause = r
+						// Wake every receiver and barrier so the run
+						// unwinds instead of hanging.
+						for _, q := range m.procs {
+							q.poison()
+						}
+						for _, b := range m.barriers {
+							b.poison()
+						}
+					})
 				}
 			}()
 			body(p)
 		}(m.procs[i])
 	}
 	wg.Wait()
-	for _, r := range panics {
-		if r != nil {
-			panic(r)
-		}
+	if cause != nil {
+		panic(cause)
 	}
 	max := 0.0
 	for _, p := range m.procs {
@@ -439,13 +447,24 @@ type Barrier struct {
 	max     float64
 	release float64
 	lat     float64
+
+	poisoned bool
 }
 
-// NewBarrier creates a barrier for the whole machine.
+// NewBarrier creates a barrier for the whole machine. Make it before Run, so
+// that a processor's panic can wake the others waiting on it.
 func (m *Machine) NewBarrier() *Barrier {
 	b := &Barrier{parties: m.P, lat: m.Model.Latency}
 	b.cond = sync.NewCond(&b.mu)
+	m.barriers = append(m.barriers, b)
 	return b
+}
+
+func (b *Barrier) poison() {
+	b.mu.Lock()
+	b.poisoned = true
+	b.cond.Broadcast()
+	b.mu.Unlock()
 }
 
 // Wait enters the barrier.
@@ -468,6 +487,10 @@ func (b *Barrier) Wait(p *Proc) {
 		b.cond.Broadcast()
 	} else {
 		for gen == b.gen {
+			if b.poisoned {
+				b.mu.Unlock()
+				panic(fmt.Sprintf("machine: processor %d aborted at a barrier", p.id))
+			}
 			b.cond.Wait()
 		}
 	}

@@ -189,6 +189,33 @@ func TestRunPropagatesPanic(t *testing.T) {
 	})
 }
 
+// TestRunPropagatesFirstPanic: the panic re-raised is the one that aborted
+// the run, not the abort it provokes in a lower-numbered processor waiting
+// for a message, nor the one of a processor waiting at a barrier.
+func TestRunPropagatesFirstPanic(t *testing.T) {
+	for _, wait := range []string{"recv", "barrier"} {
+		m := New(4, Unit())
+		b := m.NewBarrier()
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("%s: re-raised %v, want boom", wait, r)
+				}
+			}()
+			m.Run(func(p *Proc) {
+				switch {
+				case p.ID() == 3:
+					panic("boom")
+				case wait == "recv":
+					p.Recv(Tag{Src: 3, Kind: 42})
+				default:
+					b.Wait(p)
+				}
+			})
+		}()
+	}
+}
+
 func TestModelRatesSane(t *testing.T) {
 	for _, model := range []Model{T3D(), T3E()} {
 		if model.Blas3Rate <= model.Blas2Rate {

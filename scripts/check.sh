@@ -50,6 +50,10 @@ go test -race . ./internal/machine ./internal/core ./internal/xblas ./internal/s
 go test -race -count=10 -run 'TestPushesCoalesce|TestFreedBeforePushIsNotExported|TestFullPushAbsorbsValuesPush|TestDroppedPushClearsMark|TestValuesPushesKeepCopyBitIdentical|TestValuesPushFallsBackToFull|TestOneExportInFlight' ./internal/cluster
 go test -race -count=10 -run 'TestStoredNamesTheWrite|TestValuesPushInstalls' ./internal/server
 go test -race -count=10 -run 'TestSaveValuesMatchesSave|TestLoadValuesRefuses' .
+# The dynamic-fill count runs on its own goroutine beside every virtual
+# factorization: the modelled bits and the joins on the error paths, with and
+# without a second core for it (-short: the golden's two smallest matrices).
+go test -race -short -cpu 1,2 -count=5 -run 'TestVirtualGolden|TestVirtualErrorsLeaveNothingRunning' .
 
 # Chaos suite: the full client -> fault proxy -> server stack with a
 # mid-workload server kill/restart; every completed solve must be

@@ -50,7 +50,7 @@ func (f *Factorization) Save(w io.Writer) error {
 		name string
 		v    any
 	}{
-		{"symbolic", f.sym},
+		{"symbolic", untimed(f.sym)},
 		{"factors", f.fact.BM.Values()},
 		{"pivots", f.fact.Piv},
 		{"flop counts", f.fact.Fl},
@@ -62,6 +62,22 @@ func (f *Factorization) Save(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// untimed is the symbolic section as Save writes it: sym's exported fields
+// with the analyze-phase wall-clock timings (Phases, Partition.Times) left
+// zero, so two analyses of one pattern save the same bytes. The copy shares
+// sym's slices; sym itself is never touched.
+func untimed(sym *core.Symbolic) *core.Symbolic {
+	p := sym.Partition
+	return &core.Symbolic{
+		N: sym.N, RowPerm: sym.RowPerm, ColPerm: sym.ColPerm, Static: sym.Static,
+		Partition: &supernode.Partition{
+			N: p.N, NB: p.NB, Start: p.Start, BlockOf: p.BlockOf,
+			UCols: p.UCols, LRows: p.LRows, UBlocks: p.UBlocks, LBlocks: p.LBlocks,
+			Choice: p.Choice,
+		},
+	}
 }
 
 // Load reads a factorization previously written by Save. The result supports

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -220,4 +221,55 @@ func TestAnalysisOfLoadedFactorization(t *testing.T) {
 	if _, err := AnalysisOf(loaded, nil, opts, an.Key()); err == nil {
 		t.Error("AnalysisOf accepted a nil pattern")
 	}
+}
+
+// TestSaveIsDeterministic: two analyses of one pattern save byte-equal
+// streams. The analyze-phase timings are wall-clock readings, so Save leaves
+// them out of the symbolic section; it leaves the held analysis as it was,
+// and every other exported field reaches the stream.
+func TestSaveIsDeterministic(t *testing.T) {
+	a := GenGrid2D(12, 10, true, GenOptions{Seed: 81, Convection: 0.3})
+	for _, o := range []Options{DefaultOptions(), PaperOptions()} {
+		var saved [2][]byte
+		for i := range saved {
+			f, err := Factorize(a, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			phases, times := f.sym.Phases, f.sym.Partition.Times
+			var buf bytes.Buffer
+			if err := f.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if f.sym.Phases != phases || f.sym.Partition.Times != times {
+				t.Fatal("Save changed the held analysis's timings")
+			}
+			saved[i] = buf.Bytes()
+		}
+		if !bytes.Equal(saved[0], saved[1]) {
+			t.Fatalf("%+v: two analyses of one pattern saved different bytes", o)
+		}
+	}
+	f, err := Factorize(a, PaperOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(got, want any, skip ...string) {
+		g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	fields:
+		for i := 0; i < w.NumField(); i++ {
+			name := w.Type().Field(i).Name
+			for _, s := range skip {
+				if name == s {
+					continue fields
+				}
+			}
+			if w.Type().Field(i).IsExported() && !reflect.DeepEqual(g.Field(i).Interface(), w.Field(i).Interface()) {
+				t.Errorf("the saved symbolic section drops %s.%s", w.Type().Name(), name)
+			}
+		}
+	}
+	u := untimed(f.sym)
+	same(u, f.sym, "Phases", "Partition")
+	same(u.Partition, f.sym.Partition, "Times")
 }
