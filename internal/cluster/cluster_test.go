@@ -129,7 +129,12 @@ type testSystem struct {
 
 func buildSystem(t *testing.T, seed int) *testSystem {
 	t.Helper()
-	a := sstar.GenGrid2D(9+seed%3, 10+seed%4, seed%2 == 1, sstar.GenOptions{Seed: int64(40 + seed), Convection: 0.3})
+	return solvedSystem(t, sstar.GenGrid2D(9+seed%3, 10+seed%4, seed%2 == 1, sstar.GenOptions{Seed: int64(40 + seed), Convection: 0.3}), seed)
+}
+
+// solvedSystem factors a and solves it for a right-hand side drawn from seed.
+func solvedSystem(t *testing.T, a *sstar.Matrix, seed int) *testSystem {
+	t.Helper()
 	f, err := sstar.Factorize(a, sstar.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -456,16 +461,20 @@ func TestRepairPushWarmsJoinerCache(t *testing.T) {
 // failover.
 func TestRouterKeylessSolveReachesHolder(t *testing.T) {
 	fleet := startFleet(t, 3, func(c *ShardConfig) { c.RepairInterval = -1 })
+	// The members' addresses, and so the ring, differ from run to run. The
+	// candidates are grids of distinct sizes, so each has its own key; with
+	// two of the three members holding each key, all 200 keys placing a copy
+	// on the first member has odds near (2/3)^200, below 1e-35.
 	first := fleet.router.ring.Members()[0]
 	var sys *testSystem
-	for seed := 10; sys == nil; seed++ {
-		if seed == 40 {
+	for i := 0; sys == nil; i++ {
+		if i == 200 {
 			t.Fatal("every structure places a copy on the first member")
 		}
-		cand := buildSystem(t, seed)
-		key := sstar.StructureKey(cand.a, sstar.DefaultOptions())
+		a := sstar.GenGrid2D(6+i%8, 6+i/8, false, sstar.GenOptions{Seed: int64(50 + i), Convection: 0.3})
+		key := sstar.StructureKey(a, sstar.DefaultOptions())
 		if !slices.Contains(fleet.router.ring.Replicas(key, replicas), first) {
-			sys = cand
+			sys = solvedSystem(t, a, i)
 		}
 	}
 	c, err := client.Dial("tcp", fleet.raddr)

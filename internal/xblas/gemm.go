@@ -13,7 +13,10 @@
 //     offset l*mr+i, so each k-step of the micro-kernel reads mr contiguous
 //     values.
 //   - B panels are packed into strips of nr columns: strip element (l, j) sits
-//     at offset l*nr+j.
+//     at offset l*nr+j. The pack is a copy that ORs each column's bits on the
+//     way (packStrip: two vector loads, stores and ORs per row on amd64), and
+//     where only zero columns fill some strips, the windows that skip them
+//     are packed again from B (packUpdateB).
 //   - A tile of one, two or three A strips by one B strip stays in registers,
 //     accumulating over the whole k extent with fused multiply-adds, and is
 //     folded into C with a single rounding per element: C -= acc, at the
@@ -46,6 +49,7 @@ package xblas
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -437,82 +441,83 @@ func GemmUpdate(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 	}
 }
 
-// packUpdateB packs the k-by-n B (stride ldb) into pk.b for GemmUpdate, noting
-// in the same pass which columns hold a nonzero (a NaN or an infinity
-// counts, a zero of either sign does not). Then it lays the panel out again
-// as windows of nr consecutive columns, each opening at the first nonzero
-// column past the last window, when that takes fewer strips: the zero
-// columns no window reaches are never multiplied, and every strip still
-// lands on a contiguous run of C's columns wherever B's columns do. Breaking
-// that contiguity to drop every zero column (a composed column map) saved
-// more flops but cost as much in gathered and scattered write-backs
-// (DESIGN.md, "Zero U subcolumns").
+// packUpdateB packs the k-by-n B (stride ldb) into pk.b for GemmUpdate, strip
+// by strip with packStrip, which copies and ORs each column's bits in one pass
+// and so notes which columns hold a nonzero (a NaN or an infinity counts, a
+// zero of either sign does not). When windows of nr consecutive columns, each
+// opening at the first nonzero column past the last window, take fewer
+// strips, window q is packed again from B into strip q: the zero columns no
+// window reaches are never multiplied, and every strip still lands on a
+// contiguous run of C's columns wherever B's columns do. Breaking that
+// contiguity to drop every zero column (a composed column map) saved more
+// flops but cost as much in gathered and scattered write-backs (DESIGN.md,
+// "Zero U subcolumns").
 func (pk *Packs) packUpdateB(b []float64, ldb, k, n int) {
 	bp := grow(pk.b, roundUp(n, nr)*k)
 	starts := pk.starts[:0]
 	next := 0 // the first column past the last window
 	for jr := 0; jr < n; jr += nr {
-		strip := bp[jr*k : (jr+nr)*k]
-		w := min(nr, n-jr)
-		// One accumulator per lane, nr = 8 of them, kept in registers
-		// (unrolledForEight fails to compile for any other nr); the lanes
-		// past w hold the strip's zero padding.
-		var o0, o1, o2, o3, o4, o5, o6, o7 uint64
-		for l := 0; l < k; l++ {
-			d := (*[nr]float64)(strip[l*nr:])
-			if w == nr {
-				*d = *(*[nr]float64)(b[l*ldb+jr:])
-			} else {
-				copy(d[:w], b[l*ldb+jr:l*ldb+jr+w])
-				clear(d[w:])
-			}
-			o0 |= math.Float64bits(d[0])
-			o1 |= math.Float64bits(d[1])
-			o2 |= math.Float64bits(d[2])
-			o3 |= math.Float64bits(d[3])
-			o4 |= math.Float64bits(d[4])
-			o5 |= math.Float64bits(d[5])
-			o6 |= math.Float64bits(d[6])
-			o7 |= math.Float64bits(d[7])
+		nz := packStrip(bp[jr*k:(jr+nr)*k], b[jr:], ldb, k, min(nr, n-jr))
+		if next > jr {
+			nz &^= 1<<(next-jr) - 1 // the last window reaches these lanes
 		}
-		lanes := [nr]uint64{o0, o1, o2, o3, o4, o5, o6, o7}
-		for jj, o := range lanes[:w] {
-			if j := jr + jj; j >= next && o<<1 != 0 { // not ±0 throughout
-				starts = append(starts, int32(j))
-				next = j + nr
-			}
+		// A window is nr wide, so at most one opens per strip.
+		if nz != 0 {
+			j := jr + bits.TrailingZeros64(nz)
+			starts = append(starts, int32(j))
+			next = j + nr
 		}
 	}
 	pk.b, pk.starts, pk.bPacked = bp, starts, true
 	if pk.skip = len(starts) < (n+nr-1)/nr; !pk.skip {
 		return
 	}
-	// Window q starts at column starts[q] >= q*nr, so it reads strips q and
-	// above only, which no earlier window wrote, and within strip q it moves
-	// each value to a lower lane or leaves it: the layout changes in place.
 	for q, c := range starts {
-		s0, o := int(c)/nr, int(c)%nr
-		switch {
-		case s0 == q && o == 0:
-		case o == 0: // a whole strip, padding included
-			copy(bp[q*nr*k:(q+1)*nr*k], bp[s0*nr*k:(s0+1)*nr*k])
-		default: // lanes o.. of strip s0, then the first lanes of strip s0+1
-			dst, src := bp[q*nr*k:(q+1)*nr*k], bp[s0*nr*k:]
-			w := min(nr, n-int(c))
-			w0 := min(w, nr-o)
-			for l := 0; l < k; l++ {
-				d := dst[l*nr : l*nr+nr]
-				copy(d[:w0], src[l*nr+o:])
-				if w > w0 {
-					copy(d[w0:w], src[(k+l)*nr:])
-				}
-				clear(d[w:])
-			}
+		if jr := int(c); jr != q*nr { // else window q is strip q, packed already
+			packStrip(bp[q*nr*k:(q+1)*nr*k], b[jr:], ldb, k, min(nr, n-jr))
 		}
 	}
 }
 
-// unrolledForEight holds packUpdateB's unrolled strip loop to nr = 8.
+// packStripGo is the portable packStrip: it copies k rows of w columns
+// (1 <= w <= nr) from src, stride ldb, into the packed strip dst, zeroing
+// the lanes past w, and returns a bit per lane whose values are not ±0
+// throughout. Each row's nr values are loaded once, into locals, then stored
+// and ORed into one accumulator per lane, nr = 8 of them, kept in registers
+// (unrolledForEight fails to compile for any other nr).
+func packStripGo(dst, src []float64, ldb, k, w int) uint64 {
+	var o0, o1, o2, o3, o4, o5, o6, o7 uint64
+	var tail [nr]float64 // a partial strip's row, padded with zeros
+	for l := 0; l < k; l++ {
+		s := &tail
+		if w == nr {
+			s = (*[nr]float64)(src[l*ldb:])
+		} else {
+			copy(tail[:w], src[l*ldb:l*ldb+w])
+		}
+		v0, v1, v2, v3, v4, v5, v6, v7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+		d := (*[nr]float64)(dst[l*nr:])
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = v0, v1, v2, v3, v4, v5, v6, v7
+		o0 |= math.Float64bits(v0)
+		o1 |= math.Float64bits(v1)
+		o2 |= math.Float64bits(v2)
+		o3 |= math.Float64bits(v3)
+		o4 |= math.Float64bits(v4)
+		o5 |= math.Float64bits(v5)
+		o6 |= math.Float64bits(v6)
+		o7 |= math.Float64bits(v7)
+	}
+	var nz uint64
+	for j, o := range [nr]uint64{o0, o1, o2, o3, o4, o5, o6, o7} {
+		if o<<1 != 0 { // not ±0 throughout
+			nz |= 1 << j
+		}
+	}
+	return nz
+}
+
+// unrolledForEight holds packStripGo's unrolled row and packStrip8asm's two
+// four-lane halves to nr = 8.
 const unrolledForEight = uint(nr-8) + uint(8-nr)
 
 // smallUpdate is the direct path for tiny products: the mapped FMA triple

@@ -70,6 +70,28 @@ func tile(k int, as, bs, c []float64, ldc int, offs []int, w *tileCols, sign flo
 	}
 }
 
+// packStrip8asm copies k rows of w columns (1 <= w <= 8, k >= 1) from src,
+// stride ldb, into the packed strip dst (k rows of 8 lanes, the lanes past w
+// zero) and returns the lanes whose values are not ±0 throughout, one bit per
+// lane. Implemented in pack_amd64.s (AVX2; masked loads on a partial strip,
+// which never read past src[(k-1)*ldb+w-1]); the caller has checked every
+// address it reaches.
+//
+//go:noescape
+func packStrip8asm(k, w int, src *float64, ldb int, dst *float64) (nonzero uint64)
+
+// packStrip dispatches to the vector pack when available.
+func packStrip(dst, src []float64, ldb, k, w int) uint64 {
+	if level < levelAVX2 {
+		return packStripGo(dst, src, ldb, k, w)
+	}
+	if k < 1 || w < 1 || w > nr {
+		panic("xblas: strip pack of no rows or of 0 or more than nr columns")
+	}
+	_, _ = src[(k-1)*ldb+w-1], dst[k*nr-1]
+	return packStrip8asm(k, w, &src[0], ldb, &dst[0])
+}
+
 // mulSub4asm and mulSub1asm are the MulSub micro-kernels for a strip of four
 // rows and of one row of C, n columns wide. mulSub1asm's a is the row's k
 // multipliers. Implemented in mulsub_amd64.s (AVX multiply and subtract, no

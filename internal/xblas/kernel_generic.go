@@ -19,6 +19,9 @@ func tile(k int, as, bs, c []float64, ldc int, offs []int, w *tileCols, sign flo
 	tileStrips(k, as, bs, c, ldc, offs, w, sign)
 }
 
+// packStrip runs the portable pack.
+func packStrip(dst, src []float64, ldb, k, w int) uint64 { return packStripGo(dst, src, ldb, k, w) }
+
 // mulSub runs the portable kernel, whose explicitly rounded products give
 // the amd64 vector kernels' bits on every architecture.
 func mulSub(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {

@@ -81,3 +81,43 @@ func TestStatsDisabledZeroAlloc(t *testing.T) {
 		t.Fatalf("disabled-stats Gemm allocates: %v allocs/op, want 0", allocs)
 	}
 }
+
+// TestGemmUpdateHeldPacksZeroAlloc: with the caller's Packs held across calls,
+// a packed GemmUpdate that brings a new B each time allocates nothing once
+// the buffers have grown, whether B's pack keeps every strip or packs windows
+// that skip the zero columns again from B, at every kernel level.
+func TestGemmUpdateHeldPacksZeroAlloc(t *testing.T) {
+	DisableStats()
+	const m, n, k = 24, 40, 16
+	a, c := make([]float64, m*k), make([]float64, m*n)
+	dense, sparse := make([]float64, k*n), make([]float64, k*n)
+	for i := range a {
+		a[i] = float64(i%7+1) / 64
+	}
+	for i := range dense {
+		dense[i] = float64(i%5+1) / 64
+		if j := i % n; j < 3 || j >= nr+2 && j < 3*nr+2 {
+			continue // zero columns: the windows open at columns 3, 26 and 34
+		}
+		sparse[i] = dense[i]
+	}
+	forEachLevel(t, func(t *testing.T) {
+		var pk Packs
+		for _, tc := range []struct {
+			name string
+			b    []float64
+			skip bool
+		}{{"dense", dense, false}, {"windows", sparse, true}} {
+			allocs := testing.AllocsPerRun(100, func() {
+				pk.NewB()
+				GemmUpdate(m, n, k, a, k, tc.b, n, c, n, Dest{}, &pk, nil)
+			})
+			if pk.skip != tc.skip {
+				t.Fatalf("%s: B's pack skip = %v, want %v", tc.name, pk.skip, tc.skip)
+			}
+			if allocs != 0 {
+				t.Fatalf("%s: GemmUpdate with a held Packs allocates %v per call, want 0", tc.name, allocs)
+			}
+		}
+	})
+}
