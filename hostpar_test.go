@@ -53,7 +53,7 @@ func coarseMatrix() *Matrix { return bench.ByName("ex11").Gen(0.5) }
 func onExecutor(t *testing.T, label string, f *Factorization) {
 	t.Helper()
 	if w := f.HostWorkers(); w < 2 {
-		t.Fatalf("%s: the numeric phase runs on %d worker, want the task-DAG executor", label, w)
+		t.Fatalf("%s: the numeric phase runs on %d worker, want the host executor", label, w)
 	}
 }
 
@@ -120,8 +120,8 @@ func TestRefactorizeKeepsParallelPath(t *testing.T) {
 }
 
 // TestHostWorkersGateBitIdentical: under the default options the numeric
-// phase takes the executor where the task grain admits it (ex11) and the
-// sequential driver where it does not (lnsp3937, a circuit), at GOMAXPROCS 1
+// phase takes the executor where the task grain admits it (ex11, lnsp3937)
+// and the sequential driver where it does not (a circuit), at GOMAXPROCS 1
 // and whenever HostWorkers is 1; without a cap it runs at most the measured
 // default of 2 workers — and the factors, fresh and refactorized, are the
 // same bits on every path.
@@ -133,7 +133,7 @@ func TestHostWorkersGateBitIdentical(t *testing.T) {
 		par  bool // whether the grain admits the executor
 	}{
 		{"ex11", coarseMatrix(), true},
-		{"lnsp3937", bench.ByName("lnsp3937").Gen(1), false},
+		{"lnsp3937", bench.ByName("lnsp3937").Gen(1), true},
 		{"circuit", GenCircuit(5000, 3, GenOptions{Seed: 7}), false},
 	} {
 		seq, err := Factorize(c.a, Options{HostWorkers: 1})

@@ -24,7 +24,7 @@ type TraceSummary struct {
 	Path    string
 }
 
-// TraceRun factorizes one suite matrix with the host task-DAG executor
+// TraceRun factorizes one suite matrix with the host executor
 // under a trace recorder and writes the timeline as Chrome trace_event JSON
 // to path (open in chrome://tracing or https://ui.perfetto.dev). The trace
 // holds the analyze phases plus one span per Factor(k)/Update(k,j) task on

@@ -121,7 +121,7 @@ func BenchmarkUpdateBlockScatter(b *testing.B) {
 // slab, scatter A through the assembly map, run the executor over the static
 // update plan — on the benchmark's small-supernode (lnsp3937) and
 // big-supernode (ex11) representatives, at the sizes the benchmark runs them,
-// on the sequential driver (w1) and the task-DAG executor on two workers
+// on the sequential driver (w1) and the host executor on two workers
 // (w2). allocs/op is the steady-state guard: it must stay O(1) — 0 on w1,
 // the goroutine launch on w2.
 func BenchmarkRefactorize(b *testing.B) {

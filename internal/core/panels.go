@@ -11,14 +11,14 @@ import (
 // produce-once, consume-many shape of the paper's Factor(k) and Update(k, j):
 // the task that runs Factor(k) packs panel k's L blocks once (pack), and
 // every Update(k, ·), on any worker, multiplies those images (panel). The
-// task-DAG executor packs before it releases the updates, so its mutex
-// publishes the images to them.
+// host executor packs before it sets panel k's flag, so the flag publishes
+// the images to the updates.
 //
 // Where the images lie is fixed when the store is made. The sequential driver
 // runs every Update(k, ·) before Factor(k+1), so one panel's room serves all
-// panels. The executor has many panels in flight (on ex11 a two-worker run
-// held up to 115 at once), so each panel gets its own room: the partition's
-// L part, packed. The storage itself is borrowed from arenas for the length
+// panels. The executor has several in flight (its compute-ahead lists held
+// up to 4–6 live at once on two workers), so each panel gets its own room:
+// the partition's L part, packed. The storage itself is borrowed from arenas for the length
 // of a run (begin, end), so a process holds as many arenas as it has had
 // runs in flight at once, not one per factorization it keeps (DESIGN.md,
 // "Packed L panel: once per Factor(k)").

@@ -3,24 +3,29 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sstar/internal/obs"
+	"sstar/internal/sched"
 	"sstar/internal/sparse"
 	"sstar/internal/supernode"
 	"sstar/internal/taskgraph"
 )
 
 // FactorizeHost runs the numeric factorization on real shared-memory
-// hardware: the Factor(k)/Update(k,j) task DAG of the paper's Section 4 is
-// executed by `workers` goroutines with dependence counters and a
-// critical-path-priority ready queue. This is the wall-clock counterpart of
-// the virtual-time codes — same tasks, same dependences, but the parallel
-// time is real.
+// hardware: `workers` goroutines run the compute-ahead schedule of the
+// paper's 1D code (Fig. 10, sched.ComputeAhead) over the Factor(k)/Update(k,j)
+// tasks of Section 4. Block column j belongs to worker j mod workers, which
+// runs every task that writes it, in the schedule's k-major order; an
+// Update(k, j) waits for a flag that Factor(k)'s worker sets once panel k is
+// factored and packed. This is the wall-clock counterpart of the virtual-time
+// 1D code (Factorize1D runs the same schedule value): same tasks, same
+// dependences, but the parallel time is real.
 //
 // Determinism: the factors are bit-identical to FactorizeSeq's, whatever the
-// worker count and however the scheduler interleaves. The argument rests on
-// the DAG's dependence properties:
+// worker count and however the workers interleave. The argument rests on the
+// DAG's dependence properties:
 //
 //   - Update(k, j) writes only block column j and reads only block column k
 //     and the panel-k pivot sequence; Factor(k) writes only block column k
@@ -29,7 +34,9 @@ import (
 //   - All updates into one destination column j are serialized in ascending
 //     source order k by the Update-chain property (the chain edges
 //     Update(k,j) -> Update(k',j)), and Factor(j) runs after the last of
-//     them — exactly the relative order FactorizeSeq executes them in.
+//     them — exactly the relative order FactorizeSeq executes them in. The
+//     schedule keeps both inside column j's owner's list, in that order, so
+//     the flag carries the only edge between workers, Factor(k) -> Update(k, j).
 //
 // So every block column experiences the same sequence of floating-point
 // operations on the same inputs as in the sequential code, and the
@@ -38,7 +45,8 @@ import (
 // the (bit-identical) column data.
 //
 // workers <= 1 falls back to the sequential driver. The worker count is used
-// as given; the facade's choice of it is Symbolic.HostWorkers.
+// as given, clamped to the block count; the facade's choice of it is
+// Symbolic.HostWorkers.
 func FactorizeHost(a *sparse.CSR, sym *Symbolic, workers int) (*Factorization, error) {
 	return FactorizeHostObs(a, sym, workers, nil)
 }
@@ -58,22 +66,21 @@ func FactorizeHostObs(a *sparse.CSR, sym *Symbolic, workers int, sink obs.Sink) 
 	return f, nil
 }
 
-// ParallelGrain is G, the mean flops per task from which the task-DAG
-// executor beats the sequential driver. Below it the per-task handoff — a
-// mutex round trip, a heap push and pop, a wake-up — costs more than the
-// second worker saves. Measured on a 2-vCPU AVX-512 VM (DESIGN.md
-// "Host-parallel numeric factorization"): two workers add h ≈ 0.75–1.1 µs
-// of wall time per task over half the sequential time on grains of 0.6k–2k
-// flops, and tasks near the line run at r ≈ 2.5 GFLOP/s, so two workers
-// break even near 2·h·r ≈ 5k flops per task; grids measured on both sides
-// put the crossing between 2.1k (1.31x slower) and 4.7k (0.95x). Every
-// suite matrix is at least 3x from G.
-const ParallelGrain = 5000
+// ParallelGrain is G, the mean flops per task from which the host executor
+// beats the sequential driver. Measured on a 2-vCPU AVX-512 VM (DESIGN.md
+// "Host-parallel numeric factorization"), 2 workers against 1 in 10
+// alternating pairs per row of the gate grid: a 20² grid of 598 flops per
+// task is the smallest grain at which two workers won at least 8 of the 10
+// pairs, and the one row below it, a circuit of 144 flops per task, lost 8.
+// The line sits this low because a worker meets another only where it needs
+// a panel the other factors, and then reads a flag.
+const ParallelGrain = 598
 
 // DefaultHostWorkers is the cap HostWorkers(0) applies: the worker count G
-// and the executor's gains were measured at. Whether G still marks the
-// crossing at more workers, each adding lock traffic per task, is
-// unmeasured, so running more takes an explicit cap.
+// and the executor's gains were measured at. The schedule's 1D ownership
+// bounds the speedup (each worker runs whole block columns), and whether G
+// still marks the crossing at more workers is unmeasured, so running more
+// takes an explicit cap.
 const DefaultHostWorkers = 2
 
 // HostWorkers returns the numeric-phase worker count for a cap of limit
@@ -103,43 +110,37 @@ func (s *Symbolic) Grain() (tasks int, flopsPerTask float64) {
 	return tasks, float64(flops) / float64(max(tasks, 1))
 }
 
-// hostDAG is what the task-DAG executor needs of the partition: the task
-// graph, the ready queue's priorities and the initial dependence counters.
-// Built once per Symbolic (see Symbolic.dag) and read-only after, so
-// concurrent factorizations sharing one analysis share it.
-type hostDAG struct {
-	g *taskgraph.Graph
-	// blevel is each task's bottom level — its longest weighted path to an
-	// exit over raw flop weights. Descheduling the critical path last is the
-	// classic way to starve the tail of the factorization, so the ready heap
-	// pops the largest bottom level first.
-	blevel []float64
-	indeg  []int32
-}
-
-// dag returns the partition's hostDAG, building it on first use.
-func (s *Symbolic) dag() *hostDAG {
-	s.dagOnce.Do(func() {
-		g := taskgraph.Build(s.Partition)
-		_, bl := g.CriticalPath(g.Weights(1, 1, 1, 1, 0))
-		s.hostDAG = &hostDAG{g: g, blevel: bl, indeg: g.InDegrees()}
-	})
-	return s.hostDAG
-}
-
 // TaskGraph returns the Factor/Update task DAG of the partition, built once
 // per analysis and shared by every consumer: the host executor, the 1D codes
 // and their schedulers. Callers must not modify it.
-func (s *Symbolic) TaskGraph() *taskgraph.Graph { return s.dag().g }
+func (s *Symbolic) TaskGraph() *taskgraph.Graph {
+	s.graphOnce.Do(func() { s.graph = taskgraph.Build(s.Partition) })
+	return s.graph
+}
 
-// hostRun is the task-DAG executor of one Factorization. Everything it needs
-// beyond the shared hostDAG and the Factorization's workspaces — dependence
-// counters and ready-heap storage — is sized on the first run and reused by
-// every later one, so a run allocates nothing but its goroutines.
+// spinYields bounds a worker's poll for a panel before it parks: 1024 yields
+// of its processor, 0.1–0.2 ms when nothing else is runnable (a yield runs
+// any other runnable goroutine first, so the poll takes no core another
+// wants). Parking earlier costs more than it saves: two workers beat one on
+// small grains in 84 % of the pairs at this bound, 55 % at 256 yields and
+// 54 % at 4096 (DESIGN.md, "Scheduler").
+const spinYields = 1024
+
+// hostRun is the host executor of one Factorization: the compute-ahead
+// schedule of the paper's 1D code (sched.ComputeAhead, the schedule
+// Factorize1D runs on the virtual machine) on real goroutines, one list per
+// worker. In an owner-compute schedule whose lists keep a topological order,
+// every task of column j runs on j's owner in list order, so the only
+// dependence between lists is Factor(k) -> Update(k, j): one flag per panel
+// carries it. The schedule and the flags are made for a worker count on the
+// first run at it and reused by later ones, so a run allocates nothing but
+// its goroutines.
 type hostRun struct {
-	dag   *hostDAG
-	deps  []int32
-	ready taskHeap
+	g        *taskgraph.Graph
+	schedule *sched.Schedule
+	// packed[k] is set once Factor(k) has factored and packed panel k in the
+	// current run; its store publishes the panel to every worker.
+	packed []atomic.Bool
 
 	// The current run's inputs; spaces holds one Workspace per worker.
 	bm     *supernode.BlockMatrix
@@ -148,42 +149,38 @@ type hostRun struct {
 	panels *panelStore
 	sink   obs.Sink
 
-	// mu guards deps, ready, remaining and err; cond signals ready work and
-	// the end of the run.
-	mu        sync.Mutex
-	cond      sync.Cond
-	remaining int
-	err       error
-	wg        sync.WaitGroup
+	// failed is set, with err, by the first task that fails. mu guards err
+	// and the parking: parked counts the workers waiting on cond, which is
+	// broadcast when a panel is published to a parked worker or the run
+	// fails.
+	failed atomic.Bool
+	parked atomic.Int32
+	mu     sync.Mutex
+	cond   sync.Cond
+	err    error
+	wg     sync.WaitGroup
 }
 
-func newHostRun(dag *hostDAG) *hostRun {
-	n := len(dag.g.Tasks)
-	r := &hostRun{
-		dag:   dag,
-		deps:  make([]int32, n),
-		ready: taskHeap{ids: make([]int, 0, n), prio: make([]float64, 0, n)},
-	}
+func newHostRun(g *taskgraph.Graph, workers int) *hostRun {
+	r := &hostRun{g: g, schedule: sched.ComputeAhead(g, workers), packed: make([]atomic.Bool, g.NB)}
 	r.cond.L = &r.mu
 	return r
 }
 
-// run executes the DAG over assembled storage on one worker per workspace,
-// the calling goroutine among them, and returns the merged flop tally and the
-// first error. Each panel is packed once, by its Factor task, into panels.
+// run executes the schedule over assembled storage on one worker per
+// workspace (len(spaces) is the schedule's worker count), the calling
+// goroutine among them, and returns the merged flop tally and the first
+// error. Each panel is packed once, by its Factor task, into panels.
 func (r *hostRun) run(bm *supernode.BlockMatrix, piv []int32, spaces []Workspace, panels *panelStore, sink obs.Sink) (Flops, error) {
 	for w := range spaces {
 		spaces[w].Fl = Flops{}
 	}
-	copy(r.deps, r.dag.indeg)
-	r.ready.ids, r.ready.prio = r.ready.ids[:0], r.ready.prio[:0]
-	for id, d := range r.deps {
-		if d == 0 {
-			r.ready.push(id, r.dag.blevel[id])
-		}
+	for k := range r.packed {
+		r.packed[k].Store(false)
 	}
 	r.bm, r.piv, r.spaces, r.panels, r.sink = bm, piv, spaces, panels, sink
-	r.remaining, r.err = len(r.deps), nil
+	r.failed.Store(false)
+	r.err = nil
 
 	r.wg.Add(len(spaces) - 1)
 	for w := 1; w < len(spaces); w++ {
@@ -205,26 +202,16 @@ func (r *hostRun) spawned(worker int) {
 	r.work(worker)
 }
 
-// work is one worker's loop: pop the highest-priority ready task, execute it,
-// then — under the same lock acquisition as the next pop — release the
-// successors whose dependence counters hit zero. The worker keeps one
-// released task for itself and wakes another worker for each further one.
-// A Factor(k) task packs panel k (exec) before it releases the updates that
-// read it.
+// work runs one worker's list in order. An Update(k, j) first waits for
+// panel k; a Factor(k) factors and packs panel k (exec), then publishes it.
+// No task starts once the run has failed.
 func (r *hostRun) work(worker int) {
-	tasks, ws := r.dag.g.Tasks, &r.spaces[worker]
-	r.mu.Lock()
-	for {
-		for len(r.ready.ids) == 0 && r.err == nil && r.remaining > 0 {
-			r.cond.Wait()
-		}
-		if r.err != nil || r.remaining == 0 {
-			r.mu.Unlock()
+	tasks, ws := r.g.Tasks, &r.spaces[worker]
+	for _, id := range r.schedule.Order[worker] {
+		t := tasks[id]
+		if t.Kind == taskgraph.KindUpdate && !r.await(t.K) || r.failed.Load() {
 			return
 		}
-		t := tasks[r.ready.pop()]
-		r.mu.Unlock()
-
 		var t0 time.Time
 		if r.sink != nil {
 			t0 = time.Now()
@@ -238,38 +225,63 @@ func (r *hostRun) work(worker int) {
 			r.sink.Task(obs.TaskEvent{Kind: kind, K: int32(t.K), J: int32(t.J), Worker: int32(worker),
 				StartNs: t0.UnixNano(), DurNs: time.Since(t0).Nanoseconds()})
 		}
-
-		// The mutex orders this task's writes before any successor's
-		// execution: successors are published through the queue it guards.
-		r.mu.Lock()
 		if err != nil {
-			if r.err == nil {
-				r.err = err
-			}
-			r.cond.Broadcast()
-			r.mu.Unlock()
+			r.fail(err)
 			return
 		}
-		released := 0
-		for _, s := range t.Succ {
-			r.deps[s]--
-			if r.deps[s] == 0 {
-				r.ready.push(s, r.dag.blevel[s])
-				released++
-			}
-		}
-		r.remaining--
-		if r.remaining == 0 {
-			r.cond.Broadcast()
-		}
-		for ; released > 1; released-- {
-			r.cond.Signal()
+		if t.Kind == taskgraph.KindFactor {
+			r.publish(t.K)
 		}
 	}
 }
 
-// exec runs one task on ws. A Factor(k) task packs panel k for the updates
-// it releases.
+// await waits until panel k is published and reports whether it was; false
+// means the run failed first. It polls for spinYields yields, then parks.
+func (r *hostRun) await(k int) bool {
+	for range spinYields {
+		if r.packed[k].Load() {
+			return true
+		}
+		if r.failed.Load() {
+			return false
+		}
+		runtime.Gosched()
+	}
+	r.mu.Lock()
+	// A publisher that stores the flag after the check below sees parked
+	// raised and broadcasts under mu, which it can take only once this
+	// worker waits.
+	r.parked.Add(1)
+	for !r.packed[k].Load() && !r.failed.Load() {
+		r.cond.Wait()
+	}
+	r.parked.Add(-1)
+	r.mu.Unlock()
+	return r.packed[k].Load()
+}
+
+// publish marks panel k factored and packed, waking the parked workers.
+func (r *hostRun) publish(k int) {
+	r.packed[k].Store(true)
+	if r.parked.Load() > 0 {
+		r.mu.Lock()
+		r.cond.Broadcast()
+		r.mu.Unlock()
+	}
+}
+
+// fail records the run's first error and wakes every parked worker to stop.
+func (r *hostRun) fail(err error) {
+	r.mu.Lock()
+	if r.err == nil {
+		r.err = err
+	}
+	r.failed.Store(true)
+	r.cond.Broadcast()
+	r.mu.Unlock()
+}
+
+// exec runs one task on ws. A Factor(k) task packs panel k for its updates.
 func (r *hostRun) exec(t *taskgraph.Task, ws *Workspace) error {
 	if t.Kind == taskgraph.KindUpdate {
 		updatePanelPair(r.bm, t.K, t.J, r.piv, r.panels.panel(t.K), ws)
@@ -280,56 +292,4 @@ func (r *hostRun) exec(t *taskgraph.Task, ws *Workspace) error {
 	}
 	r.panels.pack(t.K)
 	return nil
-}
-
-// taskHeap is a max-heap of task ids keyed by priority, hand-rolled (rather
-// than container/heap's interface) to keep pops allocation-free on the hot
-// scheduling path.
-type taskHeap struct {
-	ids  []int
-	prio []float64
-}
-
-func (h *taskHeap) push(id int, p float64) {
-	h.ids = append(h.ids, id)
-	h.prio = append(h.prio, p)
-	i := len(h.ids) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.prio[parent] >= h.prio[i] {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *taskHeap) pop() int {
-	top := h.ids[0]
-	last := len(h.ids) - 1
-	h.swap(0, last)
-	h.ids = h.ids[:last]
-	h.prio = h.prio[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < last && h.prio[l] > h.prio[big] {
-			big = l
-		}
-		if r < last && h.prio[r] > h.prio[big] {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h.swap(i, big)
-		i = big
-	}
-	return top
-}
-
-func (h *taskHeap) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.prio[i], h.prio[j] = h.prio[j], h.prio[i]
 }

@@ -1,11 +1,19 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"sstar/internal/obs"
 	"sstar/internal/sparse"
 	"sstar/internal/supernode"
 )
@@ -148,5 +156,91 @@ func TestFactorizeHostWorkerClamp(t *testing.T) {
 	b := randRHS(a.N, 65)
 	if r := residual(a, par.Solve(b), b); r > 1e-9 {
 		t.Fatalf("residual %g", r)
+	}
+}
+
+// parkSink holds the worker that reports task hold until another worker of
+// run has parked, and records that one did.
+type parkSink struct {
+	run    **hostRun
+	hold   int32 // K of the Update(K, J) to hold after
+	holdJ  int32
+	parked atomic.Bool
+}
+
+func (s *parkSink) Phase(string, int64) {}
+
+func (s *parkSink) Task(ev obs.TaskEvent) {
+	if ev.Kind != obs.KindUpdate || ev.K != s.hold || ev.J != s.holdJ {
+		return
+	}
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+		if (*s.run).parked.Load() > 0 {
+			s.parked.Store(true)
+			return
+		}
+	}
+}
+
+// TestHostSingularLeavesNothingRunning: a column of zeros in the middle of
+// the elimination fails its Factor task while another worker is parked on a
+// panel that will now never be published. Refactorize must return
+// ErrSingular with every worker joined, keep the previous factors live, and
+// run the next good matrix to FactorizeSeq's factors bit for bit, at 2 and 4
+// workers. The worker that owns the failing column is held, through the
+// trace sink, after the last update into the column until a worker parks.
+func TestHostSingularLeavesNothingRunning(t *testing.T) {
+	a := replayMatrices()[0].a
+	sym := Analyze(a, AnalyzeOptions{})
+	g := sym.TaskGraph()
+	col := a.N / 2 // after the column permutation
+	mb := sym.Partition.BlockOf[col]
+	chain := g.Updates(mb)
+	if len(chain) == 0 {
+		t.Fatalf("block %d has no updates into it", mb)
+	}
+	last := g.Tasks[chain[len(chain)-1]]
+	bad, zero := a.Clone(), slices.Index(sym.ColPerm, col)
+	for q, j := range bad.ColInd {
+		if j == zero {
+			bad.Val[q] = 0
+		}
+	}
+	next := a.Clone()
+	for q := range next.Val {
+		next.Val[q] *= 1 + 0.1*math.Sin(float64(q))
+	}
+	want, err := FactorizeSeq(a, sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNext, err := FactorizeSeq(next, sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4} {
+		f, err := FactorizeHost(a, sym, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &parkSink{run: &f.host, hold: int32(last.K), holdJ: int32(mb)}
+		base := runtime.NumGoroutine()
+		err = f.Refactorize(bad, workers, sink)
+		if !errors.Is(err, ErrSingular) || !strings.Contains(err.Error(), fmt.Sprintf("zero pivot at column %d", col)) {
+			t.Fatalf("%d workers: singular refactorize returned %v", workers, err)
+		}
+		if !sink.parked.Load() {
+			t.Fatalf("%d workers: no worker parked while column %d's owner was held", workers, col)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d workers: %d goroutines after the failed run, %d before", workers, runtime.NumGoroutine(), base)
+			}
+		}
+		sameSlab(t, fmt.Sprintf("%d workers, factors after the failed run", workers), f, want)
+		if err := f.Refactorize(next, workers, nil); err != nil {
+			t.Fatal(err)
+		}
+		sameSlab(t, fmt.Sprintf("%d workers, the next good run", workers), f, wantNext)
 	}
 }

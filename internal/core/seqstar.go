@@ -11,6 +11,7 @@ import (
 	"sstar/internal/sparse"
 	"sstar/internal/supernode"
 	"sstar/internal/symbolic"
+	"sstar/internal/taskgraph"
 	"sstar/internal/xblas"
 )
 
@@ -28,10 +29,10 @@ type Symbolic struct {
 	// construction.
 	Phases PhaseTimes
 
-	// The task graph and the executor's priorities, built on first use (see
-	// dag) and read-only after.
-	dagOnce sync.Once
-	hostDAG *hostDAG
+	// The task graph, built on first use (see TaskGraph) and read-only
+	// after.
+	graphOnce sync.Once
+	graph     *taskgraph.Graph
 }
 
 // AnalyzeOptions configures the analyze phase.
@@ -145,9 +146,10 @@ type Factorization struct {
 	// only on success, so a failed refactorization leaves the live factors
 	// untouched. The second slab is allocated on the first Refactorize of
 	// existing factors, not before. spaces holds one Workspace per worker:
-	// the sequential driver runs on the first, the task-DAG executor on one
+	// the sequential driver runs on the first, the host executor on one
 	// each. panels holds the packed L panels both share among their
-	// updates. host is the executor's remaining state, made by its first run.
+	// updates. host is the executor's schedule and flags, made by its first run
+	// at a worker count.
 	asm      []int
 	spare    []float64
 	sparePiv []int32
@@ -204,8 +206,8 @@ func nonFinite(a *sparse.CSR) error {
 // static structure is only valid for that pattern). It touches values only:
 // the block skeleton, the update plan and the assembly map are reused, the
 // slab is cleared and refilled in place, and the steady state allocates
-// nothing on the sequential path. workers > 1 runs the task-DAG executor on
-// exactly that many workers (clamped to the task count), whose steady state
+// nothing on the sequential path. workers > 1 runs the host executor on
+// exactly that many workers (clamped to the block count), whose steady state
 // allocates only its goroutines; the factors are bit-identical to a fresh
 // sequential factorization either way. On error (a singular matrix, or a
 // value that is an infinity or a NaN) the previous factors stay live and
@@ -256,11 +258,11 @@ func (f *Factorization) refactorize(a *sparse.CSR, workers int, sink obs.Sink) e
 	var fl Flops
 	var err error
 	if workers > 1 {
-		if f.host == nil {
-			f.host = newHostRun(sym.dag())
+		w := min(workers, sym.Partition.NB)
+		if f.host == nil || f.host.schedule.P != w {
+			f.host = newHostRun(sym.TaskGraph(), w)
 		}
-		spaces := f.workspaces(min(workers, len(f.host.deps)))
-		fl, err = f.host.run(f.BM, f.Piv, spaces, f.panels, sink)
+		fl, err = f.host.run(f.BM, f.Piv, f.workspaces(w), f.panels, sink)
 	} else {
 		ws := &f.workspaces(1)[0]
 		ws.Fl = Flops{}

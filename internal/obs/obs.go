@@ -8,7 +8,7 @@
 // per-phase cost splits, bounded asynchronous overlap — and this package is
 // what makes those quantities visible on the host implementation: the
 // analyze and numeric phases report their timings through the Sink
-// interface, the task-DAG executor emits one span per Factor(k)/Update(k,j)
+// interface, the host executor emits one span per Factor(k)/Update(k,j)
 // with the worker that ran it (so a run renders as a pipeline-overlap
 // timeline in chrome://tracing or Perfetto), and the solver service exports
 // its counters and request-phase histograms over /metrics.

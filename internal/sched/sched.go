@@ -3,8 +3,12 @@
 // critical-path list scheduling of the task graph in the style of
 // PYRROS/RAPID for the graph-scheduled code. Because the 1D codes use
 // owner-compute column mapping, the scheduler assigns *column blocks* (task
-// clusters) to processors and orders tasks within each processor by
-// bottom-level priority.
+// clusters) to processors and orders each processor's tasks: the CA code in
+// the global k-major order, the graph schedules by bottom-level priority.
+// A Schedule is what both executors of the 1D codes run: the virtual
+// machine's (core.Factorize1D) and, for the CA schedule, the host's
+// (core.FactorizeHost), where every dependence that crosses processors is a
+// Factor(k) -> Update(k, j) edge.
 package sched
 
 import (
@@ -24,8 +28,6 @@ type Schedule struct {
 	// Makespan is the scheduler's *estimate* of the parallel time; the
 	// machine-level execution recomputes the real (virtual) time.
 	Makespan float64
-	// blevels, kept for diagnostics.
-	BLevel []float64
 }
 
 // CyclicOwners returns the block-cyclic column mapping used by the CA code.
@@ -41,30 +43,27 @@ func CyclicOwners(nb, p int) []int {
 // ownership, with each processor executing its tasks in the global
 // k-major order, except that Update(k, k+1) and Factor(k+1) are promoted
 // ahead of the remaining Update(k, *) tasks so that the next pivot panel is
-// produced and broadcast as early as possible.
+// produced and broadcast as early as possible. Update(k, *) are Factor(k)'s
+// successors, which taskgraph.Build lists in ascending j, so the schedule
+// costs one pass over the tasks.
 func ComputeAhead(g *taskgraph.Graph, p int) *Schedule {
 	owner := CyclicOwners(g.NB, p)
 	s := &Schedule{P: p, Owner: owner, Order: make([][]int, p)}
 	assign := func(id int) {
-		t := g.Tasks[id]
-		pr := owner[t.J]
+		pr := owner[g.Tasks[id].J]
 		s.Order[pr] = append(s.Order[pr], id)
 	}
 	assign(g.Factor(0))
 	for k := 0; k < g.NB-1; k++ {
 		// Compute-ahead: the (k, k+1) update and the next factor first.
-		for _, id := range g.Updates(k + 1) {
-			if g.Tasks[id].K == k {
-				assign(id)
-			}
+		updates := g.Tasks[g.Factor(k)].Succ
+		if len(updates) > 0 && g.Tasks[updates[0]].J == k+1 {
+			assign(updates[0])
+			updates = updates[1:]
 		}
 		assign(g.Factor(k + 1))
-		for j := k + 2; j < g.NB; j++ {
-			for _, id := range g.Updates(j) {
-				if g.Tasks[id].K == k {
-					assign(id)
-				}
-			}
+		for _, id := range updates {
+			assign(id)
 		}
 	}
 	return s
@@ -78,7 +77,7 @@ func ComputeAhead(g *taskgraph.Graph, p int) *Schedule {
 func ListSchedule(g *taskgraph.Graph, p int, w []float64, commCost func(int) float64) *Schedule {
 	n := len(g.Tasks)
 	_, blevel := g.CriticalPath(w)
-	s := &Schedule{P: p, Owner: make([]int, g.NB), Order: make([][]int, p), BLevel: blevel}
+	s := &Schedule{P: p, Owner: make([]int, g.NB), Order: make([][]int, p)}
 	for j := range s.Owner {
 		s.Owner[j] = -1
 	}
@@ -193,7 +192,7 @@ func LPTSchedule(g *taskgraph.Graph, p int, w []float64) *Schedule {
 		load[best] += work[j]
 	}
 	// Per-processor order: topological order broken by bottom level.
-	s := &Schedule{P: p, Owner: owner, Order: make([][]int, p), BLevel: blevel}
+	s := &Schedule{P: p, Owner: owner, Order: make([][]int, p)}
 	order := prioritizedTopoOrder(g, blevel)
 	for _, id := range order {
 		pr := owner[g.Tasks[id].J]

@@ -101,7 +101,9 @@ func Build(p *supernode.Partition) *Graph {
 		}
 	}
 	// Edges. updates[j] is already ascending in k because the outer loop
-	// runs k in order.
+	// runs k in order, and the loop over j below lists each Factor(k)'s
+	// successors, its Update(k, ·), in ascending j (sched.ComputeAhead reads
+	// them in that order).
 	edge := func(from, to int) {
 		g.Tasks[from].Succ = append(g.Tasks[from].Succ, to)
 		g.Tasks[to].Pred = append(g.Tasks[to].Pred, from)
@@ -203,17 +205,6 @@ func (g *Graph) CriticalPath(w []float64) (float64, []float64) {
 		}
 	}
 	return cp, blevel
-}
-
-// InDegrees returns each task's predecessor count — the initial dependence
-// counters of a task-DAG executor (a task is ready when its counter reaches
-// zero). int32 so executors can decrement the returned slice atomically.
-func (g *Graph) InDegrees() []int32 {
-	deg := make([]int32, len(g.Tasks))
-	for i, t := range g.Tasks {
-		deg[i] = int32(len(t.Pred))
-	}
-	return deg
 }
 
 // TopoOrder returns a topological order of the task ids.

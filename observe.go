@@ -96,7 +96,7 @@ func sinkFor(o Observer) obs.Sink {
 // in-memory ring and renders them as a Chrome trace_event JSON timeline
 // (loadable in chrome://tracing or https://ui.perfetto.dev): one lane per
 // executor worker, one span per Factor/Update task, so the pipeline overlap
-// of the task-DAG executor is directly visible.
+// of the host executor is directly visible.
 //
 //	tr := sstar.NewTrace(0)
 //	opts := sstar.DefaultOptions()

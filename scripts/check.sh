@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo-wide checks: formatting, vet, build, full tests, then the race
 # detector over the packages with real concurrency (the virtual machine, the
-# shared-memory kernels with the task-DAG executor, the solver service with
+# shared-memory kernels with the host executor, the solver service with
 # its client, and the facade that drives the parallel factorization). Run
 # from the repo root; exits nonzero on the first failure.
 set -eux
@@ -89,7 +89,7 @@ go test -run 'ZeroAlloc' -count=1 ./internal/obs ./internal/xblas
 
 # Numeric-only Refactorize guards: the steady state allocates O(1) objects
 # whatever the matrix size (it used to allocate several per block), on the
-# sequential driver and the task-DAG executor, and the refactorize benchmark
+# sequential driver and the host executor, and the refactorize benchmark
 # runs end to end on both supernode regimes, one and two workers (w1, w2; 3
 # iterations: a smoke, not a measurement).
 go test -run 'TestRefactorizeSteadyStateAllocs|TestHostRefactorizeSteadyStateAllocs' -count=1 . ./internal/core
@@ -109,6 +109,13 @@ go test -run '^$' -bench 'Solve' -benchtime 3x ./internal/core
 # sequential): the reused per-run state, the task graph one analysis shares
 # between concurrent factorizations, the observer's concurrent callbacks.
 go test -race -count=1 -run 'Host|Parallel|Refactorize|Concurrent|Observer|TraceChrome' . ./internal/core
+# The host executor's waits and its error path at 1, 2 and 4 processors, five
+# runs each: a singular column fails while a worker is parked on the panel it
+# will never publish (every worker must join, the previous factors stay live),
+# the schedule replay, and the bit-identity of the executor's factors on the
+# core and facade paths.
+go test -race -cpu 1,2,4 -count=5 -run 'TestHostSingularLeavesNothingRunning|TestReplayScheduleOrders|TestFactorizeHostBitIdentical|TestHostRefactorizeSequence' ./internal/core
+go test -race -cpu 1,2,4 -count=5 -run 'TestFactorizeHostParallelBitIdentical|TestHostWorkersGateBitIdentical' .
 # Kernel bench smoke: every GEMM, MulSub and B-pack shape runs end to end
 # (GEMM and the pack at every kernel level the host runs; 3 iterations: a
 # smoke, not a measurement).
@@ -142,8 +149,11 @@ if git grep -n 'go:build' -- 'internal/xblas/*.go' 'internal/xblas/*.s' ':!*_tes
 # the zero map), the push built on the request path with its event-to-request
 # mapping (the replicator exports as each push leaves), the registry's stored counter and gauge kinds (every counter
 # and gauge is read at scrape time; spelled with a word boundary because they
-# prefix the kept kindCounterFunc and kindGaugeFunc) and the bench package's
-# unused default config stay gone.
+# prefix the kept kindCounterFunc and kindGaugeFunc), the bench package's
+# unused default config and the host executor's own scheduler — its ready
+# heap, the bottom levels and in-degree counters it was keyed and released by,
+# and the schedule's unread bottom levels (the host runs the compute-ahead
+# lists with one flag per panel) — stay gone.
 # RequestStats.BatchWidth, RouterStats.Scatters and the benchmark metrics
 # reading them are not listed: they stay until the benchmark retires them.
 # Scanned: every file but
@@ -151,7 +161,7 @@ if git grep -n 'go:build' -- 'internal/xblas/*.go' 'internal/xblas/*.s' ':!*_tes
 # that describe the program and its sources (the changelog, roadmap and
 # planning notes are history and may name what went). Spelled as an if
 # because set -e ignores a command behind "!".
-retired='BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D|runSolveBatch|doSolveMany|CoalesceWidth|coalesce-width|ColEtree|detectSupernodesWorkers|parMinCols|partParMin|ColumnMinDegree|colmmd|SetTileShape|AutotuneResult|TileChoice|tileCandidates|CoalesceWindow|coalesce-window|TenantWeights|tenant-weights|parseTenantWeights|SuspectThreshold|DeadThreshold|collectRiders|takeSolves|solveBatch|batchColumns|scatterSolveMany|coalescedSolves|CoalescedSolves|SolveBatches|solve_batch_width|router_scatters_total|FactorizeBTF|BTFFactorization|BlockTriangular|btfcircuit|SolveTranspose|CondEst|Equilibrate|RefineResult|backwardError|GenDense|GenPerturb\(|\.Refine\(|PivotThreshold|PivotTol|pivotTol|WithMaxFrame|MaxFrame|\.PatchMaxDiff|PatchMaxDiff:|newPanel\(|dropPanel|doReplicateAnalysis|LoadAnalysis|analysisMeta|analysisMagic|Analyzed\(|placeMu|keyOf\(|gemmEngine|smallGemm|GemmAdd|packB\(|ReplicateRequest|kindCounter\b|kindGauge\b|DefaultConfig\('
+retired='BENCH_(kernels|hostpar|service)|FactorizeParallel|ParOptions|SolvePar1D|runSolveBatch|doSolveMany|CoalesceWidth|coalesce-width|ColEtree|detectSupernodesWorkers|parMinCols|partParMin|ColumnMinDegree|colmmd|SetTileShape|AutotuneResult|TileChoice|tileCandidates|CoalesceWindow|coalesce-window|TenantWeights|tenant-weights|parseTenantWeights|SuspectThreshold|DeadThreshold|collectRiders|takeSolves|solveBatch|batchColumns|scatterSolveMany|coalescedSolves|CoalescedSolves|SolveBatches|solve_batch_width|router_scatters_total|FactorizeBTF|BTFFactorization|BlockTriangular|btfcircuit|SolveTranspose|CondEst|Equilibrate|RefineResult|backwardError|GenDense|GenPerturb\(|\.Refine\(|PivotThreshold|PivotTol|pivotTol|WithMaxFrame|MaxFrame|\.PatchMaxDiff|PatchMaxDiff:|newPanel\(|dropPanel|doReplicateAnalysis|LoadAnalysis|analysisMeta|analysisMagic|Analyzed\(|placeMu|keyOf\(|gemmEngine|smallGemm|GemmAdd|packB\(|ReplicateRequest|kindCounter\b|kindGauge\b|DefaultConfig\(|taskHeap|hostDAG|InDegrees\(|BLevel'
 if git grep -nE "$retired" -- . ':(exclude,glob)*.md' ':!results/' ':!scripts/check.sh' ||
 	git grep -nE "$retired" -- README.md DESIGN.md EXPERIMENTS.md PAPER.md PAPERS.md SNIPPETS.md; then exit 1; fi
 

@@ -58,7 +58,7 @@ type Options struct {
 	// the maximum transversal + minimum degree preprocessing.
 	SkipOrdering bool
 	// HostWorkers caps the goroutines of the numeric factor phase. 0 (the
-	// default) runs the Factor/Update task DAG on up to
+	// default) runs the Factor/Update tasks on up to
 	// core.DefaultHostWorkers (2, the count the grain gate was measured at)
 	// shared-memory workers, never more than GOMAXPROCS, when the
 	// partition's task grain says that wins (a mean of core.ParallelGrain
@@ -80,7 +80,7 @@ type Options struct {
 	// parallel Mapping on Procs modeled processors of Machine, and the
 	// modeled run statistics become available from Factorization.RunStats.
 	// 0 (the default) keeps the host path (sequential, or the HostWorkers
-	// task-DAG executor). Factors are bit-identical across every execution
+	// host executor). Factors are bit-identical across every execution
 	// path, so Procs/Machine/Mapping/TraceParallel never change results —
 	// they are excluded from StructureKey and ignored (normalized to zero)
 	// by the solver service.
@@ -207,7 +207,7 @@ func validate(a *Matrix, o Options) error {
 
 // Factorize analyzes and numerically factorizes a. This is the single
 // factorize entrypoint: Options.HostWorkers selects the shared-memory
-// task-DAG executor, and Options.Procs > 0 routes the run through the
+// host executor, and Options.Procs > 0 routes the run through the
 // virtual distributed-memory machine (Machine/Mapping/TraceParallel apply;
 // modeled statistics via Factorization.RunStats). The factors are
 // bit-identical on every path. On the host path it is equivalent to Analyze
